@@ -1,7 +1,7 @@
 // bench-delta compares two benchmark JSON artifacts (the files khop-bench
 // -out writes) and prints per-workload metric ratios as a markdown table:
 //
-//	bench-delta -old BENCH_propstore.json -new bench-artifacts/BENCH_prop-store.json
+//	bench-delta -old BENCH_pipeline.json -new bench-artifacts/BENCH_pipeline-batch.json
 //
 // Rows are matched by their identity fields (strings, bools, and the
 // parameter-like integer fields such as batch/threads/clients); the
@@ -11,7 +11,9 @@
 // falls below R — the CI regression gate. Artifacts recorded at different
 // scales or on different hosts are still matched (the scale difference is
 // printed), so the speedup columns remain comparable even when absolute
-// numbers are not.
+// numbers are not: a dataset name loses its "-<scale>" suffix in the key,
+// and a row that names its workload is not also keyed on its query text,
+// whose constants are derived from the scale.
 package main
 
 import (
@@ -54,11 +56,18 @@ func rows(raw json.RawMessage) []map[string]any {
 	return nil
 }
 
-func rowKey(r map[string]any) string {
+func rowKey(r map[string]any, scale int) string {
+	_, named := r["workload"].(string)
 	var parts []string
 	for k, v := range r {
 		switch vv := v.(type) {
 		case string:
+			if k == "query" && named {
+				continue
+			}
+			if k == "dataset" {
+				vv = strings.TrimSuffix(vv, fmt.Sprintf("-%d", scale))
+			}
 			parts = append(parts, fmt.Sprintf("%s=%s", k, vv))
 		case bool:
 			parts = append(parts, fmt.Sprintf("%s=%v", k, vv))
@@ -75,7 +84,9 @@ func rowKey(r map[string]any) string {
 // isQPS marks higher-is-better rate metrics; speedup rides along in the
 // table but never gates -fail-below — it is a ratio of two rates, and a
 // run where both rates improve can still move it either way.
-func isQPS(name string) bool   { return strings.Contains(name, "qps") || name == "speedup" }
+func isQPS(name string) bool {
+	return strings.Contains(name, "qps") || strings.HasPrefix(name, "speedup")
+}
 func isMS(name string) bool    { return strings.HasSuffix(name, "_ms") }
 func isGated(name string) bool { return strings.Contains(name, "qps") }
 
@@ -115,14 +126,14 @@ func main() {
 
 	oldRows := map[string]map[string]any{}
 	for _, r := range rows(oldA.Results) {
-		oldRows[rowKey(r)] = r
+		oldRows[rowKey(r, oldA.Scale)] = r
 	}
 
 	fmt.Println("| workload | metric | old | new | new/old |")
 	fmt.Println("|---|---|---:|---:|---:|")
 	worst, matched := 1e18, 0
 	for _, nr := range rows(newA.Results) {
-		key := rowKey(nr)
+		key := rowKey(nr, newA.Scale)
 		or, ok := oldRows[key]
 		if !ok {
 			fmt.Printf("| %s | _no baseline row_ | | | |\n", key)

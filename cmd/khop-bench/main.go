@@ -39,7 +39,7 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 13, "graph scale: 2^scale vertices per dataset")
-	experiment := flag.String("experiment", "all", "fig1 | khop | throughput | robust | traverse-batch | rw-mix | pipeline-batch | plan-order | kernel-select | parallel-scaling | plan-cache | join-order | concurrent-load | prop-store | all")
+	experiment := flag.String("experiment", "all", "fig1 | khop | throughput | robust | traverse-batch | rw-mix | pipeline-batch | plan-order | kernel-select | parallel-scaling | plan-cache | join-order | concurrent-load | all")
 	queries := flag.Int("queries", 2048, "query count for the throughput and rw-mix experiments")
 	timeout := flag.Duration("timeout", 30*time.Second, "robustness experiment timeout per query")
 	batch := flag.Int("batch", 64, "batch size for the traverse-batch and pipeline-batch experiments")
@@ -111,10 +111,6 @@ func main() {
 	if want("concurrent-load") {
 		results := s.ConcurrentLoad(*queries)
 		writeJSON(outFor("concurrent-load"), "concurrent-load", *scale, results)
-	}
-	if want("prop-store") {
-		results := s.PropStore(*queries)
-		writeJSON(outFor("prop-store"), "prop-store", *scale, results)
 	}
 }
 

@@ -1574,173 +1574,3 @@ func (s *Suite) ConcurrentLoad(totalOps int) []ConcurrentLoadResult {
 	fmt.Fprintln(s.w)
 	return out
 }
-
-// PropStoreResult is one workload cell of the columnar property-store
-// experiment (E15): a property-read-dominated query stream executed with
-// PROPERTY_STORE columnar vs the map baseline. Rows are checked
-// bit-identical between the two stores on every request.
-type PropStoreResult struct {
-	Workload    string  `json:"workload"`
-	Queries     int     `json:"queries"`
-	MapQPS      float64 `json:"map_qps"`
-	ColumnarQPS float64 `json:"columnar_qps"`
-	Speedup     float64 `json:"speedup"` // columnar_qps / map_qps
-	RowsEqual   bool    `json:"rows_equal"`
-}
-
-// propStoreGraph builds the experiment fixture: n :P nodes carrying an int
-// column (age), a float column (score), a modest-cardinality string column
-// (name) and an indexed int key (uid), plus 2 deterministic :E successors
-// per node so traversal masks have work. One node in 64 carries a
-// mixed-type attribute to keep the overflow path honest.
-func propStoreGraph(n int) *graph.Graph {
-	g := graph.New("prop-store")
-	g.Lock()
-	ids := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		p := map[string]value.Value{
-			"uid":   value.NewInt(int64(i)),
-			"age":   value.NewInt(int64((i * 2654435761) % 97)),
-			"score": value.NewFloat(float64((i*40503)%1000) / 10),
-			"name":  value.NewString(fmt.Sprintf("name-%d", i%23)),
-		}
-		// Dirty rows arrive after the first clean one so the column promotes
-		// to its majority type (int) and only the 1-in-64 strings overflow —
-		// a dirty first write would pin the whole column to the minority
-		// kind, which is the realistic-worst-case we measure separately.
-		if i%64 == 63 {
-			p["age"] = value.NewString("unknown")
-		}
-		ids[i] = g.CreateNode([]string{"P"}, p).ID
-	}
-	for i, id := range ids {
-		for k := 0; k < 2; k++ {
-			if _, err := g.CreateEdge("E", id, ids[(i*2654435761+k*40503+1)%n], nil); err != nil {
-				panic(fmt.Sprintf("bench: prop-store: %v", err))
-			}
-		}
-	}
-	g.CreateIndex("P", "uid")
-	g.Sync()
-	g.Unlock()
-	return g
-}
-
-// PropStore measures the vectorized filter kernels: each workload runs the
-// same deterministic request stream under both store modes, compares every
-// row, and reports median queries/sec of 5 timed reps (one warm-up).
-func (s *Suite) PropStore(queries int) []PropStoreResult {
-	fmt.Fprintf(s.w, "=== E15: columnar property store vs map baseline (scale=%d) ===\n", s.scale)
-	n := 1 << s.scale
-	g := propStoreGraph(n)
-
-	// Scan-dominated workloads touch every row per query, so they get a
-	// smaller request count than the point-read shapes.
-	scanQ := queries / 8
-	if scanQ < 16 {
-		scanQ = 16
-	}
-
-	type workload struct {
-		name    string
-		queries int
-		mutates bool
-		request func(i int) (string, map[string]value.Value)
-	}
-	workloads := []workload{
-		// Selective numeric filter: few survivors, so the per-row predicate
-		// (not record emission) dominates — the regime the kernels target.
-		// filter-agg below keeps a ~50%-selectivity cell where emission
-		// shares the bill.
-		{name: "filter-count", queries: scanQ, request: func(i int) (string, map[string]value.Value) {
-			return `MATCH (p:P) WHERE p.age > $t RETURN count(p)`,
-				map[string]value.Value{"t": value.NewInt(int64(80 + i%17))}
-		}},
-		{name: "filter-agg", queries: scanQ, request: func(i int) (string, map[string]value.Value) {
-			return `MATCH (p:P) WHERE p.score >= $t AND p.age < 90 RETURN count(p), min(p.score), max(p.age)`,
-				map[string]value.Value{"t": value.NewFloat(float64(i % 100))}
-		}},
-		{name: "string-eq", queries: scanQ, request: func(i int) (string, map[string]value.Value) {
-			return fmt.Sprintf(`MATCH (p:P) WHERE p.name = "name-%d" RETURN count(p)`, i%23), nil
-		}},
-		{name: "projection", queries: scanQ, request: func(i int) (string, map[string]value.Value) {
-			return `MATCH (p:P) WHERE p.age >= $t RETURN p.uid, p.name, p.score`,
-				map[string]value.Value{"t": value.NewInt(int64(90 + i%7))}
-		}},
-		{name: "indexed-eq", queries: queries, request: func(i int) (string, map[string]value.Value) {
-			return `MATCH (p:P {uid: $seed}) WHERE p.age >= 0 RETURN p.uid, p.age`,
-				map[string]value.Value{"seed": value.NewInt(int64((i * 2654435761) % n))}
-		}},
-		{name: "write-mix", queries: scanQ, mutates: true, request: func(i int) (string, map[string]value.Value) {
-			if i%4 == 3 {
-				return `MATCH (p:P {uid: $seed}) SET p.age = $t`,
-					map[string]value.Value{
-						"seed": value.NewInt(int64((i * 40503) % n)),
-						"t":    value.NewInt(int64(i % 97)),
-					}
-			}
-			return `MATCH (p:P) WHERE p.age > $t RETURN count(p)`,
-				map[string]value.Value{"t": value.NewInt(int64(i % 97))}
-		}},
-	}
-
-	runStream := func(g *graph.Graph, cfg core.Config, w workload) (time.Duration, []string) {
-		rows := make([]string, 0, w.queries)
-		t0 := time.Now()
-		for i := 0; i < w.queries; i++ {
-			q, params := w.request(i)
-			rs, err := core.Query(g, q, params, cfg)
-			if err != nil {
-				panic(fmt.Sprintf("bench: prop-store: %s: %v", q, err))
-			}
-			out := make([]string, len(rs.Rows))
-			for j, row := range rs.Rows {
-				out[j] = fmt.Sprint(row)
-			}
-			sort.Strings(out)
-			rows = append(rows, strings.Join(out, ";"))
-		}
-		return time.Since(t0), rows
-	}
-
-	var out []PropStoreResult
-	for _, w := range workloads {
-		graphFor := func() *graph.Graph {
-			if w.mutates {
-				return propStoreGraph(n)
-			}
-			return g
-		}
-		var mapReps, colReps []float64
-		for rep := 0; rep < 6; rep++ {
-			runtime.GC()
-			elM, rowsM := runStream(graphFor(), core.Config{PropertyStore: "map"}, w)
-			runtime.GC()
-			elC, rowsC := runStream(graphFor(), core.Config{PropertyStore: "columnar"}, w)
-			for i := range rowsM {
-				if rowsM[i] != rowsC[i] {
-					panic(fmt.Sprintf("bench: prop-store divergence %s req %d:\nmap:      %s\ncolumnar: %s",
-						w.name, i, rowsM[i], rowsC[i]))
-				}
-			}
-			if rep == 0 {
-				continue // warm-up
-			}
-			mapReps = append(mapReps, float64(w.queries)/elM.Seconds())
-			colReps = append(colReps, float64(w.queries)/elC.Seconds())
-		}
-		sort.Float64s(mapReps)
-		sort.Float64s(colReps)
-		r := PropStoreResult{
-			Workload: w.name, Queries: w.queries,
-			MapQPS: mapReps[len(mapReps)/2], ColumnarQPS: colReps[len(colReps)/2],
-			RowsEqual: true,
-		}
-		r.Speedup = r.ColumnarQPS / r.MapQPS
-		out = append(out, r)
-		fmt.Fprintf(s.w, "  %-12s  map %9.0f q/s  columnar %9.0f q/s  %5.2fx\n",
-			r.Workload, r.MapQPS, r.ColumnarQPS, r.Speedup)
-	}
-	fmt.Fprintln(s.w)
-	return out
-}

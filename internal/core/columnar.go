@@ -8,14 +8,15 @@ import (
 	"redisgraph/internal/value"
 )
 
-// Vectorized predicate evaluation over the columnar property store.
+// Vectorized predicate evaluation over the property store.
 //
-// A pushed-down scan predicate (`n.x > 5`) classically evaluates per row:
-// resolve the attribute name, look the value up in the node's property map,
-// box it into a value.Value, run compareValues. The columnar path compiles
-// the predicate once per scan pass into a colPred — a mode tag plus an
-// unboxed target — and then runs a tight typed loop over the column's flat
-// array, touching value.Value only for the rare overflow (mixed-type) rows.
+// Interpreted, a property comparison (`n.x > 5`) evaluates per row: resolve
+// the attribute name, box the column cell into a value.Value, run
+// compareValues — the path every residual filter takes, and under NoPushdown
+// the differential reference for this file. A pushed-down predicate is
+// instead compiled once into a colPred — a mode tag plus an unboxed target —
+// and run as a tight typed loop over the column's flat array, touching
+// value.Value only for the rare overflow (mixed-type) rows.
 //
 // Semantics are pinned to compareValues exactly:
 //   - a row without the attribute compares as null and is dropped (any op);
@@ -29,12 +30,27 @@ import (
 //     branch);
 //   - overflow rows fall back to the boxed compareValues itself.
 //
-// compileColPred refuses (ok=false) whenever any of that cannot be decided
-// statically for the column — unknown attribute, no column yet, a column
-// that was never promoted to a typed layout, or a null/unresolved target —
-// and the caller keeps the per-row map path. A typed column's kind never
-// changes (propstore promotion is one-shot), so a compiled colPred stays
-// valid for the column's lifetime.
+// Every predicate compiles. A null target, an unknown attribute or an
+// attribute no node ever stored compiles to "no row passes" (col == nil):
+// compareValues yields null for each of them on every row. A column that was
+// never promoted to a typed layout has an empty presence bitmap, so probe
+// falls through to its boxed overflow branch for every row.
+//
+// Validity. A colPred bakes in what it resolved at compile time: the column
+// pointer (or its absence), the column kind, the interned ID of a string
+// target. Node-property writes can change all three, so a colPred — and
+// anything filtered through it — is valid only for the graph.PropVersion it
+// was compiled at. Read-only and write plans hold to that the same way:
+// compiled filters and masks are memoised on storeVersion (connectivity
+// epoch + property version), and a scan pass never straddles a write,
+// because every write operation is eager — it drains its child completely,
+// applies one mutation burst, then emits. A burst below a scan therefore runs
+// inside the scan's first pull of its child and nowhere later; a burst above
+// it runs only once the scan is exhausted. What each consumer owes in return
+// is to compile after that pull, not before it: the scans compile as they
+// prime a pass (startPass/loadIDs/loadSeeds), the traversals after gathering
+// their input batch. From there to the end of the pass no burst can run, so
+// the candidate list the pass filtered stays true.
 
 type predMode uint8
 
@@ -59,45 +75,50 @@ type colPred struct {
 	wantV value.Value // boxed target, for overflow rows
 }
 
-// compileColPred resolves one evaluated scan predicate against the store.
-// ok=false means the caller must keep the row-at-a-time map path.
-func compileColPred(ctx *execCtx, p scanPropCmp) (colPred, bool) {
-	out := colPred{op: p.op, wantV: p.want}
+// storeVersion identifies the graph state compiled, record-free predicates
+// were resolved against: label masks and index postings follow the
+// connectivity epoch and the property version, colPreds the latter.
+type storeVersion struct{ epoch, props uint64 }
+
+func (ctx *execCtx) storeVersion() storeVersion {
+	return storeVersion{ctx.g.Epoch(), ctx.g.PropVersion()}
+}
+
+// compileColPred resolves one pushed comparison `n.attr op want`, its target
+// already evaluated, against the node store.
+func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
+	out := colPred{op: op, wantV: want}
 	if out.op == "" {
 		out.op = "="
 	}
-	if p.want.IsNull() {
-		// compareValues(anything, null) is null for every operator; the map
-		// path drops every row, and so would we — but "nothing matches" and
-		// "fall back" are equally correct here, and falling back keeps the
-		// rare case on the single battle-tested path.
-		return out, false
+	if want.IsNull() {
+		return out // compareValues(anything, null) is null under every operator
 	}
-	aid, ok := ctx.g.Schema.AttrID(p.attr)
+	aid, ok := ctx.g.Schema.AttrID(attr)
 	if !ok {
-		return out, false
+		return out
 	}
 	col := ctx.g.PropColumn(aid)
-	if col == nil || col.Kind() == graph.ColNone {
-		return out, false
+	if col == nil {
+		return out
 	}
 	out.col = col
 	switch col.Kind() {
 	case graph.ColInt, graph.ColFloat:
-		if p.want.IsNumeric() {
+		if want.IsNumeric() {
 			out.mode = predNum
-			out.wantF = p.want.Float()
+			out.wantF = want.Float()
 		} else {
 			out.mode = mismatchMode(out.op)
 		}
 	case graph.ColString:
-		if p.want.Kind != value.KindString {
+		if want.Kind != value.KindString {
 			out.mode = mismatchMode(out.op)
 			break
 		}
 		switch out.op {
 		case "=", "<>":
-			sid, ok := ctx.g.PropStrings().StringID(p.want.Str())
+			sid, ok := col.StringID(want.Str())
 			out.sid, out.sidOK = sid, ok
 			if out.op == "=" {
 				out.mode = predStrEq
@@ -106,10 +127,10 @@ func compileColPred(ctx *execCtx, p scanPropCmp) (colPred, bool) {
 			}
 		default:
 			out.mode = predStrOrd
-			out.wantS = p.want.Str()
+			out.wantS = want.Str()
 		}
 	}
-	return out, true
+	return out
 }
 
 // mismatchMode encodes compareValues' incomparable-kinds branch for typed
@@ -127,6 +148,9 @@ func mismatchMode(op string) predMode {
 // test plus an array read, and the overflow map is only consulted for rows
 // without a typed cell.
 func (p *colPred) probe(id uint64) bool {
+	if p.col == nil {
+		return false
+	}
 	if p.col.Present(id) {
 		switch p.mode {
 		case predNum:
@@ -179,22 +203,15 @@ func ordKeep(op string, c int) bool {
 	}
 }
 
-// compileColPreds compiles every pushed predicate of a scan filter, or
-// reports ok=false if any one of them must stay on the map path (the scan
-// then evaluates all of them per row, exactly as before).
-func compileColPreds(ctx *execCtx, props []scanPropCmp) ([]colPred, bool) {
-	if !ctx.colStore || len(props) == 0 {
-		return nil, false
+// candidates appends, in ascending order, every node ID that could pass the
+// predicate: the IDs holding any value in its column. Rows without the
+// attribute compare as null, so an all-node scan starts from this list
+// instead of sweeping [0, Dim).
+func (p *colPred) candidates(dst []uint64) []uint64 {
+	if p.col == nil {
+		return dst
 	}
-	preds := make([]colPred, len(props))
-	for i, p := range props {
-		cp, ok := compileColPred(ctx, p)
-		if !ok {
-			return nil, false
-		}
-		preds[i] = cp
-	}
-	return preds, true
+	return p.col.AppendIDs(dst)
 }
 
 // colFilterGrain is the minimum candidate rows per morsel for the parallel

@@ -64,13 +64,6 @@ type Config struct {
 	// private instantiated clones. Nil plans every query from scratch —
 	// the differential baseline behind GRAPH.CONFIG SET PLAN_CACHE_SIZE 0.
 	PlanCache *PlanCache
-	// PropertyStore selects where property reads come from: "" or
-	// "columnar" (the default) reads typed columns — vectorized scan
-	// prefilters, column-probing destination masks, map-free projections —
-	// while "map" restores the per-node property-map reads, the
-	// differential baseline and safety valve behind GRAPH.CONFIG SET
-	// PROPERTY_STORE. Writes always maintain both representations.
-	PropertyStore string
 	// NoFairScheduler disables multi-tenant scheduling: the query does not
 	// register a scheduling context with the shared pool and runs with its
 	// full configured thread count regardless of concurrent load — the PR 8
@@ -207,39 +200,22 @@ func buildLocked(g *graph.Graph, ast *cypher.Query, cfg Config) (*Plan, error) {
 		NoJoinPlanner: cfg.NoJoinPlanner, Threads: cfg.threads()})
 }
 
-// parsePropStore resolves the PROPERTY_STORE mode: columnar reads unless the
-// map baseline is requested explicitly.
-func parsePropStore(s string) (columnar bool, err error) {
-	switch strings.ToLower(s) {
-	case "", "columnar":
-		return true, nil
-	case "map":
-		return false, nil
-	}
-	return false, fmt.Errorf("core: unknown PROPERTY_STORE %q (want map or columnar)", s)
-}
-
 func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config, concurrent bool) (*ResultSet, error) {
 	kernel, err := parseKernelMode(cfg.TraverseKernel)
 	if err != nil {
 		return nil, err
 	}
-	columnar, err := parsePropStore(cfg.PropertyStore)
-	if err != nil {
-		return nil, err
-	}
 	rs := &ResultSet{Columns: plan.columns}
 	ctx := &execCtx{
-		g:        g,
-		params:   params,
-		desc:     cfg.descriptor(),
-		stats:    &rs.Stats,
-		mut:      mutLocker{g: g, concurrent: concurrent},
-		batch:    cfg.TraverseBatch,
-		threads:  cfg.threads(),
-		kernel:   kernel,
-		colStore: columnar && plan.ReadOnly,
-		sched:    cfg.sched,
+		g:       g,
+		params:  params,
+		desc:    cfg.descriptor(),
+		stats:   &rs.Stats,
+		mut:     mutLocker{g: g, concurrent: concurrent},
+		batch:   cfg.TraverseBatch,
+		threads: cfg.threads(),
+		kernel:  kernel,
+		sched:   cfg.sched,
 	}
 	if cfg.Timeout > 0 {
 		ctx.deadline = time.Now().Add(cfg.Timeout)
@@ -257,7 +233,7 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 			return nil, fmt.Errorf("core: query timed out after %s", cfg.Timeout)
 		}
 		if plan.columns != nil {
-			rs.appendBatch(batch, plan.visible)
+			rs.appendBatch(g, batch, plan.visible)
 		}
 	}
 	rs.Stats.ExecutionTime = time.Since(start)
@@ -277,15 +253,7 @@ func Explain(g *graph.Graph, query string, cfg Config) ([]string, error) {
 	if line, ok := planSourceLine(cfg, cached); ok {
 		lines = append(lines, line)
 	}
-	columnar, _ := parsePropStore(cfg.PropertyStore)
-	annotate := func(op operation) string {
-		s := plan.estAnnotation(op)
-		if columnar && plan.ReadOnly && scanPushedProps(op) {
-			s += " | store: columnar"
-		}
-		return s
-	}
-	printPlan(plan.root, 0, &lines, annotate)
+	printPlan(plan.root, 0, &lines, plan.estAnnotation)
 	return lines, nil
 }
 

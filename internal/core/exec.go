@@ -32,16 +32,6 @@ type execCtx struct {
 	// kernel selects the traversal kernel direction (Config.TraverseKernel):
 	// density-adaptive per hop by default, forced for differential baselines.
 	kernel kernelMode
-	// colStore enables columnar property reads (PROPERTY_STORE columnar,
-	// the default): vectorized scan prefilters, column-probing destination
-	// masks, and map-free projection reads. It is set only for read-only
-	// plans: a write query could mutate schema, interner or entity state
-	// between batches — or project a just-deleted entity's stale map — and
-	// the columnar forms (prime-time prefilters, baked interner IDs, live
-	// columns) would legitimately diverge from the map path there. Write
-	// plans keep the per-node map reads; PROPERTY_STORE map forces them
-	// everywhere as the differential baseline.
-	colStore bool
 	// deadline, when non-zero, aborts long queries (the benchmark's timeout
 	// guard; the paper reports RedisGraph had none on the large graphs).
 	deadline time.Time
@@ -194,59 +184,10 @@ type operation interface {
 	children() []operation
 }
 
-// scalarOp is the legacy tuple-at-a-time interface. Exotic operations that
-// gain nothing from batching (merge-style drains) may keep it and be
-// lifted into the batch pipeline with adaptScalar; mergeOp is the
-// remaining example.
-type scalarOp interface {
-	// next returns the next record, or nil when depleted.
-	next(ctx *execCtx) (record, error)
-	name() string
-	args() string
-	children() []operation
-}
-
-// scalarAdapter lifts a scalarOp into the batch pipeline by accumulating up
-// to one batch worth of records per nextBatch call.
-type scalarAdapter struct {
-	inner scalarOp
-}
-
-// adaptScalar wraps a tuple-at-a-time operation as a batch operation.
-func adaptScalar(op scalarOp) operation { return &scalarAdapter{inner: op} }
-
-func (a *scalarAdapter) nextBatch(ctx *execCtx) (recordBatch, error) {
-	bs := ctx.batchSize()
-	var out recordBatch
-	for len(out) < bs {
-		r, err := a.inner.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (a *scalarAdapter) name() string          { return a.inner.name() }
-func (a *scalarAdapter) args() string          { return a.inner.args() }
-func (a *scalarAdapter) children() []operation { return a.inner.children() }
-func (a *scalarAdapter) setChild(i int, op operation) {
-	if cs, ok := a.inner.(childSetter); ok {
-		cs.setChild(i, op)
-	}
-}
-
-// batchPuller is the inverse adapter: it lets an operation consume its
-// batch-producing child one record at a time (traversal gather loops, scalar
-// ops with children). The producing operation is passed per call so that
-// profile()'s child rewiring keeps working.
+// batchPuller lets an operation consume its batch-producing child one record
+// at a time (traversal gather loops, scans re-priming per child record). The
+// producing operation is passed per call so that profile()'s child rewiring
+// keeps working.
 type batchPuller struct {
 	buf recordBatch
 	pos int

@@ -91,20 +91,16 @@ func compileExpr(e cypher.Expr, st *symtab) (evalFn, error) {
 			if err != nil {
 				return value.Null, err
 			}
+			// Interpreted read: the attribute name resolves per row (so it
+			// tracks schema growth inside a write query) and the column cell
+			// comes back boxed.
 			switch v.Kind {
 			case value.KindNull:
 				return value.Null, nil
 			case value.KindNode:
-				// Columnar projection read: same name resolution, but the
-				// value comes from a flat typed column instead of the node's
-				// property map. Resolution happens per row, so it tracks
-				// schema growth exactly like the map path.
-				if ctx.colStore {
-					return ctx.g.NodePropertyColumnar(v.ID, key), nil
-				}
-				return ctx.g.NodeProperty(v.Entity.(*graph.Node), key), nil
+				return ctx.g.NodePropertyColumnar(v.ID, key), nil
 			case value.KindEdge:
-				return ctx.g.EdgeProperty(v.Entity.(*graph.Edge), key), nil
+				return ctx.g.EdgeProperty(v.ID, key), nil
 			}
 			return value.Null, fmt.Errorf("type mismatch: expected node or edge for property access, got %s", v.Kind)
 		}, nil

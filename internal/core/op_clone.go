@@ -194,16 +194,12 @@ func cloneOpTree(op operation, memo map[operation]operation) operation {
 		}
 		out = &joinOp{probe: probe, build: build, probeKey: o.probeKey, buildKey: o.buildKey,
 			buildSlots: o.buildSlots, width: o.width, desc: o.desc, buildEst: o.buildEst}
-	case *scalarAdapter:
-		m, ok := o.inner.(*mergeOp)
+	case *mergeOp:
+		mp, ok := child(o.matchPlan)
 		if !ok {
 			return nil
 		}
-		mp, ok := child(m.matchPlan)
-		if !ok {
-			return nil
-		}
-		out = adaptScalar(&mergeOp{matchPlan: mp, pattern: m.pattern, width: m.width})
+		out = &mergeOp{matchPlan: mp, pattern: o.pattern, width: o.width}
 	default:
 		return nil
 	}

@@ -68,10 +68,10 @@ type scanFilter struct {
 	props    []scanPropEq
 
 	// compile memoisation: the filter is record-free, so one compilation
-	// covers the whole query unless a mutation burst bumps the epoch.
-	cached      compiledScanFilter
-	cachedEpoch uint64
-	cachedOK    bool
+	// covers the whole query until a mutation burst moves the store version.
+	cached   compiledScanFilter
+	cachedAt storeVersion
+	cachedOK bool
 }
 
 func (f *scanFilter) empty() bool {
@@ -93,27 +93,25 @@ func (f *scanFilter) describe() string {
 	return " | pushed: " + strings.Join(parts, ", ")
 }
 
-// compile resolves the filter against the live graph: a combined label mask
-// and the evaluated property targets. Property values are record-free, so
-// one evaluation covers the whole pass.
+// compiledScanFilter is the filter resolved against the live graph: a
+// combined label mask and one column predicate per pushed comparison.
+// Property targets are record-free, so one evaluation covers the whole pass.
 type compiledScanFilter struct {
 	mask  grb.ColMask
-	props []scanPropCmp
+	preds []colPred
 }
 
-// scanPropCmp is one pushed property comparison with its target evaluated.
-type scanPropCmp struct {
-	attr string
-	op   string
-	want value.Value
-}
-
+// compile must run after the scan has pulled the record its pass extends:
+// when the child is a write operation, that pull is what runs the mutation
+// burst, and the pass has to be filtered by what the burst left behind (a
+// column it created, a string it interned, a kind it changed).
 func (f *scanFilter) compile(ctx *execCtx) (compiledScanFilter, error) {
 	var out compiledScanFilter
 	if f.empty() {
 		return out, nil
 	}
-	if ep := ctx.g.Epoch(); f.cachedOK && f.cachedEpoch == ep {
+	at := ctx.storeVersion()
+	if f.cachedOK && f.cachedAt == at {
 		return f.cached, nil
 	}
 	if len(f.labels) > 0 {
@@ -136,32 +134,25 @@ func (f *scanFilter) compile(ctx *execCtx) (compiledScanFilter, error) {
 		if err != nil {
 			return out, err
 		}
-		out.props = append(out.props, scanPropCmp{p.attr, p.op, want})
+		out.preds = append(out.preds, compileColPred(ctx, p.attr, p.op, want))
 	}
-	f.cached, f.cachedEpoch, f.cachedOK = out, ctx.g.Epoch(), true
+	f.cached, f.cachedAt, f.cachedOK = out, at, true
 	return out, nil
 }
 
-// admit reports whether node id passes the compiled filter.
-func (c *compiledScanFilter) admit(ctx *execCtx, id uint64, n *graph.Node) bool {
-	return c.admitMask(id) && c.admitProps(ctx, n)
-}
-
-// admitMask applies only the pushed label masks.
+// admitMask applies the pushed label masks.
 func (c *compiledScanFilter) admitMask(id uint64) bool {
 	return c.mask == nil || c.mask(grb.Index(id))
 }
 
-// admitProps applies only the pushed property comparisons, through the
-// per-row map path. The columnar scans skip it: their candidate lists are
-// prefiltered by filterIDsColumnar before any record exists.
-func (c *compiledScanFilter) admitProps(ctx *execCtx, n *graph.Node) bool {
-	for _, p := range c.props {
-		if !cmpKeep(p.op, ctx.g.NodeProperty(n, p.attr), p.want) {
-			return false
-		}
+// filterProps compacts a pass's candidate list in place to the rows passing
+// every pushed property comparison, before any record exists. The caller
+// must own ids.
+func (c *compiledScanFilter) filterProps(ctx *execCtx, ids []uint64) []uint64 {
+	if len(c.preds) == 0 {
+		return ids
 	}
-	return true
+	return filterIDsColumnar(ctx, c.preds, ids)
 }
 
 // allNodeScanOp scans every live node in batches. With a child, it re-scans
@@ -182,39 +173,71 @@ type allNodeScanOp struct {
 	in     batchPuller
 	cur    record
 	arena  recordArena
-	nextID uint64
 	primed bool
 	done   bool
 
-	// Columnar pass state: when the pushed predicates compile against typed
-	// columns (compileColPreds), the scan swaps its full [0, Dim) sweep for
-	// the first column's candidate list, vectorially filtered at prime time —
-	// rows without the attribute can never pass a predicate, so they are
-	// skipped wholesale.
-	colIDs bool
+	// Pass state. cf is the pushed filter compiled for this pass. With
+	// pushed property comparisons the pass walks ids: the first comparison's
+	// candidate list (rows without the attribute can never pass, so they are
+	// skipped wholesale), striped, masked and run through every comparison
+	// at prime time. Without any there is nothing to narrow by, and the pass
+	// sweeps [0, Dim) from nextID.
+	cf     compiledScanFilter
+	listed bool
 	ids    []uint64
 	pos    int
+	nextID uint64
 }
 
-// loadColumnarIDs builds the fully filtered candidate list for one pass:
-// candidates from the first predicate's column, residue-class striping and
-// pushed label masks applied, then the vectorized predicate loop.
-func (o *allNodeScanOp) loadColumnarIDs(ctx *execCtx, cf *compiledScanFilter, preds []colPred) {
-	o.ids = preds[0].col.AppendIDs(o.ids[:0])
+// startPass compiles the pushed filter, resets the pass state and, when
+// property comparisons were pushed, builds the fully filtered candidate list.
+func (o *allNodeScanOp) startPass(ctx *execCtx) error {
+	cf, err := o.pushed.compile(ctx)
+	if err != nil {
+		return err
+	}
+	o.cf = cf
+	o.nextID, o.pos = 0, 0
+	o.listed = len(cf.preds) > 0
+	if !o.listed {
+		return nil
+	}
+	o.ids = cf.preds[0].candidates(o.ids[:0])
 	if o.parts > 1 || cf.mask != nil {
 		kept := o.ids[:0]
 		for _, id := range o.ids {
-			if o.parts > 1 && int(id)%o.parts != o.part {
-				continue
+			if o.inStripe(id) && cf.admitMask(id) {
+				kept = append(kept, id)
 			}
-			if !cf.admitMask(id) {
-				continue
-			}
-			kept = append(kept, id)
 		}
 		o.ids = kept
 	}
-	o.ids = filterIDsColumnar(ctx, preds, o.ids)
+	o.ids = cf.filterProps(ctx, o.ids)
+	return nil
+}
+
+func (o *allNodeScanOp) inStripe(id uint64) bool {
+	return o.parts <= 1 || int(id)%o.parts == o.part
+}
+
+// nextCandidate returns the pass's next admitted node ID, or false once the
+// pass is exhausted.
+func (o *allNodeScanOp) nextCandidate(ctx *execCtx) (uint64, bool) {
+	if o.listed {
+		if o.pos >= len(o.ids) {
+			return 0, false
+		}
+		o.pos++
+		return o.ids[o.pos-1], true
+	}
+	for high := uint64(ctx.g.Dim()); o.nextID < high; {
+		id := o.nextID
+		o.nextID++
+		if o.inStripe(id) && o.cf.admitMask(id) {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -222,10 +245,6 @@ func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 		return nil, nil
 	}
 	bs := ctx.batchSize()
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return nil, err
-	}
 	var out recordBatch
 	for len(out) < bs {
 		if !o.primed {
@@ -246,47 +265,25 @@ func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 				}
 				o.cur = newRecord(o.width)
 			}
-			o.nextID = 0
-			o.colIDs = false
-			if preds, ok := compileColPreds(ctx, cf.props); ok {
-				o.loadColumnarIDs(ctx, &cf, preds)
-				o.colIDs, o.pos = true, 0
+			if err := o.startPass(ctx); err != nil {
+				return nil, err
 			}
 			o.primed = true
 		}
-		if o.colIDs {
-			for o.pos < len(o.ids) && len(out) < bs {
-				id := o.ids[o.pos]
-				o.pos++
-				if n, ok := ctx.g.GetNode(id); ok {
-					r := o.arena.extended(o.cur, o.width)
-					r[o.slot] = value.NewNode(id, n)
-					out = append(out, r)
-				}
+		exhausted := false
+		for len(out) < bs {
+			id, ok := o.nextCandidate(ctx)
+			if !ok {
+				exhausted = true
+				break
 			}
-			if o.pos >= len(o.ids) {
-				o.primed = false
-				if o.child == nil && len(out) == 0 {
-					o.done = true
-					break
-				}
-			}
-			continue
-		}
-		high := uint64(ctx.g.Dim())
-		for o.nextID < high && len(out) < bs {
-			id := o.nextID
-			o.nextID++
-			if o.parts > 1 && int(id)%o.parts != o.part {
-				continue
-			}
-			if n, ok := ctx.g.GetNode(id); ok && cf.admit(ctx, id, n) {
+			if n, ok := ctx.g.GetNode(id); ok {
 				r := o.arena.extended(o.cur, o.width)
 				r[o.slot] = value.NewNode(id, n)
 				out = append(out, r)
 			}
 		}
-		if o.nextID >= high {
+		if exhausted {
 			o.primed = false
 			if o.child == nil && len(out) == 0 {
 				o.done = true
@@ -336,23 +333,24 @@ type labelScanOp struct {
 	pos    int
 	primed bool
 	done   bool
-
-	// colFiltered marks a pass whose candidate list was already run through
-	// the vectorized predicate loop, so the emit loop skips per-row property
-	// checks entirely.
-	colFiltered bool
 }
 
-func (o *labelScanOp) loadIDs(ctx *execCtx, cf *compiledScanFilter) {
+// loadIDs compiles the pushed filter and builds one pass's fully filtered
+// candidate list: the label's diagonal, striped, masked by the pushed
+// labels, then run through the pushed property comparisons.
+func (o *labelScanOp) loadIDs(ctx *execCtx) error {
+	cf, err := o.pushed.compile(ctx)
+	if err != nil {
+		return err
+	}
 	o.ids = o.ids[:0]
-	o.colFiltered = false
 	lid, ok := ctx.g.Schema.LabelID(o.label)
 	if !ok {
-		return
+		return nil
 	}
 	lm := ctx.g.LabelMatrix(lid)
 	if lm == nil {
-		return
+		return nil
 	}
 	rows, _, _ := lm.ExtractTuples()
 	for k, r := range rows {
@@ -363,12 +361,8 @@ func (o *labelScanOp) loadIDs(ctx *execCtx, cf *compiledScanFilter) {
 			o.ids = append(o.ids, uint64(r))
 		}
 	}
-	// Striping happens on tuple positions above, exactly as in the map path,
-	// so each parallel segment filters the same stripe it always scanned.
-	if preds, ok := compileColPreds(ctx, cf.props); ok {
-		o.ids = filterIDsColumnar(ctx, preds, o.ids)
-		o.colFiltered = true
-	}
+	o.ids = cf.filterProps(ctx, o.ids)
+	return nil
 }
 
 func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -376,10 +370,6 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 		return nil, nil
 	}
 	bs := ctx.batchSize()
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return nil, err
-	}
 	var out recordBatch
 	for len(out) < bs {
 		if !o.primed {
@@ -400,7 +390,9 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 				}
 				o.cur = newRecord(o.width)
 			}
-			o.loadIDs(ctx, &cf)
+			if err := o.loadIDs(ctx); err != nil {
+				return nil, err
+			}
 			o.pos = 0
 			o.primed = true
 		}
@@ -409,11 +401,6 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 			o.pos++
 			n, ok := ctx.g.GetNode(id)
 			if !ok {
-				continue
-			}
-			// Labels were masked in loadIDs; property checks remain unless
-			// the columnar prefilter already ran.
-			if !o.colFiltered && !cf.admitProps(ctx, n) {
 				continue
 			}
 			r := o.arena.extended(o.cur, o.width)
@@ -471,19 +458,23 @@ type indexScanOp struct {
 	in     batchPuller
 	cur    record
 	arena  recordArena
+	cf     compiledScanFilter // pushed filter compiled for this pass
 	ids    []uint64
 	pos    int
 	primed bool
 	done   bool
-
-	// colFiltered marks a pass whose seed list was prefiltered by the
-	// vectorized predicate loop; the emit loop then applies only label masks.
-	colFiltered bool
 }
 
-func (o *indexScanOp) loadSeeds(ctx *execCtx, cf *compiledScanFilter) error {
+// loadSeeds compiles the pushed filter and resolves one pass's seed list:
+// the index posting for the key, striped, then run through the pushed
+// property comparisons. Label masks are applied as the seeds are emitted.
+func (o *indexScanOp) loadSeeds(ctx *execCtx) error {
+	cf, err := o.pushed.compile(ctx)
+	if err != nil {
+		return err
+	}
+	o.cf = cf
 	o.ids = nil
-	o.colFiltered = false
 	lid, okL := ctx.g.Schema.LabelID(o.label)
 	aid, okA := ctx.g.Schema.AttrID(o.attr)
 	if !okL || !okA {
@@ -507,13 +498,12 @@ func (o *indexScanOp) loadSeeds(ctx *execCtx, cf *compiledScanFilter) error {
 		}
 		o.ids = mine
 	}
-	if preds, ok := compileColPreds(ctx, cf.props); ok {
+	if len(cf.preds) > 0 {
 		if o.parts <= 1 {
 			// Lookup returns the live posting list; copy before compacting.
 			o.ids = append([]uint64(nil), o.ids...)
 		}
-		o.ids = filterIDsColumnar(ctx, preds, o.ids)
-		o.colFiltered = true
+		o.ids = cf.filterProps(ctx, o.ids)
 	}
 	return nil
 }
@@ -523,10 +513,6 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 		return nil, nil
 	}
 	bs := ctx.batchSize()
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return nil, err
-	}
 	var out recordBatch
 	for len(out) < bs {
 		if !o.primed {
@@ -547,7 +533,7 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 				}
 				o.cur = newRecord(o.width)
 			}
-			if err := o.loadSeeds(ctx, &cf); err != nil {
+			if err := o.loadSeeds(ctx); err != nil {
 				return nil, err
 			}
 			o.pos = 0
@@ -557,14 +543,7 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 			id := o.ids[o.pos]
 			o.pos++
 			n, ok := ctx.g.GetNode(id)
-			if !ok {
-				continue
-			}
-			if o.colFiltered {
-				if !cf.admitMask(id) {
-					continue
-				}
-			} else if !cf.admit(ctx, id, n) {
+			if !ok || !o.cf.admitMask(id) {
 				continue
 			}
 			r := o.arena.extended(o.cur, o.width)
@@ -632,24 +611,6 @@ func describeSegment(part, parts int) string {
 		return ""
 	}
 	return fmt.Sprintf(" | segment %d/%d", part+1, parts)
-}
-
-// scanPushedProps reports whether op is a scan with pushed property
-// predicates — the operations the columnar store vectorizes. EXPLAIN uses it
-// to annotate those scans with the active property-store mode.
-func scanPushedProps(op operation) bool {
-	var f *scanFilter
-	switch s := op.(type) {
-	case *allNodeScanOp:
-		f = s.pushed
-	case *labelScanOp:
-		f = s.pushed
-	case *indexScanOp:
-		f = s.pushed
-	default:
-		return false
-	}
-	return f != nil && len(f.props) > 0
 }
 
 // nodeHasLabel filters by interned label id.

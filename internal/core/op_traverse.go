@@ -54,24 +54,11 @@ func (m *dstMask) compile(ctx *execCtx) (grb.ColMask, error) {
 			}
 		}
 	}
-	// Columnar probe: skip the node lookup and property-map access entirely
-	// and compare against the typed column cell. compileColPred mirrors
-	// compareValues bit for bit and declines (falling through to the map
-	// closure) whenever the column cannot answer exactly. Like every
-	// columnar read this only runs in read-only plans: the compiled probe
-	// bakes in schema and interner lookups that a same-query write could
-	// invalidate between batches.
-	if ctx.colStore {
-		if pred, ok := compileColPred(ctx, scanPropCmp{attr: m.attr, op: m.op, want: want}); ok {
-			return func(j grb.Index) bool {
-				return pred.probe(uint64(j))
-			}, nil
-		}
-	}
-	attr, op := m.attr, m.op
+	// Compare against the column cell directly: no node lookup, no box.
+	// compileColPred mirrors compareValues bit for bit.
+	pred := compileColPred(ctx, m.attr, m.op, want)
 	return func(j grb.Index) bool {
-		n, ok := ctx.g.GetNode(uint64(j))
-		return ok && cmpKeep(op, ctx.g.NodeProperty(n, attr), want)
+		return pred.probe(uint64(j))
 	}, nil
 }
 
@@ -92,21 +79,21 @@ func compileDstMasks(ctx *execCtx, masks []dstMask) (grb.ColMask, error) {
 }
 
 // dstMaskFn returns the operation's combined destination mask, memoised per
-// write epoch: the masks are record-free, so one compilation (one index
+// store version: the masks are record-free, so one compilation (one index
 // lookup) covers every batch until a mutation burst changes the graph.
 func (o *condTraverseOp) dstMaskFn(ctx *execCtx) (grb.ColMask, error) {
 	if len(o.masks) == 0 {
 		return nil, nil
 	}
-	ep := ctx.g.Epoch()
-	if o.maskOK && o.maskEpoch == ep {
+	at := ctx.storeVersion()
+	if o.maskOK && o.maskAt == at {
 		return o.maskFn, nil
 	}
 	m, err := compileDstMasks(ctx, o.masks)
 	if err != nil {
 		return nil, err
 	}
-	o.maskFn, o.maskEpoch, o.maskOK = m, ep, true
+	o.maskFn, o.maskAt, o.maskOK = m, at, true
 	return m, nil
 }
 
@@ -162,9 +149,9 @@ type condTraverseOp struct {
 	batchBuf []record
 	srcBuf   []grb.Index
 
-	maskFn    grb.ColMask
-	maskEpoch uint64
-	maskOK    bool
+	maskFn grb.ColMask
+	maskAt storeVersion
+	maskOK bool
 
 	ks kernelStats
 }

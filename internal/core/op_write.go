@@ -153,31 +153,31 @@ func (o *createOp) children() []operation        { return []operation{o.child} }
 func (o *createOp) setChild(i int, op operation) { o.child = op }
 
 // mergeOp runs its match sub-plan; when it produces no records, the pattern
-// is created instead (MATCH-or-CREATE). It stays a scalarOp — the drain is
-// a one-shot materialisation, so the compatibility adapter costs nothing —
-// and demonstrates the adapter path for exotic operations.
+// is created instead (MATCH-or-CREATE). Like the other write operations it
+// is eager: drain, at most one mutation burst, then emit.
 type mergeOp struct {
 	matchPlan operation
 	pattern   createPatternSpec
 	width     int
 
-	in     batchPuller
 	out    []record
 	pos    int
 	primed bool
 }
 
-func (o *mergeOp) next(ctx *execCtx) (record, error) {
+func (o *mergeOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	if !o.primed {
 		for {
-			r, err := o.in.pull(ctx, o.matchPlan)
+			b, err := o.matchPlan.nextBatch(ctx)
 			if err != nil {
 				return nil, err
 			}
-			if r == nil {
+			if b == nil {
 				break
 			}
-			o.out = append(o.out, r.extended(o.width))
+			for _, r := range b {
+				o.out = append(o.out, r.extended(o.width))
+			}
 		}
 		if len(o.out) == 0 {
 			r := newRecord(o.width)
@@ -192,12 +192,7 @@ func (o *mergeOp) next(ctx *execCtx) (record, error) {
 		}
 		o.primed = true
 	}
-	if o.pos >= len(o.out) {
-		return nil, nil
-	}
-	r := o.out[o.pos]
-	o.pos++
-	return r, nil
+	return drainBuffered(ctx, o.out, &o.pos), nil
 }
 
 func (o *mergeOp) name() string                 { return "Merge" }

@@ -7,7 +7,6 @@ import (
 
 	"redisgraph/internal/cypher"
 	"redisgraph/internal/graph"
-	"redisgraph/internal/value"
 )
 
 // pipelineConfigs is the differential grid: every batch size crossed with
@@ -225,36 +224,24 @@ func TestTopNSortFusion(t *testing.T) {
 	}
 }
 
-// countingScalarOp is a synthetic tuple-at-a-time operation: the
-// compatibility-adapter unit fixture.
-type countingScalarOp struct {
-	n   int
-	pos int
-}
-
-func (o *countingScalarOp) next(*execCtx) (record, error) {
-	if o.pos >= o.n {
-		return nil, nil
+// TestMergeBatches proves MERGE participates in the batch pipeline natively:
+// its drained matches come out in batch-sized slices, and an empty match
+// creates the pattern once, at every batch size.
+func TestMergeBatches(t *testing.T) {
+	g := randomTypedGraph(t, 10, 0, 1)
+	plan, _, err := planFor(g, `MERGE (n:N) RETURN n.uid`, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := newRecord(1)
-	r[0] = value.NewInt(int64(o.pos))
-	o.pos++
-	return r, nil
-}
-
-func (o *countingScalarOp) name() string          { return "CountingScalar" }
-func (o *countingScalarOp) args() string          { return "" }
-func (o *countingScalarOp) children() []operation { return nil }
-
-// TestScalarAdapterBatches proves a legacy scalar operation participates in
-// the batch pipeline through adaptScalar, with correct batch boundaries.
-func TestScalarAdapterBatches(t *testing.T) {
-	op := adaptScalar(&countingScalarOp{n: 10})
-	ctx := &execCtx{batch: 4}
+	m, ok := plan.root.children()[0].(*mergeOp)
+	if !ok {
+		t.Fatalf("plan root child is %T, want *mergeOp", plan.root.children()[0])
+	}
+	g.RLock()
+	ctx := &execCtx{g: g, batch: 4, threads: 1, stats: &Statistics{}}
 	var sizes []int
-	var total int
 	for {
-		b, err := op.nextBatch(ctx)
+		b, err := m.nextBatch(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,10 +249,22 @@ func TestScalarAdapterBatches(t *testing.T) {
 			break
 		}
 		sizes = append(sizes, len(b))
-		total += len(b)
 	}
-	if total != 10 || len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
-		t.Fatalf("adapter batches = %v (total %d)", sizes, total)
+	g.RUnlock()
+	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
+		t.Fatalf("merge batches = %v, want [4 4 2]", sizes)
+	}
+	for _, cfg := range pipelineConfigs {
+		g := randomTypedGraph(t, 10, 0, 1)
+		for i := 0; i < 2; i++ {
+			rs, err := Query(g, `MERGE (n:Fresh {k: 1}) RETURN n.k`, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 1 || (rs.Stats.NodesCreated == 1) != (i == 0) {
+				t.Fatalf("cfg=%+v run %d: rows %v created %d", cfg, i, rs.Rows, rs.Stats.NodesCreated)
+			}
+		}
 	}
 }
 

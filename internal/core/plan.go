@@ -558,9 +558,9 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 				var have value.Value
 				switch v.Kind {
 				case value.KindNode:
-					have = ctx.g.NodeProperty(v.Entity.(*graph.Node), key)
+					have = ctx.g.NodePropertyColumnar(v.ID, key)
 				case value.KindEdge:
-					have = ctx.g.EdgeProperty(v.Entity.(*graph.Edge), key)
+					have = ctx.g.EdgeProperty(v.ID, key)
 				default:
 					return value.NewBool(false), nil
 				}
@@ -905,7 +905,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	for v := range cb.bound {
 		b.bound[v] = true
 	}
-	b.setCur(adaptScalar(&mergeOp{matchPlan: mb.cur, pattern: spec, width: b.st.size()}),
+	b.setCur(&mergeOp{matchPlan: mb.cur, pattern: spec, width: b.st.size()},
 		math.Max(mb.rowEst, 1))
 	return nil
 }
@@ -1313,9 +1313,8 @@ func (o *appendKeysOp) args() string                 { return "" }
 func (o *appendKeysOp) children() []operation        { return []operation{o.child} }
 func (o *appendKeysOp) setChild(i int, op operation) { o.child = op }
 
-// indexOp creates or drops an index; it emits no records. It implements
-// the batch interface natively — one DDL burst, then depletion — instead of
-// riding the adaptScalar compatibility shim.
+// indexOp creates or drops an index; it emits no records: one DDL burst,
+// then depletion.
 type indexOp struct {
 	create bool
 	label  string

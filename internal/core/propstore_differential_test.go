@@ -10,13 +10,15 @@ import (
 	"redisgraph/internal/value"
 )
 
-// propStoreConfigs is the columnar differential grid: both store modes at
-// every batch size x thread count x kernel direction cell. Every cell must
-// return rows bit-identical to the serial map baseline.
+// propStoreConfigs is the property-read differential grid: the interpreted
+// reference (NoPushdown: every comparison boxes its column cell and runs
+// compareValues) and the compiled unboxed kernels, at every batch size x
+// thread count x kernel direction cell. Every cell must return rows
+// bit-identical to the serial interpreted baseline.
 func propStoreConfigs() []Config {
 	threads := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var out []Config
-	for _, store := range []string{"map", "columnar"} {
+	for _, noPushdown := range []bool{true, false} {
 		for _, th := range threads {
 			for _, batch := range []int{1, 64} {
 				for _, kernel := range []string{"auto", "push", "pull"} {
@@ -24,7 +26,7 @@ func propStoreConfigs() []Config {
 						OpThreads:      th,
 						TraverseBatch:  batch,
 						TraverseKernel: kernel,
-						PropertyStore:  store,
+						NoPushdown:     noPushdown,
 					})
 				}
 			}
@@ -33,9 +35,9 @@ func propStoreConfigs() []Config {
 	return out
 }
 
-// propStoreGraph builds a graph that stresses every columnar layout case:
+// propStoreGraph builds a graph that stresses every column layout case:
 // an int column holding values beyond 2^53 (where float64 comparison must
-// still match the map path because both sides compare through float64), a
+// still match the boxed path because both sides compare through float64), a
 // float column with a NaN cell, an interned string column, a bool attribute
 // (never promoted, overflow-only), a mixed-type attribute (typed column
 // with overflow spill), attributes absent on some rows, and unlabelled
@@ -94,8 +96,8 @@ func propStoreGraph(t testing.TB, n int) *graph.Graph {
 
 // propStoreReadQueries cover the three scan shapes (all-node, label, index
 // seed) plus traversal destination masks and late-materialized projections,
-// with every operator and every compile-refusal path (unknown attribute,
-// untyped column, mixed-kind target).
+// with every operator and every degenerate compilation (unknown attribute,
+// null target, untyped column, mixed-kind target).
 var propStoreReadQueries = []string{
 	// Label scan, numeric predicates: every operator, int and float columns.
 	`MATCH (n:P) WHERE n.age > 40 RETURN n.uid, n.age`,
@@ -122,14 +124,17 @@ var propStoreReadQueries = []string{
 	// Kind mismatch between column and target (string col vs int target).
 	`MATCH (n:P) WHERE n.name = 5 RETURN count(*)`,
 	`MATCH (n:P) WHERE n.name <> 5 RETURN count(*)`,
-	// Untyped (bool-only) column and unknown attribute: compile refusal.
+	// Untyped (bool-only) column: overflow-only probe. Unknown attribute and
+	// null target: no row passes.
 	`MATCH (n:P) WHERE n.flag = true RETURN count(*)`,
 	`MATCH (n:P) WHERE n.nosuchattr = 1 RETURN count(*)`,
+	`MATCH (n:P) WHERE n.age = null RETURN count(*)`,
+	`MATCH (n) WHERE n.nosuchattr <> 1 RETURN count(*)`,
 	// Mixed-type attribute: typed rows plus overflow spill.
 	`MATCH (n:P) WHERE n.mixed = 7 RETURN n.uid`,
 	`MATCH (n:P) WHERE n.mixed <> "odd" RETURN count(*)`,
 	`MATCH (n:P) WHERE n.mixed >= 2 RETURN count(*)`,
-	// Conjunction of pushed predicates (all-or-nothing compilation).
+	// Conjunction of pushed predicates, typed and overflow-only together.
 	`MATCH (n:P) WHERE n.age >= 40 AND n.score < 15.5 RETURN count(*)`,
 	`MATCH (n:P) WHERE n.age > 10 AND n.flag = true RETURN count(*)`,
 	// All-node scan: candidates come from the column, not [0, Dim).
@@ -148,8 +153,8 @@ var propStoreReadQueries = []string{
 	`MATCH (n:P) WHERE n.age = 7 RETURN n`,
 }
 
-// TestPropStoreDifferentialReads proves columnar ≡ map on read pipelines:
-// identical rows for every query in every grid cell.
+// TestPropStoreDifferentialReads proves pushdown ≡ NoPushdown on read
+// pipelines: identical rows for every query in every grid cell.
 func TestPropStoreDifferentialReads(t *testing.T) {
 	g := propStoreGraph(t, 240)
 	for _, q := range propStoreReadQueries {
@@ -169,9 +174,11 @@ func TestPropStoreDifferentialReads(t *testing.T) {
 
 // TestPropStoreDifferentialMutations interleaves writes — SET overwrites
 // that change a value's kind, SET null deletion, node DELETE, CREATE, and
-// index DDL — with columnar reads, and proves both store modes agree on
-// the post-mutation state in every grid cell. Each cell gets a fresh graph
-// so the write history is identical.
+// index DDL — with reads, and proves the compiled and interpreted read
+// paths agree on the post-mutation state in every grid cell (the mutations
+// themselves read through the cell's path too: write plans compile pushed
+// predicates like read-only ones). Each cell gets a fresh graph so the
+// write history is identical.
 func TestPropStoreDifferentialMutations(t *testing.T) {
 	steps := []string{
 		// Overwrite int cells with new ints, then with strings (kind change
@@ -226,65 +233,89 @@ func TestPropStoreDifferentialMutations(t *testing.T) {
 	}
 }
 
-// TestPropStoreWriteQueryReads pins the gating rule: plans that mutate the
-// graph never take the columnar read path, so reading a value inside the
-// same query that rewrites or deletes it behaves exactly like the map
-// baseline.
+// TestPropStoreWriteQueryReads pins what a query reads of a value it
+// rewrites or deletes itself, in every grid cell: SET is visible to the
+// RETURN after it, and a deleted node's properties read as null (its column
+// cells are cleared in the burst, as its map was dropped before columns were
+// the store). The write → WITH → MATCH cases put a scan (or a traversal mask)
+// with a pushed predicate downstream of the write, so the predicate has to be
+// compiled against what the burst left behind: a column that did not exist, a
+// string that was not interned, a column the burst promoted to a typed
+// layout. These are the plans the old plan.ReadOnly gate kept off the
+// compiled path.
 func TestPropStoreWriteQueryReads(t *testing.T) {
-	queries := []string{
-		`MATCH (n:P) WHERE n.age = 7 SET n.age = 700 RETURN n.uid, n.age`,
-		`MATCH (n:P) WHERE n.uid < 5 DETACH DELETE n RETURN n.uid, n.name`,
+	cases := []struct {
+		query string
+		empty bool // run on an empty graph instead of propStoreGraph
+		want  []string
+	}{
+		{query: `MATCH (n:P) WHERE n.age = 7 SET n.age = 700 RETURN n.uid, n.age`,
+			want: []string{"n.uid,n.age", "104|700", "7|700"}},
+		{query: `MATCH (n:P) WHERE n.uid < 5 DETACH DELETE n RETURN n.uid, n.name`,
+			want: []string{"n.uid,n.name", "null|null", "null|null", "null|null", "null|null", "null|null"}},
+		// New attribute, all-node scan: no column (not even an attribute ID)
+		// exists before the burst.
+		{query: `CREATE (a:X {v: 1}) WITH a MATCH (b {v: 1}) RETURN count(b)`, empty: true,
+			want: []string{"count(b)", "1"}},
+		{query: `CREATE (a:X {v: 1}) WITH a MATCH (b {v: 1}) RETURN count(b)`,
+			want: []string{"count(b)", "1"}},
+		// New attribute, label scan.
+		{query: `CREATE (a:P {fresh: 1}) WITH a MATCH (b:P {fresh: 1}) RETURN count(b)`,
+			want: []string{"count(b)", "1"}},
+		// Newly interned string target, all-node scan and (:P(name) is indexed)
+		// index scan with a pushed residual comparison.
+		{query: `MATCH (n:P) WHERE n.uid = 3 SET n.name = "zelkova" WITH n MATCH (m) WHERE m.name = "zelkova" RETURN m.uid`,
+			want: []string{"m.uid", "3"}},
+		{query: `CREATE (a:P {name: "zelkova", uid: 777}) WITH a MATCH (b:P {name: "zelkova"}) WHERE b.uid > 700 RETURN b.uid`,
+			want: []string{"b.uid", "777"}},
+		// Kind change: flag is overflow-only (bools) until the burst stores an
+		// int and promotes the column.
+		{query: `MATCH (n:P) WHERE n.uid = 4 SET n.flag = 5 WITH n MATCH (m:P) WHERE m.flag = 5 RETURN m.uid`,
+			want: []string{"m.uid", "4"}},
+		// Kind change of one row in a typed column: the row moves to overflow.
+		{query: `MATCH (n:P) WHERE n.uid = 4 SET n.uid = "four" WITH n MATCH (m:P) WHERE m.uid = "four" RETURN m.name`,
+			want: []string{"m.name", "oak"}},
+		// Traversal destination mask on an attribute the burst introduced
+		// (node 0's only :E edge goes to node 1).
+		{query: `MATCH (a:P)-[:E]->(b) WHERE a.uid = 0 SET b.tag = "t" WITH a MATCH (a)-[:E]->(c) WHERE c.tag = "t" RETURN c.uid`,
+			want: []string{"c.uid", "1"}},
+		// MERGE's create branch is a burst like any other.
+		{query: `MERGE (n:P {fresh: 2}) WITH n MATCH (m:P {fresh: 2}) RETURN count(m)`,
+			want: []string{"count(m)", "1"}},
 	}
-	for _, q := range queries {
-		var want []string
-		for _, store := range []string{"map", "columnar"} {
-			g := propStoreGraph(t, 120)
-			got := runSorted(t, g, q, Config{OpThreads: 1, PropertyStore: store})
-			if want == nil {
-				want = got
-				continue
+	for _, c := range cases {
+		for _, cfg := range propStoreConfigs() {
+			g := graph.New("empty")
+			if !c.empty {
+				g = propStoreGraph(t, 120)
 			}
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("write-query read mismatch on %s:\nwant %v\ngot  %v", q, want, got)
+			got := runSorted(t, g, c.query, cfg)
+			if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+				t.Fatalf("write-query read mismatch on %s (cfg %+v):\nwant %v\ngot  %v", c.query, cfg, c.want, got)
 			}
 		}
 	}
 }
 
-// TestExplainColumnarAnnotation checks EXPLAIN marks scans whose pushed
-// predicates may take the vectorized path, and only under the columnar
-// store.
-func TestExplainColumnarAnnotation(t *testing.T) {
+// TestExplainPushedPredicates checks EXPLAIN marks the scans whose
+// predicates compile against columns — in read-only and write plans alike —
+// and no longer names a property-store mode.
+func TestExplainPushedPredicates(t *testing.T) {
 	g := propStoreGraph(t, 60)
-	q := `MATCH (n:P) WHERE n.age > 40 RETURN n.uid`
-	lines, err := Explain(g, q, Config{PropertyStore: "columnar"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "store: columnar") {
-		t.Fatalf("EXPLAIN missing columnar annotation:\n%s", strings.Join(lines, "\n"))
-	}
-	lines, err = Explain(g, q, Config{PropertyStore: "map"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.Join(lines, "\n"), "store: columnar") {
-		t.Fatalf("EXPLAIN must not annotate under the map store:\n%s", strings.Join(lines, "\n"))
-	}
-	// A write query never takes the columnar path, so it must not claim to.
-	lines, err = Explain(g, `MATCH (n:P) WHERE n.age > 40 SET n.x = 1`, Config{PropertyStore: "columnar"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.Join(lines, "\n"), "store: columnar") {
-		t.Fatalf("EXPLAIN must not annotate write plans:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestInvalidPropertyStore checks the knob rejects unknown values.
-func TestInvalidPropertyStore(t *testing.T) {
-	g := propStoreGraph(t, 10)
-	if _, err := Query(g, `MATCH (n:P) RETURN count(n)`, nil, Config{PropertyStore: "rowwise"}); err == nil {
-		t.Fatal("expected an error for an invalid property store")
+	for _, q := range []string{
+		`MATCH (n:P) WHERE n.age > 40 RETURN n.uid`,
+		`MATCH (n:P) WHERE n.age > 40 SET n.x = 1`,
+	} {
+		lines, err := Explain(g, q, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := strings.Join(lines, "\n")
+		if !strings.Contains(plan, "pushed: n.age > 40") {
+			t.Fatalf("EXPLAIN missing the pushed predicate:\n%s", plan)
+		}
+		if strings.Contains(plan, "store:") {
+			t.Fatalf("EXPLAIN must not name a store mode:\n%s", plan)
+		}
 	}
 }

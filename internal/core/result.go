@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"redisgraph/internal/graph"
 	"redisgraph/internal/value"
 )
 
@@ -55,14 +56,58 @@ type ResultSet struct {
 // row. Together with the arena-backed scan records this is the late half of
 // late materialization — values are copied into result storage only for rows
 // that survived every pushed predicate, and the per-row allocator never runs.
-func (rs *ResultSet) appendBatch(batch recordBatch, visible int) {
+//
+// Rows outlive the lock the query ran under, so entity cells are detached
+// here, while it is still held: a result never points into the datablocks
+// or the columns a later write may change.
+func (rs *ResultSet) appendBatch(g *graph.Graph, batch recordBatch, visible int) {
 	slab := make([]value.Value, len(batch)*visible)
 	for _, r := range batch {
 		row := slab[:visible:visible]
 		slab = slab[visible:]
 		copy(row, r[:min(visible, len(r))])
+		for i := range row {
+			row[i] = detach(g, row[i])
+		}
 		rs.Rows = append(rs.Rows, row)
 	}
+}
+
+// detach replaces a live node or edge reference — at top level or inside an
+// array, as collect(n) builds — with a detached copy carrying its
+// properties. (No operation constructs a path value, so there is none to
+// detach.)
+func detach(g *graph.Graph, v value.Value) value.Value {
+	switch v.Kind {
+	case value.KindNode:
+		return value.NewNode(v.ID, g.DetachNode(v.ID))
+	case value.KindEdge:
+		return value.NewEdge(v.ID, g.DetachEdge(v.ID))
+	case value.KindArray:
+		if !holdsEntity(v) {
+			return v
+		}
+		out := make([]value.Value, len(v.Array()))
+		for i, e := range v.Array() {
+			out[i] = detach(g, e)
+		}
+		return value.NewArray(out)
+	}
+	return v
+}
+
+func holdsEntity(v value.Value) bool {
+	switch v.Kind {
+	case value.KindNode, value.KindEdge:
+		return true
+	case value.KindArray:
+		for _, e := range v.Array() {
+			if holdsEntity(e) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // String renders the result as an aligned text table (CLI output).

@@ -59,12 +59,11 @@ type Graph struct {
 	nodes *datablock.DataBlock[Node]
 	edges *datablock.DataBlock[Edge]
 
-	// props is the columnar property store (propstore.go): a typed-column
-	// mirror of every node's Props map, maintained by the same
-	// exclusive-lock writes. Scan and mask kernels read it when
-	// PROPERTY_STORE is columnar; the maps stay the source of truth and the
-	// differential baseline.
-	props *PropStore
+	// nodeProps and edgeProps are the property stores (propstore.go): typed
+	// columns indexed by node ID and by edge ID. They are the only property
+	// storage; the entities in the datablocks above carry none.
+	nodeProps *PropStore
+	edgeProps *PropStore
 
 	dim       int
 	adj       *grb.DeltaMatrix
@@ -111,7 +110,8 @@ func New(name string) *Graph {
 		Schema:        NewSchema(),
 		nodes:         datablock.New[Node](),
 		edges:         datablock.New[Edge](),
-		props:         newPropStore(),
+		nodeProps:     newPropStore(),
+		edgeProps:     newPropStore(),
 		dim:           growthChunk,
 		adj:           grb.NewDeltaMatrix(growthChunk, growthChunk),
 		tadj:          grb.NewDeltaMatrix(growthChunk, growthChunk),
@@ -344,7 +344,6 @@ func (g *Graph) CreateNode(labels []string, props map[string]value.Value) *Node 
 	id, n := g.nodes.Allocate()
 	g.grow(id)
 	n.ID = id
-	n.Props = map[int]value.Value{}
 	n.schema = g.Schema
 	for _, lbl := range labels {
 		lid := g.Schema.AddLabel(lbl)
@@ -378,10 +377,9 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 	rs := g.relationFor(tid)
 	id, e := g.edges.Allocate()
 	e.ID, e.Type, e.Src, e.Dst = id, tid, src, dst
-	e.Props = map[int]value.Value{}
 	e.schema = g.Schema
 	for k, v := range props {
-		e.Props[g.Schema.AddAttr(k)] = v
+		g.edgeProps.set(id, g.Schema.AddAttr(k), v)
 	}
 	k := edgeKey{src, dst}
 	rs.edges[k] = append(rs.edges[k], id)
@@ -461,6 +459,7 @@ func (g *Graph) DeleteEdge(id uint64) bool {
 	} else {
 		rs.edges[k] = list
 	}
+	g.edgeProps.clear(id)
 	g.edges.Delete(id)
 	g.bumpEpoch()
 	return true
@@ -489,14 +488,14 @@ func (g *Graph) DeleteNode(id uint64) (int, bool) {
 	}
 	// Unindex properties and clear label diagonals.
 	for _, lid := range n.Labels {
-		for attr, v := range n.Props {
-			if ix, ok := g.Schema.Index(lid, attr); ok {
+		for attr, ix := range g.Schema.indexes[lid] {
+			if v, ok := g.nodeProps.value(id, attr); ok {
 				ix.remove(id, v)
 			}
 		}
 		_ = g.labels[lid].RemoveElement(int(id), int(id))
 	}
-	g.props.clearNode(id, n.Props)
+	g.nodeProps.clear(id)
 	g.nodes.Delete(id)
 	return len(victims), true
 }
@@ -513,90 +512,79 @@ func (g *Graph) SetNodeProperty(id uint64, attr string, v value.Value) error {
 }
 
 func (g *Graph) setPropLocked(n *Node, aid int, v value.Value) {
-	if old, ok := n.Props[aid]; ok {
-		for _, lid := range n.Labels {
-			if ix, ok := g.Schema.Index(lid, aid); ok {
+	for _, lid := range n.Labels {
+		if ix, ok := g.Schema.Index(lid, aid); ok {
+			if old, ok := g.nodeProps.value(n.ID, aid); ok {
 				ix.remove(n.ID, old)
+			}
+			if !v.IsNull() {
+				ix.add(n.ID, v)
 			}
 		}
 	}
-	g.props.set(n.ID, aid, v)
-	if v.IsNull() {
-		delete(n.Props, aid)
-		return
-	}
-	n.Props[aid] = v
-	for _, lid := range n.Labels {
-		if ix, ok := g.Schema.Index(lid, aid); ok {
-			ix.add(n.ID, v)
-		}
-	}
+	g.nodeProps.set(n.ID, aid, v)
 }
 
 // SetEdgeProperty sets (or removes, with null) an edge property.
 func (g *Graph) SetEdgeProperty(id uint64, attr string, v value.Value) error {
-	e, ok := g.edges.Get(id)
-	if !ok {
+	if _, ok := g.edges.Get(id); !ok {
 		return fmt.Errorf("graph: edge %d does not exist", id)
 	}
-	aid := g.Schema.AddAttr(attr)
-	if v.IsNull() {
-		delete(e.Props, aid)
-	} else {
-		e.Props[aid] = v
-	}
+	g.edgeProps.set(id, g.Schema.AddAttr(attr), v)
 	return nil
 }
 
-// NodeProperty reads a node property by attribute name.
-func (g *Graph) NodeProperty(n *Node, attr string) value.Value {
-	aid, ok := g.Schema.AttrID(attr)
-	if !ok {
-		return value.Null
-	}
-	if v, ok := n.Props[aid]; ok {
-		return v
-	}
-	return value.Null
-}
+// PropColumn returns the node-property column for an attribute ID, or nil
+// when no node ever stored a value under it. Callers must hold at least the
+// read lock.
+func (g *Graph) PropColumn(aid int) *Column { return g.nodeProps.Column(aid) }
 
-// PropColumn returns the typed column for an attribute ID, or nil when no
-// value was ever stored under it. Callers must hold at least the read lock.
-func (g *Graph) PropColumn(aid int) *Column { return g.props.Column(aid) }
+// PropVersion counts node-property writes (set, null-set, node delete).
+// State compiled from the node columns — predicate kernels, index-seeded
+// masks — is valid only for the version it was resolved at.
+func (g *Graph) PropVersion() uint64 { return g.nodeProps.version }
 
-// PropStrings exposes the store's string interner for typed string-equality
-// kernels (equal strings share one interned ID).
-func (g *Graph) PropStrings() *PropStore { return g.props }
-
-// NodePropertyColumnar reads a node property through the columnar store:
-// one attribute-name lookup plus a flat array probe, no per-node map access.
-// The dual-write invariant makes it observationally identical to
-// NodeProperty at any point where the caller holds a lock.
+// NodePropertyColumnar reads a node property, boxed: one attribute-name
+// lookup plus a column probe. Null when the node holds no such property.
+// (The name predates columns being the only store.)
 func (g *Graph) NodePropertyColumnar(id uint64, attr string) value.Value {
-	aid, ok := g.Schema.AttrID(attr)
-	if !ok {
-		return value.Null
-	}
-	c := g.props.Column(aid)
-	if c == nil {
-		return value.Null
-	}
-	if v, ok := c.Value(id); ok {
-		return v
-	}
-	return value.Null
+	return g.nodeProps.byName(g.Schema, id, attr)
 }
 
-// EdgeProperty reads an edge property by attribute name.
-func (g *Graph) EdgeProperty(e *Edge, attr string) value.Value {
-	aid, ok := g.Schema.AttrID(attr)
+// EdgeProperty reads an edge property by attribute name, like
+// NodePropertyColumnar.
+func (g *Graph) EdgeProperty(id uint64, attr string) value.Value {
+	return g.edgeProps.byName(g.Schema, id, attr)
+}
+
+// DetachNode copies node id and its properties out of the store (see
+// DetachedNode). A dead ID yields the zero node, which is what the emptied
+// datablock slot holds.
+func (g *Graph) DetachNode(id uint64) *DetachedNode {
+	n, ok := g.nodes.Get(id)
 	if !ok {
-		return value.Null
+		return &DetachedNode{}
 	}
-	if v, ok := e.Props[aid]; ok {
-		return v
+	return &DetachedNode{Node: *n, Props: g.nodeProps.appendProps(nil, id)}
+}
+
+// DetachEdge copies edge id and its properties out of the store.
+func (g *Graph) DetachEdge(id uint64) *DetachedEdge {
+	e, ok := g.edges.Get(id)
+	if !ok {
+		return &DetachedEdge{}
 	}
-	return value.Null
+	return &DetachedEdge{Edge: *e, Props: g.edgeProps.appendProps(nil, id)}
+}
+
+// AppendNodeProps appends node id's properties in ascending attribute-ID
+// order; AppendEdgeProps does the same for an edge. Snapshots stream them.
+func (g *Graph) AppendNodeProps(dst []Prop, id uint64) []Prop {
+	return g.nodeProps.appendProps(dst, id)
+}
+
+func (g *Graph) AppendEdgeProps(dst []Prop, id uint64) []Prop {
+	return g.edgeProps.appendProps(dst, id)
 }
 
 // CreateIndex builds an exact-match index over (label, attr), backfilling
@@ -613,7 +601,7 @@ func (g *Graph) CreateIndex(label, attr string) bool {
 		if !hasLabel(n, lid) {
 			return true
 		}
-		if v, ok := n.Props[aid]; ok {
+		if v, ok := g.nodeProps.value(id, aid); ok {
 			ix.add(id, v)
 		}
 		return true

@@ -152,7 +152,7 @@ func TestPropertiesAndIndex(t *testing.T) {
 	if ids := ix.Lookup(value.NewString("ally")); len(ids) != 0 {
 		t.Fatalf("after null: %v", ids)
 	}
-	if v := g.NodeProperty(a, "name"); !v.IsNull() {
+	if v := g.NodePropertyColumnar(a.ID, "name"); !v.IsNull() {
 		t.Fatalf("prop: %v", v)
 	}
 }
@@ -198,11 +198,26 @@ func TestEdgePropertyRoundTrip(t *testing.T) {
 	a := g.CreateNode(nil, nil)
 	b := g.CreateNode(nil, nil)
 	e, _ := g.CreateEdge("R", a.ID, b.ID, props("w", 5))
-	if v := g.EdgeProperty(e, "w"); v.Int() != 5 {
+	if v := g.EdgeProperty(e.ID, "w"); v.Int() != 5 {
 		t.Fatalf("w=%v", v)
 	}
 	g.SetEdgeProperty(e.ID, "w", value.NewInt(9))
-	if v := g.EdgeProperty(e, "w"); v.Int() != 9 {
+	if v := g.EdgeProperty(e.ID, "w"); v.Int() != 9 {
 		t.Fatalf("w=%v", v)
+	}
+	// Null removes it; deleting the edge clears its cells, so the recycled
+	// ID starts empty.
+	g.SetEdgeProperty(e.ID, "w", value.Null)
+	if v := g.EdgeProperty(e.ID, "w"); !v.IsNull() {
+		t.Fatalf("after null: w=%v", v)
+	}
+	g.SetEdgeProperty(e.ID, "w", value.NewInt(3))
+	g.DeleteEdge(e.ID)
+	e2, _ := g.CreateEdge("R", a.ID, b.ID, nil)
+	if e2.ID != e.ID {
+		t.Fatalf("edge id not recycled: %d != %d", e2.ID, e.ID)
+	}
+	if v := g.EdgeProperty(e2.ID, "w"); !v.IsNull() {
+		t.Fatalf("recycled edge inherited w=%v", v)
 	}
 }

@@ -90,11 +90,11 @@ func TestPropStoreDeleteAndClear(t *testing.T) {
 		t.Fatal("null set must clear the typed cell")
 	}
 
-	// clearNode drops every column a deleted node held.
+	// clear drops every column a deleted entity held.
 	ps.set(5, 0, value.NewInt(2))
-	ps.clearNode(5, map[int]value.Value{0: value.NewInt(2), 1: value.NewBool(true)})
+	ps.clear(5)
 	if ps.Column(0).Present(5) || ps.Column(1).OverflowLen() != 0 {
-		t.Fatal("clearNode must drop typed and overflow entries")
+		t.Fatal("clear must drop typed and overflow entries")
 	}
 }
 
@@ -110,10 +110,10 @@ func TestPropStoreInterning(t *testing.T) {
 	if c.StrIDAt(0) == c.StrIDAt(1) {
 		t.Fatal("distinct strings must not share an ID")
 	}
-	if id, ok := ps.StringID("oak"); !ok || ps.StringAt(id) != "oak" {
-		t.Fatal("StringID/StringAt must round-trip")
+	if id, ok := c.StringID("oak"); !ok || id != c.StrIDAt(1) {
+		t.Fatal("StringID must resolve to the stored cell's ID")
 	}
-	if _, ok := ps.StringID("nosuch"); ok {
+	if _, ok := c.StringID("nosuch"); ok {
 		t.Fatal("StringID must not create entries")
 	}
 	if c.StrAt(1) != "oak" {
@@ -151,9 +151,9 @@ func TestPropStoreAppendIDsOrdering(t *testing.T) {
 	}
 }
 
-// TestGraphColumnarMirror checks the graph-level dual write: CreateNode,
-// SET, and DeleteNode keep the columns in sync with the maps.
-func TestGraphColumnarMirror(t *testing.T) {
+// TestGraphColumnWrites checks the graph-level write path: CreateNode, SET
+// and DeleteNode land in (and leave) the node columns.
+func TestGraphColumnWrites(t *testing.T) {
 	g := New("mirror")
 	g.Lock()
 	n := g.CreateNode([]string{"A"}, map[string]value.Value{"x": value.NewInt(5)})
@@ -196,13 +196,17 @@ func TestEntityStringNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.String(), "(0:Hub {uid:7})"; got != want {
+	if got, want := g.DetachNode(a.ID).String(), "(0:Hub {uid:7})"; got != want {
 		t.Fatalf("node: %q, want %q", got, want)
 	}
-	if got, want := e.String(), "[0:Knows 0->1 {w:1.5}]"; got != want {
+	if got, want := g.DetachEdge(e.ID).String(), "[0:Knows 0->1 {w:1.5}]"; got != want {
 		t.Fatalf("edge: %q, want %q", got, want)
 	}
-	bare := &Node{ID: 3, Labels: []int{0}, Props: map[int]value.Value{2: value.NewInt(1)}}
+	// The live entities render their structure only.
+	if got, want := a.String(), "(0:Hub)"; got != want {
+		t.Fatalf("live node: %q, want %q", got, want)
+	}
+	bare := &DetachedNode{Node: Node{ID: 3, Labels: []int{0}}, Props: []Prop{{Attr: 2, Value: value.NewInt(1)}}}
 	if got, want := bare.String(), "(3:L0 {2:1})"; got != want {
 		t.Fatalf("schema-less node: %q, want %q", got, want)
 	}

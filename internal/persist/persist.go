@@ -50,13 +50,15 @@ func Save(g *graph.Graph, w io.Writer) error {
 	// Nodes (live only; IDs are explicit so holes are preserved).
 	writeUvarint(bw, uint64(g.NodeCount()))
 	var err error
+	var props []graph.Prop // reused per entity; ascending attribute ID
 	g.ForEachNode(func(n *graph.Node) bool {
 		writeUvarint(bw, n.ID)
 		writeUvarint(bw, uint64(len(n.Labels)))
 		for _, l := range n.Labels {
 			writeUvarint(bw, uint64(l))
 		}
-		err = writeProps(bw, n.Props)
+		props = g.AppendNodeProps(props[:0], n.ID)
+		err = writeProps(bw, props)
 		return err == nil
 	})
 	if err != nil {
@@ -70,7 +72,8 @@ func Save(g *graph.Graph, w io.Writer) error {
 		writeUvarint(bw, uint64(e.Type))
 		writeUvarint(bw, e.Src)
 		writeUvarint(bw, e.Dst)
-		err = writeProps(bw, e.Props)
+		props = g.AppendEdgeProps(props[:0], e.ID)
+		err = writeProps(bw, props)
 		return err == nil
 	})
 	if err != nil {
@@ -302,11 +305,11 @@ func readString(r *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
-func writeProps(w *bufio.Writer, props map[int]value.Value) error {
+func writeProps(w *bufio.Writer, props []graph.Prop) error {
 	writeUvarint(w, uint64(len(props)))
-	for k, v := range props {
-		writeUvarint(w, uint64(k))
-		if err := writeValue(w, v); err != nil {
+	for _, p := range props {
+		writeUvarint(w, uint64(p.Attr))
+		if err := writeValue(w, p.Value); err != nil {
 			return err
 		}
 	}

@@ -2,9 +2,11 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"redisgraph/internal/core"
@@ -34,7 +36,6 @@ func (s *Server) queryConfig() core.Config {
 		NoCostPlanner:   !s.costPlanner.Load(),
 		NoJoinPlanner:   !s.joinPlanner.Load(),
 		TraverseKernel:  s.traverseKernel.Load().(string),
-		PropertyStore:   s.propertyStore.Load().(string),
 		PlanCache:       s.planCache,
 		NoFairScheduler: !s.fairScheduler.Load(),
 	}
@@ -56,68 +57,140 @@ func (s *Server) admitQuery() (wait time.Duration, release func(), busy resp.Err
 // frontier matrices stop fitting comfortably in cache and the win flattens.
 const maxTraverseBatch = 1 << 16
 
-// configParams lists every GRAPH.CONFIG parameter, in the order GET *
-// reports them.
-var configParams = []string{"THREAD_COUNT", "TIMEOUT", "MAX_QUERY_THREADS", "TRAVERSE_BATCH", "COST_PLANNER", "JOIN_PLANNER", "TRAVERSE_KERNEL", "PROPERTY_STORE", "PLAN_CACHE_SIZE", "PLAN_CACHE_MAX_BYTES", "MAX_CONCURRENT_QUERIES", "ADMISSION_TIMEOUT", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER"}
-
-// configValue reads one live configuration parameter (an int64, or a string
-// for the enum-valued TRAVERSE_KERNEL).
-func (s *Server) configValue(name string) any {
-	switch name {
-	case "THREAD_COUNT":
-		return int64(s.pool.Size())
-	case "TIMEOUT":
-		return s.opts.QueryTimeout.Milliseconds()
-	case "MAX_QUERY_THREADS":
-		// GET reports the resolved budget: with auto (SET 0) the stored
-		// zero would hide what queries actually run with.
-		return int64(s.resolvedOpThreads())
-	case "TRAVERSE_BATCH":
-		return int64(s.traverseBatch.Load())
-	case "COST_PLANNER":
-		if s.costPlanner.Load() {
-			return int64(1)
-		}
-		return int64(0)
-	case "JOIN_PLANNER":
-		if s.joinPlanner.Load() {
-			return int64(1)
-		}
-		return int64(0)
-	case "TRAVERSE_KERNEL":
-		return s.traverseKernel.Load().(string)
-	case "PROPERTY_STORE":
-		return s.propertyStore.Load().(string)
-	case "PLAN_CACHE_SIZE":
-		return int64(s.planCache.Capacity())
-	case "PLAN_CACHE_MAX_BYTES":
-		return s.planCache.MaxBytes()
-	case "MAX_CONCURRENT_QUERIES":
-		return int64(s.gate.Limit())
-	case "ADMISSION_TIMEOUT":
-		return s.admissionTimeoutMs.Load()
-	case "GLOBAL_THREAD_BUDGET":
-		// GET reports the resolved budget (SET 0 = auto), like
-		// MAX_QUERY_THREADS.
-		return int64(pool.Budget())
-	case "FAIR_SCHEDULER":
-		if s.fairScheduler.Load() {
-			return int64(1)
-		}
-		return int64(0)
-	}
-	return int64(0)
+// configParam is one GRAPH.CONFIG parameter: GET, GET *, SET, its validation
+// error and the usage line all derive from the configParams table. get reads
+// the live value (an int64, or a string for the enum-valued
+// TRAVERSE_KERNEL). set parses and applies a new value, returning the
+// constraint a rejected value violated ("must be …"); it is nil for the
+// parameters fixed at start-up.
+type configParam struct {
+	name string
+	get  func(s *Server) any
+	set  func(s *Server, v string) error
 }
 
-// parseBoolParam accepts Redis-style boolean config values.
-func parseBoolParam(v string) (bool, error) {
-	switch strings.ToLower(v) {
-	case "1", "yes", "true", "on":
-		return true, nil
-	case "0", "no", "false", "off":
-		return false, nil
+// intParam is an integer parameter accepting [min, max]; note says what a
+// special value means.
+func intParam(name string, min, max int64, note string, get func(*Server) int64, set func(*Server, int64)) configParam {
+	return configParam{name,
+		func(s *Server) any { return get(s) },
+		func(s *Server, v string) error {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || n < min || n > max {
+				return fmt.Errorf("must be an integer between %d and %d%s", min, max, note)
+			}
+			set(s, n)
+			return nil
+		}}
+}
+
+// boolParam is an on/off parameter accepting Redis-style booleans.
+func boolParam(name string, flag func(*Server) *atomic.Bool) configParam {
+	return configParam{name,
+		func(s *Server) any {
+			if flag(s).Load() {
+				return int64(1)
+			}
+			return int64(0)
+		},
+		func(s *Server, v string) error {
+			switch strings.ToLower(v) {
+			case "1", "yes", "true", "on":
+				flag(s).Store(true)
+			case "0", "no", "false", "off":
+				flag(s).Store(false)
+			default:
+				return fmt.Errorf("must be 0|1|yes|no")
+			}
+			return nil
+		}}
+}
+
+// configParams lists every GRAPH.CONFIG parameter, in the order GET *
+// reports them.
+var configParams = []configParam{
+	{"THREAD_COUNT", func(s *Server) any { return int64(s.pool.Size()) }, nil},
+	{"TIMEOUT", func(s *Server) any { return s.opts.QueryTimeout.Milliseconds() }, nil},
+	// GET reports the resolved budget: with auto (SET 0) the stored zero
+	// would hide what queries actually run with.
+	intParam("MAX_QUERY_THREADS", 0, math.MaxInt32, " (0 = auto: match GOMAXPROCS)",
+		func(s *Server) int64 { return int64(s.resolvedOpThreads()) },
+		func(s *Server, n int64) { s.opThreads.Store(int32(n)) }),
+	intParam("TRAVERSE_BATCH", 1, maxTraverseBatch, "",
+		func(s *Server) int64 { return int64(s.traverseBatch.Load()) },
+		func(s *Server, n int64) { s.traverseBatch.Store(int32(n)) }),
+	boolParam("COST_PLANNER", func(s *Server) *atomic.Bool { return &s.costPlanner }),
+	boolParam("JOIN_PLANNER", func(s *Server) *atomic.Bool { return &s.joinPlanner }),
+	{"TRAVERSE_KERNEL", func(s *Server) any { return s.traverseKernel.Load().(string) },
+		func(s *Server, v string) error {
+			switch kernel := strings.ToLower(v); kernel {
+			case "auto", "push", "pull":
+				s.traverseKernel.Store(kernel)
+				return nil
+			}
+			return fmt.Errorf("must be auto|push|pull")
+		}},
+	intParam("PLAN_CACHE_SIZE", 0, math.MaxInt32, " (0 = caching off)",
+		func(s *Server) int64 { return int64(s.planCache.Capacity()) },
+		func(s *Server, n int64) { s.planCache.SetCapacity(int(n)) }),
+	intParam("PLAN_CACHE_MAX_BYTES", 0, math.MaxInt64, " (0 = no byte budget)",
+		func(s *Server) int64 { return s.planCache.MaxBytes() },
+		func(s *Server, n int64) { s.planCache.SetMaxBytes(n) }),
+	intParam("MAX_CONCURRENT_QUERIES", 0, math.MaxInt32, " (0 = unbounded)",
+		func(s *Server) int64 { return int64(s.gate.Limit()) },
+		func(s *Server, n int64) { s.gate.SetLimit(int(n)) }),
+	intParam("ADMISSION_TIMEOUT", 0, math.MaxInt64, " milliseconds (0 = fail fast when saturated)",
+		func(s *Server) int64 { return s.admissionTimeoutMs.Load() },
+		func(s *Server, n int64) { s.admissionTimeoutMs.Store(n) }),
+	// GET reports the resolved budget (SET 0 = auto), like MAX_QUERY_THREADS.
+	intParam("GLOBAL_THREAD_BUDGET", 0, math.MaxInt32, " (0 = auto: match GOMAXPROCS)",
+		func(s *Server) int64 { return int64(pool.Budget()) },
+		func(s *Server, n int64) { pool.SetBudget(int(n)) }),
+	boolParam("FAIR_SCHEDULER", func(s *Server) *atomic.Bool { return &s.fairScheduler }),
+}
+
+// configCommand serves GRAPH.CONFIG GET <name>|* and SET <name> <value>.
+func (s *Server) configCommand(args []string) (any, error) {
+	verb := ""
+	if len(args) > 0 {
+		verb = strings.ToUpper(args[0])
 	}
-	return false, fmt.Errorf("invalid boolean %q", v)
+	if !(verb == "GET" && len(args) >= 2) && !(verb == "SET" && len(args) >= 3) {
+		var all, settable []string
+		for _, p := range configParams {
+			all = append(all, p.name)
+			if p.set != nil {
+				settable = append(settable, p.name)
+			}
+		}
+		return nil, fmt.Errorf("ERR GRAPH.CONFIG supports GET *|%s and SET %s <value>",
+			strings.Join(all, "|"), strings.Join(settable, "|"))
+	}
+	if verb == "GET" && args[1] == "*" {
+		// Redis semantics: GET * returns every parameter as a name/value pair.
+		pairs := make([]any, 0, len(configParams))
+		for _, p := range configParams {
+			pairs = append(pairs, []any{p.name, p.get(s)})
+		}
+		return pairs, nil
+	}
+	name := strings.ToUpper(args[1])
+	for _, p := range configParams {
+		if p.name != name {
+			continue
+		}
+		if verb == "GET" {
+			return []any{p.name, p.get(s)}, nil
+		}
+		if p.set == nil {
+			break // fixed at start-up: not a settable parameter
+		}
+		if err := p.set(s, args[2]); err != nil {
+			return nil, fmt.Errorf("ERR %s %v", p.name, err)
+		}
+		return resp.SimpleString("OK"), nil
+	}
+	return nil, fmt.Errorf("ERR unknown configuration parameter %q", args[1])
 }
 
 // graphCommand executes one GRAPH.* module command on a threadpool worker.
@@ -201,117 +274,7 @@ func (s *Server) graphCommand(cmd string, args []string) (any, error) {
 		return toAnySlice(s.graphNames()), nil
 
 	case "GRAPH.CONFIG":
-		if len(args) >= 2 && strings.ToUpper(args[0]) == "GET" {
-			if args[1] == "*" {
-				// Redis semantics: GET * returns every parameter as a
-				// name/value pair.
-				pairs := make([]any, 0, len(configParams))
-				for _, p := range configParams {
-					pairs = append(pairs, []any{p, s.configValue(p)})
-				}
-				return pairs, nil
-			}
-			name := strings.ToUpper(args[1])
-			for _, p := range configParams {
-				if p == name {
-					return []any{p, s.configValue(p)}, nil
-				}
-			}
-			return nil, fmt.Errorf("ERR unknown configuration parameter %q", args[1])
-		}
-		if len(args) >= 3 && strings.ToUpper(args[0]) == "SET" {
-			switch strings.ToUpper(args[1]) {
-			case "MAX_QUERY_THREADS":
-				n, err := strconv.Atoi(args[2])
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR MAX_QUERY_THREADS must be a non-negative integer (0 = auto: match GOMAXPROCS)")
-				}
-				s.opThreads.Store(int32(n))
-				return resp.SimpleString("OK"), nil
-			case "TRAVERSE_BATCH":
-				n, err := strconv.Atoi(args[2])
-				if err != nil || n < 1 || n > maxTraverseBatch {
-					return nil, fmt.Errorf("ERR TRAVERSE_BATCH must be an integer between 1 and %d", maxTraverseBatch)
-				}
-				s.traverseBatch.Store(int32(n))
-				return resp.SimpleString("OK"), nil
-			case "COST_PLANNER":
-				on, err := parseBoolParam(args[2])
-				if err != nil {
-					return nil, fmt.Errorf("ERR COST_PLANNER must be 0|1|yes|no")
-				}
-				s.costPlanner.Store(on)
-				return resp.SimpleString("OK"), nil
-			case "JOIN_PLANNER":
-				on, err := parseBoolParam(args[2])
-				if err != nil {
-					return nil, fmt.Errorf("ERR JOIN_PLANNER must be 0|1|yes|no")
-				}
-				s.joinPlanner.Store(on)
-				return resp.SimpleString("OK"), nil
-			case "TRAVERSE_KERNEL":
-				kernel := strings.ToLower(args[2])
-				switch kernel {
-				case "auto", "push", "pull":
-					s.traverseKernel.Store(kernel)
-					return resp.SimpleString("OK"), nil
-				}
-				return nil, fmt.Errorf("ERR TRAVERSE_KERNEL must be auto|push|pull")
-			case "PROPERTY_STORE":
-				store := strings.ToLower(args[2])
-				switch store {
-				case "map", "columnar":
-					s.propertyStore.Store(store)
-					return resp.SimpleString("OK"), nil
-				}
-				return nil, fmt.Errorf("ERR PROPERTY_STORE must be map|columnar")
-			case "PLAN_CACHE_SIZE":
-				n, err := strconv.Atoi(args[2])
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR PLAN_CACHE_SIZE must be a non-negative integer (0 = caching off)")
-				}
-				s.planCache.SetCapacity(n)
-				return resp.SimpleString("OK"), nil
-			case "PLAN_CACHE_MAX_BYTES":
-				n, err := strconv.ParseInt(args[2], 10, 64)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR PLAN_CACHE_MAX_BYTES must be a non-negative integer (0 = no byte budget)")
-				}
-				s.planCache.SetMaxBytes(n)
-				return resp.SimpleString("OK"), nil
-			case "MAX_CONCURRENT_QUERIES":
-				n, err := strconv.Atoi(args[2])
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR MAX_CONCURRENT_QUERIES must be a non-negative integer (0 = unbounded)")
-				}
-				s.gate.SetLimit(n)
-				return resp.SimpleString("OK"), nil
-			case "ADMISSION_TIMEOUT":
-				n, err := strconv.ParseInt(args[2], 10, 64)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR ADMISSION_TIMEOUT must be a non-negative integer of milliseconds (0 = fail fast when saturated)")
-				}
-				s.admissionTimeoutMs.Store(n)
-				return resp.SimpleString("OK"), nil
-			case "GLOBAL_THREAD_BUDGET":
-				n, err := strconv.Atoi(args[2])
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("ERR GLOBAL_THREAD_BUDGET must be a non-negative integer (0 = auto: match GOMAXPROCS)")
-				}
-				pool.SetBudget(n)
-				return resp.SimpleString("OK"), nil
-			case "FAIR_SCHEDULER":
-				on, err := parseBoolParam(args[2])
-				if err != nil {
-					return nil, fmt.Errorf("ERR FAIR_SCHEDULER must be 0|1|yes|no")
-				}
-				s.fairScheduler.Store(on)
-				return resp.SimpleString("OK"), nil
-			}
-			return nil, fmt.Errorf("ERR unknown configuration parameter %q", args[1])
-		}
-		return nil, fmt.Errorf("ERR GRAPH.CONFIG supports GET *|%s and SET MAX_QUERY_THREADS (0 = auto: match GOMAXPROCS)|TRAVERSE_BATCH|COST_PLANNER|JOIN_PLANNER|TRAVERSE_KERNEL|PROPERTY_STORE|PLAN_CACHE_SIZE|PLAN_CACHE_MAX_BYTES|MAX_CONCURRENT_QUERIES|ADMISSION_TIMEOUT|GLOBAL_THREAD_BUDGET|FAIR_SCHEDULER",
-			strings.Join(configParams, "|"))
+		return s.configCommand(args)
 	}
 	return nil, fmt.Errorf("ERR unknown command '%s'", strings.ToLower(cmd))
 }

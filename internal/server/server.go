@@ -53,11 +53,6 @@ type Options struct {
 	// force one direction for differential baselines. Runtime changes go
 	// through GRAPH.CONFIG SET TRAVERSE_KERNEL.
 	TraverseKernel string
-	// PropertyStore selects the property read path: "columnar" (default)
-	// serves scans, masks and projections from the typed column store,
-	// "map" restores per-node property-map reads as the differential
-	// baseline. Runtime changes go through GRAPH.CONFIG SET PROPERTY_STORE.
-	PropertyStore string
 	// PlanCacheSize bounds the parameterized plan cache (entries across all
 	// graphs). 0 uses the engine default (128); negative disables caching so
 	// every query plans from scratch. Runtime changes go through
@@ -115,9 +110,6 @@ type Server struct {
 	// "pull"; seeded from Options.TraverseKernel, mutable via GRAPH.CONFIG
 	// SET).
 	traverseKernel atomic.Value
-	// propertyStore is the live PROPERTY_STORE value ("columnar" or "map";
-	// seeded from Options.PropertyStore, mutable via GRAPH.CONFIG SET).
-	propertyStore atomic.Value
 	// planCache is the server-wide parameterized plan cache, shared by every
 	// graph and worker. Its capacity is the live PLAN_CACHE_SIZE value
 	// (capacity 0 = caching off, the differential baseline).
@@ -184,11 +176,6 @@ func New(opts Options) *Server {
 		kernel = "auto"
 	}
 	s.traverseKernel.Store(kernel)
-	store := strings.ToLower(opts.PropertyStore)
-	if store != "map" {
-		store = "columnar"
-	}
-	s.propertyStore.Store(store)
 	cacheSize := opts.PlanCacheSize
 	switch {
 	case cacheSize == 0:

@@ -227,7 +227,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 		"COST_PLANNER":           int64(1),
 		"JOIN_PLANNER":           int64(1),
 		"TRAVERSE_KERNEL":        "auto",
-		"PROPERTY_STORE":         "columnar",
 		"PLAN_CACHE_SIZE":        int64(core.DefaultPlanCacheSize),
 		"PLAN_CACHE_MAX_BYTES":   int64(0),
 		"MAX_CONCURRENT_QUERIES": int64(0),
