@@ -47,8 +47,8 @@ import (
 // applies one mutation burst, then emits. A burst below a scan therefore runs
 // inside the scan's first pull of its child and nowhere later; a burst above
 // it runs only once the scan is exhausted. What each consumer owes in return
-// is to compile after that pull, not before it: the scans compile as they
-// prime a pass (startPass/loadIDs/loadSeeds), the traversals after gathering
+// is to compile after that pull, not before it: the scans compile in the one
+// place they prime a pass (scanPass.prime), the traversals after gathering
 // their input batch. From there to the end of the pass no burst can run, so
 // the candidate list the pass filtered stays true.
 

@@ -37,12 +37,12 @@ func funnelGraph(t testing.TB, spokes, sinks int) *graph.Graph {
 	return g
 }
 
-// findCondTraverse walks a plan for its first batched traversal operation.
-func findCondTraverse(op operation) *condTraverseOp {
-	if ct, ok := op.(*condTraverseOp); ok {
+// findCondTraverse walks a plan for its first batched traversal node.
+func findCondTraverse(op planNode) *condTraverseNode {
+	if ct, ok := op.(*condTraverseNode); ok {
 		return ct
 	}
-	if tc, ok := op.(*traverseCountOp); ok {
+	if tc, ok := op.(*traverseCountNode); ok {
 		return tc.t
 	}
 	for _, c := range op.children() {

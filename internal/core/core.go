@@ -34,9 +34,10 @@ type Config struct {
 	TraverseBatch int
 	// CoarseLock restores the pre-delta locking for write queries: the
 	// exclusive lock held for the whole query and a full matrix fold before
-	// release. It is the differential tests' baseline and a safety valve;
-	// the default runs write queries concurrently with readers, taking the
-	// exclusive lock only for mutation bursts.
+	// release. It is the differential tests' oracle, reachable from no
+	// public option or GRAPH.CONFIG knob; the default runs write queries
+	// concurrently with readers, taking the exclusive lock only for
+	// mutation bursts.
 	CoarseLock bool
 	// NoPushdown disables algebraic predicate pushdown at plan time: every
 	// label and property predicate stays an interpreted per-record filter.
@@ -60,8 +61,8 @@ type Config struct {
 	// the differential baselines behind GRAPH.CONFIG SET TRAVERSE_KERNEL.
 	TraverseKernel string
 	// PlanCache, when set, amortizes parse+plan across requests: queries
-	// resolve through the cache's templates (see plancache.go) and execute
-	// private instantiated clones. Nil plans every query from scratch —
+	// resolve through the cache's shared templates (see plancache.go) and
+	// instantiate their own running ops. Nil plans every query from scratch —
 	// the differential baseline behind GRAPH.CONFIG SET PLAN_CACHE_SIZE 0.
 	PlanCache *PlanCache
 	// NoFairScheduler disables multi-tenant scheduling: the query does not
@@ -112,9 +113,17 @@ func (c Config) descriptor() *grb.Descriptor {
 	return &grb.Descriptor{NThreads: c.threads(), Sched: c.sched}
 }
 
-// planFor resolves a query to an executable plan: through the plan cache
-// when the config enables one, else by parsing and planning from scratch.
-// cached reports whether the plan was instantiated from a cached template.
+// planOptions is the one mapping from a Config to what the planner reads
+// from it — and, since plans differ exactly where these differ, the
+// config half of the plan cache's key.
+func (c Config) planOptions() planOptions {
+	return planOptions{NoPushdown: c.NoPushdown, NoCostPlanner: c.NoCostPlanner,
+		NoJoinPlanner: c.NoJoinPlanner, Threads: c.threads()}
+}
+
+// planFor resolves a query to its plan: through the plan cache when the
+// config enables one, else by parsing and planning from scratch. cached
+// reports whether the plan is a cached template.
 func planFor(g *graph.Graph, query string, cfg Config) (plan *Plan, cached bool, err error) {
 	if pc := cfg.PlanCache; pc != nil && pc.Capacity() > 0 {
 		return pc.plan(g, query, cfg)
@@ -123,13 +132,30 @@ func planFor(g *graph.Graph, query string, cfg Config) (plan *Plan, cached bool,
 	if err != nil {
 		return nil, false, err
 	}
-	plan, err = buildLocked(g, ast, cfg)
+	plan, err = buildLocked(g, ast, cfg.planOptions())
 	return plan, false, err
+}
+
+// buildLocked plans under the read lock (planning consults the schema and
+// the stats snapshot feeding the cost model).
+func buildLocked(g *graph.Graph, ast *cypher.Query, opts planOptions) (*Plan, error) {
+	g.RLock()
+	defer g.RUnlock()
+	return buildPlanOpts(g, ast, opts)
 }
 
 // Query parses, plans and executes a Cypher query against g, taking the
 // graph's write or read lock according to the query's effect.
 func Query(g *graph.Graph, query string, params map[string]value.Value, cfg Config) (*ResultSet, error) {
+	return runQuery(g, query, params, cfg, false)
+}
+
+// ROQuery executes a query that must be read-only (GRAPH.RO_QUERY).
+func ROQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Config) (*ResultSet, error) {
+	return runQuery(g, query, params, cfg, true)
+}
+
+func runQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Config, readOnly bool) (*ResultSet, error) {
 	cfg, sc := beginSched(cfg)
 	if sc != nil {
 		defer sc.End()
@@ -138,25 +164,37 @@ func Query(g *graph.Graph, query string, params map[string]value.Value, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	if plan.ReadOnly {
+	if readOnly && !plan.ReadOnly {
+		return nil, fmt.Errorf("core: query is not read-only")
+	}
+	return executeLocked(g, plan, params, cfg, nil)
+}
+
+// executeLocked is the one lock discipline: it runs a plan under the lock
+// its effect demands. Read-only plans hold the shared lock. Write plans read
+// under the shared lock too (concurrently with RO queries) and upgrade to
+// the exclusive lock only for mutation bursts, folding threshold-crossing
+// deltas in a final burst — unless CoarseLock asks for the reference
+// behaviour: the exclusive lock for the whole query and a full fold before
+// release.
+func executeLocked(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config,
+	prof map[planNode]*profiledOp) (*ResultSet, error) {
+	switch {
+	case plan.ReadOnly:
 		g.RLock()
 		defer g.RUnlock()
-		return execute(g, plan, params, cfg, false)
-	}
-	if cfg.CoarseLock {
+		return execute(g, plan, params, cfg, false, prof)
+	case cfg.CoarseLock:
 		g.Lock()
 		defer func() {
 			g.Sync()
 			g.Unlock()
 		}()
-		return execute(g, plan, params, cfg, false)
+		return execute(g, plan, params, cfg, false, prof)
 	}
-	// Concurrent write execution: the query reads under the shared lock
-	// (concurrently with RO queries) and upgrades to the exclusive lock only
-	// for mutation bursts; threshold-crossing deltas fold in a final burst.
 	g.BeginWrite()
 	defer g.EndWrite()
-	rs, err := execute(g, plan, params, cfg, true)
+	rs, err := execute(g, plan, params, cfg, true, prof)
 	maybeSyncLocked(g)
 	return rs, err
 }
@@ -173,34 +211,10 @@ func maybeSyncLocked(g *graph.Graph) {
 	g.MaybeSync()
 }
 
-// ROQuery executes a query that must be read-only (GRAPH.RO_QUERY).
-func ROQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Config) (*ResultSet, error) {
-	cfg, sc := beginSched(cfg)
-	if sc != nil {
-		defer sc.End()
-	}
-	plan, _, err := planFor(g, query, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.ReadOnly {
-		return nil, fmt.Errorf("core: query is not read-only")
-	}
-	g.RLock()
-	defer g.RUnlock()
-	return execute(g, plan, params, cfg, false)
-}
-
-// buildLocked plans under the read lock (planning consults the schema and
-// the stats snapshot feeding the cost model).
-func buildLocked(g *graph.Graph, ast *cypher.Query, cfg Config) (*Plan, error) {
-	g.RLock()
-	defer g.RUnlock()
-	return buildPlanOpts(g, ast, planOptions{NoPushdown: cfg.NoPushdown, NoCostPlanner: cfg.NoCostPlanner,
-		NoJoinPlanner: cfg.NoJoinPlanner, Threads: cfg.threads()})
-}
-
-func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config, concurrent bool) (*ResultSet, error) {
+// execute instantiates the plan's running ops and drains them into a result
+// set, under the lock the caller took.
+func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config, concurrent bool,
+	prof map[planNode]*profiledOp) (*ResultSet, error) {
 	kernel, err := parseKernelMode(cfg.TraverseKernel)
 	if err != nil {
 		return nil, err
@@ -220,9 +234,10 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 	if cfg.Timeout > 0 {
 		ctx.deadline = time.Now().Add(cfg.Timeout)
 	}
+	root := instantiate(plan.root, instOpts{prof: prof})
 	start := time.Now()
 	for {
-		batch, err := plan.root.nextBatch(ctx)
+		batch, err := root.nextBatch(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -240,10 +255,11 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 	return rs, nil
 }
 
-// Explain returns the execution-plan tree for a query (GRAPH.EXPLAIN).
-// The config matters: NoPushdown and NoCostPlanner change the plan.
-// With a plan cache configured, the first line reports whether this plan
-// came from a cached template and the cache's lifetime counters.
+// Explain returns the execution-plan tree for a query (GRAPH.EXPLAIN): it
+// prints plan nodes and instantiates nothing. The config matters:
+// NoPushdown and NoCostPlanner change the plan. With a plan cache
+// configured, the first line reports whether this plan came from a cached
+// template and the cache's lifetime counters.
 func Explain(g *graph.Graph, query string, cfg Config) ([]string, error) {
 	plan, cached, err := planFor(g, query, cfg)
 	if err != nil {
@@ -253,7 +269,7 @@ func Explain(g *graph.Graph, query string, cfg Config) ([]string, error) {
 	if line, ok := planSourceLine(cfg, cached); ok {
 		lines = append(lines, line)
 	}
-	printPlan(plan.root, 0, &lines, plan.estAnnotation)
+	printPlan(plan.root, 0, &lines, planNode.args, plan.estAnnotation)
 	return lines, nil
 }
 
@@ -280,10 +296,10 @@ func schedulerLine(cfg Config, sc *pool.SchedCtx) string {
 		cfg.threads(), cfg.reqThreads, pool.ActiveQueries(), sc.StolenMorsels(), float64(sc.WorkerNanos())/1e6)
 }
 
-// estAnnotation renders an operation's estimated output cardinality for
+// estAnnotation renders a node's estimated output cardinality for
 // EXPLAIN/PROFILE lines.
-func (p *Plan) estAnnotation(op operation) string {
-	e, ok := p.estFor(op)
+func (p *Plan) estAnnotation(n planNode) string {
+	e, ok := p.est[n]
 	if !ok {
 		return ""
 	}
@@ -316,26 +332,9 @@ func Profile(g *graph.Graph, query string, params map[string]value.Value, cfg Co
 	if err != nil {
 		return nil, err
 	}
-	plan.root = profile(plan.root)
-	var execErr error
-	switch {
-	case plan.ReadOnly:
-		g.RLock()
-		_, execErr = execute(g, plan, params, cfg, false)
-		g.RUnlock()
-	case cfg.CoarseLock:
-		g.Lock()
-		_, execErr = execute(g, plan, params, cfg, false)
-		g.Sync()
-		g.Unlock()
-	default:
-		g.BeginWrite()
-		_, execErr = execute(g, plan, params, cfg, true)
-		maybeSyncLocked(g)
-		g.EndWrite()
-	}
-	if execErr != nil {
-		return nil, execErr
+	prof := map[planNode]*profiledOp{}
+	if _, err := executeLocked(g, plan, params, cfg, prof); err != nil {
+		return nil, err
 	}
 	var lines []string
 	if line, ok := planSourceLine(cfg, cached); ok {
@@ -344,30 +343,31 @@ func Profile(g *graph.Graph, query string, params map[string]value.Value, cfg Co
 	if sc != nil {
 		lines = append(lines, schedulerLine(cfg, sc))
 	}
-	printPlan(plan.root, 0, &lines, func(op operation) string {
-		s := plan.estAnnotation(op)
-		if p, ok := op.(*profiledOp); ok {
-			s += fmt.Sprintf(" | Records produced: %d, Execution time: %.6f ms",
-				p.records, float64(p.elapsed.Nanoseconds())/1e6)
+	printPlan(plan.root, 0, &lines, func(n planNode) string {
+		if d, ok := prof[n].inner.(profileDescriber); ok {
+			return d.profileArgs()
 		}
-		return s
+		return n.args()
+	}, func(n planNode) string {
+		p := prof[n]
+		return plan.estAnnotation(n) + fmt.Sprintf(" | Records produced: %d, Execution time: %.6f ms",
+			p.records, float64(p.elapsed.Nanoseconds())/1e6)
 	})
 	return lines, nil
 }
 
-func printPlan(op operation, depth int, out *[]string, annotate func(operation) string) {
-	if op == nil {
-		return
-	}
-	line := strings.Repeat("    ", depth) + op.name()
-	if a := op.args(); a != "" {
+// printPlan renders the node tree, one line per node: name, args(n) and,
+// when set, annotate(n).
+func printPlan(n planNode, depth int, out *[]string, args, annotate func(planNode) string) {
+	line := strings.Repeat("    ", depth) + n.name()
+	if a := args(n); a != "" {
 		line += " | " + a
 	}
 	if annotate != nil {
-		line += annotate(op)
+		line += annotate(n)
 	}
 	*out = append(*out, line)
-	for _, c := range op.children() {
-		printPlan(c, depth+1, out, annotate)
+	for _, c := range n.children() {
+		printPlan(c, depth+1, out, args, annotate)
 	}
 }

@@ -189,3 +189,41 @@ func TestExplainTransposedTraversal(t *testing.T) {
 		t.Fatalf("expected transposed operand in plan:\n%v", lines)
 	}
 }
+
+// TestUnknownLabelBelowWrite: a label that does not exist at plan time may
+// still be created by a write earlier in the same query, so the entry scan
+// must not plan as Empty. The first run sees the node it created; the second
+// replans (the schema version moved) and sees both.
+func TestUnknownLabelBelowWrite(t *testing.T) {
+	const query = `CREATE (:X) WITH 1 AS one MATCH (b:X) RETURN count(b)`
+	for _, cached := range []bool{false, true} {
+		for _, batch := range []int{1, 64} {
+			for _, threads := range []int{1, 4} {
+				for _, textual := range []bool{false, true} {
+					g := graph.New("t")
+					cfg := Config{TraverseBatch: batch, OpThreads: threads, NoCostPlanner: textual}
+					if cached {
+						cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+					}
+					for want := int64(1); want <= 2; want++ {
+						rs, err := Query(g, query, nil, cfg)
+						if err != nil {
+							t.Fatalf("cfg=%+v: %v", cfg, err)
+						}
+						if got := singleInt(t, rs); got != want {
+							t.Errorf("cfg=%+v run %d: count = %d, want %d", cfg, want, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Without a write upstream the shortcut stays.
+	lines, err := Explain(graph.New("t"), `MATCH (b:X) RETURN count(b)`, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "Empty") {
+		t.Errorf("read-only scan of an unknown label must plan as Empty:\n%s", strings.Join(lines, "\n"))
+	}
+}

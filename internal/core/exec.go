@@ -167,27 +167,55 @@ func (ctx *execCtx) forWorker() *execCtx {
 	return &c
 }
 
-// operation is one node of an execution plan: a pull-based batch iterator.
-// Every hot operation produces and consumes whole record batches so that
-// frontier matrices coming out of the algebraic traversals are never
-// re-serialised into per-record pulls.
+// planNode is one immutable node of a query plan: what the planner builds,
+// the plan cache stores and EXPLAIN prints. Nothing writes a node once plan
+// construction (buildPlanOpts, including the parallel-segment decision) has
+// returned, so any number of concurrent executions share one tree.
+type planNode interface {
+	// name is the node's display name for EXPLAIN/PROFILE.
+	name() string
+	// args describes the planned parameters for EXPLAIN.
+	args() string
+	// children returns the input nodes (for plan printing and walking).
+	children() []planNode
+}
+
+// unary is the base of every node with at most one input.
+type unary struct{ child planNode }
+
+func (u *unary) children() []planNode {
+	if u.child == nil {
+		return nil
+	}
+	return []planNode{u.child}
+}
+
+// input exposes the link parallelizePlan splices its merge node into while
+// the plan is still under construction.
+func (u *unary) input() *unary { return u }
+
+// operation is a running op: the per-execution state of one plan node (pull
+// buffers, arenas, memos, done flags) plus a pointer to the node it runs.
+// instantiate builds a fresh tree of them per execution. Every hot operation
+// produces and consumes whole record batches so that frontier matrices
+// coming out of the algebraic traversals are never re-serialised into
+// per-record pulls.
 type operation interface {
 	// nextBatch returns the next non-empty batch of records, or nil when
 	// depleted. Implementations loop internally rather than returning empty
 	// batches.
 	nextBatch(ctx *execCtx) (recordBatch, error)
-	// name is the operation's display name for EXPLAIN/PROFILE.
-	name() string
-	// args describes operation parameters for EXPLAIN.
-	args() string
-	// children returns input operations (for plan printing).
-	children() []operation
+}
+
+// profileDescriber is implemented by running ops whose PROFILE line carries
+// what only execution knows: the effective batch size and kernel mix of a
+// traversal, the summed worker time of a parallel merge.
+type profileDescriber interface {
+	profileArgs() string
 }
 
 // batchPuller lets an operation consume its batch-producing child one record
-// at a time (traversal gather loops, scans re-priming per child record). The
-// producing operation is passed per call so that profile()'s child rewiring
-// keeps working.
+// at a time (traversal gather loops, scans re-priming per child record).
 type batchPuller struct {
 	buf recordBatch
 	pos int
@@ -209,7 +237,7 @@ func (p *batchPuller) pull(ctx *execCtx, from operation) (record, error) {
 	}
 }
 
-// profiledOp decorates an operation with record/time accounting
+// profiledOp decorates a running op with record/time accounting
 // (GRAPH.PROFILE). Records are accounted per batch: the rows-per-op counts
 // stay identical to the tuple-at-a-time engine's.
 type profiledOp struct {
@@ -224,30 +252,4 @@ func (p *profiledOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	p.elapsed += time.Since(start)
 	p.records += len(b)
 	return b, err
-}
-
-func (p *profiledOp) name() string { return p.inner.name() }
-func (p *profiledOp) args() string { return p.inner.args() }
-func (p *profiledOp) children() []operation {
-	return p.inner.children()
-}
-
-// profile wraps every node of a plan tree in profiledOps, returning the new
-// root. Child links inside concrete ops are rewritten via the childSetter
-// interface.
-func profile(op operation) operation {
-	if op == nil {
-		return nil
-	}
-	if cs, ok := op.(childSetter); ok {
-		for i, c := range op.children() {
-			cs.setChild(i, profile(c))
-		}
-	}
-	return &profiledOp{inner: op}
-}
-
-// childSetter lets the profiler rewrite child links in place.
-type childSetter interface {
-	setChild(i int, op operation)
 }

@@ -144,9 +144,9 @@ func TestHashJoinInExplain(t *testing.T) {
 	}
 }
 
-// TestHashJoinPlanCache asserts plans containing hash joins survive the
-// template-clone path (a missing cloneOpTree case would silently fall back
-// to uncached planning) and that the join knob partitions the cache key.
+// TestHashJoinPlanCache asserts plans containing hash joins (the one
+// two-input node) run from a shared cached template and that the join knob
+// partitions the cache key.
 func TestHashJoinPlanCache(t *testing.T) {
 	g := bridgedGraph(t)
 	pc := NewPlanCache(8)

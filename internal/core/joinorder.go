@@ -457,8 +457,8 @@ func (b *planBuilder) emitHashJoin(pg *patternGraph, clauses []*cypher.MatchClau
 	b.consumedWhere[cj] = true
 	desc := fmt.Sprintf("%s | build: %s (est: %s rows) | probe: %s (est: %s rows)",
 		exprString(cj), buildName, fmtEst(capEst(buildRows)), probeName, fmtEst(capEst(probeRows)))
-	join := &joinOp{probe: probeRoot, build: buildRoot, probeKey: probeKey, buildKey: buildKey,
-		buildSlots: buildSlots, width: b.st.size(), desc: desc, buildEst: capEst(buildRows)}
+	join := &joinNode{probe: probeRoot, build: buildRoot, probeKey: probeKey, buildKey: buildKey,
+		buildSlots: buildSlots, width: b.st.size(), desc: desc}
 	b.setCur(join, capEst(outerRows*sideRows*propEqSelectivity))
 	return true, nil
 }

@@ -447,7 +447,8 @@ type entryScan struct {
 	indexAttr string
 	// scanLabel is the label the scan iterates ("" = all-node scan).
 	scanLabel string
-	// empty marks a node with an unknown label: the scan is an emptyOp.
+	// empty marks a node with a label that is unknown and that nothing
+	// upstream in the query can create: the scan is an emptyNode.
 	empty bool
 }
 
@@ -459,10 +460,16 @@ func (b *planBuilder) bestEntry(n *patternNode) entryScan {
 	minCount := math.Inf(1)
 	for _, l := range m.Labels {
 		lid, ok := b.g.Schema.LabelID(l)
-		if !ok {
+		if !ok && b.readonly {
 			return entryScan{node: n, empty: true}
 		}
-		if c := float64(b.gs.LabelCount(lid)); es.scanLabel == "" || c < minCount {
+		// An unknown label below a write scans by name with an empty
+		// estimate: the write may create it before the scan runs.
+		c := 0.0
+		if ok {
+			c = float64(b.gs.LabelCount(lid))
+		}
+		if es.scanLabel == "" || c < minCount {
 			es.scanLabel, minCount = l, c
 		}
 	}
@@ -757,9 +764,9 @@ func (b *planBuilder) emitNodeScan(es entryScan) error {
 		return nil
 	}
 	slot := b.st.add(name)
-	width := b.st.size()
+	scan := scanNode{unary: unary{b.cur}, slot: slot, alias: name, width: b.st.size()}
 	if es.empty {
-		b.setCur(&emptyOp{}, 0)
+		b.setCur(&emptyNode{}, 0)
 		b.bound[name] = true
 		return nil
 	}
@@ -782,14 +789,12 @@ func (b *planBuilder) emitNodeScan(es entryScan) error {
 		if err != nil {
 			return err
 		}
-		b.setCur(&indexScanOp{child: b.cur, slot: slot, alias: name,
-			label: es.scanLabel, attr: es.indexAttr, val: fn, width: width}, scanEst)
+		b.setCur(&indexScanNode{scanNode: scan, label: es.scanLabel, attr: es.indexAttr, val: fn}, scanEst)
 		skipAttr = es.indexAttr
 	case es.scanLabel != "":
-		b.setCur(&labelScanOp{child: b.cur, slot: slot, alias: name,
-			label: es.scanLabel, width: width}, scanEst)
+		b.setCur(&labelScanNode{scanNode: scan, label: es.scanLabel}, scanEst)
 	default:
-		b.setCur(&allNodeScanOp{child: b.cur, slot: slot, alias: name, width: width}, scanEst)
+		b.setCur(&allNodeScanNode{scan}, scanEst)
 	}
 	b.binders[name] = &binderInfo{op: b.cur, labels: m.Labels}
 	b.bound[name] = true

@@ -6,7 +6,7 @@ import (
 	"redisgraph/internal/value"
 )
 
-// joinOp is the hash join the planner substitutes for a cartesian rescan
+// joinNode is the hash join the planner substitutes for a cartesian rescan
 // when two otherwise-disconnected pattern components are bridged only by a
 // WHERE equality (`a.k = b.k`). The build child — the side with the smaller
 // estimated cardinality — is drained fully into an in-memory hash table on
@@ -18,9 +18,9 @@ import (
 // a pre-filter — every candidate pair is re-checked through compareValues,
 // so cross-type numeric equality (1 = 1.0) and hash collisions resolve the
 // same way a residual filter would.
-type joinOp struct {
-	probe operation
-	build operation
+type joinNode struct {
+	probe planNode
+	build planNode
 	// probeKey/buildKey evaluate the bridge equality's two sides against
 	// records of their respective inputs.
 	probeKey evalFn
@@ -29,8 +29,17 @@ type joinOp struct {
 	// them into the probe record extended to the plan width.
 	buildSlots []int
 	width      int
-	desc       string  // EXPLAIN annotation (bridge + build/probe estimates)
-	buildEst   float64 // estimated build-side rows at plan time
+	desc       string // EXPLAIN annotation (bridge + build/probe estimates)
+}
+
+func (n *joinNode) name() string         { return "HashJoin" }
+func (n *joinNode) args() string         { return n.desc }
+func (n *joinNode) children() []planNode { return []planNode{n.probe, n.build} }
+
+type joinOp struct {
+	*joinNode
+	probe operation
+	build operation
 
 	table map[string][]joinEntry
 	built bool
@@ -128,15 +137,4 @@ func (o *joinOp) buildTable(ctx *execCtx) error {
 	}
 	o.built = true
 	return nil
-}
-
-func (o *joinOp) name() string          { return "HashJoin" }
-func (o *joinOp) args() string          { return o.desc }
-func (o *joinOp) children() []operation { return []operation{o.probe, o.build} }
-func (o *joinOp) setChild(i int, op operation) {
-	if i == 0 {
-		o.probe = op
-	} else {
-		o.build = op
-	}
 }

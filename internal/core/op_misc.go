@@ -9,12 +9,20 @@ import (
 	"redisgraph/internal/value"
 )
 
-// filterOp drops records whose predicate is not true, compacting each input
+// filterNode drops records whose predicate is not true, compacting each input
 // batch in place so surviving records never move between backing arrays.
+type filterNode struct {
+	unary
+	pred evalFn
+	desc string
+}
+
+func (n *filterNode) name() string { return "Filter" }
+func (n *filterNode) args() string { return n.desc }
+
 type filterOp struct {
+	*filterNode
 	child operation
-	pred  evalFn
-	desc  string
 }
 
 func (o *filterOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -39,19 +47,22 @@ func (o *filterOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	}
 }
 
-func (o *filterOp) name() string                 { return "Filter" }
-func (o *filterOp) args() string                 { return o.desc }
-func (o *filterOp) children() []operation        { return []operation{o.child} }
-func (o *filterOp) setChild(i int, op operation) { o.child = op }
-
-// projectOp evaluates the projection items into a fresh record layout,
+// projectNode evaluates the projection items into a fresh record layout,
 // one batch at a time. Hidden trailing slots carry ORDER BY keys for a
 // downstream sortOp.
-type projectOp struct {
-	child    operation
+type projectNode struct {
+	unary
 	items    []evalFn
 	sortKeys []evalFn // evaluated against the INPUT record
 	visible  int
+}
+
+func (n *projectNode) name() string { return "Project" }
+func (n *projectNode) args() string { return fmt.Sprintf("%d columns", n.visible) }
+
+type projectOp struct {
+	*projectNode
+	child operation
 }
 
 func (o *projectOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -79,11 +90,6 @@ func (o *projectOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	}
 	return b, nil
 }
-
-func (o *projectOp) name() string                 { return "Project" }
-func (o *projectOp) args() string                 { return fmt.Sprintf("%d columns", o.visible) }
-func (o *projectOp) children() []operation        { return []operation{o.child} }
-func (o *projectOp) setChild(i int, op operation) { o.child = op }
 
 // aggKind enumerates aggregate functions.
 type aggKind uint8
@@ -206,12 +212,20 @@ type aggItem struct {
 	agg *aggSpec // aggregate
 }
 
-// aggregateOp implements hash aggregation over the group keys, consuming
+// aggregateNode implements hash aggregation over the group keys, consuming
 // its input batch-at-a-time and emitting the finished groups in batches.
-type aggregateOp struct {
-	child   operation
+type aggregateNode struct {
+	unary
 	items   []aggItem
 	visible int
+}
+
+func (n *aggregateNode) name() string { return "Aggregate" }
+func (n *aggregateNode) args() string { return fmt.Sprintf("%d columns", n.visible) }
+
+type aggregateOp struct {
+	*aggregateNode
+	child operation
 
 	groups map[string]*aggGroup
 	order  []string
@@ -341,17 +355,20 @@ func (o *aggregateOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *aggregateOp) name() string                 { return "Aggregate" }
-func (o *aggregateOp) args() string                 { return fmt.Sprintf("%d columns", o.visible) }
-func (o *aggregateOp) children() []operation        { return []operation{o.child} }
-func (o *aggregateOp) setChild(i int, op operation) { o.child = op }
-
-// distinctOp deduplicates records over the first `visible` slots, compacting
+// distinctNode deduplicates records over the first `visible` slots, compacting
 // batches in place.
-type distinctOp struct {
-	child   operation
+type distinctNode struct {
+	unary
 	visible int
-	seen    map[string]bool
+}
+
+func (n *distinctNode) name() string { return "Distinct" }
+func (n *distinctNode) args() string { return "" }
+
+type distinctOp struct {
+	*distinctNode
+	child operation
+	seen  map[string]bool
 }
 
 func (o *distinctOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -391,11 +408,6 @@ func distinctKey(r record, visible int) string {
 	return kb.String()
 }
 
-func (o *distinctOp) name() string                 { return "Distinct" }
-func (o *distinctOp) args() string                 { return "" }
-func (o *distinctOp) children() []operation        { return []operation{o.child} }
-func (o *distinctOp) setChild(i int, op operation) { o.child = op }
-
 // sortLess compares two records on hidden trailing key slots.
 func sortLess(a, b record, visible int, descs []bool) bool {
 	for k := range descs {
@@ -412,12 +424,20 @@ func sortLess(a, b record, visible int, descs []bool) bool {
 	return false
 }
 
-// sortOp materialises its input and sorts on the hidden trailing key slots,
+// sortNode materialises its input and sorts on the hidden trailing key slots,
 // truncating them from emitted records.
-type sortOp struct {
-	child   operation
+type sortNode struct {
+	unary
 	visible int
 	descs   []bool
+}
+
+func (n *sortNode) name() string { return "Sort" }
+func (n *sortNode) args() string { return fmt.Sprintf("%d keys", len(n.descs)) }
+
+type sortOp struct {
+	*sortNode
+	child operation
 
 	rows   []record
 	pos    int
@@ -463,24 +483,29 @@ func (o *sortOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *sortOp) name() string                 { return "Sort" }
-func (o *sortOp) args() string                 { return fmt.Sprintf("%d keys", len(o.descs)) }
-func (o *sortOp) children() []operation        { return []operation{o.child} }
-func (o *sortOp) setChild(i int, op operation) { o.child = op }
-
-// topNSortOp is the ORDER BY + LIMIT fusion: instead of materialising and
+// topNSortNode is the ORDER BY + LIMIT fusion: instead of materialising and
 // sorting every input row, it keeps a bounded max-heap of the best
 // skip+limit records, so a LIMIT 10 over a million rows costs O(n log 10)
 // comparisons and ~10 live records. The planner substitutes it for sortOp
 // whenever a LIMIT directly follows ORDER BY; SKIP rows are retained here
 // and dropped by the skipOp above.
-type topNSortOp struct {
-	child   operation
+type topNSortNode struct {
+	unary
 	visible int
 	descs   []bool
 	skip    evalFn // nil when the projection has no SKIP
 	limit   evalFn
 	desc    string // EXPLAIN text for the bound
+}
+
+func (n *topNSortNode) name() string { return "TopNSort" }
+func (n *topNSortNode) args() string {
+	return fmt.Sprintf("%d keys | top %s", len(n.descs), n.desc)
+}
+
+type topNSortOp struct {
+	*topNSortNode
+	child operation
 
 	h      topNHeap
 	pos    int
@@ -508,7 +533,7 @@ func (h *topNHeap) Pop() any {
 	return r
 }
 
-func (o *topNSortOp) bound(ctx *execCtx) (int, error) {
+func (o *topNSortNode) bound(ctx *execCtx) (int, error) {
 	nv, err := o.limit(ctx, nil)
 	if err != nil {
 		return 0, err
@@ -587,17 +612,18 @@ func (o *topNSortOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *topNSortOp) name() string { return "TopNSort" }
-func (o *topNSortOp) args() string {
-	return fmt.Sprintf("%d keys | top %s", len(o.descs), o.desc)
+// skipNode drops the first n records, slicing whole batches where possible.
+type skipNode struct {
+	unary
+	n evalFn
 }
-func (o *topNSortOp) children() []operation        { return []operation{o.child} }
-func (o *topNSortOp) setChild(i int, op operation) { o.child = op }
 
-// skipOp drops the first n records, slicing whole batches where possible.
+func (n *skipNode) name() string { return "Skip" }
+func (n *skipNode) args() string { return "" }
+
 type skipOp struct {
+	*skipNode
 	child   operation
-	n       evalFn
 	remain  int64
 	skipped bool
 }
@@ -629,15 +655,18 @@ func (o *skipOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	}
 }
 
-func (o *skipOp) name() string                 { return "Skip" }
-func (o *skipOp) args() string                 { return "" }
-func (o *skipOp) children() []operation        { return []operation{o.child} }
-func (o *skipOp) setChild(i int, op operation) { o.child = op }
+// limitNode caps the record count, truncating the final batch.
+type limitNode struct {
+	unary
+	n evalFn
+}
 
-// limitOp caps the record count, truncating the final batch.
+func (n *limitNode) name() string { return "Limit" }
+func (n *limitNode) args() string { return "" }
+
 type limitOp struct {
+	*limitNode
 	child   operation
-	n       evalFn
 	limit   int64
 	emitted int64
 	primed  bool
@@ -666,18 +695,21 @@ func (o *limitOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return b, nil
 }
 
-func (o *limitOp) name() string                 { return "Limit" }
-func (o *limitOp) args() string                 { return "" }
-func (o *limitOp) children() []operation        { return []operation{o.child} }
-func (o *limitOp) setChild(i int, op operation) { o.child = op }
-
-// unwindOp expands a list expression into one record per element, filling
+// unwindNode expands a list expression into one record per element, filling
 // batches across input records.
-type unwindOp struct {
-	child operation
+type unwindNode struct {
+	unary
 	list  evalFn
 	slot  int
 	width int
+}
+
+func (n *unwindNode) name() string { return "Unwind" }
+func (n *unwindNode) args() string { return "" }
+
+type unwindOp struct {
+	*unwindNode
+	child operation
 
 	in    batchPuller
 	cur   record
@@ -728,8 +760,3 @@ func (o *unwindOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	}
 	return out, nil
 }
-
-func (o *unwindOp) name() string                 { return "Unwind" }
-func (o *unwindOp) args() string                 { return "" }
-func (o *unwindOp) children() []operation        { return []operation{o.child} }
-func (o *unwindOp) setChild(i int, op operation) { o.child = op }

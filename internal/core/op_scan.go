@@ -9,11 +9,24 @@ import (
 	"redisgraph/internal/value"
 )
 
-// argumentOp emits a single empty record: the leaf of CREATE-only queries
+// leaf is the base of nodes without inputs.
+type leaf struct{}
+
+func (leaf) children() []planNode { return nil }
+
+// argumentNode emits a single empty record: the leaf of CREATE-only queries
 // and projections with no reading clause (RETURN 1+1).
-type argumentOp struct {
+type argumentNode struct {
+	leaf
 	width int
-	done  bool
+}
+
+func (n *argumentNode) name() string { return "Argument" }
+func (n *argumentNode) args() string { return "" }
+
+type argumentOp struct {
+	*argumentNode
+	done bool
 }
 
 func (o *argumentOp) nextBatch(*execCtx) (recordBatch, error) {
@@ -24,17 +37,13 @@ func (o *argumentOp) nextBatch(*execCtx) (recordBatch, error) {
 	return recordBatch{newRecord(o.width)}, nil
 }
 
-func (o *argumentOp) name() string          { return "Argument" }
-func (o *argumentOp) args() string          { return "" }
-func (o *argumentOp) children() []operation { return nil }
+// emptyNode produces nothing (scans over labels that do not exist). It has
+// no per-execution state, so it runs as itself.
+type emptyNode struct{ leaf }
 
-// emptyOp produces nothing (scans over labels that do not exist).
-type emptyOp struct{}
-
-func (o *emptyOp) nextBatch(*execCtx) (recordBatch, error) { return nil, nil }
-func (o *emptyOp) name() string                            { return "Empty" }
-func (o *emptyOp) args() string                            { return "" }
-func (o *emptyOp) children() []operation                   { return nil }
+func (n *emptyNode) nextBatch(*execCtx) (recordBatch, error) { return nil, nil }
+func (n *emptyNode) name() string                            { return "Empty" }
+func (n *emptyNode) args() string                            { return "" }
 
 // scanPropEq is one property comparison pushed into a scan: the value
 // expression is record-free (literal or parameter), so it is evaluated once
@@ -66,12 +75,6 @@ type scanFilter struct {
 	labels   []int    // required label ids beyond the scan's own
 	labelStr []string // display names for EXPLAIN
 	props    []scanPropEq
-
-	// compile memoisation: the filter is record-free, so one compilation
-	// covers the whole query until a mutation burst moves the store version.
-	cached   compiledScanFilter
-	cachedAt storeVersion
-	cachedOK bool
 }
 
 func (f *scanFilter) empty() bool {
@@ -101,18 +104,121 @@ type compiledScanFilter struct {
 	preds []colPred
 }
 
-// compile must run after the scan has pulled the record its pass extends:
-// when the child is a write operation, that pull is what runs the mutation
-// burst, and the pass has to be filtered by what the burst left behind (a
-// column it created, a string it interned, a kind it changed).
-func (f *scanFilter) compile(ctx *execCtx) (compiledScanFilter, error) {
+// admitMask applies the pushed label masks.
+func (c *compiledScanFilter) admitMask(id uint64) bool {
+	return c.mask == nil || c.mask(grb.Index(id))
+}
+
+// filterProps compacts a pass's candidate list in place to the rows passing
+// every pushed property comparison, before any record exists. The caller
+// must own ids.
+func (c *compiledScanFilter) filterProps(ctx *execCtx, ids []uint64) []uint64 {
+	if len(c.preds) == 0 {
+		return ids
+	}
+	return filterIDsColumnar(ctx, c.preds, ids)
+}
+
+// scanNode is the planned state the three scans share. With a child the scan
+// re-runs one pass per child record (cartesian product).
+type scanNode struct {
+	unary
+	slot   int
+	alias  string
+	width  int
+	pushed *scanFilter
+	// segments is the number of pipeline segments parallelizePlan striped
+	// this entry scan across (<= 1: none). Which stripe a running scan takes
+	// is per-execution state (scanPass.part).
+	segments int
+}
+
+func (n *scanNode) scan() *scanNode { return n }
+
+// describe renders the pushed filter and, on a striped entry scan, segment
+// 1's residue class (1-based, matching the "workers: K" merge annotation).
+func (n *scanNode) describe() string {
+	s := n.pushed.describe()
+	if n.segments > 1 {
+		s += fmt.Sprintf(" | segment 1/%d", n.segments)
+	}
+	return s
+}
+
+// passLoader is the part of a scan that differs between the three: building
+// one pass's candidates from the filter compiled for it.
+type passLoader interface {
+	loadPass(ctx *execCtx, cf compiledScanFilter) error
+}
+
+// scanPass is the running state the three scans share: the input record of
+// the open pass, its candidates, and the compiled-filter memo.
+type scanPass struct {
+	child operation
+	// part/parts restrict a childless entry scan to one stripe of its
+	// candidates when it runs as a parallel segment. parts <= 1 scans
+	// everything.
+	part, parts int
+
+	in     batchPuller
+	cur    record
+	arena  recordArena
+	primed bool
+	done   bool
+
+	// A pass either walks ids from pos or, when sweep is set (an all-node
+	// scan with nothing to narrow by), sweeps [0, Dim) from nextID under
+	// sweepMask.
+	ids       []uint64
+	pos       int
+	sweep     bool
+	sweepMask grb.ColMask
+	nextID    uint64
+
+	// Compile memo: the filter is record-free, so one compilation covers
+	// every pass until a mutation burst moves the store version.
+	cached   compiledScanFilter
+	cachedAt storeVersion
+	cachedOK bool
+}
+
+// prime opens the next pass, reporting false once the input is exhausted. It
+// pulls the record the pass extends first and compiles the pushed filter
+// second, and it is the only place a scan compiles: when the child is a write
+// operation that pull is what runs the mutation burst, and the pass has to
+// be filtered by what the burst left behind (a column it created, a string
+// it interned, a kind it changed).
+func (s *scanPass) prime(ctx *execCtx, n *scanNode) (compiledScanFilter, bool, error) {
+	switch {
+	case s.child != nil:
+		r, err := s.in.pull(ctx, s.child)
+		if err != nil || r == nil {
+			s.done = err == nil
+			return compiledScanFilter{}, false, err
+		}
+		s.cur = r
+	case s.cur != nil: // a childless scan runs exactly one pass
+		s.done = true
+		return compiledScanFilter{}, false, nil
+	default:
+		s.cur = newRecord(n.width)
+	}
+	cf, err := s.compile(ctx, n.pushed)
+	s.primed = err == nil
+	s.pos, s.nextID, s.sweep = 0, 0, false
+	return cf, s.primed, err
+}
+
+// compile resolves the pushed filter against the live graph, memoised per
+// store version.
+func (s *scanPass) compile(ctx *execCtx, f *scanFilter) (compiledScanFilter, error) {
 	var out compiledScanFilter
 	if f.empty() {
 		return out, nil
 	}
 	at := ctx.storeVersion()
-	if f.cachedOK && f.cachedAt == at {
-		return f.cached, nil
+	if s.cachedOK && s.cachedAt == at {
+		return s.cached, nil
 	}
 	if len(f.labels) > 0 {
 		masks := make([]grb.ColMask, 0, len(f.labels))
@@ -136,158 +242,68 @@ func (f *scanFilter) compile(ctx *execCtx) (compiledScanFilter, error) {
 		}
 		out.preds = append(out.preds, compileColPred(ctx, p.attr, p.op, want))
 	}
-	f.cached, f.cachedAt, f.cachedOK = out, at, true
+	s.cached, s.cachedAt, s.cachedOK = out, at, true
 	return out, nil
 }
 
-// admitMask applies the pushed label masks.
-func (c *compiledScanFilter) admitMask(id uint64) bool {
-	return c.mask == nil || c.mask(grb.Index(id))
+// inStripe reports whether candidate k (an id or a list position, whichever
+// the scan stripes by) belongs to this segment.
+func (s *scanPass) inStripe(k int) bool {
+	return s.parts <= 1 || k%s.parts == s.part
 }
 
-// filterProps compacts a pass's candidate list in place to the rows passing
-// every pushed property comparison, before any record exists. The caller
-// must own ids.
-func (c *compiledScanFilter) filterProps(ctx *execCtx, ids []uint64) []uint64 {
-	if len(c.preds) == 0 {
-		return ids
-	}
-	return filterIDsColumnar(ctx, c.preds, ids)
-}
-
-// allNodeScanOp scans every live node in batches. With a child, it re-scans
-// per child record (cartesian product).
-type allNodeScanOp struct {
-	child  operation
-	slot   int
-	alias  string
-	width  int
-	pushed *scanFilter
-
-	// part/parts restrict the scan to one residue class of the id space
-	// (id % parts == part) when the planner splits the pipeline into
-	// parallel segments. parts <= 1 scans everything.
-	part  int
-	parts int
-
-	in     batchPuller
-	cur    record
-	arena  recordArena
-	primed bool
-	done   bool
-
-	// Pass state. cf is the pushed filter compiled for this pass. With
-	// pushed property comparisons the pass walks ids: the first comparison's
-	// candidate list (rows without the attribute can never pass, so they are
-	// skipped wholesale), striped, masked and run through every comparison
-	// at prime time. Without any there is nothing to narrow by, and the pass
-	// sweeps [0, Dim) from nextID.
-	cf     compiledScanFilter
-	listed bool
-	ids    []uint64
-	pos    int
-	nextID uint64
-}
-
-// startPass compiles the pushed filter, resets the pass state and, when
-// property comparisons were pushed, builds the fully filtered candidate list.
-func (o *allNodeScanOp) startPass(ctx *execCtx) error {
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return err
-	}
-	o.cf = cf
-	o.nextID, o.pos = 0, 0
-	o.listed = len(cf.preds) > 0
-	if !o.listed {
-		return nil
-	}
-	o.ids = cf.preds[0].candidates(o.ids[:0])
-	if o.parts > 1 || cf.mask != nil {
-		kept := o.ids[:0]
-		for _, id := range o.ids {
-			if o.inStripe(id) && cf.admitMask(id) {
-				kept = append(kept, id)
-			}
-		}
-		o.ids = kept
-	}
-	o.ids = cf.filterProps(ctx, o.ids)
-	return nil
-}
-
-func (o *allNodeScanOp) inStripe(id uint64) bool {
-	return o.parts <= 1 || int(id)%o.parts == o.part
-}
-
-// nextCandidate returns the pass's next admitted node ID, or false once the
-// pass is exhausted.
-func (o *allNodeScanOp) nextCandidate(ctx *execCtx) (uint64, bool) {
-	if o.listed {
-		if o.pos >= len(o.ids) {
-			return 0, false
-		}
-		o.pos++
-		return o.ids[o.pos-1], true
-	}
-	for high := uint64(ctx.g.Dim()); o.nextID < high; {
-		id := o.nextID
-		o.nextID++
-		if o.inStripe(id) && o.cf.admitMask(id) {
+// sweepNext returns a sweeping pass's next admitted node ID, or false once
+// [0, Dim) is exhausted.
+func (s *scanPass) sweepNext(ctx *execCtx) (uint64, bool) {
+	for high := uint64(ctx.g.Dim()); s.nextID < high; {
+		id := s.nextID
+		s.nextID++
+		if s.inStripe(int(id)) && (s.sweepMask == nil || s.sweepMask(grb.Index(id))) {
 			return id, true
 		}
 	}
 	return 0, false
 }
 
-func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
-	if o.done {
+// nextBatch is the batch loop of all three scans: open a pass (prime, then
+// the scan's own loader), bind each live candidate to a copy of the pass's
+// input record, and move to the next pass when the candidates run out.
+func (s *scanPass) nextBatch(ctx *execCtx, n *scanNode, src passLoader) (recordBatch, error) {
+	if s.done {
 		return nil, nil
 	}
 	bs := ctx.batchSize()
 	var out recordBatch
 	for len(out) < bs {
-		if !o.primed {
-			if o.child != nil {
-				r, err := o.in.pull(ctx, o.child)
-				if err != nil {
-					return nil, err
-				}
-				if r == nil {
-					o.done = true
-					break
-				}
-				o.cur = r
-			} else {
-				if o.cur != nil {
-					o.done = true
-					break
-				}
-				o.cur = newRecord(o.width)
-			}
-			if err := o.startPass(ctx); err != nil {
+		if !s.primed {
+			cf, ok, err := s.prime(ctx, n)
+			if err != nil {
 				return nil, err
 			}
-			o.primed = true
-		}
-		exhausted := false
-		for len(out) < bs {
-			id, ok := o.nextCandidate(ctx)
 			if !ok {
-				exhausted = true
 				break
 			}
-			if n, ok := ctx.g.GetNode(id); ok {
-				r := o.arena.extended(o.cur, o.width)
-				r[o.slot] = value.NewNode(id, n)
-				out = append(out, r)
+			if err := src.loadPass(ctx, cf); err != nil {
+				return nil, err
 			}
 		}
-		if exhausted {
-			o.primed = false
-			if o.child == nil && len(out) == 0 {
-				o.done = true
+		for len(out) < bs {
+			var id uint64
+			ok := false
+			if s.sweep {
+				id, ok = s.sweepNext(ctx)
+			} else if s.pos < len(s.ids) {
+				id, ok = s.ids[s.pos], true
+				s.pos++
+			}
+			if !ok {
+				s.primed = false
 				break
+			}
+			if nd, ok := ctx.g.GetNode(id); ok {
+				r := s.arena.extended(s.cur, n.width)
+				r[n.slot] = value.NewNode(id, nd)
+				out = append(out, r)
 			}
 		}
 	}
@@ -297,52 +313,72 @@ func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *allNodeScanOp) name() string { return "AllNodeScan" }
-func (o *allNodeScanOp) args() string {
-	return o.alias + o.pushed.describe() + describeSegment(o.part, o.parts)
+// allNodeScanNode scans every live node in batches.
+type allNodeScanNode struct{ scanNode }
+
+func (n *allNodeScanNode) name() string { return "AllNodeScan" }
+func (n *allNodeScanNode) args() string { return n.alias + n.describe() }
+
+type allNodeScanOp struct {
+	*allNodeScanNode
+	scanPass
 }
-func (o *allNodeScanOp) children() []operation {
-	if o.child == nil {
+
+func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
+	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
+}
+
+// loadPass: with pushed property comparisons the pass walks the first
+// comparison's candidate list (rows without the attribute can never pass, so
+// they are skipped wholesale), striped, masked and run through every
+// comparison. Without any there is nothing to narrow by, and the pass sweeps
+// [0, Dim).
+func (o *allNodeScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
+	if len(cf.preds) == 0 {
+		o.sweep, o.sweepMask = true, cf.mask
 		return nil
 	}
-	return []operation{o.child}
-}
-
-func (o *allNodeScanOp) setChild(i int, op operation) { o.child = op }
-
-// labelScanOp scans the diagonal of a label matrix in batches. Pushed extra
-// labels intersect the candidate set through diagonal masks before any
-// record exists.
-type labelScanOp struct {
-	child  operation
-	slot   int
-	alias  string
-	label  string
-	width  int
-	pushed *scanFilter
-
-	// part/parts restrict the scan to one residue class of the label's
-	// tuple positions when the pipeline runs as parallel segments.
-	part  int
-	parts int
-
-	in     batchPuller
-	cur    record
-	arena  recordArena
-	ids    []uint64
-	pos    int
-	primed bool
-	done   bool
-}
-
-// loadIDs compiles the pushed filter and builds one pass's fully filtered
-// candidate list: the label's diagonal, striped, masked by the pushed
-// labels, then run through the pushed property comparisons.
-func (o *labelScanOp) loadIDs(ctx *execCtx) error {
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return err
+	o.ids = cf.preds[0].candidates(o.ids[:0])
+	if o.parts > 1 || cf.mask != nil {
+		kept := o.ids[:0]
+		for _, id := range o.ids {
+			if o.inStripe(int(id)) && cf.admitMask(id) {
+				kept = append(kept, id)
+			}
+		}
+		o.ids = kept
 	}
+	o.ids = cf.filterProps(ctx, o.ids)
+	return nil
+}
+
+// labelScanNode scans the diagonal of a label matrix in batches. Pushed extra
+// labels intersect the candidate set through diagonal masks before any
+// record exists. The label resolves by name as each pass loads, so a scan
+// planned before the label existed sees what a write below it created.
+type labelScanNode struct {
+	scanNode
+	label string
+}
+
+func (n *labelScanNode) name() string { return "NodeByLabelScan" }
+func (n *labelScanNode) args() string {
+	return fmt.Sprintf("%s:%s%s", n.alias, n.label, n.describe())
+}
+
+type labelScanOp struct {
+	*labelScanNode
+	scanPass
+}
+
+func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
+	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
+}
+
+// loadPass builds the fully filtered candidate list: the label's diagonal,
+// striped by tuple position, masked by the pushed labels, then run through
+// the pushed property comparisons.
+func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lid, ok := ctx.g.Schema.LabelID(o.label)
 	if !ok {
@@ -354,10 +390,7 @@ func (o *labelScanOp) loadIDs(ctx *execCtx) error {
 	}
 	rows, _, _ := lm.ExtractTuples()
 	for k, r := range rows {
-		if o.parts > 1 && k%o.parts != o.part {
-			continue
-		}
-		if cf.mask == nil || cf.mask(r) {
+		if o.inStripe(k) && (cf.mask == nil || cf.mask(r)) {
 			o.ids = append(o.ids, uint64(r))
 		}
 	}
@@ -365,115 +398,34 @@ func (o *labelScanOp) loadIDs(ctx *execCtx) error {
 	return nil
 }
 
-func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
-	if o.done {
-		return nil, nil
-	}
-	bs := ctx.batchSize()
-	var out recordBatch
-	for len(out) < bs {
-		if !o.primed {
-			if o.child != nil {
-				r, err := o.in.pull(ctx, o.child)
-				if err != nil {
-					return nil, err
-				}
-				if r == nil {
-					o.done = true
-					break
-				}
-				o.cur = r
-			} else {
-				if o.cur != nil {
-					o.done = true
-					break
-				}
-				o.cur = newRecord(o.width)
-			}
-			if err := o.loadIDs(ctx); err != nil {
-				return nil, err
-			}
-			o.pos = 0
-			o.primed = true
-		}
-		for o.pos < len(o.ids) && len(out) < bs {
-			id := o.ids[o.pos]
-			o.pos++
-			n, ok := ctx.g.GetNode(id)
-			if !ok {
-				continue
-			}
-			r := o.arena.extended(o.cur, o.width)
-			r[o.slot] = value.NewNode(id, n)
-			out = append(out, r)
-		}
-		if o.pos >= len(o.ids) {
-			o.primed = false
-			if o.child == nil && len(out) == 0 {
-				o.done = true
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (o *labelScanOp) name() string {
-	return "NodeByLabelScan"
-}
-func (o *labelScanOp) args() string {
-	return fmt.Sprintf("%s:%s%s%s", o.alias, o.label, o.pushed.describe(), describeSegment(o.part, o.parts))
-}
-func (o *labelScanOp) children() []operation {
-	if o.child == nil {
-		return nil
-	}
-	return []operation{o.child}
-}
-
-func (o *labelScanOp) setChild(i int, op operation) { o.child = op }
-
-// indexScanOp resolves nodes through an exact-match attribute index, in
+// indexScanNode resolves nodes through an exact-match attribute index, in
 // batches. Pushed predicates filter the index seeds directly.
-type indexScanOp struct {
-	child  operation
-	slot   int
-	alias  string
-	label  string
-	attr   string
-	val    evalFn
-	width  int
-	pushed *scanFilter
-
-	// part/parts restrict an entry-point scan to one residue class of the
-	// seed list's positions (not the id values: index postings are often
-	// skewed, and position striping balances segments regardless of how ids
-	// were assigned). Only set on childless clones by parallelizePlan.
-	part  int
-	parts int
-
-	in     batchPuller
-	cur    record
-	arena  recordArena
-	cf     compiledScanFilter // pushed filter compiled for this pass
-	ids    []uint64
-	pos    int
-	primed bool
-	done   bool
+type indexScanNode struct {
+	scanNode
+	label string
+	attr  string
+	val   evalFn
 }
 
-// loadSeeds compiles the pushed filter and resolves one pass's seed list:
-// the index posting for the key, striped, then run through the pushed
-// property comparisons. Label masks are applied as the seeds are emitted.
-func (o *indexScanOp) loadSeeds(ctx *execCtx) error {
-	cf, err := o.pushed.compile(ctx)
-	if err != nil {
-		return err
-	}
-	o.cf = cf
+func (n *indexScanNode) name() string { return "NodeByIndexScan" }
+func (n *indexScanNode) args() string {
+	return fmt.Sprintf("%s:%s(%s)%s", n.alias, n.label, n.attr, n.describe())
+}
+
+type indexScanOp struct {
+	*indexScanNode
+	scanPass
+}
+
+func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
+	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
+}
+
+// loadPass resolves the seed list: the index posting for the key, striped
+// by position (not by id value: index postings are often skewed, and position
+// striping balances segments regardless of how ids were assigned), then run
+// through the pushed label masks and property comparisons.
+func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = nil
 	lid, okL := ctx.g.Schema.LabelID(o.label)
 	aid, okA := ctx.g.Schema.AttrID(o.attr)
@@ -488,129 +440,40 @@ func (o *indexScanOp) loadSeeds(ctx *execCtx) error {
 	if err != nil {
 		return err
 	}
-	o.ids = ix.Lookup(v)
-	if o.parts > 1 {
-		var mine []uint64
-		for k, id := range o.ids {
-			if k%o.parts == o.part {
-				mine = append(mine, id)
-			}
-		}
-		o.ids = mine
+	posting := ix.Lookup(v)
+	if o.parts <= 1 && cf.mask == nil && len(cf.preds) == 0 {
+		o.ids = posting // read-only walk of the live posting list
+		return nil
 	}
-	if len(cf.preds) > 0 {
-		if o.parts <= 1 {
-			// Lookup returns the live posting list; copy before compacting.
-			o.ids = append([]uint64(nil), o.ids...)
+	// Lookup returns the live posting list; filter into a private copy.
+	for k, id := range posting {
+		if o.inStripe(k) && cf.admitMask(id) {
+			o.ids = append(o.ids, id)
 		}
-		o.ids = cf.filterProps(ctx, o.ids)
 	}
+	o.ids = cf.filterProps(ctx, o.ids)
 	return nil
 }
 
-func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
-	if o.done {
-		return nil, nil
-	}
-	bs := ctx.batchSize()
-	var out recordBatch
-	for len(out) < bs {
-		if !o.primed {
-			if o.child != nil {
-				r, err := o.in.pull(ctx, o.child)
-				if err != nil {
-					return nil, err
-				}
-				if r == nil {
-					o.done = true
-					break
-				}
-				o.cur = r
-			} else {
-				if o.cur != nil {
-					o.done = true
-					break
-				}
-				o.cur = newRecord(o.width)
-			}
-			if err := o.loadSeeds(ctx); err != nil {
-				return nil, err
-			}
-			o.pos = 0
-			o.primed = true
-		}
-		for o.pos < len(o.ids) && len(out) < bs {
-			id := o.ids[o.pos]
-			o.pos++
-			n, ok := ctx.g.GetNode(id)
-			if !ok || !o.cf.admitMask(id) {
-				continue
-			}
-			r := o.arena.extended(o.cur, o.width)
-			r[o.slot] = value.NewNode(id, n)
-			out = append(out, r)
-		}
-		if o.pos >= len(o.ids) {
-			o.primed = false
-			if o.child == nil && len(out) == 0 {
-				o.done = true
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (o *indexScanOp) name() string { return "NodeByIndexScan" }
-func (o *indexScanOp) args() string {
-	return fmt.Sprintf("%s:%s(%s)%s%s", o.alias, o.label, o.attr, o.pushed.describe(), describeSegment(o.part, o.parts))
-}
-func (o *indexScanOp) children() []operation {
-	if o.child == nil {
-		return nil
-	}
-	return []operation{o.child}
-}
-
-func (o *indexScanOp) setChild(i int, op operation) { o.child = op }
-
-// pushScan attaches a pushed predicate to any of the three scan operations.
-// It returns false for non-scan operations, leaving the predicate to the
-// residual filter path.
-func pushScan(op operation, lid int, label string, prop *scanPropEq) bool {
-	var f **scanFilter
-	switch s := op.(type) {
-	case *allNodeScanOp:
-		f = &s.pushed
-	case *labelScanOp:
-		f = &s.pushed
-	case *indexScanOp:
-		f = &s.pushed
-	default:
+// pushScan attaches a pushed predicate to any of the three scan nodes. It
+// returns false for other nodes, leaving the predicate to the residual
+// filter path.
+func pushScan(n planNode, lid int, label string, prop *scanPropEq) bool {
+	sn, ok := n.(interface{ scan() *scanNode })
+	if !ok {
 		return false
 	}
-	if *f == nil {
-		*f = &scanFilter{}
+	s := sn.scan()
+	if s.pushed == nil {
+		s.pushed = &scanFilter{}
 	}
 	if prop != nil {
-		(*f).props = append((*f).props, *prop)
+		s.pushed.props = append(s.pushed.props, *prop)
 	} else {
-		(*f).labels = append((*f).labels, lid)
-		(*f).labelStr = append((*f).labelStr, label)
+		s.pushed.labels = append(s.pushed.labels, lid)
+		s.pushed.labelStr = append(s.pushed.labelStr, label)
 	}
 	return true
-}
-
-// describeSegment renders a partitioned scan's residue class for
-// EXPLAIN/PROFILE (1-based, matching the "workers: K" merge annotation).
-func describeSegment(part, parts int) string {
-	if parts <= 1 {
-		return ""
-	}
-	return fmt.Sprintf(" | segment %d/%d", part+1, parts)
 }
 
 // nodeHasLabel filters by interned label id.

@@ -117,7 +117,7 @@ func describeMasks(masks []dstMask) string {
 	return " | mask: " + strings.Join(parts, ", ")
 }
 
-// condTraverseOp expands records one hop along an algebraic expression.
+// condTraverseNode expands records one hop along an algebraic expression.
 // It is batch-oriented: up to `batch` input records are pulled from the
 // child, fused into an n×dim frontier matrix F (row r = one-hot source of
 // record r), the whole algebraic chain is evaluated with a single masked
@@ -126,8 +126,8 @@ func describeMasks(masks []dstMask) string {
 // records — emitted downstream as one whole batch, never as single-record
 // pulls. This is the frontier-fusion design from the paper: one sparse
 // matrix–matrix multiply instead of one kernel call per record.
-type condTraverseOp struct {
-	child    operation
+type condTraverseNode struct {
+	unary
 	srcSlot  int
 	dstSlot  int
 	edgeSlot int // -1 when no edge variable
@@ -140,6 +140,11 @@ type condTraverseOp struct {
 	direction cypher.Direction
 	optional  bool
 	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
+}
+
+type condTraverseOp struct {
+	*condTraverseNode
+	child operation
 
 	in       batchPuller
 	queue    []record
@@ -148,7 +153,10 @@ type condTraverseOp struct {
 	dstBuf   []grb.Index
 	batchBuf []record
 	srcBuf   []grb.Index
+	effBatch int // the batch size fill resolved, for PROFILE
 
+	// Destination-mask memo, keyed on the store version like a scan's
+	// compiled filter.
 	maskFn grb.ColMask
 	maskAt storeVersion
 	maskOK bool
@@ -207,7 +215,7 @@ func (o *condTraverseOp) gather(ctx *execCtx, bs int) ([]record, []grb.Index, er
 // the historic per-record vector path (the benchmark baseline).
 func (o *condTraverseOp) fill(ctx *execCtx) error {
 	bs := ctx.traverseBatch(o.batch)
-	o.batch = bs // report the effective size in PROFILE output
+	o.effBatch = bs
 	if bs == 1 {
 		return o.fillVector(ctx)
 	}
@@ -314,7 +322,7 @@ func (o *condTraverseOp) scatterRow(ctx *execCtx, in record, src grb.Index, dsts
 	return emitted
 }
 
-func (o *condTraverseOp) connectingEdges(ctx *execCtx, src, dst uint64) []uint64 {
+func (o *condTraverseNode) connectingEdges(ctx *execCtx, src, dst uint64) []uint64 {
 	var out []uint64
 	collect := func(a, b uint64) {
 		if o.typeIDs == nil {
@@ -339,24 +347,27 @@ func (o *condTraverseOp) connectingEdges(ctx *execCtx, src, dst uint64) []uint64
 	return out
 }
 
-func (o *condTraverseOp) name() string {
-	if o.optional {
+func (n *condTraverseNode) name() string {
+	if n.optional {
 		return "OptionalTraverse"
 	}
 	return "ConditionalTraverse"
 }
-func (o *condTraverseOp) args() string {
-	return fmt.Sprintf("%s | batched(%d)%s%s%s", o.ae.String(), o.batch, describeThreads(o.kthreads), describeMasks(o.masks), o.ks.describe())
-}
-func (o *condTraverseOp) children() []operation        { return []operation{o.child} }
-func (o *condTraverseOp) setChild(i int, op operation) { o.child = op }
 
-// expandIntoOp closes a cycle: both endpoints are bound and the operation
+// describe renders the node with a given batch size and kernel mix: the
+// planned ones for EXPLAIN, the effective ones for PROFILE.
+func (n *condTraverseNode) describe(batch int, ks kernelStats) string {
+	return fmt.Sprintf("%s | batched(%d)%s%s%s", n.ae.String(), batch, describeThreads(n.kthreads), describeMasks(n.masks), ks.describe())
+}
+func (n *condTraverseNode) args() string      { return n.describe(n.batch, kernelStats{}) }
+func (o *condTraverseOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
+
+// expandIntoNode closes a cycle: both endpoints are bound and the operation
 // checks connectivity (emitting per edge when an edge variable is bound).
 // Like condTraverseOp it batches records into a frontier matrix, then probes
 // entry (r, dst_r) of the result for each record r.
-type expandIntoOp struct {
-	child    operation
+type expandIntoNode struct {
+	unary
 	srcSlot  int
 	dstSlot  int
 	edgeSlot int
@@ -367,6 +378,11 @@ type expandIntoOp struct {
 	typeIDs   []int
 	direction cypher.Direction
 	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
+}
+
+type expandIntoOp struct {
+	*expandIntoNode
+	child operation
 
 	in       batchPuller
 	queue    []record
@@ -374,6 +390,7 @@ type expandIntoOp struct {
 	arena    recordArena
 	batchBuf []record
 	srcBuf   []grb.Index
+	effBatch int // the batch size fill resolved, for PROFILE
 
 	ks kernelStats
 }
@@ -396,7 +413,7 @@ func (o *expandIntoOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 
 func (o *expandIntoOp) fill(ctx *execCtx) error {
 	bs := ctx.traverseBatch(o.batch)
-	o.batch = bs // report the effective size in PROFILE output
+	o.effBatch = bs
 	if bs == 1 {
 		return o.fillVector(ctx)
 	}
@@ -521,7 +538,7 @@ func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 		o.queue = append(o.queue, o.arena.extended(in, o.width))
 		return
 	}
-	ct := condTraverseOp{typeIDs: o.typeIDs, direction: o.direction}
+	ct := condTraverseNode{typeIDs: o.typeIDs, direction: o.direction}
 	for _, eid := range ct.connectingEdges(ctx, in[o.srcSlot].ID, in[o.dstSlot].ID) {
 		e, ok := ctx.g.GetEdge(eid)
 		if !ok {
@@ -533,23 +550,32 @@ func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 	}
 }
 
-func (o *expandIntoOp) name() string { return "ExpandInto" }
-func (o *expandIntoOp) args() string {
-	return fmt.Sprintf("%s | batched(%d)%s%s", o.ae.String(), o.batch, describeThreads(o.kthreads), o.ks.describe())
+func (n *expandIntoNode) name() string { return "ExpandInto" }
+func (n *expandIntoNode) describe(batch int, ks kernelStats) string {
+	return fmt.Sprintf("%s | batched(%d)%s%s", n.ae.String(), batch, describeThreads(n.kthreads), ks.describe())
 }
-func (o *expandIntoOp) children() []operation        { return []operation{o.child} }
-func (o *expandIntoOp) setChild(i int, op operation) { o.child = op }
+func (n *expandIntoNode) args() string      { return n.describe(n.batch, kernelStats{}) }
+func (o *expandIntoOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
 
-// traverseCountOp is aggregate pushdown for `RETURN count(dst)` directly
+// traverseCountNode is aggregate pushdown for `RETURN count(dst)` directly
 // above a non-optional traversal without an edge variable: the count equals
 // the total cardinality of the result-frontier rows, so no output record is
 // ever materialised — the paper's own k-hop counting strategy (a reduction
 // over the frontier) generalised to record batches. Pushed destination
 // masks still apply: they filter the frontier before the reduction.
+type traverseCountNode struct{ t *condTraverseNode }
+
+func (n *traverseCountNode) name() string         { return "TraverseCount" }
+func (n *traverseCountNode) args() string         { return n.t.args() }
+func (n *traverseCountNode) children() []planNode { return n.t.children() }
+func (n *traverseCountNode) input() *unary        { return &n.t.unary }
+
 type traverseCountOp struct {
 	t    *condTraverseOp
 	done bool
 }
+
+func (o *traverseCountOp) profileArgs() string { return o.t.profileArgs() }
 
 func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	if o.done {
@@ -558,7 +584,7 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	o.done = true
 	t := o.t
 	bs := ctx.traverseBatch(t.batch)
-	t.batch = bs // report the effective size in PROFILE output
+	t.effBatch = bs
 	var total int64
 	for !t.done {
 		if ctx.expired() {
@@ -641,14 +667,7 @@ func (o *traverseCountOp) countVector(ctx *execCtx) (int64, error) {
 	return n, nil
 }
 
-func (o *traverseCountOp) name() string { return "TraverseCount" }
-func (o *traverseCountOp) args() string {
-	return fmt.Sprintf("%s | batched(%d)%s%s%s", o.t.ae.String(), o.t.batch, describeThreads(o.t.kthreads), describeMasks(o.t.masks), o.t.ks.describe())
-}
-func (o *traverseCountOp) children() []operation        { return []operation{o.t.child} }
-func (o *traverseCountOp) setChild(i int, op operation) { o.t.child = op }
-
-// varLenTraverseOp performs a masked BFS between minHops and maxHops,
+// varLenTraverseNode performs a masked BFS between minHops and maxHops,
 // emitting each newly reached node whose depth lies in range — the k-hop
 // neighbourhood expansion at the heart of the paper's benchmark. Each
 // input record's whole reachable set is queued and emitted as native
@@ -661,8 +680,8 @@ func (o *traverseCountOp) setChild(i int, op operation) { o.t.child = op }
 // itself keeps expanding the unfiltered frontier, since intermediate path
 // nodes need not carry the destination label. dstLabel is the pre-pushdown
 // baseline (NoPushdown): a per-node check of the first label only.
-type varLenTraverseOp struct {
-	child   operation
+type varLenTraverseNode struct {
+	unary
 	srcSlot int
 	dstSlot int
 	width   int
@@ -673,6 +692,11 @@ type varLenTraverseOp struct {
 	dstLabel int            // -1 = unfiltered (legacy per-node check)
 	dstAE    *algebraicExpr // label-diagonal mask over emitted frontiers
 	kthreads int            // kernel parallelism degree, for EXPLAIN/PROFILE
+}
+
+type varLenTraverseOp struct {
+	*varLenTraverseNode
+	child operation
 
 	in    batchPuller
 	queue []record
@@ -780,20 +804,19 @@ func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) 
 	})
 }
 
-func (o *varLenTraverseOp) name() string { return "VarLenTraverse" }
-func (o *varLenTraverseOp) args() string {
+func (n *varLenTraverseNode) name() string { return "VarLenTraverse" }
+func (n *varLenTraverseNode) args() string {
 	hi := "∞"
-	if o.maxHops >= 0 {
-		hi = fmt.Sprint(o.maxHops)
+	if n.maxHops >= 0 {
+		hi = fmt.Sprint(n.maxHops)
 	}
-	s := fmt.Sprintf("%s [%d..%s]%s", o.ae.String(), o.minHops, hi, describeThreads(o.kthreads))
-	if o.dstAE != nil {
-		s += " | dst mask: " + o.dstAE.String()
+	s := fmt.Sprintf("%s [%d..%s]%s", n.ae.String(), n.minHops, hi, describeThreads(n.kthreads))
+	if n.dstAE != nil {
+		s += " | dst mask: " + n.dstAE.String()
 	}
-	return s + o.ks.describe()
+	return s
 }
-func (o *varLenTraverseOp) children() []operation        { return []operation{o.child} }
-func (o *varLenTraverseOp) setChild(i int, op operation) { o.child = op }
+func (o *varLenTraverseOp) profileArgs() string { return o.args() + o.ks.describe() }
 
 // labelDiagOperand returns the diagonal label matrix operand for filtering
 // traversal destinations.

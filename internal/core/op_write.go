@@ -33,14 +33,22 @@ type createPatternSpec struct {
 	edges []createEdgeSpec
 }
 
-// createOp materialises CREATE patterns. It drains its child first so that
+// createNode materialises CREATE patterns. It drains its child first so that
 // scans never observe mid-query inserts, then creates per buffered record.
 // The child drain runs under the shared lock (concurrently with readers);
 // the buffered creates are applied in one exclusive mutation burst.
-type createOp struct {
-	child    operation
+type createNode struct {
+	unary
 	patterns []createPatternSpec
 	width    int
+}
+
+func (n *createNode) name() string { return "Create" }
+func (n *createNode) args() string { return fmt.Sprintf("%d pattern(s)", len(n.patterns)) }
+
+type createOp struct {
+	*createNode
+	child operation
 
 	out    []record
 	pos    int
@@ -147,18 +155,21 @@ func applyCreate(ctx *execCtx, r record, patterns []createPatternSpec) error {
 	return nil
 }
 
-func (o *createOp) name() string                 { return "Create" }
-func (o *createOp) args() string                 { return fmt.Sprintf("%d pattern(s)", len(o.patterns)) }
-func (o *createOp) children() []operation        { return []operation{o.child} }
-func (o *createOp) setChild(i int, op operation) { o.child = op }
+// mergeNode runs its match sub-plan (its input); when that produces no
+// records, the pattern is created instead (MATCH-or-CREATE). Like the other
+// write operations it is eager: drain, at most one mutation burst, then emit.
+type mergeNode struct {
+	unary
+	pattern createPatternSpec
+	width   int
+}
 
-// mergeOp runs its match sub-plan; when it produces no records, the pattern
-// is created instead (MATCH-or-CREATE). Like the other write operations it
-// is eager: drain, at most one mutation burst, then emit.
+func (n *mergeNode) name() string { return "Merge" }
+func (n *mergeNode) args() string { return "" }
+
 type mergeOp struct {
+	*mergeNode
 	matchPlan operation
-	pattern   createPatternSpec
-	width     int
 
 	out    []record
 	pos    int
@@ -195,17 +206,20 @@ func (o *mergeOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return drainBuffered(ctx, o.out, &o.pos), nil
 }
 
-func (o *mergeOp) name() string                 { return "Merge" }
-func (o *mergeOp) args() string                 { return "" }
-func (o *mergeOp) children() []operation        { return []operation{o.matchPlan} }
-func (o *mergeOp) setChild(i int, op operation) { o.matchPlan = op }
-
-// deleteOp drains its input, then deletes the referenced entities (edges
+// deleteNode drains its input, then deletes the referenced entities (edges
 // first; node deletion cascades to incident edges), then emits the records.
-type deleteOp struct {
-	child  operation
+type deleteNode struct {
+	unary
 	exprs  []evalFn
 	detach bool
+}
+
+func (n *deleteNode) name() string { return "Delete" }
+func (n *deleteNode) args() string { return "" }
+
+type deleteOp struct {
+	*deleteNode
+	child operation
 
 	out    []record
 	pos    int
@@ -271,11 +285,6 @@ func (o *deleteOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return drainBuffered(ctx, o.out, &o.pos), nil
 }
 
-func (o *deleteOp) name() string                 { return "Delete" }
-func (o *deleteOp) args() string                 { return "" }
-func (o *deleteOp) children() []operation        { return []operation{o.child} }
-func (o *deleteOp) setChild(i int, op operation) { o.child = op }
-
 // setItemSpec is one SET assignment.
 type setItemSpec struct {
 	slot int
@@ -283,14 +292,22 @@ type setItemSpec struct {
 	fn   evalFn
 }
 
-// setOp applies property assignments. Like the other write operations it is
+// setNode applies property assignments. Like the other write operations it is
 // eager: the child is drained first and every assignment lands in one
 // exclusive mutation burst before any record is emitted, so downstream
 // operations observe the same post-SET state at every batch size (the old
 // streaming setOp made write visibility depend on pipeline granularity).
-type setOp struct {
-	child operation
+type setNode struct {
+	unary
 	items []setItemSpec
+}
+
+func (n *setNode) name() string { return "Set" }
+func (n *setNode) args() string { return fmt.Sprintf("%d assignment(s)", len(n.items)) }
+
+type setOp struct {
+	*setNode
+	child operation
 
 	out    []record
 	pos    int
@@ -351,8 +368,3 @@ func (o *setOp) apply(ctx *execCtx, r record) error {
 	}
 	return nil
 }
-
-func (o *setOp) name() string                 { return "Set" }
-func (o *setOp) args() string                 { return fmt.Sprintf("%d assignment(s)", len(o.items)) }
-func (o *setOp) children() []operation        { return []operation{o.child} }
-func (o *setOp) setChild(i int, op operation) { o.child = op }

@@ -1,19 +1,22 @@
-// Pipeline-segment parallelism: eligible read-only plans are rewritten so
-// the chain from the entry scan up to the lowest pipeline barrier executes
-// as K independent segments over disjoint residue classes of the scanned
-// node ids, joined by an exchange-style merge operation. The merge preserves
-// global order only where the query demands it (ORDER BY merges per-segment
-// sorted runs; TopNSort merges per-segment heaps); aggregation merges
-// per-segment hash tables; plain projections gather buffered batches in
-// segment order, so results stay deterministic across thread counts.
+// Pipeline-segment parallelism: in an eligible read-only plan the chain from
+// the entry scan up to the lowest pipeline barrier executes as K independent
+// segments over disjoint stripes of the scan's candidates, joined by an
+// exchange-style merge. The decision is made once per plan, on plan nodes
+// (parallelizePlan splices a parallelNode over the stretch); the K segments
+// are K instantiations of the same nodes, differing only in the stripe
+// instantiate hands their entry scan. The merge preserves global order only
+// where the query demands it (ORDER BY merges per-segment sorted runs;
+// TopNSort merges per-segment heaps); aggregation merges per-segment hash
+// tables; plain projections gather buffered batches in segment order, so
+// results stay deterministic across thread counts.
 //
 // Segments drive the shared morsel pool (pool.Parallel) with the
 // coordinating goroutine participating; each segment executes under a
 // single-threaded worker context (execCtx.forWorker) — the segments
 // themselves are the query's parallelism, so nested kernel calls stay
-// inline and cannot deadlock the pool. Writes never parallelise: the
-// rewrite refuses non-read-only plans, keeping the writer discipline on
-// the coordinating goroutine.
+// inline and cannot deadlock the pool. Writes never parallelise:
+// parallelizePlan refuses non-read-only plans, keeping the writer discipline
+// on the coordinating goroutine.
 package core
 
 import (
@@ -33,19 +36,110 @@ const maxSegments = 16
 
 var errSegTimeout = errors.New("core: query timed out in parallel segment")
 
-// segCloner is implemented by operations that can be duplicated into an
-// independent pipeline segment. Clones share the immutable planned state
-// (expressions, algebraic operands, slot layout) and drop all runtime
-// state (buffers, memos, batch queues).
-type segCloner interface {
-	cloneSeg() operation
+// parallelKind names the merge a parallelNode applies to its segments.
+type parallelKind uint8
+
+const (
+	parGather    parallelKind = iota // no barrier: replay batches in segment order
+	parSkipLimit                     // SKIP/LIMIT stack: global count-quota clamp
+	parAggregate                     // the barrier kinds: seg is the barrier node
+	parSort
+	parTopN
+	parCount
+	parDistinct
+)
+
+var parallelNames = [...]string{"ParallelGather", "ParallelSkipLimit", "ParallelAggregate",
+	"ParallelSortMerge", "ParallelTopNMerge", "ParallelTraverseCount", "ParallelDistinct"}
+
+// parallelNode runs the chain rooted at seg as `workers` concurrent
+// segments — each an instantiation of the same nodes with its own scan
+// stripe — and merges their outputs. For the barrier kinds seg is the
+// barrier the merge stands in for (EXPLAIN prints the merge in its place);
+// for gather and skip-limit it is the chain below the merge.
+type parallelNode struct {
+	kind    parallelKind
+	seg     planNode
+	workers int
+	skip    evalFn // parSkipLimit: nil when the stretch had no SKIP
+	limit   evalFn // parSkipLimit: nil when the stretch had no LIMIT
 }
 
-// parallelizePlan rewrites p in place to execute its lowest pipeline
-// stretch as `threads` concurrent segments. It refuses — leaving the plan
-// untouched — whenever correctness or progress guarantees would change:
-// write plans, multi-child spines, non-partitionable entry points, and
-// distinct aggregates (per-segment dedup sets cannot be merged).
+func (n *parallelNode) name() string { return parallelNames[n.kind] }
+
+func (n *parallelNode) args() string {
+	workers := fmt.Sprintf("workers: %d", n.workers)
+	switch n.kind {
+	case parAggregate:
+		return fmt.Sprintf("%d columns | %s", n.seg.(*aggregateNode).visible, workers)
+	case parSort:
+		return fmt.Sprintf("%d keys | %s", len(n.seg.(*sortNode).descs), workers)
+	case parTopN:
+		top := n.seg.(*topNSortNode)
+		return fmt.Sprintf("%d keys | top %s | %s", len(top.descs), top.desc, workers)
+	case parSkipLimit:
+		ops := ""
+		if n.skip != nil {
+			ops = "skip"
+		}
+		if n.limit != nil {
+			if ops != "" {
+				ops += "+"
+			}
+			ops += "limit"
+		}
+		return ops + " | " + workers
+	}
+	return workers
+}
+
+func (n *parallelNode) children() []planNode {
+	if n.kind >= parAggregate {
+		return n.seg.children()
+	}
+	return []planNode{n.seg}
+}
+
+// openParallel instantiates the K segments — K instantiations of the same
+// nodes, segment k taking stripe k of the entry scan — under their merge op.
+// PROFILE accounts segment 1's chain; the barrier kinds drive their segment
+// roots through the concrete type, so those stay unwrapped.
+func (opts instOpts) openParallel(n *parallelNode) operation {
+	ps := &parallelSeg{parallelNode: n, segs: make([]operation, n.workers)}
+	for k := range ps.segs {
+		so := instOpts{part: k, parts: n.workers}
+		if k == 0 {
+			so.prof = opts.prof
+		}
+		if n.kind >= parAggregate {
+			ps.segs[k] = so.open(n.seg)
+		} else {
+			ps.segs[k] = instantiate(n.seg, so)
+		}
+	}
+	switch n.kind {
+	case parSkipLimit:
+		return &parallelSkipLimitOp{parallelSeg: ps}
+	case parAggregate:
+		return &parallelAggOp{parallelSeg: ps, agg: n.seg.(*aggregateNode)}
+	case parSort:
+		return &parallelSortOp{parallelSeg: ps, tmpl: n.seg.(*sortNode)}
+	case parTopN:
+		return &parallelTopNOp{parallelSeg: ps, tmpl: n.seg.(*topNSortNode)}
+	case parCount:
+		return &parallelCountOp{parallelSeg: ps}
+	case parDistinct:
+		return &parallelDistinctOp{parallelSeg: ps, visible: n.seg.(*distinctNode).visible}
+	}
+	return &parallelGatherOp{parallelSeg: ps}
+}
+
+// parallelizePlan decides, once per plan and before anything executes it,
+// whether p's lowest pipeline stretch runs as `threads` concurrent segments,
+// and if so splices a parallelNode over that stretch. It refuses — leaving
+// the plan untouched — whenever correctness or progress guarantees would
+// change: write plans, multi-child spines, non-partitionable entry points,
+// and distinct aggregates (per-segment dedup sets cannot be merged).
 // DISTINCT itself is a mergeable barrier: segments dedup locally and the
 // coordinator re-dedups across segments. SKIP/LIMIT merge as a count-quota
 // barrier: the quotas are global, so segments run the chain below the
@@ -61,188 +155,142 @@ func parallelizePlan(p *Plan, threads int) {
 	}
 	// Flatten the root's single-child spine: chain[0] is the root,
 	// chain[len-1] the entry scan.
-	var chain []operation
-	for op := p.root; ; {
-		chain = append(chain, op)
-		kids := op.children()
+	var chain []planNode
+	for n := p.root; ; {
+		chain = append(chain, n)
+		kids := n.children()
 		if len(kids) == 0 {
 			break
 		}
 		if len(kids) != 1 {
 			return
 		}
-		op = kids[0]
+		n = kids[0]
 	}
-	// The leaf must be a childless scan: full scans partition the id space
-	// into residue classes, index scans stripe their seed list by position —
-	// either way, no coordination between segments.
-	switch s := chain[len(chain)-1].(type) {
-	case *allNodeScanOp:
-		if s.child != nil {
-			return
-		}
-	case *labelScanOp:
-		if s.child != nil {
-			return
-		}
-	case *indexScanOp:
-		if s.child != nil {
-			return
-		}
-	default:
+	// The leaf must be a scan (childless, since it ends the spine): full
+	// scans partition the id space into residue classes, index scans stripe
+	// their seed list by position — either way, no coordination between
+	// segments.
+	leaf, ok := chain[len(chain)-1].(interface{ scan() *scanNode })
+	if !ok {
 		return
 	}
 	// Find the lowest barrier above the leaf. Everything below it must be
-	// cloneable; the barrier itself must be mergeable. The barrier check
-	// runs first so an unmergeable barrier refuses instead of being cloned
-	// as a passthrough (which would duplicate its blocking work).
+	// segmentable; the barrier itself must be mergeable.
 	merge := -1
 	for i := len(chain) - 2; i >= 0; i-- {
-		if isSegBarrier(chain[i]) {
-			if !segMergeable(chain[i]) {
+		if kind, ok := segBarrier(chain[i]); ok {
+			if kind == parAggregate && !aggMergeable(chain[i].(*aggregateNode)) {
 				return
 			}
 			merge = i
 			break
 		}
-		if _, ok := chain[i].(segCloner); !ok {
+		if !segmentable(chain[i]) {
 			return
 		}
 	}
 	// A SKIP/LIMIT stretch is a count-quota barrier. The quotas are global —
-	// a segment cannot skip locally — so the quota operations themselves stay
-	// out of the segment chains and the merge applies the global clamp. top
-	// marks the highest operation the merge replaces: the LIMIT sitting
-	// directly above a SKIP when both are present (plan construction always
-	// stacks them adjacently in that order), else the single quota op.
-	top := merge
-	var skipQuota, limitQuota evalFn
+	// a segment cannot skip locally — so the quota nodes themselves stay out
+	// of the segment chains and the merge applies the global clamp. top
+	// marks the highest node the merge replaces: the LIMIT sitting directly
+	// above a SKIP when both are present (plan construction always stacks
+	// them adjacently in that order), else the single barrier.
+	node := &parallelNode{kind: parGather, seg: chain[0], workers: threads}
+	top, stop := merge, 0
 	if merge >= 0 {
+		node.kind, _ = segBarrier(chain[merge])
+		node.seg, stop = chain[merge], merge
 		switch o := chain[merge].(type) {
-		case *skipOp:
-			skipQuota = o.n
+		case *skipNode:
+			node.skip = o.n
 			if merge > 0 {
-				if l, ok := chain[merge-1].(*limitOp); ok {
-					limitQuota = l.n
+				if l, ok := chain[merge-1].(*limitNode); ok {
+					node.limit = l.n
 					top = merge - 1
 				}
 			}
-		case *limitOp:
-			limitQuota = o.n
+		case *limitNode:
+			node.limit = o.n
+		}
+		if node.kind == parSkipLimit {
+			node.seg, stop = chain[merge+1], merge+1 // segments run the chain below the quota stack
 		}
 	}
-	stop := merge
-	if stop < 0 {
-		stop = 0
-	}
-	if skipQuota != nil || limitQuota != nil {
-		stop = merge + 1 // segments run the chain below the quota stack
-	} else if _, ok := chain[stop].(segCloner); !ok {
-		return
-	}
+	// Splice the merge in over chain[top..leaf], which the segments now own:
+	// their traversal kernels run single-threaded (the segments themselves
+	// are the query's parallelism) and their entry scan is striped.
 	if top > 0 {
-		if _, ok := chain[top-1].(childSetter); !ok {
+		above, ok := chain[top-1].(interface{ input() *unary })
+		if !ok {
 			return
 		}
-	}
-	// Assemble the K segment chains: clone chain[stop..leaf] bottom-up,
-	// partitioning the leaf scan. Segment 0's clones inherit the original
-	// cardinality estimates so EXPLAIN stays annotated.
-	segs := make([]operation, threads)
-	for k := 0; k < threads; k++ {
-		var cur operation
-		for i := len(chain) - 1; i >= stop; i-- {
-			c := chain[i].(segCloner).cloneSeg()
-			if i == len(chain)-1 {
-				setScanPartition(c, k, threads)
-			} else {
-				c.(childSetter).setChild(0, cur)
-			}
-			if k == 0 && p.est != nil {
-				if e, ok := p.est[chain[i]]; ok {
-					p.est[c] = e
-				}
-			}
-			cur = c
-		}
-		segs[k] = cur
-	}
-	var mop operation
-	switch {
-	case merge < 0:
-		mop = &parallelGatherOp{parallelSeg: parallelSeg{segs: segs}}
-	case skipQuota != nil || limitQuota != nil:
-		mop = &parallelSkipLimitOp{parallelSeg: parallelSeg{segs: segs}, skip: skipQuota, limit: limitQuota}
-	default:
-		switch orig := chain[merge].(type) {
-		case *aggregateOp:
-			mop = &parallelAggOp{parallelSeg: parallelSeg{segs: segs}, items: orig.items, visible: orig.visible}
-		case *sortOp:
-			mop = &parallelSortOp{parallelSeg: parallelSeg{segs: segs}, tmpl: orig}
-		case *topNSortOp:
-			mop = &parallelTopNOp{parallelSeg: parallelSeg{segs: segs}, tmpl: orig}
-		case *traverseCountOp:
-			mop = &parallelCountOp{parallelSeg: parallelSeg{segs: segs}}
-		case *distinctOp:
-			mop = &parallelDistinctOp{parallelSeg: parallelSeg{segs: segs}, visible: orig.visible}
-		default:
-			return
-		}
-	}
-	estAt := top
-	if estAt < 0 {
-		estAt = 0
-	}
-	if p.est != nil {
-		if e, ok := p.est[chain[estAt]]; ok {
-			p.est[mop] = e
-		}
-	}
-	if top <= 0 {
-		p.root = mop
+		above.input().child = node
 	} else {
-		chain[top-1].(childSetter).setChild(0, mop)
+		p.root = node
+	}
+	for _, n := range chain[stop:] {
+		switch t := n.(type) {
+		case *condTraverseNode:
+			t.kthreads = 1
+		case *expandIntoNode:
+			t.kthreads = 1
+		case *varLenTraverseNode:
+			t.kthreads = 1
+		case *traverseCountNode:
+			t.t.kthreads = 1
+		}
+	}
+	leaf.scan().segments = threads
+	if e, ok := p.est[chain[max(top, 0)]]; ok {
+		p.est[node] = e
 	}
 }
 
-// isSegBarrier reports whether op terminates a segment stretch: either it
-// blocks the pipeline (materialises its whole input before emitting), or it
-// owns cross-row state the coordinator must merge — DISTINCT's dedup set,
-// SKIP/LIMIT's global count quotas.
-func isSegBarrier(op operation) bool {
-	switch op.(type) {
-	case *aggregateOp, *sortOp, *topNSortOp, *traverseCountOp, *distinctOp, *skipOp, *limitOp:
+// segBarrier reports whether n terminates a segment stretch, and the merge
+// that stands in for it: either it blocks the pipeline (materialises its
+// whole input before emitting), or it owns cross-row state the coordinator
+// must merge — DISTINCT's dedup set, SKIP/LIMIT's global count quotas.
+func segBarrier(n planNode) (parallelKind, bool) {
+	switch n.(type) {
+	case *aggregateNode:
+		return parAggregate, true
+	case *sortNode:
+		return parSort, true
+	case *topNSortNode:
+		return parTopN, true
+	case *traverseCountNode:
+		return parCount, true
+	case *distinctNode:
+		return parDistinct, true
+	case *skipNode, *limitNode:
+		return parSkipLimit, true
+	}
+	return 0, false
+}
+
+// segmentable reports whether a non-barrier node may run inside a segment:
+// it keeps no state across rows that a coordinator would have to merge.
+func segmentable(n planNode) bool {
+	switch n.(type) {
+	case *allNodeScanNode, *labelScanNode, *indexScanNode, *filterNode, *projectNode, *unwindNode,
+		*condTraverseNode, *expandIntoNode, *varLenTraverseNode:
 		return true
 	}
 	return false
 }
 
-// segMergeable reports whether a barrier's per-segment results can be
+// aggMergeable reports whether an aggregate's per-segment results can be
 // combined without changing semantics. Distinct aggregates cannot: each
 // segment's dedup set is local, so summing the deduplicated states would
 // double-count values seen by several segments.
-func segMergeable(op operation) bool {
-	if agg, ok := op.(*aggregateOp); ok {
-		for _, it := range agg.items {
-			if it.agg != nil && it.agg.distinct {
-				return false
-			}
+func aggMergeable(agg *aggregateNode) bool {
+	for _, it := range agg.items {
+		if it.agg != nil && it.agg.distinct {
+			return false
 		}
 	}
 	return true
-}
-
-// setScanPartition restricts a cloned entry scan to one residue class of
-// the scanned id space.
-func setScanPartition(op operation, part, parts int) {
-	switch s := op.(type) {
-	case *allNodeScanOp:
-		s.part, s.parts = part, parts
-	case *labelScanOp:
-		s.part, s.parts = part, parts
-	case *indexScanOp:
-		s.part, s.parts = part, parts
-	}
 }
 
 // parallelSeg is the shared core of the merge operations: the segment
@@ -250,6 +298,7 @@ func setScanPartition(op operation, part, parts int) {
 // reports alongside wall time (summing per-worker elapsed time instead of
 // double-counting overlapped wall time).
 type parallelSeg struct {
+	*parallelNode
 	segs        []operation
 	workerNanos atomic.Int64
 }
@@ -274,10 +323,9 @@ func (s *parallelSeg) runSegments(ctx *execCtx, drain func(k int, wctx *execCtx)
 	return nil
 }
 
-// describeParallel renders the parallelism degree (EXPLAIN) and, once the
-// segments have run, the summed worker time (PROFILE).
-func (s *parallelSeg) describeParallel() string {
-	d := fmt.Sprintf("workers: %d", len(s.segs))
+// profileArgs appends the summed worker time once the segments have run.
+func (s *parallelSeg) profileArgs() string {
+	d := s.args()
 	if n := s.workerNanos.Load(); n > 0 {
 		d += fmt.Sprintf(" | worker time: %.6f ms", float64(n)/1e6)
 	}
@@ -307,7 +355,7 @@ func drainSeg(seg operation, wctx *execCtx, buf *[]recordBatch) error {
 // the barrier), so segment-major order is as valid as the serial scan
 // order — and deterministic for a given segment count.
 type parallelGatherOp struct {
-	parallelSeg
+	*parallelSeg
 	out    []recordBatch
 	pos    int
 	primed bool
@@ -336,11 +384,6 @@ func (o *parallelGatherOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return b, nil
 }
 
-func (o *parallelGatherOp) name() string                 { return "ParallelGather" }
-func (o *parallelGatherOp) args() string                 { return o.describeParallel() }
-func (o *parallelGatherOp) children() []operation        { return o.segs[:1] }
-func (o *parallelGatherOp) setChild(i int, op operation) { o.segs[0] = op }
-
 // parallelAggOp replaces an aggregateOp barrier: every segment runs its
 // own hash aggregation over its partition, and the coordinator merges the
 // per-segment tables group-by-group in segment order (first occurrence
@@ -348,9 +391,8 @@ func (o *parallelGatherOp) setChild(i int, op operation) { o.segs[0] = op }
 // aggregation works unchanged: each segment materialises the identity
 // group, and merging identities is a no-op.
 type parallelAggOp struct {
-	parallelSeg
-	items   []aggItem
-	visible int
+	*parallelSeg
+	agg *aggregateNode
 
 	groups map[string]*aggGroup
 	order  []string
@@ -377,7 +419,7 @@ func (o *parallelAggOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 					o.order = append(o.order, key)
 					continue
 				}
-				for i, it := range o.items {
+				for i, it := range o.agg.items {
 					if it.agg != nil {
 						dst.states[i].merge(it.agg, src.states[i])
 					}
@@ -394,9 +436,9 @@ func (o *parallelAggOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	for o.pos < len(o.order) && len(out) < bs {
 		grp := o.groups[o.order[o.pos]]
 		o.pos++
-		r := newRecord(o.visible)
+		r := newRecord(o.agg.visible)
 		ki := 0
-		for i, it := range o.items {
+		for i, it := range o.agg.items {
 			if it.key != nil {
 				r[i] = grp.keys[ki]
 				ki++
@@ -409,21 +451,14 @@ func (o *parallelAggOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *parallelAggOp) name() string { return "ParallelAggregate" }
-func (o *parallelAggOp) args() string {
-	return fmt.Sprintf("%d columns | %s", o.visible, o.describeParallel())
-}
-func (o *parallelAggOp) children() []operation        { return o.segs[0].children() }
-func (o *parallelAggOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
-
 // parallelSortOp replaces a sortOp barrier: segments materialise and sort
 // their partitions concurrently, and the coordinator re-sorts the
 // concatenated runs with the same stable comparison. Ties across segments
 // resolve in segment-major order — deterministic for a given segment
 // count, though not byte-identical to the serial scan order.
 type parallelSortOp struct {
-	parallelSeg
-	tmpl *sortOp
+	*parallelSeg
+	tmpl *sortNode
 
 	rows   []record
 	pos    int
@@ -458,21 +493,14 @@ func (o *parallelSortOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *parallelSortOp) name() string { return "ParallelSortMerge" }
-func (o *parallelSortOp) args() string {
-	return fmt.Sprintf("%d keys | %s", len(o.tmpl.descs), o.describeParallel())
-}
-func (o *parallelSortOp) children() []operation        { return o.segs[0].children() }
-func (o *parallelSortOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
-
 // parallelTopNOp replaces a topNSortOp barrier (ORDER BY + LIMIT fusion):
 // each segment keeps its own bounded heap of the best skip+limit records,
 // and the coordinator merges the K heaps — at most K·(skip+limit) live
 // records regardless of input size — re-sorts, and truncates to the
 // global bound.
 type parallelTopNOp struct {
-	parallelSeg
-	tmpl *topNSortOp
+	*parallelSeg
+	tmpl *topNSortNode
 
 	rows   []record
 	pos    int
@@ -514,18 +542,11 @@ func (o *parallelTopNOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return out, nil
 }
 
-func (o *parallelTopNOp) name() string { return "ParallelTopNMerge" }
-func (o *parallelTopNOp) args() string {
-	return fmt.Sprintf("%d keys | top %s | %s", len(o.tmpl.descs), o.tmpl.desc, o.describeParallel())
-}
-func (o *parallelTopNOp) children() []operation        { return o.segs[0].children() }
-func (o *parallelTopNOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
-
 // parallelCountOp replaces a traverseCountOp barrier: segments count their
 // partitions' reachable destinations concurrently and the coordinator sums
 // the per-segment totals into the single output record.
 type parallelCountOp struct {
-	parallelSeg
+	*parallelSeg
 	done bool
 }
 
@@ -557,116 +578,6 @@ func (o *parallelCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return recordBatch{r}, nil
 }
 
-func (o *parallelCountOp) name() string                 { return "ParallelTraverseCount" }
-func (o *parallelCountOp) args() string                 { return o.describeParallel() }
-func (o *parallelCountOp) children() []operation        { return o.segs[0].children() }
-func (o *parallelCountOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
-
-// --- segment clones -------------------------------------------------------
-//
-// Clones copy the immutable planned state and drop runtime state: buffers,
-// epoch memos and kernel stats restart per segment. Shared slices
-// (predicates, projection items, algebraic expressions) are read-only
-// during execution.
-
-// cloneSeg duplicates a pushed scan filter so each segment compiles and
-// memoises it privately (the epoch memo is written during execution).
-func (f *scanFilter) cloneSeg() *scanFilter {
-	if f == nil {
-		return nil
-	}
-	return &scanFilter{labels: f.labels, labelStr: f.labelStr, props: f.props}
-}
-
-func (o *allNodeScanOp) cloneSeg() operation {
-	return &allNodeScanOp{slot: o.slot, alias: o.alias, width: o.width, pushed: o.pushed.cloneSeg()}
-}
-
-func (o *labelScanOp) cloneSeg() operation {
-	return &labelScanOp{slot: o.slot, alias: o.alias, label: o.label, width: o.width, pushed: o.pushed.cloneSeg()}
-}
-
-func (o *indexScanOp) cloneSeg() operation {
-	return &indexScanOp{slot: o.slot, alias: o.alias, label: o.label, attr: o.attr,
-		val: o.val, width: o.width, pushed: o.pushed.cloneSeg()}
-}
-
-func (o *filterOp) cloneSeg() operation {
-	return &filterOp{pred: o.pred, desc: o.desc}
-}
-
-func (o *projectOp) cloneSeg() operation {
-	return &projectOp{items: o.items, sortKeys: o.sortKeys, visible: o.visible}
-}
-
-func (o *unwindOp) cloneSeg() operation {
-	return &unwindOp{list: o.list, slot: o.slot, width: o.width}
-}
-
-func (o *condTraverseOp) cloneSeg() operation {
-	return &condTraverseOp{
-		srcSlot:   o.srcSlot,
-		dstSlot:   o.dstSlot,
-		edgeSlot:  o.edgeSlot,
-		width:     o.width,
-		batch:     o.batch,
-		ae:        o.ae,
-		masks:     o.masks,
-		typeIDs:   o.typeIDs,
-		direction: o.direction,
-		optional:  o.optional,
-		kthreads:  1,
-	}
-}
-
-func (o *expandIntoOp) cloneSeg() operation {
-	return &expandIntoOp{
-		srcSlot:   o.srcSlot,
-		dstSlot:   o.dstSlot,
-		edgeSlot:  o.edgeSlot,
-		width:     o.width,
-		batch:     o.batch,
-		ae:        o.ae,
-		typeIDs:   o.typeIDs,
-		direction: o.direction,
-		kthreads:  1,
-	}
-}
-
-func (o *varLenTraverseOp) cloneSeg() operation {
-	return &varLenTraverseOp{
-		srcSlot:  o.srcSlot,
-		dstSlot:  o.dstSlot,
-		width:    o.width,
-		ae:       o.ae,
-		minHops:  o.minHops,
-		maxHops:  o.maxHops,
-		dstLabel: o.dstLabel,
-		dstAE:    o.dstAE,
-		kthreads: 1,
-	}
-}
-
-func (o *aggregateOp) cloneSeg() operation {
-	return &aggregateOp{items: o.items, visible: o.visible}
-}
-
-func (o *sortOp) cloneSeg() operation {
-	return &sortOp{visible: o.visible, descs: o.descs}
-}
-
-func (o *topNSortOp) cloneSeg() operation {
-	return &topNSortOp{visible: o.visible, descs: o.descs, skip: o.skip, limit: o.limit, desc: o.desc}
-}
-
-func (o *traverseCountOp) cloneSeg() operation {
-	return &traverseCountOp{t: o.t.cloneSeg().(*condTraverseOp)}
-}
-
-func (o *distinctOp) cloneSeg() operation {
-	return &distinctOp{visible: o.visible}
-}
-
 // parallelDistinctOp replaces a distinctOp barrier: each segment deduplicates
 // its own partition while it runs, and the coordinator re-deduplicates the
 // buffered per-segment outputs in segment-major order with the same key
@@ -675,7 +586,7 @@ func (o *distinctOp) cloneSeg() operation {
 // segment count, though (like ParallelGather) not byte-identical to the
 // serial scan order.
 type parallelDistinctOp struct {
-	parallelSeg
+	*parallelSeg
 	visible int
 
 	out    []recordBatch
@@ -720,11 +631,6 @@ func (o *parallelDistinctOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return b, nil
 }
 
-func (o *parallelDistinctOp) name() string                 { return "ParallelDistinct" }
-func (o *parallelDistinctOp) args() string                 { return o.describeParallel() }
-func (o *parallelDistinctOp) children() []operation        { return o.segs[0].children() }
-func (o *parallelDistinctOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
-
 // parallelSkipLimitOp replaces a SKIP/LIMIT stretch (either op alone or the
 // Limit-over-Skip stack): the count quotas are global, so every segment runs
 // the chain below the stretch with a per-segment over-produce bound of
@@ -736,9 +642,7 @@ func (o *parallelDistinctOp) setChild(i int, op operation) { o.segs[0].(childSet
 // without an ORDER BY (which would have fused to TopNSort or been the
 // barrier) any qualifying window of rows is a correct answer.
 type parallelSkipLimitOp struct {
-	parallelSeg
-	skip  evalFn // nil when the stretch had no SKIP
-	limit evalFn // nil when the stretch had no LIMIT
+	*parallelSeg
 
 	out    []recordBatch
 	pos    int
@@ -813,23 +717,6 @@ func (o *parallelSkipLimitOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	o.pos++
 	return b, nil
 }
-
-func (o *parallelSkipLimitOp) name() string { return "ParallelSkipLimit" }
-func (o *parallelSkipLimitOp) args() string {
-	ops := ""
-	if o.skip != nil {
-		ops = "skip"
-	}
-	if o.limit != nil {
-		if ops != "" {
-			ops += "+"
-		}
-		ops += "limit"
-	}
-	return ops + " | " + o.describeParallel()
-}
-func (o *parallelSkipLimitOp) children() []operation        { return o.segs[:1] }
-func (o *parallelSkipLimitOp) setChild(i int, op operation) { o.segs[0] = op }
 
 // drainSegQuota drains one segment like drainSeg, stopping early once quota
 // rows are buffered (quota < 0 drains to exhaustion) — the per-segment

@@ -169,7 +169,7 @@ func TestPushdownExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lines []string
-	printPlan(plan.root, 0, &lines, nil)
+	printPlan(plan.root, 0, &lines, planNode.args, nil)
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "Filter") || strings.Contains(joined, "pushed:") {
 		t.Fatalf("NoPushdown plan must keep residual filters:\n%s", joined)
@@ -233,10 +233,11 @@ func TestMergeBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := plan.root.children()[0].(*mergeOp)
+	mn, ok := plan.root.children()[0].(*mergeNode)
 	if !ok {
-		t.Fatalf("plan root child is %T, want *mergeOp", plan.root.children()[0])
+		t.Fatalf("plan root child is %T, want *mergeNode", plan.root.children()[0])
 	}
+	m := instantiate(mn, instOpts{})
 	g.RLock()
 	ctx := &execCtx{g: g, batch: 4, threads: 1, stats: &Statistics{}}
 	var sizes []int

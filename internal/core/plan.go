@@ -10,36 +10,23 @@ import (
 	"redisgraph/internal/value"
 )
 
-// Plan is a compiled, executable query plan.
+// Plan is a compiled query plan: an immutable tree of plan nodes. The plan
+// cache hands the same *Plan to every execution; instantiate builds the
+// running ops of one execution from it.
 type Plan struct {
-	root     operation
+	root     planNode
 	columns  []string
 	visible  int
 	ReadOnly bool
-	// est maps every operation to its estimated output cardinality, the
-	// cost model's figures surfaced by EXPLAIN and PROFILE.
-	est map[operation]float64
-}
-
-// estFor resolves an operation's cardinality estimate, looking through the
-// profiler's decorators.
-func (p *Plan) estFor(op operation) (float64, bool) {
-	for {
-		if e, ok := p.est[op]; ok {
-			return e, true
-		}
-		pr, ok := op.(*profiledOp)
-		if !ok {
-			return 0, false
-		}
-		op = pr.inner
-	}
+	// est maps every node to its estimated output cardinality, the cost
+	// model's figures surfaced by EXPLAIN and PROFILE.
+	est map[planNode]float64
 }
 
 type planBuilder struct {
 	g        *graph.Graph
 	st       *symtab
-	cur      operation
+	cur      planNode
 	bound    map[string]bool
 	readonly bool
 	anon     int
@@ -75,9 +62,9 @@ type planBuilder struct {
 	// consumedWhere marks WHERE conjuncts consumed as index seeds, so
 	// applyWhere does not re-apply them as filters.
 	consumedWhere map[cypher.Expr]bool
-	// est records every emitted operation's estimated output cardinality;
+	// est records every emitted node's estimated output cardinality;
 	// rowEst is the running estimate at the current pipeline head.
-	est    map[operation]float64
+	est    map[planNode]float64
 	rowEst float64
 
 	terminated bool
@@ -87,7 +74,7 @@ type planBuilder struct {
 
 // setCur installs op as the pipeline head and records its estimated output
 // cardinality for EXPLAIN/PROFILE.
-func (b *planBuilder) setCur(op operation, rows float64) {
+func (b *planBuilder) setCur(op planNode, rows float64) {
 	rows = capEst(rows)
 	b.cur = op
 	b.rowEst = rows
@@ -96,13 +83,13 @@ func (b *planBuilder) setCur(op operation, rows float64) {
 
 // note records an estimate for an operation that is not the pipeline head
 // (argument leaves, merge sub-plans).
-func (b *planBuilder) note(op operation, rows float64) {
+func (b *planBuilder) note(op planNode, rows float64) {
 	b.est[op] = capEst(rows)
 }
 
 // binderInfo describes the operation that introduced a variable.
 type binderInfo struct {
-	op     operation
+	op     planNode
 	labels []string // pattern-node labels (candidate index labels for masks)
 }
 
@@ -129,28 +116,15 @@ func BuildPlan(g *graph.Graph, q *cypher.Query) (*Plan, error) {
 	return buildPlanOpts(g, q, planOptions{})
 }
 
+// buildPlanOpts compiles the single-pipeline plan, then makes the
+// parallel-segment decision for the thread budget (parallelizePlan). What it
+// returns is final: nothing assigns a plan-node field afterwards.
 func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {
-	p, err := buildSerialPlan(g, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Threads > 1 {
-		parallelizePlan(p, opts.Threads)
-	}
-	return p, nil
-}
-
-// buildSerialPlan compiles the single-pipeline plan without the parallel-
-// segment rewrite. The plan cache stores this form as its immutable
-// template: instantiation clones the tree and applies parallelizePlan to
-// the clone, so one cached template serves any later rewrite of the same
-// thread budget.
-func buildSerialPlan(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {
 	b := &planBuilder{g: g, st: newSymtab(), bound: map[string]bool{}, readonly: true,
 		noPushdown: opts.NoPushdown, noCostPlanner: opts.NoCostPlanner,
 		noJoinPlanner: opts.NoJoinPlanner || opts.NoCostPlanner, threads: opts.Threads,
 		gs: g.Stats(), cond: g.CondStats(), binders: map[string]*binderInfo{},
-		est: map[operation]float64{}, rowEst: 1}
+		est: map[planNode]float64{}, rowEst: 1}
 	for i := 0; i < len(q.Clauses); i++ {
 		if b.terminated {
 			return nil, fmt.Errorf("core: RETURN must be the final clause")
@@ -190,10 +164,10 @@ func buildSerialPlan(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, 
 			err = b.buildProjection(c.Items, c.Distinct, c.OrderBy, c.Skip, c.Limit, nil, true)
 		case *cypher.CreateIndexClause:
 			b.readonly = false
-			b.setCur(&indexOp{create: true, label: c.Label, attr: c.Attr}, 0)
+			b.setCur(&indexNode{create: true, label: c.Label, attr: c.Attr}, 0)
 		case *cypher.DropIndexClause:
 			b.readonly = false
-			b.setCur(&indexOp{create: false, label: c.Label, attr: c.Attr}, 0)
+			b.setCur(&indexNode{create: false, label: c.Label, attr: c.Attr}, 0)
 		default:
 			err = fmt.Errorf("core: unsupported clause %T", c)
 		}
@@ -204,7 +178,9 @@ func buildSerialPlan(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, 
 	if b.cur == nil {
 		return nil, fmt.Errorf("core: empty plan")
 	}
-	return &Plan{root: b.cur, columns: b.columns, visible: b.visible, ReadOnly: b.readonly, est: b.est}, nil
+	p := &Plan{root: b.cur, columns: b.columns, visible: b.visible, ReadOnly: b.readonly, est: b.est}
+	parallelizePlan(p, opts.Threads)
+	return p, nil
 }
 
 func (b *planBuilder) anonVar() string {
@@ -252,7 +228,7 @@ func (b *planBuilder) applyWhere(where cypher.Expr) error {
 		if err != nil {
 			return err
 		}
-		b.setCur(&filterOp{child: b.cur, pred: pred, desc: exprString(cj)},
+		b.setCur(&filterNode{unary: unary{b.cur}, pred: pred, desc: exprString(cj)},
 			b.rowEst*filterSelectivity(cj))
 	}
 	return nil
@@ -354,7 +330,7 @@ func (b *planBuilder) pushPropCmp(varName, attr, op string, fn evalFn, desc stri
 		b.pushedInto(bi.op, sel)
 		return true
 	}
-	if ct, ok := bi.op.(*condTraverseOp); ok && !ct.optional {
+	if ct, ok := bi.op.(*condTraverseNode); ok && !ct.optional {
 		if slot, ok := b.st.lookup(varName); ok && slot == ct.dstSlot {
 			ct.masks = append(ct.masks, dstMask{labels: bi.labels, attr: attr, op: op, val: fn, desc: desc})
 			b.pushedInto(bi.op, sel)
@@ -367,7 +343,7 @@ func (b *planBuilder) pushPropCmp(varName, attr, op string, fn evalFn, desc stri
 // pushedInto scales the estimates after a predicate lands inside a binder
 // operation: the binder now emits fewer rows, and so does everything above
 // it up to the pipeline head.
-func (b *planBuilder) pushedInto(op operation, sel float64) {
+func (b *planBuilder) pushedInto(op planNode, sel float64) {
 	if e, ok := b.est[op]; ok {
 		b.est[op] = capEst(e * sel)
 	}
@@ -466,27 +442,30 @@ func (b *planBuilder) buildPattern(pat *cypher.PathPattern, optional bool) error
 	startNode := pat.Nodes[start]
 	if !b.bound[names[start]] {
 		slot := b.st.add(names[start])
-		width := b.st.size()
+		scan := scanNode{unary: unary{b.cur}, slot: slot, alias: names[start], width: b.st.size()}
 		switch {
 		case usedIndexAttr != "":
 			fn, err := compileExpr(startNode.Props[usedIndexAttr], b.st)
 			if err != nil {
 				return err
 			}
-			b.setCur(&indexScanOp{child: b.cur, slot: slot, alias: names[start],
-				label: startNode.Labels[0], attr: usedIndexAttr, val: fn, width: width}, b.rowEst)
+			b.setCur(&indexScanNode{scanNode: scan, label: startNode.Labels[0], attr: usedIndexAttr, val: fn}, b.rowEst)
 		case len(startNode.Labels) > 0:
 			lid, ok := b.g.Schema.LabelID(startNode.Labels[0])
-			if !ok {
-				b.setCur(&emptyOp{}, 0)
+			if !ok && b.readonly {
+				b.setCur(&emptyNode{}, 0)
 				b.bound[names[start]] = true
 				return nil
 			}
-			b.setCur(&labelScanOp{child: b.cur, slot: slot, alias: names[start],
-				label: startNode.Labels[0], width: width}, b.rowEst*float64(b.gs.LabelCount(lid)))
+			// Unknown label below a write: the write may create it, and the
+			// scan resolves its label by name as each pass loads.
+			count := 0
+			if ok {
+				count = b.gs.LabelCount(lid)
+			}
+			b.setCur(&labelScanNode{scanNode: scan, label: startNode.Labels[0]}, b.rowEst*float64(count))
 		default:
-			b.setCur(&allNodeScanOp{child: b.cur, slot: slot, alias: names[start], width: width},
-				b.rowEst*float64(b.gs.Nodes))
+			b.setCur(&allNodeScanNode{scan}, b.rowEst*float64(b.gs.Nodes))
 		}
 		b.binders[names[start]] = &binderInfo{op: b.cur, labels: startNode.Labels}
 		b.bound[names[start]] = true
@@ -523,14 +502,14 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 	for _, lbl := range n.Labels[min(skipLabels, len(n.Labels)):] {
 		lid, ok := b.g.Schema.LabelID(lbl)
 		if !ok {
-			b.setCur(&emptyOp{}, 0)
+			b.setCur(&emptyNode{}, 0)
 			return nil
 		}
 		if b.pushLabel(varName, lid, lbl) {
 			continue
 		}
 		want := lid
-		b.setCur(&filterOp{child: b.cur, desc: fmt.Sprintf("%s:%s", varName, lbl),
+		b.setCur(&filterNode{unary: unary{b.cur}, desc: fmt.Sprintf("%s:%s", varName, lbl),
 			pred: func(ctx *execCtx, r record) (value.Value, error) {
 				v := r[slot]
 				if v.Kind != value.KindNode {
@@ -552,7 +531,7 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 		if isRecordFreeExpr(ex) && b.pushPropCmp(varName, key, "=", fn, desc) {
 			continue
 		}
-		b.setCur(&filterOp{child: b.cur, desc: desc,
+		b.setCur(&filterNode{unary: unary{b.cur}, desc: desc,
 			pred: func(ctx *execCtx, r record) (value.Value, error) {
 				v := r[slot]
 				var have value.Value
@@ -586,7 +565,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	// registering the pattern's variables, so later clauses referencing the
 	// destination or edge variable (RETURN e, DELETE e) keep resolving.
 	bindEmptyPattern := func() {
-		b.setCur(&emptyOp{}, 0)
+		b.setCur(&emptyNode{}, 0)
 		b.st.add(dstVar)
 		b.bound[dstVar] = true
 		if rel.Var != "" && !rel.VarLength {
@@ -711,7 +690,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 				// the rest stay residual filters.
 				lid, ok := b.g.Schema.LabelID(dstNode.Labels[0])
 				if !ok {
-					b.setCur(&emptyOp{}, 0)
+					b.setCur(&emptyNode{}, 0)
 					return nil
 				}
 				dstLabel = lid
@@ -728,7 +707,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 				for _, lbl := range labels {
 					diag, ok := labelDiagOperand(b.g, lbl)
 					if !ok {
-						b.setCur(&emptyOp{}, 0)
+						b.setCur(&emptyNode{}, 0)
 						return nil
 					}
 					if lid, ok := b.g.Schema.LabelID(lbl); ok {
@@ -739,7 +718,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 				residLabels = nil
 			}
 		}
-		b.setCur(&varLenTraverseOp{child: b.cur, srcSlot: srcSlot, dstSlot: dstSlot,
+		b.setCur(&varLenTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot,
 			width: b.st.size(), ae: ae, minHops: rel.MinHops, maxHops: rel.MaxHops,
 			dstLabel: dstLabel, dstAE: dstAE, kthreads: b.threads},
 			b.rowEst*b.relFanout(rel)*labelSel)
@@ -759,7 +738,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 
 	if dstBound {
 		dstSlot, _ := b.st.lookup(dstVar)
-		b.setCur(&expandIntoOp{child: b.cur, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
+		b.setCur(&expandIntoNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
 			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, typeIDs: typeIDs, direction: dir,
 			kthreads: b.threads},
 			b.rowEst*b.pairProbability(rel))
@@ -774,7 +753,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 		if optional && est < b.rowEst {
 			est = b.rowEst // optional traversals emit at least a null row per input
 		}
-		b.setCur(&condTraverseOp{child: b.cur, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
+		b.setCur(&condTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
 			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, typeIDs: typeIDs, direction: dir,
 			optional: optional, kthreads: b.threads},
 			est)
@@ -865,11 +844,11 @@ func (b *planBuilder) buildCreate(c *cypher.CreateClause) error {
 	}
 	child := b.cur
 	if child == nil {
-		child = &argumentOp{width: 0}
+		child = &argumentNode{width: 0}
 		b.note(child, 1)
 		b.rowEst = 1
 	}
-	b.setCur(&createOp{child: child, patterns: specs, width: b.st.size()}, math.Max(b.rowEst, 1))
+	b.setCur(&createNode{unary: unary{child}, patterns: specs, width: b.st.size()}, math.Max(b.rowEst, 1))
 	return nil
 }
 
@@ -881,7 +860,8 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	}
 	// Build the match side against a fresh argument. The sub-builder shares
 	// the estimate map so the sub-plan's operations annotate too.
-	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon,
+	// readonly: nothing runs below the match side (MERGE is the first clause).
+	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon, readonly: true,
 		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner, noJoinPlanner: b.noJoinPlanner,
 		threads: b.threads, gs: b.gs, cond: b.cond,
 		binders: map[string]*binderInfo{}, est: b.est, rowEst: 1}
@@ -905,7 +885,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	for v := range cb.bound {
 		b.bound[v] = true
 	}
-	b.setCur(&mergeOp{matchPlan: mb.cur, pattern: spec, width: b.st.size()},
+	b.setCur(&mergeNode{unary: unary{mb.cur}, pattern: spec, width: b.st.size()},
 		math.Max(mb.rowEst, 1))
 	return nil
 }
@@ -924,7 +904,7 @@ func (b *planBuilder) buildDelete(c *cypher.DeleteClause) error {
 	if b.cur == nil {
 		return fmt.Errorf("core: DELETE requires a preceding MATCH")
 	}
-	b.setCur(&deleteOp{child: b.cur, exprs: fns, detach: c.Detach}, b.rowEst)
+	b.setCur(&deleteNode{unary: unary{b.cur}, exprs: fns, detach: c.Detach}, b.rowEst)
 	return nil
 }
 
@@ -946,7 +926,7 @@ func (b *planBuilder) buildSet(c *cypher.SetClause) error {
 		}
 		items = append(items, setItemSpec{slot: slot, key: it.Key, fn: fn})
 	}
-	b.setCur(&setOp{child: b.cur, items: items}, b.rowEst)
+	b.setCur(&setNode{unary: unary{b.cur}, items: items}, b.rowEst)
 	return nil
 }
 
@@ -957,7 +937,7 @@ func (b *planBuilder) buildUnwind(c *cypher.UnwindClause) error {
 	}
 	child := b.cur
 	if child == nil {
-		child = &argumentOp{width: 0}
+		child = &argumentNode{width: 0}
 		b.note(child, 1)
 		b.rowEst = 1
 	}
@@ -969,7 +949,7 @@ func (b *planBuilder) buildUnwind(c *cypher.UnwindClause) error {
 	if le, ok := c.Expr.(*cypher.ListExpr); ok {
 		perRow = float64(len(le.Items))
 	}
-	b.setCur(&unwindOp{child: child, list: fn, slot: slot, width: b.st.size()}, b.rowEst*perRow)
+	b.setCur(&unwindNode{unary: unary{child}, list: fn, slot: slot, width: b.st.size()}, b.rowEst*perRow)
 	return nil
 }
 
@@ -980,7 +960,7 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 
 	child := b.cur
 	if child == nil {
-		child = &argumentOp{width: 0}
+		child = &argumentNode{width: 0}
 		b.note(child, 1)
 		b.rowEst = 1
 	}
@@ -1064,7 +1044,7 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 			}
 			sortFns = append(sortFns, fn)
 		}
-		b.setCur(&projectOp{child: child, items: fns, sortKeys: sortFns, visible: visible}, b.rowEst)
+		b.setCur(&projectNode{unary: unary{child}, items: fns, sortKeys: sortFns, visible: visible}, b.rowEst)
 	}
 
 	// The projection defines a fresh scope.
@@ -1076,14 +1056,14 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 	}
 
 	if distinct {
-		b.setCur(&distinctOp{child: b.cur, visible: visible}, b.rowEst)
+		b.setCur(&distinctNode{unary: unary{b.cur}, visible: visible}, b.rowEst)
 	}
 	if where != nil {
 		pred, err := compileExpr(where, b.st)
 		if err != nil {
 			return err
 		}
-		b.setCur(&filterOp{child: b.cur, pred: pred, desc: exprString(where)},
+		b.setCur(&filterNode{unary: unary{b.cur}, pred: pred, desc: exprString(where)},
 			b.rowEst*filterSelectivity(where))
 	}
 	if len(orderBy) > 0 {
@@ -1108,11 +1088,11 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 				}
 				bound = exprString(skip) + "+" + bound
 			}
-			b.setCur(&topNSortOp{child: b.cur, visible: visible, descs: descs,
+			b.setCur(&topNSortNode{unary: unary{b.cur}, visible: visible, descs: descs,
 				skip: skipFn, limit: limFn, desc: bound},
 				boundedEst(b.rowEst, limit, skip))
 		} else {
-			b.setCur(&sortOp{child: b.cur, visible: visible, descs: descs}, b.rowEst)
+			b.setCur(&sortNode{unary: unary{b.cur}, visible: visible, descs: descs}, b.rowEst)
 		}
 	}
 	if skip != nil {
@@ -1124,7 +1104,7 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 		if n, ok := literalInt(skip); ok {
 			est = math.Max(0, est-float64(n))
 		}
-		b.setCur(&skipOp{child: b.cur, n: fn}, est)
+		b.setCur(&skipNode{unary: unary{b.cur}, n: fn}, est)
 	}
 	if limit != nil {
 		fn, err := compileExpr(limit, b.st)
@@ -1135,7 +1115,7 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 		if n, ok := literalInt(limit); ok {
 			est = math.Min(est, float64(n))
 		}
-		b.setCur(&limitOp{child: b.cur, n: fn}, est)
+		b.setCur(&limitNode{unary: unary{b.cur}, n: fn}, est)
 	}
 	if terminal {
 		b.terminated = true
@@ -1150,8 +1130,8 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 // frontier, so the traversal never needs to materialise output records.
 // count(*) qualifies too (traversal outputs are never null). Edge variables
 // (one record per edge) and OPTIONAL MATCH (null rows) are excluded.
-func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operation,
-	distinct bool, orderBy []*cypher.SortItem) operation {
+func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child planNode,
+	distinct bool, orderBy []*cypher.SortItem) planNode {
 
 	if len(items) != 1 || distinct || len(orderBy) != 0 {
 		return nil
@@ -1160,7 +1140,7 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operati
 	if !ok || fc.Name != "count" || fc.Distinct {
 		return nil
 	}
-	ct, ok := child.(*condTraverseOp)
+	ct, ok := child.(*condTraverseNode)
 	if !ok || ct.edgeSlot >= 0 || ct.optional {
 		return nil
 	}
@@ -1177,11 +1157,11 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operati
 			return nil
 		}
 	}
-	return &traverseCountOp{t: ct}
+	return &traverseCountNode{t: ct}
 }
 
 // buildAggregate compiles the hash-aggregation projection.
-func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child operation,
+func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child planNode,
 	orderBy []*cypher.SortItem, visible int, outST *symtab, findColumn func(cypher.Expr) int) error {
 
 	var aggItems []aggItem
@@ -1235,7 +1215,7 @@ func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child operat
 			break
 		}
 	}
-	b.setCur(&aggregateOp{child: child, items: aggItems, visible: visible}, aggEst)
+	b.setCur(&aggregateNode{unary: unary{child}, items: aggItems, visible: visible}, aggEst)
 	if len(orderBy) > 0 {
 		// Post-aggregation ordering can only reference output columns.
 		keys := make([]evalFn, len(orderBy))
@@ -1252,7 +1232,7 @@ func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child operat
 			c := col
 			keys[i] = func(_ *execCtx, r record) (value.Value, error) { return r[c], nil }
 		}
-		b.setCur(&appendKeysOp{child: b.cur, keys: keys, visible: visible}, b.rowEst)
+		b.setCur(&appendKeysNode{unary: unary{b.cur}, keys: keys, visible: visible}, b.rowEst)
 	}
 	return nil
 }
@@ -1281,12 +1261,20 @@ func boundedEst(rows float64, limit, skip cypher.Expr) float64 {
 	return math.Min(rows, total)
 }
 
-// appendKeysOp appends hidden ORDER BY key slots evaluated in the output
+// appendKeysNode appends hidden ORDER BY key slots evaluated in the output
 // scope.
-type appendKeysOp struct {
-	child   operation
+type appendKeysNode struct {
+	unary
 	keys    []evalFn
 	visible int
+}
+
+func (n *appendKeysNode) name() string { return "SortKeys" }
+func (n *appendKeysNode) args() string { return "" }
+
+type appendKeysOp struct {
+	*appendKeysNode
+	child operation
 }
 
 func (o *appendKeysOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -1308,18 +1296,18 @@ func (o *appendKeysOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return b, nil
 }
 
-func (o *appendKeysOp) name() string                 { return "SortKeys" }
-func (o *appendKeysOp) args() string                 { return "" }
-func (o *appendKeysOp) children() []operation        { return []operation{o.child} }
-func (o *appendKeysOp) setChild(i int, op operation) { o.child = op }
-
-// indexOp creates or drops an index; it emits no records: one DDL burst,
+// indexNode creates or drops an index; it emits no records: one DDL burst,
 // then depletion.
-type indexOp struct {
+type indexNode struct {
+	leaf
 	create bool
 	label  string
 	attr   string
-	done   bool
+}
+
+type indexOp struct {
+	*indexNode
+	done bool
 }
 
 func (o *indexOp) nextBatch(ctx *execCtx) (recordBatch, error) {
@@ -1343,15 +1331,14 @@ func (o *indexOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return nil, nil
 }
 
-func (o *indexOp) name() string { return "Index" }
-func (o *indexOp) args() string {
+func (n *indexNode) name() string { return "Index" }
+func (n *indexNode) args() string {
 	verb := "drop"
-	if o.create {
+	if n.create {
 		verb = "create"
 	}
-	return fmt.Sprintf("%s :%s(%s)", verb, o.label, o.attr)
+	return fmt.Sprintf("%s :%s(%s)", verb, n.label, n.attr)
 }
-func (o *indexOp) children() []operation { return nil }
 
 // exprString renders an AST expression as a column name / EXPLAIN text.
 func exprString(e cypher.Expr) string {

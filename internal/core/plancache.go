@@ -4,11 +4,12 @@
 // varying literals — `CYPHER id=7 MATCH (n {uid:$id}) …` — so per-request
 // parse+plan cost is pure fixed overhead on the hot path. The cache maps
 // (graph, parameterized query text, planner-relevant config) to an immutable
-// serial plan template plus the parsed AST, behind a bounded LRU. A hit
-// clones the template (op_clone.go) and re-binds `$param` values implicitly:
-// compiled expressions resolve parameters from the execution context, so
-// index seeds, pushed scan filters and destination masks pick up the new
-// values without replanning.
+// plan template plus the parsed AST, behind a bounded LRU. A hit hands out
+// the template itself — every execution instantiates its own running ops
+// from the shared nodes (instantiate.go) — and re-binds `$param` values
+// implicitly: compiled expressions resolve parameters from the execution
+// context, so index seeds, pushed scan filters and destination masks pick
+// up the new values without replanning.
 //
 // Validation is epoch- and stats-driven. Each entry records the
 // connectivity write epoch, the schema-mutation version and the stats
@@ -18,11 +19,11 @@
 //     replan: plans bake schema lookups in (unknown labels become empty
 //     scans, index seeds resolve the index identity at plan time).
 //   - epoch unchanged → the graph's connectivity is exactly as planned;
-//     instantiate.
+//     reuse.
 //   - epoch moved but stats within tolerance (statsClose) → the
 //     stats-sensitive choices (entry point, hop order, push/pull budgets)
-//     would come out the same; refresh the entry and instantiate. This is
-//     the cheap revalidation that keeps a write-heavy mix from thrashing.
+//     would come out the same; refresh the entry and reuse. This is the
+//     cheap revalidation that keeps a write-heavy mix from thrashing.
 //   - stats shifted materially → replan from the cached AST (parse is
 //     still amortized) and replace the template.
 package core
@@ -42,21 +43,19 @@ import (
 // small enough that cold shapes age out quickly.
 const DefaultPlanCacheSize = 128
 
-// planKey identifies one cached template. Thread budget, pushdown and
-// cost-planner toggles all change the planned tree, so they key separately;
-// batch size and kernel direction resolve at execution time and do not.
+// planKey identifies one cached template. The planner options (thread
+// budget, pushdown and planner toggles) all change the planned tree, so they
+// key separately; batch size and kernel direction resolve at execution time
+// and do not.
 type planKey struct {
-	g             *graph.Graph
-	text          string
-	noPushdown    bool
-	noCostPlanner bool
-	noJoinPlanner bool
-	threads       int
+	g    *graph.Graph
+	text string
+	opts planOptions
 }
 
 // planEntry is one cached template with its validation snapshot. The
-// template is immutable: it is never executed, only cloned. Replans swap
-// the whole entry under the cache mutex.
+// template is immutable and shared by every execution it serves. Replans
+// swap the whole entry under the cache mutex.
 type planEntry struct {
 	key           planKey
 	ast           *cypher.Query
@@ -69,8 +68,8 @@ type planEntry struct {
 
 // planOpBytes is the per-operation footprint estimate behind the cache's
 // memory accounting: the operation struct itself plus its share of compiled
-// expressions, slot metadata and EXPLAIN strings. Templates are never
-// executed, so runtime buffers do not count.
+// expressions, slot metadata and EXPLAIN strings. Running ops belong to
+// executions, so runtime buffers do not count.
 const planOpBytes = 256
 
 // templateBytes estimates a template's resident size: operation count times
@@ -79,13 +78,10 @@ func templateBytes(key planKey, tmpl *Plan) int64 {
 	return int64(countOps(tmpl.root))*planOpBytes + int64(2*len(key.text))
 }
 
-// countOps walks a template's operation tree (hash joins branch).
-func countOps(op operation) int {
-	if op == nil {
-		return 0
-	}
+// countOps walks a template's node tree (hash joins branch).
+func countOps(node planNode) int {
 	n := 1
-	for _, c := range op.children() {
+	for _, c := range node.children() {
 		n += countOps(c)
 	}
 	return n
@@ -284,15 +280,12 @@ func (pc *PlanCache) snapshot(ent *planEntry) (*Plan, uint64, uint64, *graph.Sta
 	return ent.tmpl, ent.epoch, ent.schemaVersion, ent.stats
 }
 
-// plan resolves a query through the cache: parse and template construction
-// run only on misses and invalidations. The returned plan is a private
-// clone, parallelised for the config's thread budget; cached reports
-// whether it came from a cached template (EXPLAIN/PROFILE's
+// plan resolves a query through the cache: parse and plan construction run
+// only on misses and invalidations. The returned plan is the shared
+// template; cached reports whether it was already resident (EXPLAIN/PROFILE's
 // "plan: cached|planned" line).
 func (pc *PlanCache) plan(g *graph.Graph, query string, cfg Config) (p *Plan, cached bool, err error) {
-	key := planKey{g: g, text: cypher.CanonicalQueryText(query),
-		noPushdown: cfg.NoPushdown, noCostPlanner: cfg.NoCostPlanner,
-		noJoinPlanner: cfg.NoJoinPlanner, threads: cfg.threads()}
+	key := planKey{g: g, text: cypher.CanonicalQueryText(query), opts: cfg.planOptions()}
 
 	ent, ok := pc.lookup(key)
 	if !ok {
@@ -301,7 +294,7 @@ func (pc *PlanCache) plan(g *graph.Graph, query string, cfg Config) (p *Plan, ca
 		if err != nil {
 			return nil, false, err
 		}
-		return pc.buildAndCache(g, key, ast, cfg, nil)
+		return pc.buildAndCache(g, key, ast, nil)
 	}
 
 	tmpl, entEpoch, entSchemaV, entStats := pc.snapshot(ent)
@@ -317,33 +310,27 @@ func (pc *PlanCache) plan(g *graph.Graph, query string, cfg Config) (p *Plan, ca
 	switch {
 	case schemaV == entSchemaV && epoch == entEpoch:
 		// Connectivity exactly as planned.
-		if p := instantiate(tmpl, cfg); p != nil {
-			pc.hits.Add(1)
-			return p, true, nil
-		}
+		pc.hits.Add(1)
+		return tmpl, true, nil
 	case schemaV == entSchemaV && statsClose(entStats, st):
 		// The graph changed, but not enough to move any stats-sensitive
 		// planning decision: refresh the snapshot and reuse the template.
-		if p := instantiate(tmpl, cfg); p != nil {
-			pc.hits.Add(1)
-			pc.revalidations.Add(1)
-			pc.refresh(ent, nil, epoch, schemaV, st)
-			return p, true, nil
-		}
+		pc.hits.Add(1)
+		pc.revalidations.Add(1)
+		pc.refresh(ent, nil, epoch, schemaV, st)
+		return tmpl, true, nil
 	}
-	// Schema moved, stats shifted materially, or the template failed to
-	// clone: replan from the cached AST (parse stays amortized).
+	// Schema moved or stats shifted materially: replan from the cached AST
+	// (parse stays amortized).
 	pc.invalidations.Add(1)
-	return pc.buildAndCache(g, key, ent.ast, cfg, ent)
+	return pc.buildAndCache(g, key, ent.ast, ent)
 }
 
-// buildAndCache plans a fresh serial template under the read lock, caches
-// it (replacing prev when set) and returns an instantiated clone.
-func (pc *PlanCache) buildAndCache(g *graph.Graph, key planKey, ast *cypher.Query, cfg Config, prev *planEntry) (*Plan, bool, error) {
+// buildAndCache plans a fresh template under the read lock, caches it
+// (replacing prev when set) and returns it.
+func (pc *PlanCache) buildAndCache(g *graph.Graph, key planKey, ast *cypher.Query, prev *planEntry) (*Plan, bool, error) {
 	g.RLock()
-	tmpl, err := buildSerialPlan(g, ast, planOptions{
-		NoPushdown: cfg.NoPushdown, NoCostPlanner: cfg.NoCostPlanner,
-		NoJoinPlanner: cfg.NoJoinPlanner, Threads: cfg.threads()})
+	tmpl, err := buildPlanOpts(g, ast, key.opts)
 	var epoch, schemaV uint64
 	var st *graph.Stats
 	if err == nil {
@@ -353,35 +340,12 @@ func (pc *PlanCache) buildAndCache(g *graph.Graph, key planKey, ast *cypher.Quer
 	if err != nil {
 		return nil, false, err
 	}
-	p := instantiate(tmpl, cfg)
-	if p == nil {
-		// The tree holds an uncloneable operation: execute the template
-		// directly (it was built fresh for this query) and cache nothing.
-		if cfg.threads() > 1 {
-			parallelizePlan(tmpl, cfg.threads())
-		}
-		return tmpl, false, nil
-	}
 	if prev != nil {
 		pc.refresh(prev, tmpl, epoch, schemaV, st)
 	} else {
 		pc.insert(&planEntry{key: key, ast: ast, tmpl: tmpl, epoch: epoch, schemaVersion: schemaV, stats: st})
 	}
-	return p, false, nil
-}
-
-// instantiate clones a template into an executable plan and applies the
-// parallel-segment rewrite for the config's thread budget. Nil when the
-// template cannot be cloned.
-func instantiate(tmpl *Plan, cfg Config) *Plan {
-	p := clonePlan(tmpl)
-	if p == nil {
-		return nil
-	}
-	if t := cfg.threads(); t > 1 {
-		parallelizePlan(p, t)
-	}
-	return p
+	return tmpl, false, nil
 }
 
 // statsSlackFloor exempts small cardinalities from the relative-drift test:

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"redisgraph/internal/cypher"
 	"redisgraph/internal/graph"
 	"redisgraph/internal/value"
 )
@@ -57,6 +58,7 @@ func TestPlanCacheDifferentialParams(t *testing.T) {
 		// Parameter in a residual predicate and a projection.
 		`MATCH (a:Hub)-[:D]->(b:Hub) WHERE b.uid > $id RETURN a.uid, b.uid + $id`,
 		// Aggregation above a parameterized seed.
+		`MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN count(b)`,
 		`MATCH (a:Hub {uid: $id})-[:D*1..2]->(b) RETURN count(b)`,
 	}
 	for _, q := range queries {
@@ -307,7 +309,7 @@ func TestPlanCacheEviction(t *testing.T) {
 }
 
 // TestPlanCacheWriteQueries routes parameterized writes through the cache:
-// every execution must clone fresh operator state, so repeated CREATEs with
+// every execution must instantiate fresh operator state, so repeated CREATEs with
 // re-bound parameters each take effect exactly once.
 func TestPlanCacheWriteQueries(t *testing.T) {
 	g := graph.New("w")
@@ -362,6 +364,139 @@ func TestPlanCacheConcurrentSharedEntry(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPlanCacheSharedTemplateImmutable proves a cached template is really
+// shared and really immutable: goroutines mix Query, Profile and Explain
+// across thread counts and batch sizes on the same cache entries, over read,
+// traversal, aggregate, count-pushdown, var-length, join, top-N and
+// write-then-read shapes (run under -race in CI). Every answer must equal
+// the uncached run's, every entry must still hold the very *Plan it was
+// primed with, and that plan must still print the same EXPLAIN text — a
+// running op writing through to its node (the effective batch size, a memo,
+// a done flag) changes the text, trips the race detector, or both.
+func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
+	g := adversarialGraph(t, 120)
+	g.Lock()
+	g.CreateIndex("Hub", "uid")
+	g.Unlock()
+	shapes := []string{
+		`MATCH (a:Hub {uid: $id}) RETURN a.uid`,
+		`MATCH (a:Hub {uid: $id})-[:D]->(b:Hub)-[:D]->(c) RETURN b.uid, c.uid`,
+		`MATCH (a:Hub)-[:D]->(b) WHERE a.uid < $id RETURN count(b)`,
+		`MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN count(b)`,
+		`MATCH (a:Hub {uid: $id})-[:D*1..2]->(b) RETURN count(b)`,
+		`MATCH (a:Hub)-[:D]->(b:Hub), (c:Rare)<-[:Sp]-(d:Hub) WHERE b.uid = d.uid AND a.uid < $id RETURN count(*)`,
+		`MATCH (a:Hub)-[:D]->(b:Hub) WHERE a.uid < $id RETURN b.uid, count(a)`,
+		`MATCH (a:Hub)-[:D]->(b) WHERE a.uid < $id RETURN b.uid ORDER BY b.uid LIMIT 5`,
+		// Idempotent write-then-read: the scan above the SET must see it.
+		`MATCH (a:Hub {uid: $id}) SET a.seen = $id WITH a MATCH (b:Hub) WHERE b.seen = $id RETURN count(b)`,
+	}
+	const ids = 12
+	rows := func(rs *ResultSet) string {
+		out := make([]string, len(rs.Rows))
+		for i, row := range rs.Rows {
+			out[i] = fmt.Sprint(row)
+		}
+		sortStrings(out)
+		return strings.Join(out, "\n")
+	}
+	// Uncached reference answers; the write shape also interns `seen` here,
+	// so the schema version holds still from now on.
+	want := make([][ids]string, len(shapes))
+	for s, q := range shapes {
+		for id := 0; id < ids; id++ {
+			rs, err := Query(g, q, intParam("id", int64(id)), Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			want[s][id] = rows(rs)
+		}
+	}
+
+	pc := NewPlanCache(DefaultPlanCacheSize)
+	threadCounts := []int{1, 4}
+	type primed struct {
+		tmpl *Plan
+		text string
+	}
+	templateOf := func(q string, threads int) primed {
+		cfg := Config{OpThreads: threads}
+		ent, ok := pc.lookup(planKey{g: g, text: cypher.CanonicalQueryText(q), opts: cfg.planOptions()})
+		if !ok {
+			t.Fatalf("no cache entry for threads=%d %s", threads, q)
+		}
+		tmpl, _, _, _ := pc.snapshot(ent)
+		var lines []string
+		printPlan(tmpl.root, 0, &lines, planNode.args, tmpl.estAnnotation)
+		return primed{tmpl, strings.Join(lines, "\n")}
+	}
+	before := map[string]primed{}
+	for _, q := range shapes {
+		for _, th := range threadCounts {
+			// EXPLAIN takes the configured thread count as is, so these
+			// are exactly the entries the goroutines' Explain calls share.
+			if _, err := Explain(g, q, Config{PlanCache: pc, OpThreads: th}); err != nil {
+				t.Fatal(err)
+			}
+			before[fmt.Sprint(th, q)] = templateOf(q, th)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 256)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				for s, q := range shapes {
+					th := threadCounts[(w+i)%2]
+					cfg := Config{PlanCache: pc, OpThreads: th, TraverseBatch: []int{0, 1, 7}[(w+i+s)%3]}
+					id := (w*5 + i*3 + s) % ids
+					switch (w + i + s) % 4 {
+					case 0:
+						lines, err := Explain(g, q, cfg)
+						if err != nil {
+							errs <- err.Error()
+						} else if got := strings.Join(lines[1:], "\n"); got != before[fmt.Sprint(th, q)].text {
+							errs <- fmt.Sprintf("EXPLAIN drifted mid-run (threads=%d) %s:\n%s", th, q, got)
+						}
+					case 1:
+						if _, err := Profile(g, q, intParam("id", int64(id)), cfg); err != nil {
+							errs <- err.Error()
+						}
+					default:
+						rs, err := Query(g, q, intParam("id", int64(id)), cfg)
+						if err != nil {
+							errs <- err.Error()
+						} else if got := rows(rs); got != want[s][id] {
+							errs <- fmt.Sprintf("cfg=%+v id=%d %s:\ngot  %s\nwant %s", cfg, id, q, got, want[s][id])
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for _, q := range shapes {
+		for _, th := range threadCounts {
+			was, now := before[fmt.Sprint(th, q)], templateOf(q, th)
+			if now.tmpl != was.tmpl {
+				t.Errorf("threads=%d %s: the entry's template was replaced", th, q)
+			}
+			if now.text != was.text {
+				t.Errorf("threads=%d %s: template EXPLAIN changed:\nbefore:\n%s\nafter:\n%s", th, q, was.text, now.text)
+			}
+		}
+	}
+	if c := pc.Counters(); c.Invalidations != 0 {
+		t.Errorf("templates were replanned: %s", c)
 	}
 }
 
@@ -606,5 +741,45 @@ func TestPlanCacheWriteDifferential(t *testing.T) {
 			t.Fatalf("stats mismatch on %s ($id=%d):\ncached   %+v\nuncached %+v",
 				script[i].q, script[i].id, cachedStats[i], uncachedStats[i])
 		}
+	}
+}
+
+// BenchmarkPlanCacheHit measures the plan-cache hit path as a layer: query =
+// lookup → instantiate → execute through Query; instantiate = lookup →
+// instantiate only. point-lookup is the wire benchmark's hot shape (two
+// nodes); traverse-agg is a six-node traverse + aggregate + sort.
+func BenchmarkPlanCacheHit(b *testing.B) {
+	g := adversarialGraph(b, 200)
+	g.Lock()
+	g.CreateIndex("Hub", "uid")
+	g.Unlock()
+	shapes := []struct{ name, query string }{
+		{"point-lookup", `MATCH (s:Hub {uid: $seed}) RETURN s.uid`},
+		{"traverse-agg", `MATCH (a:Hub {uid: $seed})-[:D]->(b:Hub)-[:D]->(c) RETURN b.uid, count(c) ORDER BY b.uid`},
+	}
+	for _, sh := range shapes {
+		cfg := Config{PlanCache: NewPlanCache(DefaultPlanCacheSize)}
+		params := intParam("seed", 7)
+		if _, err := Query(g, sh.query, params, cfg); err != nil { // prime the entry
+			b.Fatal(err)
+		}
+		b.Run(sh.name+"/query", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Query(g, sh.query, params, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(sh.name+"/instantiate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, cached, err := cfg.PlanCache.plan(g, sh.query, cfg)
+				if err != nil || !cached {
+					b.Fatal(cached, err)
+				}
+				instantiate(p.root, instOpts{})
+			}
+		})
 	}
 }

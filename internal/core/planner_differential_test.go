@@ -197,7 +197,7 @@ func TestCostPlannerPicksSelectiveEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lines []string
-		printPlan(plan.root, 0, &lines, plan.estAnnotation)
+		printPlan(plan.root, 0, &lines, planNode.args, plan.estAnnotation)
 		return strings.Join(lines, "\n")
 	}
 	cost := explain(planOptions{})
@@ -284,7 +284,7 @@ func TestVarLenDstLabelMask(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lines []string
-		printPlan(plan.root, 0, &lines, nil)
+		printPlan(plan.root, 0, &lines, planNode.args, nil)
 		return strings.Join(lines, "\n")
 	}
 	p := explain(planOptions{})
@@ -319,7 +319,7 @@ func TestExplainShowsCardinalities(t *testing.T) {
 				t.Fatal(err)
 			}
 			var lines []string
-			printPlan(plan.root, 0, &lines, plan.estAnnotation)
+			printPlan(plan.root, 0, &lines, planNode.args, plan.estAnnotation)
 			for _, line := range lines {
 				if !strings.Contains(line, "est: ") {
 					t.Fatalf("cfg=%+v missing estimate on %q:\n%s", cfg, line, strings.Join(lines, "\n"))

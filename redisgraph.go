@@ -64,13 +64,6 @@ func WithSyncThreshold(n int) Option {
 	return func(db *DB) { db.g.SetSyncThreshold(n) }
 }
 
-// WithCoarseLock restores the pre-delta locking: write queries hold the
-// exclusive lock for their whole execution and fold fully before releasing
-// it. Differential tests use it as the equivalence baseline.
-func WithCoarseLock() Option {
-	return func(db *DB) { db.cfg.CoarseLock = true }
-}
-
 // Open creates an empty in-memory graph database.
 func Open(name string, opts ...Option) *DB {
 	db := &DB{g: graph.New(name)}
