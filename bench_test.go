@@ -1,6 +1,5 @@
-// bench_test.go regenerates the paper's evaluation artifacts as Go
-// benchmarks — one per table/figure plus the design-choice ablations from
-// DESIGN.md. Run everything with:
+// bench_test.go runs the paper's evaluation as Go benchmarks — one per
+// table/figure plus kernel and design-choice ablations. Run everything with:
 //
 //	go test -bench . -benchmem
 //

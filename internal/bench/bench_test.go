@@ -87,17 +87,6 @@ func TestSuiteExperimentsRunAtTinyScale(t *testing.T) {
 			t.Fatalf("robustness: %+v", r)
 		}
 	}
-	po := s.PlanOrder()
-	if len(po) != 2 {
-		t.Fatalf("plan-order rows: %d", len(po))
-	}
-	for _, r := range po {
-		// Both planners returned identical rows (PlanOrder panics
-		// otherwise); the timings just have to be populated.
-		if r.Rows < 1 || r.TextualMS <= 0 || r.CostMS <= 0 || r.Speedup <= 0 {
-			t.Fatalf("plan-order result: %+v", r)
-		}
-	}
 	out := sb.String()
 	for _, want := range []string{"Fig. 1", "RedisGraph", "TigerGraph*", "speedups", "q/s", "maxheap"} {
 		if !strings.Contains(out, want) {

@@ -115,8 +115,8 @@ func (k *kernelStats) describe() string {
 	return fmt.Sprintf(" | kernel: mixed(push=%d, pull=%d)", k.push, k.pull)
 }
 
-// The chooser's cost constants, calibrated on the kernel-select benchmark's
-// power-law graphs (scale 14): one unit ≈ the cost of scattering one
+// The chooser's cost constants, calibrated on power-law graphs (graph500
+// and twitter-like, scale 14): one unit ≈ the cost of scattering one
 // adjacency entry in the push kernel.
 const (
 	// pullProbeCost is the per-candidate cost of one pull probe relative to
@@ -206,8 +206,8 @@ func pullCostEst(op *algebraicOperand, candidates int) float64 {
 	return float64(candidates) * pullProbeCost
 }
 
-// choosePullVec is the vector-frontier chooser (per-record and var-length
-// paths). Unlike the batched chooser it can afford the exact push cost —
+// choosePullVec is the vector-frontier chooser (the var-length path).
+// Unlike the batched chooser it can afford the exact push cost —
 // the sum of the frontier entries' out-degrees (direction-optimizing BFS's
 // m_f, an O(frontier) pass of row-pointer arithmetic) — which matters
 // because a BFS frontier's mean degree drifts far from the global mean:
@@ -237,19 +237,12 @@ func (ctx *execCtx) choosePullVec(op *algebraicOperand, frontier *grb.Vector, ca
 	return bt, bt != nil
 }
 
-// eval propagates the frontier through every operand, choosing push or pull
-// per hop (ks, when non-nil, records each relation-operand decision).
-//
-// keep, when non-nil, is the pushed destination-predicate column mask. Every
-// operand after the relation is a label diagonal (column-identity
-// preserving), so the mask may legally apply at the FIRST operand: a pull
-// evaluation hands it to the kernel, pruning candidate in-neighbour scans;
-// a push evaluation leaves it for one post-evaluation SelectColsVec pass.
-// Either way the result is guaranteed keep-masked.
-func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector, ks *kernelStats, keep grb.ColMask) (*grb.Vector, error) {
+// eval propagates a frontier vector through every operand, choosing push
+// or pull per hop — the vector entry var-length traversal masks its emitted
+// frontiers through.
+func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector) (*grb.Vector, error) {
 	dim := ae.dim(ctx)
 	w := frontier
-	kernelKept := false
 	for i := range ae.operands {
 		op := &ae.operands[i]
 		m := ctx.resolveOperand(op)
@@ -257,25 +250,14 @@ func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector, ks *kernelStat
 			return nil, errEmptyRelation
 		}
 		out := grb.NewVector(dim)
-		bt, pull := ctx.choosePullVec(op, w, dim)
-		if pull {
-			var kk grb.ColMask
-			if i == 0 && keep != nil {
-				kk, kernelKept = keep, true
-			}
-			if err := grb.VxMPull(out, nil, nil, grb.AnyPair, w, bt, kk, ctx.desc); err != nil {
+		if bt, pull := ctx.choosePullVec(op, w, dim); pull {
+			if err := grb.VxMPull(out, nil, nil, grb.AnyPair, w, bt, nil, ctx.desc); err != nil {
 				return nil, err
 			}
 		} else if err := grb.VxMDelta(out, nil, nil, grb.AnyPair, w, m, ctx.desc); err != nil {
 			return nil, err
 		}
-		if ks != nil && !op.diag {
-			ks.note(pull)
-		}
 		w = out
-	}
-	if keep != nil && !kernelKept {
-		grb.SelectColsVec(w, keep)
 	}
 	return w, nil
 }

@@ -28,17 +28,10 @@ type Config struct {
 	// TraverseBatch is the pipeline batch size: the number of records every
 	// operation aims to put in each batch, and the number a traversal fuses
 	// into one frontier matrix before evaluating the algebraic expression
-	// with a single MxM per operand. 0 uses the default (64); 1 degenerates
-	// to tuple-at-a-time execution (the per-record vector path), which the
-	// differential tests and the batch benchmarks use as the baseline.
+	// with a single MxM per operand. 0 uses the default (64); 1 is
+	// tuple-at-a-time execution (one-row batches and frontiers through the
+	// same code), which the differential tests use as the baseline.
 	TraverseBatch int
-	// CoarseLock restores the pre-delta locking for write queries: the
-	// exclusive lock held for the whole query and a full matrix fold before
-	// release. It is the differential tests' oracle, reachable from no
-	// public option or GRAPH.CONFIG knob; the default runs write queries
-	// concurrently with readers, taking the exclusive lock only for
-	// mutation bursts.
-	CoarseLock bool
 	// NoPushdown disables algebraic predicate pushdown at plan time: every
 	// label and property predicate stays an interpreted per-record filter.
 	// It is the differential tests' baseline and a safety valve.
@@ -52,7 +45,7 @@ type Config struct {
 	// NoJoinPlanner disables the second-generation join planner: hash
 	// joins for WHERE-bridged pattern components and the DP join-order
 	// search fall back to the greedy hop ordering and cartesian rescans.
-	// It is the join-order benchmark's baseline and a safety valve
+	// It is the join differential tests' baseline and a safety valve
 	// (GRAPH.CONFIG SET JOIN_PLANNER 0); implied by NoCostPlanner.
 	NoJoinPlanner bool
 	// TraverseKernel selects the traversal kernel direction: "" or "auto"
@@ -174,22 +167,12 @@ func runQuery(g *graph.Graph, query string, params map[string]value.Value, cfg C
 // its effect demands. Read-only plans hold the shared lock. Write plans read
 // under the shared lock too (concurrently with RO queries) and upgrade to
 // the exclusive lock only for mutation bursts, folding threshold-crossing
-// deltas in a final burst — unless CoarseLock asks for the reference
-// behaviour: the exclusive lock for the whole query and a full fold before
-// release.
+// deltas in a final burst.
 func executeLocked(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config,
 	prof map[planNode]*profiledOp) (*ResultSet, error) {
-	switch {
-	case plan.ReadOnly:
+	if plan.ReadOnly {
 		g.RLock()
 		defer g.RUnlock()
-		return execute(g, plan, params, cfg, false, prof)
-	case cfg.CoarseLock:
-		g.Lock()
-		defer func() {
-			g.Sync()
-			g.Unlock()
-		}()
 		return execute(g, plan, params, cfg, false, prof)
 	}
 	g.BeginWrite()

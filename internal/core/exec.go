@@ -109,8 +109,9 @@ func (ctx *execCtx) expired() bool {
 
 // batchSize is the effective pipeline batch size: the number of records an
 // operation aims to put in each batch it produces. Config.TraverseBatch
-// overrides the default; 1 degenerates to tuple-at-a-time execution (the
-// differential tests' baseline).
+// overrides the default; 1 is tuple-at-a-time execution — one-row batches
+// and frontiers through the same operators (the differential tests'
+// baseline).
 func (ctx *execCtx) batchSize() int {
 	if ctx.batch > 0 {
 		return ctx.batch

@@ -172,7 +172,7 @@ func TestHashJoinPlanCache(t *testing.T) {
 	}
 }
 
-// skewedCycleGraph reproduces the BENCH_kernel.json expand-into offender in
+// skewedCycleGraph reproduces the worst expand-into mis-estimate seen in
 // miniature: a scale-free-ish :F relation whose degree skew made the
 // uncorrected uniform estimate undercount 2-cycles by two orders of
 // magnitude (graph500-14 expand-into-cycle: est 194 vs actual 30814 rows,

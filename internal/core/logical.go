@@ -387,8 +387,8 @@ func (b *planBuilder) nodeSelectivity(n *cypher.NodePattern) float64 {
 // endpoints: expand-into pairs are reached BY traversals, so both ends are
 // degree-biased samples, and on skewed graphs the connection probability of
 // such a pair is κ_out·κ_in times the uniform one (κ = N·ΣD²/E², 1 on
-// regular graphs). This is what closed the BENCH_kernel.json expand-into
-// offenders that under-estimated cycle closures by two orders of magnitude.
+// regular graphs). This is what closed the expand-into mis-estimates that
+// under-counted cycle closures by two orders of magnitude.
 func (b *planBuilder) pairProbability(rel *cypher.RelPattern) float64 {
 	if b.gs.Nodes == 0 {
 		return 1

@@ -150,7 +150,6 @@ type condTraverseOp struct {
 	queue    []record
 	done     bool
 	arena    recordArena
-	dstBuf   []grb.Index
 	batchBuf []record
 	srcBuf   []grb.Index
 	effBatch int // the batch size fill resolved, for PROFILE
@@ -210,31 +209,32 @@ func (o *condTraverseOp) gather(ctx *execCtx, bs int) ([]record, []grb.Index, er
 	return batch, srcs, nil
 }
 
-// fill pulls one batch of input records, evaluates the fused frontier and
-// queues every resulting output record in child order. Batch size 1 keeps
-// the historic per-record vector path (the benchmark baseline).
-func (o *condTraverseOp) fill(ctx *execCtx) error {
-	bs := ctx.traverseBatch(o.batch)
-	o.effBatch = bs
-	if bs == 1 {
-		return o.fillVector(ctx)
-	}
-	batch, srcs, err := o.gather(ctx, bs)
-	if err != nil {
-		return err
-	}
-	if len(batch) == 0 {
-		return nil
+// evalBatch pulls one batch of input records (batch size 1 is a one-row
+// frontier, not a separate path) and evaluates their fused frontier under
+// the pushed destination masks: row r of the result holds record r's
+// destinations. An exhausted input returns no records and a nil result.
+func (o *condTraverseOp) evalBatch(ctx *execCtx) ([]record, []grb.Index, *grb.Matrix, error) {
+	o.effBatch = ctx.traverseBatch(o.batch)
+	batch, srcs, err := o.gather(ctx, o.effBatch)
+	if err != nil || len(batch) == 0 {
+		return nil, nil, nil, err
 	}
 	frontier := grb.NewMatrix(len(batch), ctx.g.Dim())
 	if err := frontier.BuildFromRows(srcs); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	mask, err := o.dstMaskFn(ctx)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	result, err := o.ae.evalMatrix(ctx, frontier, &o.ks, mask)
+	return batch, srcs, result, err
+}
+
+// fill evaluates one batch and queues every resulting output record in
+// child order.
+func (o *condTraverseOp) fill(ctx *execCtx) error {
+	batch, srcs, result, err := o.evalBatch(ctx)
 	if err != nil {
 		return err
 	}
@@ -243,49 +243,6 @@ func (o *condTraverseOp) fill(ctx *execCtx) error {
 		if !emitted && o.optional {
 			o.queue = append(o.queue, o.arena.extended(in, o.width))
 		}
-	}
-	return nil
-}
-
-// fillVector is the per-record path: a one-hot frontier vector and one VxM
-// per operand, exactly the pre-batching execution strategy.
-func (o *condTraverseOp) fillVector(ctx *execCtx) error {
-	in, err := o.in.pull(ctx, o.child)
-	if err != nil {
-		return err
-	}
-	if in == nil {
-		o.done = true
-		return nil
-	}
-	src := in[o.srcSlot]
-	if src.Kind != value.KindNode {
-		if src.IsNull() && o.optional {
-			o.queue = append(o.queue, o.arena.extended(in, o.width))
-			return nil
-		}
-		return fmt.Errorf("traverse: %s is not a node", src.Kind)
-	}
-	frontier := grb.NewVector(ctx.g.Dim())
-	if err := frontier.SetElement(int(src.ID), 1); err != nil {
-		return err
-	}
-	mask, err := o.dstMaskFn(ctx)
-	if err != nil {
-		return err
-	}
-	w, err := o.ae.eval(ctx, frontier, &o.ks, mask)
-	if err != nil {
-		return err
-	}
-	o.dstBuf = o.dstBuf[:0]
-	w.Iterate(func(j grb.Index, _ float64) bool {
-		o.dstBuf = append(o.dstBuf, j)
-		return true
-	})
-	emitted := o.scatterRow(ctx, in, grb.Index(src.ID), o.dstBuf)
-	if !emitted && o.optional {
-		o.queue = append(o.queue, o.arena.extended(in, o.width))
 	}
 	return nil
 }
@@ -414,9 +371,6 @@ func (o *expandIntoOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 func (o *expandIntoOp) fill(ctx *execCtx) error {
 	bs := ctx.traverseBatch(o.batch)
 	o.effBatch = bs
-	if bs == 1 {
-		return o.fillVector(ctx)
-	}
 	batch := o.batchBuf[:0]
 	srcs := o.srcBuf[:0]
 	for len(batch) < bs {
@@ -495,43 +449,6 @@ func (o *expandIntoOp) pullProbe(ctx *execCtx) (*grb.DeltaMatrix, bool) {
 	return m, true
 }
 
-// fillVector is the per-record path: one-hot frontier vector, VxM chain,
-// then a point probe of the destination.
-func (o *expandIntoOp) fillVector(ctx *execCtx) error {
-	in, err := o.in.pull(ctx, o.child)
-	if err != nil {
-		return err
-	}
-	if in == nil {
-		o.done = true
-		return nil
-	}
-	src, dst := in[o.srcSlot], in[o.dstSlot]
-	if src.Kind != value.KindNode || dst.Kind != value.KindNode {
-		return nil
-	}
-	if m, ok := o.pullProbe(ctx); ok {
-		o.ks.note(true)
-		if _, err := m.ExtractElement(int(src.ID), int(dst.ID)); err == nil {
-			o.emitConnected(ctx, in)
-		}
-		return nil
-	}
-	frontier := grb.NewVector(ctx.g.Dim())
-	if err := frontier.SetElement(int(src.ID), 1); err != nil {
-		return err
-	}
-	w, err := o.ae.eval(ctx, frontier, &o.ks, nil)
-	if err != nil {
-		return err
-	}
-	if _, err := w.ExtractElement(int(dst.ID)); err != nil {
-		return nil // not connected
-	}
-	o.emitConnected(ctx, in)
-	return nil
-}
-
 // emitConnected queues the output records for one connected (src, dst) pair.
 func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 	if o.edgeSlot < 0 {
@@ -583,37 +500,12 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	}
 	o.done = true
 	t := o.t
-	bs := ctx.traverseBatch(t.batch)
-	t.effBatch = bs
 	var total int64
 	for !t.done {
 		if ctx.expired() {
 			return nil, fmt.Errorf("query timed out during traversal count")
 		}
-		if bs == 1 {
-			n, err := o.countVector(ctx)
-			if err != nil {
-				return nil, err
-			}
-			total += n
-			continue
-		}
-		batch, srcs, err := t.gather(ctx, bs)
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		frontier := grb.NewMatrix(len(batch), ctx.g.Dim())
-		if err := frontier.BuildFromRows(srcs); err != nil {
-			return nil, err
-		}
-		mask, err := t.dstMaskFn(ctx)
-		if err != nil {
-			return nil, err
-		}
-		result, err := t.ae.evalMatrix(ctx, frontier, &t.ks, mask)
+		batch, _, result, err := t.evalBatch(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -628,43 +520,6 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	out := newRecord(1)
 	out[0] = value.NewInt(total)
 	return recordBatch{out}, nil
-}
-
-// countVector is the per-record (batch 1) counting path.
-func (o *traverseCountOp) countVector(ctx *execCtx) (int64, error) {
-	t := o.t
-	in, err := t.in.pull(ctx, t.child)
-	if err != nil {
-		return 0, err
-	}
-	if in == nil {
-		t.done = true
-		return 0, nil
-	}
-	src := in[t.srcSlot]
-	if src.Kind != value.KindNode {
-		return 0, fmt.Errorf("traverse: %s is not a node", src.Kind)
-	}
-	frontier := grb.NewVector(ctx.g.Dim())
-	if err := frontier.SetElement(int(src.ID), 1); err != nil {
-		return 0, err
-	}
-	mask, err := t.dstMaskFn(ctx)
-	if err != nil {
-		return 0, err
-	}
-	w, err := t.ae.eval(ctx, frontier, &t.ks, mask)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	w.Iterate(func(j grb.Index, _ float64) bool {
-		if _, ok := ctx.g.GetNode(uint64(j)); ok {
-			n++
-		}
-		return true
-	})
-	return n, nil
 }
 
 // varLenTraverseNode performs a masked BFS between minHops and maxHops,
@@ -778,7 +633,7 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 // untouched — and queues the surviving nodes.
 func (o *varLenTraverseOp) emitMasked(ctx *execCtx, in record, f *grb.Vector) error {
 	if o.dstAE != nil {
-		masked, err := o.dstAE.eval(ctx, f, nil, nil)
+		masked, err := o.dstAE.eval(ctx, f)
 		if err != nil {
 			return err
 		}

@@ -12,15 +12,25 @@ import (
 )
 
 // parallelConfigs is the differential grid: thread counts x batch sizes x
-// kernel directions. Every cell must return results identical to the
-// serial baseline (threads 1, batch 64, auto kernel).
+// kernel directions, under the fair scheduler and — at threads {1, 4} —
+// without it (NoFairScheduler: no scheduling context, the full configured
+// thread count). Every cell must return results identical to the first
+// (threads 1, fair scheduler).
 func parallelConfigs() []Config {
-	threads := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var out []Config
-	for _, th := range threads {
-		for _, batch := range []int{1, 64} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
-				out = append(out, Config{OpThreads: th, TraverseBatch: batch, TraverseKernel: kernel})
+	for _, sched := range []struct {
+		unfair  bool
+		threads []int
+	}{
+		{false, []int{1, 4, runtime.GOMAXPROCS(0)}},
+		{true, []int{1, 4}},
+	} {
+		for _, th := range sched.threads {
+			for _, batch := range []int{1, 64} {
+				for _, kernel := range []string{"auto", "push", "pull"} {
+					out = append(out, Config{OpThreads: th, TraverseBatch: batch,
+						TraverseKernel: kernel, NoFairScheduler: sched.unfair})
+				}
 			}
 		}
 	}
@@ -162,9 +172,10 @@ func TestParallelCollect(t *testing.T) {
 }
 
 // TestParallelDifferentialWrites runs the same write workload under every
-// thread budget: writes never parallelise (the rewrite refuses non-read-only
-// plans), so the resulting graphs must be identical — checked through a
-// read-back checksum under the same config.
+// thread budget, with and without the fair scheduler: writes never
+// parallelise (the rewrite refuses non-read-only plans), so the resulting
+// graphs must be identical — checked through a read-back checksum under the
+// same config.
 func TestParallelDifferentialWrites(t *testing.T) {
 	build := func(cfg Config) *graph.Graph {
 		g := graph.New("w")
@@ -196,16 +207,18 @@ func TestParallelDifferentialWrites(t *testing.T) {
 	for _, q := range checksums {
 		want = append(want, runSorted(t, baseG, q, baseCfg)...)
 	}
-	for _, th := range []int{4, runtime.GOMAXPROCS(0)} {
-		cfg := Config{OpThreads: th}
+	for _, cfg := range []Config{
+		{OpThreads: 4}, {OpThreads: runtime.GOMAXPROCS(0)},
+		{OpThreads: 1, NoFairScheduler: true}, {OpThreads: 4, NoFairScheduler: true},
+	} {
 		g := build(cfg)
 		var got []string
 		for _, q := range checksums {
 			got = append(got, runSorted(t, g, q, cfg)...)
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("threads=%d write divergence\ngot:\n%s\nwant:\n%s",
-				th, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			t.Errorf("cfg=%+v write divergence\ngot:\n%s\nwant:\n%s",
+				cfg, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

@@ -39,8 +39,8 @@ type planBuilder struct {
 	noCostPlanner bool
 	// noJoinPlanner disables the second-generation join planner — hash joins
 	// for WHERE-bridged components and the DP join-order search — keeping
-	// the greedy hop ordering and cartesian rescans (the join-order
-	// benchmark's "greedy" baseline).
+	// the greedy hop ordering and cartesian rescans (the join differential
+	// tests' baseline).
 	noJoinPlanner bool
 	// threads is the query's resolved thread budget (planOptions.Threads),
 	// recorded on traversal operations for EXPLAIN/PROFILE.
@@ -102,8 +102,8 @@ type planOptions struct {
 	// scans and traversals by estimated cardinality.
 	NoCostPlanner bool
 	// NoJoinPlanner keeps the greedy hop ordering and cartesian rescans,
-	// disabling hash joins and the DP join-order search (join-order
-	// benchmark baseline). Implied by NoCostPlanner.
+	// disabling hash joins and the DP join-order search (the join
+	// differential tests' baseline). Implied by NoCostPlanner.
 	NoJoinPlanner bool
 	// Threads is the query's resolved thread budget. Above 1 it enables
 	// pipeline-segment parallelisation of eligible read-only plans and

@@ -100,6 +100,9 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 		`MATCH (a:Hub)-[:Sp]->(b:Rare) MATCH (b)<-[:Sp]-(c:Hub) RETURN a.uid, c.uid`,
 		// Cycle closing (expand-into).
 		`MATCH (a:Hub)-[:D]->(m:Hub)-[:D]->(a) RETURN count(*)`,
+		// Diamond: two paths from a small label meeting at one vertex, the
+		// shape the DP order search exists for.
+		`MATCH (a:Rare)-[:Back]->(b:Hub)-[:D]->(d:Hub), (a)<-[:Sp]-(c:Hub)-[:D]->(d) RETURN count(*)`,
 		// Edge variables and relationship properties.
 		`MATCH (a:Hub)-[e:Sp]->(b:Rare) RETURN a.uid, b.uid`,
 		// Undirected hop.
@@ -130,8 +133,9 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 				query, strings.Join(cost, "\n"), strings.Join(textual, "\n"))
 		}
 		// The cost planner must also agree with itself under the other
-		// engine baselines (batch 1, no pushdown).
-		for _, cfg := range []Config{{TraverseBatch: 1}, {NoPushdown: true}} {
+		// engine baselines (batch 1, no pushdown, greedy order without the
+		// join planner's DP search and hash joins).
+		for _, cfg := range []Config{{TraverseBatch: 1}, {NoPushdown: true}, {NoJoinPlanner: true}} {
 			alt := runSorted(t, g, query, cfg)
 			if strings.Join(cost, "\n") != strings.Join(alt, "\n") {
 				t.Errorf("cfg %+v disagreement on %s\n%s\nvs\n%s",

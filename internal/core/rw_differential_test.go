@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"redisgraph/internal/graph"
+	"redisgraph/internal/value"
 )
 
 // rwOp is one step of the interleaved mixed-workload stream: either a
@@ -61,15 +62,31 @@ func mixedStream(seed int64, n, ops int) []rwOp {
 	return out
 }
 
-// runStream executes the stream sequentially against a fresh graph under
-// the given configuration, returning each read's sorted result multiset.
-func runStream(t *testing.T, stream []rwOp, cfg Config, syncThreshold int) []string {
+// coarseQuery is the oracle lock discipline — the pre-delta behaviour: the
+// exclusive lock held for the whole query and a full matrix fold before
+// release.
+func coarseQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Config) (*ResultSet, error) {
+	plan, _, err := planFor(g, query, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.Lock()
+	defer func() { g.Sync(); g.Unlock() }()
+	return execute(g, plan, params, cfg, false, nil)
+}
+
+// runStream executes the stream sequentially against a fresh graph through
+// run (Query or coarseQuery) under the given configuration, returning each
+// read's sorted result multiset.
+func runStream(t *testing.T, stream []rwOp,
+	run func(*graph.Graph, string, map[string]value.Value, Config) (*ResultSet, error),
+	cfg Config, syncThreshold int) []string {
 	t.Helper()
 	g := graph.New("diff")
 	g.SetSyncThreshold(syncThreshold)
 	var results []string
 	for _, op := range stream {
-		rs, err := Query(g, op.query, nil, cfg)
+		rs, err := run(g, op.query, nil, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", op.query, err)
 		}
@@ -102,9 +119,9 @@ func multiset(rs *ResultSet) string {
 func TestMixedWorkloadDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		stream := mixedStream(seed, 24, 300)
-		baseline := runStream(t, stream, Config{CoarseLock: true}, 0)
+		baseline := runStream(t, stream, coarseQuery, Config{}, 0)
 		for _, threshold := range []int{0, 16, 4096} {
-			got := runStream(t, stream, Config{}, threshold)
+			got := runStream(t, stream, Query, Config{}, threshold)
 			if len(got) != len(baseline) {
 				t.Fatalf("seed %d threshold %d: %d reads vs %d", seed, threshold, len(got), len(baseline))
 			}
@@ -118,17 +135,17 @@ func TestMixedWorkloadDifferential(t *testing.T) {
 	}
 }
 
-// TestMixedWorkloadBatchSizes runs the same differential with the
-// per-record traversal path (batch 1) against the batched default, under
+// TestMixedWorkloadBatchSizes runs the same differential with batch 1
+// (one-row frontiers) against the batched default, under
 // delta concurrency — the traversal tentpole and the delta tentpole must
 // compose.
 func TestMixedWorkloadBatchSizes(t *testing.T) {
 	stream := mixedStream(7, 16, 200)
-	baseline := runStream(t, stream, Config{CoarseLock: true, TraverseBatch: 1}, 0)
-	got := runStream(t, stream, Config{}, 16)
+	baseline := runStream(t, stream, coarseQuery, Config{TraverseBatch: 1}, 0)
+	got := runStream(t, stream, Query, Config{}, 16)
 	for i := range got {
 		if got[i] != baseline[i] {
-			t.Fatalf("read %d diverged\nper-record coarse:\n%s\nbatched delta:\n%s", i, baseline[i], got[i])
+			t.Fatalf("read %d diverged\nbatch-1 coarse:\n%s\nbatched delta:\n%s", i, baseline[i], got[i])
 		}
 	}
 }

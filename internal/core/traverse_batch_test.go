@@ -59,7 +59,7 @@ func rowMultiset(rs *ResultSet) []string {
 	return out
 }
 
-// assertBatchEquivalent runs the query at batch size 1 (the per-record
+// assertBatchEquivalent runs the query at batch size 1 (the one-row
 // reference), then at several batch sizes including partial final batches,
 // and asserts the record multisets are identical.
 func assertBatchEquivalent(t *testing.T, g *graph.Graph, query string) {
@@ -78,7 +78,7 @@ func assertBatchEquivalent(t *testing.T, g *graph.Graph, query string) {
 	for _, batch := range []int{3, 64, 4096} {
 		got := run(batch)
 		if len(got) != len(ref) {
-			t.Fatalf("%s: batch=%d returned %d rows, per-record returned %d",
+			t.Fatalf("%s: batch=%d returned %d rows, batch 1 returned %d",
 				query, batch, len(got), len(ref))
 		}
 		for i := range ref {
@@ -164,7 +164,7 @@ func TestBatchedExpandIntoDifferential(t *testing.T) {
 		for _, batch := range []int{3, 64} {
 			got := run(batch)
 			if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-				t.Fatalf("%s: batch=%d multiset differs from per-record run", q, batch)
+				t.Fatalf("%s: batch=%d multiset differs from the batch 1 run", q, batch)
 			}
 		}
 	}

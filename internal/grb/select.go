@@ -3,7 +3,7 @@ package grb
 // This file holds the select / mask-apply kernels behind the engine's
 // predicate pushdown: residual label predicates and index-backed property
 // equalities are compiled into column masks and applied to result frontiers
-// (or frontier vectors) right after the MxM/VxM evaluation, instead of being
+// right after the MxM evaluation, instead of being
 // re-checked per record above the traversal.
 
 // ColMask is a column predicate: keep(j) reports whether column j survives a
@@ -127,29 +127,4 @@ func SelectCols(m *Matrix, keep ColMask, d *Descriptor) {
 	m.rowPtr[m.nrows] = out
 	m.colInd = m.colInd[:out]
 	m.val = m.val[:out]
-}
-
-// SelectColsVec is SelectCols for the tuple-at-a-time (batch 1) vector path.
-func SelectColsVec(v *Vector, keep ColMask) {
-	if v.dense {
-		v.dbits.iterate(func(j Index) bool {
-			if !keep(j) {
-				v.dbits.unset(j)
-				v.dval[j] = 0
-				v.nnz--
-			}
-			return true
-		})
-		return
-	}
-	out := 0
-	for k, j := range v.ind {
-		if keep(j) {
-			v.ind[out] = j
-			v.val[out] = v.val[k]
-			out++
-		}
-	}
-	v.ind = v.ind[:out]
-	v.val = v.val[:out]
 }

@@ -32,39 +32,6 @@ func TestSelectColsMatrix(t *testing.T) {
 	}
 }
 
-func TestSelectColsVecSparseAndDense(t *testing.T) {
-	// Sparse regime.
-	v := NewVector(100)
-	for _, j := range []int{2, 3, 10, 11} {
-		if err := v.SetElement(j, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	SelectColsVec(v, func(j Index) bool { return j < 10 })
-	if v.NVals() != 2 {
-		t.Fatalf("sparse select NVals = %d", v.NVals())
-	}
-	// Dense regime: fill enough to trip the dense conversion.
-	d := NewVector(16)
-	for j := 0; j < 16; j++ {
-		if err := d.SetElement(j, float64(j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	SelectColsVec(d, func(j Index) bool { return j%4 == 0 })
-	if d.NVals() != 4 {
-		t.Fatalf("dense select NVals = %d", d.NVals())
-	}
-	var got []Index
-	d.Iterate(func(j Index, _ float64) bool {
-		got = append(got, j)
-		return true
-	})
-	if !reflect.DeepEqual(got, []Index{0, 4, 8, 12}) {
-		t.Fatalf("dense select kept %v", got)
-	}
-}
-
 func TestDiagMaskDeltaAndPlain(t *testing.T) {
 	// A label-like diagonal delta matrix with a buffered insert and delete:
 	// the mask must see the effective structure without a fold.

@@ -10,8 +10,8 @@ import (
 	"redisgraph/internal/resp"
 )
 
-// TestGraphConfigMaxQueryThreads covers the GRAPH.CONFIG surface added for
-// the OpThreads server option.
+// TestGraphConfigMaxQueryThreads covers the live MAX_QUERY_THREADS
+// parameter: default 1, SET sticks.
 func TestGraphConfigMaxQueryThreads(t *testing.T) {
 	_, c := startServer(t)
 	v, err := c.Do("GRAPH.CONFIG", "GET", "MAX_QUERY_THREADS")

@@ -28,36 +28,17 @@ type Options struct {
 	// ThreadCount is the module threadpool size (paper: configured at
 	// module load time). Defaults to 8.
 	ThreadCount int
-	// OpThreads bounds intra-query parallelism: morselised GraphBLAS
-	// kernels and parallel pipeline segments (the paper's architecture
-	// runs one core per query). Defaults to 1; runtime changes go through
-	// GRAPH.CONFIG SET MAX_QUERY_THREADS, where 0 means auto (resolve to
-	// GOMAXPROCS at query time).
-	OpThreads int
 	// TraverseBatch is the engine's pipeline batch size: records per batch
 	// through every operation and frontier rows per fused MxM. 0 uses the
-	// engine default (64); 1 forces tuple-at-a-time execution. Runtime
-	// changes go through GRAPH.CONFIG SET TRAVERSE_BATCH.
+	// engine default (64); 1 is tuple-at-a-time execution (one-row batches
+	// and frontiers through the same code). Runtime changes go through
+	// GRAPH.CONFIG SET TRAVERSE_BATCH.
 	TraverseBatch int
-	// NoCostPlanner disables the stats-driven cost-based query planner,
-	// keeping MATCH patterns in their textual order. Runtime changes go
-	// through GRAPH.CONFIG SET COST_PLANNER.
-	NoCostPlanner bool
-	// NoJoinPlanner disables the second-generation join planner (hash joins
-	// for WHERE-bridged pattern components, DP join-order search), falling
-	// back to greedy ordering and cartesian rescans. Runtime changes go
-	// through GRAPH.CONFIG SET JOIN_PLANNER.
-	NoJoinPlanner bool
 	// TraverseKernel selects the traversal kernel direction: "auto" (default)
 	// picks push or pull per hop from the frontier density, "push"/"pull"
 	// force one direction for differential baselines. Runtime changes go
 	// through GRAPH.CONFIG SET TRAVERSE_KERNEL.
 	TraverseKernel string
-	// PlanCacheSize bounds the parameterized plan cache (entries across all
-	// graphs). 0 uses the engine default (128); negative disables caching so
-	// every query plans from scratch. Runtime changes go through
-	// GRAPH.CONFIG SET PLAN_CACHE_SIZE, where 0 means off.
-	PlanCacheSize int
 	// QueryTimeout bounds each query (0 = none).
 	QueryTimeout time.Duration
 	// SnapshotPath, when set, enables the SAVE command and loading the
@@ -81,11 +62,6 @@ type Options struct {
 	// GLOBAL_THREAD_BUDGET. The budget is process-global: every server in
 	// the process shares the one morsel pool.
 	GlobalThreadBudget int
-	// NoFairScheduler disables multi-tenant scheduling: queries skip the
-	// pool's scheduling contexts and run with their full configured thread
-	// count regardless of load — the PR 8 behaviour, kept as the
-	// differential baseline (GRAPH.CONFIG SET FAIR_SCHEDULER 0).
-	NoFairScheduler bool
 }
 
 // Server is a Redis-like TCP server with the graph module loaded.
@@ -94,17 +70,18 @@ type Server struct {
 	ln   net.Listener
 	pool *pool.Pool
 
-	// opThreads is the live MAX_QUERY_THREADS value (seeded from
-	// Options.OpThreads, mutable via GRAPH.CONFIG SET).
+	// opThreads is the live MAX_QUERY_THREADS value (starts at 1, the
+	// paper's one core per query; 0 = auto, resolved to GOMAXPROCS at query
+	// time; mutable via GRAPH.CONFIG SET).
 	opThreads atomic.Int32
 	// traverseBatch is the live TRAVERSE_BATCH value (seeded from
 	// Options.TraverseBatch, mutable via GRAPH.CONFIG SET).
 	traverseBatch atomic.Int32
-	// costPlanner is the live COST_PLANNER value (seeded from
-	// Options.NoCostPlanner, mutable via GRAPH.CONFIG SET).
+	// costPlanner is the live COST_PLANNER value (starts on, mutable via
+	// GRAPH.CONFIG SET).
 	costPlanner atomic.Bool
-	// joinPlanner is the live JOIN_PLANNER value (seeded from
-	// Options.NoJoinPlanner, mutable via GRAPH.CONFIG SET).
+	// joinPlanner is the live JOIN_PLANNER value (starts on, mutable via
+	// GRAPH.CONFIG SET).
 	joinPlanner atomic.Bool
 	// traverseKernel is the live TRAVERSE_KERNEL value ("auto", "push" or
 	// "pull"; seeded from Options.TraverseKernel, mutable via GRAPH.CONFIG
@@ -112,7 +89,8 @@ type Server struct {
 	traverseKernel atomic.Value
 	// planCache is the server-wide parameterized plan cache, shared by every
 	// graph and worker. Its capacity is the live PLAN_CACHE_SIZE value
-	// (capacity 0 = caching off, the differential baseline).
+	// (starts at the engine default, 128; capacity 0 = caching off, the
+	// differential baseline).
 	planCache *core.PlanCache
 	// gate is the inter-query admission control (MAX_CONCURRENT_QUERIES,
 	// 0 = unbounded): executing GRAPH.QUERY/RO_QUERY/PROFILE commands hold
@@ -122,8 +100,8 @@ type Server struct {
 	// milliseconds (seeded from Options.AdmissionTimeout, mutable via
 	// GRAPH.CONFIG SET).
 	admissionTimeoutMs atomic.Int64
-	// fairScheduler is the live FAIR_SCHEDULER value (seeded from
-	// Options.NoFairScheduler, mutable via GRAPH.CONFIG SET).
+	// fairScheduler is the live FAIR_SCHEDULER value (starts on, mutable via
+	// GRAPH.CONFIG SET).
 	fairScheduler atomic.Bool
 
 	mu       sync.RWMutex
@@ -153,9 +131,6 @@ func New(opts Options) *Server {
 	if opts.ThreadCount <= 0 {
 		opts.ThreadCount = 8
 	}
-	if opts.OpThreads <= 0 {
-		opts.OpThreads = 1
-	}
 	if opts.TraverseBatch <= 0 {
 		opts.TraverseBatch = core.DefaultTraverseBatch
 	}
@@ -167,23 +142,16 @@ func New(opts Options) *Server {
 		dispatch: make(chan *request, 1024),
 		quit:     make(chan struct{}),
 	}
-	s.opThreads.Store(int32(opts.OpThreads))
+	s.opThreads.Store(1)
 	s.traverseBatch.Store(int32(opts.TraverseBatch))
-	s.costPlanner.Store(!opts.NoCostPlanner)
-	s.joinPlanner.Store(!opts.NoJoinPlanner)
+	s.costPlanner.Store(true)
+	s.joinPlanner.Store(true)
 	kernel := strings.ToLower(opts.TraverseKernel)
 	if kernel != "push" && kernel != "pull" {
 		kernel = "auto"
 	}
 	s.traverseKernel.Store(kernel)
-	cacheSize := opts.PlanCacheSize
-	switch {
-	case cacheSize == 0:
-		cacheSize = core.DefaultPlanCacheSize
-	case cacheSize < 0:
-		cacheSize = 0
-	}
-	s.planCache = core.NewPlanCache(cacheSize)
+	s.planCache = core.NewPlanCache(core.DefaultPlanCacheSize)
 	s.gate = pool.NewGate(opts.MaxConcurrentQueries)
 	switch {
 	case opts.AdmissionTimeout == 0:
@@ -193,7 +161,7 @@ func New(opts Options) *Server {
 	default:
 		s.admissionTimeoutMs.Store(opts.AdmissionTimeout.Milliseconds())
 	}
-	s.fairScheduler.Store(!opts.NoFairScheduler)
+	s.fairScheduler.Store(true)
 	if opts.GlobalThreadBudget > 0 {
 		pool.SetBudget(opts.GlobalThreadBudget)
 	}
