@@ -11,10 +11,11 @@ import (
 
 // algebraicOperand is one matrix factor in a traversal expression: a
 // relation matrix (optionally transposed for inbound traversal) or a
-// diagonal label matrix. The operand holds a resolver rather than a matrix
-// pointer: resolution happens at evaluation time, under the lock the query
-// already holds, so the operand always matches the graph's current
-// dimension and write epoch (plans can outlive a concurrent write).
+// diagonal label matrix. The operand holds a resolver over names rather than
+// a matrix pointer or an ID: resolution happens at evaluation time, under
+// the lock the query already holds, so the operand always matches the
+// graph's current schema, dimension and write epoch (plans can outlive a
+// concurrent write). A name that does not exist resolves to nil: no entries.
 //
 // resolveT resolves the operand's TRANSPOSE — the graph maintains R' beside
 // every R — which is what the pull (dot-product) kernels multiply by. A nil
@@ -247,7 +248,7 @@ func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector) (*grb.Vector, 
 		op := &ae.operands[i]
 		m := ctx.resolveOperand(op)
 		if m == nil {
-			return nil, errEmptyRelation
+			return grb.NewVector(dim), nil // an absent name: nothing is reached
 		}
 		out := grb.NewVector(dim)
 		if bt, pull := ctx.choosePullVec(op, w, dim); pull {
@@ -281,7 +282,7 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 		op := &ae.operands[i]
 		m := ctx.resolveOperand(op)
 		if m == nil {
-			return nil, errEmptyRelation
+			return grb.NewMatrix(f.NRows(), dim), nil // an absent name: every row is empty
 		}
 		out := grb.NewMatrix(f.NRows(), dim)
 		bt, pull := ctx.choosePull(op, w.NVals(), dim)
@@ -319,7 +320,7 @@ func (ae *algebraicExpr) evalMasked(ctx *execCtx, frontier, reached *grb.Vector,
 		op := &ae.operands[i]
 		m := ctx.resolveOperand(op)
 		if m == nil {
-			return nil, errEmptyRelation
+			return grb.NewVector(dim), nil
 		}
 		out := grb.NewVector(dim)
 		var mask *grb.Vector
@@ -372,22 +373,19 @@ func (b *planBuilder) orderLabelsBySelectivity(labels []string) []string {
 	return out
 }
 
-// relationOperand resolves the matrix for a relationship hop.
-// types empty = any relation (THE adjacency matrix). reverse selects the
-// transposed matrices (inbound), both unions the two directions. Multi-type
-// and both-direction unions come from the graph's epoch-keyed cache instead
-// of being folded anew for every query; the operand re-resolves at
-// evaluation time so a union is never stale. The transpose resolver flips
-// the direction flag (an undirected union is its own transpose), feeding the
-// pull kernels the same fold-free delta matrices the push kernels get.
-func relationOperand(g *graph.Graph, typeIDs []int, anyType, reverse, both bool) (algebraicOperand, error) {
+// relationOperand is the operand for a relationship hop over the named types
+// (none = any relation, THE adjacency matrix). reverse selects the
+// transposed matrices (inbound), both unions the two directions. The names
+// resolve at evaluation time, so a type a write creates earlier in the same
+// query is traversed, and a multi-type or both-direction union comes from
+// the graph's epoch-keyed cache instead of being folded anew for every
+// query. The transpose resolver flips the direction flag (an undirected
+// union is its own transpose), feeding the pull kernels the same fold-free
+// delta matrices the push kernels get.
+func relationOperand(types []string, reverse, both bool) algebraicOperand {
 	name := "ADJ"
-	if !anyType {
-		names := make([]string, len(typeIDs))
-		for i, t := range typeIDs {
-			names[i] = g.Schema.RelTypeName(t)
-		}
-		name = strings.Join(names, "|")
+	if len(types) > 0 {
+		name = strings.Join(types, "|")
 	}
 	switch {
 	case both:
@@ -395,22 +393,42 @@ func relationOperand(g *graph.Graph, typeIDs []int, anyType, reverse, both bool)
 	case reverse:
 		name = name + "ᵀ"
 	}
-	if g.TraversalMatrix(typeIDs, anyType, reverse, both) == nil {
-		return algebraicOperand{}, errEmptyRelation
-	}
 	reverseT := reverse
 	if !both {
 		reverseT = !reverse
 	}
 	return algebraicOperand{
-		resolve: func(g *graph.Graph) *grb.DeltaMatrix {
-			return g.TraversalMatrix(typeIDs, anyType, reverse, both)
-		},
-		resolveT: func(g *graph.Graph) *grb.DeltaMatrix {
-			return g.TraversalMatrix(typeIDs, anyType, reverseT, both)
-		},
-		label: name,
-	}, nil
+		resolve:  func(g *graph.Graph) *grb.DeltaMatrix { return traversalMatrix(g, types, reverse, both) },
+		resolveT: func(g *graph.Graph) *grb.DeltaMatrix { return traversalMatrix(g, types, reverseT, both) },
+		label:    name,
+	}
 }
 
-var errEmptyRelation = fmt.Errorf("core: relation type has no matrix")
+// traversalMatrix looks the type names up in the live schema and returns the
+// matrix a hop multiplies by; nil when none of them exists (no entries).
+func traversalMatrix(g *graph.Graph, types []string, transposed, both bool) *grb.DeltaMatrix {
+	if len(types) == 0 {
+		return g.TraversalMatrix(nil, true, transposed, both)
+	}
+	var buf [4]int // the IDs stay on the stack: the lookup allocates nothing
+	ids := buf[:0]
+	for _, t := range types {
+		if tid, ok := g.Schema.RelTypeID(t); ok {
+			ids = append(ids, tid)
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	return g.TraversalMatrix(ids, false, transposed, both)
+}
+
+// labelMatrix looks a label name up in the live schema and returns its
+// diagonal matrix; nil while the label does not exist (no entries).
+func labelMatrix(g *graph.Graph, label string) *grb.DeltaMatrix {
+	lid, ok := g.Schema.LabelID(label)
+	if !ok {
+		return nil
+	}
+	return g.LabelMatrix(lid)
+}

@@ -32,10 +32,6 @@ type Config struct {
 	// tuple-at-a-time execution (one-row batches and frontiers through the
 	// same code), which the differential tests use as the baseline.
 	TraverseBatch int
-	// NoPushdown disables algebraic predicate pushdown at plan time: every
-	// label and property predicate stays an interpreted per-record filter.
-	// It is the differential tests' baseline and a safety valve.
-	NoPushdown bool
 	// NoCostPlanner disables the cost-based planner: MATCH patterns are
 	// planned in the exact order they were written, with no stats-driven
 	// entry-point choice, hop reordering or traversal-direction decisions.
@@ -65,6 +61,10 @@ type Config struct {
 	// (GRAPH.CONFIG SET FAIR_SCHEDULER 0).
 	NoFairScheduler bool
 
+	// noPushdown disables algebraic predicate pushdown at plan time: every
+	// label and property predicate stays an interpreted per-record filter.
+	// Only the in-package differential tests set it, as their baseline.
+	noPushdown bool
 	// sched is the query's scheduling context, set by beginSched once the
 	// query registers with the pool's fair dispatcher.
 	sched *pool.SchedCtx
@@ -110,7 +110,7 @@ func (c Config) descriptor() *grb.Descriptor {
 // from it — and, since plans differ exactly where these differ, the
 // config half of the plan cache's key.
 func (c Config) planOptions() planOptions {
-	return planOptions{NoPushdown: c.NoPushdown, NoCostPlanner: c.NoCostPlanner,
+	return planOptions{NoPushdown: c.noPushdown, NoCostPlanner: c.NoCostPlanner,
 		NoJoinPlanner: c.NoJoinPlanner, Threads: c.threads()}
 }
 
@@ -240,7 +240,7 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 
 // Explain returns the execution-plan tree for a query (GRAPH.EXPLAIN): it
 // prints plan nodes and instantiates nothing. The config matters:
-// NoPushdown and NoCostPlanner change the plan. With a plan cache
+// noPushdown and NoCostPlanner change the plan. With a plan cache
 // configured, the first line reports whether this plan came from a cached
 // template and the cache's lifetime counters.
 func Explain(g *graph.Graph, query string, cfg Config) ([]string, error) {

@@ -18,9 +18,11 @@ type execCtx struct {
 	// mut mediates the exclusive-lock bursts write operations wrap around
 	// their graph mutations.
 	mut mutLocker
-	// opCache memoises algebraic-operand resolution per write epoch, so
-	// union-shaped operands ([:A|B], undirected) pay the graph's union-cache
-	// mutex once per epoch instead of once per kernel call.
+	// opCache memoises algebraic-operand resolution (the name lookups
+	// included) per write epoch, so union-shaped operands ([:A|B],
+	// undirected) pay the graph's union-cache mutex once per epoch instead
+	// of once per kernel call.
+	// No entry predates a burst (a new label keeps the epoch): write ops drain → burst → emit.
 	opCache map[opCacheKey]*grb.DeltaMatrix
 	// batch, when non-zero, overrides the pipeline batch size
 	// (Config.TraverseBatch); 1 forces tuple-at-a-time execution.
@@ -48,8 +50,8 @@ type opCacheKey struct {
 }
 
 // resolveOperand resolves an algebraic operand under the lock the query
-// already holds, memoising per (operand, epoch): the query's own mutation
-// bursts bump the epoch, which naturally invalidates stale entries.
+// already holds, memoising per (operand, epoch); nil means the operand's
+// name does not exist and the operand has no entries.
 func (ctx *execCtx) resolveOperand(op *algebraicOperand) *grb.DeltaMatrix {
 	key := opCacheKey{op: op, epoch: ctx.g.Epoch()}
 	if m, ok := ctx.opCache[key]; ok {

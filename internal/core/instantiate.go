@@ -34,8 +34,6 @@ func (opts instOpts) open(n planNode) operation {
 	switch n := n.(type) {
 	case *argumentNode:
 		return &argumentOp{argumentNode: n}
-	case *emptyNode:
-		return n
 	case *indexNode:
 		return &indexOp{indexNode: n}
 	case *allNodeScanNode:

@@ -683,9 +683,6 @@ func (b *planBuilder) dpOpen(pg *patternGraph, only map[int]bool) (bool, error) 
 			es := b.bestEntry(n)
 			scanRows := capEst(b.rowEst * es.base)
 			rows := capEst(scanRows * b.entryResidualSel(n, es))
-			if es.empty {
-				scanRows, rows = 0, 0
-			}
 			boundV := func(j int) bool { return j == v || b.bound[pg.nodes[j].name] }
 			cSteps, r2, c2, feasible := b.dpClosers(pg, only, boundV, v, nil, rows, scanRows)
 			if !feasible {
@@ -767,11 +764,7 @@ func (b *planBuilder) entryResidualSel(n *patternNode, es entryScan) float64 {
 			skippedLabel = true
 			continue
 		}
-		lid, ok := b.g.Schema.LabelID(l)
-		if !ok {
-			return 0
-		}
-		sel *= b.gs.LabelSelectivity(lid)
+		sel *= b.labelSel(l)
 	}
 	for attr := range n.merged.Props {
 		if attr == es.indexAttr {
@@ -879,9 +872,6 @@ func (b *planBuilder) greedyOpenCost(pg *patternGraph, only map[int]bool) (float
 	}
 	scanRows := capEst(b.rowEst * entry.base)
 	rows := capEst(scanRows * b.entryResidualSel(entry.node, *entry))
-	if entry.empty {
-		scanRows, rows = 0, 0
-	}
 	ext, ok := b.greedyRegionCost(pg, only, func(i int) bool {
 		return i == entryIdx || b.bound[pg.nodes[i].name]
 	}, rows)

@@ -251,6 +251,27 @@ func (b *planBuilder) buildPatternGraph(clauses []*cypher.MatchClause) (*pattern
 
 // ---- cost model ----
 
+// labelCount is a label's node count for the estimates — the only plan-time
+// reader of label names; plan nodes resolve them when they run. A label the
+// schema lacks counts 0, though a write below the scan may create it.
+func (b *planBuilder) labelCount(label string) int {
+	lid, ok := b.g.Schema.LabelID(label)
+	if !ok {
+		return 0
+	}
+	return b.gs.LabelCount(lid)
+}
+
+// labelSel is a label's selectivity for the estimates (0 when the schema
+// lacks it, like labelCount).
+func (b *planBuilder) labelSel(label string) float64 {
+	lid, ok := b.g.Schema.LabelID(label)
+	if !ok {
+		return 0
+	}
+	return b.gs.LabelSelectivity(lid)
+}
+
 // relFanout estimates the mean output frontier size per input row of one
 // hop across rel: the mean degree of the relation matrices involved
 // (summed for multi-type, doubled for undirected, geometric for
@@ -369,11 +390,7 @@ func (b *planBuilder) nodeSelectivity(n *cypher.NodePattern) float64 {
 	}
 	sel := 1.0
 	for _, l := range n.Labels {
-		lid, ok := b.g.Schema.LabelID(l)
-		if !ok {
-			return 0
-		}
-		sel *= b.gs.LabelSelectivity(lid)
+		sel *= b.labelSel(l)
 	}
 	for range n.Props {
 		sel *= propEqSelectivity
@@ -447,9 +464,6 @@ type entryScan struct {
 	indexAttr string
 	// scanLabel is the label the scan iterates ("" = all-node scan).
 	scanLabel string
-	// empty marks a node with a label that is unknown and that nothing
-	// upstream in the query can create: the scan is an emptyNode.
-	empty bool
 }
 
 // bestEntry scores how node n would be bound if chosen as a traversal entry
@@ -459,16 +473,7 @@ func (b *planBuilder) bestEntry(n *patternNode) entryScan {
 	m := n.merged
 	minCount := math.Inf(1)
 	for _, l := range m.Labels {
-		lid, ok := b.g.Schema.LabelID(l)
-		if !ok && b.readonly {
-			return entryScan{node: n, empty: true}
-		}
-		// An unknown label below a write scans by name with an empty
-		// estimate: the write may create it before the scan runs.
-		c := 0.0
-		if ok {
-			c = float64(b.gs.LabelCount(lid))
-		}
+		c := float64(b.labelCount(l))
 		if es.scanLabel == "" || c < minCount {
 			es.scanLabel, minCount = l, c
 		}
@@ -765,11 +770,6 @@ func (b *planBuilder) emitNodeScan(es entryScan) error {
 	}
 	slot := b.st.add(name)
 	scan := scanNode{unary: unary{b.cur}, slot: slot, alias: name, width: b.st.size()}
-	if es.empty {
-		b.setCur(&emptyNode{}, 0)
-		b.bound[name] = true
-		return nil
-	}
 	skipAttr := ""
 	scanEst := capEst(b.rowEst * es.base)
 	switch {

@@ -37,14 +37,6 @@ func (o *argumentOp) nextBatch(*execCtx) (recordBatch, error) {
 	return recordBatch{newRecord(o.width)}, nil
 }
 
-// emptyNode produces nothing (scans over labels that do not exist). It has
-// no per-execution state, so it runs as itself.
-type emptyNode struct{ leaf }
-
-func (n *emptyNode) nextBatch(*execCtx) (recordBatch, error) { return nil, nil }
-func (n *emptyNode) name() string                            { return "Empty" }
-func (n *emptyNode) args() string                            { return "" }
-
 // scanPropEq is one property comparison pushed into a scan: the value
 // expression is record-free (literal or parameter), so it is evaluated once
 // per scan pass and compared against each candidate directly, without a
@@ -72,22 +64,21 @@ func cmpKeep(op string, have, want value.Value) bool {
 // label matrices — fold-free diagonal probes) and record-free property
 // equalities.
 type scanFilter struct {
-	labels   []int    // required label ids beyond the scan's own
-	labelStr []string // display names for EXPLAIN
-	props    []scanPropEq
+	labels []string // required labels beyond the scan's own, resolved per compile
+	props  []scanPropEq
 }
 
-func (f *scanFilter) empty() bool {
+func (f *scanFilter) none() bool {
 	return f == nil || (len(f.labels) == 0 && len(f.props) == 0)
 }
 
 // describe renders the pushed predicates for EXPLAIN.
 func (f *scanFilter) describe() string {
-	if f.empty() {
+	if f.none() {
 		return ""
 	}
-	parts := make([]string, 0, len(f.labelStr)+len(f.props))
-	for _, l := range f.labelStr {
+	parts := make([]string, 0, len(f.labels)+len(f.props))
+	for _, l := range f.labels {
 		parts = append(parts, ":"+l)
 	}
 	for _, p := range f.props {
@@ -213,7 +204,7 @@ func (s *scanPass) prime(ctx *execCtx, n *scanNode) (compiledScanFilter, bool, e
 // store version.
 func (s *scanPass) compile(ctx *execCtx, f *scanFilter) (compiledScanFilter, error) {
 	var out compiledScanFilter
-	if f.empty() {
+	if f.none() {
 		return out, nil
 	}
 	at := ctx.storeVersion()
@@ -222,8 +213,8 @@ func (s *scanPass) compile(ctx *execCtx, f *scanFilter) (compiledScanFilter, err
 	}
 	if len(f.labels) > 0 {
 		masks := make([]grb.ColMask, 0, len(f.labels))
-		for _, lid := range f.labels {
-			lm := ctx.g.LabelMatrix(lid)
+		for _, label := range f.labels {
+			lm := labelMatrix(ctx.g, label)
 			if lm == nil {
 				out.mask = func(grb.Index) bool { return false }
 				masks = nil
@@ -380,11 +371,7 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 // the pushed property comparisons.
 func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
-	lid, ok := ctx.g.Schema.LabelID(o.label)
-	if !ok {
-		return nil
-	}
-	lm := ctx.g.LabelMatrix(lid)
+	lm := labelMatrix(ctx.g, o.label)
 	if lm == nil {
 		return nil
 	}
@@ -458,7 +445,7 @@ func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 // pushScan attaches a pushed predicate to any of the three scan nodes. It
 // returns false for other nodes, leaving the predicate to the residual
 // filter path.
-func pushScan(n planNode, lid int, label string, prop *scanPropEq) bool {
+func pushScan(n planNode, label string, prop *scanPropEq) bool {
 	sn, ok := n.(interface{ scan() *scanNode })
 	if !ok {
 		return false
@@ -470,14 +457,18 @@ func pushScan(n planNode, lid int, label string, prop *scanPropEq) bool {
 	if prop != nil {
 		s.pushed.props = append(s.pushed.props, *prop)
 	} else {
-		s.pushed.labels = append(s.pushed.labels, lid)
-		s.pushed.labelStr = append(s.pushed.labelStr, label)
+		s.pushed.labels = append(s.pushed.labels, label)
 	}
 	return true
 }
 
-// nodeHasLabel filters by interned label id.
-func nodeHasLabel(n *graph.Node, lid int) bool {
+// nodeHasLabel reports whether n carries the named label, looked up in the
+// live schema (no node carries a label that does not exist).
+func nodeHasLabel(g *graph.Graph, n *graph.Node, label string) bool {
+	lid, ok := g.Schema.LabelID(label)
+	if !ok {
+		return false
+	}
 	for _, l := range n.Labels {
 		if l == lid {
 			return true

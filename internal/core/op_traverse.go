@@ -136,7 +136,7 @@ type condTraverseNode struct {
 
 	ae        *algebraicExpr
 	masks     []dstMask
-	typeIDs   []int // for edge lookup; nil = any type
+	types     []string // for edge lookup; none = any type
 	direction cypher.Direction
 	optional  bool
 	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
@@ -282,12 +282,14 @@ func (o *condTraverseOp) scatterRow(ctx *execCtx, in record, src grb.Index, dsts
 func (o *condTraverseNode) connectingEdges(ctx *execCtx, src, dst uint64) []uint64 {
 	var out []uint64
 	collect := func(a, b uint64) {
-		if o.typeIDs == nil {
+		if len(o.types) == 0 {
 			out = append(out, ctx.g.EdgesBetween(-1, a, b)...)
 			return
 		}
-		for _, t := range o.typeIDs {
-			out = append(out, ctx.g.EdgesBetween(t, a, b)...)
+		for _, t := range o.types {
+			if tid, ok := ctx.g.Schema.RelTypeID(t); ok {
+				out = append(out, ctx.g.EdgesBetween(tid, a, b)...)
+			}
 		}
 	}
 	switch o.direction {
@@ -332,7 +334,7 @@ type expandIntoNode struct {
 	batch    int
 
 	ae        *algebraicExpr
-	typeIDs   []int
+	types     []string
 	direction cypher.Direction
 	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
 }
@@ -455,7 +457,7 @@ func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 		o.queue = append(o.queue, o.arena.extended(in, o.width))
 		return
 	}
-	ct := condTraverseNode{typeIDs: o.typeIDs, direction: o.direction}
+	ct := condTraverseNode{types: o.types, direction: o.direction}
 	for _, eid := range ct.connectingEdges(ctx, in[o.srcSlot].ID, in[o.dstSlot].ID) {
 		e, ok := ctx.g.GetEdge(eid)
 		if !ok {
@@ -533,8 +535,8 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 // frontier is multiplied through them before emission — one algebraic mask
 // per level instead of a per-node label probe per reached vertex. The BFS
 // itself keeps expanding the unfiltered frontier, since intermediate path
-// nodes need not carry the destination label. dstLabel is the pre-pushdown
-// baseline (NoPushdown): a per-node check of the first label only.
+// nodes need not carry the destination label. Under NoPushdown dstAE is nil
+// and the labels are residual filters above the node.
 type varLenTraverseNode struct {
 	unary
 	srcSlot int
@@ -544,7 +546,6 @@ type varLenTraverseNode struct {
 	ae       *algebraicExpr
 	minHops  int
 	maxHops  int            // -1 = unbounded
-	dstLabel int            // -1 = unfiltered (legacy per-node check)
 	dstAE    *algebraicExpr // label-diagonal mask over emitted frontiers
 	kthreads int            // kernel parallelism degree, for EXPLAIN/PROFILE
 }
@@ -600,7 +601,7 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 		maxH = dim // cannot exceed the diameter
 	}
 	if o.minHops == 0 {
-		if err := o.emitMasked(ctx, in, frontier); err != nil {
+		if err := o.emitFrontier(ctx, in, frontier); err != nil {
 			return err
 		}
 	}
@@ -619,7 +620,7 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 			return err
 		}
 		if hop >= o.minHops {
-			if err := o.emitMasked(ctx, in, next); err != nil {
+			if err := o.emitFrontier(ctx, in, next); err != nil {
 				return err
 			}
 		}
@@ -628,10 +629,10 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 	return nil
 }
 
-// emitMasked restricts one in-range frontier to the destination labels —
+// emitFrontier restricts one in-range frontier to the destination labels —
 // multiplying through the label diagonals, leaving the BFS frontier itself
 // untouched — and queues the surviving nodes.
-func (o *varLenTraverseOp) emitMasked(ctx *execCtx, in record, f *grb.Vector) error {
+func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) error {
 	if o.dstAE != nil {
 		masked, err := o.dstAE.eval(ctx, f)
 		if err != nil {
@@ -639,17 +640,9 @@ func (o *varLenTraverseOp) emitMasked(ctx *execCtx, in record, f *grb.Vector) er
 		}
 		f = masked
 	}
-	o.emitFrontier(ctx, in, f)
-	return nil
-}
-
-func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) {
 	f.Iterate(func(j grb.Index, _ float64) bool {
 		n, ok := ctx.g.GetNode(uint64(j))
 		if !ok {
-			return true
-		}
-		if o.dstLabel >= 0 && !nodeHasLabel(n, o.dstLabel) {
 			return true
 		}
 		out := in.extended(o.width)
@@ -657,6 +650,7 @@ func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) 
 		o.queue = append(o.queue, out)
 		return true
 	})
+	return nil
 }
 
 func (n *varLenTraverseNode) name() string { return "VarLenTraverse" }
@@ -673,19 +667,12 @@ func (n *varLenTraverseNode) args() string {
 }
 func (o *varLenTraverseOp) profileArgs() string { return o.args() + o.ks.describe() }
 
-// labelDiagOperand returns the diagonal label matrix operand for filtering
-// traversal destinations.
-func labelDiagOperand(g *graph.Graph, label string) (algebraicOperand, bool) {
-	lid, ok := g.Schema.LabelID(label)
-	if !ok {
-		return algebraicOperand{}, false
-	}
-	if g.LabelMatrix(lid) == nil {
-		return algebraicOperand{}, false
-	}
+// labelDiagOperand is the diagonal label matrix operand for filtering
+// traversal destinations, resolved by name at evaluation time.
+func labelDiagOperand(label string) algebraicOperand {
 	return algebraicOperand{
-		resolve: func(g *graph.Graph) *grb.DeltaMatrix { return g.LabelMatrix(lid) },
+		resolve: func(g *graph.Graph) *grb.DeltaMatrix { return labelMatrix(g, label) },
 		label:   ":" + label,
 		diag:    true, // a diagonal is its own transpose; direction is moot
-	}, true
+	}
 }

@@ -13,11 +13,11 @@ import (
 // pushdown enabled and disabled. The scalar no-pushdown cell (batch 1) is
 // the reference engine.
 var pipelineConfigs = []Config{
-	{TraverseBatch: 1, NoPushdown: true},
+	{TraverseBatch: 1, noPushdown: true},
 	{TraverseBatch: 1},
-	{TraverseBatch: 3, NoPushdown: true},
+	{TraverseBatch: 3, noPushdown: true},
 	{TraverseBatch: 3},
-	{TraverseBatch: 64, NoPushdown: true},
+	{TraverseBatch: 64, noPushdown: true},
 	{TraverseBatch: 64},
 }
 

@@ -326,7 +326,7 @@ func (b *planBuilder) pushPropCmp(varName, attr, op string, fn evalFn, desc stri
 	if op == "" || op == "=" {
 		sel = propEqSelectivity
 	}
-	if pushScan(bi.op, 0, "", &scanPropEq{attr: attr, op: op, val: fn, desc: desc}) {
+	if pushScan(bi.op, "", &scanPropEq{attr: attr, op: op, val: fn, desc: desc}) {
 		b.pushedInto(bi.op, sel)
 		return true
 	}
@@ -360,7 +360,7 @@ func (b *planBuilder) clearBinders() {
 
 // pushLabel routes a residual label predicate to a scan's pushed filter
 // (checked through a fold-free diagonal mask over the label matrix).
-func (b *planBuilder) pushLabel(varName string, lid int, label string) bool {
+func (b *planBuilder) pushLabel(varName, label string) bool {
 	if b.noPushdown {
 		return false
 	}
@@ -368,10 +368,10 @@ func (b *planBuilder) pushLabel(varName string, lid int, label string) bool {
 	if bi == nil {
 		return false
 	}
-	if !pushScan(bi.op, lid, label, nil) {
+	if !pushScan(bi.op, label, nil) {
 		return false
 	}
-	b.pushedInto(bi.op, b.gs.LabelSelectivity(lid))
+	b.pushedInto(bi.op, b.labelSel(label))
 	return true
 }
 
@@ -451,19 +451,8 @@ func (b *planBuilder) buildPattern(pat *cypher.PathPattern, optional bool) error
 			}
 			b.setCur(&indexScanNode{scanNode: scan, label: startNode.Labels[0], attr: usedIndexAttr, val: fn}, b.rowEst)
 		case len(startNode.Labels) > 0:
-			lid, ok := b.g.Schema.LabelID(startNode.Labels[0])
-			if !ok && b.readonly {
-				b.setCur(&emptyNode{}, 0)
-				b.bound[names[start]] = true
-				return nil
-			}
-			// Unknown label below a write: the write may create it, and the
-			// scan resolves its label by name as each pass loads.
-			count := 0
-			if ok {
-				count = b.gs.LabelCount(lid)
-			}
-			b.setCur(&labelScanNode{scanNode: scan, label: startNode.Labels[0]}, b.rowEst*float64(count))
+			label := startNode.Labels[0]
+			b.setCur(&labelScanNode{scanNode: scan, label: label}, b.rowEst*float64(b.labelCount(label)))
 		default:
 			b.setCur(&allNodeScanNode{scan}, b.rowEst*float64(b.gs.Nodes))
 		}
@@ -500,23 +489,17 @@ func (b *planBuilder) buildPattern(pat *cypher.PathPattern, optional bool) error
 func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, skipAttr string, skipLabels int) error {
 	slot, _ := b.st.lookup(varName)
 	for _, lbl := range n.Labels[min(skipLabels, len(n.Labels)):] {
-		lid, ok := b.g.Schema.LabelID(lbl)
-		if !ok {
-			b.setCur(&emptyNode{}, 0)
-			return nil
-		}
-		if b.pushLabel(varName, lid, lbl) {
+		if b.pushLabel(varName, lbl) {
 			continue
 		}
-		want := lid
 		b.setCur(&filterNode{unary: unary{b.cur}, desc: fmt.Sprintf("%s:%s", varName, lbl),
 			pred: func(ctx *execCtx, r record) (value.Value, error) {
 				v := r[slot]
 				if v.Kind != value.KindNode {
 					return value.NewBool(false), nil
 				}
-				return value.NewBool(nodeHasLabel(v.Entity.(*graph.Node), want)), nil
-			}}, b.rowEst*b.gs.LabelSelectivity(lid))
+				return value.NewBool(nodeHasLabel(ctx.g, v.Entity.(*graph.Node), lbl)), nil
+			}}, b.rowEst*b.labelSel(lbl))
 	}
 	for attr, ex := range n.Props {
 		if attr == skipAttr {
@@ -560,33 +543,6 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	if !ok {
 		return fmt.Errorf("core: unbound traversal source %q", srcVar)
 	}
-	// bindEmptyPattern replaces the traversal with an empty operation (the
-	// relation type or destination label does not exist yet) while still
-	// registering the pattern's variables, so later clauses referencing the
-	// destination or edge variable (RETURN e, DELETE e) keep resolving.
-	bindEmptyPattern := func() {
-		b.setCur(&emptyNode{}, 0)
-		b.st.add(dstVar)
-		b.bound[dstVar] = true
-		if rel.Var != "" && !rel.VarLength {
-			b.st.add(rel.Var)
-			b.bound[rel.Var] = true
-		}
-	}
-	// Resolve relation types.
-	anyType := len(rel.Types) == 0
-	var typeIDs []int
-	if !anyType {
-		for _, t := range rel.Types {
-			if tid, ok := b.g.Schema.RelTypeID(t); ok {
-				typeIDs = append(typeIDs, tid)
-			}
-		}
-		if len(typeIDs) == 0 {
-			bindEmptyPattern()
-			return nil
-		}
-	}
 	// Effective direction after orientation.
 	dir := rel.Direction
 	if reversed && dir != cypher.DirBoth {
@@ -597,11 +553,9 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 		}
 	}
 
-	rop, err := relationOperand(b.g, typeIDs, anyType, dir == cypher.DirIn, dir == cypher.DirBoth)
-	if err != nil {
-		bindEmptyPattern()
-		return nil
-	}
+	// Every type and label name in the hop binds when the plan runs: one the
+	// schema lacks now may be created by a write below this hop.
+	rop := relationOperand(rel.Types, dir == cypher.DirIn, dir == cypher.DirBoth)
 	// Conditioned fan-out: when the source variable's binder recorded
 	// pattern labels, the hop estimate conditions on the matching
 	// (label × relation × direction) cells instead of the global mean, and
@@ -623,9 +577,13 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	// (columns of R are edge destinations), the OUT cell for the transposed
 	// operand, both for undirected — so the chooser can price the empty
 	// remainder at a row-pointer check instead of a full probe.
-	if b.cond != nil && !anyType {
+	if b.cond != nil && len(rel.Types) > 0 {
 		conn := 0
-		for _, tid := range typeIDs {
+		for _, t := range rel.Types {
+			tid, ok := b.g.Schema.RelTypeID(t)
+			if !ok {
+				continue
+			}
 			if dir != cypher.DirIn {
 				conn += b.cond.InCell(tid, -1).Conn
 			}
@@ -656,15 +614,8 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 			labels = b.orderLabelsBySelectivity(labels)
 		}
 		for _, lbl := range labels[:fold] {
-			diag, ok := labelDiagOperand(b.g, lbl)
-			if !ok {
-				bindEmptyPattern()
-				return nil
-			}
-			if lid, ok := b.g.Schema.LabelID(lbl); ok {
-				labelSel *= b.gs.LabelSelectivity(lid)
-			}
-			ae.operands = append(ae.operands, diag)
+			labelSel *= b.labelSel(lbl)
+			ae.operands = append(ae.operands, labelDiagOperand(lbl))
 			labelsInAE++
 		}
 	}
@@ -681,46 +632,27 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 		}
 		dstSlot := b.st.add(dstVar)
 		b.bound[dstVar] = true
-		dstLabel := -1
 		var dstAE *algebraicExpr
 		residLabels := dstNode.Labels
-		if len(dstNode.Labels) > 0 {
-			if b.noPushdown {
-				// Baseline: the first label is checked per emitted node,
-				// the rest stay residual filters.
-				lid, ok := b.g.Schema.LabelID(dstNode.Labels[0])
-				if !ok {
-					b.setCur(&emptyNode{}, 0)
-					return nil
-				}
-				dstLabel = lid
-				residLabels = dstNode.Labels[1:]
-			} else {
-				// Fold every destination label into a diagonal mask applied
-				// to each emitted frontier inside the expansion loop — the
-				// intermediate hops stay unfiltered, only emission is.
-				labels := dstNode.Labels
-				if !b.noCostPlanner {
-					labels = b.orderLabelsBySelectivity(labels)
-				}
-				dstAE = &algebraicExpr{}
-				for _, lbl := range labels {
-					diag, ok := labelDiagOperand(b.g, lbl)
-					if !ok {
-						b.setCur(&emptyNode{}, 0)
-						return nil
-					}
-					if lid, ok := b.g.Schema.LabelID(lbl); ok {
-						labelSel *= b.gs.LabelSelectivity(lid)
-					}
-					dstAE.operands = append(dstAE.operands, diag)
-				}
-				residLabels = nil
+		if len(dstNode.Labels) > 0 && !b.noPushdown {
+			// Fold every destination label into a diagonal mask applied to
+			// each emitted frontier inside the expansion loop — the
+			// intermediate hops stay unfiltered, only emission is. Under
+			// NoPushdown the labels stay residual filters.
+			labels := dstNode.Labels
+			if !b.noCostPlanner {
+				labels = b.orderLabelsBySelectivity(labels)
 			}
+			dstAE = &algebraicExpr{}
+			for _, lbl := range labels {
+				labelSel *= b.labelSel(lbl)
+				dstAE.operands = append(dstAE.operands, labelDiagOperand(lbl))
+			}
+			residLabels = nil
 		}
 		b.setCur(&varLenTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot,
 			width: b.st.size(), ae: ae, minHops: rel.MinHops, maxHops: rel.MaxHops,
-			dstLabel: dstLabel, dstAE: dstAE, kthreads: b.threads},
+			dstAE: dstAE, kthreads: b.threads},
 			b.rowEst*b.relFanout(rel)*labelSel)
 		if err := b.addNodeResiduals(dstVar, &cypher.NodePattern{Var: dstVar, Labels: residLabels, Props: dstNode.Props}, "", 0); err != nil {
 			return err
@@ -739,7 +671,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	if dstBound {
 		dstSlot, _ := b.st.lookup(dstVar)
 		b.setCur(&expandIntoNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
-			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, typeIDs: typeIDs, direction: dir,
+			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir,
 			kthreads: b.threads},
 			b.rowEst*b.pairProbability(rel))
 	} else {
@@ -754,7 +686,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 			est = b.rowEst // optional traversals emit at least a null row per input
 		}
 		b.setCur(&condTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
-			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, typeIDs: typeIDs, direction: dir,
+			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir,
 			optional: optional, kthreads: b.threads},
 			est)
 		b.binders[dstVar] = &binderInfo{op: b.cur, labels: dstNode.Labels}
@@ -860,8 +792,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	}
 	// Build the match side against a fresh argument. The sub-builder shares
 	// the estimate map so the sub-plan's operations annotate too.
-	// readonly: nothing runs below the match side (MERGE is the first clause).
-	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon, readonly: true,
+	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon,
 		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner, noJoinPlanner: b.noJoinPlanner,
 		threads: b.threads, gs: b.gs, cond: b.cond,
 		binders: map[string]*binderInfo{}, est: b.est, rowEst: 1}

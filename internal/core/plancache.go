@@ -16,8 +16,9 @@
 // snapshot its template was planned against:
 //
 //   - schema version moved (new label/reltype/attr, index create/drop) →
-//     replan: plans bake schema lookups in (unknown labels become empty
-//     scans, index seeds resolve the index identity at plan time).
+//     replan: labels and relationship types resolve by name when the plan
+//     runs, but index identity is still bound at plan time (an index seed
+//     is chosen only where an index exists), so index DDL still replans.
 //   - epoch unchanged → the graph's connectivity is exactly as planned;
 //     reuse.
 //   - epoch moved but stats within tolerance (statsClose) → the

@@ -187,15 +187,15 @@ func mustAttr(t testing.TB, g *graph.Graph, name string) int {
 }
 
 // TestPlanCacheSchemaInvalidation checks schema mutations the write epoch
-// cannot see: a cached plan against an unknown label must replan once the
-// label exists, and index create/drop must retarget the entry point.
+// cannot see: a cached plan against an unknown label must count the label
+// once it exists, and index create/drop must retarget the entry point.
 func TestPlanCacheSchemaInvalidation(t *testing.T) {
 	g := adversarialGraph(t, 50)
 	pc := NewPlanCache(DefaultPlanCacheSize)
 	cached := Config{PlanCache: pc}
 
-	// Unknown label plans to an empty scan; creating the first :Ghost node
-	// interns the label (schema version bump) and must invalidate.
+	// An unknown label plans as a scan by name; creating the first :Ghost
+	// node interns the label, and the next run must count it.
 	read := `MATCH (n:Ghost) RETURN count(n)`
 	got := runSortedP(t, g, read, nil, cached)
 	if got[1] != "0" {
@@ -205,7 +205,7 @@ func TestPlanCacheSchemaInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := runSortedP(t, g, read, nil, cached); got[1] != "1" {
-		t.Errorf("cached count after label creation = %q, want 1 (schema version must invalidate)", got[1])
+		t.Errorf("cached count after label creation = %q, want 1", got[1])
 	}
 
 	// Dropping an index must retarget the cached index-scan entry point.

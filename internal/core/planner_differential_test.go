@@ -135,7 +135,7 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 		// The cost planner must also agree with itself under the other
 		// engine baselines (batch 1, no pushdown, greedy order without the
 		// join planner's DP search and hash joins).
-		for _, cfg := range []Config{{TraverseBatch: 1}, {NoPushdown: true}, {NoJoinPlanner: true}} {
+		for _, cfg := range []Config{{TraverseBatch: 1}, {noPushdown: true}, {NoJoinPlanner: true}} {
 			alt := runSorted(t, g, query, cfg)
 			if strings.Join(cost, "\n") != strings.Join(alt, "\n") {
 				t.Errorf("cfg %+v disagreement on %s\n%s\nvs\n%s",
@@ -275,7 +275,7 @@ func TestCostPlannerRecordDependentProps(t *testing.T) {
 
 // TestVarLenDstLabelMask asserts the destination label of a variable-length
 // pattern folds into an algebraic mask inside the expansion loop (no
-// residual Filter), while NoPushdown keeps the legacy per-node check.
+// residual Filter), while NoPushdown keeps the labels as residual filters.
 func TestVarLenDstLabelMask(t *testing.T) {
 	g := adversarialGraph(t, 50)
 	explain := func(opts planOptions) string {

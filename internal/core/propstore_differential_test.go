@@ -26,7 +26,7 @@ func propStoreConfigs() []Config {
 						OpThreads:      th,
 						TraverseBatch:  batch,
 						TraverseKernel: kernel,
-						NoPushdown:     noPushdown,
+						noPushdown:     noPushdown,
 					})
 				}
 			}

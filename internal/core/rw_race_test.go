@@ -147,3 +147,56 @@ func TestConcurrentReadWriteQueries(t *testing.T) {
 		t.Fatalf(":R ring damaged: count = %d, want 32", got)
 	}
 }
+
+// TestConcurrentLateBoundNames races readers whose query names a label and a
+// relationship type that do not exist yet against a writer that creates
+// them. Plan nodes hold names and resolve them against the schema while the
+// reader holds the shared lock, so under -race no lookup may overlap the
+// writer's mutation burst, and each reader's count never goes backwards.
+func TestConcurrentLateBoundNames(t *testing.T) {
+	const read, writes = `MATCH (a)-[:NEW]->(b:NEWL) RETURN count(b)`, 40
+	g := graph.New("late")
+	pc := NewPlanCache(DefaultPlanCacheSize)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			last := int64(0)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)]}
+				if (w+i)%2 == 0 {
+					cfg.PlanCache = pc // plans cached before the names existed
+				}
+				rs, err := ROQuery(g, read, nil, cfg)
+				if err != nil {
+					t.Errorf("reader %d: %v", w, err)
+					return
+				}
+				n := rs.Rows[0][0].Int()
+				if n < last {
+					t.Errorf("reader %d: count went from %d to %d", w, last, n)
+					return
+				}
+				last = n
+			}
+		}(w)
+	}
+	for i := 0; i < writes; i++ {
+		if _, err := Query(g, `CREATE (:NEWL)-[:NEW]->(:NEWL)`, nil, Config{}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := singleInt(t, q(t, g, read)); got != writes {
+		t.Fatalf("final count = %d, want %d", got, writes)
+	}
+}

@@ -28,11 +28,11 @@ type Schema struct {
 	indexes map[int]map[int]*AttrIndex
 
 	// version counts schema mutations (new labels, relationship types,
-	// attributes, index create/drop). Plans bake schema lookups in at build
-	// time — an unknown label becomes an empty scan, a dropped index makes a
-	// cached index seed silently yield nothing — and the connectivity write
-	// epoch does not move for any of those events, so the plan cache keys
-	// its validity on this counter as well. Mutated only under the graph's
+	// attributes, index create/drop). Plans bake index lookups in at build
+	// time — a dropped index makes a cached index seed silently yield
+	// nothing — and the connectivity write epoch does not move for any of
+	// those events, so the plan cache keys its validity on this counter as
+	// well. Mutated only under the graph's
 	// exclusive lock; read under at least the read lock.
 	version uint64
 }
