@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"redisgraph/internal/server"
 )
@@ -53,5 +52,4 @@ func main() {
 		}
 	}
 	s.Close()
-	time.Sleep(50 * time.Millisecond)
 }

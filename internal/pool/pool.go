@@ -1,6 +1,6 @@
 // Package pool implements the RedisGraph module threadpool: a fixed number
-// of workers created at module-load time. The Redis main thread receives
-// each query and enqueues it here; every query executes on exactly one
+// of workers created at module-load time. Each client connection hands its
+// query here and waits for the result; every query executes on exactly one
 // worker, which is the architecture Section II of the paper argues enables
 // high concurrent throughput at low per-query latency.
 package pool
@@ -8,6 +8,7 @@ package pool
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Task is a unit of work returning an arbitrary result.
@@ -26,25 +27,12 @@ func (f *Future) Wait() (any, error) {
 	return f.val, f.err
 }
 
-// NewResolvedFuture returns a future plus the resolver that completes it —
-// used by callers that must slot pre-computed replies into an ordered
-// future queue.
-func NewResolvedFuture() (*Future, func(any, error)) {
-	f := &Future{done: make(chan struct{})}
-	return f, func(v any, err error) {
-		f.val, f.err = v, err
-		close(f.done)
-	}
-}
-
 // Pool is a fixed-size worker pool.
 type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	size    int
-	mu      sync.Mutex
-	closed  bool
-	pending int
+	tasks  chan func()
+	wg     sync.WaitGroup
+	size   int
+	closed atomic.Bool
 }
 
 // New starts a pool with n workers (n < 1 is clamped to 1).
@@ -68,31 +56,19 @@ func New(n int) *Pool {
 // Size returns the worker count.
 func (p *Pool) Size() int { return p.size }
 
-// Pending returns the number of queued or running tasks.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pending
-}
-
-// Submit enqueues a task, returning a Future for its completion.
+// Submit enqueues a task, returning a Future for its completion. It must
+// not race with Close: a Submit that passes the closed check while Close
+// runs sends on a closed channel.
 func (p *Pool) Submit(t Task) (*Future, error) {
-	f := &Future{done: make(chan struct{})}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Load() {
 		return nil, fmt.Errorf("pool: closed")
 	}
-	p.pending++
-	p.mu.Unlock()
+	f := &Future{done: make(chan struct{})}
 	p.tasks <- func() {
 		defer func() {
 			if r := recover(); r != nil {
 				f.err = fmt.Errorf("pool: task panic: %v", r)
 			}
-			p.mu.Lock()
-			p.pending--
-			p.mu.Unlock()
 			close(f.done)
 		}()
 		f.val, f.err = t()
@@ -102,13 +78,9 @@ func (p *Pool) Submit(t Task) (*Future, error) {
 
 // Close drains queued tasks and stops the workers.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	p.closed = true
-	p.mu.Unlock()
 	close(p.tasks)
 	p.wg.Wait()
 }

@@ -4,6 +4,7 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -28,6 +29,20 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r)}
 }
 
+// Bounds on a client command, as in Redis (proto-max-bulk-len is 512 MiB):
+// a header above either is a protocol error, never an allocation.
+const (
+	maxArrayLen = 1 << 20
+	maxBulkLen  = 512 << 20
+)
+
+// ProtocolError reports a malformed or oversized client command. A server
+// answers it with -ERR Protocol error and drops the connection, as Redis
+// does.
+type ProtocolError string
+
+func (e ProtocolError) Error() string { return "Protocol error: " + string(e) }
+
 // ReadCommand reads one client command: either a RESP array of bulk strings
 // or an inline space-separated line.
 func (r *Reader) ReadCommand() ([]string, error) {
@@ -36,36 +51,61 @@ func (r *Reader) ReadCommand() ([]string, error) {
 		return nil, err
 	}
 	if len(line) == 0 {
-		return nil, fmt.Errorf("resp: empty command")
+		return nil, ProtocolError("empty command")
 	}
 	if line[0] != '*' {
 		// Inline command.
 		return splitInline(line), nil
 	}
 	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("resp: bad array header %q", line)
+	if err != nil || n < 0 || n > maxArrayLen {
+		return nil, ProtocolError(fmt.Sprintf("invalid multibulk length %q", line))
 	}
-	args := make([]string, 0, n)
+	// The header is only a promise: reserve room for the arguments that
+	// actually arrive, not for the count it claims.
+	args := make([]string, 0, min(n, 16))
 	for i := 0; i < n; i++ {
 		hdr, err := r.readLine()
 		if err != nil {
 			return nil, err
 		}
 		if len(hdr) == 0 || hdr[0] != '$' {
-			return nil, fmt.Errorf("resp: expected bulk string, got %q", hdr)
+			return nil, ProtocolError(fmt.Sprintf("expected '$', got %q", hdr))
 		}
 		ln, err := strconv.Atoi(hdr[1:])
 		if err != nil || ln < 0 {
-			return nil, fmt.Errorf("resp: bad bulk length %q", hdr)
+			return nil, ProtocolError(fmt.Sprintf("invalid bulk length %q", hdr))
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+		arg, err := r.readBulk(ln)
+		if err != nil {
 			return nil, err
 		}
-		args = append(args, string(buf[:ln]))
+		args = append(args, arg)
 	}
 	return args, nil
+}
+
+// bulkChunk is the largest bulk string read into a buffer sized from its
+// header; longer ones grow with the bytes that arrive.
+const bulkChunk = 64 << 10
+
+// readBulk reads an ln-byte bulk string body and its trailing CRLF.
+func (r *Reader) readBulk(ln int) (string, error) {
+	if ln > maxBulkLen {
+		return "", ProtocolError(fmt.Sprintf("bulk length %d above %d", ln, maxBulkLen))
+	}
+	if ln <= bulkChunk {
+		buf := make([]byte, ln+2)
+		if _, err := io.ReadFull(r.br, buf); err != nil {
+			return "", err
+		}
+		return string(buf[:ln]), nil
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r.br, int64(ln+2)); err != nil {
+		return "", err
+	}
+	return string(buf.Bytes()[:ln]), nil
 }
 
 // ReadReply decodes one server reply into Go values: SimpleString, string
@@ -97,11 +137,7 @@ func (r *Reader) ReadReply() (any, error) {
 		if ln < 0 {
 			return nil, nil // null bulk string
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return nil, err
-		}
-		return string(buf[:ln]), nil
+		return r.readBulk(ln)
 	case '*':
 		n, err := strconv.Atoi(line[1:])
 		if err != nil {

@@ -3,6 +3,7 @@ package resp
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,4 +129,66 @@ func TestMalformedInput(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestReadCommandBounds(t *testing.T) {
+	for _, in := range []string{
+		"*1\r\n$9223372036854775807\r\n", // ln+2 overflowed into a makeslice panic
+		"*1\r\n$536870913\r\n",           // one byte above the bulk bound
+		"*1048577\r\n",                   // one element above the array bound
+		"*9223372036854775807\r\n",
+	} {
+		_, err := NewReader(strings.NewReader(in)).ReadCommand()
+		var perr ProtocolError
+		if !errors.As(err, &perr) {
+			t.Fatalf("%q: err = %v, want a ProtocolError", in, err)
+		}
+	}
+	// At the bounds a header is accepted; the short body is an I/O error.
+	for _, in := range []string{"*1\r\n$536870912\r\nab", "*1048576\r\n$1\r\na\r\n"} {
+		_, err := NewReader(strings.NewReader(in)).ReadCommand()
+		var perr ProtocolError
+		if err == nil || errors.As(err, &perr) {
+			t.Fatalf("%q: err = %v, want a short-read error", in, err)
+		}
+	}
+}
+
+func TestReadCommandLongBulk(t *testing.T) {
+	arg := strings.Repeat("x", bulkChunk+1)
+	var buf bytes.Buffer
+	NewWriter(&buf).WriteCommand("SET", "k", arg)
+	args, err := NewReader(&buf).ReadCommand()
+	if err != nil || len(args) != 3 || args[2] != arg {
+		t.Fatalf("len(args) = %d, err = %v", len(args), err)
+	}
+}
+
+// FuzzReadCommand feeds arbitrary bytes to the command reader: it must never
+// panic, and what it allocates must track the bytes it was given rather than
+// the lengths the headers claim.
+func FuzzReadCommand(f *testing.F) {
+	for _, seed := range []string{
+		"*1\r\n$9223372036854775807\r\n",
+		"*3\r\n$11\r\nGRAPH.QUERY\r\n$1\r\ng\r\n$18\r\nMATCH (n) RETURN n\r\n",
+		"*1048576\r\n",
+		"*1\r\n$536870912\r\nab",
+		"PING \"quoted arg\"\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(bytes.NewReader(data))
+		for {
+			if _, err := r.ReadCommand(); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); got > limit {
+			t.Fatalf("allocated %d bytes for %d input bytes (limit %d)", got, len(data), limit)
+		}
+	})
 }

@@ -1,13 +1,16 @@
 // Package server implements the Redis-like server hosting the graph module.
 //
-// Architecture (paper Section II): a single dispatcher goroutine — the
-// "Redis main thread" — receives every command. Keyspace commands execute
-// inline on that thread. GRAPH.* commands are handed to the module
-// threadpool, where each query runs on exactly one worker; per-connection
-// reply order is preserved by an ordered future queue per connection.
+// Architecture (paper Section II): each client connection is served by one
+// goroutine that reads a command, executes it and writes its reply before
+// reading the next, so a client's commands run one at a time in the order
+// it sent them — Redis's blocked-client order. Keyspace commands execute
+// inline on that goroutine. GRAPH.* commands are handed to the module
+// threadpool, where each query runs on exactly one worker, and the
+// connection goroutine waits for that one result.
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path"
@@ -108,22 +111,16 @@ type Server struct {
 	graphs   map[string]*graph.Graph
 	keyspace map[string]string
 
-	dispatch chan *request
-	quit     chan struct{}
-	wg       sync.WaitGroup
-}
+	// saveMu keeps SAVEs one at a time: concurrent ones would write the
+	// same temporary file.
+	saveMu sync.Mutex
 
-type request struct {
-	args  []string
-	conn  *connState
-	reply *pool.Future
-}
-
-type connState struct {
-	c       net.Conn
-	w       *resp.Writer
-	replies chan *pool.Future
-	closed  chan struct{}
+	// connMu guards conns, the open client connections; Close sets it to
+	// nil so a connection accepted after Close is refused.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
+	// wg counts the accept goroutine and every connection goroutine.
+	wg sync.WaitGroup
 }
 
 // New creates a server (not yet listening).
@@ -139,8 +136,7 @@ func New(opts Options) *Server {
 		pool:     pool.New(opts.ThreadCount),
 		graphs:   map[string]*graph.Graph{},
 		keyspace: map[string]string{},
-		dispatch: make(chan *request, 1024),
-		quit:     make(chan struct{}),
+		conns:    map[net.Conn]struct{}{},
 	}
 	s.opThreads.Store(1)
 	s.traverseBatch.Store(int32(opts.TraverseBatch))
@@ -197,18 +193,24 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.dispatchLoop()
 	return nil
 }
 
-// Close stops the server and waits for shutdown.
+// Close stops accepting, closes every client connection, waits for their
+// goroutines to finish the command in hand, and only then stops the
+// threadpool, so no connection can submit to a closed pool.
 func (s *Server) Close() {
-	close(s.quit)
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	s.connMu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.conns = nil
+	s.connMu.Unlock()
 	s.wg.Wait()
 	s.pool.Close()
 }
@@ -217,123 +219,76 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		c, err := s.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
 		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-				continue
-			}
+			continue
 		}
-		cs := &connState{
-			c:       c,
-			w:       resp.NewWriter(c),
-			replies: make(chan *pool.Future, 1024),
-			closed:  make(chan struct{}),
+		s.connMu.Lock()
+		if s.conns == nil {
+			s.connMu.Unlock()
+			c.Close()
+			return
 		}
-		go s.readLoop(cs)
-		go s.writeLoop(cs)
+		s.conns[c] = struct{}{}
+		s.wg.Add(1)
+		s.connMu.Unlock()
+		go s.serveConn(c)
 	}
 }
 
-// readLoop parses commands and forwards them to the dispatcher.
-func (s *Server) readLoop(cs *connState) {
+// serveConn reads, executes and answers one client's commands in the order
+// it sent them.
+func (s *Server) serveConn(c net.Conn) {
 	defer func() {
-		close(cs.closed)
-		cs.c.Close()
+		s.connMu.Lock()
+		delete(s.conns, c)
+		s.connMu.Unlock()
+		c.Close()
+		s.wg.Done()
 	}()
-	r := resp.NewReader(cs.c)
+	r := resp.NewReader(c)
+	w := resp.NewWriter(c)
 	for {
 		args, err := r.ReadCommand()
 		if err != nil {
+			if perr, ok := err.(resp.ProtocolError); ok {
+				w.WriteReply(perr)
+			}
 			return
 		}
 		if len(args) == 0 {
 			continue
 		}
-		if strings.ToUpper(args[0]) == "QUIT" {
-			f := immediateReply(resp.SimpleString("OK"))
-			cs.replies <- f
+		cmd := strings.ToUpper(args[0])
+		if cmd == "QUIT" {
+			w.WriteReply(resp.SimpleString("OK"))
 			return
 		}
-		req := &request{args: args, conn: cs}
-		select {
-		case s.dispatch <- req:
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// writeLoop delivers replies in submission order.
-func (s *Server) writeLoop(cs *connState) {
-	for {
-		select {
-		case f := <-cs.replies:
-			v, err := f.Wait()
-			if err != nil {
-				v = err
-			}
-			if werr := cs.w.WriteReply(v); werr != nil {
-				return
-			}
-		case <-cs.closed:
-			// Drain anything already queued, then stop.
-			for {
-				select {
-				case f := <-cs.replies:
-					v, err := f.Wait()
-					if err != nil {
-						v = err
-					}
-					cs.w.WriteReply(v)
-				default:
-					return
-				}
-			}
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-func immediateReply(v any) *pool.Future {
-	f, done := pool.NewResolvedFuture()
-	done(v, nil)
-	return f
-}
-
-// dispatchLoop is the single "Redis main thread".
-func (s *Server) dispatchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case req := <-s.dispatch:
-			s.handle(req)
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-func (s *Server) handle(req *request) {
-	cmd := strings.ToUpper(req.args[0])
-	if strings.HasPrefix(cmd, "GRAPH.") {
-		// Module command: runs on one threadpool worker.
-		f, err := s.pool.Submit(func() (any, error) {
-			return s.graphCommand(cmd, req.args[1:])
-		})
+		v, err := s.execute(cmd, args[1:])
 		if err != nil {
-			f = immediateReply(fmt.Errorf("ERR %v", err))
+			v = err
 		}
-		req.conn.replies <- f
-		return
+		if w.WriteReply(v) != nil {
+			return
+		}
 	}
-	// Keyspace command: executes inline on the dispatcher thread.
-	v, err := s.keyspaceCommand(cmd, req.args[1:])
-	f, done := pool.NewResolvedFuture()
-	done(v, err)
-	req.conn.replies <- f
+}
+
+// execute runs one command: keyspace commands inline, GRAPH.* commands on
+// one threadpool worker.
+func (s *Server) execute(cmd string, args []string) (any, error) {
+	if !strings.HasPrefix(cmd, "GRAPH.") {
+		return s.keyspaceCommand(cmd, args)
+	}
+	f, err := s.pool.Submit(func() (any, error) {
+		return s.graphCommand(cmd, args)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ERR %v", err)
+	}
+	return f.Wait()
 }
 
 // Graph returns (creating on demand) the named graph.

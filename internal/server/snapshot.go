@@ -15,11 +15,14 @@ import (
 // (the role of an RDB file for this server).
 const snapshotMagic = "RGSNAP01"
 
-// SaveSnapshot writes every graph to the configured snapshot path.
+// SaveSnapshot writes every graph to the configured snapshot path, one save
+// at a time.
 func (s *Server) SaveSnapshot() error {
 	if s.opts.SnapshotPath == "" {
 		return fmt.Errorf("ERR no snapshot path configured")
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	tmp := s.opts.SnapshotPath + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
