@@ -13,65 +13,36 @@ import (
 )
 
 // BFSLevels returns a vector whose entry i is the hop distance from source
-// to node i (source = 0). Unreached nodes have no entry.
+// to node i (source = 0). Unreached nodes have no entry. The search is
+// grb.BFS, push hops only, on the calling goroutine (desc is not consulted).
 func BFSLevels(a *grb.Matrix, source grb.Index, desc *grb.Descriptor) (*grb.Vector, error) {
 	n := a.NRows()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("algo: source %d out of range %d", source, n)
 	}
 	levels := grb.NewVector(n)
-	frontier := grb.NewVector(n)
-	if err := frontier.SetElement(source, 1); err != nil {
+	err := grb.BFS(a, nil, source, -1, nil, func(hop int, level []grb.Index) error {
+		return grb.VectorAssignScalar(levels, nil, nil, float64(hop), level, nil)
+	})
+	if err != nil {
 		return nil, err
-	}
-	reached := frontier.Dup()
-	md := grb.Descriptor{Replace: true, Comp: true, Structure: true}
-	if desc != nil {
-		md.NThreads = desc.NThreads
-	}
-	for depth := 0; frontier.NVals() > 0; depth++ {
-		ind, _ := frontier.ExtractTuples()
-		if err := grb.VectorAssignScalar(levels, nil, nil, float64(depth), ind, nil); err != nil {
-			return nil, err
-		}
-		next := grb.NewVector(n)
-		if err := grb.VxM(next, reached, nil, grb.AnyPair, frontier, a, &md); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector(reached, nil, nil, grb.LOr, reached, next, nil); err != nil {
-			return nil, err
-		}
-		frontier = next
 	}
 	return levels, nil
 }
 
 // KHopCount returns the number of distinct nodes within 1..k hops of
-// source — the TigerGraph benchmark's k-hop neighbourhood count.
+// source — the TigerGraph benchmark's k-hop neighbourhood count, and the same
+// grb.BFS the query engine's pushed-down var-length count runs (push hops
+// only; desc is not consulted).
 func KHopCount(a *grb.Matrix, source grb.Index, k int, desc *grb.Descriptor) (int, error) {
-	n := a.NRows()
-	frontier := grb.NewVector(n)
-	if err := frontier.SetElement(source, 1); err != nil {
-		return 0, err
-	}
-	reached := frontier.Dup()
-	md := grb.Descriptor{Replace: true, Comp: true, Structure: true}
-	if desc != nil {
-		md.NThreads = desc.NThreads
-	}
 	count := 0
-	for hop := 0; hop < k && frontier.NVals() > 0; hop++ {
-		next := grb.NewVector(n)
-		if err := grb.VxM(next, reached, nil, grb.AnyPair, frontier, a, &md); err != nil {
-			return 0, err
+	err := grb.BFS(a, nil, source, max(k, 0), nil, func(hop int, level []grb.Index) error {
+		if hop > 0 {
+			count += len(level)
 		}
-		count += next.NVals()
-		if err := grb.EWiseAddVector(reached, nil, nil, grb.LOr, reached, next, nil); err != nil {
-			return 0, err
-		}
-		frontier = next
-	}
-	return count, nil
+		return nil
+	})
+	return count, err
 }
 
 // PageRank computes the PageRank vector with the given damping factor,

@@ -45,8 +45,9 @@ type algebraicOperand struct {
 
 // algebraicExpr is the product RedisGraph builds for each traversal:
 // frontier · (SrcLabel?) · Rel · (DstLabel?). Evaluation is a chain of
-// vector-matrix products over the boolean ANY_PAIR semiring, against delta
-// matrices consulted fold-free.
+// frontier-matrix products over the boolean ANY_PAIR semiring, against delta
+// matrices consulted fold-free. Variable-length hops do not use it: they run
+// one relation operand through grb.BFS.
 type algebraicExpr struct {
 	operands []algebraicOperand
 }
@@ -207,60 +208,29 @@ func pullCostEst(op *algebraicOperand, candidates int) float64 {
 	return float64(candidates) * pullProbeCost
 }
 
-// choosePullVec is the vector-frontier chooser (the var-length path).
-// Unlike the batched chooser it can afford the exact push cost —
-// the sum of the frontier entries' out-degrees (direction-optimizing BFS's
-// m_f, an O(frontier) pass of row-pointer arithmetic) — which matters
-// because a BFS frontier's mean degree drifts far from the global mean:
-// mid-BFS frontiers hold the graph's high-degree core, so a frontier well
-// below the bitmap fill ratio can still carry half the graph's edges — and
-// that edge weight, not the entry count, is what push pays for. The degree
-// sum early-exits once it clears the pull budget, so the chooser's overhead
-// stays bounded by the cheaper kernel's cost.
-func (ctx *execCtx) choosePullVec(op *algebraicOperand, frontier *grb.Vector, candidates int) (*grb.DeltaMatrix, bool) {
-	if bt, pull, decided := ctx.pullEligible(op); decided {
-		return bt, pull
-	}
-	b := ctx.resolveOperand(op)
-	if b == nil {
-		return nil, false
-	}
-	budget := pullCostEst(op, candidates)
-	pushCost := 0.0
-	frontier.Iterate(func(i grb.Index, _ float64) bool {
-		pushCost += float64(b.RowDegree(i))
-		return pushCost <= budget
-	})
-	if pushCost <= budget {
-		return nil, false
-	}
-	bt := ctx.resolveOperandT(op)
-	return bt, bt != nil
+// bfsFrontier is what the var-length chooser reads of a BFS frontier;
+// *grb.BFSHop implements it.
+type bfsFrontier interface {
+	FrontierDegree(budget float64) float64
 }
 
-// eval propagates a frontier vector through every operand, choosing push
-// or pull per hop — the vector entry var-length traversal masks its emitted
-// frontiers through.
-func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector) (*grb.Vector, error) {
-	dim := ae.dim(ctx)
-	w := frontier
-	for i := range ae.operands {
-		op := &ae.operands[i]
-		m := ctx.resolveOperand(op)
-		if m == nil {
-			return grb.NewVector(dim), nil // an absent name: nothing is reached
-		}
-		out := grb.NewVector(dim)
-		if bt, pull := ctx.choosePullVec(op, w, dim); pull {
-			if err := grb.VxMPull(out, nil, nil, grb.AnyPair, w, bt, nil, ctx.desc); err != nil {
-				return nil, err
-			}
-		} else if err := grb.VxMDelta(out, nil, nil, grb.AnyPair, w, m, ctx.desc); err != nil {
-			return nil, err
-		}
-		w = out
+// choosePullHop is the chooser for one var-length BFS hop, over the
+// operand's push matrix, with the unreached vertices as pull candidates.
+// Unlike the batched chooser it can afford the exact push cost — the sum of
+// the frontier entries' out-degrees (direction-optimizing BFS's m_f, an
+// O(frontier) pass of row-pointer arithmetic) — which matters because a BFS
+// frontier's mean degree drifts far from the global mean: mid-BFS frontiers
+// hold the graph's high-degree core, so a frontier well below the bitmap fill
+// ratio can still carry half the graph's edges — and that edge weight, not
+// the entry count, is what push pays for. The degree sum early-exits once it
+// clears the pull budget, so the chooser's overhead stays bounded by the
+// cheaper kernel's cost.
+func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached int) bool {
+	if _, pull, decided := ctx.pullEligible(op); decided {
+		return pull
 	}
-	return w, nil
+	budget := pullCostEst(op, unreached)
+	return f.FrontierDegree(budget) > budget
 }
 
 // evalMatrix propagates a whole batch of frontiers — one per row of f — in
@@ -272,8 +242,8 @@ func (ae *algebraicExpr) eval(ctx *execCtx, frontier *grb.Vector) (*grb.Vector, 
 //
 // keep carries the pushed destination predicates as a column mask, applied
 // at the relation operand when it pulls (candidate pruning inside MxMPull)
-// and as one post-evaluation SelectCols pass otherwise — see eval for why
-// first-operand application is sound.
+// and as one post-evaluation SelectCols pass otherwise. Applying it at the
+// first operand is sound because label diagonals after it only filter.
 func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats, keep grb.ColMask) (*grb.Matrix, error) {
 	dim := ae.dim(ctx)
 	w := f
@@ -304,49 +274,6 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 	}
 	if keep != nil && !kernelKept {
 		grb.SelectCols(w, keep, ctx.desc)
-	}
-	return w, nil
-}
-
-// evalMasked evaluates with a complemented structural mask (used by
-// variable-length traversal to exclude already-reached nodes). The mask
-// shrinks the pull kernel's candidate set — unreached nodes only — which is
-// exactly the bottom-up BFS regime, so the chooser costs pull against the
-// unreached count rather than the full dimension.
-func (ae *algebraicExpr) evalMasked(ctx *execCtx, frontier, reached *grb.Vector, ks *kernelStats) (*grb.Vector, error) {
-	dim := ae.dim(ctx)
-	w := frontier
-	for i := range ae.operands {
-		op := &ae.operands[i]
-		m := ctx.resolveOperand(op)
-		if m == nil {
-			return grb.NewVector(dim), nil
-		}
-		out := grb.NewVector(dim)
-		var mask *grb.Vector
-		d := ctx.desc
-		candidates := dim
-		if i == len(ae.operands)-1 {
-			mask = reached
-			md := *ctx.desc
-			md.Comp, md.Structure, md.Replace = true, true, true
-			d = &md
-			if c := dim - reached.NVals(); c >= 0 {
-				candidates = c
-			}
-		}
-		bt, pull := ctx.choosePullVec(op, w, candidates)
-		if pull {
-			if err := grb.VxMPull(out, mask, nil, grb.AnyPair, w, bt, nil, d); err != nil {
-				return nil, err
-			}
-		} else if err := grb.VxMDelta(out, mask, nil, grb.AnyPair, w, m, d); err != nil {
-			return nil, err
-		}
-		if ks != nil && !op.diag {
-			ks.note(pull)
-		}
-		w = out
 	}
 	return w, nil
 }

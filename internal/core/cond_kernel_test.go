@@ -43,7 +43,7 @@ func findCondTraverse(op planNode) *condTraverseNode {
 		return ct
 	}
 	if tc, ok := op.(*traverseCountNode); ok {
-		return tc.t
+		return findCondTraverse(tc.t)
 	}
 	for _, c := range op.children() {
 		if ct := findCondTraverse(c); ct != nil {

@@ -378,7 +378,7 @@ func TestExplainShowsAlgebraicExpression(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"Aggregate", "VarLenTraverse", "KNOWS", "[1..2]"} {
+	for _, want := range []string{"TraverseCount", "VarLenTraverse", "KNOWS", "[1..2]"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("EXPLAIN missing %q:\n%s", want, joined)
 		}

@@ -69,7 +69,7 @@ func (opts instOpts) open(n planNode) operation {
 	case *varLenTraverseNode:
 		return &varLenTraverseOp{varLenTraverseNode: n, child: instantiate(n.child, opts)}
 	case *traverseCountNode:
-		return &traverseCountOp{t: opts.open(n.t).(*condTraverseOp)}
+		return &traverseCountOp{t: opts.open(n.t).(counter)}
 	case *createNode:
 		return &createOp{createNode: n, child: instantiate(n.child, opts)}
 	case *mergeNode:

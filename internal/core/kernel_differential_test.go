@@ -178,19 +178,18 @@ func TestChoosePullHeuristic(t *testing.T) {
 		t.Fatal("a sparse operand should push even with a dense frontier")
 	}
 
-	// The vector chooser uses the frontier's exact out-degree sum: the same
+	// The BFS-hop chooser uses the frontier's exact out-degree sum: the same
 	// nnz count pulls when it sits on the operand's heavy rows and pushes
 	// when it sits on empty ones.
-	heavy := grb.NewVector(dim)
-	empty := grb.NewVector(dim)
+	var heavy, empty []grb.Index
 	for i := 0; i < dim/4; i++ {
-		_ = heavy.SetElement(i*2, 1)   // even rows carry 64 entries each
-		_ = empty.SetElement(i*2+1, 1) // odd rows are structurally empty
+		heavy = append(heavy, i*2)   // even rows carry 64 entries each
+		empty = append(empty, i*2+1) // odd rows are structurally empty
 	}
-	if _, pull := ctx.choosePullVec(&op, heavy, dim); !pull {
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, heavy}, dim); !pull {
 		t.Fatal("a frontier over heavy rows must pull")
 	}
-	if _, pull := ctx.choosePullVec(&op, empty, dim); pull {
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, empty}, dim); pull {
 		t.Fatal("a frontier over empty rows must push regardless of nnz")
 	}
 
@@ -211,6 +210,23 @@ func TestChoosePullHeuristic(t *testing.T) {
 		t.Fatal("label diagonals must push")
 	}
 	ctx.kernel = kernelAuto
+}
+
+// rowsFrontier is a BFS frontier given as a list of rows of m: the
+// FrontierDegree grb.BFSHop computes, with the same early exit.
+type rowsFrontier struct {
+	m    *grb.DeltaMatrix
+	rows []grb.Index
+}
+
+func (f rowsFrontier) FrontierDegree(budget float64) float64 {
+	sum := 0.0
+	for _, i := range f.rows {
+		if sum += float64(f.m.RowDegree(i)); sum > budget {
+			break
+		}
+	}
+	return sum
 }
 
 // TestKernelStatsDescribe pins the PROFILE annotation formats.

@@ -477,20 +477,39 @@ func (n *expandIntoNode) args() string      { return n.describe(n.batch, kernelS
 func (o *expandIntoOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
 
 // traverseCountNode is aggregate pushdown for `RETURN count(dst)` directly
-// above a non-optional traversal without an edge variable: the count equals
-// the total cardinality of the result-frontier rows, so no output record is
-// ever materialised — the paper's own k-hop counting strategy (a reduction
-// over the frontier) generalised to record batches. Pushed destination
-// masks still apply: they filter the frontier before the reduction.
-type traverseCountNode struct{ t *condTraverseNode }
+// above a traversal that binds dst and no edge variable: a non-optional
+// condTraverseNode or a varLenTraverseNode. The count is a reduction over the
+// traversal's result frontiers — the paper's own k-hop counting strategy —
+// so no output record is ever materialised. Pushed destination masks and
+// destination labels still apply: they filter the frontiers before the
+// reduction.
+type traverseCountNode struct{ t countedTraversal }
 
-func (n *traverseCountNode) name() string         { return "TraverseCount" }
+// countedTraversal is a traversal node a traverseCountNode stands over.
+type countedTraversal interface {
+	planNode
+	input() *unary
+}
+
+func (n *traverseCountNode) name() string {
+	if _, ok := n.t.(*varLenTraverseNode); ok {
+		return "VarLenTraverseCount"
+	}
+	return "TraverseCount"
+}
 func (n *traverseCountNode) args() string         { return n.t.args() }
 func (n *traverseCountNode) children() []planNode { return n.t.children() }
-func (n *traverseCountNode) input() *unary        { return &n.t.unary }
+func (n *traverseCountNode) input() *unary        { return n.t.input() }
+
+// counter is the running op of a countedTraversal: it counts the nodes its
+// whole input reaches without building a record.
+type counter interface {
+	profileDescriber
+	count(ctx *execCtx) (int64, error)
+}
 
 type traverseCountOp struct {
-	t    *condTraverseOp
+	t    counter
 	done bool
 }
 
@@ -501,15 +520,26 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 		return nil, nil
 	}
 	o.done = true
-	t := o.t
+	total, err := o.t.count(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := newRecord(1)
+	out[0] = value.NewInt(total)
+	return recordBatch{out}, nil
+}
+
+// count sums the cardinality of every result-frontier row, skipping columns
+// whose node no longer exists.
+func (o *condTraverseOp) count(ctx *execCtx) (int64, error) {
 	var total int64
-	for !t.done {
+	for !o.done {
 		if ctx.expired() {
-			return nil, fmt.Errorf("query timed out during traversal count")
+			return 0, fmt.Errorf("query timed out during traversal count")
 		}
-		batch, _, result, err := t.evalBatch(ctx)
+		batch, _, result, err := o.evalBatch(ctx)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		for r := range batch {
 			for _, j := range result.RowIterate(r) {
@@ -519,35 +549,32 @@ func (o *traverseCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 			}
 		}
 	}
-	out := newRecord(1)
-	out[0] = value.NewInt(total)
-	return recordBatch{out}, nil
+	return total, nil
 }
 
-// varLenTraverseNode performs a masked BFS between minHops and maxHops,
-// emitting each newly reached node whose depth lies in range — the k-hop
-// neighbourhood expansion at the heart of the paper's benchmark. Each
-// input record's whole reachable set is queued and emitted as native
-// batches.
+// varLenTraverseNode performs a BFS between minHops and maxHops over one
+// relation operand, emitting each newly reached node whose depth lies in
+// range — the k-hop neighbourhood expansion at the heart of the paper's
+// benchmark. The search is grb.BFS (pooled bitset frontiers, push or pull
+// chosen per hop by choosePullHop). Each input record's whole reachable set
+// is queued and emitted as native batches.
 //
-// Destination-label predicates ((a)-[*1..3]->(b:Rare)) are applied inside
-// the expansion loop: dstAE holds the label diagonals, and each in-range
-// frontier is multiplied through them before emission — one algebraic mask
-// per level instead of a per-node label probe per reached vertex. The BFS
-// itself keeps expanding the unfiltered frontier, since intermediate path
-// nodes need not carry the destination label. Under NoPushdown dstAE is nil
-// and the labels are residual filters above the node.
+// Destination-label predicates ((a)-[*1..3]->(b:Rare)) are one conjunction
+// of label-diagonal masks applied to each emitted level, instead of a
+// per-node label probe above the traversal. The BFS itself keeps expanding
+// the unfiltered levels, since intermediate path nodes need not carry the
+// destination label. Under noPushdown dstLabels is empty and the labels are
+// residual filters above the node.
 type varLenTraverseNode struct {
 	unary
 	srcSlot int
 	dstSlot int
 	width   int
 
-	ae       *algebraicExpr
-	minHops  int
-	maxHops  int            // -1 = unbounded
-	dstAE    *algebraicExpr // label-diagonal mask over emitted frontiers
-	kthreads int            // kernel parallelism degree, for EXPLAIN/PROFILE
+	rel       algebraicOperand
+	minHops   int
+	maxHops   int                // -1 = unbounded
+	dstLabels []algebraicOperand // label diagonals masking emitted levels
 }
 
 type varLenTraverseOp struct {
@@ -571,7 +598,7 @@ func (o *varLenTraverseOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 		if o.done {
 			return nil, nil
 		}
-		in, err := o.in.pull(ctx, o.child)
+		in, src, err := o.pullSource(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -579,78 +606,106 @@ func (o *varLenTraverseOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 			o.done = true
 			return nil, nil
 		}
-		src := in[o.srcSlot]
-		if src.Kind != value.KindNode {
-			return nil, fmt.Errorf("traverse: %s is not a node", src.Kind)
-		}
-		if err := o.expand(ctx, in, src.ID); err != nil {
+		err = o.search(ctx, src, func(j grb.Index, n *graph.Node) {
+			out := in.extended(o.width)
+			out[o.dstSlot] = value.NewNode(uint64(j), n)
+			o.queue = append(o.queue, out)
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
 }
 
-func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
-	dim := ctx.g.Dim()
-	frontier := grb.NewVector(dim)
-	if err := frontier.SetElement(int(srcID), 1); err != nil {
-		return err
-	}
-	reached := frontier.Dup()
-	maxH := o.maxHops
-	if maxH < 0 {
-		maxH = dim // cannot exceed the diameter
-	}
-	if o.minHops == 0 {
-		if err := o.emitFrontier(ctx, in, frontier); err != nil {
-			return err
-		}
-	}
-	for hop := 1; hop <= maxH; hop++ {
-		if ctx.expired() {
-			return fmt.Errorf("query timed out during variable-length traversal")
-		}
-		next, err := o.ae.evalMasked(ctx, frontier, reached, &o.ks)
+// count is the pushed-down `count(dst)`: the summed sizes of every input's
+// in-range levels under the destination-label mask.
+func (o *varLenTraverseOp) count(ctx *execCtx) (int64, error) {
+	var total int64
+	tally := func(grb.Index, *graph.Node) { total++ }
+	for {
+		in, src, err := o.pullSource(ctx)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if next.NVals() == 0 {
-			return nil
+		if in == nil {
+			return total, nil
 		}
-		if err := grb.EWiseAddVector(reached, nil, nil, grb.LOr, reached, next, nil); err != nil {
-			return err
+		if err := o.search(ctx, src, tally); err != nil {
+			return 0, err
 		}
-		if hop >= o.minHops {
-			if err := o.emitFrontier(ctx, in, next); err != nil {
-				return err
-			}
-		}
-		frontier = next
 	}
-	return nil
 }
 
-// emitFrontier restricts one in-range frontier to the destination labels —
-// multiplying through the label diagonals, leaving the BFS frontier itself
-// untouched — and queues the surviving nodes.
-func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) error {
-	if o.dstAE != nil {
-		masked, err := o.dstAE.eval(ctx, f)
-		if err != nil {
-			return err
-		}
-		f = masked
+// pullSource pulls the next input record and its source node's ID; a nil
+// record means the input is exhausted.
+func (o *varLenTraverseOp) pullSource(ctx *execCtx) (record, uint64, error) {
+	in, err := o.in.pull(ctx, o.child)
+	if err != nil || in == nil {
+		return nil, 0, err
 	}
-	f.Iterate(func(j grb.Index, _ float64) bool {
-		n, ok := ctx.g.GetNode(uint64(j))
-		if !ok {
-			return true
+	src := in[o.srcSlot]
+	if src.Kind != value.KindNode {
+		return nil, 0, fmt.Errorf("traverse: %s is not a node", src.Kind)
+	}
+	return in, src.ID, nil
+}
+
+// search runs one source's BFS and hands emit every existing node of an
+// in-range level that passes the destination-label mask, level by level in
+// ascending ID order.
+func (o *varLenTraverseOp) search(ctx *execCtx, src uint64, emit func(j grb.Index, n *graph.Node)) error {
+	keep := o.dstMask(ctx)
+	visit := func(hop int, level []grb.Index) error {
+		if hop < o.minHops {
+			return nil
 		}
-		out := in.extended(o.width)
-		out[o.dstSlot] = value.NewNode(uint64(j), n)
-		o.queue = append(o.queue, out)
-		return true
-	})
-	return nil
+		for _, j := range level {
+			if keep != nil && !keep(j) {
+				continue
+			}
+			if n, ok := ctx.g.GetNode(uint64(j)); ok {
+				emit(j, n)
+			}
+		}
+		return nil
+	}
+	a := ctx.resolveOperand(&o.rel)
+	if a == nil {
+		// No such relation type (yet): the search reaches the source alone.
+		return visit(0, []grb.Index{grb.Index(src)})
+	}
+	var at grb.RowSource
+	if ctx.kernel != kernelPush {
+		if bt := ctx.resolveOperandT(&o.rel); bt != nil {
+			at = bt
+		}
+	}
+	step := func(h *grb.BFSHop) (bool, error) {
+		if ctx.expired() {
+			return false, fmt.Errorf("query timed out during variable-length traversal")
+		}
+		pull := at != nil && ctx.choosePullHop(&o.rel, h, h.Unreached)
+		o.ks.note(pull)
+		return pull, nil
+	}
+	return grb.BFS(a, at, grb.Index(src), o.maxHops, step, visit)
+}
+
+// dstMask returns the conjunction of the destination-label diagonals (nil
+// without labels); a label the graph does not have keeps nothing.
+func (o *varLenTraverseOp) dstMask(ctx *execCtx) grb.ColMask {
+	if len(o.dstLabels) == 0 {
+		return nil
+	}
+	masks := make([]grb.ColMask, len(o.dstLabels))
+	for i := range o.dstLabels {
+		m := ctx.resolveOperand(&o.dstLabels[i])
+		if m == nil {
+			return func(grb.Index) bool { return false }
+		}
+		masks[i] = grb.DiagMask(m)
+	}
+	return grb.AndMasks(masks)
 }
 
 func (n *varLenTraverseNode) name() string { return "VarLenTraverse" }
@@ -659,9 +714,9 @@ func (n *varLenTraverseNode) args() string {
 	if n.maxHops >= 0 {
 		hi = fmt.Sprint(n.maxHops)
 	}
-	s := fmt.Sprintf("%s [%d..%s]%s", n.ae.String(), n.minHops, hi, describeThreads(n.kthreads))
-	if n.dstAE != nil {
-		s += " | dst mask: " + n.dstAE.String()
+	s := fmt.Sprintf("%s [%d..%s]", n.rel.label, n.minHops, hi)
+	if len(n.dstLabels) > 0 {
+		s += " | dst mask: " + (&algebraicExpr{operands: n.dstLabels}).String()
 	}
 	return s
 }

@@ -230,15 +230,14 @@ func parallelizePlan(p *Plan, threads int) {
 		p.root = node
 	}
 	for _, n := range chain[stop:] {
+		if c, ok := n.(*traverseCountNode); ok {
+			n = c.t
+		}
 		switch t := n.(type) {
 		case *condTraverseNode:
 			t.kthreads = 1
 		case *expandIntoNode:
 			t.kthreads = 1
-		case *varLenTraverseNode:
-			t.kthreads = 1
-		case *traverseCountNode:
-			t.t.kthreads = 1
 		}
 	}
 	leaf.scan().segments = threads

@@ -632,27 +632,26 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 		}
 		dstSlot := b.st.add(dstVar)
 		b.bound[dstVar] = true
-		var dstAE *algebraicExpr
+		var dstLabels []algebraicOperand
 		residLabels := dstNode.Labels
 		if len(dstNode.Labels) > 0 && !b.noPushdown {
 			// Fold every destination label into a diagonal mask applied to
-			// each emitted frontier inside the expansion loop — the
+			// each emitted level inside the expansion loop — the
 			// intermediate hops stay unfiltered, only emission is. Under
 			// NoPushdown the labels stay residual filters.
 			labels := dstNode.Labels
 			if !b.noCostPlanner {
 				labels = b.orderLabelsBySelectivity(labels)
 			}
-			dstAE = &algebraicExpr{}
 			for _, lbl := range labels {
 				labelSel *= b.labelSel(lbl)
-				dstAE.operands = append(dstAE.operands, labelDiagOperand(lbl))
+				dstLabels = append(dstLabels, labelDiagOperand(lbl))
 			}
 			residLabels = nil
 		}
 		b.setCur(&varLenTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot,
-			width: b.st.size(), ae: ae, minHops: rel.MinHops, maxHops: rel.MaxHops,
-			dstAE: dstAE, kthreads: b.threads},
+			width: b.st.size(), rel: rop, minHops: rel.MinHops, maxHops: rel.MaxHops,
+			dstLabels: dstLabels},
 			b.rowEst*b.relFanout(rel)*labelSel)
 		if err := b.addNodeResiduals(dstVar, &cypher.NodePattern{Var: dstVar, Labels: residLabels, Props: dstNode.Props}, "", 0); err != nil {
 			return err
@@ -1057,22 +1056,33 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 }
 
 // tryCountPushdown recognises `RETURN count(dst)` immediately above a plain
-// traversal binding dst: the count is the total cardinality of the result
-// frontier, so the traversal never needs to materialise output records.
-// count(*) qualifies too (traversal outputs are never null). Edge variables
-// (one record per edge) and OPTIONAL MATCH (null rows) are excluded.
+// or variable-length traversal binding dst: the count is the total
+// cardinality of the result frontiers, so the traversal never needs to
+// materialise output records. count(*) qualifies too (traversal outputs are
+// never null). Edge variables (one record per edge), OPTIONAL MATCH (null
+// rows) and residual destination filters (a Filter is the child) are
+// excluded; noPushdown keeps the records and Aggregate as the baseline.
 func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child planNode,
 	distinct bool, orderBy []*cypher.SortItem) planNode {
 
-	if len(items) != 1 || distinct || len(orderBy) != 0 {
+	if len(items) != 1 || distinct || len(orderBy) != 0 || b.noPushdown {
 		return nil
 	}
 	fc, ok := items[0].Expr.(*cypher.FuncCall)
 	if !ok || fc.Name != "count" || fc.Distinct {
 		return nil
 	}
-	ct, ok := child.(*condTraverseNode)
-	if !ok || ct.edgeSlot >= 0 || ct.optional {
+	var t countedTraversal
+	var dstSlot int
+	switch c := child.(type) {
+	case *condTraverseNode:
+		if c.edgeSlot >= 0 || c.optional {
+			return nil
+		}
+		t, dstSlot = c, c.dstSlot
+	case *varLenTraverseNode:
+		t, dstSlot = c, c.dstSlot
+	default:
 		return nil
 	}
 	if !fc.Star {
@@ -1084,11 +1094,11 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child planNod
 			return nil
 		}
 		slot, ok := b.st.lookup(id.Name)
-		if !ok || slot != ct.dstSlot {
+		if !ok || slot != dstSlot {
 			return nil
 		}
 	}
-	return &traverseCountNode{t: ct}
+	return &traverseCountNode{t: t}
 }
 
 // buildAggregate compiles the hash-aggregation projection.

@@ -32,6 +32,18 @@ func (b bitset) iterate(fn func(i Index) bool) {
 	}
 }
 
+// appendSet appends every set bit to dst in ascending order.
+func (b bitset) appendSet(dst []Index) []Index {
+	for wi, w := range b {
+		base := Index(wi << 6)
+		for w != 0 {
+			dst = append(dst, base+Index(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // setAll sets every bit in [0, n), keeping the tail words clean.
 func (b bitset) setAll(n int) {
 	for i := range b {

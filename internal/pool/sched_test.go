@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,10 +50,9 @@ func TestParallelCtxAccounting(t *testing.T) {
 	sc := BeginQuery()
 	defer sc.End()
 	var sum atomic.Int64
-	ParallelCtx(sc, 4, 64, func(i int) {
-		sum.Add(int64(i))
-		time.Sleep(50 * time.Microsecond)
-	})
+	// No sleep in the morsels: the caller's share of ServedNanos spans the
+	// whole job on the monotonic clock, so it is positive for any job.
+	ParallelCtx(sc, 4, 64, func(i int) { sum.Add(int64(i)) })
 	if want := int64(64 * 63 / 2); sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
 	}
@@ -165,20 +165,16 @@ func TestGateImmediateAdmission(t *testing.T) {
 }
 
 // TestGateFIFOAndRelease checks queued waiters are admitted in arrival
-// order as slots free.
+// order as slots free. Waiter 2 starts only once waiter 1 is queued, so the
+// arrival order is fixed without timing.
 func TestGateFIFOAndRelease(t *testing.T) {
 	g := NewGate(1)
 	if _, err := g.Acquire(0); err != nil {
 		t.Fatal(err)
 	}
 	order := make(chan int, 2)
-	var started sync.WaitGroup
 	for i := 1; i <= 2; i++ {
-		started.Add(1)
 		go func(i int) {
-			// Stagger arrival so FIFO order is deterministic.
-			time.Sleep(time.Duration(i) * 20 * time.Millisecond)
-			started.Done()
 			if _, err := g.Acquire(5 * time.Second); err != nil {
 				t.Errorf("waiter %d rejected: %v", i, err)
 				order <- -i
@@ -187,15 +183,21 @@ func TestGateFIFOAndRelease(t *testing.T) {
 			order <- i
 			g.Release()
 		}(i)
+		waitQueued(g, i)
 	}
-	started.Wait()
-	time.Sleep(50 * time.Millisecond) // both queued
 	g.Release()
 	if first := <-order; first != 1 {
 		t.Fatalf("first admitted waiter = %d, want 1 (FIFO)", first)
 	}
 	if second := <-order; second != 2 {
 		t.Fatalf("second admitted waiter = %d, want 2", second)
+	}
+}
+
+// waitQueued yields until n acquirers wait in g's queue.
+func waitQueued(g *Gate, n int) {
+	for g.Snapshot().QueuedNow < n {
+		runtime.Gosched()
 	}
 }
 
@@ -236,9 +238,7 @@ func TestGateSetLimitPromotes(t *testing.T) {
 		_, err := g.Acquire(5 * time.Second)
 		done <- err
 	}()
-	for g.Snapshot().QueuedNow == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(g, 1)
 	g.SetLimit(0)
 	if err := <-done; err != nil {
 		t.Fatalf("waiter after SetLimit(0): %v", err)

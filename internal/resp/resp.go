@@ -29,11 +29,14 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r)}
 }
 
-// Bounds on a client command, as in Redis (proto-max-bulk-len is 512 MiB):
-// a header above either is a protocol error, never an allocation.
+// Bounds on a client command, as in Redis (proto-max-bulk-len is 512 MiB,
+// inline requests 64 KiB): a header above the first two, or a line — an
+// inline command or a header — longer than the third, is a protocol error,
+// never an allocation.
 const (
 	maxArrayLen = 1 << 20
 	maxBulkLen  = 512 << 20
+	maxLineLen  = 64 << 10
 )
 
 // ProtocolError reports a malformed or oversized client command. A server
@@ -46,7 +49,7 @@ func (e ProtocolError) Error() string { return "Protocol error: " + string(e) }
 // ReadCommand reads one client command: either a RESP array of bulk strings
 // or an inline space-separated line.
 func (r *Reader) ReadCommand() ([]string, error) {
-	line, err := r.readLine()
+	line, err := r.readCommandLine()
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +68,7 @@ func (r *Reader) ReadCommand() ([]string, error) {
 	// actually arrive, not for the count it claims.
 	args := make([]string, 0, min(n, 16))
 	for i := 0; i < n; i++ {
-		hdr, err := r.readLine()
+		hdr, err := r.readCommandLine()
 		if err != nil {
 			return nil, err
 		}
@@ -169,6 +172,28 @@ func (r *Reader) readLine() (string, error) {
 		return "", err
 	}
 	return strings.TrimRight(s, "\r\n"), nil
+}
+
+// readCommandLine is readLine for a client command: a line longer than
+// maxLineLen is a protocol error, read no further than the bound.
+func (r *Reader) readCommandLine() (string, error) {
+	var line []byte // only for a line longer than the reader's buffer
+	for {
+		frag, err := r.br.ReadSlice('\n')
+		if len(line)+len(frag) > maxLineLen {
+			return "", ProtocolError(fmt.Sprintf("line longer than %d bytes", maxLineLen))
+		}
+		if err == nil {
+			if line != nil {
+				frag = append(line, frag...)
+			}
+			return strings.TrimRight(string(frag), "\r\n"), nil
+		}
+		if err != bufio.ErrBufferFull {
+			return "", err
+		}
+		line = append(line, frag...)
+	}
 }
 
 func splitInline(line string) []string {

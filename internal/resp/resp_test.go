@@ -154,6 +154,28 @@ func TestReadCommandBounds(t *testing.T) {
 	}
 }
 
+// TestReadCommandLineBound checks one command line — inline or a header — is
+// capped at 64 KiB: at the cap it is read, above it (or a never-ending line)
+// it is a ProtocolError.
+func TestReadCommandLineBound(t *testing.T) {
+	arg := strings.Repeat("x", maxLineLen-len("SET k \r\n"))
+	args, err := NewReader(strings.NewReader("SET k " + arg + "\r\n")).ReadCommand()
+	if err != nil || len(args) != 3 || args[2] != arg {
+		t.Fatalf("line at the cap: %d args, err = %v", len(args), err)
+	}
+	for _, in := range []string{
+		"SET k " + arg + "x\r\n",                        // one byte over
+		strings.Repeat("P", 1<<20),                      // 1 MiB, no newline at all
+		"*1\r\n$" + strings.Repeat("1", 70000) + "\r\n", // an oversized header line
+	} {
+		_, err := NewReader(strings.NewReader(in)).ReadCommand()
+		var perr ProtocolError
+		if !errors.As(err, &perr) {
+			t.Fatalf("%d-byte line: err = %v, want a ProtocolError", len(in), err)
+		}
+	}
+}
+
 func TestReadCommandLongBulk(t *testing.T) {
 	arg := strings.Repeat("x", bulkChunk+1)
 	var buf bytes.Buffer
@@ -174,6 +196,7 @@ func FuzzReadCommand(f *testing.F) {
 		"*1048576\r\n",
 		"*1\r\n$536870912\r\nab",
 		"PING \"quoted arg\"\r\n",
+		strings.Repeat("a", 1<<20), // a 1 MiB line without a newline
 	} {
 		f.Add([]byte(seed))
 	}
