@@ -49,13 +49,6 @@ func newRecord(n int) record {
 	return make(record, n)
 }
 
-// clone copies the record so downstream mutation cannot corrupt siblings.
-func (r record) clone() record {
-	out := make(record, len(r))
-	copy(out, r)
-	return out
-}
-
 // extended returns a copy of r grown to n slots.
 func (r record) extended(n int) record {
 	out := make(record, n)

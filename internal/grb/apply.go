@@ -1,27 +1,5 @@
 package grb
 
-// ApplyVector computes w<mask> = accum(w, f(u)) (GrB_apply).
-func ApplyVector(w *Vector, mask *Vector, accum *BinaryOp, f UnaryOp, u *Vector, d *Descriptor) error {
-	if w == nil || u == nil {
-		return ErrNilObject
-	}
-	if w.n != u.n {
-		return dimErr("apply: w %d, u %d", w.n, u.n)
-	}
-	comp, structure := d.comp(), d.structure()
-	t := NewVector(w.n)
-	u.Iterate(func(i Index, x float64) bool {
-		if mask == nil && !comp || mask.maskAllows(i, comp, structure) {
-			t.ind = append(t.ind, i)
-			t.val = append(t.val, f.F(x))
-		}
-		return true
-	})
-	t.maybeDensify()
-	mergeVector(w, mask, accum, t, d)
-	return nil
-}
-
 // ApplyMatrix computes C<Mask> = accum(C, f(A)).
 func ApplyMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, f UnaryOp, a *Matrix, d *Descriptor) error {
 	if c == nil || a == nil {
@@ -53,33 +31,21 @@ func ApplyMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, f UnaryOp, a *Matrix,
 	return nil
 }
 
-// ApplyBindFirst computes w = f(scalar, u) entry-wise, a GxB bind-first apply.
-func ApplyBindFirst(w *Vector, mask *Vector, accum *BinaryOp, f BinaryOp, scalar float64, u *Vector, d *Descriptor) error {
-	return ApplyVector(w, mask, accum, UnaryOp{Name: f.Name + "_bind1", F: func(x float64) float64 { return f.F(scalar, x) }}, u, d)
-}
-
-// ApplyBindSecond computes w = f(u, scalar) entry-wise.
+// ApplyBindSecond computes w<mask> = accum(w, f(u, scalar)) entry-wise, a
+// GxB bind-second apply.
 func ApplyBindSecond(w *Vector, mask *Vector, accum *BinaryOp, f BinaryOp, u *Vector, scalar float64, d *Descriptor) error {
-	return ApplyVector(w, mask, accum, UnaryOp{Name: f.Name + "_bind2", F: func(x float64) float64 { return f.F(x, scalar) }}, u, d)
-}
-
-// SelectVector computes w<mask> = accum(w, u keeping entries where pred ≠ 0)
-// (GrB_select).
-func SelectVector(w *Vector, mask *Vector, accum *BinaryOp, pred IndexUnaryOp, u *Vector, d *Descriptor) error {
 	if w == nil || u == nil {
 		return ErrNilObject
 	}
 	if w.n != u.n {
-		return dimErr("select: w %d, u %d", w.n, u.n)
+		return dimErr("apply: w %d, u %d", w.n, u.n)
 	}
 	comp, structure := d.comp(), d.structure()
 	t := NewVector(w.n)
 	u.Iterate(func(i Index, x float64) bool {
-		if pred.F(i, 0, x) != 0 {
-			if mask == nil && !comp || mask.maskAllows(i, comp, structure) {
-				t.ind = append(t.ind, i)
-				t.val = append(t.val, x)
-			}
+		if mask == nil && !comp || mask.maskAllows(i, comp, structure) {
+			t.ind = append(t.ind, i)
+			t.val = append(t.val, f.F(x, scalar))
 		}
 		return true
 	})

@@ -1,83 +1,8 @@
 package grb
 
-// VectorAssign computes w<mask>(I) = accum(w(I), u) (GrB_assign). The mask
-// covers all of w. A nil I targets every index.
-func VectorAssign(w *Vector, mask *Vector, accum *BinaryOp, u *Vector, i []Index, d *Descriptor) error {
-	if w == nil || u == nil {
-		return ErrNilObject
-	}
-	ni := len(i)
-	if i == nil {
-		ni = w.n
-	}
-	if u.n != ni {
-		return dimErr("assign: u %d, |I| %d", u.n, ni)
-	}
-	comp, structure := d.comp(), d.structure()
-	// Expand u to a t over the full w domain.
-	t := NewVector(w.n)
-	for k := 0; k < ni; k++ {
-		dst := k
-		if i != nil {
-			dst = i[k]
-		}
-		if dst < 0 || dst >= w.n {
-			return boundsErr("assign index %d size %d", dst, w.n)
-		}
-		if x, ok := u.get(k); ok {
-			if mask == nil && !comp || mask.maskAllows(dst, comp, structure) {
-				t.SetElement(dst, x)
-			}
-		}
-	}
-	// Assign differs from a plain merge: positions inside I but absent from u
-	// delete existing entries (no accum); positions outside I are untouched.
-	// Build the final vector explicitly.
-	inI := make(map[Index]bool, ni)
-	if i == nil {
-		for k := 0; k < w.n; k++ {
-			inI[k] = true
-		}
-	} else {
-		for _, dst := range i {
-			inI[dst] = true
-		}
-	}
-	out := NewVector(w.n)
-	w.Iterate(func(idx Index, x float64) bool {
-		tv, inT := t.get(idx)
-		allowed := mask == nil && !comp || mask.maskAllows(idx, comp, structure)
-		switch {
-		case !allowed:
-			if !d.replace() {
-				out.SetElement(idx, x)
-			}
-		case inT:
-			if accum != nil {
-				out.SetElement(idx, accum.F(x, tv))
-			} else {
-				out.SetElement(idx, tv)
-			}
-		case inI[idx] && accum == nil:
-			// Deleted by assignment.
-		default:
-			out.SetElement(idx, x)
-		}
-		return true
-	})
-	t.Iterate(func(idx Index, x float64) bool {
-		if _, ok := w.get(idx); !ok {
-			out.SetElement(idx, x)
-		}
-		return true
-	})
-	*w = *out
-	return nil
-}
-
 // VectorAssignScalar computes w<mask>(I) = accum(w(I), x): every selected
-// (and mask-permitted) position receives the scalar. BFS uses this to stamp
-// levels onto the visited vector.
+// (and mask-permitted) position receives the scalar. A nil I targets every
+// index. BFS uses this to stamp levels onto the visited vector.
 func VectorAssignScalar(w *Vector, mask *Vector, accum *BinaryOp, x float64, i []Index, d *Descriptor) error {
 	if w == nil {
 		return ErrNilObject
@@ -142,88 +67,9 @@ func clearOutsideMask(w *Vector, mask *Vector, comp, structure bool) error {
 		return true
 	})
 	for _, idx := range drop {
-		if err := w.RemoveElement(idx); err != nil {
+		if err := w.removeElement(idx); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// MatrixAssign computes C(I, J) = accum(C(I, J), A) without mask support
-// (the graph engine assigns whole rows/columns when deleting nodes).
-func MatrixAssign(c *Matrix, accum *BinaryOp, a *Matrix, i, j []Index, d *Descriptor) error {
-	if c == nil || a == nil {
-		return ErrNilObject
-	}
-	a.Wait()
-	if d.tranA() {
-		a = transposed(a)
-	}
-	ni, nj := len(i), len(j)
-	if i == nil {
-		ni = c.nrows
-	}
-	if j == nil {
-		nj = c.ncols
-	}
-	if a.nrows != ni || a.ncols != nj {
-		return dimErr("assign: A %dx%d, want %dx%d", a.nrows, a.ncols, ni, nj)
-	}
-	// Clear the target region, then set entries from A.
-	c.Wait()
-	rowSel := make(map[Index]bool, ni)
-	for k := 0; k < ni; k++ {
-		r := k
-		if i != nil {
-			r = i[k]
-		}
-		if r < 0 || r >= c.nrows {
-			return boundsErr("assign row %d of %d", r, c.nrows)
-		}
-		rowSel[r] = true
-	}
-	colSel := make(map[Index]bool, nj)
-	for k := 0; k < nj; k++ {
-		cc := k
-		if j != nil {
-			cc = j[k]
-		}
-		if cc < 0 || cc >= c.ncols {
-			return boundsErr("assign col %d of %d", cc, c.ncols)
-		}
-		colSel[cc] = true
-	}
-	if accum == nil {
-		var dropI, dropJ []Index
-		c.Iterate(func(r, cc Index, _ float64) bool {
-			if rowSel[r] && colSel[cc] {
-				dropI = append(dropI, r)
-				dropJ = append(dropJ, cc)
-			}
-			return true
-		})
-		for k := range dropI {
-			if err := c.RemoveElement(dropI[k], dropJ[k]); err != nil {
-				return err
-			}
-		}
-	}
-	var outer error
-	a.Iterate(func(r, cc Index, x float64) bool {
-		dr, dc := r, cc
-		if i != nil {
-			dr = i[r]
-		}
-		if j != nil {
-			dc = j[cc]
-		}
-		if accum != nil {
-			if old, err := c.ExtractElement(dr, dc); err == nil {
-				x = accum.F(old, x)
-			}
-		}
-		outer = c.SetElement(dr, dc, x)
-		return outer == nil
-	})
-	return outer
 }

@@ -82,7 +82,7 @@ func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 			if err := VxM(w, nil, nil, AnyPair, u, a, nil); err != nil {
 				t.Fatal(err)
 			}
-			ind, _ := w.ExtractTuples()
+			ind, _ := w.extractTuples()
 			want = append(want, ind...)
 		}
 		got := append([]Index{}, c.RowIterate(r)...)

@@ -36,7 +36,7 @@ func randomDeltaPair(r *rand.Rand, n int) (a, at *DeltaMatrix) {
 // vxmLevels is the BFS grb.BFS replaces: a complement-masked VxM per hop,
 // then reached |= next. It returns level 0 ([src]) and every non-empty level.
 func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
-	n := a.NRows()
+	n := a.nrows
 	frontier := NewVector(n)
 	_ = frontier.SetElement(src, 1)
 	reached := frontier.Dup()
@@ -49,7 +49,7 @@ func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
 		if next.NVals() == 0 {
 			break
 		}
-		ind, _ := next.ExtractTuples()
+		ind, _ := next.extractTuples()
 		levels = append(levels, ind)
 		if err := EWiseAddVector(reached, nil, nil, LOr, reached, next, nil); err != nil {
 			panic(err)

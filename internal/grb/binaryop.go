@@ -61,8 +61,7 @@ var (
 	}}
 )
 
-// IndexUnaryOp is a predicate/transform f(i, j, v) used by Select and Apply.
-// For vectors j is always 0.
+// IndexUnaryOp is a predicate f(i, j, v) used by SelectMatrix.
 type IndexUnaryOp struct {
 	Name string
 	F    func(i, j Index, v float64) float64
@@ -76,32 +75,7 @@ var (
 	OffDiag = IndexUnaryOp{"offdiag", func(i, j Index, _ float64) float64 { return b2f(i != j) }}
 )
 
-// ValueEQ returns a Select predicate keeping entries equal to s.
-func ValueEQ(s float64) IndexUnaryOp {
-	return IndexUnaryOp{"valueeq", func(_, _ Index, v float64) float64 { return b2f(v == s) }}
-}
-
-// ValueNE returns a Select predicate keeping entries not equal to s.
-func ValueNE(s float64) IndexUnaryOp {
-	return IndexUnaryOp{"valuene", func(_, _ Index, v float64) float64 { return b2f(v != s) }}
-}
-
-// ValueGT returns a Select predicate keeping entries greater than s.
-func ValueGT(s float64) IndexUnaryOp {
-	return IndexUnaryOp{"valuegt", func(_, _ Index, v float64) float64 { return b2f(v > s) }}
-}
-
 // ValueGE returns a Select predicate keeping entries >= s.
 func ValueGE(s float64) IndexUnaryOp {
 	return IndexUnaryOp{"valuege", func(_, _ Index, v float64) float64 { return b2f(v >= s) }}
-}
-
-// ValueLT returns a Select predicate keeping entries less than s.
-func ValueLT(s float64) IndexUnaryOp {
-	return IndexUnaryOp{"valuelt", func(_, _ Index, v float64) float64 { return b2f(v < s) }}
-}
-
-// ValueLE returns a Select predicate keeping entries <= s.
-func ValueLE(s float64) IndexUnaryOp {
-	return IndexUnaryOp{"valuele", func(_, _ Index, v float64) float64 { return b2f(v <= s) }}
 }

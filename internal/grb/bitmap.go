@@ -62,9 +62,6 @@ func (b bitset) setAll(n int) {
 // growth to the matrix dimension.
 type Bitmap []uint64
 
-// NewBitmap returns an all-clear bitmap covering [0, n).
-func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
-
 // Grown returns a bitmap covering at least [0, n), reusing b's words.
 func (b Bitmap) Grown(n int) Bitmap {
 	words := (n + 63) / 64
@@ -90,15 +87,6 @@ func (b Bitmap) Unset(i int) {
 func (b Bitmap) Get(i int) bool {
 	w := i >> 6
 	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (b Bitmap) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Clone returns an independent copy.

@@ -1,15 +1,5 @@
 package grb
 
-// MatrixFromCOO builds a matrix from coordinate triples, combining
-// duplicates with dup (last-wins when dup is the zero BinaryOp).
-func MatrixFromCOO(nrows, ncols int, rows, cols []Index, values []float64, dup BinaryOp) (*Matrix, error) {
-	m := NewMatrix(nrows, ncols)
-	if err := m.Build(rows, cols, values, dup); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // BoolMatrixFromEdges builds an nrows × ncols boolean (0/1) matrix from an
 // edge list, deduplicating parallel edges — the adjacency-matrix constructor
 // used by generators and tests.
@@ -18,37 +8,11 @@ func BoolMatrixFromEdges(nrows, ncols int, src, dst []Index) (*Matrix, error) {
 	for i := range vals {
 		vals[i] = 1
 	}
-	return MatrixFromCOO(nrows, ncols, src, dst, vals, First)
-}
-
-// IdentityMatrix returns the n × n identity.
-func IdentityMatrix(n int) *Matrix {
-	m := NewMatrix(n, n)
-	m.colInd = make([]Index, n)
-	m.val = make([]float64, n)
-	for i := 0; i < n; i++ {
-		m.rowPtr[i+1] = i + 1
-		m.colInd[i] = i
-		m.val[i] = 1
+	m := NewMatrix(nrows, ncols)
+	if err := m.build(src, dst, vals, First); err != nil {
+		return nil, err
 	}
-	return m
-}
-
-// DiagMatrix places vector v on the diagonal of a new square matrix.
-// RedisGraph label matrices are diagonal booleans built this way.
-func DiagMatrix(v *Vector) *Matrix {
-	m := NewMatrix(v.Size(), v.Size())
-	ind, val := v.ExtractTuples()
-	m.colInd = append([]Index(nil), ind...)
-	m.val = append([]float64(nil), val...)
-	k := 0
-	for i := 0; i < m.nrows; i++ {
-		if k < len(ind) && ind[k] == i {
-			k++
-		}
-		m.rowPtr[i+1] = k
-	}
-	return m
+	return m, nil
 }
 
 // DenseVector returns a vector with every index set to x.

@@ -16,7 +16,7 @@ func TestConcurrentReadsAfterWait(t *testing.T) {
 
 	ref := NewVector(200)
 	must(t, VxM(ref, nil, nil, PlusTimes, u, a, nil))
-	refI, refV := ref.ExtractTuples()
+	refI, refV := ref.extractTuples()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -29,7 +29,7 @@ func TestConcurrentReadsAfterWait(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				wi, wv := w.ExtractTuples()
+				wi, wv := w.extractTuples()
 				if len(wi) != len(refI) {
 					t.Errorf("nvals %d != %d", len(wi), len(refI))
 					return
@@ -80,8 +80,8 @@ func TestWorkspacePoolReuseIsClean(t *testing.T) {
 		must(t, VxM(w1, nil, nil, PlusTimes, u, a, nil))
 		w2 := NewVector(64)
 		must(t, VxM(w2, nil, nil, PlusTimes, u, a, nil))
-		i1, v1 := w1.ExtractTuples()
-		i2, v2 := w2.ExtractTuples()
+		i1, v1 := w1.extractTuples()
+		i2, v2 := w2.extractTuples()
 		if len(i1) != len(i2) {
 			t.Fatalf("trial %d: nvals differ", trial)
 		}

@@ -61,21 +61,12 @@ func DeltaFrom(m *Matrix) *DeltaMatrix {
 	}
 }
 
-// NRows returns the number of rows.
-func (m *DeltaMatrix) NRows() int { return m.nrows }
-
-// NCols returns the number of columns.
-func (m *DeltaMatrix) NCols() int { return m.ncols }
-
 // NVals returns the number of effective entries. It is O(1) and fold-free:
 // the count is maintained incrementally as deltas are buffered.
 func (m *DeltaMatrix) NVals() int { return m.nvals }
 
 // Pending returns the number of buffered, not-yet-folded updates.
 func (m *DeltaMatrix) Pending() int { return m.dpN + m.dmN }
-
-// Dirty reports whether any deltas are buffered.
-func (m *DeltaMatrix) Dirty() bool { return m.dpN+m.dmN > 0 }
 
 // Threshold returns the pending-update count that triggers Sync.
 func (m *DeltaMatrix) Threshold() int { return m.threshold }
@@ -250,45 +241,21 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 	return append([]Index(nil), ci...)
 }
 
-// IterateRow calls fn for every effective entry of row i in column order.
-func (m *DeltaMatrix) IterateRow(i Index, fn func(j Index, x float64) bool) {
-	if i < 0 || i >= m.nrows {
-		return
-	}
-	var buf rowScratch
-	ci, vv := m.srcRow(i, &buf)
-	for k, j := range ci {
-		if !fn(j, vv[k]) {
-			return
-		}
-	}
-}
-
-// Iterate calls fn for every effective entry in row-major order.
-func (m *DeltaMatrix) Iterate(fn func(i, j Index, x float64) bool) {
-	var buf rowScratch
-	for i := 0; i < m.nrows; i++ {
-		ci, vv := m.srcRow(i, &buf)
-		for k, j := range ci {
-			if !fn(i, j, vv[k]) {
-				return
-			}
-		}
-	}
-}
-
 // ExtractTuples returns all effective entries as COO slices in row-major
 // order, without folding.
 func (m *DeltaMatrix) ExtractTuples() (rows, cols []Index, values []float64) {
 	rows = make([]Index, 0, m.nvals)
 	cols = make([]Index, 0, m.nvals)
 	values = make([]float64, 0, m.nvals)
-	m.Iterate(func(i, j Index, x float64) bool {
-		rows = append(rows, i)
-		cols = append(cols, j)
-		values = append(values, x)
-		return true
-	})
+	var buf rowScratch
+	for i := 0; i < m.nrows; i++ {
+		ci, vv := m.srcRow(i, &buf)
+		for range ci {
+			rows = append(rows, i)
+		}
+		cols = append(cols, ci...)
+		values = append(values, vv...)
+	}
 	return rows, cols, values
 }
 
@@ -328,10 +295,10 @@ func (m *DeltaMatrix) ForceSync() { m.Sync(true) }
 func (m *DeltaMatrix) Resize(nrows, ncols int) {
 	if nrows < m.nrows || ncols < m.ncols {
 		m.ForceSync()
-		m.main.Resize(nrows, ncols)
+		m.main.resize(nrows, ncols)
 		m.nvals = len(m.main.colInd)
 	} else {
-		m.main.Resize(nrows, ncols)
+		m.main.resize(nrows, ncols)
 	}
 	m.nrows, m.ncols = nrows, ncols
 }
@@ -341,7 +308,7 @@ func (m *DeltaMatrix) Resize(nrows, ncols int) {
 // read-only); a dirty one assembles a fresh merged matrix without touching
 // the delta state.
 func (m *DeltaMatrix) Export() *Matrix {
-	if !m.Dirty() {
+	if m.Pending() == 0 {
 		return m.main
 	}
 	out := NewMatrix(m.nrows, m.ncols)

@@ -45,7 +45,7 @@ func assertSameMatrix(t *testing.T, dm *DeltaMatrix, ref *Matrix) {
 	if dm.NVals() != ref.NVals() {
 		t.Fatalf("nvals: delta %d, ref %d", dm.NVals(), ref.NVals())
 	}
-	ri, rj, rv := ref.ExtractTuples()
+	ri, rj, rv := tuples(ref)
 	di, dj, dv := dm.ExtractTuples()
 	if len(di) != len(ri) {
 		t.Fatalf("tuples: delta %d, ref %d", len(di), len(ri))
@@ -58,7 +58,7 @@ func assertSameMatrix(t *testing.T, dm *DeltaMatrix, ref *Matrix) {
 	}
 	// Point probes and row accessors agree too.
 	for i := 0; i < ref.NRows(); i++ {
-		if got, want := dm.RowDegree(i), ref.RowDegree(i); got != want {
+		if got, want := dm.RowDegree(i), len(ref.RowIterate(i)); got != want {
 			t.Fatalf("row %d degree: delta %d, ref %d", i, got, want)
 		}
 		rc := ref.RowIterate(i)
@@ -77,8 +77,8 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 		assertSameMatrix(t, dm, ref)
 		// Folding everything must not change the effective contents.
 		dm.ForceSync()
-		if dm.Dirty() {
-			t.Fatal("dirty after force sync")
+		if dm.Pending() != 0 {
+			t.Fatal("pending deltas after force sync")
 		}
 		assertSameMatrix(t, dm, ref)
 	}
@@ -130,8 +130,8 @@ func TestDeltaMatrixThresholdSync(t *testing.T) {
 	if !dm.Sync(false) {
 		t.Fatal("sync did not fire at threshold")
 	}
-	if dm.Dirty() || dm.NVals() != 4 {
-		t.Fatalf("after sync: dirty=%v nvals=%d", dm.Dirty(), dm.NVals())
+	if dm.Pending() != 0 || dm.NVals() != 4 {
+		t.Fatalf("after sync: pending=%d nvals=%d", dm.Pending(), dm.NVals())
 	}
 	// Threshold 0 folds on any pending update.
 	dm.SetThreshold(0)
@@ -204,7 +204,7 @@ func TestVxMDeltaMatchesExportedVxM(t *testing.T) {
 // -race this is the regression test for the old read-path fold hazard.
 func TestDeltaMatrixConcurrentReaders(t *testing.T) {
 	dm, ref := applyOps(t, 32, 800, 5, 0)
-	if !dm.Dirty() {
+	if dm.Pending() == 0 {
 		t.Fatal("fixture must carry pending deltas")
 	}
 	var wg sync.WaitGroup
@@ -248,7 +248,7 @@ func TestDeltaMatrixResizeGrowKeepsDeltas(t *testing.T) {
 	dm.SetThreshold(1 << 30)
 	dm.SetElement(1, 1, 1)
 	dm.Resize(8, 8)
-	if !dm.Dirty() {
+	if dm.Pending() == 0 {
 		t.Fatal("growth must not fold")
 	}
 	dm.SetElement(6, 7, 1)
@@ -269,8 +269,8 @@ func TestDeltaFromAdoptsMatrix(t *testing.T) {
 	m.SetElement(0, 1, 1)
 	m.SetElement(2, 2, 1)
 	dm := DeltaFrom(m)
-	if dm.NVals() != 2 || dm.Dirty() {
-		t.Fatalf("wrap: nvals=%d dirty=%v", dm.NVals(), dm.Dirty())
+	if dm.NVals() != 2 || dm.Pending() != 0 {
+		t.Fatalf("wrap: nvals=%d pending=%d", dm.NVals(), dm.Pending())
 	}
 	if dm.Export() != m {
 		t.Fatal("clean export must be the adopted matrix")

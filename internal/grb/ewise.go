@@ -12,8 +12,8 @@ func EWiseAddVector(w *Vector, mask *Vector, accum *BinaryOp, op BinaryOp, u, v 
 	}
 	comp, structure := d.comp(), d.structure()
 	t := NewVector(w.n)
-	ui, uv := u.ExtractTuples()
-	vi, vv := v.ExtractTuples()
+	ui, uv := u.extractTuples()
+	vi, vv := v.extractTuples()
 	a, b := 0, 0
 	push := func(i Index, x float64) {
 		if (mask != nil || comp) && !mask.maskAllows(i, comp, structure) {
@@ -52,8 +52,8 @@ func EWiseMultVector(w *Vector, mask *Vector, accum *BinaryOp, op BinaryOp, u, v
 	}
 	comp, structure := d.comp(), d.structure()
 	t := NewVector(w.n)
-	ui, uv := u.ExtractTuples()
-	vi, vv := v.ExtractTuples()
+	ui, uv := u.extractTuples()
+	vi, vv := v.extractTuples()
 	a, b := 0, 0
 	for a < len(ui) && b < len(vi) {
 		switch {
@@ -123,57 +123,6 @@ func EWiseAddMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, op BinaryOp, a, b 
 				y++
 			default:
 				push(ac[x], op.F(av[x], bv[y]))
-				x++
-				y++
-			}
-		}
-		t.rowPtr[i+1] = len(t.colInd)
-	}
-	mergeMatrix(c, mask, accum, t, d)
-	return nil
-}
-
-// EWiseMultMatrix computes C<Mask> = accum(C, A ⊗ B) over the intersection
-// pattern.
-func EWiseMultMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, op BinaryOp, a, b *Matrix, d *Descriptor) error {
-	if c == nil || a == nil || b == nil {
-		return ErrNilObject
-	}
-	a.Wait()
-	b.Wait()
-	if mask != nil {
-		mask.Wait()
-	}
-	if d.tranA() {
-		a = transposed(a)
-	}
-	if d.tranB() {
-		b = transposed(b)
-	}
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return dimErr("ewisemult: A %dx%d, B %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
-	}
-	if c.nrows != a.nrows || c.ncols != a.ncols {
-		return dimErr("ewisemult: C %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, a.ncols)
-	}
-	comp, structure := d.comp(), d.structure()
-	t := NewMatrix(c.nrows, c.ncols)
-	for i := 0; i < a.nrows; i++ {
-		ac, av := a.rowView(i)
-		bc, bv := b.rowView(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(bc) {
-			switch {
-			case ac[x] < bc[y]:
-				x++
-			case bc[y] < ac[x]:
-				y++
-			default:
-				j := ac[x]
-				if mask == nil && !comp || mask.maskAllowsM(i, j, comp, structure) {
-					t.colInd = append(t.colInd, j)
-					t.val = append(t.val, op.F(av[x], bv[y]))
-				}
 				x++
 				y++
 			}

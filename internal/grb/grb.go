@@ -2,10 +2,11 @@
 // RedisGraph depends on (SuiteSparse:GraphBLAS in the paper).
 //
 // It provides sparse matrices in CSR form with SuiteSparse-style pending
-// ("non-blocking") updates, sparse/dense dual-mode vectors, user-visible
+// ("non-blocking") updates, delta matrices, sparse/dense dual-mode vectors,
 // semirings, monoids, binary/unary/index operators, masks and descriptors,
-// and the core operations: MxM, MxV, VxM, element-wise add/multiply, apply,
-// select, reduce, extract, assign, transpose and Kronecker product.
+// and the operations the engine and internal/algo call: masked MxM and VxM
+// (push and pull), BFS, element-wise add/multiply, apply, select, reduce and
+// scalar assign.
 //
 // Values are float64 throughout; boolean matrices store 1.0 and pair with
 // structural semirings (AnyPair, LorLand) whose kernels never inspect values,
@@ -41,7 +42,3 @@ func dimErr(format string, args ...any) error {
 func boundsErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrIndexOutOfBounds, fmt.Sprintf(format, args...))
 }
-
-// All is passed as an index list to Extract/Assign to mean "all indices",
-// like GrB_ALL in the C API.
-var All []Index

@@ -58,23 +58,6 @@ func (m *Matrix) NVals() int {
 	return len(m.colInd)
 }
 
-// Pending returns the number of buffered, not-yet-materialised updates.
-func (m *Matrix) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pendSet) + len(m.pendDel)
-}
-
-// Clear removes all entries, keeping dimensions.
-func (m *Matrix) Clear() {
-	m.rowPtr = make([]int, m.nrows+1)
-	m.colInd = nil
-	m.val = nil
-	m.pendSet = nil
-	m.pendDel = nil
-	m.dirty.Store(false)
-}
-
 // Dup returns a deep copy (with pending updates folded in).
 func (m *Matrix) Dup() *Matrix {
 	m.Wait()
@@ -87,10 +70,10 @@ func (m *Matrix) Dup() *Matrix {
 	}
 }
 
-// Resize grows or shrinks the matrix to nrows × ncols, dropping out-of-range
+// resize grows or shrinks the matrix to nrows × ncols, dropping out-of-range
 // entries when shrinking. RedisGraph grows its matrices in chunks as nodes
 // are created.
-func (m *Matrix) Resize(nrows, ncols int) {
+func (m *Matrix) resize(nrows, ncols int) {
 	if nrows < 0 || ncols < 0 {
 		panic("grb: negative matrix dimension")
 	}
@@ -269,18 +252,9 @@ func (m *Matrix) rowView(i Index) ([]Index, []float64) {
 	return m.colInd[lo:hi], m.val[lo:hi]
 }
 
-// RowDegree returns the number of entries in row i.
-func (m *Matrix) RowDegree(i Index) int {
-	m.Wait()
-	if i < 0 || i >= m.nrows {
-		return 0
-	}
-	return m.rowPtr[i+1] - m.rowPtr[i]
-}
-
-// Build populates an empty matrix from COO triples, combining duplicates
+// build populates an empty matrix from COO triples, combining duplicates
 // with dup (Second/last-wins if the zero BinaryOp).
-func (m *Matrix) Build(rows, cols []Index, values []float64, dup BinaryOp) error {
+func (m *Matrix) build(rows, cols []Index, values []float64, dup BinaryOp) error {
 	if len(rows) != len(cols) || len(rows) != len(values) {
 		return dimErr("build: %d rows, %d cols, %d values", len(rows), len(cols), len(values))
 	}
@@ -378,42 +352,15 @@ func (m *Matrix) RowIterate(i Index) []Index {
 	return m.colInd[m.rowPtr[i]:m.rowPtr[i+1]]
 }
 
-// ExtractTuples returns all entries as parallel COO slices in row-major order.
-func (m *Matrix) ExtractTuples() (rows, cols []Index, values []float64) {
-	m.Wait()
-	rows = make([]Index, 0, len(m.colInd))
-	cols = append([]Index(nil), m.colInd...)
-	values = append([]float64(nil), m.val...)
-	for i := 0; i < m.nrows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			rows = append(rows, i)
-		}
-	}
-	return rows, cols, values
-}
-
-// Iterate calls fn for every entry in row-major order; fn returning false
+// iterate calls fn for every entry in row-major order; fn returning false
 // stops the iteration.
-func (m *Matrix) Iterate(fn func(i, j Index, x float64) bool) {
+func (m *Matrix) iterate(fn func(i, j Index, x float64) bool) {
 	m.Wait()
 	for i := 0; i < m.nrows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			if !fn(i, m.colInd[k], m.val[k]) {
 				return
 			}
-		}
-	}
-}
-
-// IterateRow calls fn for every entry of row i in column order.
-func (m *Matrix) IterateRow(i Index, fn func(j Index, x float64) bool) {
-	m.Wait()
-	if i < 0 || i >= m.nrows {
-		return
-	}
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		if !fn(m.colInd[k], m.val[k]) {
-			return
 		}
 	}
 }
@@ -438,7 +385,7 @@ func (m *Matrix) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix(%dx%d, nvals=%d){", m.nrows, m.ncols, len(m.colInd))
 	first := true
-	m.Iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index, x float64) bool {
 		if !first {
 			b.WriteString(", ")
 		}

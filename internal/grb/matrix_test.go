@@ -105,7 +105,7 @@ func TestMatrixWaitMergesSortedRows(t *testing.T) {
 	}
 	// Rows must be sorted and match the reference.
 	prev := pos{-1, -1}
-	m.Iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index, x float64) bool {
 		if i < prev.i || (i == prev.i && j <= prev.j) {
 			t.Fatalf("iteration out of order: (%d,%d) after (%d,%d)", i, j, prev.i, prev.j)
 		}
@@ -122,7 +122,7 @@ func TestMatrixBuildDedup(t *testing.T) {
 	rows := []Index{0, 1, 0, 2, 0}
 	cols := []Index{1, 1, 1, 0, 2}
 	vals := []float64{1, 5, 2, 7, 9}
-	must(t, m.Build(rows, cols, vals, Plus))
+	must(t, m.build(rows, cols, vals, Plus))
 	if m.NVals() != 4 {
 		t.Fatalf("nvals = %d, want 4", m.NVals())
 	}
@@ -137,7 +137,7 @@ func TestMatrixBuildDedup(t *testing.T) {
 func TestMatrixBuildRejectsNonEmpty(t *testing.T) {
 	m := NewMatrix(2, 2)
 	must(t, m.SetElement(0, 0, 1))
-	if err := m.Build([]Index{0}, []Index{1}, []float64{1}, BinaryOp{}); err == nil {
+	if err := m.build([]Index{0}, []Index{1}, []float64{1}, BinaryOp{}); err == nil {
 		t.Fatal("want error building into non-empty matrix")
 	}
 }
@@ -146,12 +146,12 @@ func TestMatrixResizeGrowShrink(t *testing.T) {
 	m := NewMatrix(3, 3)
 	must(t, m.SetElement(0, 0, 1))
 	must(t, m.SetElement(2, 2, 2))
-	m.Resize(5, 5)
+	m.resize(5, 5)
 	if m.NRows() != 5 || m.NCols() != 5 || m.NVals() != 2 {
 		t.Fatalf("after grow: %dx%d nvals=%d", m.NRows(), m.NCols(), m.NVals())
 	}
 	must(t, m.SetElement(4, 4, 3))
-	m.Resize(2, 2)
+	m.resize(2, 2)
 	if m.NVals() != 1 {
 		t.Fatalf("after shrink: nvals=%d want 1", m.NVals())
 	}
@@ -172,25 +172,34 @@ func TestMatrixDupIndependence(t *testing.T) {
 }
 
 func TestMatrixExtractTuples(t *testing.T) {
+	// A delta matrix's tuples merge main, delta-plus and delta-minus in
+	// row-major order without folding.
 	m := NewMatrix(2, 3)
-	must(t, m.SetElement(1, 2, 9))
-	must(t, m.SetElement(0, 1, 8))
-	r, c, v := m.ExtractTuples()
+	must(t, m.SetElement(1, 0, 7))
+	dm := DeltaFrom(m)
+	must(t, dm.SetElement(1, 2, 9))
+	must(t, dm.SetElement(0, 1, 8))
+	must(t, dm.RemoveElement(1, 0))
+	r, c, v := dm.ExtractTuples()
 	if len(r) != 2 || r[0] != 0 || c[0] != 1 || v[0] != 8 || r[1] != 1 || c[1] != 2 || v[1] != 9 {
 		t.Fatalf("tuples: %v %v %v", r, c, v)
+	}
+	if dm.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3: tuples must not fold", dm.Pending())
 	}
 }
 
 func TestMatrixPendingCount(t *testing.T) {
 	m := NewMatrix(4, 4)
+	pending := func() int { return len(m.pendSet) + len(m.pendDel) }
 	must(t, m.SetElement(0, 0, 1))
 	must(t, m.SetElement(1, 1, 1))
-	if m.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", m.Pending())
+	if pending() != 2 {
+		t.Fatalf("pending = %d, want 2", pending())
 	}
 	m.Wait()
-	if m.Pending() != 0 {
-		t.Fatalf("pending after wait = %d", m.Pending())
+	if pending() != 0 {
+		t.Fatalf("pending after wait = %d", pending())
 	}
 }
 
@@ -198,11 +207,21 @@ func TestRowDegree(t *testing.T) {
 	m := NewMatrix(3, 3)
 	must(t, m.SetElement(1, 0, 1))
 	must(t, m.SetElement(1, 2, 1))
-	if d := m.RowDegree(1); d != 2 {
+	dm := DeltaFrom(m)
+	if d := dm.RowDegree(1); d != 2 {
 		t.Fatalf("degree = %d, want 2", d)
 	}
-	if d := m.RowDegree(0); d != 0 {
+	if d := dm.RowDegree(0); d != 0 {
 		t.Fatalf("degree = %d, want 0", d)
+	}
+	// Buffered writes count without a fold; out-of-range rows are empty.
+	must(t, dm.RemoveElement(1, 0))
+	must(t, dm.SetElement(0, 2, 1))
+	if d0, d1 := dm.RowDegree(0), dm.RowDegree(1); d0 != 1 || d1 != 1 {
+		t.Fatalf("degrees after deltas = %d, %d, want 1, 1", d0, d1)
+	}
+	if d := dm.RowDegree(3); d != 0 {
+		t.Fatalf("out-of-range degree = %d", d)
 	}
 }
 

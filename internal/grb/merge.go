@@ -20,8 +20,8 @@ func mergeVector(w *Vector, mask *Vector, accum *BinaryOp, t *Vector, d *Descrip
 	out.ind = make([]Index, 0, w.NVals()+t.NVals())
 	out.val = make([]float64, 0, w.NVals()+t.NVals())
 
-	wi, wv := w.ExtractTuples()
-	ti, tv := t.ExtractTuples()
+	wi, wv := w.extractTuples()
+	ti, tv := t.extractTuples()
 	a, b := 0, 0
 	push := func(i Index, x float64) {
 		out.ind = append(out.ind, i)

@@ -126,7 +126,7 @@ func TestMxMTransposeDescriptors(t *testing.T) {
 }
 
 func TestMxMAccum(t *testing.T) {
-	a := IdentityMatrix(3)
+	a := identity(3)
 	c := NewMatrix(3, 3)
 	must(t, c.SetElement(0, 0, 10))
 	must(t, c.SetElement(1, 2, 5))
@@ -150,8 +150,8 @@ func TestIdentityMxMIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randMatrix(rng, 12, 12, 0.25)
 	c := NewMatrix(12, 12)
-	must(t, MxM(c, nil, nil, PlusTimes, IdentityMatrix(12), a, nil))
+	must(t, MxM(c, nil, nil, PlusTimes, identity(12), a, nil))
 	expectDenseEq(t, c, toDenseM(a))
-	must(t, MxM(c, nil, nil, PlusTimes, a, IdentityMatrix(12), nil))
+	must(t, MxM(c, nil, nil, PlusTimes, a, identity(12), nil))
 	expectDenseEq(t, c, toDenseM(a))
 }

@@ -5,42 +5,16 @@ import (
 	"sync"
 )
 
-// MxV computes w<mask> = accum(w, A·u) (GrB_mxv). With desc.TranA it
-// computes A'·u, which is routed to the push (scatter) kernel since A is CSR.
-//
-// The plain form uses a pull (dot-product) kernel: each output row
-// intersects one CSR row with u, with monoid-terminal early exit — this is
-// the fast direction for a one-hop "who points at my frontier" query.
-func MxV(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, a *Matrix, u *Vector, d *Descriptor) error {
-	if w == nil || a == nil || u == nil {
-		return ErrNilObject
-	}
-	a.Wait()
-	if d.tranA() {
-		// A'·u is a push over CSR rows of A.
-		return vxmInternal(w, mask, accum, s, u, a, d)
-	}
-	// Pull kernel (pull.go): each output row i intersects A(i, :) with u's
-	// bitmap, with monoid-terminal early exit.
-	return pullVxM(w, mask, accum, s, u, a, nil, d)
-}
-
-// VxM computes w<mask> = accum(w, u'·A) (GrB_vxm), the push direction used
-// by frontier expansion in BFS and the traversal operations. With desc.TranB
-// the matrix is used transposed, which routes to the pull kernel.
+// VxM computes w<mask> = accum(w, u'·A) (GrB_vxm) with the push kernel.
+// With desc.TranB the matrix is materialised transposed first, like MxM's
+// operands, so ⊗ always sees u(k) on the left.
 func VxM(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *Matrix, d *Descriptor) error {
 	if w == nil || a == nil || u == nil {
 		return ErrNilObject
 	}
 	a.Wait()
 	if d.tranB() {
-		// u'·A' = (A·u)'; use the pull kernel without the transpose flag.
-		d2 := Descriptor{}
-		if d != nil {
-			d2 = *d
-		}
-		d2.TranA, d2.TranB = false, false
-		return MxV(w, mask, accum, s, a, u, &d2)
+		a = transposed(a)
 	}
 	return vxmInternal(w, mask, accum, s, u, a, d)
 }

@@ -57,37 +57,18 @@ func TestEWiseAddMatrixFoldsRelations(t *testing.T) {
 	}
 }
 
-func TestEWiseMultMatrixAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	a := randMatrix(rng, 8, 8, 0.5)
-	b := randMatrix(rng, 8, 8, 0.5)
-	c := NewMatrix(8, 8)
-	must(t, EWiseMultMatrix(c, nil, nil, Times, a, b, nil))
-	da, db := toDenseM(a), toDenseM(b)
-	want := newDense(8, 8)
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			av, aok := da.at(i, j)
-			bv, bok := db.at(i, j)
-			if aok && bok {
-				want.set(i, j, av*bv)
-			}
-		}
-	}
-	expectDenseEq(t, c, want)
-}
-
 func TestApplyVector(t *testing.T) {
 	u := NewVector(4)
 	must(t, u.SetElement(1, -3))
 	must(t, u.SetElement(2, 5))
 	w := NewVector(4)
-	must(t, ApplyVector(w, nil, nil, Abs, u, nil))
-	expectVecEq(t, w, map[Index]float64{1: 3, 2: 5})
 	must(t, ApplyBindSecond(w, nil, nil, Times, u, 10, nil))
 	expectVecEq(t, w, map[Index]float64{1: -30, 2: 50})
-	must(t, ApplyBindFirst(w, nil, nil, Minus, 100, u, nil))
-	expectVecEq(t, w, map[Index]float64{1: 103, 2: 95})
+	// Masked to {2} with an accumulator: w[2] += 5·2, w[1] is kept.
+	mask := NewVector(4)
+	must(t, mask.SetElement(2, 1))
+	must(t, ApplyBindSecond(w, mask, &Plus, Times, u, 2, DescS))
+	expectVecEq(t, w, map[Index]float64{1: -30, 2: 60})
 }
 
 func TestApplyMatrixOne(t *testing.T) {
@@ -98,7 +79,7 @@ func TestApplyMatrixOne(t *testing.T) {
 	if c.NVals() != a.NVals() {
 		t.Fatalf("pattern changed: %d vs %d", c.NVals(), a.NVals())
 	}
-	c.Iterate(func(i, j Index, x float64) bool {
+	c.iterate(func(i, j Index, x float64) bool {
 		if x != 1 {
 			t.Fatalf("(%d,%d)=%g", i, j, x)
 		}
@@ -113,20 +94,20 @@ func TestSelectTrilTriu(t *testing.T) {
 	u := NewMatrix(10, 10)
 	must(t, SelectMatrix(l, nil, nil, Tril, a, nil))
 	must(t, SelectMatrix(u, nil, nil, Triu, a, nil))
-	l.Iterate(func(i, j Index, _ float64) bool {
+	l.iterate(func(i, j Index, _ float64) bool {
 		if j > i {
 			t.Fatalf("tril kept (%d,%d)", i, j)
 		}
 		return true
 	})
-	u.Iterate(func(i, j Index, _ float64) bool {
+	u.iterate(func(i, j Index, _ float64) bool {
 		if j < i {
 			t.Fatalf("triu kept (%d,%d)", i, j)
 		}
 		return true
 	})
 	diag := 0
-	a.Iterate(func(i, j Index, _ float64) bool {
+	a.iterate(func(i, j Index, _ float64) bool {
 		if i == j {
 			diag++
 		}
@@ -138,25 +119,19 @@ func TestSelectTrilTriu(t *testing.T) {
 }
 
 func TestSelectValuePredicates(t *testing.T) {
-	u := NewVector(6)
-	for i := 0; i < 6; i++ {
-		must(t, u.SetElement(i, float64(i)))
+	a := NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			must(t, a.SetElement(i, j, float64(i*3+j)))
+		}
 	}
-	w := NewVector(6)
-	must(t, SelectVector(w, nil, nil, ValueGT(3), u, nil))
-	expectVecEq(t, w, map[Index]float64{4: 4, 5: 5})
-	must(t, SelectVector(w, nil, nil, ValueLE(1), u, nil))
-	expectVecEq(t, w, map[Index]float64{0: 0, 1: 1})
-	must(t, SelectVector(w, nil, nil, ValueEQ(2), u, nil))
-	expectVecEq(t, w, map[Index]float64{2: 2})
-	must(t, SelectVector(w, nil, nil, ValueNE(2), u, nil))
-	if w.NVals() != 5 {
-		t.Fatalf("ne: %v", w)
+	c := NewMatrix(3, 3)
+	must(t, SelectMatrix(c, nil, nil, ValueGE(5), a, nil))
+	want := newDense(3, 3)
+	for _, x := range []int{5, 6, 7, 8} {
+		want.set(x/3, x%3, float64(x))
 	}
-	must(t, SelectVector(w, nil, nil, ValueGE(5), u, nil))
-	expectVecEq(t, w, map[Index]float64{5: 5})
-	must(t, SelectVector(w, nil, nil, ValueLT(1), u, nil))
-	expectVecEq(t, w, map[Index]float64{0: 0})
+	expectDenseEq(t, c, want)
 }
 
 func TestReduceMatrixToVectorRowsAndCols(t *testing.T) {
@@ -196,8 +171,7 @@ func TestReduceScalars(t *testing.T) {
 func TestTransposeAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := randMatrix(rng, 9, 5, 0.4)
-	c := NewMatrix(5, 9)
-	must(t, Transpose(c, nil, nil, a, nil))
+	c := transposed(a)
 	da := toDenseM(a)
 	want := newDense(5, 9)
 	for i := 0; i < 9; i++ {
@@ -209,42 +183,7 @@ func TestTransposeAgainstReference(t *testing.T) {
 	}
 	expectDenseEq(t, c, want)
 	// (A')' == A
-	back := NewMatrix(9, 5)
-	must(t, Transpose(back, nil, nil, c, nil))
-	expectDenseEq(t, back, da)
-}
-
-func TestExtractVector(t *testing.T) {
-	u := NewVector(6)
-	for i := 0; i < 6; i++ {
-		must(t, u.SetElement(i, float64(10+i)))
-	}
-	w := NewVector(3)
-	must(t, VectorExtract(w, nil, nil, u, []Index{5, 0, 3}, nil))
-	expectVecEq(t, w, map[Index]float64{0: 15, 1: 10, 2: 13})
-	// All-indices form.
-	wAll := NewVector(6)
-	must(t, VectorExtract(wAll, nil, nil, u, All, nil))
-	if wAll.NVals() != 6 {
-		t.Fatalf("nvals=%d", wAll.NVals())
-	}
-}
-
-func TestExtractMatrixSubmatrix(t *testing.T) {
-	a := NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			must(t, a.SetElement(i, j, float64(i*10+j)))
-		}
-	}
-	c := NewMatrix(2, 2)
-	must(t, MatrixExtract(c, nil, nil, a, []Index{3, 1}, []Index{0, 2}, nil))
-	want := newDense(2, 2)
-	want.set(0, 0, 30)
-	want.set(0, 1, 32)
-	want.set(1, 0, 10)
-	want.set(1, 1, 12)
-	expectDenseEq(t, c, want)
+	expectDenseEq(t, transposed(c), da)
 }
 
 func TestVectorAssignScalarMasked(t *testing.T) {
@@ -253,7 +192,7 @@ func TestVectorAssignScalarMasked(t *testing.T) {
 	mask := NewVector(5)
 	must(t, mask.SetElement(2, 1))
 	must(t, mask.SetElement(4, 1))
-	must(t, VectorAssignScalar(w, mask, nil, 7, All, DescS))
+	must(t, VectorAssignScalar(w, mask, nil, 7, nil, DescS))
 	expectVecEq(t, w, map[Index]float64{0: 9, 2: 7, 4: 7})
 }
 
@@ -261,65 +200,14 @@ func TestVectorAssignSubset(t *testing.T) {
 	w := NewVector(6)
 	must(t, w.SetElement(1, 1))
 	must(t, w.SetElement(3, 3))
-	u := NewVector(2)
-	must(t, u.SetElement(0, 42))
-	// Assign u into positions {3, 5}: w[3]=42... u[1] missing deletes w[5]
-	// (absent anyway); w[1] untouched.
-	must(t, VectorAssign(w, nil, nil, u, []Index{3, 5}, nil))
-	expectVecEq(t, w, map[Index]float64{1: 1, 3: 42})
-}
-
-func TestMatrixAssignClearsRegion(t *testing.T) {
-	c := NewMatrix(3, 3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			must(t, c.SetElement(i, j, 1))
-		}
-	}
-	empty := NewMatrix(1, 3)
-	// Delete row 1 by assigning an empty matrix — the node-deletion pattern.
-	must(t, MatrixAssign(c, nil, empty, []Index{1}, All, nil))
-	if c.NVals() != 6 {
-		t.Fatalf("nvals=%d want 6", c.NVals())
-	}
-	c.Iterate(func(i, j Index, _ float64) bool {
-		if i == 1 {
-			t.Fatalf("row 1 not cleared: (%d,%d)", i, j)
-		}
-		return true
-	})
-}
-
-func TestKronSmall(t *testing.T) {
-	a := NewMatrix(2, 2)
-	must(t, a.SetElement(0, 0, 1))
-	must(t, a.SetElement(1, 1, 2))
-	b := NewMatrix(2, 2)
-	must(t, b.SetElement(0, 1, 3))
-	c := NewMatrix(4, 4)
-	must(t, Kron(c, nil, nil, Times, a, b, nil))
-	want := newDense(4, 4)
-	want.set(0, 1, 3)
-	want.set(2, 3, 6)
-	expectDenseEq(t, c, want)
-}
-
-func TestDiagAndIdentity(t *testing.T) {
-	v := NewVector(4)
-	must(t, v.SetElement(1, 5))
-	must(t, v.SetElement(3, 7))
-	d := DiagMatrix(v)
-	if d.NVals() != 2 {
-		t.Fatalf("nvals=%d", d.NVals())
-	}
-	if x, _ := d.ExtractElement(1, 1); x != 5 {
-		t.Fatalf("x=%g", x)
-	}
-	if x, _ := d.ExtractElement(3, 3); x != 7 {
-		t.Fatalf("x=%g", x)
-	}
-	i := IdentityMatrix(3)
-	if i.NVals() != 3 {
-		t.Fatalf("identity nvals=%d", i.NVals())
-	}
+	// Positions {3, 5} receive the scalar (accumulated where present); w[1]
+	// is untouched.
+	must(t, VectorAssignScalar(w, nil, &Plus, 40, []Index{3, 5}, nil))
+	expectVecEq(t, w, map[Index]float64{1: 1, 3: 43, 5: 40})
+	// A complemented mask over {5} under Replace: 3 is written, 5 is
+	// protected, and Replace drops 5's old entry.
+	mask := NewVector(6)
+	must(t, mask.SetElement(5, 1))
+	must(t, VectorAssignScalar(w, mask, nil, 7, []Index{3, 5}, DescRSC))
+	expectVecEq(t, w, map[Index]float64{1: 1, 3: 7})
 }

@@ -43,13 +43,13 @@ func (v *Vector) bitmapView(needVals bool) (bitset, []float64) {
 	return bits, vals
 }
 
-// pullVxM computes t[i] = dot(at.row(i), u) for every candidate output index
-// i, merging t into w under mask/accum — the pull kernel body, generic over
-// the operand's row representation. at must be oriented so its ROWS index the
-// OUTPUT dimension: A itself for MxV (w = A·u), the transpose B' for the
-// pull evaluation of w = u'·B. Masked (and complement-masked) candidates are
-// skipped before their dot product starts, so a var-length traversal's
-// "not yet reached" mask shrinks the candidate set, not just the output.
+// pullVxM computes t[i] = ⊕_j u(j) ⊗ at(i, j) for every candidate output
+// index i, merging t into w under mask/accum — the pull kernel body, generic
+// over the operand's row representation. at is the transpose B' of w = u'·B,
+// so its ROWS index the OUTPUT dimension. Masked (and complement-masked)
+// candidates are skipped before their dot product starts, so a var-length
+// traversal's "not yet reached" mask shrinks the candidate set, not just the
+// output.
 // keep, when non-nil, is a column mask over the output dimension — the
 // executor's pushed destination predicates — pruning candidates the same
 // way: positions keep rejects never start their in-neighbour scan.
@@ -99,7 +99,7 @@ func pullVxM(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, at
 					acc, found = 1, true
 					break
 				}
-				m := s.Mul.F(av[k], uval[j])
+				m := s.Mul.F(uval[j], av[k]) // u(j) ⊗ B(j, i)
 				if !found {
 					acc, found = m, true
 				} else {

@@ -27,7 +27,7 @@ func (d *dense) set(i, j int, x float64) {
 
 func toDenseM(m *Matrix) *dense {
 	d := newDense(m.NRows(), m.NCols())
-	m.Iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index, x float64) bool {
 		d.set(i, j, x)
 		return true
 	})
@@ -95,6 +95,28 @@ func expectVecEq(t *testing.T, got *Vector, want map[Index]float64) {
 		}
 		return true
 	})
+}
+
+// tuples returns m's entries as parallel COO slices in row-major order.
+func tuples(m *Matrix) (rows, cols []Index, vals []float64) {
+	m.iterate(func(i, j Index, x float64) bool {
+		rows = append(rows, i)
+		cols = append(cols, j)
+		vals = append(vals, x)
+		return true
+	})
+	return rows, cols, vals
+}
+
+// identity returns the n × n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		if err := m.SetElement(i, i, 1); err != nil {
+			panic(err)
+		}
+	}
+	return m
 }
 
 // randMatrix builds a random nr × nc matrix with the given density.

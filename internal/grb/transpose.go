@@ -1,44 +1,5 @@
 package grb
 
-// Transpose computes C<Mask> = accum(C, A') (GrB_transpose).
-func Transpose(c *Matrix, mask *Matrix, accum *BinaryOp, a *Matrix, d *Descriptor) error {
-	if c == nil || a == nil {
-		return ErrNilObject
-	}
-	a.Wait()
-	if mask != nil {
-		mask.Wait()
-	}
-	if d.tranA() {
-		// Transposing the transpose: plain copy.
-		a = a.Dup()
-	} else {
-		a = transposed(a)
-	}
-	if c.nrows != a.nrows || c.ncols != a.ncols {
-		return dimErr("transpose: C %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, a.ncols)
-	}
-	if mask == nil && !d.comp() {
-		mergeMatrix(c, nil, accum, a, d)
-		return nil
-	}
-	// Mask-filter the transposed matrix before the merge.
-	comp, structure := d.comp(), d.structure()
-	t := NewMatrix(a.nrows, a.ncols)
-	for i := 0; i < a.nrows; i++ {
-		ac, av := a.rowView(i)
-		for k, j := range ac {
-			if mask.maskAllowsM(i, j, comp, structure) {
-				t.colInd = append(t.colInd, j)
-				t.val = append(t.val, av[k])
-			}
-		}
-		t.rowPtr[i+1] = len(t.colInd)
-	}
-	mergeMatrix(c, mask, accum, t, d)
-	return nil
-}
-
 // transposed returns A' as a new materialised matrix using a counting sort,
 // O(nnz + nrows + ncols).
 func transposed(a *Matrix) *Matrix {

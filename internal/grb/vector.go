@@ -45,15 +45,6 @@ func NewVector(n int) *Vector {
 	return &Vector{n: n}
 }
 
-// VectorFromMap builds a vector from an index→value map.
-func VectorFromMap(n int, entries map[Index]float64) *Vector {
-	v := NewVector(n)
-	for i, x := range entries {
-		v.SetElement(i, x)
-	}
-	return v
-}
-
 // Size returns the vector's dimension.
 func (v *Vector) Size() int { return v.n }
 
@@ -63,16 +54,6 @@ func (v *Vector) NVals() int {
 		return v.nnz
 	}
 	return len(v.ind)
-}
-
-// Clear removes all entries, keeping the dimension.
-func (v *Vector) Clear() {
-	v.dense = false
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-	v.dval = nil
-	v.dbits = nil
-	v.nnz = 0
 }
 
 // Dup returns a deep copy.
@@ -86,24 +67,6 @@ func (v *Vector) Dup() *Vector {
 		w.val = append([]float64(nil), v.val...)
 	}
 	return w
-}
-
-// Resize changes the dimension, dropping entries at indices >= n.
-func (v *Vector) Resize(n int) {
-	if n < 0 {
-		panic("grb: negative vector size")
-	}
-	if n == v.n {
-		return
-	}
-	if v.dense {
-		v.toSparse()
-	}
-	keep := sort.Search(len(v.ind), func(k int) bool { return v.ind[k] >= n })
-	v.ind = v.ind[:keep]
-	v.val = v.val[:keep]
-	v.n = n
-	v.maybeDensify()
 }
 
 // SetElement stores value x at index i, overwriting any existing entry.
@@ -152,8 +115,8 @@ func (v *Vector) ExtractElement(i Index) (float64, error) {
 	return 0, ErrNoValue
 }
 
-// RemoveElement deletes the entry at index i if present.
-func (v *Vector) RemoveElement(i Index) error {
+// removeElement deletes the entry at index i if present.
+func (v *Vector) removeElement(i Index) error {
 	if i < 0 || i >= v.n {
 		return boundsErr("vector index %d size %d", i, v.n)
 	}
@@ -173,45 +136,8 @@ func (v *Vector) RemoveElement(i Index) error {
 	return nil
 }
 
-// Build populates an empty vector from parallel index/value slices.
-// Duplicate indices are combined with dup (Second, i.e. last-wins, if dup is
-// the zero BinaryOp).
-func (v *Vector) Build(indices []Index, values []float64, dup BinaryOp) error {
-	if len(indices) != len(values) {
-		return dimErr("build: %d indices, %d values", len(indices), len(values))
-	}
-	if v.NVals() != 0 {
-		return fmt.Errorf("%w: build target not empty", ErrInvalidValue)
-	}
-	if dup.F == nil {
-		dup = Second
-	}
-	type iv struct {
-		i Index
-		v float64
-	}
-	tmp := make([]iv, len(indices))
-	for k, i := range indices {
-		if i < 0 || i >= v.n {
-			return boundsErr("build index %d size %d", i, v.n)
-		}
-		tmp[k] = iv{i, values[k]}
-	}
-	sort.SliceStable(tmp, func(a, b int) bool { return tmp[a].i < tmp[b].i })
-	for _, e := range tmp {
-		if k := len(v.ind); k > 0 && v.ind[k-1] == e.i {
-			v.val[k-1] = dup.F(v.val[k-1], e.v)
-		} else {
-			v.ind = append(v.ind, e.i)
-			v.val = append(v.val, e.v)
-		}
-	}
-	v.maybeDensify()
-	return nil
-}
-
-// ExtractTuples returns the entries as sorted parallel slices.
-func (v *Vector) ExtractTuples() ([]Index, []float64) {
+// extractTuples returns the entries as sorted parallel slices.
+func (v *Vector) extractTuples() ([]Index, []float64) {
 	if !v.dense {
 		return append([]Index(nil), v.ind...), append([]float64(nil), v.val...)
 	}
@@ -288,22 +214,6 @@ func (v *Vector) toDense() {
 	v.nnz = len(v.ind)
 	v.ind, v.val = nil, nil
 	v.dense = true
-}
-
-func (v *Vector) toSparse() {
-	if !v.dense {
-		return
-	}
-	v.ind = make([]Index, 0, v.nnz)
-	v.val = make([]float64, 0, v.nnz)
-	v.dbits.iterate(func(i Index) bool {
-		v.ind = append(v.ind, i)
-		v.val = append(v.val, v.dval[i])
-		return true
-	})
-	v.dval, v.dbits = nil, nil
-	v.nnz = 0
-	v.dense = false
 }
 
 // String renders small vectors for debugging and tests.

@@ -19,7 +19,7 @@ func TestVectorBasics(t *testing.T) {
 	if _, err := v.ExtractElement(4); !errors.Is(err, ErrNoValue) {
 		t.Fatalf("want ErrNoValue, got %v", err)
 	}
-	must(t, v.RemoveElement(3))
+	must(t, v.removeElement(3))
 	if v.NVals() != 1 {
 		t.Fatalf("nvals=%d", v.NVals())
 	}
@@ -43,16 +43,8 @@ func TestVectorDensifyAndBack(t *testing.T) {
 	// Mutations in dense mode.
 	must(t, v.SetElement(1, 99))
 	ref[1] = 99
-	must(t, v.RemoveElement(0))
+	must(t, v.removeElement(0))
 	delete(ref, 0)
-	expectVecEq(t, v, ref)
-	// Resize forces back to sparse and truncates.
-	v.Resize(10)
-	for k := range ref {
-		if k >= 10 {
-			delete(ref, k)
-		}
-	}
 	expectVecEq(t, v, ref)
 }
 
@@ -72,15 +64,18 @@ func TestVectorIterateOrderAndStop(t *testing.T) {
 }
 
 func TestVectorBuildAndTuples(t *testing.T) {
-	v := NewVector(10)
-	must(t, v.Build([]Index{5, 1, 5}, []float64{2, 1, 3}, Plus))
-	expectVecEq(t, v, map[Index]float64{1: 1, 5: 5})
-	ind, val := v.ExtractTuples()
-	if len(ind) != 2 || ind[0] != 1 || val[1] != 5 {
-		t.Fatalf("tuples %v %v", ind, val)
-	}
-	if err := v.Build([]Index{0}, []float64{1}, BinaryOp{}); err == nil {
-		t.Fatal("want error building into non-empty vector")
+	// Tuples come out sorted in both representations.
+	for _, n := range []int{100, 4} {
+		v := NewVector(n)
+		must(t, v.SetElement(3, 5))
+		must(t, v.SetElement(1, 1))
+		if v.dense != (n == 4) {
+			t.Fatalf("n=%d: dense=%v", n, v.dense)
+		}
+		ind, val := v.extractTuples()
+		if len(ind) != 2 || ind[0] != 1 || ind[1] != 3 || val[0] != 1 || val[1] != 5 {
+			t.Fatalf("n=%d: tuples %v %v", n, ind, val)
+		}
 	}
 }
 
@@ -88,9 +83,9 @@ func TestVectorDupClearString(t *testing.T) {
 	v := NewVector(5)
 	must(t, v.SetElement(2, 7))
 	d := v.Dup()
-	v.Clear()
+	must(t, v.removeElement(2))
 	if v.NVals() != 0 || d.NVals() != 1 {
-		t.Fatalf("clear/dup: %d %d", v.NVals(), d.NVals())
+		t.Fatalf("remove/dup: %d %d", v.NVals(), d.NVals())
 	}
 	if s := d.String(); s != "Vector(n=5, nvals=1){2:7}" {
 		t.Fatalf("string: %s", s)
@@ -109,7 +104,7 @@ func TestVectorRandomizedAgainstMap(t *testing.T) {
 			must(t, v.SetElement(i, x))
 			ref[i] = x
 		case 2:
-			must(t, v.RemoveElement(i))
+			must(t, v.removeElement(i))
 			delete(ref, i)
 		}
 	}

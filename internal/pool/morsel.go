@@ -188,26 +188,24 @@ var (
 	statWorkerT atomic.Int64 // pool-worker nanos, process-wide
 )
 
-// Stats is a snapshot of process-wide scheduler counters for observability
-// and the bench artifact.
+// Stats is a snapshot of process-wide scheduler counters, reported by INFO's
+// # Scheduler section.
 type Stats struct {
-	ActiveQueries int   `json:"active_queries"`
-	PendingCtxs   int   `json:"pending_contexts"`
-	BusyWorkers   int   `json:"busy_workers"`
-	Budget        int   `json:"budget"`
-	StolenMorsels int64 `json:"stolen_morsels"`
-	CallerMorsels int64 `json:"caller_morsels"`
-	WorkerNanos   int64 `json:"worker_nanos"`
+	ActiveQueries int
+	BusyWorkers   int
+	Budget        int
+	StolenMorsels int64
+	CallerMorsels int64
+	WorkerNanos   int64
 }
 
 // ReadStats snapshots the scheduler counters.
 func ReadStats() Stats {
 	sched.mu.Lock()
-	pending, busy := len(sched.pending), sched.busy
+	busy := sched.busy
 	sched.mu.Unlock()
 	return Stats{
 		ActiveQueries: ActiveQueries(),
-		PendingCtxs:   pending,
 		BusyWorkers:   busy,
 		Budget:        Budget(),
 		StolenMorsels: statStolen.Load(),
@@ -364,10 +362,9 @@ func (d *morselDeque) popHead() (int, bool) {
 // run drains morsels as participant slot: own deque first, then stealing
 // round-robin from the others, returning once no morsel remains claimable.
 // worker distinguishes pool-worker participants from the submitting caller
-// for the stolen-morsel accounting. Returns the number of morsels executed.
-func (j *morselJob) run(slot int, worker bool) int {
+// for the stolen-morsel accounting.
+func (j *morselJob) run(slot int, worker bool) {
 	p := len(j.deques)
-	ran := 0
 	for {
 		i, ok := j.deques[slot].popTail()
 		for d := 1; !ok && d < p; d++ {
@@ -377,21 +374,19 @@ func (j *morselJob) run(slot int, worker bool) int {
 			break
 		}
 		j.fn(i)
-		ran++
+		// Count the morsel before completing it: the last completion closes
+		// done, and ParallelCtx's caller may read the counters right after.
+		j.sc.morsels.Add(1)
+		if worker {
+			j.sc.stolen.Add(1)
+			statStolen.Add(1)
+		} else {
+			statCaller.Add(1)
+		}
 		if j.remaining.Add(-1) == 0 {
 			close(j.done)
 		}
 	}
-	if ran > 0 {
-		j.sc.morsels.Add(int64(ran))
-		if worker {
-			j.sc.stolen.Add(int64(ran))
-			statStolen.Add(int64(ran))
-		} else {
-			statCaller.Add(int64(ran))
-		}
-	}
-	return ran
 }
 
 // Parallel runs fn(i) for every i in [0, n) under the process-wide

@@ -47,24 +47,6 @@ type Options struct {
 	// SnapshotPath, when set, enables the SAVE command and loading the
 	// snapshot at Start (the role of an RDB file).
 	SnapshotPath string
-	// MaxConcurrentQueries bounds how many GRAPH.QUERY/RO_QUERY/PROFILE
-	// commands execute at once; excess queries queue FIFO up to
-	// AdmissionTimeout, then fail fast with a -BUSY error. 0 (default) is
-	// unbounded — admission control off, the differential baseline. Runtime
-	// changes go through GRAPH.CONFIG SET MAX_CONCURRENT_QUERIES.
-	MaxConcurrentQueries int
-	// AdmissionTimeout is the per-query queue-wait deadline behind the
-	// admission gate. 0 uses the default (1s); negative fails saturated
-	// queries immediately. Runtime changes go through GRAPH.CONFIG SET
-	// ADMISSION_TIMEOUT (milliseconds).
-	AdmissionTimeout time.Duration
-	// GlobalThreadBudget caps morsel-pool workers assisting across all
-	// concurrent queries (the process-wide budget behind elastic per-query
-	// parallelism). 0 (default) resolves to GOMAXPROCS (floor 4, matching
-	// the pool's sizing). Runtime changes go through GRAPH.CONFIG SET
-	// GLOBAL_THREAD_BUDGET. The budget is process-global: every server in
-	// the process shares the one morsel pool.
-	GlobalThreadBudget int
 }
 
 // Server is a Redis-like TCP server with the graph module loaded.
@@ -96,12 +78,11 @@ type Server struct {
 	// differential baseline).
 	planCache *core.PlanCache
 	// gate is the inter-query admission control (MAX_CONCURRENT_QUERIES,
-	// 0 = unbounded): executing GRAPH.QUERY/RO_QUERY/PROFILE commands hold
+	// starts at 0 = unbounded): executing GRAPH.QUERY/RO_QUERY/PROFILE commands hold
 	// one slot; saturated arrivals queue FIFO up to the admission timeout.
 	gate *pool.Gate
 	// admissionTimeoutMs is the live ADMISSION_TIMEOUT value in
-	// milliseconds (seeded from Options.AdmissionTimeout, mutable via
-	// GRAPH.CONFIG SET).
+	// milliseconds (starts at 1000, mutable via GRAPH.CONFIG SET).
 	admissionTimeoutMs atomic.Int64
 	// fairScheduler is the live FAIR_SCHEDULER value (starts on, mutable via
 	// GRAPH.CONFIG SET).
@@ -148,19 +129,9 @@ func New(opts Options) *Server {
 	}
 	s.traverseKernel.Store(kernel)
 	s.planCache = core.NewPlanCache(core.DefaultPlanCacheSize)
-	s.gate = pool.NewGate(opts.MaxConcurrentQueries)
-	switch {
-	case opts.AdmissionTimeout == 0:
-		s.admissionTimeoutMs.Store(defaultAdmissionTimeoutMs)
-	case opts.AdmissionTimeout < 0:
-		s.admissionTimeoutMs.Store(0)
-	default:
-		s.admissionTimeoutMs.Store(opts.AdmissionTimeout.Milliseconds())
-	}
+	s.gate = pool.NewGate(0)
+	s.admissionTimeoutMs.Store(defaultAdmissionTimeoutMs)
 	s.fairScheduler.Store(true)
-	if opts.GlobalThreadBudget > 0 {
-		pool.SetBudget(opts.GlobalThreadBudget)
-	}
 	return s
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"redisgraph/internal/client"
 	"redisgraph/internal/pool"
@@ -39,6 +38,14 @@ func scalarRow(t *testing.T, rep any) int64 {
 	return rows[0].([]any)[0].(int64)
 }
 
+// configSet applies GRAPH.CONFIG SET name value over c.
+func configSet(t *testing.T, c *client.Client, name string, value int) {
+	t.Helper()
+	if _, err := c.Do("GRAPH.CONFIG", "SET", name, fmt.Sprint(value)); err != nil {
+		t.Fatalf("GRAPH.CONFIG SET %s %d: %v", name, value, err)
+	}
+}
+
 // TestStressAdmissionSchedulerGrid drives N concurrent clients of mixed
 // read/write traffic — cached plan shapes (literal-normalized repeats) and
 // uncached ones (distinct var-length bounds) — across the full
@@ -52,19 +59,13 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 		nNodes   = 16
 		opsPer   = 10
 	)
-	// Options.GlobalThreadBudget mutates the process-global morsel pool;
-	// restore auto sizing for the rest of the package.
+	// GLOBAL_THREAD_BUDGET mutates the process-global morsel pool; restore
+	// auto sizing for the rest of the package.
 	t.Cleanup(func() { pool.SetBudget(0) })
 	for _, budget := range []int{1, 2, nClients} {
 		for _, limit := range []int{1, 4, 0} {
 			t.Run(fmt.Sprintf("budget=%d/limit=%d", budget, limit), func(t *testing.T) {
-				s := New(Options{
-					Addr:                 "127.0.0.1:0",
-					ThreadCount:          nClients,
-					GlobalThreadBudget:   budget,
-					MaxConcurrentQueries: limit,
-					AdmissionTimeout:     30 * time.Second,
-				})
+				s := New(Options{Addr: "127.0.0.1:0", ThreadCount: nClients})
 				if err := s.Start(); err != nil {
 					t.Fatal(err)
 				}
@@ -74,6 +75,9 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer seedConn.Close()
+				configSet(t, seedConn, "GLOBAL_THREAD_BUDGET", budget)
+				configSet(t, seedConn, "MAX_CONCURRENT_QUERIES", limit)
+				configSet(t, seedConn, "ADMISSION_TIMEOUT", 30000)
 				seedRing(t, seedConn, nNodes)
 				// Ask for intra-query parallelism so the elastic budget
 				// split is actually exercised, not just the gate.
@@ -168,12 +172,7 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 // query to race), and asserts a wire arrival is rejected with -BUSY while it
 // is held — and admitted again once it is released.
 func TestStressAdmissionSaturation(t *testing.T) {
-	s := New(Options{
-		Addr:                 "127.0.0.1:0",
-		ThreadCount:          4,
-		MaxConcurrentQueries: 1,
-		AdmissionTimeout:     -1, // fail saturated arrivals immediately
-	})
+	s := New(Options{Addr: "127.0.0.1:0", ThreadCount: 4})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +182,8 @@ func TestStressAdmissionSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	configSet(t, c, "MAX_CONCURRENT_QUERIES", 1)
+	configSet(t, c, "ADMISSION_TIMEOUT", 0) // fail saturated arrivals immediately
 	g := s.Graph("g")
 	g.Lock()
 	for i := 0; i < 1500; i++ {
