@@ -63,11 +63,36 @@ const (
 	predDrop                   // kind mismatch otherwise: no typed row passes
 )
 
+// cmpOp is a comparison operator resolved once at compile time, so the
+// per-row loops switch on a small integer instead of comparing strings.
+type cmpOp uint8
+
+const (
+	cmpEq cmpOp = iota
+	cmpNe
+	cmpLt
+	cmpLe
+	cmpGt
+	cmpGe
+)
+
+var cmpOpText = [...]string{"=", "<>", "<", "<=", ">", ">="}
+
+// parseCmpOp maps an operator's text to its cmpOp; empty means =.
+func parseCmpOp(op string) cmpOp {
+	for i, t := range cmpOpText {
+		if t == op {
+			return cmpOp(i)
+		}
+	}
+	return cmpEq
+}
+
 // colPred is one pushed predicate compiled against a typed column.
 type colPred struct {
 	col   *graph.Column
 	mode  predMode
-	op    string
+	op    cmpOp
 	wantF float64 // predNum target
 	wantS string  // predStrOrd target
 	sid   uint32  // predStrEq/predStrNe target (valid when sidOK)
@@ -87,10 +112,7 @@ func (ctx *execCtx) storeVersion() storeVersion {
 // compileColPred resolves one pushed comparison `n.attr op want`, its target
 // already evaluated, against the node store.
 func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
-	out := colPred{op: op, wantV: want}
-	if out.op == "" {
-		out.op = "="
-	}
+	out := colPred{op: parseCmpOp(op), wantV: want}
 	if want.IsNull() {
 		return out // compareValues(anything, null) is null under every operator
 	}
@@ -117,10 +139,10 @@ func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
 			break
 		}
 		switch out.op {
-		case "=", "<>":
+		case cmpEq, cmpNe:
 			sid, ok := col.StringID(want.Str())
 			out.sid, out.sidOK = sid, ok
-			if out.op == "=" {
+			if out.op == cmpEq {
 				out.mode = predStrEq
 			} else {
 				out.mode = predStrNe
@@ -135,8 +157,8 @@ func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
 
 // mismatchMode encodes compareValues' incomparable-kinds branch for typed
 // rows: both sides non-null, kinds incompatible → true only under <>.
-func mismatchMode(op string) predMode {
-	if op == "<>" {
+func mismatchMode(op cmpOp) predMode {
+	if op == cmpNe {
 		return predKeep
 	}
 	return predDrop
@@ -168,14 +190,14 @@ func (p *colPred) probe(id uint64) bool {
 		}
 	}
 	if v, ok := p.col.OverflowAt(id); ok {
-		return cmpKeep(p.op, v, p.wantV)
+		return cmpKeep(cmpOpText[p.op], v, p.wantV)
 	}
 	return false // absent ≡ null: dropped under every operator
 }
 
 // numKeep applies op to value.Compare's numeric three-way outcome: strict
 // < / > first, everything else (including NaN pairs) compares equal.
-func numKeep(op string, a, b float64) bool {
+func numKeep(op cmpOp, a, b float64) bool {
 	c := 0
 	switch {
 	case a < b:
@@ -186,19 +208,19 @@ func numKeep(op string, a, b float64) bool {
 	return ordKeep(op, c)
 }
 
-func ordKeep(op string, c int) bool {
+func ordKeep(op cmpOp, c int) bool {
 	switch op {
-	case "=":
+	case cmpEq:
 		return c == 0
-	case "<>":
+	case cmpNe:
 		return c != 0
-	case "<":
+	case cmpLt:
 		return c < 0
-	case "<=":
+	case cmpLe:
 		return c <= 0
-	case ">":
+	case cmpGt:
 		return c > 0
-	default: // ">="
+	default: // cmpGe
 		return c >= 0
 	}
 }
@@ -219,43 +241,53 @@ func (p *colPred) candidates(dst []uint64) []uint64 {
 // inline.
 const colFilterGrain = 512
 
-// filterIDsColumnar compacts ids in place to the rows passing every
-// predicate, preserving ascending order. Large candidate lists fan out over
-// the morsel pool in contiguous ranges stitched back in part order, so the
-// result is deterministic regardless of scheduling. The caller must own the
-// ids slice (never an index posting or another shared backing array).
-func filterIDsColumnar(ctx *execCtx, preds []colPred, ids []uint64) []uint64 {
-	keep := func(id uint64) bool {
-		for i := range preds {
-			if !preds[i].probe(id) {
-				return false
+// filter compacts ids in place to the rows passing the predicate, keeping
+// their order. A typed row of a numeric column is decided inline; every
+// other row goes through probe.
+func (p *colPred) filter(ids []uint64) []uint64 {
+	out := ids[:0]
+	if p.col == nil {
+		return out
+	}
+	for _, id := range ids {
+		if p.mode == predNum && p.col.Present(id) {
+			if numKeep(p.op, p.col.NumAt(id), p.wantF) {
+				out = append(out, id)
 			}
+		} else if p.probe(id) {
+			out = append(out, id)
 		}
-		return true
+	}
+	return out
+}
+
+// filterIDsColumnar compacts ids in place to the rows passing every
+// predicate, preserving ascending order: each predicate in turn filters the
+// survivors of the one before. Large candidate lists fan out over the morsel
+// pool in contiguous ranges, each compacted within its own range and stitched
+// back in part order, so the result is deterministic regardless of
+// scheduling. The caller must own the ids slice (never an index posting or
+// another shared backing array).
+func filterIDsColumnar(ctx *execCtx, preds []colPred, ids []uint64) []uint64 {
+	filter := func(ids []uint64) []uint64 {
+		for i := range preds {
+			ids = preds[i].filter(ids)
+		}
+		return ids
 	}
 	parts := grb.PartitionParts(len(ids), ctx.threads, colFilterGrain)
 	if parts == 1 {
-		out := ids[:0]
-		for _, id := range ids {
-			if keep(id) {
-				out = append(out, id)
-			}
-		}
-		return out
+		return filter(ids)
 	}
-	partIDs := make([][]uint64, parts)
+	kept := make([][]uint64, parts)
 	grb.ParallelRanges(ctx.sched, len(ids), ctx.threads, colFilterGrain, func(part, lo, hi int) {
-		var mine []uint64
-		for _, id := range ids[lo:hi] {
-			if keep(id) {
-				mine = append(mine, id)
-			}
-		}
-		partIDs[part] = mine
+		kept[part] = filter(ids[lo:hi])
 	})
+	// Each part's survivors start at or after the end of those before them,
+	// so the in-place stitch only ever copies forward.
 	out := ids[:0]
-	for _, p := range partIDs {
-		out = append(out, p...)
+	for _, k := range kept {
+		out = append(out, k...)
 	}
 	return out
 }

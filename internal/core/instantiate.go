@@ -29,7 +29,8 @@ func instantiate(n planNode, opts instOpts) operation {
 }
 
 // open is instantiate without the profiler's wrapper around n itself: the
-// parallel merges and the traversal count drive a concrete op type directly.
+// parallel merges, the traversal count and the scan aggregate drive a
+// concrete op type directly.
 func (opts instOpts) open(n planNode) operation {
 	switch n := n.(type) {
 	case *argumentNode:
@@ -70,6 +71,8 @@ func (opts instOpts) open(n planNode) operation {
 		return &varLenTraverseOp{varLenTraverseNode: n, child: instantiate(n.child, opts)}
 	case *traverseCountNode:
 		return &traverseCountOp{t: opts.open(n.t).(counter)}
+	case *scanAggregateNode:
+		return &scanAggregateOp{scanAggregateNode: n, src: opts.open(n.scan).(scanRunner)}
 	case *createNode:
 		return &createOp{createNode: n, child: instantiate(n.child, opts)}
 	case *mergeNode:

@@ -103,6 +103,10 @@ const (
 	aggCollect
 )
 
+// aggKinds maps each aggregate function's name to its kind.
+var aggKinds = map[string]aggKind{"count": aggCount, "sum": aggSum, "avg": aggAvg,
+	"min": aggMin, "max": aggMax, "collect": aggCollect}
+
 // aggSpec describes one aggregate projection item.
 type aggSpec struct {
 	kind     aggKind
@@ -111,13 +115,20 @@ type aggSpec struct {
 }
 
 type aggState struct {
-	count   int64
+	count int64
+	// sum is avg's running total, and sum's once sumIsFl is set; isum is
+	// sum's exact total while every input is an int and the total fits.
 	sum     float64
+	isum    int64
 	sumIsFl bool
 	minv    value.Value
 	maxv    value.Value
-	list    []value.Value
-	seen    map[string]bool
+	// minF/maxF are minv/maxv's float64 reading while they are numeric, so
+	// the scan-aggregate kernel compares against them without copying a
+	// Value.
+	minF, maxF float64
+	list       []value.Value
+	seen       map[string]bool
 }
 
 func (s *aggState) update(spec *aggSpec, v value.Value) {
@@ -137,25 +148,52 @@ func (s *aggState) update(spec *aggSpec, v value.Value) {
 	switch spec.kind {
 	case aggCount:
 		s.count++
-	case aggSum, aggAvg:
+	case aggSum:
+		switch v.Kind {
+		case value.KindInt:
+			s.addInt(v.Int())
+		case value.KindFloat:
+			s.addFloat(v.Float())
+		}
+	case aggAvg:
 		if v.IsNumeric() {
 			s.count++
 			s.sum += v.Float()
-			if v.Kind == value.KindFloat {
-				s.sumIsFl = true
-			}
 		}
 	case aggMin:
 		if s.minv.IsNull() || value.OrderLess(v, s.minv) {
-			s.minv = v
+			s.minv, s.minF = v, v.Float()
 		}
 	case aggMax:
 		if s.maxv.IsNull() || value.OrderLess(s.maxv, v) {
-			s.maxv = v
+			s.maxv, s.maxF = v, v.Float()
 		}
 	case aggCollect:
 		s.list = append(s.list, v)
 	}
+}
+
+// addInt adds x to sum's total: exactly in isum until the first float input
+// or int64 overflow, in float64 from then on.
+func (s *aggState) addInt(x int64) {
+	if s.sumIsFl {
+		s.sum += float64(x)
+		return
+	}
+	t := s.isum + x
+	if (x > 0 && t < s.isum) || (x < 0 && t > s.isum) {
+		s.sumIsFl, s.sum = true, float64(s.isum)+float64(x)
+		return
+	}
+	s.isum = t
+}
+
+// addFloat adds f to sum's total, switching it to float64 first.
+func (s *aggState) addFloat(f float64) {
+	if !s.sumIsFl {
+		s.sumIsFl, s.sum = true, float64(s.isum)
+	}
+	s.sum += f
 }
 
 // merge folds another partial state for the same group into s. Used by the
@@ -166,17 +204,22 @@ func (s *aggState) merge(spec *aggSpec, src *aggState) {
 	switch spec.kind {
 	case aggCount:
 		s.count += src.count
-	case aggSum, aggAvg:
+	case aggSum:
+		if src.sumIsFl {
+			s.addFloat(src.sum)
+		} else {
+			s.addInt(src.isum)
+		}
+	case aggAvg:
 		s.count += src.count
 		s.sum += src.sum
-		s.sumIsFl = s.sumIsFl || src.sumIsFl
 	case aggMin:
 		if !src.minv.IsNull() && (s.minv.IsNull() || value.OrderLess(src.minv, s.minv)) {
-			s.minv = src.minv
+			s.minv, s.minF = src.minv, src.minF
 		}
 	case aggMax:
 		if !src.maxv.IsNull() && (s.maxv.IsNull() || value.OrderLess(s.maxv, src.maxv)) {
-			s.maxv = src.maxv
+			s.maxv, s.maxF = src.maxv, src.maxF
 		}
 	case aggCollect:
 		s.list = append(s.list, src.list...)
@@ -191,7 +234,7 @@ func (s *aggState) finalize(spec *aggSpec) value.Value {
 		if s.sumIsFl {
 			return value.NewFloat(s.sum)
 		}
-		return value.NewInt(int64(s.sum))
+		return value.NewInt(s.isum)
 	case aggAvg:
 		if s.count == 0 {
 			return value.Null

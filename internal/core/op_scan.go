@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"redisgraph/internal/graph"
 	"redisgraph/internal/grb"
@@ -142,6 +143,11 @@ type passLoader interface {
 	loadPass(ctx *execCtx, cf compiledScanFilter) error
 }
 
+// idBufPool recycles scan candidate buffers across executions, so a scan of
+// a large label allocates its candidate list once per process instead of
+// once per query.
+var idBufPool = sync.Pool{New: func() any { return new([]uint64) }}
+
 // scanPass is the running state the three scans share: the input record of
 // the open pass, its candidates, and the compiled-filter memo.
 type scanPass struct {
@@ -159,8 +165,11 @@ type scanPass struct {
 
 	// A pass either walks ids from pos or, when sweep is set (an all-node
 	// scan with nothing to narrow by), sweeps [0, Dim) from nextID under
-	// sweepMask.
+	// sweepMask. ids is always private to the pass (loaders copy, never
+	// alias, shared lists such as index postings); buf is the pooled slice
+	// header it came from, returned when the scan is exhausted.
 	ids       []uint64
+	buf       *[]uint64
 	pos       int
 	sweep     bool
 	sweepMask grb.ColMask
@@ -184,20 +193,35 @@ func (s *scanPass) prime(ctx *execCtx, n *scanNode) (compiledScanFilter, bool, e
 	case s.child != nil:
 		r, err := s.in.pull(ctx, s.child)
 		if err != nil || r == nil {
-			s.done = err == nil
+			s.finish(err == nil)
 			return compiledScanFilter{}, false, err
 		}
 		s.cur = r
 	case s.cur != nil: // a childless scan runs exactly one pass
-		s.done = true
+		s.finish(true)
 		return compiledScanFilter{}, false, nil
 	default:
 		s.cur = newRecord(n.width)
+	}
+	if s.buf == nil {
+		s.buf = idBufPool.Get().(*[]uint64)
+		s.ids = (*s.buf)[:0]
 	}
 	cf, err := s.compile(ctx, n.pushed)
 	s.primed = err == nil
 	s.pos, s.nextID, s.sweep = 0, 0, false
 	return cf, s.primed, err
+}
+
+// finish ends the scan (done: exhausted rather than failed) and returns the
+// candidate buffer to the pool.
+func (s *scanPass) finish(done bool) {
+	s.done = done
+	if s.buf != nil {
+		*s.buf = s.ids[:0]
+		idBufPool.Put(s.buf)
+		s.buf, s.ids = nil, nil
+	}
 }
 
 // compile resolves the pushed filter against the live graph, memoised per
@@ -241,6 +265,25 @@ func (s *scanPass) compile(ctx *execCtx, f *scanFilter) (compiledScanFilter, err
 // the scan stripes by) belongs to this segment.
 func (s *scanPass) inStripe(k int) bool {
 	return s.parts <= 1 || k%s.parts == s.part
+}
+
+// narrow compacts the pass's loaded candidates in place to this segment's
+// stripe (by node ID when byID, else by list position) and the pushed label
+// mask, then runs them through the pushed property comparisons.
+func (s *scanPass) narrow(ctx *execCtx, cf compiledScanFilter, byID bool) {
+	if s.parts > 1 || cf.mask != nil {
+		kept := s.ids[:0]
+		for k, id := range s.ids {
+			if byID {
+				k = int(id)
+			}
+			if s.inStripe(k) && cf.admitMask(id) {
+				kept = append(kept, id)
+			}
+		}
+		s.ids = kept
+	}
+	s.ids = cf.filterProps(ctx, s.ids)
 }
 
 // sweepNext returns a sweeping pass's next admitted node ID, or false once
@@ -330,16 +373,7 @@ func (o *allNodeScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 		return nil
 	}
 	o.ids = cf.preds[0].candidates(o.ids[:0])
-	if o.parts > 1 || cf.mask != nil {
-		kept := o.ids[:0]
-		for _, id := range o.ids {
-			if o.inStripe(int(id)) && cf.admitMask(id) {
-				kept = append(kept, id)
-			}
-		}
-		o.ids = kept
-	}
-	o.ids = cf.filterProps(ctx, o.ids)
+	o.narrow(ctx, cf, true)
 	return nil
 }
 
@@ -366,8 +400,8 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
 }
 
-// loadPass builds the fully filtered candidate list: the label's diagonal,
-// striped by tuple position, masked by the pushed labels, then run through
+// loadPass builds the fully filtered candidate list: the label's diagonal
+// rows, striped by position, masked by the pushed labels, then run through
 // the pushed property comparisons.
 func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
@@ -375,13 +409,8 @@ func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	if lm == nil {
 		return nil
 	}
-	rows, _, _ := lm.ExtractTuples()
-	for k, r := range rows {
-		if o.inStripe(k) && (cf.mask == nil || cf.mask(r)) {
-			o.ids = append(o.ids, uint64(r))
-		}
-	}
-	o.ids = cf.filterProps(ctx, o.ids)
+	o.ids = lm.AppendRows(o.ids)
+	o.narrow(ctx, cf, false)
 	return nil
 }
 
@@ -408,12 +437,13 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
 }
 
-// loadPass resolves the seed list: the index posting for the key, striped
-// by position (not by id value: index postings are often skewed, and position
-// striping balances segments regardless of how ids were assigned), then run
-// through the pushed label masks and property comparisons.
+// loadPass resolves the seed list: a private copy of the index posting for
+// the key, striped by position (not by id value: index postings are often
+// skewed, and position striping balances segments regardless of how ids were
+// assigned), then run through the pushed label masks and property
+// comparisons.
 func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
-	o.ids = nil
+	o.ids = o.ids[:0]
 	lid, okL := ctx.g.Schema.LabelID(o.label)
 	aid, okA := ctx.g.Schema.AttrID(o.attr)
 	if !okL || !okA {
@@ -427,18 +457,8 @@ func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	if err != nil {
 		return err
 	}
-	posting := ix.Lookup(v)
-	if o.parts <= 1 && cf.mask == nil && len(cf.preds) == 0 {
-		o.ids = posting // read-only walk of the live posting list
-		return nil
-	}
-	// Lookup returns the live posting list; filter into a private copy.
-	for k, id := range posting {
-		if o.inStripe(k) && cf.admitMask(id) {
-			o.ids = append(o.ids, id)
-		}
-	}
-	o.ids = cf.filterProps(ctx, o.ids)
+	o.ids = append(o.ids, ix.Lookup(v)...)
+	o.narrow(ctx, cf, false)
 	return nil
 }
 

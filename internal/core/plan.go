@@ -1101,6 +1101,54 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child planNod
 	return &traverseCountNode{t: t}
 }
 
+// scanAggregate recognises a keyless aggregation directly over a scan that
+// the record-free scanAggregateNode folds: every item a non-DISTINCT count,
+// sum, avg, min or max of `*`, the scan's variable (count only: a node has no
+// number to add or order) or one of its properties. Anything else — a group
+// key, collect, an expression argument, a residual Filter between scan and
+// aggregate — keeps Aggregate, and so does noPushdown, the differential
+// baseline.
+func (b *planBuilder) scanAggregate(items []*cypher.ReturnItem, child planNode) *scanAggregateNode {
+	scan, ok := child.(aggregatedScan)
+	if !ok || b.noPushdown {
+		return nil
+	}
+	isScanVar := func(e cypher.Expr) bool {
+		id, ok := e.(*cypher.Ident)
+		if !ok {
+			return false
+		}
+		slot, ok := b.st.lookup(id.Name)
+		return ok && slot == scan.scan().slot
+	}
+	n := &scanAggregateNode{scan: scan}
+	for _, it := range items {
+		fc, ok := it.Expr.(*cypher.FuncCall)
+		if !ok || fc.Distinct {
+			return nil
+		}
+		kind, ok := aggKinds[fc.Name]
+		if !ok || kind == aggCollect {
+			return nil
+		}
+		item := scanAggItem{spec: aggSpec{kind: kind}, desc: exprString(fc)}
+		switch {
+		case fc.Star && kind == aggCount:
+		case fc.Star || len(fc.Args) != 1:
+			return nil
+		case kind == aggCount && isScanVar(fc.Args[0]):
+		default:
+			pa, ok := fc.Args[0].(*cypher.PropAccess)
+			if !ok || !isScanVar(pa.E) {
+				return nil
+			}
+			item.attr = pa.Key
+		}
+		n.items = append(n.items, item)
+	}
+	return n
+}
+
 // buildAggregate compiles the hash-aggregation projection.
 func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child planNode,
 	orderBy []*cypher.SortItem, visible int, outST *symtab, findColumn func(cypher.Expr) int) error {
@@ -1108,21 +1156,7 @@ func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child planNo
 	var aggItems []aggItem
 	for _, it := range expanded {
 		if fc, ok := it.Expr.(*cypher.FuncCall); ok && isAggregateFunc(fc.Name) {
-			spec := &aggSpec{distinct: fc.Distinct}
-			switch fc.Name {
-			case "count":
-				spec.kind = aggCount
-			case "sum":
-				spec.kind = aggSum
-			case "avg":
-				spec.kind = aggAvg
-			case "min":
-				spec.kind = aggMin
-			case "max":
-				spec.kind = aggMax
-			case "collect":
-				spec.kind = aggCollect
-			}
+			spec := &aggSpec{kind: aggKinds[fc.Name], distinct: fc.Distinct}
 			if !fc.Star {
 				if len(fc.Args) != 1 {
 					return fmt.Errorf("core: %s() expects one argument", fc.Name)
@@ -1156,7 +1190,11 @@ func (b *planBuilder) buildAggregate(expanded []*cypher.ReturnItem, child planNo
 			break
 		}
 	}
-	b.setCur(&aggregateNode{unary: unary{child}, items: aggItems, visible: visible}, aggEst)
+	if sa := b.scanAggregate(expanded, child); sa != nil {
+		b.setCur(sa, aggEst)
+	} else {
+		b.setCur(&aggregateNode{unary: unary{child}, items: aggItems, visible: visible}, aggEst)
+	}
 	if len(orderBy) > 0 {
 		// Post-aggregation ordering can only reference output columns.
 		keys := make([]evalFn, len(orderBy))

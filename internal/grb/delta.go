@@ -241,22 +241,30 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 	return append([]Index(nil), ci...)
 }
 
-// ExtractTuples returns all effective entries as COO slices in row-major
-// order, without folding.
-func (m *DeltaMatrix) ExtractTuples() (rows, cols []Index, values []float64) {
-	rows = make([]Index, 0, m.nvals)
-	cols = make([]Index, 0, m.nvals)
-	values = make([]float64, 0, m.nvals)
-	var buf rowScratch
+// AppendRows appends to dst, in ascending order, every row index holding at
+// least one effective entry (for a label diagonal: the label's members), as
+// the uint64 entity IDs the graph layer's candidate lists hold. It neither
+// folds nor allocates beyond growing dst. With nothing pending it reads the
+// main CSR's row pointers alone; otherwise a row also counts through its
+// delta-plus entries and loses the main entries its delta-minus removes (the
+// two never share a column).
+func (m *DeltaMatrix) AppendRows(dst []uint64) []uint64 {
+	rp := m.main.rowPtr
+	pending := m.Pending() > 0
 	for i := 0; i < m.nrows; i++ {
-		ci, vv := m.srcRow(i, &buf)
-		for range ci {
-			rows = append(rows, i)
+		n := rp[i+1] - rp[i]
+		if pending {
+			if m.dp[i] != nil {
+				n = 1 // a delta-plus row is never empty
+			} else {
+				n -= len(m.dm[i])
+			}
 		}
-		cols = append(cols, ci...)
-		values = append(values, vv...)
+		if n > 0 {
+			dst = append(dst, uint64(i))
+		}
 	}
-	return rows, cols, values
+	return dst
 }
 
 // Sync folds the buffered deltas into the main CSR when force is set or the

@@ -171,24 +171,6 @@ func TestMatrixDupIndependence(t *testing.T) {
 	}
 }
 
-func TestMatrixExtractTuples(t *testing.T) {
-	// A delta matrix's tuples merge main, delta-plus and delta-minus in
-	// row-major order without folding.
-	m := NewMatrix(2, 3)
-	must(t, m.SetElement(1, 0, 7))
-	dm := DeltaFrom(m)
-	must(t, dm.SetElement(1, 2, 9))
-	must(t, dm.SetElement(0, 1, 8))
-	must(t, dm.RemoveElement(1, 0))
-	r, c, v := dm.ExtractTuples()
-	if len(r) != 2 || r[0] != 0 || c[0] != 1 || v[0] != 8 || r[1] != 1 || c[1] != 2 || v[1] != 9 {
-		t.Fatalf("tuples: %v %v %v", r, c, v)
-	}
-	if dm.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3: tuples must not fold", dm.Pending())
-	}
-}
-
 func TestMatrixPendingCount(t *testing.T) {
 	m := NewMatrix(4, 4)
 	pending := func() int { return len(m.pendSet) + len(m.pendDel) }

@@ -103,7 +103,7 @@ func TestGraphQueryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := fmt.Sprint(v)
-	if !strings.Contains(joined, "NodeByLabelScan") {
+	if !strings.Contains(joined, "ScanAggregate | n:Person | count(n)") {
 		t.Fatalf("explain: %v", v)
 	}
 
