@@ -135,35 +135,6 @@ func BenchmarkRobust6Hop(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §5) ----
 
-// AblationPendingDelta: SuiteSparse-style pending updates vs materialising
-// after every insert.
-func BenchmarkAblationPendingDelta(b *testing.B) {
-	const n = 4096
-	const edges = 16384
-	el := gen.Uniform(n, edges, 11)
-	b.Run("pending-delta", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := grb.NewMatrix(n, n)
-			for k := range el.Src {
-				_ = m.SetElement(el.Src[k], el.Dst[k], 1)
-			}
-			m.Wait()
-		}
-	})
-	b.Run("wait-every-64-inserts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := grb.NewMatrix(n, n)
-			for k := range el.Src {
-				_ = m.SetElement(el.Src[k], el.Dst[k], 1)
-				if k%64 == 63 {
-					m.Wait() // forced materialisation mid-stream
-				}
-			}
-			m.Wait()
-		}
-	})
-}
-
 // AblationMaskedTraversal: 3-hop BFS expansion whose reached set masks each
 // hop, over a plain matrix.
 func BenchmarkAblationMaskedTraversal(b *testing.B) {

@@ -5,10 +5,6 @@ func ApplyMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, f UnaryOp, a *Matrix,
 	if c == nil || a == nil {
 		return ErrNilObject
 	}
-	a.Wait()
-	if mask != nil {
-		mask.Wait()
-	}
 	if d.tranA() {
 		a = transposed(a)
 	}
@@ -59,10 +55,6 @@ func ApplyBindSecond(w *Vector, mask *Vector, accum *BinaryOp, f BinaryOp, u *Ve
 func SelectMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, pred IndexUnaryOp, a *Matrix, d *Descriptor) error {
 	if c == nil || a == nil {
 		return ErrNilObject
-	}
-	a.Wait()
-	if mask != nil {
-		mask.Wait()
 	}
 	if d.tranA() {
 		a = transposed(a)

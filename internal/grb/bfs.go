@@ -107,8 +107,6 @@ func BFS(a, at RowSource, src Index, maxHops int,
 	if src < 0 || src >= n {
 		return boundsErr("bfs: source %d, dimension %d", src, n)
 	}
-	waitPlain(a)
-	waitPlain(at)
 	ws := getBFSWorkspace(n)
 	defer putBFSWorkspace(ws)
 
@@ -145,14 +143,6 @@ func BFS(a, at RowSource, src Index, maxHops int,
 		clear(ws.next)
 	}
 	return nil
-}
-
-// waitPlain materialises a plain matrix operand's pending updates; delta
-// matrices are read as they are.
-func waitPlain(s rowSource) {
-	if m, ok := s.(*Matrix); ok {
-		m.Wait()
-	}
 }
 
 // pushHop scatters the frontier's out-rows into next, marking each newly

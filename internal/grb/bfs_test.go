@@ -105,9 +105,8 @@ func TestBFSMatchesVxMLoop(t *testing.T) {
 	}
 }
 
-// TestBFSPlainMatrixAndStop covers a plain matrix with pending updates (BFS
-// materialises them), the nil step (push only), stopping from step and from
-// visit, and the argument checks.
+// TestBFSPlainMatrixAndStop covers a plain matrix operand, the nil step (push
+// only), stopping from step and from visit, and the argument checks.
 func TestBFSPlainMatrixAndStop(t *testing.T) {
 	m := NewMatrix(4, 4)
 	_ = m.SetElement(0, 1, 1)

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestConcurrentReadsAfterWait exercises the contract the server relies on:
-// a materialised matrix may be read by many goroutines at once.
-func TestConcurrentReadsAfterWait(t *testing.T) {
+// TestConcurrentReads exercises the contract the server relies on: a built
+// matrix holds no pending state, so many goroutines may read it at once
+// without a lock.
+func TestConcurrentReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randMatrix(rng, 200, 200, 0.05)
-	a.Wait()
 	u := randVector(rng, 200, 0.1)
 
 	ref := NewVector(200)
@@ -44,29 +44,6 @@ func TestConcurrentReadsAfterWait(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestConcurrentWaitRace checks that racing readers may trigger Wait safely
-// (the lock-protected materialisation path).
-func TestConcurrentWaitRace(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		m := NewMatrix(100, 100)
-		for i := 0; i < 100; i++ {
-			must(t, m.SetElement(i, (i*7)%100, float64(i)))
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m.Wait()
-				if m.NVals() != 100 {
-					t.Errorf("nvals = %d", m.NVals())
-				}
-			}()
-		}
-		wg.Wait()
-	}
 }
 
 // TestWorkspacePoolReuseIsClean verifies consecutive VxM calls (which share

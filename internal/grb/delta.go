@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,7 +20,9 @@ type deltaRow struct {
 // DeltaMatrix is a sparse matrix held as three structures: an immutable main
 // CSR, a delta-plus of buffered inserts and a delta-minus of buffered
 // deletes — the design RedisGraph adopted so single-edge writes never
-// rebuild a CSR and readers never fold.
+// rebuild a CSR and readers never fold. It is the only pending-update buffer
+// in the package: Sync plays GrB_wait, folding the deltas into a new main
+// CSR in one row-ordered pass.
 //
 // Every read accessor (ExtractElement, RowIterate, NVals, kernel operands
 // via MxMDelta/VxMDelta) consults all three structures without mutating any
@@ -29,7 +32,7 @@ type deltaRow struct {
 // its per-graph write lock.
 type DeltaMatrix struct {
 	nrows, ncols int
-	main         *Matrix             // materialised CSR; never carries pending updates
+	main         *Matrix             // immutable CSR, replaced whole by Sync
 	dp           map[Index]*deltaRow // delta-plus: inserts, overriding main
 	dm           map[Index][]Index   // delta-minus: deletes of entries present in main
 	dpN, dmN     int
@@ -48,10 +51,9 @@ func NewDeltaMatrix(nrows, ncols int) *DeltaMatrix {
 }
 
 // DeltaFrom wraps an existing matrix as the main CSR of a clean delta
-// matrix (folding any pending updates first). The matrix is adopted, not
-// copied: the caller must not mutate it afterwards.
+// matrix. The matrix is adopted, not copied: the caller must not mutate it
+// afterwards.
 func DeltaFrom(m *Matrix) *DeltaMatrix {
-	m.Wait()
 	return &DeltaMatrix{
 		nrows:     m.nrows,
 		ncols:     m.ncols,
@@ -213,17 +215,29 @@ func (m *DeltaMatrix) ExtractElement(i, j Index) (float64, error) {
 	return 0, ErrNoValue
 }
 
-// RowDegree returns the number of effective entries in row i.
+// RowDegree returns the number of effective entries in row i without
+// assembling the row: the main row's length, less its delta-minus entries,
+// plus the delta-plus columns main lacks (delta-plus over a main column only
+// overrides its value, and delta-minus never shares a column with
+// delta-plus).
 func (m *DeltaMatrix) RowDegree(i Index) int {
 	if i < 0 || i >= m.nrows {
 		return 0
 	}
-	if m.dp[i] == nil && len(m.dm[i]) == 0 {
-		return m.main.rowPtr[i+1] - m.main.rowPtr[i]
+	mc, _ := m.main.rowView(i)
+	n := len(mc) - len(m.dm[i])
+	if dpr := m.dp[i]; dpr != nil {
+		a := 0
+		for _, j := range dpr.cols {
+			for a < len(mc) && mc[a] < j {
+				a++
+			}
+			if a == len(mc) || mc[a] != j {
+				n++
+			}
+		}
 	}
-	var buf rowScratch
-	ci, _ := m.srcRow(i, &buf)
-	return len(ci)
+	return n
 }
 
 // RowIterate returns the sorted effective column indices of row i. Rows
@@ -267,8 +281,8 @@ func (m *DeltaMatrix) AppendRows(dst []uint64) []uint64 {
 	return dst
 }
 
-// Sync folds the buffered deltas into the main CSR when force is set or the
-// pending count has reached the threshold, reporting whether a fold
+// Sync folds the buffered deltas into a new main CSR when force is set or
+// the pending count has reached the threshold, reporting whether a fold
 // happened. This is the only operation that rebuilds the CSR; callers must
 // hold the exclusive lock that guards mutations.
 func (m *DeltaMatrix) Sync(force bool) bool {
@@ -276,22 +290,13 @@ func (m *DeltaMatrix) Sync(force bool) bool {
 	if pending == 0 || (!force && pending < m.threshold) {
 		return false
 	}
-	for i, dmr := range m.dm {
-		for _, j := range dmr {
-			_ = m.main.RemoveElement(i, j)
-		}
-	}
-	for i, dpr := range m.dp {
-		for k, j := range dpr.cols {
-			_ = m.main.SetElement(i, j, dpr.vals[k])
-		}
-	}
-	m.main.Wait()
-	m.dp, m.dm = nil, nil
-	m.dpN, m.dmN = 0, 0
-	if got := len(m.main.colInd); got != m.nvals {
+	out := m.merged()
+	if got := len(out.colInd); got != m.nvals {
 		panic(fmt.Sprintf("grb: delta sync drift: folded %d entries, tracked %d", got, m.nvals))
 	}
+	m.main = out
+	m.dp, m.dm = nil, nil
+	m.dpN, m.dmN = 0, 0
 	return true
 }
 
@@ -319,14 +324,53 @@ func (m *DeltaMatrix) Export() *Matrix {
 	if m.Pending() == 0 {
 		return m.main
 	}
-	out := NewMatrix(m.nrows, m.ncols)
+	return m.merged()
+}
+
+// merged builds the effective matrix as a fresh CSR in one row-ordered pass,
+// into slices preallocated to nvals. The rows carrying deltas are visited in
+// ascending order; each span of clean main rows before one is bulk-copied
+// with its row pointers shifted, and the dirty row itself is assembled by
+// srcRow.
+func (m *DeltaMatrix) merged() *Matrix {
+	dirty := make([]Index, 0, len(m.dp)+len(m.dm))
+	for i := range m.dp {
+		dirty = append(dirty, i)
+	}
+	for i := range m.dm {
+		if m.dp[i] == nil {
+			dirty = append(dirty, i)
+		}
+	}
+	slices.Sort(dirty)
+	src := m.main
+	out := &Matrix{
+		nrows:  m.nrows,
+		ncols:  m.ncols,
+		rowPtr: make([]int, m.nrows+1),
+		colInd: make([]Index, 0, m.nvals),
+		val:    make([]float64, 0, m.nvals),
+	}
+	copySpan := func(lo, hi int) { // clean rows [lo, hi)
+		a, b := src.rowPtr[lo], src.rowPtr[hi]
+		shift := len(out.colInd) - a
+		out.colInd = append(out.colInd, src.colInd[a:b]...)
+		out.val = append(out.val, src.val[a:b]...)
+		for r := lo + 1; r <= hi; r++ {
+			out.rowPtr[r] = src.rowPtr[r] + shift
+		}
+	}
 	var buf rowScratch
-	for i := 0; i < m.nrows; i++ {
+	next := 0 // first row not yet written
+	for _, i := range dirty {
+		copySpan(next, i)
 		ci, vv := m.srcRow(i, &buf)
 		out.colInd = append(out.colInd, ci...)
 		out.val = append(out.val, vv...)
 		out.rowPtr[i+1] = len(out.colInd)
+		next = i + 1
 	}
+	copySpan(next, m.nrows)
 	return out
 }
 

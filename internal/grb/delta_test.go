@@ -2,6 +2,7 @@ package grb
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -20,9 +21,7 @@ func applyOps(t *testing.T, n, ops int, seed int64, syncEvery int) (*DeltaMatrix
 			if err := dm.RemoveElement(i, j); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.RemoveElement(i, j); err != nil {
-				t.Fatal(err)
-			}
+			removeEntry(ref, i, j)
 		} else {
 			x := float64(1 + rng.Intn(4))
 			if err := dm.SetElement(i, j, x); err != nil {
@@ -36,7 +35,6 @@ func applyOps(t *testing.T, n, ops int, seed int64, syncEvery int) (*DeltaMatrix
 			dm.ForceSync()
 		}
 	}
-	ref.Wait()
 	return dm, ref
 }
 
@@ -98,6 +96,105 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 			t.Fatal("pending deltas after force sync")
 		}
 		assertSameMatrix(t, dm, ref)
+	}
+	// A larger matrix whose rows are mostly clean, so the fold copies long
+	// spans of main between dirty rows: each case puts a dirty row at a span
+	// boundary, and the merged CSR must equal the reference array for array.
+	const n = 64
+	type op struct {
+		del  bool
+		i, j Index
+		x    float64
+	}
+	rowOf := func(ref *Matrix, i Index) []Index { return append([]Index(nil), ref.RowIterate(i)...) }
+	for _, tc := range []struct {
+		name      string
+		emptyMain bool
+		ops       func(ref *Matrix) []op
+	}{
+		{"first and last row", false, func(ref *Matrix) []op {
+			return []op{{i: 0, j: 1, x: 5}, {del: true, i: n - 1, j: rowOf(ref, n-1)[0]}}
+		}},
+		{"adjacent rows", false, func(ref *Matrix) []op {
+			return []op{{i: 10, j: 0, x: 5}, {i: 11, j: 0, x: 6}, {del: true, i: 12, j: rowOf(ref, 12)[0]}}
+		}},
+		{"row emptied by delta-minus", false, func(ref *Matrix) []op {
+			var ops []op
+			for _, j := range rowOf(ref, 20) {
+				ops = append(ops, op{del: true, i: 20, j: j})
+			}
+			return ops
+		}},
+		{"value override", false, func(ref *Matrix) []op {
+			return []op{{i: 30, j: rowOf(ref, 30)[0], x: 9}}
+		}},
+		{"every row dirty over an empty main", true, func(*Matrix) []op {
+			var ops []op
+			for i := 0; i < n; i++ {
+				ops = append(ops, op{i: i, j: (i * 5) % n, x: 1}, op{i: i, j: (i*5 + 3) % n, x: 2})
+			}
+			return ops
+		}},
+	} {
+		ref := NewMatrix(n, n)
+		if !tc.emptyMain {
+			var rows, cols []Index
+			var vals []float64
+			for i := 0; i < n; i++ {
+				for k := 0; k <= i%3; k++ {
+					rows, cols, vals = append(rows, i), append(cols, (i*7+k*13+2)%n), append(vals, float64(1+k))
+				}
+			}
+			must(t, ref.build(rows, cols, vals, First))
+		}
+		dm := DeltaFrom(ref.Dup())
+		dm.SetThreshold(1 << 30)
+		for _, o := range tc.ops(ref) {
+			if o.del {
+				must(t, dm.RemoveElement(o.i, o.j))
+				removeEntry(ref, o.i, o.j)
+			} else {
+				must(t, dm.SetElement(o.i, o.j, o.x))
+				must(t, ref.SetElement(o.i, o.j, o.x))
+			}
+		}
+		if dm.Pending() == 0 {
+			t.Fatalf("%s: fixture must carry pending deltas", tc.name)
+		}
+		assertSameMatrix(t, dm, ref)
+		assertSameCSR(t, tc.name+": export", dm.Export(), ref)
+		dm.ForceSync()
+		assertSameCSR(t, tc.name+": sync", dm.main, ref)
+		assertSameMatrix(t, dm, ref)
+	}
+}
+
+// assertSameCSR compares two plain matrices array for array.
+func assertSameCSR(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colInd, want.colInd) || !slices.Equal(got.val, want.val) {
+		t.Fatalf("%s:\n got %v %v %v\nwant %v %v %v", what,
+			got.rowPtr, got.colInd, got.val, want.rowPtr, want.colInd, want.val)
+	}
+}
+
+// TestRowDegreeAllocs: RowDegree counts a row with delta-plus and
+// delta-minus entries without assembling it.
+func TestRowDegreeAllocs(t *testing.T) {
+	m := NewMatrix(2, 8)
+	for j := 0; j < 8; j += 2 {
+		must(t, m.SetElement(1, j, 1))
+	}
+	dm := DeltaFrom(m)
+	dm.SetThreshold(1 << 30)
+	must(t, dm.SetElement(1, 3, 1)) // delta-plus on a column main lacks
+	must(t, dm.SetElement(1, 4, 2)) // delta-plus override of a main entry
+	must(t, dm.RemoveElement(1, 6)) // delta-minus
+	if d := dm.RowDegree(1); d != 4 {
+		t.Fatalf("degree = %d, want 4", d)
+	}
+	if n := testing.AllocsPerRun(100, func() { dm.RowDegree(1) }); n != 0 {
+		t.Fatalf("RowDegree allocated %.0f times", n)
 	}
 }
 
@@ -274,7 +371,6 @@ func TestDeltaMatrixConcurrentReaders(t *testing.T) {
 			for r := 0; r < 4; r++ {
 				f.SetElement(r, rng.Intn(32), 1)
 			}
-			f.Wait()
 			for iter := 0; iter < 50; iter++ {
 				i, j := rng.Intn(32), rng.Intn(32)
 				dm.ExtractElement(i, j)

@@ -83,11 +83,6 @@ func EWiseAddMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, op BinaryOp, a, b 
 	if c == nil || a == nil || b == nil {
 		return ErrNilObject
 	}
-	a.Wait()
-	b.Wait()
-	if mask != nil {
-		mask.Wait()
-	}
 	if d.tranA() {
 		a = transposed(a)
 	}

@@ -1,8 +1,9 @@
 // Package grb is a pure-Go implementation of the GraphBLAS C API subset that
 // RedisGraph depends on (SuiteSparse:GraphBLAS in the paper).
 //
-// It provides sparse matrices in CSR form with SuiteSparse-style pending
-// ("non-blocking") updates, delta matrices, sparse/dense dual-mode vectors,
+// It provides sparse matrices in CSR form, delta matrices (the one
+// pending-update buffer: SuiteSparse's non-blocking mode, with
+// DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors,
 // semirings, monoids, binary/unary/index operators, masks and descriptors,
 // and the operations the engine and internal/algo call: masked MxM and VxM
 // (push and pull), BFS, element-wise add/multiply, apply, select, reduce and
@@ -12,9 +13,10 @@
 // structural semirings (AnyPair, LorLand) whose kernels never inspect values,
 // which is how adjacency traversals avoid per-entry function-call overhead.
 //
-// Concurrency: a Matrix or Vector may be read concurrently only after Wait
-// has folded pending updates (the graph layer enforces this under its write
-// lock). Mutating calls are not goroutine-safe.
+// Concurrency: a Matrix holds no pending state, so once built it may be read
+// by any number of goroutines without a lock; a DeltaMatrix's readers never
+// fold either. Mutating calls (SetElement, Sync, a kernel writing its output)
+// are not goroutine-safe: the graph layer runs them under its write lock.
 package grb
 
 import (

@@ -2,36 +2,24 @@ package grb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-type pos struct{ i, j Index }
 
 // Matrix is a sparse GraphBLAS matrix of float64 values in CSR form.
 //
-// Mutations (SetElement / RemoveElement) are buffered as pending updates and
-// folded into the CSR structure by Wait, mirroring SuiteSparse:GraphBLAS
-// non-blocking mode; RedisGraph leans on this so that bulk inserts do not
-// rebuild the matrix per edge. All compute operations call Wait on their
-// inputs first.
-//
-// A materialised (non-dirty) Matrix is safe for concurrent readers. Wait is
-// internally locked so that concurrent read-only queries racing to
-// materialise the same matrix are safe; mutating calls are not.
+// A Matrix holds no pending updates: every call leaves a complete CSR, so a
+// built matrix is safe for any number of concurrent readers without a lock.
+// Buffered single-entry writes are DeltaMatrix's job (its Sync is GrB_wait);
+// a plain Matrix is built whole by build, BuildFromRows or a kernel's output.
+// Mutating calls are not goroutine-safe.
 type Matrix struct {
 	nrows, ncols int
 
 	rowPtr []int
 	colInd []Index
 	val    []float64
-
-	mu      sync.Mutex
-	dirty   atomic.Bool
-	pendSet map[pos]float64
-	pendDel map[pos]struct{}
 }
 
 // NewMatrix returns an empty nrows × ncols matrix.
@@ -52,15 +40,11 @@ func (m *Matrix) NRows() int { return m.nrows }
 // NCols returns the number of columns.
 func (m *Matrix) NCols() int { return m.ncols }
 
-// NVals returns the number of stored entries (after folding pending updates).
-func (m *Matrix) NVals() int {
-	m.Wait()
-	return len(m.colInd)
-}
+// NVals returns the number of stored entries.
+func (m *Matrix) NVals() int { return len(m.colInd) }
 
-// Dup returns a deep copy (with pending updates folded in).
+// Dup returns a deep copy.
 func (m *Matrix) Dup() *Matrix {
-	m.Wait()
 	return &Matrix{
 		nrows:  m.nrows,
 		ncols:  m.ncols,
@@ -77,7 +61,6 @@ func (m *Matrix) resize(nrows, ncols int) {
 	if nrows < 0 || ncols < 0 {
 		panic("grb: negative matrix dimension")
 	}
-	m.Wait()
 	if nrows == m.nrows && ncols == m.ncols {
 		return
 	}
@@ -113,38 +96,23 @@ func (m *Matrix) resize(nrows, ncols int) {
 	m.nrows, m.ncols = nrows, ncols
 }
 
-// SetElement stores x at (i, j), overwriting any existing entry. The update
-// is buffered; Wait folds it into the CSR structure.
+// SetElement stores x at (i, j), overwriting any existing entry. It edits the
+// CSR in place — a sorted insert that costs O(nnz) — so it is meant for small
+// fixtures; bulk construction goes through build or BuildFromRows.
 func (m *Matrix) SetElement(i, j Index, x float64) error {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
 	}
-	m.mu.Lock()
-	if m.pendSet == nil {
-		m.pendSet = make(map[pos]float64)
+	k, ok := m.find(i, j)
+	if ok {
+		m.val[k] = x
+		return nil
 	}
-	p := pos{i, j}
-	delete(m.pendDel, p)
-	m.pendSet[p] = x
-	m.dirty.Store(true)
-	m.mu.Unlock()
-	return nil
-}
-
-// RemoveElement deletes the entry at (i, j) if present.
-func (m *Matrix) RemoveElement(i, j Index) error {
-	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
-		return boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
+	m.colInd = slices.Insert(m.colInd, k, j)
+	m.val = slices.Insert(m.val, k, x)
+	for r := i + 1; r <= m.nrows; r++ {
+		m.rowPtr[r]++
 	}
-	m.mu.Lock()
-	p := pos{i, j}
-	delete(m.pendSet, p)
-	if m.pendDel == nil {
-		m.pendDel = make(map[pos]struct{})
-	}
-	m.pendDel[p] = struct{}{}
-	m.dirty.Store(true)
-	m.mu.Unlock()
 	return nil
 }
 
@@ -153,19 +121,6 @@ func (m *Matrix) ExtractElement(i, j Index) (float64, error) {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return 0, boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
 	}
-	if m.dirty.Load() {
-		m.mu.Lock()
-		p := pos{i, j}
-		if x, ok := m.pendSet[p]; ok {
-			m.mu.Unlock()
-			return x, nil
-		}
-		if _, ok := m.pendDel[p]; ok {
-			m.mu.Unlock()
-			return 0, ErrNoValue
-		}
-		m.mu.Unlock()
-	}
 	k, ok := m.find(i, j)
 	if !ok {
 		return 0, ErrNoValue
@@ -173,80 +128,21 @@ func (m *Matrix) ExtractElement(i, j Index) (float64, error) {
 	return m.val[k], nil
 }
 
+// find returns the position of (i, j) in the CSR, or the position where it
+// would be inserted, and whether it is present.
 func (m *Matrix) find(i, j Index) (int, bool) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	k := lo + sort.Search(hi-lo, func(k int) bool { return m.colInd[lo+k] >= j })
-	if k < hi && m.colInd[k] == j {
-		return k, true
-	}
-	return 0, false
+	return k, k < hi && m.colInd[k] == j
 }
 
-// Wait folds pending updates into the CSR structure (GrB_Matrix_wait).
-func (m *Matrix) Wait() {
-	if !m.dirty.Load() {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.dirty.Load() {
-		return
-	}
-	// Sort pending inserts by (row, col) for a linear merge with the CSR.
-	ins := make([]pos, 0, len(m.pendSet))
-	for p := range m.pendSet {
-		ins = append(ins, p)
-	}
-	sort.Slice(ins, func(a, b int) bool {
-		if ins[a].i != ins[b].i {
-			return ins[a].i < ins[b].i
-		}
-		return ins[a].j < ins[b].j
-	})
+// Wait is GrB_wait on a plain matrix, which has nothing to fold. Its last
+// caller is the benchmark harness's frontier build (benchmark/trace.go:572);
+// retargeting that build to BuildFromRows (ROADMAP item 4, Step A) deletes
+// both.
+func (m *Matrix) Wait() {}
 
-	rp := make([]int, m.nrows+1)
-	ci := make([]Index, 0, len(m.colInd)+len(ins))
-	vv := make([]float64, 0, len(m.val)+len(ins))
-	k := 0 // cursor into ins
-	for i := 0; i < m.nrows; i++ {
-		rp[i] = len(ci)
-		a := m.rowPtr[i]
-		for a < m.rowPtr[i+1] || (k < len(ins) && ins[k].i == i) {
-			switch {
-			case a >= m.rowPtr[i+1]:
-				p := ins[k]
-				ci = append(ci, p.j)
-				vv = append(vv, m.pendSet[p])
-				k++
-			case k >= len(ins) || ins[k].i != i || m.colInd[a] < ins[k].j:
-				j := m.colInd[a]
-				if _, del := m.pendDel[pos{i, j}]; !del {
-					ci = append(ci, j)
-					vv = append(vv, m.val[a])
-				}
-				a++
-			case m.colInd[a] == ins[k].j:
-				p := ins[k]
-				ci = append(ci, p.j)
-				vv = append(vv, m.pendSet[p])
-				a++
-				k++
-			default: // pending insert comes first
-				p := ins[k]
-				ci = append(ci, p.j)
-				vv = append(vv, m.pendSet[p])
-				k++
-			}
-		}
-	}
-	rp[m.nrows] = len(ci)
-	m.rowPtr, m.colInd, m.val = rp, ci, vv
-	m.pendSet, m.pendDel = nil, nil
-	m.dirty.Store(false)
-}
-
-// rowView returns the column indices and values of row i. The caller must
-// have materialised the matrix (Wait).
+// rowView returns the column indices and values of row i.
 func (m *Matrix) rowView(i Index) ([]Index, []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colInd[lo:hi], m.val[lo:hi]
@@ -258,7 +154,6 @@ func (m *Matrix) build(rows, cols []Index, values []float64, dup BinaryOp) error
 	if len(rows) != len(cols) || len(rows) != len(values) {
 		return dimErr("build: %d rows, %d cols, %d values", len(rows), len(cols), len(values))
 	}
-	m.Wait()
 	if len(m.colInd) != 0 {
 		return fmt.Errorf("%w: build target not empty", ErrInvalidValue)
 	}
@@ -315,7 +210,6 @@ func (m *Matrix) BuildFromRows(cols []Index) error {
 	if len(cols) != m.nrows {
 		return dimErr("buildFromRows: %d cols for %d rows", len(cols), m.nrows)
 	}
-	m.Wait()
 	if len(m.colInd) != 0 {
 		return fmt.Errorf("%w: build target not empty", ErrInvalidValue)
 	}
@@ -345,7 +239,6 @@ func (m *Matrix) BuildFromRows(cols []Index) error {
 // nil. This is the scatter-side accessor for batched traversal: row r of the
 // result matrix holds record r's reachable destinations.
 func (m *Matrix) RowIterate(i Index) []Index {
-	m.Wait()
 	if i < 0 || i >= m.nrows {
 		return nil
 	}
@@ -355,7 +248,6 @@ func (m *Matrix) RowIterate(i Index) []Index {
 // iterate calls fn for every entry in row-major order; fn returning false
 // stops the iteration.
 func (m *Matrix) iterate(fn func(i, j Index, x float64) bool) {
-	m.Wait()
 	for i := 0; i < m.nrows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			if !fn(i, m.colInd[k], m.val[k]) {
@@ -381,7 +273,6 @@ func (m *Matrix) maskAllowsM(i, j Index, comp, structure bool) bool {
 
 // String renders small matrices for debugging and tests.
 func (m *Matrix) String() string {
-	m.Wait()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix(%dx%d, nvals=%d){", m.nrows, m.ncols, len(m.colInd))
 	first := true

@@ -14,13 +14,8 @@ func TestMatrixSetExtract(t *testing.T) {
 	if err := m.SetElement(3, 0, -1); err != nil {
 		t.Fatal(err)
 	}
-	// Read through pending, before Wait.
 	if x, err := m.ExtractElement(1, 2); err != nil || x != 3.5 {
-		t.Fatalf("pending read: %v %v", x, err)
-	}
-	m.Wait()
-	if x, err := m.ExtractElement(1, 2); err != nil || x != 3.5 {
-		t.Fatalf("materialised read: %v %v", x, err)
+		t.Fatalf("read: %v %v", x, err)
 	}
 	if _, err := m.ExtractElement(0, 0); !errors.Is(err, ErrNoValue) {
 		t.Fatalf("want ErrNoValue, got %v", err)
@@ -43,24 +38,19 @@ func TestMatrixOverwriteAndRemove(t *testing.T) {
 		}
 	}
 	must(t, m.SetElement(0, 0, 1))
-	must(t, m.SetElement(0, 0, 2)) // overwrite while pending
+	must(t, m.SetElement(0, 0, 2)) // overwrite
 	check(0, 0, 2, true)
-	m.Wait()
-	must(t, m.SetElement(0, 0, 3)) // overwrite materialised
-	check(0, 0, 3, true)
-	m.Wait()
-	check(0, 0, 3, true)
+	if m.NVals() != 1 {
+		t.Fatalf("nvals = %d, want 1", m.NVals())
+	}
 
-	must(t, m.RemoveElement(0, 0))
-	check(0, 0, 0, false)
-	m.Wait()
+	removeEntry(m, 0, 0)
 	check(0, 0, 0, false)
 	if m.NVals() != 0 {
 		t.Fatalf("nvals = %d, want 0", m.NVals())
 	}
 	// Remove of an absent entry is a no-op.
-	must(t, m.RemoveElement(2, 2))
-	m.Wait()
+	removeEntry(m, 2, 2)
 	// Set after remove resurrects.
 	must(t, m.SetElement(0, 0, 9))
 	check(0, 0, 9, true)
@@ -71,7 +61,6 @@ func TestMatrixOutOfBounds(t *testing.T) {
 	for _, f := range []func() error{
 		func() error { return m.SetElement(2, 0, 1) },
 		func() error { return m.SetElement(0, -1, 1) },
-		func() error { return m.RemoveElement(5, 5) },
 		func() error { _, err := m.ExtractElement(0, 2); return err },
 	} {
 		if err := f(); !errors.Is(err, ErrIndexOutOfBounds) {
@@ -80,30 +69,28 @@ func TestMatrixOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestMatrixWaitMergesSortedRows(t *testing.T) {
+// TestMatrixSetElementKeepsRowsSorted drives in-place SetElement and the
+// test-side removeEntry against a map reference: every row stays sorted and
+// the row pointers stay consistent after each edit.
+func TestMatrixSetElementKeepsRowsSorted(t *testing.T) {
+	type pos struct{ i, j Index }
 	rng := rand.New(rand.NewSource(7))
 	m := NewMatrix(20, 20)
 	ref := map[pos]float64{}
-	// Interleave direct inserts and waits.
 	for step := 0; step < 500; step++ {
 		i, j := rng.Intn(20), rng.Intn(20)
 		if rng.Intn(5) == 0 {
-			must(t, m.RemoveElement(i, j))
+			removeEntry(m, i, j)
 			delete(ref, pos{i, j})
 		} else {
 			x := rng.Float64()
 			must(t, m.SetElement(i, j, x))
 			ref[pos{i, j}] = x
 		}
-		if rng.Intn(50) == 0 {
-			m.Wait()
+		if m.NVals() != len(ref) || m.rowPtr[m.nrows] != len(ref) {
+			t.Fatalf("step %d: nvals = %d, last row pointer %d, want %d", step, m.NVals(), m.rowPtr[m.nrows], len(ref))
 		}
 	}
-	m.Wait()
-	if m.NVals() != len(ref) {
-		t.Fatalf("nvals = %d, want %d", m.NVals(), len(ref))
-	}
-	// Rows must be sorted and match the reference.
 	prev := pos{-1, -1}
 	m.iterate(func(i, j Index, x float64) bool {
 		if i < prev.i || (i == prev.i && j <= prev.j) {
@@ -165,23 +152,8 @@ func TestMatrixDupIndependence(t *testing.T) {
 	must(t, m.SetElement(0, 1, 4))
 	d := m.Dup()
 	must(t, m.SetElement(0, 1, 5))
-	m.Wait()
 	if x, _ := d.ExtractElement(0, 1); x != 4 {
 		t.Fatalf("dup mutated: %g", x)
-	}
-}
-
-func TestMatrixPendingCount(t *testing.T) {
-	m := NewMatrix(4, 4)
-	pending := func() int { return len(m.pendSet) + len(m.pendDel) }
-	must(t, m.SetElement(0, 0, 1))
-	must(t, m.SetElement(1, 1, 1))
-	if pending() != 2 {
-		t.Fatalf("pending = %d, want 2", pending())
-	}
-	m.Wait()
-	if pending() != 0 {
-		t.Fatalf("pending after wait = %d", pending())
 	}
 }
 

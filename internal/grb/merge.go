@@ -70,13 +70,7 @@ func mergeMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, t *Matrix, d *Descrip
 	noMask := mask == nil && !comp
 	if noMask && accum == nil {
 		c.rowPtr, c.colInd, c.val = t.rowPtr, t.colInd, t.val
-		c.pendSet, c.pendDel = nil, nil
-		c.dirty.Store(false)
 		return
-	}
-	c.Wait()
-	if mask != nil {
-		mask.Wait()
 	}
 	rp := make([]int, c.nrows+1)
 	var ci []Index

@@ -54,11 +54,6 @@ func MxM(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a, b *Matrix, d *
 	if c == nil || a == nil || b == nil {
 		return ErrNilObject
 	}
-	a.Wait()
-	b.Wait()
-	if mask != nil {
-		mask.Wait()
-	}
 	if d.tranA() {
 		a = transposed(a)
 	}
@@ -78,10 +73,6 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 	}
 	if d.tranB() {
 		return fmt.Errorf("%w: mxm: delta operand cannot be transposed", ErrInvalidValue)
-	}
-	a.Wait()
-	if mask != nil {
-		mask.Wait()
 	}
 	if d.tranA() {
 		a = transposed(a)

@@ -12,7 +12,6 @@ func VxM(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *Mat
 	if w == nil || a == nil || u == nil {
 		return ErrNilObject
 	}
-	a.Wait()
 	if d.tranB() {
 		a = transposed(a)
 	}

@@ -170,7 +170,6 @@ func MxMPull(c *Matrix, s Semiring, f *Matrix, bt rowSource, keep ColMask, d *De
 	if !s.Structural {
 		return fmt.Errorf("%w: mxm pull requires a structural semiring", ErrInvalidValue)
 	}
-	f.Wait()
 	btR, btC := bt.srcDims()
 	if f.ncols != btC {
 		return dimErr("mxm pull: F is %dx%d, B' is %dx%d", f.nrows, f.ncols, btR, btC)

@@ -6,7 +6,6 @@ func ReduceMatrixToVector(w *Vector, mask *Vector, accum *BinaryOp, m Monoid, a 
 	if w == nil || a == nil {
 		return ErrNilObject
 	}
-	a.Wait()
 	if d.tranA() {
 		a = transposed(a)
 	}
@@ -40,7 +39,6 @@ func ReduceMatrixToVector(w *Vector, mask *Vector, accum *BinaryOp, m Monoid, a 
 
 // ReduceMatrixToScalar folds every entry of A with the monoid.
 func ReduceMatrixToScalar(m Monoid, a *Matrix) float64 {
-	a.Wait()
 	acc := m.Identity
 	for _, x := range a.val {
 		acc = m.Op.F(acc, x)

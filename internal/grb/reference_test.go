@@ -3,6 +3,7 @@ package grb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -106,6 +107,20 @@ func tuples(m *Matrix) (rows, cols []Index, vals []float64) {
 		return true
 	})
 	return rows, cols, vals
+}
+
+// removeEntry deletes (i, j) from m in place if present: the test-side
+// counterpart of SetElement for fold-on-write reference matrices.
+func removeEntry(m *Matrix, i, j Index) {
+	k, ok := m.find(i, j)
+	if !ok {
+		return
+	}
+	m.colInd = slices.Delete(m.colInd, k, k+1)
+	m.val = slices.Delete(m.val, k, k+1)
+	for r := i + 1; r <= m.nrows; r++ {
+		m.rowPtr[r]--
+	}
 }
 
 // identity returns the n × n identity matrix.

@@ -9,7 +9,7 @@ type rowScratch struct {
 }
 
 // rowSource abstracts the stored-matrix operand of a kernel: either a plain
-// materialised CSR matrix or a DeltaMatrix whose effective rows are merged
+// CSR matrix or a DeltaMatrix whose effective rows are merged
 // from main/delta-plus/delta-minus on the fly. This is what lets read
 // queries run kernels against a graph with buffered writes without folding.
 type rowSource interface {
@@ -19,8 +19,7 @@ type rowSource interface {
 
 func (m *Matrix) srcDims() (int, int) { return m.nrows, m.ncols }
 
-// srcRow implements rowSource for a plain matrix; the caller must have
-// materialised it (Wait).
+// srcRow implements rowSource for a plain matrix: a zero-copy view of row i.
 func (m *Matrix) srcRow(i Index, _ *rowScratch) ([]Index, []float64) {
 	return m.rowView(i)
 }

@@ -61,16 +61,15 @@ func AndMasks(masks []ColMask) ColMask {
 }
 
 // SelectCols applies a column mask to m in place, deleting every entry whose
-// column fails keep. The matrix must not carry pending updates with
-// concurrent readers; the batched executor only calls this on freshly
-// produced result frontiers, which it owns exclusively. When d requests
+// column fails keep. The matrix must have no concurrent readers; the batched
+// executor only calls this on freshly produced result frontiers, which it
+// owns exclusively. When d requests
 // threads and the frontier is large enough, the rows are morselised: each
 // part compacts its row range into private buffers (keep must therefore be
 // safe for concurrent calls — the compiled scan masks are read-only), and
 // the parts concatenate back in order, yielding entries identical to the
 // serial path.
 func SelectCols(m *Matrix, keep ColMask, d *Descriptor) {
-	m.Wait()
 	nth := d.nthreads()
 	nparts := partitionParts(m.nrows, nth, selectGrain)
 	if nparts == 1 {

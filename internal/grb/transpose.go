@@ -3,7 +3,6 @@ package grb
 // transposed returns A' as a new materialised matrix using a counting sort,
 // O(nnz + nrows + ncols).
 func transposed(a *Matrix) *Matrix {
-	a.Wait()
 	t := NewMatrix(a.ncols, a.nrows)
 	nnz := len(a.colInd)
 	t.colInd = make([]Index, nnz)

@@ -123,12 +123,16 @@ func Load(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	labelNames := make([]string, nLabels)
-	for i := range labelNames {
-		if labelNames[i], err = readString(br); err != nil {
+	// Every table grows as its entries are read, so a hostile count costs
+	// no more than the bytes that back it.
+	var labelNames []string
+	for i := uint64(0); i < nLabels; i++ {
+		s, err := readString(br)
+		if err != nil {
 			return nil, err
 		}
-		g.Schema.AddLabel(labelNames[i])
+		labelNames = append(labelNames, s)
+		g.Schema.AddLabel(s)
 	}
 	nRels, err := readUvarint(br)
 	if err != nil {
@@ -145,12 +149,14 @@ func Load(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	attrNames := make([]string, nAttrs)
-	for i := range attrNames {
-		if attrNames[i], err = readString(br); err != nil {
+	var attrNames []string
+	for i := uint64(0); i < nAttrs; i++ {
+		s, err := readString(br)
+		if err != nil {
 			return nil, err
 		}
-		g.Schema.AddAttr(attrNames[i])
+		attrNames = append(attrNames, s)
+		g.Schema.AddAttr(s)
 	}
 
 	// Nodes: replay in ID order, padding holes with placeholder nodes that
@@ -175,8 +181,8 @@ func Load(r io.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		labels := make([]string, nl)
-		for k := range labels {
+		var labels []string
+		for k := uint64(0); k < nl; k++ {
 			lid, err := readUvarint(br)
 			if err != nil {
 				return nil, err
@@ -184,7 +190,7 @@ func Load(r io.Reader) (*graph.Graph, error) {
 			if lid >= nLabels {
 				return nil, fmt.Errorf("persist: label id %d out of range", lid)
 			}
-			labels[k] = labelNames[lid]
+			labels = append(labels, labelNames[lid])
 		}
 		props, err := readProps(br, attrNames)
 		if err != nil {
@@ -227,6 +233,9 @@ func Load(r io.Reader) (*graph.Graph, error) {
 		props, err := readProps(br, attrNames)
 		if err != nil {
 			return nil, err
+		}
+		if typ >= nRels {
+			return nil, fmt.Errorf("persist: relationship type id %d out of range", typ)
 		}
 		for nextE < id {
 			// Placeholder edge between src and dst, deleted below.
@@ -324,7 +333,7 @@ func readProps(r *bufio.Reader, attrNames []string) (map[string]value.Value, err
 	if n == 0 {
 		return nil, nil
 	}
-	props := make(map[string]value.Value, n)
+	props := make(map[string]value.Value, min(n, uint64(len(attrNames))))
 	for i := uint64(0); i < n; i++ {
 		k, err := readUvarint(r)
 		if err != nil {
@@ -415,11 +424,13 @@ func readValue(r *bufio.Reader) (value.Value, error) {
 		if n > 1<<24 {
 			return value.Null, fmt.Errorf("persist: array too long")
 		}
-		arr := make([]value.Value, n)
-		for i := range arr {
-			if arr[i], err = readValue(r); err != nil {
+		arr := []value.Value{}
+		for i := uint64(0); i < n; i++ {
+			v, err := readValue(r)
+			if err != nil {
 				return value.Null, err
 			}
+			arr = append(arr, v)
 		}
 		return value.NewArray(arr), nil
 	}

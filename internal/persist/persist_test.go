@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -167,6 +168,57 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("want truncation error")
+	}
+	// Hand-written snapshots: schema tables, then nodes, edges and indexes.
+	snapshot := func(write func(w *bufio.Writer)) []byte {
+		var b bytes.Buffer
+		w := bufio.NewWriter(&b)
+		w.WriteString(magic)
+		writeString(w, "t")
+		write(w)
+		w.Flush()
+		return b.Bytes()
+	}
+	// A label count just under 2^63 backed by no bytes: an error, not a
+	// makeslice panic.
+	huge := snapshot(func(w *bufio.Writer) { writeUvarint(w, 1<<63-1) })
+	if len(huge) != 19 {
+		t.Fatalf("fixture is %d bytes, want 19", len(huge))
+	}
+	if _, err := Load(bytes.NewReader(huge)); err == nil {
+		t.Fatal("want an error for a label count past the end of the file")
+	}
+	// An edge whose type ID is past the relationship table: an error, not a
+	// new relationship type named "".
+	badType := snapshot(func(w *bufio.Writer) {
+		writeUvarint(w, 0)  // labels
+		writeUvarint(w, 1)  // relationship types: one,
+		writeString(w, "R") // named R
+		writeUvarint(w, 0)  // attributes
+		writeUvarint(w, 2)  // nodes
+		for id := 0; id < 2; id++ {
+			writeUvarint(w, uint64(id))
+			writeUvarint(w, 0) // labels
+			writeUvarint(w, 0) // properties
+		}
+		writeUvarint(w, 1)                          // edges
+		for _, v := range []uint64{0, 1, 0, 1, 0} { // id, type 1, src, dst, no properties
+			writeUvarint(w, v)
+		}
+		writeUvarint(w, 0) // indexes
+	})
+	if _, err := Load(bytes.NewReader(badType)); err == nil || !strings.Contains(err.Error(), "type id 1 out of range") {
+		t.Fatalf("want a type id error, got %v", err)
+	}
+	// A node claiming 2^30 properties and holding none: an error, without
+	// sizing a map by the claim.
+	hugeProps := snapshot(func(w *bufio.Writer) {
+		for _, v := range []uint64{0, 0, 0, 1, 0, 0, 1 << 30} { // no tables, one node: id 0, no labels, 2^30 properties
+			writeUvarint(w, v)
+		}
+	})
+	if _, err := Load(bytes.NewReader(hugeProps)); err == nil {
+		t.Fatal("want an error for a property count past the end of the file")
 	}
 }
 
