@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"redisgraph/internal/cypher"
@@ -123,15 +124,6 @@ func exprSafeAt(e cypher.Expr, avail map[string]bool) bool {
 	return true
 }
 
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 func sortedPropKeys(m map[string]cypher.Expr) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -197,7 +189,7 @@ func (b *planBuilder) buildPatternGraph(clauses []*cypher.MatchClause) (*pattern
 		}
 		n := pg.nodes[i]
 		for _, l := range np.Labels {
-			if !containsStr(n.merged.Labels, l) {
+			if !slices.Contains(n.merged.Labels, l) {
 				n.merged.Labels = append(n.merged.Labels, l)
 			}
 		}

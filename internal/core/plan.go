@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"redisgraph/internal/cypher"
@@ -536,6 +537,20 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 	return nil
 }
 
+// uniqueTypes returns a copy of rel listing each relationship type once
+// ([:R|R] is [:R]), so a hop never unions, enumerates or estimates a type
+// twice.
+func uniqueTypes(rel *cypher.RelPattern) *cypher.RelPattern {
+	r := *rel
+	r.Types = nil
+	for _, t := range rel.Types {
+		if !slices.Contains(r.Types, t) {
+			r.Types = append(r.Types, t)
+		}
+	}
+	return &r
+}
+
 // buildHop adds one traversal operation from srcVar to dstNode across rel.
 // reversed flips the pattern orientation (expanding leftwards).
 func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVar string, rel *cypher.RelPattern, reversed, optional bool) error {
@@ -543,6 +558,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	if !ok {
 		return fmt.Errorf("core: unbound traversal source %q", srcVar)
 	}
+	rel = uniqueTypes(rel)
 	// Effective direction after orientation.
 	dir := rel.Direction
 	if reversed && dir != cypher.DirBoth {

@@ -15,8 +15,8 @@ import "math/bits"
 //
 // Maintenance is O(endpoint labels) per distinct-pair connectivity change:
 // CreateEdge and DeleteEdge already know when a (src, dst) pair becomes
-// connected or disconnected for a relation (the multi-edge registry's list
-// transitions between empty and non-empty), and the delta matrices' RowDegree
+// connected or disconnected for a relation (R gains or loses its entry; a
+// pair's further edges only touch its extra IDs), and the delta matrices' RowDegree
 // is fold-free, so the bookkeeping never folds a matrix and never scans a
 // row list beyond the one it just touched. This is a deliberate departure
 // from Stats' zero-write-path-cost design: the cells cannot be derived in

@@ -1,7 +1,8 @@
 // Package graph implements the RedisGraph property-graph store: entities in
-// DataBlocks, connectivity as GraphBLAS boolean matrices — one adjacency
-// matrix per relationship type (plus its transpose), a combined adjacency
-// matrix, and one diagonal matrix per node label.
+// DataBlocks, connectivity as GraphBLAS matrices — one matrix per
+// relationship type whose entry at (src, dst) is the ID of an edge joining
+// the pair (plus its transpose), a combined boolean adjacency matrix, and
+// one boolean diagonal matrix per node label.
 //
 // Every matrix is a delta matrix (grb.DeltaMatrix): an immutable main CSR
 // plus buffered insert/delete deltas, folded only when a sync threshold is
@@ -12,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,13 +30,15 @@ const growthChunk = 16384
 
 type edgeKey struct{ src, dst uint64 }
 
-// relationStore keeps one relationship type: its adjacency matrix R, the
-// transposed matrix R' for inbound traversals, and the multi-edge registry
-// mapping (src,dst) to edge IDs (matrix entries are boolean).
+// relationStore keeps one relationship type: its matrix R, whose entry at
+// (src, dst) is the ID of one edge joining the pair (exact in a float64
+// below 2^53), the boolean transpose R' for inbound traversals, and extra,
+// the pair's other edge IDs, kept only for pairs two or more edges join.
+// R's entry is tested by ExtractElement's error, never by value: edge 0 is 0.
 type relationStore struct {
 	m     *grb.DeltaMatrix
 	tm    *grb.DeltaMatrix
-	edges map[edgeKey][]uint64
+	extra map[edgeKey][]uint64
 }
 
 // Graph is a single named property graph.
@@ -159,9 +163,6 @@ func (g *Graph) SetSyncThreshold(n int) {
 	g.forEachMatrix(func(m *grb.DeltaMatrix) { m.SetThreshold(n) })
 }
 
-// SyncThreshold returns the per-matrix fold threshold.
-func (g *Graph) SyncThreshold() int { return g.syncThreshold }
-
 func (g *Graph) forEachMatrix(fn func(m *grb.DeltaMatrix)) {
 	fn(g.adj)
 	fn(g.tadj)
@@ -208,10 +209,11 @@ func (g *Graph) TRelationMatrix(typeID int) *grb.DeltaMatrix {
 
 // TraversalMatrix resolves the matrix a traversal hop multiplies by:
 // the combined adjacency (anyType), a single relation matrix, or — for
-// multi-type relations and undirected (both) hops — the boolean union of the
-// constituent matrices. Unions are cached per write epoch; callers under the
-// read lock share one materialisation. Returns nil when a single requested
-// relation type has no matrix.
+// multi-type relations and undirected (both) hops — the LOr union of the
+// constituent matrices. Callers read its structure only: a relation
+// matrix's values are edge IDs. Unions are cached per write epoch; callers
+// under the read lock share one materialisation. Returns nil when a single
+// requested relation type has no matrix.
 func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *grb.DeltaMatrix {
 	if !both {
 		if anyType {
@@ -333,7 +335,7 @@ func (g *Graph) relationFor(id int) *relationStore {
 		g.relations = append(g.relations, &relationStore{
 			m:     g.newDelta(),
 			tm:    g.newDelta(),
-			edges: map[edgeKey][]uint64{},
+			extra: map[edgeKey][]uint64{},
 		})
 	}
 	return g.relations[id]
@@ -381,11 +383,15 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 	for k, v := range props {
 		g.edgeProps.set(id, g.Schema.AddAttr(k), v)
 	}
-	k := edgeKey{src, dst}
-	rs.edges[k] = append(rs.edges[k], id)
-	newPair := len(rs.edges[k]) == 1
 	si, di := int(src), int(dst)
-	if err := rs.m.SetElement(si, di, 1); err != nil {
+	if _, err := rs.m.ExtractElement(si, di); err == nil {
+		// The pair is already joined: no matrix or statistic changes.
+		k := edgeKey{src, dst}
+		rs.extra[k] = append(rs.extra[k], id)
+		g.bumpEpoch()
+		return e, nil
+	}
+	if err := rs.m.SetElement(si, di, float64(id)); err != nil {
 		return nil, err
 	}
 	if err := rs.tm.SetElement(di, si, 1); err != nil {
@@ -397,25 +403,26 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 	if err := g.tadj.SetElement(di, si, 1); err != nil {
 		return nil, err
 	}
-	if newPair {
-		g.condEdgeAdded(tid, src, dst)
-	}
+	g.condEdgeAdded(tid, src, dst)
 	g.bumpEpoch()
 	return e, nil
 }
 
-// EdgesBetween returns the IDs of edges of the given type from src to dst.
-// A negative typeID scans every relationship type.
+// EdgesBetween returns the IDs of edges of the given type from src to dst:
+// R's entry, then the pair's extra IDs. A negative typeID scans every
+// relationship type.
 func (g *Graph) EdgesBetween(typeID int, src, dst uint64) []uint64 {
-	if typeID >= 0 {
-		if typeID >= len(g.relations) {
-			return nil
-		}
-		return g.relations[typeID].edges[edgeKey{src, dst}]
+	rels := g.relations
+	if typeID >= len(rels) {
+		return nil
+	} else if typeID >= 0 {
+		rels = rels[typeID : typeID+1]
 	}
 	var out []uint64
-	for _, rs := range g.relations {
-		out = append(out, rs.edges[edgeKey{src, dst}]...)
+	for _, rs := range rels {
+		if v, err := rs.m.ExtractElement(int(src), int(dst)); err == nil {
+			out = append(append(out, uint64(v)), rs.extra[edgeKey{src, dst}]...)
+		}
 	}
 	return out
 }
@@ -429,35 +436,29 @@ func (g *Graph) DeleteEdge(id uint64) bool {
 	}
 	rs := g.relations[e.Type]
 	k := edgeKey{e.Src, e.Dst}
-	list := rs.edges[k]
-	for i, eid := range list {
-		if eid == id {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(rs.edges, k)
-		si, di := int(e.Src), int(e.Dst)
+	si, di := int(e.Src), int(e.Dst)
+	extra := rs.extra[k]
+	if i := slices.Index(extra, id); i >= 0 {
+		extra = slices.Delete(extra, i, i+1)
+	} else if n := len(extra); n > 0 {
+		// id is R's entry: promote the last extra ID (in bounds: cannot fail).
+		_ = rs.m.SetElement(si, di, float64(extra[n-1]))
+		extra = extra[:n-1]
+	} else {
 		_ = rs.m.RemoveElement(si, di)
 		_ = rs.tm.RemoveElement(di, si)
 		g.condEdgeRemoved(e.Type, e.Src, e.Dst)
 		// The combined adjacency keeps its entry while any other relation
 		// still connects the pair.
-		still := false
-		for _, other := range g.relations {
-			if len(other.edges[k]) > 0 {
-				still = true
-				break
-			}
-		}
-		if !still {
+		if len(g.EdgesBetween(-1, e.Src, e.Dst)) == 0 {
 			_ = g.adj.RemoveElement(si, di)
 			_ = g.tadj.RemoveElement(di, si)
 		}
+	}
+	if len(extra) == 0 {
+		delete(rs.extra, k)
 	} else {
-		rs.edges[k] = list
+		rs.extra[k] = extra
 	}
 	g.edgeProps.clear(id)
 	g.edges.Delete(id)
@@ -598,7 +599,7 @@ func (g *Graph) CreateIndex(label, attr string) bool {
 	}
 	ix := g.Schema.CreateIndex(lid, aid)
 	g.nodes.ForEach(func(id uint64, n *Node) bool {
-		if !hasLabel(n, lid) {
+		if !slices.Contains(n.Labels, lid) {
 			return true
 		}
 		if v, ok := g.nodeProps.value(id, aid); ok {
@@ -607,15 +608,6 @@ func (g *Graph) CreateIndex(label, attr string) bool {
 		return true
 	})
 	return true
-}
-
-func hasLabel(n *Node, lid int) bool {
-	for _, l := range n.Labels {
-		if l == lid {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEachNode visits all live nodes in ID order.

@@ -41,7 +41,7 @@ func TestCreateNodesAndEdges(t *testing.T) {
 		t.Fatalf("tadj: %v %v", v, err)
 	}
 	tid, _ := g.Schema.RelTypeID("KNOWS")
-	if v, err := g.RelationMatrix(tid).ExtractElement(0, 1); err != nil || v != 1 {
+	if v, err := g.RelationMatrix(tid).ExtractElement(0, 1); err != nil || v != float64(e.ID) {
 		t.Fatalf("rel: %v %v", v, err)
 	}
 	// Label diagonal.

@@ -3,20 +3,31 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"redisgraph/internal/grb"
 	"redisgraph/internal/value"
 )
 
-// storeOracle is the storage-level reference for the property stores: a
-// plain map per entity, kept by the test, that every column read, candidate
-// list, detached view and index posting must agree with.
+// storeOracle is the storage-level reference for the property stores and
+// the edge index: a plain map per entity, kept by the test, that every
+// column read, candidate list, detached view, index posting, EdgesBetween
+// answer and matrix entry must agree with.
 type storeOracle struct {
 	nodes map[uint64]map[int]value.Value
 	edges map[uint64]map[int]value.Value
-	ends  map[uint64][2]uint64 // edge -> (src, dst), for cascading node deletes
+	ends  map[uint64]oracleEdge
+	pairs map[edgeKey]bool // every pair an edge ever joined
 }
+
+type oracleEdge struct {
+	edgeKey
+	typ int
+}
+
+var oracleTypes = []string{"R", "S"}
 
 var oracleAttrs = []string{"a0", "a1", "a2", "a3"}
 
@@ -60,20 +71,46 @@ func pick(rng *rand.Rand, m map[uint64]map[int]value.Value) (uint64, bool) {
 	return ids[rng.Intn(len(ids))], true
 }
 
+// pickEnd draws an edge endpoint from the three lowest live node IDs, so
+// parallel edges, pairs joined by both types and self-loops are frequent.
+func pickEnd(rng *rand.Rand, m map[uint64]map[int]value.Value) uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids[rng.Intn(min(3, len(ids)))]
+}
+
 // TestPropStoreOracle drives 10k random writes — set, null-set,
-// kind-changing set, entity delete, ID recycling — through the node store
-// and the edge store and checks both against the map oracle throughout.
+// kind-changing set, entity delete, ID recycling, parallel and cross-type
+// edges, folds at random steps — through the node store, the edge store
+// and the edge index, and checks all three against the map oracle
+// throughout, under several sync thresholds.
 func TestPropStoreOracle(t *testing.T) {
+	for _, threshold := range []int{0, 16, 4096} {
+		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
+			propStoreOracle(t, threshold)
+		})
+	}
+}
+
+func propStoreOracle(t *testing.T, threshold int) {
 	rng := rand.New(rand.NewSource(15))
 	g := New("oracle")
+	g.SetSyncThreshold(threshold)
 	g.CreateIndex("P", "a0") // interns a0 first: attribute ID 0
 	for _, a := range oracleAttrs {
 		g.Schema.AddAttr(a)
 	}
+	for _, r := range oracleTypes {
+		g.Schema.AddRelType(r) // type IDs are oracleTypes indexes
+	}
 	or := storeOracle{
 		nodes: map[uint64]map[int]value.Value{},
 		edges: map[uint64]map[int]value.Value{},
-		ends:  map[uint64][2]uint64{},
+		ends:  map[uint64]oracleEdge{},
+		pairs: map[edgeKey]bool{},
 	}
 	shadowOf := func(props map[string]value.Value) map[int]value.Value {
 		m := map[int]value.Value{}
@@ -83,7 +120,7 @@ func TestPropStoreOracle(t *testing.T) {
 		}
 		return m
 	}
-	recycled := 0
+	recycled, parallel, crossType, zeroReused := 0, 0, 0, 0
 	for step := 0; step < 10000; step++ {
 		switch op := rng.Intn(10); {
 		case op == 0 || len(or.nodes) < 4: // create node (recycles freed IDs)
@@ -95,21 +132,32 @@ func TestPropStoreOracle(t *testing.T) {
 			}
 			or.nodes[n.ID] = shadowOf(props)
 		case op == 1: // create edge
-			src, _ := pick(rng, or.nodes)
-			dst, _ := pick(rng, or.nodes)
+			k := edgeKey{pickEnd(rng, or.nodes), pickEnd(rng, or.nodes)}
+			typ := rng.Intn(len(oracleTypes))
+			for _, en := range or.ends {
+				if en.edgeKey == k && en.typ == typ {
+					parallel++
+				} else if en.edgeKey == k {
+					crossType++
+				}
+			}
 			props := oracleProps(rng)
-			e, err := g.CreateEdge("R", src, dst, props)
+			e, err := g.CreateEdge(oracleTypes[typ], k.src, k.dst, props)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if e.ID == 0 && step > 0 {
+				zeroReused++
+			}
 			or.edges[e.ID] = shadowOf(props)
-			or.ends[e.ID] = [2]uint64{src, dst}
+			or.ends[e.ID] = oracleEdge{k, e.Type}
+			or.pairs[k] = true
 		case op == 2: // delete node, cascading to its edges
 			id, _ := pick(rng, or.nodes)
 			g.DeleteNode(id)
 			delete(or.nodes, id)
-			for eid, ends := range or.ends {
-				if ends[0] == id || ends[1] == id {
+			for eid, en := range or.ends {
+				if en.src == id || en.dst == id {
 					delete(or.edges, eid)
 					delete(or.ends, eid)
 				}
@@ -141,15 +189,79 @@ func TestPropStoreOracle(t *testing.T) {
 				shadow[id][aid] = v
 			}
 		}
+		g.MaybeSync()
+		if rng.Intn(100) == 0 {
+			g.Sync()
+		}
 		if step%250 == 0 || step == 9999 {
 			checkStore(t, step, "node", g.nodeProps, or.nodes, g.nodes.HighWater())
 			checkStore(t, step, "edge", g.edgeProps, or.edges, g.edges.HighWater())
 			checkDetached(t, step, g, &or)
 			checkIndex(t, step, g, or.nodes)
+			checkEdgeIndex(t, step, g, &or)
 		}
 	}
-	if recycled == 0 {
-		t.Fatal("the op stream never recycled a node ID")
+	if recycled == 0 || parallel == 0 || crossType == 0 || zeroReused == 0 {
+		t.Fatalf("op stream too tame: %d node IDs recycled, %d parallel edges, %d cross-type pair edges, edge ID 0 reused %d times",
+			recycled, parallel, crossType, zeroReused)
+	}
+}
+
+// checkEdgeIndex compares the edge index of every pair an edge ever joined
+// with the oracle: EdgesBetween per type and across types, the presence of
+// R, R', adj and tadj entries, R's value, and extra, which must hold
+// exactly the pairs two or more edges of a type join.
+func checkEdgeIndex(t *testing.T, step int, g *Graph, or *storeOracle) {
+	t.Helper()
+	want := make([]map[edgeKey][]uint64, len(g.relations))
+	for tid := range want {
+		want[tid] = map[edgeKey][]uint64{}
+	}
+	for id, en := range or.ends {
+		want[en.typ][en.edgeKey] = append(want[en.typ][en.edgeKey], id)
+	}
+	sorted := func(ids []uint64) string {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		return fmt.Sprint(ids)
+	}
+	has := func(m *grb.DeltaMatrix, i, j uint64) bool {
+		_, err := m.ExtractElement(int(i), int(j))
+		return err == nil
+	}
+	for k := range or.pairs {
+		var union []uint64
+		for tid, rs := range g.relations {
+			w := want[tid][k]
+			union = append(union, w...)
+			if got := g.EdgesBetween(tid, k.src, k.dst); sorted(got) != sorted(w) {
+				t.Fatalf("step %d: EdgesBetween(%d, %d, %d) = %v, oracle %v", step, tid, k.src, k.dst, got, w)
+			}
+			if has(rs.m, k.src, k.dst) != (len(w) > 0) || has(rs.tm, k.dst, k.src) != (len(w) > 0) {
+				t.Fatalf("step %d: relation %d pair %v: R/R' entry disagrees with oracle %v", step, tid, k, w)
+			}
+			if v, err := rs.m.ExtractElement(int(k.src), int(k.dst)); err == nil && !slices.Contains(w, uint64(v)) {
+				t.Fatalf("step %d: relation %d pair %v: R holds %v, oracle %v", step, tid, k, v, w)
+			}
+		}
+		if got := g.EdgesBetween(-1, k.src, k.dst); sorted(got) != sorted(union) {
+			t.Fatalf("step %d: EdgesBetween(-1, %d, %d) = %v, oracle %v", step, k.src, k.dst, got, union)
+		}
+		if has(g.adj, k.src, k.dst) != (len(union) > 0) || has(g.tadj, k.dst, k.src) != (len(union) > 0) {
+			t.Fatalf("step %d: pair %v: adj/tadj entry disagrees with oracle %v", step, k, union)
+		}
+	}
+	for tid, rs := range g.relations {
+		for k, ids := range rs.extra {
+			if len(ids) == 0 || len(ids) != len(want[tid][k])-1 {
+				t.Fatalf("step %d: relation %d pair %v: extra %v, oracle %v", step, tid, k, ids, want[tid][k])
+			}
+		}
+		for k, ids := range want[tid] {
+			if _, ok := rs.extra[k]; ok != (len(ids) >= 2) {
+				t.Fatalf("step %d: relation %d pair %v: extra key present %v with %d edges", step, tid, k, ok, len(ids))
+			}
+		}
 	}
 }
 
@@ -205,7 +317,7 @@ func checkDetached(t *testing.T, step int, g *Graph, or *storeOracle) {
 	}
 	for id, want := range or.edges {
 		d := g.DetachEdge(id)
-		if d.ID != id || d.Src != or.ends[id][0] || d.Dst != or.ends[id][1] || !same(d.Props, want) {
+		if d.ID != id || d.Src != or.ends[id].src || d.Dst != or.ends[id].dst || !same(d.Props, want) {
 			t.Fatalf("step %d: detached edge %d = %v, oracle %v", step, id, d, want)
 		}
 	}

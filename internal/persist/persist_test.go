@@ -291,3 +291,46 @@ func TestLoadsPR12Snapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadFillsEdgeIDHolesOnOnePair saves a graph whose deleted edges sit
+// below the one live edge's ID. Load pads those holes with placeholder
+// edges between the live edge's endpoints, so the pair briefly holds
+// several edges; once the placeholders are deleted, the pair must hold
+// exactly the live edge, and R's entry must be its ID.
+func TestLoadFillsEdgeIDHolesOnOnePair(t *testing.T) {
+	g := graph.New("holes")
+	a := g.CreateNode(nil, nil)
+	b := g.CreateNode(nil, nil)
+	c := g.CreateNode(nil, nil)
+	var dead []uint64
+	for _, ends := range [][2]uint64{{a.ID, b.ID}, {b.ID, c.ID}, {a.ID, c.ID}} {
+		e, err := g.CreateEdge("R", ends[0], ends[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead = append(dead, e.ID)
+	}
+	live, err := g.CreateEdge("R", a.ID, b.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range dead {
+		g.DeleteEdge(id)
+	}
+	g2 := roundTrip(t, g)
+	rid, _ := g2.Schema.RelTypeID("R")
+	for _, tid := range []int{rid, -1} {
+		if ids := g2.EdgesBetween(tid, a.ID, b.ID); len(ids) != 1 || ids[0] != live.ID {
+			t.Fatalf("EdgesBetween(%d, a, b) = %v, want [%d]", tid, ids, live.ID)
+		}
+	}
+	if v, err := g2.RelationMatrix(rid).ExtractElement(int(a.ID), int(b.ID)); err != nil || v != float64(live.ID) {
+		t.Fatalf("R(a, b) = %v, %v; want %d", v, err, live.ID)
+	}
+	if n := g2.RelationMatrix(rid).NVals(); n != 1 {
+		t.Fatalf("R holds %d entries, want 1", n)
+	}
+	if n := g2.Adjacency().NVals(); n != 1 {
+		t.Fatalf("adjacency holds %d entries, want 1", n)
+	}
+}
