@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"strings"
 
 	"redisgraph/internal/graph"
@@ -20,9 +21,10 @@ import (
 //
 // Semantics are pinned to compareValues exactly:
 //   - a row without the attribute compares as null and is dropped (any op);
-//   - numeric columns compare as float64 regardless of int/float mix, with
-//     compareValues' three-way outcome (NaN compares equal to everything
-//     numeric, matching value.Compare's default branch);
+//   - numeric rows compare exactly, as value.Compare does: an int row with
+//     an int target as int64, a float row with a target float64 holds
+//     exactly as float64 (NaN compares equal to everything numeric), and
+//     any other pair through value.CompareIntFloat;
 //   - string = / <> reduce to interned-ID equality, orderings to
 //     strings.Compare;
 //   - a kind mismatch between a typed row and the target keeps the row for
@@ -55,7 +57,9 @@ import (
 type predMode uint8
 
 const (
-	predNum    predMode = iota // numeric column vs numeric target
+	predInt    predMode = iota // int column vs int target
+	predFloat                  // float column vs a target float64 holds exactly
+	predMixed                  // any other numeric column and target
 	predStrEq                  // string column, = against an interned target
 	predStrNe                  // string column, <> against an interned target
 	predStrOrd                 // string column, ordering against the target
@@ -93,7 +97,8 @@ type colPred struct {
 	col   *graph.Column
 	mode  predMode
 	op    cmpOp
-	wantF float64 // predNum target
+	wantI int64   // predInt/predMixed target
+	wantF float64 // predFloat/predMixed target
 	wantS string  // predStrOrd target
 	sid   uint32  // predStrEq/predStrNe target (valid when sidOK)
 	sidOK bool
@@ -127,11 +132,16 @@ func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
 	out.col = col
 	switch col.Kind() {
 	case graph.ColInt, graph.ColFloat:
-		if want.IsNumeric() {
-			out.mode = predNum
-			out.wantF = want.Float()
-		} else {
+		out.wantI, out.wantF = want.Int(), want.Float()
+		switch {
+		case !want.IsNumeric():
 			out.mode = mismatchMode(out.op)
+		case col.Kind() == graph.ColInt && want.Kind == value.KindInt:
+			out.mode = predInt
+		case col.Kind() == graph.ColFloat && value.NewFloat(out.wantF).Equals(want):
+			out.mode = predFloat // a float, or an int its float64 reading equals
+		default:
+			out.mode = predMixed
 		}
 	case graph.ColString:
 		if want.Kind != value.KindString {
@@ -175,8 +185,15 @@ func (p *colPred) probe(id uint64) bool {
 	}
 	if p.col.Present(id) {
 		switch p.mode {
-		case predNum:
-			return numKeep(p.op, p.col.NumAt(id), p.wantF)
+		case predInt:
+			return ordKeep(p.op, cmp.Compare(p.col.IntAt(id), p.wantI))
+		case predFloat:
+			return numKeep(p.op, p.col.FloatAt(id), p.wantF)
+		case predMixed:
+			if p.col.Kind() == graph.ColInt {
+				return ordKeep(p.op, value.CompareIntFloat(p.col.IntAt(id), p.wantF))
+			}
+			return ordKeep(p.op, -value.CompareIntFloat(p.wantI, p.col.FloatAt(id)))
 		case predStrEq:
 			return p.sidOK && p.col.StrIDAt(id) == p.sid
 		case predStrNe:
@@ -195,8 +212,8 @@ func (p *colPred) probe(id uint64) bool {
 	return false // absent ≡ null: dropped under every operator
 }
 
-// numKeep applies op to value.Compare's numeric three-way outcome: strict
-// < / > first, everything else (including NaN pairs) compares equal.
+// numKeep applies op to value.Compare's three-way outcome for two floats:
+// strict < / > first, everything else (including NaN pairs) compares equal.
 func numKeep(op cmpOp, a, b float64) bool {
 	c := 0
 	switch {
@@ -242,19 +259,25 @@ func (p *colPred) candidates(dst []uint64) []uint64 {
 const colFilterGrain = 512
 
 // filter compacts ids in place to the rows passing the predicate, keeping
-// their order. A typed row of a numeric column is decided inline; every
-// other row goes through probe.
+// their order. A typed row of an int column against an int target, or of a
+// float column against a float, is decided inline; every other row goes
+// through probe.
 func (p *colPred) filter(ids []uint64) []uint64 {
 	out := ids[:0]
 	if p.col == nil {
 		return out
 	}
 	for _, id := range ids {
-		if p.mode == predNum && p.col.Present(id) {
-			if numKeep(p.op, p.col.NumAt(id), p.wantF) {
-				out = append(out, id)
-			}
-		} else if p.probe(id) {
+		var keep bool
+		switch {
+		case p.mode == predInt && p.col.Present(id):
+			keep = ordKeep(p.op, cmp.Compare(p.col.IntAt(id), p.wantI))
+		case p.mode == predFloat && p.col.Present(id):
+			keep = numKeep(p.op, p.col.FloatAt(id), p.wantF)
+		default:
+			keep = p.probe(id)
+		}
+		if keep {
 			out = append(out, id)
 		}
 	}

@@ -98,9 +98,9 @@ func compileExpr(e cypher.Expr, st *symtab) (evalFn, error) {
 			case value.KindNull:
 				return value.Null, nil
 			case value.KindNode:
-				return ctx.g.NodePropertyColumnar(v.ID, key), nil
+				return ctx.g.NodePropertyColumnar(v.ID(), key), nil
 			case value.KindEdge:
-				return ctx.g.EdgeProperty(v.ID, key), nil
+				return ctx.g.EdgeProperty(v.ID(), key), nil
 			}
 			return value.Null, fmt.Errorf("type mismatch: expected node or edge for property access, got %s", v.Kind)
 		}, nil
@@ -417,7 +417,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			}
 			v := vs[0]
 			if v.Kind == value.KindNode || v.Kind == value.KindEdge {
-				return value.NewInt(int64(v.ID)), nil
+				return value.NewInt(int64(v.ID())), nil
 			}
 			return value.Null, nil
 		}, nil
@@ -433,7 +433,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if vs[0].Kind != value.KindNode {
 				return value.Null, nil
 			}
-			n := vs[0].Entity.(*graph.Node)
+			n := vs[0].Entity().(*graph.Node)
 			out := make([]value.Value, len(n.Labels))
 			for i, l := range n.Labels {
 				out[i] = value.NewString(ctx.g.Schema.LabelName(l))
@@ -452,7 +452,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if vs[0].Kind != value.KindEdge {
 				return value.Null, nil
 			}
-			return value.NewString(ctx.g.Schema.RelTypeName(vs[0].Entity.(*graph.Edge).Type)), nil
+			return value.NewString(ctx.g.Schema.RelTypeName(vs[0].Entity().(*graph.Edge).Type)), nil
 		}, nil
 	case "startnode", "endnode":
 		if err := argc(1); err != nil {
@@ -467,7 +467,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if vs[0].Kind != value.KindEdge {
 				return value.Null, nil
 			}
-			ed := vs[0].Entity.(*graph.Edge)
+			ed := vs[0].Entity().(*graph.Edge)
 			id := ed.Src
 			if !wantSrc {
 				id = ed.Dst
@@ -494,7 +494,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if out {
 				m = ctx.g.Adjacency()
 			}
-			return value.NewInt(int64(m.RowDegree(int(vs[0].ID)))), nil
+			return value.NewInt(int64(m.RowDegree(int(vs[0].ID())))), nil
 		}, nil
 	case "size", "length":
 		if err := argc(1); err != nil {
@@ -511,7 +511,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			case value.KindArray:
 				return value.NewInt(int64(len(vs[0].Array()))), nil
 			case value.KindPath:
-				return value.NewInt(int64(vs[0].Entity.(*graph.Path).Len())), nil
+				return value.NewInt(int64(vs[0].Entity().(*graph.Path).Len())), nil
 			}
 			return value.Null, nil
 		}, nil
@@ -704,7 +704,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if vs[0].Kind != value.KindPath {
 				return value.Null, nil
 			}
-			p := vs[0].Entity.(*graph.Path)
+			p := vs[0].Entity().(*graph.Path)
 			var out []value.Value
 			if name == "nodes" {
 				for _, n := range p.Nodes {

@@ -178,9 +178,10 @@ func (it *scanAggItem) fold(st *aggState, col *graph.Column, ids []uint64) {
 }
 
 // foldNum is update for a numeric cell read unboxed: f is its float64
-// reading (what avg adds and min/max compare), i its exact value when isInt
-// (what sum adds and min/max keep). A min/max candidate is boxed only when it
-// may replace the current extreme, and then update decides.
+// reading (what avg adds and min/max prefilter on), i its exact value when
+// isInt (what sum adds and min/max keep). A min/max candidate is boxed only
+// when it may replace the current extreme, and then update decides exactly:
+// a tie in float64 reading still may (2⁵³+1 beats 2⁵³).
 func (s *aggState) foldNum(spec *aggSpec, f float64, i int64, isInt bool) {
 	switch spec.kind {
 	case aggCount:
@@ -195,11 +196,11 @@ func (s *aggState) foldNum(spec *aggSpec, f float64, i int64, isInt bool) {
 		s.count++
 		s.sum += f
 	case aggMin:
-		if !isNumeric(s.minv.Kind) || f < s.minF {
+		if !isNumeric(s.minv.Kind) || f <= s.minF {
 			s.update(spec, numValue(f, i, isInt))
 		}
 	case aggMax:
-		if !isNumeric(s.maxv.Kind) || s.maxF < f {
+		if !isNumeric(s.maxv.Kind) || s.maxF <= f {
 			s.update(spec, numValue(f, i, isInt))
 		}
 	}

@@ -203,7 +203,7 @@ func (o *condTraverseOp) gather(ctx *execCtx, bs int) ([]record, []grb.Index, er
 			return nil, nil, fmt.Errorf("traverse: %s is not a node", src.Kind)
 		}
 		batch = append(batch, in)
-		srcs = append(srcs, grb.Index(src.ID))
+		srcs = append(srcs, grb.Index(src.ID()))
 	}
 	o.batchBuf, o.srcBuf = batch, srcs
 	return batch, srcs, nil
@@ -388,7 +388,7 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 			continue
 		}
 		batch = append(batch, in)
-		srcs = append(srcs, grb.Index(in[o.srcSlot].ID))
+		srcs = append(srcs, grb.Index(in[o.srcSlot].ID()))
 	}
 	o.batchBuf, o.srcBuf = batch, srcs
 	if len(batch) == 0 {
@@ -400,7 +400,7 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 		// destination) against whole frontier rows the push path would build.
 		o.ks.note(true)
 		for _, in := range batch {
-			if _, err := m.ExtractElement(int(in[o.srcSlot].ID), int(in[o.dstSlot].ID)); err == nil {
+			if _, err := m.ExtractElement(int(in[o.srcSlot].ID()), int(in[o.dstSlot].ID())); err == nil {
 				o.emitConnected(ctx, in)
 			}
 		}
@@ -415,7 +415,7 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 		return err
 	}
 	for r, in := range batch {
-		if _, err := result.ExtractElement(r, int(in[o.dstSlot].ID)); err != nil {
+		if _, err := result.ExtractElement(r, int(in[o.dstSlot].ID())); err != nil {
 			continue // not connected
 		}
 		o.emitConnected(ctx, in)
@@ -458,7 +458,7 @@ func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 		return
 	}
 	ct := condTraverseNode{types: o.types, direction: o.direction}
-	for _, eid := range ct.connectingEdges(ctx, in[o.srcSlot].ID, in[o.dstSlot].ID) {
+	for _, eid := range ct.connectingEdges(ctx, in[o.srcSlot].ID(), in[o.dstSlot].ID()) {
 		e, ok := ctx.g.GetEdge(eid)
 		if !ok {
 			continue
@@ -647,7 +647,7 @@ func (o *varLenTraverseOp) pullSource(ctx *execCtx) (record, uint64, error) {
 	if src.Kind != value.KindNode {
 		return nil, 0, fmt.Errorf("traverse: %s is not a node", src.Kind)
 	}
-	return in, src.ID, nil
+	return in, src.ID(), nil
 }
 
 // search runs one source's BFS and hands emit every existing node of an

@@ -109,7 +109,7 @@ func applyCreate(ctx *execCtx, r record, patterns []createPatternSpec) error {
 		ids := make([]uint64, len(pat.nodes))
 		for i, ns := range pat.nodes {
 			if cur := r[ns.slot]; cur.Kind == value.KindNode {
-				ids[i] = cur.ID // bound by an earlier clause
+				ids[i] = cur.ID() // bound by an earlier clause
 				continue
 			}
 			props := map[string]value.Value{}
@@ -246,9 +246,9 @@ func (o *deleteOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 					}
 					switch v.Kind {
 					case value.KindNode:
-						nodeIDs = append(nodeIDs, v.ID)
+						nodeIDs = append(nodeIDs, v.ID())
 					case value.KindEdge:
-						edgeIDs = append(edgeIDs, v.ID)
+						edgeIDs = append(edgeIDs, v.ID())
 					case value.KindNull:
 					default:
 						return nil, fmt.Errorf("DELETE expects nodes or relationships, got %s", v.Kind)
@@ -352,12 +352,12 @@ func (o *setOp) apply(ctx *execCtx, r record) error {
 		target := r[it.slot]
 		switch target.Kind {
 		case value.KindNode:
-			if err := ctx.g.SetNodeProperty(target.ID, it.key, v); err != nil {
+			if err := ctx.g.SetNodeProperty(target.ID(), it.key, v); err != nil {
 				return err
 			}
 			ctx.stats.PropertiesSet++
 		case value.KindEdge:
-			if err := ctx.g.SetEdgeProperty(target.ID, it.key, v); err != nil {
+			if err := ctx.g.SetEdgeProperty(target.ID(), it.key, v); err != nil {
 				return err
 			}
 			ctx.stats.PropertiesSet++

@@ -499,7 +499,7 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 				if v.Kind != value.KindNode {
 					return value.NewBool(false), nil
 				}
-				return value.NewBool(nodeHasLabel(ctx.g, v.Entity.(*graph.Node), lbl)), nil
+				return value.NewBool(nodeHasLabel(ctx.g, v.Entity().(*graph.Node), lbl)), nil
 			}}, b.rowEst*b.labelSel(lbl))
 	}
 	for attr, ex := range n.Props {
@@ -521,9 +521,9 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 				var have value.Value
 				switch v.Kind {
 				case value.KindNode:
-					have = ctx.g.NodePropertyColumnar(v.ID, key)
+					have = ctx.g.NodePropertyColumnar(v.ID(), key)
 				case value.KindEdge:
-					have = ctx.g.EdgeProperty(v.ID, key)
+					have = ctx.g.EdgeProperty(v.ID(), key)
 				default:
 					return value.NewBool(false), nil
 				}

@@ -80,9 +80,9 @@ func (rs *ResultSet) appendBatch(g *graph.Graph, batch recordBatch, visible int)
 func detach(g *graph.Graph, v value.Value) value.Value {
 	switch v.Kind {
 	case value.KindNode:
-		return value.NewNode(v.ID, g.DetachNode(v.ID))
+		return value.NewNode(v.ID(), g.DetachNode(v.ID()))
 	case value.KindEdge:
-		return value.NewEdge(v.ID, g.DetachEdge(v.ID))
+		return value.NewEdge(v.ID(), g.DetachEdge(v.ID()))
 	case value.KindArray:
 		if !holdsEntity(v) {
 			return v

@@ -251,15 +251,6 @@ func (c *Column) StrIDAt(id uint64) uint32  { return c.strs[id] }
 // StrAt returns the interned string value for a present entity.
 func (c *Column) StrAt(id uint64) string { return c.store.strTab[c.strs[id]] }
 
-// NumAt reads a present cell of an int or float column as float64 — the
-// representation compareValues compares numerics in.
-func (c *Column) NumAt(id uint64) float64 {
-	if c.kind == ColInt {
-		return float64(c.ints[id])
-	}
-	return c.floats[id]
-}
-
 // OverflowAt returns the untyped value for an entity, if it has one.
 func (c *Column) OverflowAt(id uint64) (value.Value, bool) {
 	v, ok := c.overflow[id]

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -130,5 +132,59 @@ func TestPropCompareTotalOrderIsConsistent(t *testing.T) {
 func TestIsTrue(t *testing.T) {
 	if !NewBool(true).IsTrue() || NewBool(false).IsTrue() || Null.IsTrue() || NewInt(1).IsTrue() {
 		t.Fatal("IsTrue must hold only for boolean true")
+	}
+}
+
+// TestHashKeyMatchesEquals checks over a generated corpus that two values
+// share a HashKey exactly when they are Equal. The corpus has the strings
+// that once made keys collide (",", "|" and "s:" inside a string), ints
+// beyond 2⁵³, int/float pairs, -0.0 and nested lists. It has no null,
+// which Equals nothing, and no NaN, which Compare equates with every number.
+func TestHashKeyMatchesEquals(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	big := int64(1) << 53
+	ints := []int64{0, 1, -1, 2, big - 1, big, big + 1, big + 2, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	floats := []float64{0, math.Copysign(0, -1), 0.5, 1, 2, -1, float64(big), float64(big + 2), 1 << 63, -(1 << 63), math.Inf(1), math.Inf(-1)}
+	strs := []string{"", "a", "b", ",", "|", "s:", "a,s:b", "x|s:y", "y|s:z", "1:a", "]", "[", "∅", "n:1"}
+	var scalars []Value
+	for _, i := range ints {
+		scalars = append(scalars, NewInt(i))
+	}
+	for _, f := range floats {
+		scalars = append(scalars, NewFloat(f))
+	}
+	for _, s := range strs {
+		scalars = append(scalars, NewString(s))
+	}
+	scalars = append(scalars, NewBool(true), NewBool(false), NewNode(1, nil), NewNode(2, nil), NewEdge(1, nil))
+	corpus := append([]Value(nil), scalars...)
+	corpus = append(corpus,
+		NewArray([]Value{NewString("a"), NewString("b")}), NewArray([]Value{NewString("a,s:b")}),
+		NewArray([]Value{NewString("x|s:y"), NewString("z")}), NewArray([]Value{NewString("x"), NewString("y|s:z")}))
+	var list func(depth int) Value
+	list = func(depth int) Value {
+		elems := make([]Value, rng.Intn(4))
+		for k := range elems {
+			if depth > 0 && rng.Intn(3) == 0 {
+				elems[k] = list(depth - 1)
+			} else {
+				elems[k] = scalars[rng.Intn(len(scalars))]
+			}
+		}
+		return NewArray(elems)
+	}
+	for k := 0; k < 300; k++ {
+		corpus = append(corpus, list(2))
+	}
+	keys := make([]string, len(corpus))
+	for k, v := range corpus {
+		keys[k] = v.HashKey()
+	}
+	for a := range corpus {
+		for b := range corpus {
+			if eq := corpus[a].Equals(corpus[b]); eq != (keys[a] == keys[b]) {
+				t.Fatalf("%v vs %v: Equals %v, keys %q %q", corpus[a], corpus[b], eq, keys[a], keys[b])
+			}
+		}
 	}
 }
