@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"redisgraph/internal/algo"
 	"redisgraph/internal/baseline"
 	"redisgraph/internal/bench"
 	"redisgraph/internal/gen"
@@ -56,6 +55,7 @@ func getFixture(name string) *fixture {
 	return f
 }
 
+// engine returns the line-up entry with the given name.
 func (f *fixture) engine(name string) baseline.Engine {
 	for _, e := range f.engines {
 		if e.Name() == name {
@@ -70,9 +70,8 @@ func (f *fixture) engine(name string) baseline.Engine {
 func BenchmarkFig1(b *testing.B) {
 	for _, ds := range []string{"graph500", "twitter"} {
 		f := getFixture(ds)
-		for _, sys := range []string{"RedisGraph", "TigerGraph*", "Neo4j*", "Neptune*", "JanusGraph*", "ArangoDB*"} {
-			e := f.engine(sys)
-			b.Run(fmt.Sprintf("%s/%s", ds, sys), func(b *testing.B) {
+		for _, e := range f.engines {
+			b.Run(fmt.Sprintf("%s/%s", ds, e.Name()), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					e.KHopCount(f.seeds[i%len(f.seeds)], 1)
 				}
@@ -87,9 +86,8 @@ func BenchmarkKHop(b *testing.B) {
 	for _, ds := range []string{"graph500", "twitter"} {
 		f := getFixture(ds)
 		for _, k := range []int{1, 2, 3, 6} {
-			for _, sys := range []string{"RedisGraph", "TigerGraph*", "Neo4j*"} {
-				e := f.engine(sys)
-				b.Run(fmt.Sprintf("%s/k=%d/%s", ds, k, sys), func(b *testing.B) {
+			for _, e := range f.engines {
+				b.Run(fmt.Sprintf("%s/k=%d/%s", ds, k, e.Name()), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						e.KHopCount(f.seeds[i%len(f.seeds)], k)
 					}
@@ -135,20 +133,15 @@ func BenchmarkRobust6Hop(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §5) ----
 
-// AblationMaskedTraversal: 3-hop BFS expansion whose reached set masks each
-// hop, over a plain matrix.
+// AblationMaskedTraversal: 3-hop BFS whose reached set masks each hop,
+// grb.BFS called directly on the graph's adjacency.
 func BenchmarkAblationMaskedTraversal(b *testing.B) {
 	f := getFixture("graph500")
-	adj := func() *grb.Matrix {
-		m, err := grb.BoolMatrixFromEdges(f.edges.NumNodes, f.edges.NumNodes, f.edges.Src, f.edges.Dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}()
+	adj := f.g.Adjacency()
 	b.Run("masked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := algo.KHopCount(adj, f.seeds[i%len(f.seeds)], 3, nil); err != nil {
+			err := grb.BFS(adj, nil, f.seeds[i%len(f.seeds)], 3, nil, func(int, []grb.Index) error { return nil })
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -169,58 +162,16 @@ func BenchmarkAblationOpThreads(b *testing.B) {
 	}
 }
 
-// AblationMxMMasked: masked vs unmasked triangle-counting matrix product.
-func BenchmarkAblationMxMMasked(b *testing.B) {
-	el := gen.RMAT(gen.Graph500Defaults(10, 5))
-	a, err := grb.BoolMatrixFromEdges(el.NumNodes, el.NumNodes, el.Src, el.Dst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := a.NRows()
-	sym := grb.NewMatrix(n, n)
-	_ = grb.EWiseAddMatrix(sym, nil, nil, grb.LOr, a, a, grb.DescT1)
-	l := grb.NewMatrix(n, n)
-	_ = grb.SelectMatrix(l, nil, nil, grb.Tril, sym, nil)
-	b.Run("masked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := grb.NewMatrix(n, n)
-			if err := grb.MxM(c, l, nil, grb.PlusPair, l, l, grb.DescS); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unmasked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := grb.NewMatrix(n, n)
-			if err := grb.MxM(c, nil, nil, grb.PlusPair, l, l, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkGraphBLASKernels measures the raw kernels the traversals stand on.
 func BenchmarkGraphBLASKernels(b *testing.B) {
-	el := gen.RMAT(gen.Graph500Defaults(benchScale, 13))
-	a, err := grb.BoolMatrixFromEdges(el.NumNodes, el.NumNodes, el.Src, el.Dst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := a.NRows()
+	adj := getFixture("graph500").g.Adjacency()
+	n := adj.Export().NRows()
 	b.Run("vxm-onehot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			u := grb.NewVector(n)
 			_ = u.SetElement(i%n, 1)
 			w := grb.NewVector(n)
-			if err := grb.VxM(w, nil, nil, grb.AnyPair, u, a, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reduce-rows", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w := grb.NewVector(n)
-			if err := grb.ReduceMatrixToVector(w, nil, nil, grb.PlusMonoid, a, nil); err != nil {
+			if err := grb.VxMDelta(w, nil, nil, grb.AnyPair, u, adj, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,9 +3,9 @@
 //
 //	khop-bench -scale 14 -experiment all
 //
-// Experiments: fig1 (E1), khop (E2 + the E5 speedup summary), throughput
-// (E3), robust (E4), or all. Performance numbers for the engine itself come
-// from `bash benchmark/run.sh`, not from here.
+// Experiments: fig1 (E1), khop (E2 + the E5 stack and representation
+// ratios), throughput (E3), robust (E4), or all. Performance numbers for the
+// engine itself come from `bash benchmark/run.sh`, not from here.
 package main
 
 import (

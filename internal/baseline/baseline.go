@@ -1,21 +1,16 @@
-// Package baseline implements the competitor graph engines RedisGraph is
-// measured against in the paper's TigerGraph k-hop benchmark. The real
-// systems (Neo4j, Amazon Neptune, JanusGraph, ArangoDB, TigerGraph) are not
-// reproducible offline, so each baseline isolates the mechanism the paper
-// credits for that system's performance profile:
+// Package baseline holds the measured reference engines RedisGraph is
+// compared with in the paper's TigerGraph k-hop benchmark. The real systems
+// (Neo4j, Amazon Neptune, JanusGraph, ArangoDB, TigerGraph) are not
+// reproducible offline, so each engine here runs one storage and execution
+// model on the same data, with nothing injected:
 //
-//   - AdjList            — flat CSR adjacency, single core (best-case native engine)
-//   - ParallelAdjList    — flat CSR, one query parallelised across all cores
+//   - AdjList         — flat CSR adjacency, one core per query (a native
+//     engine's best case)
+//   - ParallelAdjList — flat CSR, one query spread across all cores
 //     (TigerGraph's execution model)
-//   - ObjectStore        — per-node/per-edge heap objects, pointer chasing,
+//   - ObjectStore     — per-node/per-edge heap objects, pointer chasing,
 //     hash-set visited tracking and per-row record
-//     materialisation (Neo4j/JanusGraph-style)
-//   - RemoteEngine       — wraps any engine with per-round-trip network
-//     latency and per-row serialisation (Neptune-style
-//     remote store)
-//   - CostedEngine       — adds per-vertex / per-edge access costs
-//     (JanusGraph backend fetches, ArangoDB document
-//     decodes)
+//     materialisation (the Neo4j/JanusGraph object model)
 //
 // All engines implement the same k-hop distinct-neighbour count the
 // TigerGraph benchmark specifies, so results are cross-checked for equality.
@@ -24,7 +19,6 @@ package baseline
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Engine answers k-hop neighbourhood-count queries.
@@ -44,13 +38,12 @@ type AdjList struct {
 	offsets []int
 	targets []int
 	n       int
-	name    string
 }
 
 // NewAdjList builds the CSR structure from an edge list (duplicates kept;
 // BFS visits dedup).
 func NewAdjList(n int, src, dst []int) *AdjList {
-	a := &AdjList{n: n, name: "AdjList-1core"}
+	a := &AdjList{n: n}
 	a.offsets = make([]int, n+1)
 	for _, s := range src {
 		a.offsets[s+1]++
@@ -68,15 +61,7 @@ func NewAdjList(n int, src, dst []int) *AdjList {
 }
 
 // Name identifies the engine.
-func (a *AdjList) Name() string { return a.name }
-
-// Renamed returns the same engine under a different display name (for
-// cost-model emulations built on the CSR engine).
-func (a *AdjList) Renamed(name string) *AdjList {
-	b := *a
-	b.name = name
-	return &b
-}
+func (a *AdjList) Name() string { return "AdjList" }
 
 // KHopCount runs a level-synchronous BFS with a dense visited bitmap.
 func (a *AdjList) KHopCount(seed, k int) int {
@@ -100,9 +85,6 @@ func (a *AdjList) KHopCount(seed, k int) int {
 	return count
 }
 
-// Degree returns the out-degree of a node.
-func (a *AdjList) Degree(v int) int { return a.offsets[v+1] - a.offsets[v] }
-
 // ---- parallel CSR (TigerGraph-style) ----
 
 // ParallelAdjList parallelises a single query across all cores, the
@@ -110,11 +92,6 @@ func (a *AdjList) Degree(v int) int { return a.offsets[v+1] - a.offsets[v] }
 type ParallelAdjList struct {
 	*AdjList
 	workers int
-	// QueryOverhead emulates the fixed per-request cost of the real
-	// system's REST endpoint + GSQL dispatch. The paper's crossover
-	// (RedisGraph 2× faster on Graph500 1-hop yet 0.8× on Twitter 6-hop)
-	// hinges on this fixed cost amortising away as frontiers grow.
-	QueryOverhead time.Duration
 }
 
 // NewParallelAdjList builds the engine with the given worker count
@@ -123,16 +100,14 @@ func NewParallelAdjList(n int, src, dst []int, workers int) *ParallelAdjList {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	a := NewAdjList(n, src, dst)
-	a.name = "ParallelAdjList-allcores"
-	return &ParallelAdjList{AdjList: a, workers: workers}
+	return &ParallelAdjList{AdjList: NewAdjList(n, src, dst), workers: workers}
 }
+
+// Name identifies the engine.
+func (p *ParallelAdjList) Name() string { return "ParallelAdjList" }
 
 // KHopCount partitions each BFS frontier across the worker pool.
 func (p *ParallelAdjList) KHopCount(seed, k int) int {
-	if p.QueryOverhead > 0 {
-		spin(p.QueryOverhead)
-	}
 	visited := make([]int32, p.n) // CAS-able visited flags
 	visited[seed] = 1
 	frontier := []int{seed}
@@ -188,22 +163,14 @@ type nodeObj struct {
 // ObjectStore models a record/object graph engine: every node and edge is a
 // separate heap object, traversal chases pointers, visited tracking uses a
 // hash set, and every result row is materialised as a fresh record map —
-// the overheads the paper's 36×+ speedups come from.
+// the overheads the paper credits for its 36×+ speedups over such engines.
 type ObjectStore struct {
 	nodes []*nodeObj
-	// PerVertexCost and PerEdgeCost busy-wait to emulate backend page/
-	// document access (JanusGraph storage adapter, ArangoDB document decode).
-	PerVertexCost time.Duration
-	PerEdgeCost   time.Duration
-	// PerQueryCost emulates the fixed query-processing overhead of the real
-	// system's stack (parse, transaction setup, traversal compilation).
-	PerQueryCost time.Duration
-	name         string
 }
 
 // NewObjectStore builds the object graph.
-func NewObjectStore(n int, src, dst []int, name string) *ObjectStore {
-	os := &ObjectStore{name: name}
+func NewObjectStore(n int, src, dst []int) *ObjectStore {
+	os := &ObjectStore{}
 	os.nodes = make([]*nodeObj, n)
 	for i := range os.nodes {
 		os.nodes[i] = &nodeObj{id: i, props: map[string]any{"uid": i}}
@@ -218,27 +185,18 @@ func NewObjectStore(n int, src, dst []int, name string) *ObjectStore {
 }
 
 // Name identifies the engine.
-func (o *ObjectStore) Name() string { return o.name }
+func (o *ObjectStore) Name() string { return "ObjectStore" }
 
 // KHopCount chases pointers with hash-set visited tracking and materialises
 // one record per visited node.
 func (o *ObjectStore) KHopCount(seed, k int) int {
-	if o.PerQueryCost > 0 {
-		spin(o.PerQueryCost)
-	}
 	visited := map[*nodeObj]bool{o.nodes[seed]: true}
 	frontier := []*nodeObj{o.nodes[seed]}
 	var records []map[string]any
 	for hop := 0; hop < k && len(frontier) > 0; hop++ {
 		var next []*nodeObj
 		for _, v := range frontier {
-			if o.PerVertexCost > 0 {
-				spin(o.PerVertexCost)
-			}
 			for _, e := range v.out {
-				if o.PerEdgeCost > 0 {
-					spin(o.PerEdgeCost)
-				}
 				if !visited[e.dst] {
 					visited[e.dst] = true
 					next = append(next, e.dst)
@@ -252,44 +210,4 @@ func (o *ObjectStore) KHopCount(seed, k int) int {
 		frontier = next
 	}
 	return len(records)
-}
-
-// ---- remote wrapper (Neptune-style) ----
-
-// RemoteEngine wraps an engine with per-request round trips and per-row
-// serialisation cost, modelling a client→remote-store protocol. k-hop
-// queries in Gremlin-style engines issue one round trip per traversal step.
-type RemoteEngine struct {
-	Inner      Engine
-	RTT        time.Duration // per traversal-step round trip
-	PerRowCost time.Duration // response serialisation per result row
-	name       string
-}
-
-// NewRemoteEngine wraps inner.
-func NewRemoteEngine(inner Engine, rtt, perRow time.Duration, name string) *RemoteEngine {
-	return &RemoteEngine{Inner: inner, RTT: rtt, PerRowCost: perRow, name: name}
-}
-
-// Name identifies the engine.
-func (r *RemoteEngine) Name() string { return r.name }
-
-// KHopCount delegates, then spends the protocol budget.
-func (r *RemoteEngine) KHopCount(seed, k int) int {
-	count := r.Inner.KHopCount(seed, k)
-	// One round trip per hop plus one for the request itself.
-	spin(time.Duration(k+1) * r.RTT)
-	spin(time.Duration(count) * r.PerRowCost)
-	return count
-}
-
-// spin busy-waits; Sleep has millisecond-class granularity on some kernels
-// and would distort microsecond cost models.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
-	}
 }

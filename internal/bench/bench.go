@@ -1,12 +1,12 @@
 // Package bench reproduces the paper's evaluation: the TigerGraph k-hop
 // neighbourhood-count benchmark over Graph500 (RMAT) and Twitter-like
-// graphs, across RedisGraph and cost-model emulations of the competitor
-// systems, plus the threadpool-throughput and robustness experiments.
+// graphs, across RedisGraph, its BFS kernel alone and the measured reference
+// engines of package baseline, plus the threadpool-throughput and
+// robustness experiments.
 package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"redisgraph/internal/core"
 	"redisgraph/internal/gen"
 	"redisgraph/internal/graph"
+	"redisgraph/internal/grb"
 	"redisgraph/internal/value"
 )
 
@@ -90,33 +91,40 @@ func (r *redisGraphEngine) KHopCount(seed, k int) int {
 	return int(rs.Rows[0][0].Int())
 }
 
-// Systems assembles the benchmark line-up for a dataset. Each competitor is
-// a documented cost-model emulation (see package comment in baseline).
+// bfsEngine answers k-hop queries with grb.BFS called directly on the
+// graph's adjacency matrix, push hops only: the kernel RedisGraph's query
+// runs, without Cypher, planning or records around it.
+type bfsEngine struct{ g *graph.Graph }
+
+func (b bfsEngine) Name() string { return "grb.BFS" }
+
+// KHopCount relies on BuildGraph giving vertex v the node ID v.
+func (b bfsEngine) KHopCount(seed, k int) int {
+	b.g.RLock()
+	defer b.g.RUnlock()
+	count := 0
+	err := grb.BFS(b.g.Adjacency(), nil, seed, k, nil, func(hop int, level []grb.Index) error {
+		if hop > 0 {
+			count += len(level)
+		}
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return count
+}
+
+// Systems assembles the benchmark line-up for a dataset: RedisGraph through
+// its full stack, its BFS kernel alone, and the baseline engines built from
+// the same edge list. Every entry is measured; none adds an injected cost.
 func Systems(g *graph.Graph, e *gen.EdgeList) []baseline.Engine {
-	neo := baseline.NewObjectStore(e.NumNodes, e.Src, e.Dst, "Neo4j*")
-	neo.PerQueryCost = 300 * time.Microsecond // Cypher parse + transaction setup
-	janus := baseline.NewObjectStore(e.NumNodes, e.Src, e.Dst, "JanusGraph*")
-	janus.PerQueryCost = 2 * time.Millisecond  // Gremlin traversal compilation
-	janus.PerVertexCost = 2 * time.Microsecond // storage-backend fetch per vertex
-	arango := baseline.NewObjectStore(e.NumNodes, e.Src, e.Dst, "ArangoDB*")
-	arango.PerQueryCost = 500 * time.Microsecond // AQL parse + cursor setup
-	arango.PerEdgeCost = 300 * time.Nanosecond   // document decode per edge
-	neptune := baseline.NewRemoteEngine(
-		baseline.NewAdjList(e.NumNodes, e.Src, e.Dst),
-		500*time.Microsecond, // per-step round trip
-		1*time.Microsecond,   // per-row serialisation
-		"Neptune*",
-	)
-	tiger := baseline.NewParallelAdjList(e.NumNodes, e.Src, e.Dst, runtime.GOMAXPROCS(0))
-	tiger.AdjList = tiger.AdjList.Renamed("TigerGraph*")
-	tiger.QueryOverhead = 150 * time.Microsecond // REST endpoint + GSQL dispatch
 	return []baseline.Engine{
 		NewRedisGraphEngine(g, 1),
-		tiger,
-		neo,
-		neptune,
-		janus,
-		arango,
+		bfsEngine{g},
+		baseline.NewAdjList(e.NumNodes, e.Src, e.Dst),
+		baseline.NewParallelAdjList(e.NumNodes, e.Src, e.Dst, 0),
+		baseline.NewObjectStore(e.NumNodes, e.Src, e.Dst),
 	}
 }
 

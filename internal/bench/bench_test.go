@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -21,11 +22,14 @@ func TestBuildGraphMatchesEdgeList(t *testing.T) {
 }
 
 func TestEnginesAgreeThroughFullStack(t *testing.T) {
-	// The critical harness invariant: the Cypher→GraphBLAS stack and every
-	// baseline return identical k-hop counts.
+	// The critical harness invariant: the Cypher→GraphBLAS stack, its BFS
+	// kernel alone and every baseline return identical k-hop counts.
 	el := gen.RMAT(gen.Graph500Defaults(9, 5))
 	g := BuildGraph("t", el)
 	engines := Systems(g, el)
+	if len(engines) != 5 {
+		t.Fatalf("line-up has %d engines, want 5", len(engines))
+	}
 	seeds := gen.Seeds(el, 10, 4)
 	for _, k := range []int{1, 2, 3, 6} {
 		ref := RunKHop(engines[0], "t", k, seeds)
@@ -70,12 +74,18 @@ func TestSuiteExperimentsRunAtTinyScale(t *testing.T) {
 		t.Fatalf("datasets: %d", len(s.Datasets))
 	}
 	fig1 := s.Fig1()
-	if len(fig1) != 12 { // 6 systems × 2 datasets
+	if len(fig1) != 10 { // 5 systems × 2 datasets
 		t.Fatalf("fig1 rows: %d", len(fig1))
 	}
 	khop := s.KHopTable([]int{1, 2})
-	if len(khop) != 24 { // 6 systems × 2 ks × 2 datasets
+	if len(khop) != 20 { // 5 systems × 2 ks × 2 datasets
 		t.Fatalf("khop rows: %d", len(khop))
+	}
+	// A trailing '*' marked a cost-model emulation; every engine is measured.
+	for _, m := range append(fig1, khop...) {
+		if strings.HasSuffix(m.System, "*") {
+			t.Fatalf("emulated system %q in the line-up", m.System)
+		}
 	}
 	tp := s.Throughput(64)
 	if len(tp) != 8 {
@@ -88,9 +98,20 @@ func TestSuiteExperimentsRunAtTinyScale(t *testing.T) {
 		}
 	}
 	out := sb.String()
-	for _, want := range []string{"Fig. 1", "RedisGraph", "TigerGraph*", "speedups", "q/s", "maxheap"} {
+	for _, want := range []string{"Fig. 1", "RedisGraph", "grb.BFS", "\n  stack ", "\n  representation ", "q/s", "maxheap"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRobustnessMeanIsPositive(t *testing.T) {
+	// At scale 6 the ten 6-hop queries take well under a millisecond in
+	// total, so a mean taken from whole milliseconds reads 0.
+	s := NewSuite(6, io.Discard)
+	for _, r := range s.Robustness(time.Minute) {
+		if r.Seeds != 10 || r.MeanMS <= 0 {
+			t.Fatalf("robustness: %+v", r)
 		}
 	}
 }

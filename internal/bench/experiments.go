@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -68,7 +67,7 @@ func (s *Suite) Fig1() []Measurement {
 			}
 		}
 		for _, m := range rows {
-			fmt.Fprintf(s.w, "  %-14s %10.3f ms  %s\n", m.System, m.MeanMS, logBar(m.MeanMS, maxMean))
+			fmt.Fprintf(s.w, "  %-16s %10.3f ms  %s\n", m.System, m.MeanMS, logBar(m.MeanMS, maxMean))
 		}
 	}
 	fmt.Fprintln(s.w)
@@ -77,7 +76,7 @@ func (s *Suite) Fig1() []Measurement {
 
 // KHopTable reproduces the Section III text results: k ∈ {1,2,3,6} per
 // system and dataset, with the paper's seed counts, and prints the E5
-// speedup summary.
+// ratios.
 func (s *Suite) KHopTable(ks []int) []Measurement {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 3, 6}
@@ -86,14 +85,14 @@ func (s *Suite) KHopTable(ks []int) []Measurement {
 	var all []Measurement
 	for _, d := range s.Datasets {
 		fmt.Fprintf(s.w, "\n%s\n", d.Name)
-		fmt.Fprintf(s.w, "  %-14s", "system")
+		fmt.Fprintf(s.w, "  %-16s", "system")
 		for _, k := range ks {
 			fmt.Fprintf(s.w, " %12s", fmt.Sprintf("k=%d", k))
 		}
 		fmt.Fprintln(s.w)
 		perSystem := map[string][]Measurement{}
 		for _, e := range s.engines[d.Name] {
-			fmt.Fprintf(s.w, "  %-14s", e.Name())
+			fmt.Fprintf(s.w, "  %-16s", e.Name())
 			for _, k := range ks {
 				seeds := gen.Seeds(d.Edges, SeedCounts(k), int64(1000+k))
 				m := RunKHop(e, d.Name, k, seeds)
@@ -111,32 +110,25 @@ func (s *Suite) KHopTable(ks []int) []Measurement {
 			}
 			s.checkAgreement(rows)
 		}
-		s.speedupSummary(d.Name, perSystem, ks)
+		s.ratioSummary(perSystem, ks)
 	}
 	fmt.Fprintln(s.w)
 	return all
 }
 
-// speedupSummary prints the paper's Conclusions comparison: RedisGraph vs
-// each competitor (paper: 36×–15,000× vs the object/remote stores, 2× and
-// 0.8× vs TigerGraph).
-func (s *Suite) speedupSummary(dataset string, perSystem map[string][]Measurement, ks []int) {
-	ref, ok := perSystem["RedisGraph"]
-	if !ok {
-		return
-	}
-	fmt.Fprintf(s.w, "  -- E5 speedups vs RedisGraph (>1 means RedisGraph faster) --\n")
-	names := make([]string, 0, len(perSystem))
-	for n := range perSystem {
-		if n != "RedisGraph" {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(s.w, "  %-14s", n)
+// ratioSummary prints E5 as two measured ratios of mean times per k: the
+// stack overhead (RedisGraph ÷ grb.BFS, what Cypher, planning and records
+// add to the kernel) and the representation (grb.BFS ÷ AdjList, the delta
+// matrix kernel against a flat CSR on one core).
+func (s *Suite) ratioSummary(perSystem map[string][]Measurement, ks []int) {
+	fmt.Fprintf(s.w, "  -- E5 ratios of mean time: stack = RedisGraph ÷ grb.BFS, representation = grb.BFS ÷ AdjList --\n")
+	for _, r := range []struct{ label, num, den string }{
+		{"stack", "RedisGraph", "grb.BFS"},
+		{"representation", "grb.BFS", "AdjList"},
+	} {
+		fmt.Fprintf(s.w, "  %-16s", r.label)
 		for ki := range ks {
-			fmt.Fprintf(s.w, " %11.1fx", perSystem[n][ki].MeanMS/ref[ki].MeanMS)
+			fmt.Fprintf(s.w, " %11.2fx", perSystem[r.num][ki].MeanMS/perSystem[r.den][ki].MeanMS)
 		}
 		fmt.Fprintln(s.w)
 	}
@@ -165,7 +157,6 @@ type ThroughputResult struct {
 	Threads     int
 	Clients     int
 	QueriesPerS float64
-	MeanLatMS   float64
 }
 
 // Throughput reproduces E3 — the architecture claim: a pool of single-core
@@ -197,7 +188,6 @@ func (s *Suite) Throughput(queries int) []ThroughputResult {
 			r := ThroughputResult{
 				Model: model, Threads: threads, Clients: clients,
 				QueriesPerS: float64(per*clients) / el.Seconds(),
-				MeanLatMS:   float64(el.Milliseconds()) / float64(per*clients),
 			}
 			out = append(out, r)
 			fmt.Fprintf(s.w, "  %-28s clients=%d  %10.0f q/s\n", model, clients, r.QueriesPerS)
@@ -274,8 +264,8 @@ func (s *Suite) Robustness(timeout time.Duration) []RobustResult {
 				res.MaxHeapMB = heap
 			}
 		}
-		res.MeanMS = float64(total.Milliseconds()) / float64(len(seeds))
-		fmt.Fprintf(s.w, "  %-14s seeds=%d timeouts=%d ooms=%d maxheap=%.0fMB mean=%.1fms\n",
+		res.MeanMS = float64(total.Nanoseconds()) / 1e6 / float64(len(seeds))
+		fmt.Fprintf(s.w, "  %-14s seeds=%d timeouts=%d ooms=%d maxheap=%.0fMB mean=%.3fms\n",
 			d.Name, res.Seeds, res.Timeouts, res.OOMs, res.MaxHeapMB, res.MeanMS)
 		out = append(out, res)
 	}

@@ -102,3 +102,61 @@ func FuzzParseParams(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParse feeds arbitrary text to the parser, which sees every query a
+// client sends: it may reject the input, but must never panic, and an
+// accepted query always has at least one clause.
+func FuzzParse(f *testing.F) {
+	// The queries of parser_test.go, valid and invalid.
+	seeds := []string{
+		`MATCH (n:Person) RETURN n`,
+		`MATCH (a)-[:R]->(b) RETURN a`,
+		`MATCH (a)<-[:R]-(b) RETURN a`,
+		`MATCH (a)-[:R]-(b) RETURN a`,
+		`MATCH (a)-->(b) RETURN a`,
+		`MATCH (a)<--(b) RETURN a`,
+		`MATCH (a)--(b) RETURN a`,
+		`MATCH (a)-[:R*]->(b) RETURN a`,
+		`MATCH (a)-[:R*3]->(b) RETURN a`,
+		`MATCH (a)-[:R*1..6]->(b) RETURN a`,
+		`MATCH (a)-[:R*2..]->(b) RETURN a`,
+		`MATCH (a)-[r:KNOWS|WORKS_AT]->(b) RETURN r`,
+		`MATCH (n:Person {name: $who, age: 30}) RETURN n`,
+		`MATCH (n) WHERE n.a = 1 OR n.b < 2 AND NOT n.c >= 3 RETURN n`,
+		`RETURN 1 + 2 * 3`,
+		`MATCH (n) RETURN DISTINCT n.name AS name ORDER BY name DESC, n.age SKIP 2 LIMIT 10`,
+		`CREATE (a:X {v: 1})-[:R]->(b:Y)`,
+		`MATCH (n) DETACH DELETE n`,
+		`MATCH (n) SET n.x = 5, n.y = 'a'`,
+		`UNWIND [1,2] AS x WITH x WHERE x > 1 RETURN x`,
+		`CREATE INDEX ON :Person(name)`,
+		`DROP INDEX ON :Person(name)`,
+		`MATCH (n) RETURN count(*)`,
+		`MATCH (n) RETURN count(DISTINCT n)`,
+		`RETURN 'it\'s', "a\nb"`,
+		`RETURN true, false, null, 3.25, 1e3, [1, 'a']`,
+		"MATCH (n) // line comment\n /* block */ RETURN n",
+		``,
+		`MATCH (n`,
+		`MATCH (a)-[:R->(b) RETURN a`,
+		`MATCH (a)<-[:R]->(b) RETURN a`,
+		`RETURN 'unterminated`,
+		`FOO (n)`,
+		`MATCH (n) RETURN`,
+		`CREATE INDEX ON Person(name)`,
+		`RETURN $`,
+		`match (n:Person) where n.age > 1 return n order by n.age`,
+		`MATCH (n) WHERE n.x IS NOT NULL RETURN n`,
+		`MERGE (n:Person {name: 'x'}) RETURN n`,
+		`RETURN -5`,
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		ast, err := Parse(q)
+		if err == nil && (ast == nil || len(ast.Clauses) == 0) {
+			t.Fatalf("accepted %q without a clause", q)
+		}
+	})
+}

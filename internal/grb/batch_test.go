@@ -51,7 +51,8 @@ func TestBuildFromRowsErrors(t *testing.T) {
 
 // TestBatchedMxMMatchesPerRecordVxM is the kernel-level version of the
 // traversal equivalence claim: a one-hot frontier matrix times the adjacency
-// matrix gives, row by row, exactly what per-record VxM gives.
+// matrix gives, row by row, exactly what per-record VxM gives, and both
+// give row s of the adjacency's dense reference.
 func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 	const n = 32
 	a := NewMatrix(n, n)
@@ -68,26 +69,33 @@ func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewMatrix(len(srcs), n)
-	if err := MxM(c, nil, nil, AnyPair, f, a, nil); err != nil {
+	if err := mxm(c, nil, nil, AnyPair, f, a, nil); err != nil {
 		t.Fatal(err)
 	}
+	da := toDenseM(a)
 	for r, s := range srcs {
 		want := []Index{}
+		perRecord := []Index{}
 		if s >= 0 {
+			for j := 0; j < n; j++ {
+				if _, ok := da.at(s, j); ok {
+					want = append(want, j)
+				}
+			}
 			u := NewVector(n)
 			if err := u.SetElement(s, 1); err != nil {
 				t.Fatal(err)
 			}
 			w := NewVector(n)
-			if err := VxM(w, nil, nil, AnyPair, u, a, nil); err != nil {
+			if err := vxm(w, nil, nil, AnyPair, u, a, nil); err != nil {
 				t.Fatal(err)
 			}
 			ind, _ := w.extractTuples()
-			want = append(want, ind...)
+			perRecord = append(perRecord, ind...)
 		}
 		got := append([]Index{}, c.RowIterate(r)...)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("row %d (src %d): got %v, want %v", r, s, got, want)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(perRecord, want) {
+			t.Fatalf("row %d (src %d): batched %v, per-record %v, want %v", r, s, got, perRecord, want)
 		}
 	}
 }
@@ -103,7 +111,7 @@ func TestMxMWorkspaceReuse(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		c := NewMatrix(8, 8)
-		if err := MxM(c, nil, nil, AnyPair, a, a, nil); err != nil {
+		if err := mxm(c, nil, nil, AnyPair, a, a, nil); err != nil {
 			t.Fatal(err)
 		}
 		if c.NVals() != 8 {

@@ -6,8 +6,7 @@ import (
 )
 
 // This file holds the structural BFS kernel behind every k-hop search: the
-// executor's variable-length traversal (and its pushed-down count) and the
-// algo package's BFS and k-hop count. The frontier, the reached set and the
+// executor's variable-length traversal (and its pushed-down count). The frontier, the reached set and the
 // next level are word-packed bitsets from a pool, so a search allocates
 // nothing per hop and nothing per reached vertex — the GraphBLAS frontier
 // reduction without a vector per hop.

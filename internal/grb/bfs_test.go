@@ -9,37 +9,71 @@ import (
 
 // randomDeltaPair builds a random n-vertex digraph as a delta matrix and its
 // transpose, both carrying pending delta-plus rows (edges inserted after the
-// last fold) and delta-minus rows (folded edges removed since).
-func randomDeltaPair(r *rand.Rand, n int) (a, at *DeltaMatrix) {
+// last fold) and delta-minus rows (folded edges removed since), plus the
+// effective adjacency as a dense reference.
+func randomDeltaPair(r *rand.Rand, n int) (a, at *DeltaMatrix, ref *dense) {
 	m := r.Intn(4*n + 1)
 	src, dst := make([]Index, m), make([]Index, m)
+	ref = newDense(n, n)
 	for k := range src {
 		src[k], dst[k] = r.Intn(n), r.Intn(n)
+		ref.set(src[k], dst[k], 1)
 	}
-	ma, _ := BoolMatrixFromEdges(n, n, src, dst)
-	mt, _ := BoolMatrixFromEdges(n, n, dst, src)
-	a, at = DeltaFrom(ma), DeltaFrom(mt)
+	a, at = DeltaFrom(boolMatrix(n, n, src, dst)), DeltaFrom(boolMatrix(n, n, dst, src))
 	for k := 0; k < n; k++ { // pending inserts
 		i, j := r.Intn(n), r.Intn(n)
 		_ = a.SetElement(i, j, 1)
 		_ = at.SetElement(j, i, 1)
+		ref.set(i, j, 1)
 	}
 	for k := range src { // pending deletes of folded entries
 		if r.Intn(4) == 0 {
 			_ = a.RemoveElement(src[k], dst[k])
 			_ = at.RemoveElement(dst[k], src[k])
+			ref.ok[src[k]*n+dst[k]] = false
 		}
 	}
-	return a, at
+	return a, at, ref
 }
 
-// vxmLevels is the BFS grb.BFS replaces: a complement-masked VxM per hop,
-// then reached |= next. It returns level 0 ([src]) and every non-empty level.
+// denseLevels is the reference BFS over a dense adjacency: level 0 ([src])
+// and every non-empty level after it, each in ascending vertex order.
+func denseLevels(d *dense, src Index, maxHops int) [][]Index {
+	reached := make([]bool, d.nr)
+	reached[src] = true
+	levels := [][]Index{{src}}
+	for hop := 1; maxHops < 0 || hop <= maxHops; hop++ {
+		var next []Index
+		for j := 0; j < d.nc; j++ {
+			if reached[j] {
+				continue
+			}
+			for _, k := range levels[len(levels)-1] {
+				if _, ok := d.at(k, j); ok {
+					next = append(next, j)
+					break
+				}
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		for _, j := range next {
+			reached[j] = true
+		}
+		levels = append(levels, next)
+	}
+	return levels
+}
+
+// vxmLevels is the BFS grb.BFS replaces: a complement-masked VxMDelta per
+// hop, then reached |= next. It returns level 0 ([src]) and every non-empty
+// level.
 func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
 	n := a.nrows
-	frontier := NewVector(n)
+	frontier, reached := NewVector(n), NewVector(n)
 	_ = frontier.SetElement(src, 1)
-	reached := frontier.Dup()
+	_ = reached.SetElement(src, 1)
 	levels := [][]Index{{src}}
 	for hop := 1; maxHops < 0 || hop <= maxHops; hop++ {
 		next := NewVector(n)
@@ -51,8 +85,8 @@ func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
 		}
 		ind, _ := next.extractTuples()
 		levels = append(levels, ind)
-		if err := EWiseAddVector(reached, nil, nil, LOr, reached, next, nil); err != nil {
-			panic(err)
+		for _, j := range ind {
+			_ = reached.SetElement(j, 1)
 		}
 		frontier = next
 	}
@@ -82,17 +116,21 @@ func bfsLevels(a, at *DeltaMatrix, src Index, maxHops int, mode string) ([][]Ind
 	return levels, err
 }
 
-// TestBFSMatchesVxMLoop checks BFS against the masked-VxM loop level by level,
-// in ascending order, under forced push, forced pull and a cost-based choice,
-// on random delta matrices with pending rows.
+// TestBFSMatchesVxMLoop checks BFS and the masked-VxM loop against the dense
+// reference BFS level by level, in ascending order, BFS under forced push,
+// forced pull and a cost-based choice, on random delta matrices with pending
+// rows.
 func TestBFSMatchesVxMLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	for iter := 0; iter < 300; iter++ {
 		n := r.Intn(150) + 1
-		a, at := randomDeltaPair(r, n)
+		a, at, ref := randomDeltaPair(r, n)
 		src := r.Intn(n)
 		maxHops := r.Intn(6) - 1
-		want := vxmLevels(a, src, maxHops)
+		want := denseLevels(ref, src, maxHops)
+		if got := vxmLevels(a, src, maxHops); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d src=%d maxHops=%d VxM loop:\n got %v\nwant %v", n, src, maxHops, got, want)
+		}
 		for _, mode := range []string{"push", "pull", "auto"} {
 			got, err := bfsLevels(a, at, src, maxHops, mode)
 			if err != nil {

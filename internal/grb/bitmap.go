@@ -15,7 +15,6 @@ type bitset []uint64
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i Index)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) unset(i Index)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) get(i Index) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // iterate calls fn for every set bit in ascending order; fn returning false
@@ -42,16 +41,6 @@ func (b bitset) appendSet(dst []Index) []Index {
 		}
 	}
 	return dst
-}
-
-// setAll sets every bit in [0, n), keeping the tail words clean.
-func (b bitset) setAll(n int) {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-	if tail := uint(n) & 63; tail != 0 && len(b) > 0 {
-		b[len(b)-1] = (1 << tail) - 1
-	}
 }
 
 // Bitmap is the exported word-packed bitmap behind the columnar property

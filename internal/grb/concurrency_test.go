@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,15 +9,13 @@ import (
 
 // TestConcurrentReads exercises the contract the server relies on: a built
 // matrix holds no pending state, so many goroutines may read it at once
-// without a lock.
+// without a lock, each getting the dense reference's answer.
 func TestConcurrentReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randMatrix(rng, 200, 200, 0.05)
 	u := randVector(rng, 200, 0.1)
-
-	ref := NewVector(200)
-	must(t, VxM(ref, nil, nil, PlusTimes, u, a, nil))
-	refI, refV := ref.extractTuples()
+	da := DeltaFrom(a)
+	ref := denseVxM(u, toDenseM(a), PlusTimes)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -25,18 +24,18 @@ func TestConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				w := NewVector(200)
-				if err := VxM(w, nil, nil, PlusTimes, u, a, nil); err != nil {
+				if err := VxMDelta(w, nil, nil, PlusTimes, u, da, nil); err != nil {
 					t.Error(err)
 					return
 				}
 				wi, wv := w.extractTuples()
-				if len(wi) != len(refI) {
-					t.Errorf("nvals %d != %d", len(wi), len(refI))
+				if len(wi) != len(ref) {
+					t.Errorf("nvals %d != %d", len(wi), len(ref))
 					return
 				}
-				for k := range wi {
-					if wi[k] != refI[k] || wv[k] != refV[k] {
-						t.Errorf("mismatch at %d", k)
+				for k, i := range wi {
+					if want, ok := ref[i]; !ok || math.Abs(wv[k]-want) > 1e-9 {
+						t.Errorf("entry %d: got %g, want %g (present %v)", i, wv[k], want, ok)
 						return
 					}
 				}
@@ -46,7 +45,7 @@ func TestConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWorkspacePoolReuseIsClean verifies consecutive VxM calls (which share
+// TestWorkspacePoolReuseIsClean verifies consecutive VxMDelta calls (which share
 // pooled scatter buffers) never leak state between calls.
 func TestWorkspacePoolReuseIsClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -54,9 +53,9 @@ func TestWorkspacePoolReuseIsClean(t *testing.T) {
 		a := randMatrix(rng, 64, 64, 0.2)
 		u := randVector(rng, 64, 0.3)
 		w1 := NewVector(64)
-		must(t, VxM(w1, nil, nil, PlusTimes, u, a, nil))
+		must(t, vxm(w1, nil, nil, PlusTimes, u, a, nil))
 		w2 := NewVector(64)
-		must(t, VxM(w2, nil, nil, PlusTimes, u, a, nil))
+		must(t, vxm(w2, nil, nil, PlusTimes, u, a, nil))
 		i1, v1 := w1.extractTuples()
 		i2, v2 := w2.extractTuples()
 		if len(i1) != len(i2) {

@@ -145,7 +145,11 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 					rows, cols, vals = append(rows, i), append(cols, (i*7+k*13+2)%n), append(vals, float64(1+k))
 				}
 			}
-			must(t, ref.build(rows, cols, vals, First))
+			for k := range rows {
+				if _, err := ref.ExtractElement(rows[k], cols[k]); err != nil {
+					must(t, ref.SetElement(rows[k], cols[k], vals[k])) // first wins
+				}
+			}
 		}
 		dm := DeltaFrom(ref.Dup())
 		dm.SetThreshold(1 << 30)
@@ -295,8 +299,11 @@ func TestDeltaMatrixThresholdSync(t *testing.T) {
 	}
 }
 
+// TestMxMDeltaMatchesExportedMxM checks MxMDelta over a dirty delta matrix
+// against the dense product with its fold-on-write reference: the matrix
+// Export returns, built without the delta code.
 func TestMxMDeltaMatchesExportedMxM(t *testing.T) {
-	dm, _ := applyOps(t, 20, 400, 7, 0)
+	dm, ref := applyOps(t, 20, 400, 7, 0)
 	f := NewMatrix(6, 20)
 	rng := rand.New(rand.NewSource(9))
 	for r := 0; r < 6; r++ {
@@ -307,35 +314,27 @@ func TestMxMDeltaMatchesExportedMxM(t *testing.T) {
 		if err := MxMDelta(got, nil, nil, s, f, dm, nil); err != nil {
 			t.Fatal(err)
 		}
-		want := NewMatrix(6, 20)
-		if err := MxM(want, nil, nil, s, f, dm.Export(), nil); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("semiring %v:\n got %s\nwant %s", s.Name, got, want)
-		}
+		expectDenseEq(t, got, denseMxM(toDenseM(f), toDenseM(ref), s))
 	}
 }
 
+// TestVxMDeltaMatchesExportedVxM is the VxMDelta counterpart, plus the
+// complement-masked form of the variable-length traversal.
 func TestVxMDeltaMatchesExportedVxM(t *testing.T) {
-	dm, _ := applyOps(t, 20, 400, 11, 0)
+	dm, ref := applyOps(t, 20, 400, 11, 0)
 	u := NewVector(20)
 	u.SetElement(3, 1)
 	u.SetElement(12, 1)
+	dref := toDenseM(ref)
 	for _, s := range []Semiring{AnyPair, PlusTimes} {
 		got := NewVector(20)
 		if err := VxMDelta(got, nil, nil, s, u, dm, nil); err != nil {
 			t.Fatal(err)
 		}
-		want := NewVector(20)
-		if err := VxM(want, nil, nil, s, u, dm.Export(), nil); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("semiring %v: got %s want %s", s.Name, got, want)
-		}
+		expectVecEq(t, got, denseVxM(u, dref, s))
 	}
-	// Masked form (the variable-length traversal shape).
+	// Masked form (the variable-length traversal shape): the reached set
+	// {3} is excluded from the result.
 	mask := NewVector(20)
 	mask.SetElement(3, 1)
 	d := &Descriptor{Comp: true, Structure: true, Replace: true}
@@ -343,13 +342,9 @@ func TestVxMDeltaMatchesExportedVxM(t *testing.T) {
 	if err := VxMDelta(got, mask, nil, AnyPair, u, dm, d); err != nil {
 		t.Fatal(err)
 	}
-	want := NewVector(20)
-	if err := VxM(want, mask, nil, AnyPair, u, dm.Export(), d); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("masked: got %s want %s", got, want)
-	}
+	want := denseVxM(u, dref, AnyPair)
+	delete(want, 3)
+	expectVecEq(t, got, want)
 }
 
 // TestDeltaMatrixConcurrentReaders exercises every fold-free read accessor

@@ -60,15 +60,3 @@ func (d *Descriptor) sched() *pool.SchedCtx {
 	}
 	return d.Sched
 }
-
-// DescT0 transposes the first input; DescT1 the second; DescRC is
-// replace+complement (the BFS mask descriptor); DescC complement-only;
-// DescS structural mask; DescRSC replace+structural+complement.
-var (
-	DescT0  = &Descriptor{TranA: true}
-	DescT1  = &Descriptor{TranB: true}
-	DescC   = &Descriptor{Comp: true}
-	DescRC  = &Descriptor{Replace: true, Comp: true}
-	DescS   = &Descriptor{Structure: true}
-	DescRSC = &Descriptor{Replace: true, Structure: true, Comp: true}
-)

@@ -1,81 +1,5 @@
 package grb
 
-// EWiseAddVector computes w<mask> = accum(w, u ⊕ v) over the set union of
-// patterns (GrB_eWiseAdd): where only one operand has an entry, that value
-// passes through unchanged.
-func EWiseAddVector(w *Vector, mask *Vector, accum *BinaryOp, op BinaryOp, u, v *Vector, d *Descriptor) error {
-	if w == nil || u == nil || v == nil {
-		return ErrNilObject
-	}
-	if u.n != v.n || w.n != u.n {
-		return dimErr("ewiseadd: w %d, u %d, v %d", w.n, u.n, v.n)
-	}
-	comp, structure := d.comp(), d.structure()
-	t := NewVector(w.n)
-	ui, uv := u.extractTuples()
-	vi, vv := v.extractTuples()
-	a, b := 0, 0
-	push := func(i Index, x float64) {
-		if (mask != nil || comp) && !mask.maskAllows(i, comp, structure) {
-			return
-		}
-		t.ind = append(t.ind, i)
-		t.val = append(t.val, x)
-	}
-	for a < len(ui) || b < len(vi) {
-		switch {
-		case b >= len(vi) || (a < len(ui) && ui[a] < vi[b]):
-			push(ui[a], uv[a])
-			a++
-		case a >= len(ui) || vi[b] < ui[a]:
-			push(vi[b], vv[b])
-			b++
-		default:
-			push(ui[a], op.F(uv[a], vv[b]))
-			a++
-			b++
-		}
-	}
-	t.maybeDensify()
-	mergeVector(w, mask, accum, t, d)
-	return nil
-}
-
-// EWiseMultVector computes w<mask> = accum(w, u ⊗ v) over the pattern
-// intersection (GrB_eWiseMult).
-func EWiseMultVector(w *Vector, mask *Vector, accum *BinaryOp, op BinaryOp, u, v *Vector, d *Descriptor) error {
-	if w == nil || u == nil || v == nil {
-		return ErrNilObject
-	}
-	if u.n != v.n || w.n != u.n {
-		return dimErr("ewisemult: w %d, u %d, v %d", w.n, u.n, v.n)
-	}
-	comp, structure := d.comp(), d.structure()
-	t := NewVector(w.n)
-	ui, uv := u.extractTuples()
-	vi, vv := v.extractTuples()
-	a, b := 0, 0
-	for a < len(ui) && b < len(vi) {
-		switch {
-		case ui[a] < vi[b]:
-			a++
-		case vi[b] < ui[a]:
-			b++
-		default:
-			i := ui[a]
-			if mask == nil && !comp || mask.maskAllows(i, comp, structure) {
-				t.ind = append(t.ind, i)
-				t.val = append(t.val, op.F(uv[a], vv[b]))
-			}
-			a++
-			b++
-		}
-	}
-	t.maybeDensify()
-	mergeVector(w, mask, accum, t, d)
-	return nil
-}
-
 // EWiseAddMatrix computes C<Mask> = accum(C, A ⊕ B) over the union pattern.
 // Descriptor TranA/TranB transpose the inputs. RedisGraph uses this to fold
 // per-relation matrices into the combined adjacency matrix.

@@ -3,15 +3,17 @@
 //
 // It provides sparse matrices in CSR form, delta matrices (the one
 // pending-update buffer: SuiteSparse's non-blocking mode, with
-// DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors,
-// semirings, monoids, binary/unary/index operators, masks and descriptors,
-// and the operations the engine and internal/algo call: masked MxM and VxM
-// (push and pull), BFS, element-wise add/multiply, apply, select, reduce and
-// scalar assign.
+// DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors, masks and
+// descriptors, and the operations the engine and the benchmark harness
+// call: BFS, masked MxM and VxM over a delta operand (push and pull), column
+// selection and element-wise matrix add. Only code a binary runs is kept:
+// the kernels are generic over the semiring, but AnyPair is the only one
+// defined here; the tests define the others and check the kernels against a
+// dense reference.
 //
 // Values are float64 throughout; boolean matrices store 1.0 and pair with
-// structural semirings (AnyPair, LorLand) whose kernels never inspect values,
-// which is how adjacency traversals avoid per-entry function-call overhead.
+// the structural AnyPair semiring, whose kernels never inspect values, which
+// is how adjacency traversals avoid per-entry function-call overhead.
 //
 // Concurrency: a Matrix holds no pending state, so once built it may be read
 // by any number of goroutines without a lock; a DeltaMatrix's readers never

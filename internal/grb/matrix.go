@@ -12,7 +12,7 @@ import (
 // A Matrix holds no pending updates: every call leaves a complete CSR, so a
 // built matrix is safe for any number of concurrent readers without a lock.
 // Buffered single-entry writes are DeltaMatrix's job (its Sync is GrB_wait);
-// a plain Matrix is built whole by build, BuildFromRows or a kernel's output.
+// a plain Matrix is built whole by BuildFromRows or a kernel's output.
 // Mutating calls are not goroutine-safe.
 type Matrix struct {
 	nrows, ncols int
@@ -36,9 +36,6 @@ func NewMatrix(nrows, ncols int) *Matrix {
 
 // NRows returns the number of rows.
 func (m *Matrix) NRows() int { return m.nrows }
-
-// NCols returns the number of columns.
-func (m *Matrix) NCols() int { return m.ncols }
 
 // NVals returns the number of stored entries.
 func (m *Matrix) NVals() int { return len(m.colInd) }
@@ -98,7 +95,7 @@ func (m *Matrix) resize(nrows, ncols int) {
 
 // SetElement stores x at (i, j), overwriting any existing entry. It edits the
 // CSR in place — a sorted insert that costs O(nnz) — so it is meant for small
-// fixtures; bulk construction goes through build or BuildFromRows.
+// fixtures; bulk construction goes through BuildFromRows.
 func (m *Matrix) SetElement(i, j Index, x float64) error {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
@@ -146,59 +143,6 @@ func (m *Matrix) Wait() {}
 func (m *Matrix) rowView(i Index) ([]Index, []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colInd[lo:hi], m.val[lo:hi]
-}
-
-// build populates an empty matrix from COO triples, combining duplicates
-// with dup (Second/last-wins if the zero BinaryOp).
-func (m *Matrix) build(rows, cols []Index, values []float64, dup BinaryOp) error {
-	if len(rows) != len(cols) || len(rows) != len(values) {
-		return dimErr("build: %d rows, %d cols, %d values", len(rows), len(cols), len(values))
-	}
-	if len(m.colInd) != 0 {
-		return fmt.Errorf("%w: build target not empty", ErrInvalidValue)
-	}
-	if dup.F == nil {
-		dup = Second
-	}
-	type triple struct {
-		i, j Index
-		v    float64
-	}
-	tmp := make([]triple, len(rows))
-	for k := range rows {
-		if rows[k] < 0 || rows[k] >= m.nrows || cols[k] < 0 || cols[k] >= m.ncols {
-			return boundsErr("build entry (%d,%d) dims (%d,%d)", rows[k], cols[k], m.nrows, m.ncols)
-		}
-		tmp[k] = triple{rows[k], cols[k], values[k]}
-	}
-	sort.SliceStable(tmp, func(a, b int) bool {
-		if tmp[a].i != tmp[b].i {
-			return tmp[a].i < tmp[b].i
-		}
-		return tmp[a].j < tmp[b].j
-	})
-	// Deduplicate adjacent (sorted) entries, then build row pointers.
-	di := make([]Index, 0, len(tmp))
-	ci := make([]Index, 0, len(tmp))
-	vv := make([]float64, 0, len(tmp))
-	for _, t := range tmp {
-		if n := len(ci); n > 0 && di[n-1] == t.i && ci[n-1] == t.j {
-			vv[n-1] = dup.F(vv[n-1], t.v)
-			continue
-		}
-		di = append(di, t.i)
-		ci = append(ci, t.j)
-		vv = append(vv, t.v)
-	}
-	rp := make([]int, m.nrows+1)
-	for _, i := range di {
-		rp[i+1]++
-	}
-	for i := 0; i < m.nrows; i++ {
-		rp[i+1] += rp[i]
-	}
-	m.rowPtr, m.colInd, m.val = rp, ci, vv
-	return nil
 }
 
 // BuildFromRows populates an empty matrix as a batch of one-hot rows: row r

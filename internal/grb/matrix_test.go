@@ -104,38 +104,13 @@ func TestMatrixSetElementKeepsRowsSorted(t *testing.T) {
 	})
 }
 
-func TestMatrixBuildDedup(t *testing.T) {
-	m := NewMatrix(3, 3)
-	rows := []Index{0, 1, 0, 2, 0}
-	cols := []Index{1, 1, 1, 0, 2}
-	vals := []float64{1, 5, 2, 7, 9}
-	must(t, m.build(rows, cols, vals, Plus))
-	if m.NVals() != 4 {
-		t.Fatalf("nvals = %d, want 4", m.NVals())
-	}
-	if x, _ := m.ExtractElement(0, 1); x != 3 {
-		t.Fatalf("dup combine: got %g want 3", x)
-	}
-	if x, _ := m.ExtractElement(2, 0); x != 7 {
-		t.Fatalf("got %g want 7", x)
-	}
-}
-
-func TestMatrixBuildRejectsNonEmpty(t *testing.T) {
-	m := NewMatrix(2, 2)
-	must(t, m.SetElement(0, 0, 1))
-	if err := m.build([]Index{0}, []Index{1}, []float64{1}, BinaryOp{}); err == nil {
-		t.Fatal("want error building into non-empty matrix")
-	}
-}
-
 func TestMatrixResizeGrowShrink(t *testing.T) {
 	m := NewMatrix(3, 3)
 	must(t, m.SetElement(0, 0, 1))
 	must(t, m.SetElement(2, 2, 2))
 	m.resize(5, 5)
-	if m.NRows() != 5 || m.NCols() != 5 || m.NVals() != 2 {
-		t.Fatalf("after grow: %dx%d nvals=%d", m.NRows(), m.NCols(), m.NVals())
+	if m.nrows != 5 || m.ncols != 5 || m.NVals() != 2 {
+		t.Fatalf("after grow: %dx%d nvals=%d", m.nrows, m.ncols, m.NVals())
 	}
 	must(t, m.SetElement(4, 4, 3))
 	m.resize(2, 2)

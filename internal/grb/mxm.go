@@ -42,31 +42,14 @@ func getMxMWorkspace(n int) *mxmWorkspace {
 
 func putMxMWorkspace(ws *mxmWorkspace) { mxmPool.Put(ws) }
 
-// MxM computes C<Mask> = accum(C, A·B) over the given semiring
-// (GrB_mxm). Gustavson's row-wise algorithm with a dense scatter workspace;
-// when desc.NThreads > 1 the rows are split into grained morsels on the
-// shared work-stealing pool and merged in deterministic row order.
-//
-// When Mask is given (and not complemented) the kernel prunes candidate
-// output columns against the mask inline, which is what makes masked
-// triangle counting (C<L> = L·L) run in O(output) rather than O(dense).
-func MxM(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a, b *Matrix, d *Descriptor) error {
-	if c == nil || a == nil || b == nil {
-		return ErrNilObject
-	}
-	if d.tranA() {
-		a = transposed(a)
-	}
-	if d.tranB() {
-		b = transposed(b)
-	}
-	return mxmOnRows(c, mask, accum, s, a, b, d)
-}
-
-// MxMDelta is MxM with a delta matrix as the B operand: effective rows of B
-// (main ∪ delta-plus, minus delta-minus) feed the Gustavson kernel directly,
+// MxMDelta computes C<Mask> = accum(C, A·B) over the given semiring
+// (GrB_mxm) with a delta matrix as the B operand: effective rows of B (main ∪
+// delta-plus, minus delta-minus) feed Gustavson's row-wise kernel directly,
 // so no fold of B ever happens — the read path of concurrent query
-// execution. Transposing the delta operand is not supported.
+// execution. Desc.TranA transposes A; transposing the delta operand is not
+// supported. When desc.NThreads > 1 the rows are split into grained morsels
+// on the shared work-stealing pool and merged in deterministic row order. A
+// mask prunes candidate output columns inline, row by row.
 func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b *DeltaMatrix, d *Descriptor) error {
 	if c == nil || a == nil || b == nil {
 		return ErrNilObject

@@ -5,23 +5,10 @@ import (
 	"sync"
 )
 
-// VxM computes w<mask> = accum(w, u'·A) (GrB_vxm) with the push kernel.
-// With desc.TranB the matrix is materialised transposed first, like MxM's
-// operands, so ⊗ always sees u(k) on the left.
-func VxM(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *Matrix, d *Descriptor) error {
-	if w == nil || a == nil || u == nil {
-		return ErrNilObject
-	}
-	if d.tranB() {
-		a = transposed(a)
-	}
-	return vxmInternal(w, mask, accum, s, u, a, d)
-}
-
-// VxMDelta is VxM with a delta matrix operand: frontier expansion over a
-// graph matrix with buffered writes, consulting main, delta-plus and
-// delta-minus without folding. Transposing the delta operand is not
-// supported.
+// VxMDelta computes w<mask> = accum(w, u'·A) (GrB_vxm) with the push
+// kernel over a delta matrix operand: frontier expansion over a graph matrix
+// with buffered writes, consulting main, delta-plus and delta-minus without
+// folding. Transposing the delta operand is not supported.
 func VxMDelta(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *DeltaMatrix, d *Descriptor) error {
 	if w == nil || a == nil || u == nil {
 		return ErrNilObject

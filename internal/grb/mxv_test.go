@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -32,10 +33,10 @@ func denseMxV(a *dense, u *Vector, s Semiring) map[Index]float64 {
 	return out
 }
 
-// mxv computes w<mask> = accum(w, A·u) as VxM over the transposed matrix:
-// u'·A' = (A·u)' whenever ⊗ commutes.
+// mxv computes w<mask> = accum(w, A·u) as VxMDelta over the transposed
+// matrix: u'·A' = (A·u)' whenever ⊗ commutes.
 func mxv(w, mask *Vector, accum *BinaryOp, s Semiring, a *Matrix, u *Vector, d *Descriptor) error {
-	return VxM(w, mask, accum, s, u, transposed(a), d)
+	return vxm(w, mask, accum, s, u, transposed(a), d)
 }
 
 func TestMxVAgainstReference(t *testing.T) {
@@ -51,9 +52,10 @@ func TestMxVAgainstReference(t *testing.T) {
 	}
 }
 
-// TestVxMTranB checks u'·A' with desc.TranB against a dense reference and
-// against VxM over the materialised transpose. The non-commutative semirings
-// pin the operand order: ⊗ must see u(k) on the left.
+// TestVxMTranB checks u'·A' over a materialised transpose against a dense
+// reference, and that the delta kernel rejects desc.TranB instead of
+// ignoring it. The non-commutative semirings pin the operand order: ⊗ must
+// see u(k) on the left.
 func TestVxMTranB(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -74,33 +76,10 @@ func TestVxMTranB(t *testing.T) {
 				a := randMatrix(rng, 14, 10, 0.3)
 				u := randVector(rng, 10, 0.5)
 				w := NewVector(14)
-				must(t, VxM(w, nil, nil, tc.s, u, a, DescT1))
-
-				da := toDenseM(a)
-				want := map[Index]float64{}
-				for j := 0; j < da.nr; j++ {
-					for k := 0; k < da.nc; k++ {
-						av, aok := da.at(j, k)
-						uv, uok := u.get(k)
-						if !aok || !uok {
-							continue
-						}
-						m := tc.s.Mul.F(uv, av)
-						if tc.s.Structural {
-							m = 1
-						}
-						if old, ok := want[j]; ok {
-							m = tc.s.Add.Op.F(old, m)
-						}
-						want[j] = m
-					}
-				}
-				expectVecEq(t, w, want)
-
-				viaT := NewVector(14)
-				must(t, VxM(viaT, nil, nil, tc.s, u, transposed(a), nil))
-				if !sameVector(w, viaT) {
-					t.Fatalf("trial %d: TranB %v != transposed operand %v", trial, w, viaT)
+				must(t, vxm(w, nil, nil, tc.s, u, transposed(a), nil))
+				expectVecEq(t, w, denseVxM(u, toDenseM(transposed(a)), tc.s))
+				if err := vxm(w, nil, nil, tc.s, u, a, DescT1); !errors.Is(err, ErrInvalidValue) {
+					t.Fatalf("trial %d: TranB on a delta operand: err = %v", trial, err)
 				}
 			}
 		})
@@ -113,12 +92,13 @@ func TestVxMEqualsMxVOnTranspose(t *testing.T) {
 		a := randMatrix(rng, 10, 14, 0.3)
 		u := randVector(rng, 10, 0.5)
 		w1 := NewVector(14)
-		must(t, VxM(w1, nil, nil, PlusTimes, u, a, nil))
+		must(t, vxm(w1, nil, nil, PlusTimes, u, a, nil))
+		expectVecEq(t, w1, denseVxM(u, toDenseM(a), PlusTimes))
 		// u'·A = A'·u.
 		w2 := NewVector(14)
 		must(t, mxv(w2, nil, nil, PlusTimes, transposed(a), u, nil))
 		if !sameVector(w1, w2) {
-			t.Fatalf("trial %d: %v vs %v", trial, w1, w2)
+			t.Fatalf("trial %d: VxM and MxV on the transpose differ", trial)
 		}
 	}
 }
@@ -131,29 +111,26 @@ func TestVxMComplementMaskBFS(t *testing.T) {
 	}
 	frontier := NewVector(4)
 	must(t, frontier.SetElement(0, 1))
-	visited := frontier.Dup()
+	visited := NewVector(4)
+	addPattern(t, visited, frontier)
 
 	// Hop 1: frontier<!visited> = frontier·A
-	must(t, VxM(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
+	must(t, vxm(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
 	expectVecEq(t, frontier, map[Index]float64{1: 1})
-	must(t, EWiseAddVector(visited, nil, nil, LOr, visited, frontier, nil))
+	addPattern(t, visited, frontier)
 
-	must(t, VxM(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
+	must(t, vxm(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
 	expectVecEq(t, frontier, map[Index]float64{2: 1})
-	must(t, EWiseAddVector(visited, nil, nil, LOr, visited, frontier, nil))
+	addPattern(t, visited, frontier)
 
-	must(t, VxM(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
+	must(t, vxm(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
 	expectVecEq(t, frontier, map[Index]float64{3: 1})
-	must(t, EWiseAddVector(visited, nil, nil, LOr, visited, frontier, nil))
+	addPattern(t, visited, frontier)
 
 	// Hop 4: no new nodes.
-	must(t, VxM(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
-	if frontier.NVals() != 0 {
-		t.Fatalf("frontier should be empty: %v", frontier)
-	}
-	if visited.NVals() != 4 {
-		t.Fatalf("visited %v", visited)
-	}
+	must(t, vxm(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
+	expectVecEq(t, frontier, map[Index]float64{})
+	expectVecEq(t, visited, map[Index]float64{0: 1, 1: 1, 2: 1, 3: 1})
 }
 
 func TestVxMCycleMaskPreventsRevisit(t *testing.T) {
@@ -165,11 +142,12 @@ func TestVxMCycleMaskPreventsRevisit(t *testing.T) {
 	must(t, a.SetElement(2, 0, 1))
 	frontier := NewVector(3)
 	must(t, frontier.SetElement(0, 1))
-	visited := frontier.Dup()
+	visited := NewVector(3)
+	addPattern(t, visited, frontier)
 	hops := 0
 	for frontier.NVals() > 0 && hops < 10 {
-		must(t, VxM(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
-		must(t, EWiseAddVector(visited, nil, nil, LOr, visited, frontier, nil))
+		must(t, vxm(frontier, visited, nil, AnyPair, frontier, a, DescRSC))
+		addPattern(t, visited, frontier)
 		hops++
 	}
 	if hops != 3 {
@@ -217,9 +195,18 @@ func TestMinPlusRelaxation(t *testing.T) {
 	must(t, dist.SetElement(1, inf))
 	must(t, dist.SetElement(2, inf))
 	for iter := 0; iter < 2; iter++ {
-		must(t, VxM(dist, nil, &Min, MinPlus, dist, a, nil))
+		must(t, vxm(dist, nil, &Min, MinPlus, dist, a, nil))
 	}
-	if x, _ := dist.ExtractElement(2); x != 6 {
+	if x, _ := dist.get(2); x != 6 {
 		t.Fatalf("dist[2] = %g, want 6", x)
 	}
+}
+
+// addPattern sets w(i) = 1 for every entry i of u: reached |= next.
+func addPattern(t *testing.T, w, u *Vector) {
+	t.Helper()
+	u.Iterate(func(i Index, _ float64) bool {
+		must(t, w.SetElement(i, 1))
+		return true
+	})
 }

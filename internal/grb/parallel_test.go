@@ -52,7 +52,8 @@ func TestParallelRangesCoversExactly(t *testing.T) {
 // TestKernelsParallelDifferential runs every morselised kernel at thread
 // counts {1, 2, 4, 8} over the same inputs and requires bit-identical
 // results: the ordered per-part merge must make the output independent of
-// the worker count and of steal interleavings.
+// the worker count and of steal interleavings. Each product kernel's serial
+// result must also equal the dense reference.
 func TestKernelsParallelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	threadCounts := []int{1, 2, 4, 8}
@@ -64,21 +65,24 @@ func TestKernelsParallelDifferential(t *testing.T) {
 		bd := DeltaFrom(b.Dup())
 		bt := DeltaFrom(transposed(b))
 		u := randVector(rng, n, rng.Float64())
+		df, db := toDenseM(f), toDenseM(b)
 
-		// MxM (push Gustavson, row-partitioned).
+		// MxMDelta with values (push Gustavson, row-partitioned).
 		base := NewMatrix(nrec, n)
-		must(t, MxM(base, nil, nil, PlusTimes, f, b, nil))
+		must(t, MxMDelta(base, nil, nil, PlusTimes, f, bd, nil))
+		expectDenseEq(t, base, denseMxM(df, db, PlusTimes))
 		for _, nth := range threadCounts {
 			c := NewMatrix(nrec, n)
-			must(t, MxM(c, nil, nil, PlusTimes, f, b, &Descriptor{NThreads: nth}))
+			must(t, MxMDelta(c, nil, nil, PlusTimes, f, bd, &Descriptor{NThreads: nth}))
 			if !sameMatrix(base, c) {
-				t.Fatalf("trial %d: MxM NThreads=%d diverged", trial, nth)
+				t.Fatalf("trial %d: MxMDelta PlusTimes NThreads=%d diverged", trial, nth)
 			}
 		}
 
-		// MxMDelta (the traversal push kernel over a delta operand).
+		// MxMDelta structural (the traversal push kernel).
 		baseD := NewMatrix(nrec, n)
 		must(t, MxMDelta(baseD, nil, nil, AnyPair, f, bd, nil))
+		expectDenseEq(t, baseD, denseMxM(df, db, AnyPair))
 		for _, nth := range threadCounts {
 			c := NewMatrix(nrec, n)
 			must(t, MxMDelta(c, nil, nil, AnyPair, f, bd, &Descriptor{NThreads: nth}))
@@ -90,6 +94,7 @@ func TestKernelsParallelDifferential(t *testing.T) {
 		// MxMPull (column-partitioned batched pull).
 		baseP := NewMatrix(nrec, n)
 		must(t, MxMPull(baseP, AnyPair, f, bt, nil, nil))
+		expectDenseEq(t, baseP, denseMxM(df, db, AnyPair))
 		for _, nth := range threadCounts {
 			c := NewMatrix(nrec, n)
 			must(t, MxMPull(c, AnyPair, f, bt, nil, &Descriptor{NThreads: nth}))
@@ -101,6 +106,7 @@ func TestKernelsParallelDifferential(t *testing.T) {
 		// VxMPull (candidate-partitioned vector pull).
 		baseV := NewVector(n)
 		must(t, VxMPull(baseV, nil, nil, AnyPair, u, bt, nil, nil))
+		expectVecEq(t, baseV, denseVxM(u, db, AnyPair))
 		for _, nth := range threadCounts {
 			w := NewVector(n)
 			must(t, VxMPull(w, nil, nil, AnyPair, u, bt, nil, &Descriptor{NThreads: nth}))

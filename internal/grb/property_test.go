@@ -27,16 +27,19 @@ func (cooSpec) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(s)
 }
 
+// matrix builds the spec; a repeated position keeps its last value.
 func (s cooSpec) matrix() *Matrix {
 	m := NewMatrix(s.NRows, s.NCols)
-	if err := m.build(s.Rows, s.Cols, s.Vals, Second); err != nil {
-		panic(err)
+	for k := range s.Rows {
+		if err := m.SetElement(s.Rows[k], s.Cols[k], s.Vals[k]); err != nil {
+			panic(err)
+		}
 	}
 	return m
 }
 
 func sameMatrix(a, b *Matrix) bool {
-	if a.NRows() != b.NRows() || a.NCols() != b.NCols() || a.NVals() != b.NVals() {
+	if a.nrows != b.nrows || a.ncols != b.ncols || a.NVals() != b.NVals() {
 		return false
 	}
 	ra, ca, va := tuples(a)
@@ -62,8 +65,8 @@ func TestPropTransposeInvolution(t *testing.T) {
 func TestPropIdentityIsMxMNeutral(t *testing.T) {
 	f := func(s cooSpec) bool {
 		a := s.matrix()
-		c := NewMatrix(a.NRows(), a.NCols())
-		if err := MxM(c, nil, nil, PlusTimes, identity(a.NRows()), a, nil); err != nil {
+		c := NewMatrix(a.nrows, a.ncols)
+		if err := mxm(c, nil, nil, PlusTimes, identity(a.nrows), a, nil); err != nil {
 			return false
 		}
 		return sameMatrix(c, a)
@@ -77,12 +80,12 @@ func TestPropEWiseAddCommutative(t *testing.T) {
 	f := func(s1, s2 cooSpec) bool {
 		// Reshape s2 onto s1's dims by clamping indices.
 		a := s1.matrix()
-		b := NewMatrix(a.NRows(), a.NCols())
+		b := NewMatrix(a.nrows, a.ncols)
 		for k := range s2.Rows {
-			_ = b.SetElement(s2.Rows[k]%a.NRows(), s2.Cols[k]%a.NCols(), s2.Vals[k])
+			_ = b.SetElement(s2.Rows[k]%a.nrows, s2.Cols[k]%a.ncols, s2.Vals[k])
 		}
-		c1 := NewMatrix(a.NRows(), a.NCols())
-		c2 := NewMatrix(a.NRows(), a.NCols())
+		c1 := NewMatrix(a.nrows, a.ncols)
+		c2 := NewMatrix(a.nrows, a.ncols)
 		if EWiseAddMatrix(c1, nil, nil, Plus, a, b, nil) != nil {
 			return false
 		}
@@ -105,18 +108,19 @@ func TestPropMxMAssociativeBoolean(t *testing.T) {
 			_ = a.SetElement(s.Rows[k], s.Cols[k]%n, 1)
 		}
 		aa := NewMatrix(n, n)
-		if MxM(aa, nil, nil, LorLand, a, a, nil) != nil {
+		if mxm(aa, nil, nil, LorLand, a, a, nil) != nil {
 			return false
 		}
 		left := NewMatrix(n, n)
-		if MxM(left, nil, nil, LorLand, aa, a, nil) != nil {
+		if mxm(left, nil, nil, LorLand, aa, a, nil) != nil {
 			return false
 		}
 		right := NewMatrix(n, n)
-		if MxM(right, nil, nil, LorLand, a, aa, nil) != nil {
+		if mxm(right, nil, nil, LorLand, a, aa, nil) != nil {
 			return false
 		}
-		return sameMatrix(left, right)
+		da := toDenseM(a)
+		return sameMatrix(left, right) && sameDense(left, denseMxM(denseMxM(da, da, LorLand), da, LorLand))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -124,47 +128,60 @@ func TestPropMxMAssociativeBoolean(t *testing.T) {
 }
 
 func TestPropMaskPartition(t *testing.T) {
-	// Masked result ∪ complement-masked result == unmasked result.
+	// Masked result ∪ complement-masked result == unmasked result ==
+	// the dense reference, with disjoint patterns.
 	f := func(s, ms cooSpec) bool {
 		a := s.matrix()
-		mask := NewMatrix(a.NRows(), a.NCols())
-		for k := range ms.Rows {
-			_ = mask.SetElement(ms.Rows[k]%a.NRows(), ms.Cols[k]%a.NCols(), 1)
-		}
-		u := NewVector(a.NCols())
-		for j := 0; j < a.NCols(); j += 2 {
+		u := NewVector(a.ncols)
+		for j := 0; j < a.ncols; j += 2 {
 			_ = u.SetElement(j, 1)
 		}
-		full := NewVector(a.NRows())
+		full := NewVector(a.nrows)
 		if mxv(full, nil, nil, PlusTimes, a, u, nil) != nil {
 			return false
 		}
-		vmask := NewVector(a.NRows())
-		for i := 0; i < a.NRows(); i += 3 {
-			_ = vmask.SetElement(i, 1)
+		vmask := NewVector(a.nrows)
+		for k := range ms.Rows {
+			_ = vmask.SetElement(ms.Rows[k]%a.nrows, 1)
 		}
-		inMask := NewVector(a.NRows())
+		inMask := NewVector(a.nrows)
 		if mxv(inMask, vmask, nil, PlusTimes, a, u, DescS) != nil {
 			return false
 		}
 		// Stale entries everywhere: Replace must clear the ones the
 		// complemented mask protects.
-		outMask := DenseVector(a.NRows(), 42)
+		outMask := NewVector(a.nrows)
+		for i := 0; i < a.nrows; i++ {
+			_ = outMask.SetElement(i, 42)
+		}
 		if mxv(outMask, vmask, nil, PlusTimes, a, u, DescRSC) != nil {
 			return false
 		}
-		union := NewVector(a.NRows())
-		if EWiseAddVector(union, nil, nil, Plus, inMask, outMask, nil) != nil {
-			return false
-		}
-		// Union must equal full (patterns are disjoint, so Plus is safe).
+		want := denseMxV(toDenseM(a), u, PlusTimes)
 		fi, fv := full.extractTuples()
-		ui, uv := union.extractTuples()
-		if len(fi) != len(ui) {
+		if len(fi) != len(want) {
 			return false
 		}
-		for k := range fi {
-			if fi[k] != ui[k] || fv[k] != uv[k] {
+		for k, i := range fi {
+			if fv[k] != want[i] {
+				return false
+			}
+		}
+		union := map[Index]float64{}
+		for _, part := range []*Vector{inMask, outMask} {
+			ind, val := part.extractTuples()
+			for k, i := range ind {
+				if _, dup := union[i]; dup {
+					return false
+				}
+				union[i] = val[k]
+			}
+		}
+		if len(union) != len(want) {
+			return false
+		}
+		for i, x := range want {
+			if union[i] != x {
 				return false
 			}
 		}
@@ -178,46 +195,45 @@ func TestPropMaskPartition(t *testing.T) {
 func TestPropVxMMatchesMxVTranspose(t *testing.T) {
 	f := func(s cooSpec) bool {
 		a := s.matrix()
-		u := NewVector(a.NRows())
-		for i := 0; i < a.NRows(); i += 2 {
+		u := NewVector(a.nrows)
+		for i := 0; i < a.nrows; i += 2 {
 			_ = u.SetElement(i, float64(i+1))
 		}
-		w1 := NewVector(a.NCols())
-		if VxM(w1, nil, nil, PlusTimes, u, a, nil) != nil {
+		w1 := NewVector(a.ncols)
+		if vxm(w1, nil, nil, PlusTimes, u, a, nil) != nil {
 			return false
 		}
-		w2 := NewVector(a.NCols())
+		w2 := NewVector(a.ncols)
 		if mxv(w2, nil, nil, PlusTimes, transposed(a), u, nil) != nil {
 			return false
 		}
+		want := denseVxM(u, toDenseM(a), PlusTimes)
 		i1, v1 := w1.extractTuples()
-		i2, v2 := w2.extractTuples()
-		if len(i1) != len(i2) {
+		if len(i1) != len(want) {
 			return false
 		}
-		for k := range i1 {
-			if i1[k] != i2[k] || v1[k] != v2[k] {
+		for k, i := range i1 {
+			if v1[k] != want[i] {
 				return false
 			}
 		}
-		return true
+		return sameVector(w1, w2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPropReduceMatchesTupleSum(t *testing.T) {
-	f := func(s cooSpec) bool {
-		a := s.matrix()
-		_, _, vals := tuples(a)
-		sum := 0.0
-		for _, v := range vals {
-			sum += v
+// sameDense reports whether m holds exactly d's entries.
+func sameDense(m *Matrix, d *dense) bool {
+	md := toDenseM(m)
+	if md.nr != d.nr || md.nc != d.nc {
+		return false
+	}
+	for k := range d.ok {
+		if md.ok[k] != d.ok[k] || (d.ok[k] && md.v[k] != d.v[k]) {
+			return false
 		}
-		return ReduceMatrixToScalar(PlusMonoid, a) == sum
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	return true
 }

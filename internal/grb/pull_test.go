@@ -74,7 +74,7 @@ func TestPullVxMNonStructural(t *testing.T) {
 			u := randVector(rng, n, rng.Float64())
 
 			push := NewVector(n)
-			if err := VxM(push, nil, nil, s, u, b, nil); err != nil {
+			if err := vxm(push, nil, nil, s, u, b, nil); err != nil {
 				t.Fatal(err)
 			}
 			pull := NewVector(n)
@@ -159,7 +159,7 @@ func TestMxMPullRejectsNonStructural(t *testing.T) {
 }
 
 func sameVector(a, b *Vector) bool {
-	if a.Size() != b.Size() || a.NVals() != b.NVals() {
+	if a.n != b.n || a.NVals() != b.NVals() {
 		return false
 	}
 	ia, va := a.extractTuples()

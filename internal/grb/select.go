@@ -3,7 +3,7 @@ package grb
 // This file holds the select / mask-apply kernels behind the engine's
 // predicate pushdown: residual label predicates and index-backed property
 // equalities are compiled into column masks and applied to result frontiers
-// right after the MxM evaluation, instead of being
+// right after the MxMDelta evaluation, instead of being
 // re-checked per record above the traversal.
 
 // ColMask is a column predicate: keep(j) reports whether column j survives a

@@ -27,7 +27,7 @@ func TestSelectColsMatrix(t *testing.T) {
 	}
 	// Rejecting everything empties the matrix but keeps its shape.
 	SelectCols(m, func(Index) bool { return false }, nil)
-	if m.NVals() != 0 || m.NRows() != 3 || m.NCols() != 5 {
+	if m.NVals() != 0 || m.nrows != 3 || m.ncols != 5 {
 		t.Fatalf("empty select: %s", m)
 	}
 }

@@ -1,7 +1,5 @@
 package grb
 
-import "math"
-
 // Monoid is an associative, commutative binary operator with an identity.
 // Terminal, when non-nil, is an absorbing value enabling early exit (e.g. 1
 // for logical OR): once a reduction reaches the terminal it cannot change.
@@ -13,16 +11,8 @@ type Monoid struct {
 
 func term(v float64) *float64 { return &v }
 
-// Built-in monoids.
-var (
-	PlusMonoid  = Monoid{Op: Plus, Identity: 0}
-	TimesMonoid = Monoid{Op: Times, Identity: 1, Terminal: term(0)}
-	MinMonoid   = Monoid{Op: Min, Identity: math.Inf(1), Terminal: term(math.Inf(-1))}
-	MaxMonoid   = Monoid{Op: Max, Identity: math.Inf(-1), Terminal: term(math.Inf(1))}
-	LOrMonoid   = Monoid{Op: LOr, Identity: 0, Terminal: term(1)}
-	LAndMonoid  = Monoid{Op: LAnd, Identity: 1, Terminal: term(0)}
-	LXorMonoid  = Monoid{Op: LXor, Identity: 0}
-)
+// LOrMonoid is logical OR, AnyPair's additive monoid.
+var LOrMonoid = Monoid{Op: LOr, Identity: 0, Terminal: term(1)}
 
 // Semiring pairs an additive monoid with a multiplicative operator.
 // Structural marks semirings whose multiply ignores entry values (PAIR-based
@@ -36,26 +26,5 @@ type Semiring struct {
 	Structural bool
 }
 
-// Built-in semirings used by the graph engine and algorithms.
-var (
-	// PlusTimes is conventional linear algebra (PageRank, degree counting).
-	PlusTimes = Semiring{Name: "plus_times", Add: PlusMonoid, Mul: Times}
-	// LorLand is boolean reachability.
-	LorLand = Semiring{Name: "lor_land", Add: LOrMonoid, Mul: LAnd, Structural: true}
-	// AnyPair is the fastest traversal semiring: any witness suffices.
-	AnyPair = Semiring{Name: "any_pair", Add: LOrMonoid, Mul: Pair, Structural: true}
-	// PlusPair counts set intersections (triangle counting).
-	PlusPair = Semiring{Name: "plus_pair", Add: PlusMonoid, Mul: Pair}
-	// MinPlus is tropical shortest-path algebra.
-	MinPlus = Semiring{Name: "min_plus", Add: MinMonoid, Mul: Plus}
-	// MaxPlus is the dual tropical algebra (longest path on DAGs).
-	MaxPlus = Semiring{Name: "max_plus", Add: MaxMonoid, Mul: Plus}
-	// MinFirst propagates the smallest source value (connected components).
-	MinFirst = Semiring{Name: "min_first", Add: MinMonoid, Mul: First}
-	// MinSecond propagates the smallest destination value.
-	MinSecond = Semiring{Name: "min_second", Add: MinMonoid, Mul: Second}
-	// PlusFirst sums source values along edges (push-style PageRank).
-	PlusFirst = Semiring{Name: "plus_first", Add: PlusMonoid, Mul: First}
-	// PlusSecond sums destination values along edges.
-	PlusSecond = Semiring{Name: "plus_second", Add: PlusMonoid, Mul: Second}
-)
+// AnyPair is the traversal semiring the engine runs: any witness suffices.
+var AnyPair = Semiring{Name: "any_pair", Add: LOrMonoid, Mul: Pair, Structural: true}

@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Vector is a sparse GraphBLAS vector of float64 values.
 //
@@ -45,28 +41,12 @@ func NewVector(n int) *Vector {
 	return &Vector{n: n}
 }
 
-// Size returns the vector's dimension.
-func (v *Vector) Size() int { return v.n }
-
 // NVals returns the number of stored entries.
 func (v *Vector) NVals() int {
 	if v.dense {
 		return v.nnz
 	}
 	return len(v.ind)
-}
-
-// Dup returns a deep copy.
-func (v *Vector) Dup() *Vector {
-	w := &Vector{n: v.n, dense: v.dense, nnz: v.nnz}
-	if v.dense {
-		w.dval = append([]float64(nil), v.dval...)
-		w.dbits = append(bitset(nil), v.dbits...)
-	} else {
-		w.ind = append([]Index(nil), v.ind...)
-		w.val = append([]float64(nil), v.val...)
-	}
-	return w
 }
 
 // SetElement stores value x at index i, overwriting any existing entry.
@@ -94,45 +74,6 @@ func (v *Vector) SetElement(i Index, x float64) error {
 	v.ind[k] = i
 	v.val[k] = x
 	v.maybeDensify()
-	return nil
-}
-
-// ExtractElement returns the entry at index i, or ErrNoValue if absent.
-func (v *Vector) ExtractElement(i Index) (float64, error) {
-	if i < 0 || i >= v.n {
-		return 0, boundsErr("vector index %d size %d", i, v.n)
-	}
-	if v.dense {
-		if v.dbits.get(i) {
-			return v.dval[i], nil
-		}
-		return 0, ErrNoValue
-	}
-	k := sort.Search(len(v.ind), func(k int) bool { return v.ind[k] >= i })
-	if k < len(v.ind) && v.ind[k] == i {
-		return v.val[k], nil
-	}
-	return 0, ErrNoValue
-}
-
-// removeElement deletes the entry at index i if present.
-func (v *Vector) removeElement(i Index) error {
-	if i < 0 || i >= v.n {
-		return boundsErr("vector index %d size %d", i, v.n)
-	}
-	if v.dense {
-		if v.dbits.get(i) {
-			v.dbits.unset(i)
-			v.dval[i] = 0
-			v.nnz--
-		}
-		return nil
-	}
-	k := sort.Search(len(v.ind), func(k int) bool { return v.ind[k] >= i })
-	if k < len(v.ind) && v.ind[k] == i {
-		v.ind = append(v.ind[:k], v.ind[k+1:]...)
-		v.val = append(v.val[:k], v.val[k+1:]...)
-	}
 	return nil
 }
 
@@ -214,21 +155,4 @@ func (v *Vector) toDense() {
 	v.nnz = len(v.ind)
 	v.ind, v.val = nil, nil
 	v.dense = true
-}
-
-// String renders small vectors for debugging and tests.
-func (v *Vector) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Vector(n=%d, nvals=%d){", v.n, v.NVals())
-	first := true
-	v.Iterate(func(i Index, x float64) bool {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%d:%g", i, x)
-		return true
-	})
-	b.WriteString("}")
-	return b.String()
 }
