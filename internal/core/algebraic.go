@@ -137,6 +137,24 @@ const (
 	expandProbeCost = 4.0
 )
 
+// The var-length chooser's constants price a grb.BFS pull hop in push-hop
+// scatters: per in-edge of an unreached vertex (m_u) and per unreached
+// candidate. They come from BenchmarkBFSHop (internal/grb) on the clean RMAT
+// scale-13 operand, Xeon, 2 vCPUs: a push hop costs 1.2–1.8 ns per m_f entry,
+// and a first-hop pull, which scans every candidate's whole in-row, ≈1.4 ns
+// per m_u entry plus 3–5 ns per candidate. Later pulls stop at the first
+// frontier member they meet, so the candidate charge sits below that scan
+// cost. Over every hop of 64 searches per graph (BenchmarkBFSHop's hop
+// states, each hop timed both ways), the hops these two pick sum to within
+// 3 % of always taking the cheaper direction at scales 13–14 (clean or
+// dirty), 6–8 % at scale 12 and 2–19 % at scale 10, where the gap is under
+// 1 µs a search. The earlier rule, pull when m_f exceeds 1.2 × candidates,
+// took 10–77 % more on the same kernels.
+const (
+	bfsPullEdgeCost      = 1.1
+	bfsPullCandidateCost = 1.4
+)
+
 // pullEligible applies the checks shared by both choosers: forced modes,
 // operands without a transpose, and label diagonals (a filter either way).
 // decided reports whether the mode alone settles the direction.
@@ -214,22 +232,21 @@ type bfsFrontier interface {
 	FrontierDegree(budget float64) float64
 }
 
-// choosePullHop is the chooser for one var-length BFS hop, over the
-// operand's push matrix, with the unreached vertices as pull candidates.
-// Unlike the batched chooser it can afford the exact push cost — the sum of
-// the frontier entries' out-degrees (direction-optimizing BFS's m_f, an
-// O(frontier) pass of row-pointer arithmetic) — which matters because a BFS
+// choosePullHop is the chooser for one var-length BFS hop: direction-
+// optimizing BFS's m_f against m_u. Push pays for the frontier's out-edges,
+// the sum of its out-degrees (m_f, an O(frontier) pass of row-pointer
+// arithmetic). Pull pays at most for the unreached vertices' in-edges (m_u,
+// which grb.BFS keeps exact as vertices are reached) and a fixed cost per
+// unreached candidate. Both sides count edges, not vertices, because a BFS
 // frontier's mean degree drifts far from the global mean: mid-BFS frontiers
-// hold the graph's high-degree core, so a frontier well below the bitmap fill
-// ratio can still carry half the graph's edges — and that edge weight, not
-// the entry count, is what push pays for. The degree sum early-exits once it
+// hold the graph's high-degree core. The degree sum early-exits once it
 // clears the pull budget, so the chooser's overhead stays bounded by the
 // cheaper kernel's cost.
-func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached int) bool {
+func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached, unreachedIn int) bool {
 	if _, pull, decided := ctx.pullEligible(op); decided {
 		return pull
 	}
-	budget := pullCostEst(op, unreached)
+	budget := bfsPullEdgeCost*float64(unreachedIn) + bfsPullCandidateCost*float64(unreached)
 	return f.FrontierDegree(budget) > budget
 }
 

@@ -180,17 +180,30 @@ func TestChoosePullHeuristic(t *testing.T) {
 
 	// The BFS-hop chooser uses the frontier's exact out-degree sum: the same
 	// nnz count pulls when it sits on the operand's heavy rows and pushes
-	// when it sits on empty ones.
+	// when it sits on empty ones. Half the vertices and a quarter of the
+	// operand's in-edges are left unreached.
 	var heavy, empty []grb.Index
 	for i := 0; i < dim/4; i++ {
 		heavy = append(heavy, i*2)   // even rows carry 64 entries each
 		empty = append(empty, i*2+1) // odd rows are structurally empty
 	}
-	if pull := ctx.choosePullHop(&op, rowsFrontier{b, heavy}, dim); !pull {
+	unreachedIn := b.NVals() / 4
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, heavy}, dim/2, unreachedIn); !pull {
 		t.Fatal("a frontier over heavy rows must pull")
 	}
-	if pull := ctx.choosePullHop(&op, rowsFrontier{b, empty}, dim); pull {
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, empty}, dim/2, unreachedIn); pull {
 		t.Fatal("a frontier over empty rows must push regardless of nnz")
+	}
+	// Two hop states of real searches over the RMAT graphs BenchmarkBFSHop
+	// builds (m_f, unreached, m_u). Scale 13, hop 3: m_f ≈ m_u, and the push
+	// hop (59 µs) beats the pull hop (72 µs), which scans most of m_u.
+	if pull := ctx.choosePullHop(&op, frontierDegree(52062), 7645, 57345); pull {
+		t.Fatal("scale-13 hop 3 (m_f ≈ m_u) must push")
+	}
+	// Scale 14, hop 4: m_u ≪ m_f, and the pull hop (47 µs) beats the push
+	// hop (238 µs), which scatters edges into vertices already reached.
+	if pull := ctx.choosePullHop(&op, frontierDegree(163446), 8343, 5588); !pull {
+		t.Fatal("scale-14 hop 4 (m_u ≪ m_f) must pull")
 	}
 
 	ctx.kernel = kernelPush
@@ -228,6 +241,11 @@ func (f rowsFrontier) FrontierDegree(budget float64) float64 {
 	}
 	return sum
 }
+
+// frontierDegree is a BFS frontier given by its out-degree sum alone.
+type frontierDegree float64
+
+func (f frontierDegree) FrontierDegree(float64) float64 { return float64(f) }
 
 // TestKernelStatsDescribe pins the PROFILE annotation formats.
 func TestKernelStatsDescribe(t *testing.T) {

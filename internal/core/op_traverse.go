@@ -674,17 +674,15 @@ func (o *varLenTraverseOp) search(ctx *execCtx, src uint64, emit func(j grb.Inde
 		// No such relation type (yet): the search reaches the source alone.
 		return visit(0, []grb.Index{grb.Index(src)})
 	}
-	var at grb.RowSource
+	var at *grb.DeltaMatrix
 	if ctx.kernel != kernelPush {
-		if bt := ctx.resolveOperandT(&o.rel); bt != nil {
-			at = bt
-		}
+		at = ctx.resolveOperandT(&o.rel)
 	}
 	step := func(h *grb.BFSHop) (bool, error) {
 		if ctx.expired() {
 			return false, fmt.Errorf("query timed out during variable-length traversal")
 		}
-		pull := at != nil && ctx.choosePullHop(&o.rel, h, h.Unreached)
+		pull := at != nil && ctx.choosePullHop(&o.rel, h, h.Unreached, h.UnreachedIn)
 		o.ks.note(pull)
 		return pull, nil
 	}

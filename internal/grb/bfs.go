@@ -10,29 +10,37 @@ import (
 // next level are word-packed bitsets from a pool, so a search allocates
 // nothing per hop and nothing per reached vertex — the GraphBLAS frontier
 // reduction without a vector per hop.
+//
+// Both hop kernels check once per hop whether their operand has anything
+// pending. A clean operand's rows are read straight from its main CSR; a
+// dirty one's through srcRow, which merges the delta-plus and delta-minus
+// rows in.
 
-// RowSource is the exported name of the kernels' stored-matrix operand: a
-// *Matrix or a *DeltaMatrix, the latter read fold-free with its pending
-// delta-plus and delta-minus rows. Its methods are unexported, so no other
-// type implements it.
-type RowSource interface{ rowSource }
-
-// BFSHop is what a BFS step callback sees before each hop.
+// BFSHop is what a BFS step callback sees before each hop: the two sides of
+// direction-optimizing BFS's choice.
 type BFSHop struct {
-	Unreached int // vertices not reached yet: the pull kernel's candidates
+	// Unreached counts the vertices not reached yet that a pull hop would
+	// probe. With a transpose these stop at the last vertex that may have
+	// an in-edge, so the dimension's padding past the highest node ID is
+	// not counted.
+	Unreached int
+	// UnreachedIn counts the unreached vertices' in-edges (their transpose
+	// rows' entries, direction-optimizing BFS's m_u): the most a pull hop
+	// scans. It is zero when BFS has no transpose.
+	UnreachedIn int
 
 	ws *bfsWorkspace
-	a  rowSource
+	a  *DeltaMatrix
 }
 
 // FrontierDegree returns the summed out-degree of the frontier in the push
 // operand — what a push hop scatters, direction-optimizing BFS's m_f — and
 // stops summing once the total exceeds budget.
 func (h *BFSHop) FrontierDegree(budget float64) float64 {
+	clean := h.a.Pending() == 0
 	sum := 0.0
 	h.ws.frontier.iterate(func(k Index) bool {
-		ac, _ := h.a.srcRow(k, &h.ws.row)
-		sum += float64(len(ac))
+		sum += float64(h.a.rowLen(k, clean))
 		return sum <= budget
 	})
 	return sum
@@ -89,19 +97,17 @@ func clearedBitset(b bitset, words int) bitset {
 // returned by BFS.
 //
 // The search runs on the calling goroutine.
-func BFS(a, at RowSource, src Index, maxHops int,
+func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 	step func(h *BFSHop) (pull bool, err error), visit func(hop int, level []Index) error) error {
 	if a == nil {
 		return ErrNilObject
 	}
-	n, nc := a.srcDims()
-	if n != nc {
-		return dimErr("bfs: operand is %dx%d, want a square matrix", n, nc)
+	n := a.nrows
+	if a.ncols != n {
+		return dimErr("bfs: operand is %dx%d, want a square matrix", n, a.ncols)
 	}
-	if at != nil {
-		if r, c := at.srcDims(); r != n || c != n {
-			return dimErr("bfs: transpose is %dx%d, want %dx%d", r, c, n, n)
-		}
+	if at != nil && (at.nrows != n || at.ncols != n) {
+		return dimErr("bfs: transpose is %dx%d, want %dx%d", at.nrows, at.ncols, n, n)
 	}
 	if src < 0 || src >= n {
 		return boundsErr("bfs: source %d, dimension %d", src, n)
@@ -115,18 +121,29 @@ func BFS(a, at RowSource, src Index, maxHops int,
 	if err := visit(0, ws.level); err != nil {
 		return err
 	}
-	nf, unreached := 1, n-1
+	// Vertices from span on have no in-edge: no hop reaches them, and a pull
+	// hop does not probe them.
+	span, unreachedIn, atClean := n, 0, false
+	if at != nil {
+		atClean = at.Pending() == 0
+		span = at.rowSpan()
+		unreachedIn = at.NVals() - at.rowLen(src, atClean)
+	}
+	nf, unreached := 1, span
+	if src < span {
+		unreached--
+	}
 	for hop := 1; maxHops < 0 || hop <= maxHops; hop++ {
 		pull := false
 		if step != nil {
-			ws.hop = BFSHop{Unreached: unreached, ws: ws, a: a}
+			ws.hop = BFSHop{Unreached: unreached, UnreachedIn: unreachedIn, ws: ws, a: a}
 			var err error
 			if pull, err = step(&ws.hop); err != nil {
 				return err
 			}
 		}
 		if pull && at != nil {
-			nf = ws.pullHop(at, n)
+			nf = ws.pullHop(at, span)
 		} else {
 			nf = ws.pushHop(a)
 		}
@@ -135,6 +152,11 @@ func BFS(a, at RowSource, src Index, maxHops int,
 		}
 		unreached -= nf
 		ws.level = ws.next.appendSet(ws.level[:0])
+		if at != nil {
+			for _, j := range ws.level {
+				unreachedIn -= at.rowLen(j, atClean)
+			}
+		}
 		if err := visit(hop, ws.level); err != nil {
 			return err
 		}
@@ -144,41 +166,63 @@ func BFS(a, at RowSource, src Index, maxHops int,
 	return nil
 }
 
-// pushHop scatters the frontier's out-rows into next, marking each newly
-// reached vertex, and returns the level size.
-func (ws *bfsWorkspace) pushHop(a rowSource) int {
-	nf := 0
-	reached, next := ws.reached, ws.next
-	ws.frontier.iterate(func(k Index) bool {
-		ac, _ := a.srcRow(k, &ws.row)
-		for _, j := range ac {
-			if !reached.get(j) {
-				reached.set(j)
+// pushHop ORs the frontier's out-rows into next without testing a bit, then,
+// a word at a time, drops the reached vertices from next and adds the rest
+// to reached. It returns the level size.
+func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
+	clean := a.Pending() == 0
+	rp, ci := a.main.rowPtr, a.main.colInd
+	next := ws.next
+	for wi, w := range ws.frontier {
+		for ; w != 0; w &= w - 1 {
+			k := wi<<6 + bits.TrailingZeros64(w)
+			var row []Index
+			if clean {
+				row = ci[rp[k]:rp[k+1]]
+			} else {
+				row, _ = a.srcRow(k, &ws.row)
+			}
+			for _, j := range row {
 				next.set(j)
-				nf++
 			}
 		}
-		return true
-	})
+	}
+	nf := 0
+	for wi, w := range next {
+		w &^= ws.reached[wi]
+		next[wi] = w
+		ws.reached[wi] |= w
+		nf += bits.OnesCount64(w)
+	}
 	return nf
 }
 
-// pullHop finds every unreached vertex with an in-neighbour in the frontier,
-// a bitset word of candidates at a time, and returns the level size.
-func (ws *bfsWorkspace) pullHop(at rowSource, n int) int {
+// pullHop finds every unreached vertex below span with an in-neighbour in
+// the frontier, a bitset word of candidates at a time, and returns the level
+// size.
+func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
+	clean := at.Pending() == 0
+	rp, ci := at.main.rowPtr, at.main.colInd
+	frontier := ws.frontier
 	nf := 0
-	for wi := range ws.reached {
+	words := (span + 63) / 64
+	for wi := 0; wi < words; wi++ {
 		cand := ^ws.reached[wi]
-		if tail := uint(n) & 63; tail != 0 && wi == len(ws.reached)-1 {
+		if tail := uint(span) & 63; tail != 0 && wi == words-1 {
 			cand &= 1<<tail - 1
 		}
 		var hit uint64
-		for cand != 0 {
+		for ; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
-			cand &= cand - 1
-			ac, _ := at.srcRow(wi<<6+b, &ws.row)
-			for _, k := range ac {
-				if ws.frontier.get(k) {
+			j := wi<<6 + b
+			var row []Index
+			if clean {
+				row = ci[rp[j]:rp[j+1]]
+			} else {
+				row, _ = at.srcRow(j, &ws.row)
+			}
+			for _, k := range row {
+				if frontier.get(k) {
 					hit |= 1 << uint(b)
 					break
 				}

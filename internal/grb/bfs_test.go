@@ -10,18 +10,23 @@ import (
 // randomDeltaPair builds a random n-vertex digraph as a delta matrix and its
 // transpose, both carrying pending delta-plus rows (edges inserted after the
 // last fold) and delta-minus rows (folded edges removed since), plus the
-// effective adjacency as a dense reference.
+// effective adjacency as a dense reference. A third of the graphs use only a
+// prefix of the vertices, as the graph layer's padded dimension does.
 func randomDeltaPair(r *rand.Rand, n int) (a, at *DeltaMatrix, ref *dense) {
-	m := r.Intn(4*n + 1)
+	used := n
+	if r.Intn(3) == 0 {
+		used = r.Intn(n) + 1
+	}
+	m := r.Intn(4*used + 1)
 	src, dst := make([]Index, m), make([]Index, m)
 	ref = newDense(n, n)
 	for k := range src {
-		src[k], dst[k] = r.Intn(n), r.Intn(n)
+		src[k], dst[k] = r.Intn(used), r.Intn(used)
 		ref.set(src[k], dst[k], 1)
 	}
 	a, at = DeltaFrom(boolMatrix(n, n, src, dst)), DeltaFrom(boolMatrix(n, n, dst, src))
-	for k := 0; k < n; k++ { // pending inserts
-		i, j := r.Intn(n), r.Intn(n)
+	for k := 0; k < used; k++ { // pending inserts
+		i, j := r.Intn(used), r.Intn(used)
 		_ = a.SetElement(i, j, 1)
 		_ = at.SetElement(j, i, 1)
 		ref.set(i, j, 1)
@@ -93,17 +98,25 @@ func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
 	return levels
 }
 
-// bfsLevels runs BFS with the given direction policy, copying every level.
-func bfsLevels(a, at *DeltaMatrix, src Index, maxHops int, mode string) ([][]Index, error) {
+// hopCounts is what one step call saw: BFSHop's exported counts.
+type hopCounts struct{ unreached, unreachedIn int }
+
+// bfsLevels runs BFS with the given direction policy, copying every level
+// and the counts each step call saw. The auto policy is the var-length
+// chooser's formula (choosePullHop in internal/core): pull when the
+// frontier's out-degree sum exceeds 1.1 × UnreachedIn + 1.4 × Unreached.
+func bfsLevels(a, at *DeltaMatrix, src Index, maxHops int, mode string) ([][]Index, []hopCounts, error) {
 	var levels [][]Index
+	var hops []hopCounts
 	step := func(h *BFSHop) (bool, error) {
+		hops = append(hops, hopCounts{h.Unreached, h.UnreachedIn})
 		switch mode {
 		case "push":
 			return false, nil
 		case "pull":
 			return true, nil
 		}
-		budget := 1.2 * float64(h.Unreached)
+		budget := 1.1*float64(h.UnreachedIn) + 1.4*float64(h.Unreached)
 		return h.FrontierDegree(budget) > budget, nil
 	}
 	err := BFS(a, at, src, maxHops, step, func(hop int, level []Index) error {
@@ -113,43 +126,116 @@ func bfsLevels(a, at *DeltaMatrix, src Index, maxHops int, mode string) ([][]Ind
 		levels = append(levels, append([]Index(nil), level...))
 		return nil
 	})
-	return levels, err
+	return levels, hops, err
+}
+
+// inDegrees returns every vertex's in-degree in the dense reference and one
+// past the last vertex with an in-edge.
+func inDegrees(ref *dense) (deg []int, span int) {
+	deg = make([]int, ref.nc)
+	for i := 0; i < ref.nr; i++ {
+		for j := 0; j < ref.nc; j++ {
+			if _, ok := ref.at(i, j); ok {
+				deg[j]++
+				span = max(span, j+1)
+			}
+		}
+	}
+	return deg, span
+}
+
+// bruteHopCounts returns, for the step before each hop of a search that
+// produced levels, the unreached vertices below span and the sum of every
+// unreached vertex's in-degree in the dense reference.
+func bruteHopCounts(ref *dense, levels [][]Index, steps, span int) []hopCounts {
+	inDeg, _ := inDegrees(ref)
+	reached := make([]bool, ref.nr)
+	var out []hopCounts
+	for s := 0; s < steps; s++ {
+		for _, j := range levels[s] {
+			reached[j] = true
+		}
+		var c hopCounts
+		for j, r := range reached {
+			if !r {
+				c.unreachedIn += inDeg[j]
+				if j < span {
+					c.unreached++
+				}
+			}
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // TestBFSMatchesVxMLoop checks BFS and the masked-VxM loop against the dense
 // reference BFS level by level, in ascending order, BFS under forced push,
-// forced pull and a cost-based choice, on random delta matrices with pending
-// rows.
+// forced pull and a cost-based choice, on random delta matrices twice: with
+// pending rows (the merged-row reads) and after Sync (the clean-CSR reads).
+// Every step call's Unreached and UnreachedIn must match a brute-force count
+// over the reference. Unreached stops at the transpose's row span, which
+// after Sync is one past the last vertex with an in-edge and before it may
+// only lie further out.
 func TestBFSMatchesVxMLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
+	dirty, padded := 0, 0
 	for iter := 0; iter < 300; iter++ {
 		n := r.Intn(150) + 1
 		a, at, ref := randomDeltaPair(r, n)
 		src := r.Intn(n)
 		maxHops := r.Intn(6) - 1
 		want := denseLevels(ref, src, maxHops)
-		if got := vxmLevels(a, src, maxHops); !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d src=%d maxHops=%d VxM loop:\n got %v\nwant %v", n, src, maxHops, got, want)
+		if a.Pending() > 0 && at.Pending() > 0 {
+			dirty++
 		}
-		for _, mode := range []string{"push", "pull", "auto"} {
-			got, err := bfsLevels(a, at, src, maxHops, mode)
-			if err != nil {
-				t.Fatal(err)
+		for _, state := range []string{"pending", "synced"} {
+			if state == "synced" {
+				a.ForceSync()
+				at.ForceSync()
+				if a.Pending()+at.Pending() != 0 {
+					t.Fatal("ForceSync left updates pending")
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d src=%d maxHops=%d mode=%s:\n got %v\nwant %v", n, src, maxHops, mode, got, want)
+			span := at.rowSpan()
+			_, last := inDegrees(ref)
+			if span < last || (state == "synced" && span != last) {
+				t.Fatalf("n=%d %s: transpose row span %d, last vertex with an in-edge %d", n, state, span, last-1)
+			}
+			if state == "synced" && span < n {
+				padded++
+			}
+			if got := vxmLevels(a, src, maxHops); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d src=%d maxHops=%d %s VxM loop:\n got %v\nwant %v", n, src, maxHops, state, got, want)
+			}
+			for _, mode := range []string{"push", "pull", "auto"} {
+				got, hops, err := bfsLevels(a, at, src, maxHops, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d src=%d maxHops=%d %s mode=%s:\n got %v\nwant %v", n, src, maxHops, state, mode, got, want)
+				}
+				if wantHops := bruteHopCounts(ref, want, len(hops), span); !reflect.DeepEqual(hops, wantHops) {
+					t.Fatalf("n=%d src=%d maxHops=%d %s mode=%s: step counts\n got %v\nwant %v", n, src, maxHops, state, mode, hops, wantHops)
+				}
 			}
 		}
 	}
+	if dirty < 200 || padded < 60 {
+		t.Fatalf("of 300 cases, %d had pending rows in both operands and %d vertices without an in-edge past the last with one", dirty, padded)
+	}
 }
 
-// TestBFSPlainMatrixAndStop covers a plain matrix operand, the nil step (push
-// only), stopping from step and from visit, and the argument checks.
+// TestBFSPlainMatrixAndStop covers a plain matrix wrapped by DeltaFrom, the
+// nil step (push only), stopping from step and from visit, and the argument
+// checks.
 func TestBFSPlainMatrixAndStop(t *testing.T) {
-	m := NewMatrix(4, 4)
-	_ = m.SetElement(0, 1, 1)
-	_ = m.SetElement(1, 2, 1)
-	_ = m.SetElement(2, 0, 1)
+	pm := NewMatrix(4, 4)
+	_ = pm.SetElement(0, 1, 1)
+	_ = pm.SetElement(1, 2, 1)
+	_ = pm.SetElement(2, 0, 1)
+	m := DeltaFrom(pm)
 	var got [][]Index
 	err := BFS(m, nil, 0, -1, nil, func(hop int, level []Index) error {
 		got = append(got, append([]Index(nil), level...))
@@ -184,10 +270,10 @@ func TestBFSPlainMatrixAndStop(t *testing.T) {
 	if err := BFS(m, nil, 4, -1, nil, noop); err == nil {
 		t.Fatal("source out of range: want an error")
 	}
-	if err := BFS(NewMatrix(3, 4), nil, 0, -1, nil, noop); err == nil {
+	if err := BFS(NewDeltaMatrix(3, 4), nil, 0, -1, nil, noop); err == nil {
 		t.Fatal("rectangular operand: want an error")
 	}
-	if err := BFS(m, NewMatrix(3, 3), 0, -1, nil, noop); err == nil {
+	if err := BFS(m, NewDeltaMatrix(3, 3), 0, -1, nil, noop); err == nil {
 		t.Fatal("transpose of the wrong size: want an error")
 	}
 }

@@ -36,6 +36,7 @@ type DeltaMatrix struct {
 	dp           map[Index]*deltaRow // delta-plus: inserts, overriding main
 	dm           map[Index][]Index   // delta-minus: deletes of entries present in main
 	dpN, dmN     int
+	dpSpan       int // one past the highest row delta-plus has held since the last fold
 	nvals        int
 	threshold    int
 }
@@ -240,6 +241,26 @@ func (m *DeltaMatrix) RowDegree(i Index) int {
 	return n
 }
 
+// rowLen is RowDegree for a row in range, read from the main CSR's row
+// pointers alone when clean (the caller checked that nothing is pending).
+func (m *DeltaMatrix) rowLen(i Index, clean bool) int {
+	if clean {
+		return m.main.rowPtr[i+1] - m.main.rowPtr[i]
+	}
+	return m.RowDegree(i)
+}
+
+// rowSpan returns one past the last row that may hold an entry: past the
+// main CSR's last non-empty row, found by binary search over its row
+// pointers, and past every row delta-plus has held since the last fold. Rows
+// from rowSpan on are empty — for a relation matrix, the dimension's padding
+// beyond the highest node ID.
+func (m *DeltaMatrix) rowSpan() int {
+	rp := m.main.rowPtr
+	nnz := rp[m.nrows]
+	return max(sort.Search(m.nrows, func(i int) bool { return rp[i] == nnz }), m.dpSpan)
+}
+
 // RowIterate returns the sorted effective column indices of row i. Rows
 // without deltas are zero-copy views of the main CSR (valid until the next
 // Sync/Resize); rows with deltas are freshly allocated.
@@ -296,7 +317,7 @@ func (m *DeltaMatrix) Sync(force bool) bool {
 	}
 	m.main = out
 	m.dp, m.dm = nil, nil
-	m.dpN, m.dmN = 0, 0
+	m.dpN, m.dmN, m.dpSpan = 0, 0, 0
 	return true
 }
 
@@ -390,6 +411,7 @@ func (m *DeltaMatrix) dpSet(i, j Index, x float64) {
 	if dpr == nil {
 		dpr = &deltaRow{}
 		m.dp[i] = dpr
+		m.dpSpan = max(m.dpSpan, i+1)
 	}
 	k, ok := findIndex(dpr.cols, j)
 	if ok {
