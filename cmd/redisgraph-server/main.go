@@ -20,7 +20,7 @@ func main() {
 	threads := flag.Int("threads", 8, "module threadpool size (queries run one per worker)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 	batch := flag.Int("batch", 0, "pipeline batch size (0 = engine default; 1 = tuple-at-a-time)")
-	kernel := flag.String("kernel", "auto", "traversal kernel direction: auto | push | pull")
+	kernel := flag.String("kernel", "auto", "kernel direction of var-length hops and expand-into probes: auto | push | pull (fixed hops always push)")
 	snapshot := flag.String("snapshot", "", "snapshot file: loaded at start, written by SAVE and at shutdown")
 	flag.Parse()
 	switch *kernel {

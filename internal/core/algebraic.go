@@ -18,29 +18,13 @@ import (
 // concurrent write). A name that does not exist resolves to nil: no entries.
 //
 // resolveT resolves the operand's TRANSPOSE — the graph maintains R' beside
-// every R — which is what the pull (dot-product) kernels multiply by. A nil
-// resolveT pins the operand to the push kernel.
+// every R — which is what a var-length BFS pull hop reads. Label diagonals
+// have none.
 type algebraicOperand struct {
 	resolve  func(g *graph.Graph) *grb.DeltaMatrix
 	resolveT func(g *graph.Graph) *grb.DeltaMatrix
 	label    string // display name for EXPLAIN
 	diag     bool   // label diagonals: a filter, not a hop; direction is moot
-	// meanDeg, when positive, is the planner's conditioned mean degree for
-	// this operand's frontier rows — the (source label × relation ×
-	// direction) cell's fan-out. The batched push/pull chooser prefers it
-	// over the global NVals/dim figure, which both ignores the frontier's
-	// label and dilutes the mean with the matrix's padded dimension.
-	meanDeg float64
-	// connCand, when positive, is the planner's conditioned connected-
-	// candidate count: how many output columns carry at least one entry in
-	// this operand's effective matrix (the relation's in-direction Conn
-	// cells, summed over the traversed types). A pull probe over an
-	// unconnected column terminates on a row-pointer check without scanning
-	// anything, so the chooser charges only the connected columns the full
-	// probe cost — on graphs where edges concentrate on a few columns this
-	// collapses the pull estimate by orders of magnitude. Zero means
-	// unknown: every candidate is assumed connected, the pre-hint formula.
-	connCand int
 }
 
 // algebraicExpr is the product RedisGraph builds for each traversal:
@@ -66,9 +50,11 @@ func (ae *algebraicExpr) dim(ctx *execCtx) int { return ctx.g.Dim() }
 
 // ---- direction-optimizing kernel selection ----
 
-// kernelMode selects the traversal kernel direction for a query:
-// density-adaptive per hop (auto), or forced to one direction for
-// differential baselines (GRAPH.CONFIG SET TRAVERSE_KERNEL push|pull).
+// kernelMode selects the traversal kernel direction for a query: chosen per
+// hop (auto), or forced to one direction for differential baselines
+// (GRAPH.CONFIG SET TRAVERSE_KERNEL push|pull). It reaches the two places a
+// pull kernel exists, the var-length BFS hop and the expand-into point
+// probe; fixed-length hops always push.
 type kernelMode int
 
 const (
@@ -117,26 +103,6 @@ func (k *kernelStats) describe() string {
 	return fmt.Sprintf(" | kernel: mixed(push=%d, pull=%d)", k.push, k.pull)
 }
 
-// The chooser's cost constants, calibrated on power-law graphs (graph500
-// and twitter-like, scale 14): one unit ≈ the cost of scattering one
-// adjacency entry in the push kernel.
-const (
-	// pullProbeCost is the per-candidate cost of one pull probe relative to
-	// one push scatter. Measured near 1.15 on the power-law benches — most
-	// candidates have short in-lists and dense-frontier hits exit on the
-	// first couple of entries — so 1.2 biases the tie slightly toward push.
-	pullProbeCost = 1.2
-	// emptyProbeCost is the per-candidate cost of a pull probe that finds an
-	// empty in-list: two row-pointer loads and a compare, no entry scanned
-	// and no frontier lookup. Charged to the candidates beyond the operand's
-	// conditioned connected count (connCand), when the planner supplied one.
-	emptyProbeCost = 0.1
-	// expandProbeCost compares an expand-into point probe (a binary search,
-	// ~log degree) against building the record's whole ~mean-degree result
-	// row in the push path.
-	expandProbeCost = 4.0
-)
-
 // The var-length chooser's constants price a grb.BFS pull hop in push-hop
 // scatters: per in-edge of an unreached vertex (m_u) and per unreached
 // candidate. They come from BenchmarkBFSHop (internal/grb) on the clean RMAT
@@ -155,77 +121,6 @@ const (
 	bfsPullCandidateCost = 1.4
 )
 
-// pullEligible applies the checks shared by both choosers: forced modes,
-// operands without a transpose, and label diagonals (a filter either way).
-// decided reports whether the mode alone settles the direction.
-func (ctx *execCtx) pullEligible(op *algebraicOperand) (bt *grb.DeltaMatrix, pull, decided bool) {
-	if op.diag || op.resolveT == nil {
-		return nil, false, true
-	}
-	switch ctx.kernel {
-	case kernelPush:
-		return nil, false, true
-	case kernelPull:
-		bt := ctx.resolveOperandT(op)
-		return bt, bt != nil, true
-	}
-	return nil, false, false
-}
-
-// choosePull decides the kernel direction for one batched (matrix-frontier)
-// hop and resolves the transpose operand when pull wins.
-//
-// The cost model: push scatters the adjacency row of every frontier entry —
-// ~ fnnz · meanDegree entries touched, where the mean degree is the
-// planner's conditioned (label × relation × direction) hint when available
-// and the global NVals(B)/dim otherwise — while pull
-// probes each candidate output position's in-neighbour list with early
-// exit, ~ candidates · pullProbeCost. The frontier NVals, the candidate-set
-// size and the operand's O(1) delta-matrix NVals are all the chooser needs;
-// below the bitmap density (dim/denseThreshold) push always wins and the
-// comparison is skipped.
-func (ctx *execCtx) choosePull(op *algebraicOperand, fnnz, candidates int) (*grb.DeltaMatrix, bool) {
-	if bt, pull, decided := ctx.pullEligible(op); decided {
-		return bt, pull
-	}
-	dim := ctx.g.Dim()
-	if dim == 0 || fnnz*grb.DenseThreshold < dim {
-		return nil, false
-	}
-	b := ctx.resolveOperand(op)
-	if b == nil {
-		return nil, false
-	}
-	meanDeg := float64(b.NVals()) / float64(dim)
-	if op.meanDeg > 0 {
-		meanDeg = op.meanDeg
-	}
-	pushCost := float64(fnnz) * meanDeg
-	// Both kernels now split their work across the shared morsel pool
-	// (row-partitioned push, column-partitioned pull), so the thread budget
-	// cancels out of the comparison.
-	pullCost := pullCostEst(op, candidates)
-	if pushCost <= pullCost {
-		return nil, false
-	}
-	bt := ctx.resolveOperandT(op)
-	return bt, bt != nil
-}
-
-// pullCostEst prices a pull evaluation over `candidates` output positions.
-// With a conditioned connected-candidate hint, only connCand columns pay a
-// full early-exit probe; the rest are empty in-lists dismissed by a
-// row-pointer check. The hint is an upper bound summed over the traversed
-// types (shared columns counted once per type), so a hint at or above the
-// candidate count degenerates to the unconditioned all-connected formula.
-func pullCostEst(op *algebraicOperand, candidates int) float64 {
-	if op.connCand > 0 && op.connCand < candidates {
-		return float64(op.connCand)*pullProbeCost +
-			float64(candidates-op.connCand)*emptyProbeCost
-	}
-	return float64(candidates) * pullProbeCost
-}
-
 // bfsFrontier is what the var-length chooser reads of a BFS frontier;
 // *grb.BFSHop implements it.
 type bfsFrontier interface {
@@ -241,10 +136,17 @@ type bfsFrontier interface {
 // frontier's mean degree drifts far from the global mean: mid-BFS frontiers
 // hold the graph's high-degree core. The degree sum early-exits once it
 // clears the pull budget, so the chooser's overhead stays bounded by the
-// cheaper kernel's cost.
+// cheaper kernel's cost. A forced mode overrides the comparison, and an
+// operand without a transpose always pushes.
 func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached, unreachedIn int) bool {
-	if _, pull, decided := ctx.pullEligible(op); decided {
-		return pull
+	if op.diag || op.resolveT == nil {
+		return false
+	}
+	switch ctx.kernel {
+	case kernelPush:
+		return false
+	case kernelPull:
+		return true
 	}
 	budget := bfsPullEdgeCost*float64(unreachedIn) + bfsPullCandidateCost*float64(unreached)
 	return f.FrontierDegree(budget) > budget
@@ -253,18 +155,16 @@ func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached
 // evalMatrix propagates a whole batch of frontiers — one per row of f — in
 // one masked MxM per operand. This is the paper's central claim realised:
 // many traversals fused into a single sparse matrix–matrix multiplication
-// over the ANY_PAIR semiring, instead of one kernel call per record. Each
-// operand multiplication independently picks the push (Gustavson) or pull
-// (transpose dot-product) kernel from the fused frontier's density.
+// over the ANY_PAIR semiring, instead of one kernel call per record. Every
+// product runs the push (Gustavson) kernel: the frontier holds one source per
+// record, so it never grows dense enough for a pull to repay probing every
+// candidate column.
 //
 // keep carries the pushed destination predicates as a column mask, applied
-// at the relation operand when it pulls (candidate pruning inside MxMPull)
-// and as one post-evaluation SelectCols pass otherwise. Applying it at the
-// first operand is sound because label diagonals after it only filter.
+// as one SelectCols pass over the result.
 func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats, keep grb.ColMask) (*grb.Matrix, error) {
 	dim := ae.dim(ctx)
 	w := f
-	kernelKept := false
 	for i := range ae.operands {
 		op := &ae.operands[i]
 		m := ctx.resolveOperand(op)
@@ -272,24 +172,15 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 			return grb.NewMatrix(f.NRows(), dim), nil // an absent name: every row is empty
 		}
 		out := grb.NewMatrix(f.NRows(), dim)
-		bt, pull := ctx.choosePull(op, w.NVals(), dim)
-		if pull {
-			var kk grb.ColMask
-			if i == 0 && keep != nil {
-				kk, kernelKept = keep, true
-			}
-			if err := grb.MxMPull(out, grb.AnyPair, w, bt, kk, ctx.desc); err != nil {
-				return nil, err
-			}
-		} else if err := grb.MxMDelta(out, nil, nil, grb.AnyPair, w, m, ctx.desc); err != nil {
+		if err := grb.MxMDelta(out, nil, nil, grb.AnyPair, w, m, ctx.desc); err != nil {
 			return nil, err
 		}
 		if ks != nil && !op.diag {
-			ks.note(pull)
+			ks.note(false)
 		}
 		w = out
 	}
-	if keep != nil && !kernelKept {
+	if keep != nil {
 		grb.SelectCols(w, keep, ctx.desc)
 	}
 	return w, nil
@@ -324,8 +215,8 @@ func (b *planBuilder) orderLabelsBySelectivity(labels []string) []string {
 // query is traversed, and a multi-type or both-direction union comes from
 // the graph's epoch-keyed cache instead of being folded anew for every
 // query. The transpose resolver flips the direction flag (an undirected
-// union is its own transpose), feeding the pull kernels the same fold-free
-// delta matrices the push kernels get.
+// union is its own transpose), feeding BFS pull hops the same fold-free
+// delta matrices the push hops get.
 func relationOperand(types []string, reverse, both bool) algebraicOperand {
 	name := "ADJ"
 	if len(types) > 0 {

@@ -44,10 +44,13 @@ type Config struct {
 	// It is the join differential tests' baseline and a safety valve
 	// (GRAPH.CONFIG SET JOIN_PLANNER 0); implied by NoCostPlanner.
 	NoJoinPlanner bool
-	// TraverseKernel selects the traversal kernel direction: "" or "auto"
-	// picks push (saxpy/Gustavson) or pull (transpose dot-product) per hop
-	// from the frontier's density; "push" and "pull" force one direction —
-	// the differential baselines behind GRAPH.CONFIG SET TRAVERSE_KERNEL.
+	// TraverseKernel selects the traversal kernel direction where a pull
+	// kernel exists: var-length BFS hops and expand-into point probes.
+	// "" or "auto" picks push or pull per hop (a BFS hop weighs its
+	// frontier's out-edges against the unreached vertices' in-edges);
+	// "push" and "pull" force one direction — the differential baselines
+	// behind GRAPH.CONFIG SET TRAVERSE_KERNEL. Fixed-length hops always
+	// push, in every mode.
 	TraverseKernel string
 	// PlanCache, when set, amortizes parse+plan across requests: queries
 	// resolve through the cache's shared templates (see plancache.go) and

@@ -65,8 +65,8 @@ func (ctx *execCtx) resolveOperand(op *algebraicOperand) *grb.DeltaMatrix {
 	return m
 }
 
-// resolveOperandT resolves an operand's transpose (the pull kernels'
-// multiplicand), memoised like resolveOperand. Nil when the operand has no
+// resolveOperandT resolves an operand's transpose (what a BFS pull hop
+// reads), memoised like resolveOperand. Nil when the operand has no
 // transpose resolver.
 func (ctx *execCtx) resolveOperandT(op *algebraicOperand) *grb.DeltaMatrix {
 	if op.resolveT == nil {

@@ -100,23 +100,28 @@ func TestKernelDifferentialWrites(t *testing.T) {
 }
 
 // TestProfileReportsKernel checks PROFILE surfaces the per-hop kernel
-// decision for forced modes.
+// decision for forced modes. Forced pull reaches var-length BFS hops; a
+// fixed-length hop always runs the push kernel, whatever the mode.
 func TestProfileReportsKernel(t *testing.T) {
 	g := adversarialGraph(t, 80)
-	for _, kernel := range []string{"push", "pull"} {
-		lines, err := Profile(g, `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, nil,
-			Config{OpThreads: 1, TraverseKernel: kernel})
+	cases := []struct{ kernel, query, want string }{
+		{"push", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
+		{"pull", `MATCH (a:Hub {uid: 1})-[:D*1..3]->(b) RETURN count(b)`, "kernel: pull"},
+		{"pull", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
+	}
+	for _, c := range cases {
+		lines, err := Profile(g, c.query, nil, Config{OpThreads: 1, TraverseKernel: c.kernel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		found := false
 		for _, l := range lines {
-			if strings.Contains(l, "kernel: "+kernel) {
+			if strings.Contains(l, c.want) {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("PROFILE (%s) missing kernel annotation:\n%s", kernel, strings.Join(lines, "\n"))
+			t.Fatalf("PROFILE (%s) of %s missing %q:\n%s", c.kernel, c.query, c.want, strings.Join(lines, "\n"))
 		}
 	}
 }
@@ -129,10 +134,9 @@ func TestInvalidTraverseKernel(t *testing.T) {
 	}
 }
 
-// TestChoosePullHeuristic exercises the cost model directly: sparse
-// frontiers must push, bitmap-dense frontiers against a high-degree operand
-// must pull, forced modes must override, and operands without a transpose
-// resolver must stay on push.
+// TestChoosePullHeuristic exercises the var-length hop chooser directly:
+// the frontier's exact out-degree sum decides, forced modes override it, and
+// operands without a transpose resolver (or label diagonals) stay on push.
 func TestChoosePullHeuristic(t *testing.T) {
 	g := graph.New("chooser")
 	g.Lock()
@@ -154,34 +158,9 @@ func TestChoosePullHeuristic(t *testing.T) {
 	}
 	ctx := &execCtx{g: g}
 
-	if _, pull := ctx.choosePull(&op, 1, dim); pull {
-		t.Fatal("one-hot frontier must push")
-	}
-	if _, pull := ctx.choosePull(&op, dim, dim); !pull {
-		t.Fatal("full frontier against a dense operand must pull")
-	}
-	// Below the bitmap density the comparison is skipped outright.
-	if _, pull := ctx.choosePull(&op, dim/grb.DenseThreshold-1, dim); pull {
-		t.Fatal("sub-bitmap-density frontier must push")
-	}
-	// A near-empty operand never repays probing the whole candidate set.
-	sparse := grb.NewDeltaMatrix(dim, dim)
-	for i := 0; i < dim/16; i++ {
-		_ = sparse.SetElement(i*16, (i*31+7)%dim, 1)
-	}
-	opSparse := algebraicOperand{
-		resolve:  func(*graph.Graph) *grb.DeltaMatrix { return sparse },
-		resolveT: func(*graph.Graph) *grb.DeltaMatrix { return sparse },
-		label:    "S",
-	}
-	if _, pull := ctx.choosePull(&opSparse, dim/4, dim); pull {
-		t.Fatal("a sparse operand should push even with a dense frontier")
-	}
-
-	// The BFS-hop chooser uses the frontier's exact out-degree sum: the same
-	// nnz count pulls when it sits on the operand's heavy rows and pushes
-	// when it sits on empty ones. Half the vertices and a quarter of the
-	// operand's in-edges are left unreached.
+	// The same nnz count pulls when it sits on the operand's heavy rows and
+	// pushes when it sits on empty ones. Half the vertices and a quarter of
+	// the operand's in-edges are left unreached.
 	var heavy, empty []grb.Index
 	for i := 0; i < dim/4; i++ {
 		heavy = append(heavy, i*2)   // even rows carry 64 entries each
@@ -207,19 +186,19 @@ func TestChoosePullHeuristic(t *testing.T) {
 	}
 
 	ctx.kernel = kernelPush
-	if _, pull := ctx.choosePull(&op, dim, dim); pull {
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, heavy}, dim/2, unreachedIn); pull {
 		t.Fatal("forced push must never pull")
 	}
 	ctx.kernel = kernelPull
-	if _, pull := ctx.choosePull(&op, 1, dim); !pull {
+	if pull := ctx.choosePullHop(&op, rowsFrontier{b, empty}, dim/2, unreachedIn); !pull {
 		t.Fatal("forced pull must pull when a transpose exists")
 	}
 	noT := algebraicOperand{resolve: op.resolve, label: "B"}
-	if _, pull := ctx.choosePull(&noT, dim, dim); pull {
+	if pull := ctx.choosePullHop(&noT, rowsFrontier{b, heavy}, dim/2, unreachedIn); pull {
 		t.Fatal("an operand without a transpose resolver must push")
 	}
 	diag := algebraicOperand{resolve: op.resolve, resolveT: op.resolveT, diag: true}
-	if _, pull := ctx.choosePull(&diag, dim, dim); pull {
+	if pull := ctx.choosePullHop(&diag, rowsFrontier{b, heavy}, dim/2, unreachedIn); pull {
 		t.Fatal("label diagonals must push")
 	}
 	ctx.kernel = kernelAuto

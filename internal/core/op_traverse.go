@@ -423,6 +423,11 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 	return nil
 }
 
+// expandProbeCost compares an expand-into point probe (a binary search,
+// ~log degree) against building the record's whole ~mean-degree result row
+// in the push path.
+const expandProbeCost = 4.0
+
 // pullProbe reports whether this expand-into should bypass frontier
 // evaluation and point-probe the relation matrix per record. Eligible when
 // the algebraic expression is a single relation operand (expand-into never

@@ -574,41 +574,12 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	rop := relationOperand(rel.Types, dir == cypher.DirIn, dir == cypher.DirBoth)
 	// Conditioned fan-out: when the source variable's binder recorded
 	// pattern labels, the hop estimate conditions on the matching
-	// (label × relation × direction) cells instead of the global mean, and
-	// the relation operand carries the conditioned mean degree as a hint to
-	// the push/pull chooser (which otherwise divides NVals by the padded
-	// matrix dimension).
+	// (label × relation × direction) cells instead of the global mean.
 	var srcLabels []string
 	if bi := b.binders[srcVar]; bi != nil {
 		srcLabels = bi.labels
 	}
 	hopDeg := b.condHopDegree(rel, srcLabels, dir)
-	if hopDeg >= 0 {
-		rop.meanDeg = hopDeg
-	}
-	// Conditioned candidate estimate: the pull kernel probes every output
-	// column's in-list, but only columns with at least one entry in the
-	// effective matrix cost a real probe. The any-label Conn cells count
-	// exactly those columns — the IN-direction cell for a forward traversal
-	// (columns of R are edge destinations), the OUT cell for the transposed
-	// operand, both for undirected — so the chooser can price the empty
-	// remainder at a row-pointer check instead of a full probe.
-	if b.cond != nil && len(rel.Types) > 0 {
-		conn := 0
-		for _, t := range rel.Types {
-			tid, ok := b.g.Schema.RelTypeID(t)
-			if !ok {
-				continue
-			}
-			if dir != cypher.DirIn {
-				conn += b.cond.InCell(tid, -1).Conn
-			}
-			if dir != cypher.DirOut {
-				conn += b.cond.OutCell(tid, -1).Conn
-			}
-		}
-		rop.connCand = conn
-	}
 	ae := &algebraicExpr{operands: []algebraicOperand{rop}}
 
 	dstBound := b.bound[dstVar]

@@ -22,8 +22,8 @@
 //   - epoch unchanged → the graph's connectivity is exactly as planned;
 //     reuse.
 //   - epoch moved but stats within tolerance (statsClose) → the
-//     stats-sensitive choices (entry point, hop order, push/pull budgets)
-//     would come out the same; refresh the entry and reuse. This is the
+//     stats-sensitive choices (entry point, hop order) would come out the
+//     same; refresh the entry and reuse. This is the
 //     cheap revalidation that keeps a write-heavy mix from thrashing.
 //   - stats shifted materially → replan from the cached AST (parse is
 //     still amortized) and replace the template.
@@ -356,7 +356,7 @@ const statsSlackFloor = 64
 
 // countsClose reports whether two cardinalities are within a 2x band — the
 // tolerance inside which the planner's ordering decisions (entry point, hop
-// order, push/pull budget) are considered stable.
+// order) are considered stable.
 func countsClose(a, b int) bool {
 	lo, hi := a, b
 	if lo > hi {

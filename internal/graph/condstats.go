@@ -10,8 +10,8 @@ import "math/bits"
 // between estimating a hop's fan-out from the global mean degree and from
 // the degree distribution of the exact (label, relation, direction) the hop
 // traverses. On skewed graphs the two disagree by orders of magnitude, and
-// the cost planner's hop ordering, expand-into probability and push/pull
-// choice all inherit the error.
+// the cost planner's hop ordering and expand-into probability inherit the
+// error.
 //
 // Maintenance is O(endpoint labels) per distinct-pair connectivity change:
 // CreateEdge and DeleteEdge already know when a (src, dst) pair becomes

@@ -5,11 +5,11 @@
 // pending-update buffer: SuiteSparse's non-blocking mode, with
 // DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors, masks and
 // descriptors, and the operations the engine and the benchmark harness
-// call: BFS, masked MxM and VxM over a delta operand (push and pull), column
-// selection and element-wise matrix add. Only code a binary runs is kept:
-// the kernels are generic over the semiring, but AnyPair is the only one
-// defined here; the tests define the others and check the kernels against a
-// dense reference.
+// call: BFS, masked MxM (push) and VxM (push and pull) over a delta operand,
+// column selection and element-wise matrix add. Only code a binary runs is
+// kept: the kernels are generic over the semiring, but AnyPair is the only
+// one defined here; the tests define the others and check the kernels
+// against a dense reference.
 //
 // Values are float64 throughout; boolean matrices store 1.0 and pair with
 // the structural AnyPair semiring, whose kernels never inspect values, which

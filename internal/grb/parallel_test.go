@@ -91,18 +91,6 @@ func TestKernelsParallelDifferential(t *testing.T) {
 			}
 		}
 
-		// MxMPull (column-partitioned batched pull).
-		baseP := NewMatrix(nrec, n)
-		must(t, MxMPull(baseP, AnyPair, f, bt, nil, nil))
-		expectDenseEq(t, baseP, denseMxM(df, db, AnyPair))
-		for _, nth := range threadCounts {
-			c := NewMatrix(nrec, n)
-			must(t, MxMPull(c, AnyPair, f, bt, nil, &Descriptor{NThreads: nth}))
-			if !sameMatrix(baseP, c) {
-				t.Fatalf("trial %d: MxMPull NThreads=%d diverged", trial, nth)
-			}
-		}
-
 		// VxMPull (candidate-partitioned vector pull).
 		baseV := NewVector(n)
 		must(t, VxMPull(baseV, nil, nil, AnyPair, u, bt, nil, nil))

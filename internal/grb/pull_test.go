@@ -88,76 +88,6 @@ func TestPullVxMNonStructural(t *testing.T) {
 	}
 }
 
-// TestMxMPullMatchesPush checks the batched pull kernel against the push
-// Gustavson kernel for frontier-shaped products C = F·B, including batches
-// larger than one bitmask word.
-func TestMxMPullMatchesPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		nrec := rng.Intn(130) + 1 // crosses the 64-record word boundary
-		n := rng.Intn(40) + 1
-		f := randMatrix(rng, nrec, n, rng.Float64()*0.5)
-		b := randMatrix(rng, n, n, rng.Float64())
-		bd := DeltaFrom(b.Dup())
-
-		push := NewMatrix(nrec, n)
-		if err := MxMDelta(push, nil, nil, AnyPair, f, bd, nil); err != nil {
-			t.Fatal(err)
-		}
-		pull := NewMatrix(nrec, n)
-		bt := DeltaFrom(transposed(b))
-		if err := MxMPull(pull, AnyPair, f, bt, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !sameMatrix(push, pull) {
-			t.Fatalf("trial %d (nrec=%d n=%d): push %v != pull %v", trial, nrec, n, push, pull)
-		}
-	}
-}
-
-// TestMxMPullDeltaOperand checks the pull kernel against a dirty delta
-// matrix transpose: buffered inserts and deletes on the transpose side must
-// be visible without a fold.
-func TestMxMPullDeltaOperand(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 100; trial++ {
-		nrec := rng.Intn(70) + 1
-		n := rng.Intn(30) + 1
-		f := randMatrix(rng, nrec, n, rng.Float64()*0.5)
-		b := NewDeltaMatrix(n, n)
-		bt := NewDeltaMatrix(n, n)
-		for k := 0; k < rng.Intn(3*n*n+1); k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if rng.Intn(3) == 0 {
-				_ = b.RemoveElement(i, j)
-				_ = bt.RemoveElement(j, i)
-			} else {
-				_ = b.SetElement(i, j, 1)
-				_ = bt.SetElement(j, i, 1)
-			}
-		}
-		push := NewMatrix(nrec, n)
-		if err := MxMDelta(push, nil, nil, AnyPair, f, b, nil); err != nil {
-			t.Fatal(err)
-		}
-		pull := NewMatrix(nrec, n)
-		if err := MxMPull(pull, AnyPair, f, bt, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !sameMatrix(push, pull) {
-			t.Fatalf("trial %d: push %v != pull %v", trial, push, pull)
-		}
-	}
-}
-
-func TestMxMPullRejectsNonStructural(t *testing.T) {
-	f := NewMatrix(2, 2)
-	b := NewMatrix(2, 2)
-	if err := MxMPull(NewMatrix(2, 2), PlusTimes, f, b, nil, nil); err == nil {
-		t.Fatal("expected an error for a non-structural semiring")
-	}
-}
-
 func sameVector(a, b *Vector) bool {
 	if a.n != b.n || a.NVals() != b.NVals() {
 		return false

@@ -27,12 +27,6 @@ type Vector struct {
 // denseThreshold is the fill ratio above which a vector converts to dense.
 const denseThreshold = 8 // convert when nnz > n/denseThreshold
 
-// DenseThreshold is the sparse→bitmap flip ratio: a vector converts to
-// bitmap form once nnz · DenseThreshold > n. Exported so kernel choosers
-// can align their push/pull density heuristics with the representation
-// switch.
-const DenseThreshold = denseThreshold
-
 // NewVector returns an empty vector of the given size.
 func NewVector(n int) *Vector {
 	if n < 0 {

@@ -37,10 +37,11 @@ type Options struct {
 	// and frontiers through the same code). Runtime changes go through
 	// GRAPH.CONFIG SET TRAVERSE_BATCH.
 	TraverseBatch int
-	// TraverseKernel selects the traversal kernel direction: "auto" (default)
-	// picks push or pull per hop from the frontier density, "push"/"pull"
-	// force one direction for differential baselines. Runtime changes go
-	// through GRAPH.CONFIG SET TRAVERSE_KERNEL.
+	// TraverseKernel selects the kernel direction of var-length BFS hops and
+	// expand-into probes: "auto" (default) picks push or pull per hop,
+	// "push"/"pull" force one direction for differential baselines.
+	// Fixed-length hops always push. Runtime changes go through
+	// GRAPH.CONFIG SET TRAVERSE_KERNEL.
 	TraverseKernel string
 	// QueryTimeout bounds each query (0 = none).
 	QueryTimeout time.Duration

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 
 	"redisgraph/internal/persist"
@@ -17,7 +18,9 @@ import (
 const snapshotMagic = "RGSNAP01"
 
 // SaveSnapshot writes every graph to the configured snapshot path, one save
-// at a time.
+// at a time. The file is written beside the target as .tmp, fsynced, renamed
+// over the target, and the directory is fsynced, so after a nil return the
+// new snapshot survives a crash and a crash before it leaves the old one.
 func (s *Server) SaveSnapshot() error {
 	if s.opts.SnapshotPath == "" {
 		return fmt.Errorf("ERR no snapshot path configured")
@@ -29,16 +32,34 @@ func (s *Server) SaveSnapshot() error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeSnapshot(f); err != nil {
-		f.Close()
+	err = s.writeSnapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(tmp, s.opts.SnapshotPath); err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.opts.SnapshotPath)
+	return syncDir(filepath.Dir(s.opts.SnapshotPath))
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Server) writeSnapshot(w io.Writer) error {
