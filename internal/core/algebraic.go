@@ -153,7 +153,7 @@ func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached
 }
 
 // evalMatrix propagates a whole batch of frontiers — one per row of f — in
-// one masked MxM per operand. This is the paper's central claim realised:
+// one MxMDelta per operand. This is the paper's central claim realised:
 // many traversals fused into a single sparse matrix–matrix multiplication
 // over the ANY_PAIR semiring, instead of one kernel call per record. Every
 // product runs the push (Gustavson) kernel: the frontier holds one source per

@@ -264,7 +264,7 @@ func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *
 	}
 	acc := grb.NewMatrix(g.dim, g.dim)
 	for _, m := range parts {
-		if err := grb.EWiseAddMatrix(acc, nil, nil, grb.LOr, acc, m.Export(), nil); err != nil {
+		if err := grb.EWiseAddMatrix(acc, acc, m.Export()); err != nil {
 			panic(fmt.Sprintf("graph: union build: %v", err)) // dimensions are controlled internally
 		}
 	}

@@ -69,7 +69,7 @@ func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewMatrix(len(srcs), n)
-	if err := mxm(c, nil, nil, AnyPair, f, a, nil); err != nil {
+	if err := mxm(c, f, a, nil); err != nil {
 		t.Fatal(err)
 	}
 	da := toDenseM(a)
@@ -78,7 +78,7 @@ func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 		perRecord := []Index{}
 		if s >= 0 {
 			for j := 0; j < n; j++ {
-				if _, ok := da.at(s, j); ok {
+				if da.at(s, j) {
 					want = append(want, j)
 				}
 			}
@@ -87,10 +87,10 @@ func TestBatchedMxMMatchesPerRecordVxM(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := NewVector(n)
-			if err := vxm(w, nil, nil, AnyPair, u, a, nil); err != nil {
+			if err := vxm(w, u, a, nil); err != nil {
 				t.Fatal(err)
 			}
-			ind, _ := w.extractTuples()
+			ind, _ := vectorTuples(w)
 			perRecord = append(perRecord, ind...)
 		}
 		got := append([]Index{}, c.RowIterate(r)...)
@@ -111,7 +111,7 @@ func TestMxMWorkspaceReuse(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		c := NewMatrix(8, 8)
-		if err := mxm(c, nil, nil, AnyPair, a, a, nil); err != nil {
+		if err := mxm(c, a, a, nil); err != nil {
 			t.Fatal(err)
 		}
 		if c.NVals() != 8 {

@@ -22,14 +22,14 @@ func randomDeltaPair(r *rand.Rand, n int) (a, at *DeltaMatrix, ref *dense) {
 	ref = newDense(n, n)
 	for k := range src {
 		src[k], dst[k] = r.Intn(used), r.Intn(used)
-		ref.set(src[k], dst[k], 1)
+		ref.set(src[k], dst[k])
 	}
 	a, at = DeltaFrom(boolMatrix(n, n, src, dst)), DeltaFrom(boolMatrix(n, n, dst, src))
 	for k := 0; k < used; k++ { // pending inserts
 		i, j := r.Intn(used), r.Intn(used)
 		_ = a.SetElement(i, j, 1)
 		_ = at.SetElement(j, i, 1)
-		ref.set(i, j, 1)
+		ref.set(i, j)
 	}
 	for k := range src { // pending deletes of folded entries
 		if r.Intn(4) == 0 {
@@ -54,7 +54,7 @@ func denseLevels(d *dense, src Index, maxHops int) [][]Index {
 				continue
 			}
 			for _, k := range levels[len(levels)-1] {
-				if _, ok := d.at(k, j); ok {
+				if d.at(k, j) {
 					next = append(next, j)
 					break
 				}
@@ -71,28 +71,34 @@ func denseLevels(d *dense, src Index, maxHops int) [][]Index {
 	return levels
 }
 
-// vxmLevels is the BFS grb.BFS replaces: a complement-masked VxMDelta per
-// hop, then reached |= next. It returns level 0 ([src]) and every non-empty
-// level.
+// vxmLevels is the BFS grb.BFS replaces: a VxMDelta per hop, less the
+// reached set, then reached |= next. It returns level 0 ([src]) and every
+// non-empty level.
 func vxmLevels(a *DeltaMatrix, src Index, maxHops int) [][]Index {
 	n := a.nrows
-	frontier, reached := NewVector(n), NewVector(n)
+	frontier := NewVector(n)
 	_ = frontier.SetElement(src, 1)
-	_ = reached.SetElement(src, 1)
+	reached := map[Index]bool{src: true}
 	levels := [][]Index{{src}}
 	for hop := 1; maxHops < 0 || hop <= maxHops; hop++ {
-		next := NewVector(n)
-		if err := VxMDelta(next, reached, nil, AnyPair, frontier, a, DescRSC); err != nil {
+		out := NewVector(n)
+		if err := VxMDelta(out, nil, nil, AnyPair, frontier, a, nil); err != nil {
 			panic(err)
 		}
-		if next.NVals() == 0 {
+		next := NewVector(n)
+		var level []Index
+		out.Iterate(func(j Index, _ float64) bool {
+			if !reached[j] {
+				reached[j] = true
+				level = append(level, j)
+				_ = next.SetElement(j, 1)
+			}
+			return true
+		})
+		if len(level) == 0 {
 			break
 		}
-		ind, _ := next.extractTuples()
-		levels = append(levels, ind)
-		for _, j := range ind {
-			_ = reached.SetElement(j, 1)
-		}
+		levels = append(levels, level)
 		frontier = next
 	}
 	return levels
@@ -135,7 +141,7 @@ func inDegrees(ref *dense) (deg []int, span int) {
 	deg = make([]int, ref.nc)
 	for i := 0; i < ref.nr; i++ {
 		for j := 0; j < ref.nc; j++ {
-			if _, ok := ref.at(i, j); ok {
+			if ref.at(i, j) {
 				deg[j]++
 				span = max(span, j+1)
 			}
@@ -169,7 +175,7 @@ func bruteHopCounts(ref *dense, levels [][]Index, steps, span int) []hopCounts {
 	return out
 }
 
-// TestBFSMatchesVxMLoop checks BFS and the masked-VxM loop against the dense
+// TestBFSMatchesVxMLoop checks BFS and the VxM loop against the dense
 // reference BFS level by level, in ascending order, BFS under forced push,
 // forced pull and a cost-based choice, on random delta matrices twice: with
 // pending rows (the merged-row reads) and after Sync (the clean-CSR reads).

@@ -5,8 +5,8 @@ import "math/bits"
 // bitset is a word-packed presence bitmap over [0, n): the bitmap half of the
 // dual sparse/bitmap frontier representation. Traversal frontiers flip from
 // sorted-coordinate to bitmap form once their fill ratio crosses
-// denseThreshold, giving the pull (dot-product) kernels and mask probes O(1)
-// membership tests; flipping back is a linear scan over the set bits.
+// denseThreshold, giving the pull (dot-product) kernel O(1) membership
+// tests; flipping back is a linear scan over the set bits.
 // Bits at indices >= n must stay zero so word-level iteration never yields an
 // out-of-range index.
 type bitset []uint64

@@ -15,7 +15,7 @@ func TestConcurrentReads(t *testing.T) {
 	a := randMatrix(rng, 200, 200, 0.05)
 	u := randVector(rng, 200, 0.1)
 	da := DeltaFrom(a)
-	ref := denseVxM(u, toDenseM(a), PlusTimes)
+	ref := denseVxM(u, toDenseM(a))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -24,11 +24,11 @@ func TestConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				w := NewVector(200)
-				if err := VxMDelta(w, nil, nil, PlusTimes, u, da, nil); err != nil {
+				if err := VxMDelta(w, nil, nil, AnyPair, u, da, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				wi, wv := w.extractTuples()
+				wi, wv := vectorTuples(w)
 				if len(wi) != len(ref) {
 					t.Errorf("nvals %d != %d", len(wi), len(ref))
 					return
@@ -53,11 +53,11 @@ func TestWorkspacePoolReuseIsClean(t *testing.T) {
 		a := randMatrix(rng, 64, 64, 0.2)
 		u := randVector(rng, 64, 0.3)
 		w1 := NewVector(64)
-		must(t, vxm(w1, nil, nil, PlusTimes, u, a, nil))
+		must(t, vxm(w1, u, a, nil))
 		w2 := NewVector(64)
-		must(t, vxm(w2, nil, nil, PlusTimes, u, a, nil))
-		i1, v1 := w1.extractTuples()
-		i2, v2 := w2.extractTuples()
+		must(t, vxm(w2, u, a, nil))
+		i1, v1 := vectorTuples(w1)
+		i2, v2 := vectorTuples(w2)
 		if len(i1) != len(i2) {
 			t.Fatalf("trial %d: nvals differ", trial)
 		}

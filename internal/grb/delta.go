@@ -11,6 +11,14 @@ import (
 // same order of magnitude for its delta-matrix flush.
 const DefaultDeltaThreshold = 4096
 
+// rowScratch is the reusable buffer srcRow assembles merged rows into. Each
+// kernel goroutine owns one; a row returned through it stays valid until the
+// next srcRow call with the same scratch.
+type rowScratch struct {
+	ci []Index
+	vv []float64
+}
+
 // deltaRow is one row of buffered inserts, kept sorted by column.
 type deltaRow struct {
 	cols []Index
@@ -82,10 +90,7 @@ func (m *DeltaMatrix) SetThreshold(n int) {
 	m.threshold = n
 }
 
-// srcDims implements rowSource.
-func (m *DeltaMatrix) srcDims() (int, int) { return m.nrows, m.ncols }
-
-// srcRow implements rowSource: the effective row i, merged from main,
+// srcRow returns the effective row i, merged from main,
 // delta-plus and delta-minus. Rows without deltas are zero-copy views of the
 // main CSR; rows with deltas are assembled into buf, whose contents stay
 // valid until the next srcRow call with the same buf.

@@ -299,9 +299,10 @@ func TestDeltaMatrixThresholdSync(t *testing.T) {
 	}
 }
 
-// TestMxMDeltaMatchesExportedMxM checks MxMDelta over a dirty delta matrix
-// against the dense product with its fold-on-write reference: the matrix
-// Export returns, built without the delta code.
+// TestMxMDeltaMatchesExportedMxM checks MxMDelta over a dirty delta matrix,
+// and again after ForceSync, against the dense product with its
+// fold-on-write reference: the matrix Export returns, built without the
+// delta code.
 func TestMxMDeltaMatchesExportedMxM(t *testing.T) {
 	dm, ref := applyOps(t, 20, 400, 7, 0)
 	f := NewMatrix(6, 20)
@@ -309,42 +310,57 @@ func TestMxMDeltaMatchesExportedMxM(t *testing.T) {
 	for r := 0; r < 6; r++ {
 		f.SetElement(r, rng.Intn(20), 1)
 	}
-	for _, s := range []Semiring{AnyPair, PlusTimes} {
+	f.SetElement(2, rng.Intn(20), 1) // one row merges several operand rows
+	want := denseMxM(toDenseM(f), toDenseM(ref))
+	for _, state := range []string{"pending", "synced"} {
+		if state == "synced" {
+			dm.ForceSync()
+		} else if dm.Pending() == 0 {
+			t.Fatal("fixture must carry pending deltas")
+		}
 		got := NewMatrix(6, 20)
-		if err := MxMDelta(got, nil, nil, s, f, dm, nil); err != nil {
+		if err := MxMDelta(got, nil, nil, AnyPair, f, dm, nil); err != nil {
 			t.Fatal(err)
 		}
-		expectDenseEq(t, got, denseMxM(toDenseM(f), toDenseM(ref), s))
+		expectDenseEq(t, got, want)
 	}
 }
 
-// TestVxMDeltaMatchesExportedVxM is the VxMDelta counterpart, plus the
-// complement-masked form of the variable-length traversal.
+// TestVxMDeltaMatchesExportedVxM is the VxMDelta counterpart, plus VxMPull
+// over the transpose, each on pending operands and after ForceSync.
 func TestVxMDeltaMatchesExportedVxM(t *testing.T) {
 	dm, ref := applyOps(t, 20, 400, 11, 0)
 	u := NewVector(20)
 	u.SetElement(3, 1)
 	u.SetElement(12, 1)
-	dref := toDenseM(ref)
-	for _, s := range []Semiring{AnyPair, PlusTimes} {
+	want := denseVxM(u, toDenseM(ref))
+	r := rand.New(rand.NewSource(12))
+	a, at, aref := randomDeltaPair(r, 40)
+	ua := randVector(r, 40, 0.2)
+	wantA := denseVxM(ua, aref)
+	for _, state := range []string{"pending", "synced"} {
+		if state == "synced" {
+			dm.ForceSync()
+			a.ForceSync()
+			at.ForceSync()
+		} else if dm.Pending() == 0 || a.Pending() == 0 || at.Pending() == 0 {
+			t.Fatal("fixtures must carry pending deltas")
+		}
 		got := NewVector(20)
-		if err := VxMDelta(got, nil, nil, s, u, dm, nil); err != nil {
+		if err := VxMDelta(got, nil, nil, AnyPair, u, dm, nil); err != nil {
 			t.Fatal(err)
 		}
-		expectVecEq(t, got, denseVxM(u, dref, s))
+		expectVecEq(t, got, want)
+		push, pull := NewVector(40), NewVector(40)
+		if err := VxMDelta(push, nil, nil, AnyPair, ua, a, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := VxMPull(pull, nil, nil, AnyPair, ua, at, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		expectVecEq(t, push, wantA)
+		expectVecEq(t, pull, wantA)
 	}
-	// Masked form (the variable-length traversal shape): the reached set
-	// {3} is excluded from the result.
-	mask := NewVector(20)
-	mask.SetElement(3, 1)
-	d := &Descriptor{Comp: true, Structure: true, Replace: true}
-	got := NewVector(20)
-	if err := VxMDelta(got, mask, nil, AnyPair, u, dm, d); err != nil {
-		t.Fatal(err)
-	}
-	want := denseVxM(u, dref, AnyPair)
-	delete(want, 3)
-	expectVecEq(t, got, want)
 }
 
 // TestDeltaMatrixConcurrentReaders exercises every fold-free read accessor

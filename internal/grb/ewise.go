@@ -1,17 +1,12 @@
 package grb
 
-// EWiseAddMatrix computes C<Mask> = accum(C, A ⊕ B) over the union pattern.
-// Descriptor TranA/TranB transpose the inputs. RedisGraph uses this to fold
-// per-relation matrices into the combined adjacency matrix.
-func EWiseAddMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, op BinaryOp, a, b *Matrix, d *Descriptor) error {
+// EWiseAddMatrix sets C to the pattern union of A and B: an entry of 1
+// wherever either holds one. C's previous contents are replaced, and C may be
+// A or B. The graph folds relation matrices into a multi-type traversal
+// operand with it; nothing reads the union's values.
+func EWiseAddMatrix(c, a, b *Matrix) error {
 	if c == nil || a == nil || b == nil {
 		return ErrNilObject
-	}
-	if d.tranA() {
-		a = transposed(a)
-	}
-	if d.tranB() {
-		b = transposed(b)
 	}
 	if a.nrows != b.nrows || a.ncols != b.ncols {
 		return dimErr("ewiseadd: A %dx%d, B %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
@@ -19,35 +14,29 @@ func EWiseAddMatrix(c *Matrix, mask *Matrix, accum *BinaryOp, op BinaryOp, a, b 
 	if c.nrows != a.nrows || c.ncols != a.ncols {
 		return dimErr("ewiseadd: C %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, a.ncols)
 	}
-	comp, structure := d.comp(), d.structure()
-	t := NewMatrix(c.nrows, c.ncols)
+	rp := make([]int, a.nrows+1)
+	ci := make([]Index, 0, max(len(a.colInd), len(b.colInd)))
 	for i := 0; i < a.nrows; i++ {
-		ac, av := a.rowView(i)
-		bc, bv := b.rowView(i)
+		ac, _ := a.rowView(i)
+		bc, _ := b.rowView(i)
 		x, y := 0, 0
-		push := func(j Index, v float64) {
-			if (mask != nil || comp) && !mask.maskAllowsM(i, j, comp, structure) {
-				return
-			}
-			t.colInd = append(t.colInd, j)
-			t.val = append(t.val, v)
-		}
-		for x < len(ac) || y < len(bc) {
+		for x < len(ac) && y < len(bc) {
 			switch {
-			case y >= len(bc) || (x < len(ac) && ac[x] < bc[y]):
-				push(ac[x], av[x])
+			case ac[x] < bc[y]:
+				ci = append(ci, ac[x])
 				x++
-			case x >= len(ac) || bc[y] < ac[x]:
-				push(bc[y], bv[y])
+			case bc[y] < ac[x]:
+				ci = append(ci, bc[y])
 				y++
 			default:
-				push(ac[x], op.F(av[x], bv[y]))
+				ci = append(ci, ac[x])
 				x++
 				y++
 			}
 		}
-		t.rowPtr[i+1] = len(t.colInd)
+		ci = append(append(ci, ac[x:]...), bc[y:]...)
+		rp[i+1] = len(ci)
 	}
-	mergeMatrix(c, mask, accum, t, d)
+	c.rowPtr, c.colInd, c.val = rp, ci, ones(len(ci))
 	return nil
 }

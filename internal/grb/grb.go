@@ -3,17 +3,16 @@
 //
 // It provides sparse matrices in CSR form, delta matrices (the one
 // pending-update buffer: SuiteSparse's non-blocking mode, with
-// DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors, masks and
-// descriptors, and the operations the engine and the benchmark harness
-// call: BFS, masked MxM (push) and VxM (push and pull) over a delta operand,
-// column selection and element-wise matrix add. Only code a binary runs is
-// kept: the kernels are generic over the semiring, but AnyPair is the only
-// one defined here; the tests define the others and check the kernels
-// against a dense reference.
+// DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors, and the
+// operations the engine and the benchmark harness call: BFS, MxMDelta (push)
+// and VxMDelta/VxMPull (push and pull) over a delta operand, column selection
+// and the pattern union of two matrices.
 //
-// Values are float64 throughout; boolean matrices store 1.0 and pair with
-// the structural AnyPair semiring, whose kernels never inspect values, which
-// is how adjacency traversals avoid per-entry function-call overhead.
+// Every product is structural, over the AnyPair semiring: an output entry is
+// 1 wherever some A(i, k) meets some B(k, j), and a kernel stops at the first
+// witness without reading a value. No product takes a mask, an accumulator
+// or an input transpose; each replaces its output. Matrix values are float64:
+// structure matrices store 1.0, a relation matrix its edge IDs.
 //
 // Concurrency: a Matrix holds no pending state, so once built it may be read
 // by any number of goroutines without a lock; a DeltaMatrix's readers never

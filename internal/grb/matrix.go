@@ -169,12 +169,17 @@ func (m *Matrix) BuildFromRows(cols []Index) error {
 		ci = append(ci, j)
 	}
 	m.rowPtr[m.nrows] = len(ci)
-	vv := make([]float64, len(ci))
-	for k := range vv {
-		vv[k] = 1
-	}
-	m.colInd, m.val = ci, vv
+	m.colInd, m.val = ci, ones(len(ci))
 	return nil
+}
+
+// ones returns n values of 1: what a structural matrix stores per entry.
+func ones(n int) []float64 {
+	v := make([]float64, n)
+	for k := range v {
+		v[k] = 1
+	}
+	return v
 }
 
 // RowIterate returns the sorted column indices of row i as a zero-copy view
@@ -199,20 +204,6 @@ func (m *Matrix) iterate(fn func(i, j Index, x float64) bool) {
 			}
 		}
 	}
-}
-
-// maskAllowsM reports whether a write at (i, j) is permitted under this
-// matrix as mask. A nil receiver permits everything (unless complemented).
-func (m *Matrix) maskAllowsM(i, j Index, comp, structure bool) bool {
-	if m == nil {
-		return !comp
-	}
-	k, ok := m.find(i, j)
-	in := ok && (structure || m.val[k] != 0)
-	if comp {
-		return !in
-	}
-	return in
 }
 
 // String renders small matrices for debugging and tests.

@@ -1,41 +1,26 @@
 package grb
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestEWiseAddMatrixFoldsRelations(t *testing.T) {
-	// The graph engine folds per-relation matrices into THE adjacency.
+	// The graph folds relation matrices, whose values are edge IDs, into one
+	// multi-type operand; C is the running union, so it aliases A.
 	r1 := NewMatrix(3, 3)
-	must(t, r1.SetElement(0, 1, 1))
+	must(t, r1.SetElement(0, 1, 5))
 	r2 := NewMatrix(3, 3)
-	must(t, r2.SetElement(1, 2, 1))
-	must(t, r2.SetElement(0, 1, 1))
+	must(t, r2.SetElement(1, 2, 9))
+	must(t, r2.SetElement(0, 1, 3))
+	must(t, r2.SetElement(2, 0, 0))
 	adj := NewMatrix(3, 3)
-	must(t, EWiseAddMatrix(adj, nil, nil, LOr, r1, r2, nil))
-	if adj.NVals() != 2 {
-		t.Fatalf("nvals=%d", adj.NVals())
+	for _, r := range []*Matrix{r1, r2} {
+		must(t, EWiseAddMatrix(adj, adj, r))
 	}
-	if x, _ := adj.ExtractElement(0, 1); x != 1 {
-		t.Fatalf("x=%g", x)
+	want := newDense(3, 3)
+	want.set(0, 1)
+	want.set(1, 2)
+	want.set(2, 0)
+	expectDenseEq(t, adj, want)
+	if err := EWiseAddMatrix(adj, adj, NewMatrix(3, 4)); err == nil {
+		t.Fatal("want a dimension error")
 	}
-}
-
-func TestTransposeAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	a := randMatrix(rng, 9, 5, 0.4)
-	c := transposed(a)
-	da := toDenseM(a)
-	want := newDense(5, 9)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 5; j++ {
-			if v, ok := da.at(i, j); ok {
-				want.set(j, i, v)
-			}
-		}
-	}
-	expectDenseEq(t, c, want)
-	// (A')' == A
-	expectDenseEq(t, transposed(c), da)
 }

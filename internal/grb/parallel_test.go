@@ -63,26 +63,14 @@ func TestKernelsParallelDifferential(t *testing.T) {
 		f := randMatrix(rng, nrec, n, rng.Float64()*0.5)
 		b := randMatrix(rng, n, n, rng.Float64()*0.6)
 		bd := DeltaFrom(b.Dup())
-		bt := DeltaFrom(transposed(b))
+		bt := DeltaFrom(transposeOf(b))
 		u := randVector(rng, n, rng.Float64())
 		df, db := toDenseM(f), toDenseM(b)
 
-		// MxMDelta with values (push Gustavson, row-partitioned).
-		base := NewMatrix(nrec, n)
-		must(t, MxMDelta(base, nil, nil, PlusTimes, f, bd, nil))
-		expectDenseEq(t, base, denseMxM(df, db, PlusTimes))
-		for _, nth := range threadCounts {
-			c := NewMatrix(nrec, n)
-			must(t, MxMDelta(c, nil, nil, PlusTimes, f, bd, &Descriptor{NThreads: nth}))
-			if !sameMatrix(base, c) {
-				t.Fatalf("trial %d: MxMDelta PlusTimes NThreads=%d diverged", trial, nth)
-			}
-		}
-
-		// MxMDelta structural (the traversal push kernel).
+		// MxMDelta (the push Gustavson kernel, row-partitioned).
 		baseD := NewMatrix(nrec, n)
 		must(t, MxMDelta(baseD, nil, nil, AnyPair, f, bd, nil))
-		expectDenseEq(t, baseD, denseMxM(df, db, AnyPair))
+		expectDenseEq(t, baseD, denseMxM(df, db))
 		for _, nth := range threadCounts {
 			c := NewMatrix(nrec, n)
 			must(t, MxMDelta(c, nil, nil, AnyPair, f, bd, &Descriptor{NThreads: nth}))
@@ -94,7 +82,7 @@ func TestKernelsParallelDifferential(t *testing.T) {
 		// VxMPull (candidate-partitioned vector pull).
 		baseV := NewVector(n)
 		must(t, VxMPull(baseV, nil, nil, AnyPair, u, bt, nil, nil))
-		expectVecEq(t, baseV, denseVxM(u, db, AnyPair))
+		expectVecEq(t, baseV, denseVxM(u, db))
 		for _, nth := range threadCounts {
 			w := NewVector(n)
 			must(t, VxMPull(w, nil, nil, AnyPair, u, bt, nil, &Descriptor{NThreads: nth}))

@@ -52,24 +52,14 @@ func sameMatrix(a, b *Matrix) bool {
 	return true
 }
 
-func TestPropTransposeInvolution(t *testing.T) {
-	f := func(s cooSpec) bool {
-		a := s.matrix()
-		return sameMatrix(transposed(transposed(a)), a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropIdentityIsMxMNeutral(t *testing.T) {
 	f := func(s cooSpec) bool {
 		a := s.matrix()
 		c := NewMatrix(a.nrows, a.ncols)
-		if err := mxm(c, nil, nil, PlusTimes, identity(a.nrows), a, nil); err != nil {
+		if err := mxm(c, identity(a.nrows), a, nil); err != nil {
 			return false
 		}
-		return sameMatrix(c, a)
+		return sameDense(c, toDenseM(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -86,13 +76,14 @@ func TestPropEWiseAddCommutative(t *testing.T) {
 		}
 		c1 := NewMatrix(a.nrows, a.ncols)
 		c2 := NewMatrix(a.nrows, a.ncols)
-		if EWiseAddMatrix(c1, nil, nil, Plus, a, b, nil) != nil {
+		if EWiseAddMatrix(c1, a, b) != nil || EWiseAddMatrix(c2, b, a) != nil {
 			return false
 		}
-		if EWiseAddMatrix(c2, nil, nil, Plus, b, a, nil) != nil {
-			return false
+		want := toDenseM(a)
+		for k, ok := range toDenseM(b).ok {
+			want.ok[k] = want.ok[k] || ok
 		}
-		return sameMatrix(c1, c2)
+		return sameMatrix(c1, c2) && sameDense(c1, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -101,26 +92,26 @@ func TestPropEWiseAddCommutative(t *testing.T) {
 
 func TestPropMxMAssociativeBoolean(t *testing.T) {
 	f := func(s cooSpec) bool {
-		// Square boolean matrix: (A·A)·A == A·(A·A) over LOR-LAND.
+		// Square boolean matrix: (A·A)·A == A·(A·A) structurally.
 		n := s.NRows
 		a := NewMatrix(n, n)
 		for k := range s.Rows {
 			_ = a.SetElement(s.Rows[k], s.Cols[k]%n, 1)
 		}
 		aa := NewMatrix(n, n)
-		if mxm(aa, nil, nil, LorLand, a, a, nil) != nil {
+		if mxm(aa, a, a, nil) != nil {
 			return false
 		}
 		left := NewMatrix(n, n)
-		if mxm(left, nil, nil, LorLand, aa, a, nil) != nil {
+		if mxm(left, aa, a, nil) != nil {
 			return false
 		}
 		right := NewMatrix(n, n)
-		if mxm(right, nil, nil, LorLand, a, aa, nil) != nil {
+		if mxm(right, a, aa, nil) != nil {
 			return false
 		}
 		da := toDenseM(a)
-		return sameMatrix(left, right) && sameDense(left, denseMxM(denseMxM(da, da, LorLand), da, LorLand))
+		return sameMatrix(left, right) && sameDense(left, denseMxM(denseMxM(da, da), da))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -128,8 +119,9 @@ func TestPropMxMAssociativeBoolean(t *testing.T) {
 }
 
 func TestPropMaskPartition(t *testing.T) {
-	// Masked result ∪ complement-masked result == unmasked result ==
-	// the dense reference, with disjoint patterns.
+	// The pull kernel under a candidate mask and under its complement:
+	// the two results are disjoint, and their union is the unmasked result,
+	// which is the dense reference.
 	f := func(s, ms cooSpec) bool {
 		a := s.matrix()
 		u := NewVector(a.ncols)
@@ -137,39 +129,25 @@ func TestPropMaskPartition(t *testing.T) {
 			_ = u.SetElement(j, 1)
 		}
 		full := NewVector(a.nrows)
-		if mxv(full, nil, nil, PlusTimes, a, u, nil) != nil {
+		if mxv(full, a, u, nil) != nil {
 			return false
 		}
-		vmask := NewVector(a.nrows)
-		for k := range ms.Rows {
-			_ = vmask.SetElement(ms.Rows[k]%a.nrows, 1)
+		in := map[Index]bool{}
+		for _, i := range ms.Rows {
+			in[i%a.nrows] = true
 		}
-		inMask := NewVector(a.nrows)
-		if mxv(inMask, vmask, nil, PlusTimes, a, u, DescS) != nil {
+		inMask, outMask := NewVector(a.nrows), NewVector(a.nrows)
+		if VxMPull(inMask, nil, nil, AnyPair, u, DeltaFrom(a), func(i Index) bool { return in[i] }, nil) != nil ||
+			VxMPull(outMask, nil, nil, AnyPair, u, DeltaFrom(a), func(i Index) bool { return !in[i] }, nil) != nil {
 			return false
 		}
-		// Stale entries everywhere: Replace must clear the ones the
-		// complemented mask protects.
-		outMask := NewVector(a.nrows)
-		for i := 0; i < a.nrows; i++ {
-			_ = outMask.SetElement(i, 42)
-		}
-		if mxv(outMask, vmask, nil, PlusTimes, a, u, DescRSC) != nil {
+		want := denseMxV(toDenseM(a), u)
+		if !sameVector(full, vectorFrom(a.nrows, want)) {
 			return false
-		}
-		want := denseMxV(toDenseM(a), u, PlusTimes)
-		fi, fv := full.extractTuples()
-		if len(fi) != len(want) {
-			return false
-		}
-		for k, i := range fi {
-			if fv[k] != want[i] {
-				return false
-			}
 		}
 		union := map[Index]float64{}
 		for _, part := range []*Vector{inMask, outMask} {
-			ind, val := part.extractTuples()
+			ind, val := vectorTuples(part)
 			for k, i := range ind {
 				if _, dup := union[i]; dup {
 					return false
@@ -177,19 +155,22 @@ func TestPropMaskPartition(t *testing.T) {
 				union[i] = val[k]
 			}
 		}
-		if len(union) != len(want) {
-			return false
-		}
-		for i, x := range want {
-			if union[i] != x {
-				return false
-			}
-		}
-		return true
+		return sameVector(full, vectorFrom(a.nrows, union))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// vectorFrom builds a size-n vector holding the given entries.
+func vectorFrom(n int, entries map[Index]float64) *Vector {
+	v := NewVector(n)
+	for i, x := range entries {
+		if err := v.SetElement(i, x); err != nil {
+			panic(err)
+		}
+	}
+	return v
 }
 
 func TestPropVxMMatchesMxVTranspose(t *testing.T) {
@@ -200,15 +181,15 @@ func TestPropVxMMatchesMxVTranspose(t *testing.T) {
 			_ = u.SetElement(i, float64(i+1))
 		}
 		w1 := NewVector(a.ncols)
-		if vxm(w1, nil, nil, PlusTimes, u, a, nil) != nil {
+		if vxm(w1, u, a, nil) != nil {
 			return false
 		}
 		w2 := NewVector(a.ncols)
-		if mxv(w2, nil, nil, PlusTimes, transposed(a), u, nil) != nil {
+		if mxv(w2, transposeOf(a), u, nil) != nil {
 			return false
 		}
-		want := denseVxM(u, toDenseM(a), PlusTimes)
-		i1, v1 := w1.extractTuples()
+		want := denseVxM(u, toDenseM(a))
+		i1, v1 := vectorTuples(w1)
 		if len(i1) != len(want) {
 			return false
 		}
@@ -224,14 +205,19 @@ func TestPropVxMMatchesMxVTranspose(t *testing.T) {
 	}
 }
 
-// sameDense reports whether m holds exactly d's entries.
+// sameDense reports whether m holds exactly d's pattern, every entry 1.
 func sameDense(m *Matrix, d *dense) bool {
 	md := toDenseM(m)
 	if md.nr != d.nr || md.nc != d.nc {
 		return false
 	}
 	for k := range d.ok {
-		if md.ok[k] != d.ok[k] || (d.ok[k] && md.v[k] != d.v[k]) {
+		if md.ok[k] != d.ok[k] {
+			return false
+		}
+	}
+	for _, x := range m.val {
+		if x != 1 {
 			return false
 		}
 	}

@@ -7,49 +7,24 @@ import (
 	"testing"
 )
 
-// Dense reference implementations the sparse kernels are checked against.
-
-// Operators, monoids, semirings and descriptor presets only the tests use.
-// The engine runs AnyPair alone, but the kernels are generic over the
-// semiring, mask and accumulator; these pin that generality against the
-// dense reference.
-var (
-	Plus   = BinaryOp{"plus", func(x, y float64) float64 { return x + y }}
-	Times  = BinaryOp{"times", func(x, y float64) float64 { return x * y }}
-	Min    = BinaryOp{"min", func(x, y float64) float64 { return min(x, y) }}
-	Max    = BinaryOp{"max", func(x, y float64) float64 { return max(x, y) }}
-	First  = BinaryOp{"first", func(x, _ float64) float64 { return x }}
-	Second = BinaryOp{"second", func(_, y float64) float64 { return y }}
-	LAnd   = BinaryOp{"land", func(x, y float64) float64 { return b2f(x != 0 && y != 0) }}
-
-	PlusMonoid = Monoid{Op: Plus, Identity: 0}
-	MinMonoid  = Monoid{Op: Min, Identity: math.Inf(1), Terminal: term(math.Inf(-1))}
-	MaxMonoid  = Monoid{Op: Max, Identity: math.Inf(-1), Terminal: term(math.Inf(1))}
-
-	PlusTimes  = Semiring{Name: "plus_times", Add: PlusMonoid, Mul: Times}
-	LorLand    = Semiring{Name: "lor_land", Add: LOrMonoid, Mul: LAnd, Structural: true}
-	PlusPair   = Semiring{Name: "plus_pair", Add: PlusMonoid, Mul: Pair}
-	MinPlus    = Semiring{Name: "min_plus", Add: MinMonoid, Mul: Plus}
-	MaxPlus    = Semiring{Name: "max_plus", Add: MaxMonoid, Mul: Plus}
-	MinFirst   = Semiring{Name: "min_first", Add: MinMonoid, Mul: First}
-	MinSecond  = Semiring{Name: "min_second", Add: MinMonoid, Mul: Second}
-	PlusFirst  = Semiring{Name: "plus_first", Add: PlusMonoid, Mul: First}
-	PlusSecond = Semiring{Name: "plus_second", Add: PlusMonoid, Mul: Second}
-
-	DescT0  = &Descriptor{TranA: true}
-	DescT1  = &Descriptor{TranB: true}
-	DescS   = &Descriptor{Structure: true}
-	DescRSC = &Descriptor{Replace: true, Structure: true, Comp: true}
-)
+// Dense pattern references the sparse kernels are checked against. Every
+// kernel computes the structural product, so a reference holds presence
+// alone and a kernel's entries must all be 1.
 
 // mxm and vxm run the delta kernels with a plain B operand wrapped as a
-// clean delta matrix, the shape every engine call sees between syncs.
-func mxm(c, mask *Matrix, accum *BinaryOp, s Semiring, a, b *Matrix, d *Descriptor) error {
-	return MxMDelta(c, mask, accum, s, a, DeltaFrom(b), d)
+// clean delta matrix, the shape every engine call sees between syncs; mxv
+// runs the pull kernel, which reads A's rows as its transposed operand, so
+// it computes A·u.
+func mxm(c, a, b *Matrix, d *Descriptor) error {
+	return MxMDelta(c, nil, nil, AnyPair, a, DeltaFrom(b), d)
 }
 
-func vxm(w, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *Matrix, d *Descriptor) error {
-	return VxMDelta(w, mask, accum, s, u, DeltaFrom(a), d)
+func vxm(w, u *Vector, a *Matrix, d *Descriptor) error {
+	return VxMDelta(w, nil, nil, AnyPair, u, DeltaFrom(a), d)
+}
+
+func mxv(w *Vector, a *Matrix, u *Vector, d *Descriptor) error {
+	return VxMPull(w, nil, nil, AnyPair, u, DeltaFrom(a), nil, d)
 }
 
 // boolMatrix builds an nrows × ncols 0/1 matrix from an edge list; parallel
@@ -64,102 +39,109 @@ func boolMatrix(nrows, ncols int, src, dst []Index) *Matrix {
 	return m
 }
 
+// transposeOf returns m' with m's values: the pull kernel's operand for
+// u'·m.
+func transposeOf(m *Matrix) *Matrix {
+	t := NewMatrix(m.ncols, m.nrows)
+	m.iterate(func(i, j Index, x float64) bool {
+		if err := t.SetElement(j, i, x); err != nil {
+			panic(err)
+		}
+		return true
+	})
+	return t
+}
+
+// dense is a row-major presence pattern.
 type dense struct {
 	nr, nc int
-	v      []float64 // values
-	ok     []bool    // presence
+	ok     []bool
 }
 
 func newDense(nr, nc int) *dense {
-	return &dense{nr: nr, nc: nc, v: make([]float64, nr*nc), ok: make([]bool, nr*nc)}
+	return &dense{nr: nr, nc: nc, ok: make([]bool, nr*nc)}
 }
 
-func (d *dense) at(i, j int) (float64, bool) { return d.v[i*d.nc+j], d.ok[i*d.nc+j] }
+func (d *dense) at(i, j int) bool { return d.ok[i*d.nc+j] }
 
-func (d *dense) set(i, j int, x float64) {
-	d.v[i*d.nc+j] = x
-	d.ok[i*d.nc+j] = true
-}
+func (d *dense) set(i, j int) { d.ok[i*d.nc+j] = true }
 
 func toDenseM(m *Matrix) *dense {
 	d := newDense(m.nrows, m.ncols)
-	m.iterate(func(i, j Index, x float64) bool {
-		d.set(i, j, x)
+	m.iterate(func(i, j Index, _ float64) bool {
+		d.set(i, j)
 		return true
 	})
 	return d
 }
 
-func denseMxM(a, b *dense, s Semiring) *dense {
+// denseMxM is the reference structural product: (i, j) is present iff some
+// k has both A(i, k) and B(k, j).
+func denseMxM(a, b *dense) *dense {
 	c := newDense(a.nr, b.nc)
 	for i := 0; i < a.nr; i++ {
 		for j := 0; j < b.nc; j++ {
-			acc := s.Add.Identity
-			found := false
 			for k := 0; k < a.nc; k++ {
-				av, aok := a.at(i, k)
-				bv, bok := b.at(k, j)
-				if aok && bok {
-					m := s.Mul.F(av, bv)
-					if !found {
-						acc, found = m, true
-					} else {
-						acc = s.Add.Op.F(acc, m)
-					}
+				if a.at(i, k) && b.at(k, j) {
+					c.set(i, j)
+					break
 				}
-			}
-			if found {
-				c.set(i, j, acc)
 			}
 		}
 	}
 	return c
 }
 
+// expectDenseEq checks that got holds exactly want's pattern and that every
+// entry is 1, the structural product's value.
 func expectDenseEq(t *testing.T, got *Matrix, want *dense) {
 	t.Helper()
-	gd := toDenseM(got)
-	if gd.nr != want.nr || gd.nc != want.nc {
-		t.Fatalf("dims: got %dx%d want %dx%d", gd.nr, gd.nc, want.nr, want.nc)
+	if got.nrows != want.nr || got.ncols != want.nc {
+		t.Fatalf("dims: got %dx%d want %dx%d", got.nrows, got.ncols, want.nr, want.nc)
 	}
+	gd := toDenseM(got)
 	for i := 0; i < want.nr; i++ {
 		for j := 0; j < want.nc; j++ {
-			gv, gok := gd.at(i, j)
-			wv, wok := want.at(i, j)
-			if gok != wok {
-				t.Fatalf("(%d,%d): presence got %v want %v", i, j, gok, wok)
-			}
-			if gok && math.Abs(gv-wv) > 1e-9 {
-				t.Fatalf("(%d,%d): got %g want %g", i, j, gv, wv)
+			if g, w := gd.at(i, j), want.at(i, j); g != w {
+				t.Fatalf("(%d,%d): presence got %v want %v", i, j, g, w)
 			}
 		}
 	}
+	got.iterate(func(i, j Index, x float64) bool {
+		if x != 1 {
+			t.Fatalf("(%d,%d): got %g, want 1", i, j, x)
+		}
+		return true
+	})
 }
 
-// denseVxM is the reference u'·A: entry j folds u(k) ⊗ A(k, j) over every k
-// where both are present, with u(k) on the left.
-func denseVxM(u *Vector, a *dense, s Semiring) map[Index]float64 {
+// denseVxM is the reference structural u'·A: entry j is 1 iff some k has
+// both u(k) and A(k, j).
+func denseVxM(u *Vector, a *dense) map[Index]float64 {
+	in, _ := vectorTuples(u)
 	out := map[Index]float64{}
 	for j := 0; j < a.nc; j++ {
-		acc, found := s.Add.Identity, false
-		for k := 0; k < a.nr; k++ {
-			av, aok := a.at(k, j)
-			uv, uok := u.get(k)
-			if !aok || !uok {
-				continue
-			}
-			m := s.Mul.F(uv, av)
-			if s.Structural {
-				m = 1
-			}
-			if !found {
-				acc, found = m, true
-			} else {
-				acc = s.Add.Op.F(acc, m)
+		for _, k := range in {
+			if a.at(k, j) {
+				out[j] = 1
+				break
 			}
 		}
-		if found {
-			out[j] = acc
+	}
+	return out
+}
+
+// denseMxV is the reference structural A·u: entry i is 1 iff some j has
+// both A(i, j) and u(j).
+func denseMxV(a *dense, u *Vector) map[Index]float64 {
+	in, _ := vectorTuples(u)
+	out := map[Index]float64{}
+	for i := 0; i < a.nr; i++ {
+		for _, j := range in {
+			if a.at(i, j) {
+				out[i] = 1
+				break
+			}
 		}
 	}
 	return out
@@ -168,7 +150,7 @@ func denseVxM(u *Vector, a *dense, s Semiring) map[Index]float64 {
 func expectVecEq(t *testing.T, got *Vector, want map[Index]float64) {
 	t.Helper()
 	if got.NVals() != len(want) {
-		ind, val := got.extractTuples()
+		ind, val := vectorTuples(got)
 		t.Fatalf("nvals: got %d (%v %v) want %d (%v)", got.NVals(), ind, val, len(want), want)
 	}
 	got.Iterate(func(i Index, x float64) bool {
@@ -181,6 +163,26 @@ func expectVecEq(t *testing.T, got *Vector, want map[Index]float64) {
 		}
 		return true
 	})
+}
+
+// vectorTuples returns v's entries as sorted parallel slices.
+func vectorTuples(v *Vector) (ind []Index, val []float64) {
+	v.Iterate(func(i Index, x float64) bool {
+		ind = append(ind, i)
+		val = append(val, x)
+		return true
+	})
+	return ind, val
+}
+
+// vectorSet returns v's pattern.
+func vectorSet(v *Vector) map[Index]bool {
+	set := map[Index]bool{}
+	v.Iterate(func(i Index, _ float64) bool {
+		set[i] = true
+		return true
+	})
+	return set
 }
 
 // tuples returns m's entries as parallel COO slices in row-major order.
@@ -219,7 +221,9 @@ func identity(n int) *Matrix {
 	return m
 }
 
-// randMatrix builds a random nr × nc matrix with the given density.
+// randMatrix builds a random nr × nc matrix with the given density. Its
+// values run from 1 to 9, so a kernel that copied an operand's value instead
+// of writing 1 shows.
 func randMatrix(rng *rand.Rand, nr, nc int, density float64) *Matrix {
 	m := NewMatrix(nr, nc)
 	for i := 0; i < nr; i++ {

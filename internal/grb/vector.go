@@ -7,9 +7,9 @@ import "sort"
 // Internally it is dual-mode, like SuiteSparse's sparse/bitmap formats: a
 // sorted coordinate list while sparse, and a dense value array plus a
 // word-packed presence bitmap once the fill ratio crosses a threshold.
-// Traversal frontiers start sparse and densify as BFS expands; the bitmap
-// form gives mask probes and the pull (dot-product) kernels O(1) membership
-// tests, and conversion in either direction is a single linear pass.
+// Frontiers start sparse and densify as they grow; the bitmap form gives the
+// pull (dot-product) kernel O(1) membership tests, and conversion in either
+// direction is a single linear pass.
 type Vector struct {
 	n     int
 	dense bool
@@ -71,21 +71,6 @@ func (v *Vector) SetElement(i Index, x float64) error {
 	return nil
 }
 
-// extractTuples returns the entries as sorted parallel slices.
-func (v *Vector) extractTuples() ([]Index, []float64) {
-	if !v.dense {
-		return append([]Index(nil), v.ind...), append([]float64(nil), v.val...)
-	}
-	ind := make([]Index, 0, v.nnz)
-	val := make([]float64, 0, v.nnz)
-	v.dbits.iterate(func(i Index) bool {
-		ind = append(ind, i)
-		val = append(val, v.dval[i])
-		return true
-	})
-	return ind, val
-}
-
 // Iterate calls fn for each entry in ascending index order. fn returning
 // false stops the iteration.
 func (v *Vector) Iterate(fn func(i Index, x float64) bool) {
@@ -98,36 +83,6 @@ func (v *Vector) Iterate(fn func(i Index, x float64) bool) {
 			return
 		}
 	}
-}
-
-// get is the kernel-side lookup; no bounds check. In bitmap mode it is O(1),
-// which is what makes dense frontiers cheap to probe as masks.
-func (v *Vector) get(i Index) (float64, bool) {
-	if v.dense {
-		return v.dval[i], v.dbits.get(i)
-	}
-	k := sort.Search(len(v.ind), func(k int) bool { return v.ind[k] >= i })
-	if k < len(v.ind) && v.ind[k] == i {
-		return v.val[k], true
-	}
-	return 0, false
-}
-
-// maskAllows reports whether a write to index i is permitted under this
-// vector as mask with the given complement/structure flags. A nil receiver
-// permits everything.
-func (v *Vector) maskAllows(i Index, comp, structure bool) bool {
-	if v == nil {
-		// No mask: everything is writable. Per the GraphBLAS spec, the
-		// complement of a missing mask is empty, so nothing is writable.
-		return !comp
-	}
-	x, ok := v.get(i)
-	in := ok && (structure || x != 0)
-	if comp {
-		return !in
-	}
-	return in
 }
 
 func (v *Vector) maybeDensify() {

@@ -14,12 +14,7 @@ func TestVectorBasics(t *testing.T) {
 	if v.NVals() != 2 {
 		t.Fatalf("nvals=%d", v.NVals())
 	}
-	if x, ok := v.get(3); !ok || x != 4.5 {
-		t.Fatalf("%v %v", x, ok)
-	}
-	if _, ok := v.get(4); ok {
-		t.Fatal("want no entry at 4")
-	}
+	expectVecEq(t, v, map[Index]float64{3: 4.5, 7: 2.5})
 	if err := v.SetElement(10, 0); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("want bounds error, got %v", err)
 	}
@@ -69,7 +64,7 @@ func TestVectorBuildAndTuples(t *testing.T) {
 		if v.dense != (n == 4) {
 			t.Fatalf("n=%d: dense=%v", n, v.dense)
 		}
-		ind, val := v.extractTuples()
+		ind, val := vectorTuples(v)
 		if len(ind) != 2 || ind[0] != 1 || ind[1] != 3 || val[0] != 1 || val[1] != 5 {
 			t.Fatalf("n=%d: tuples %v %v", n, ind, val)
 		}
