@@ -16,8 +16,10 @@ import (
 // compareValues — the path every residual filter takes, and under NoPushdown
 // the differential reference for this file. A pushed-down predicate is
 // instead compiled once into a colPred — a mode tag plus an unboxed target —
-// and run as a tight typed loop over the column's flat array, touching
-// value.Value only for the rare overflow (mixed-type) rows.
+// and run as one tight loop per mode over the column's flat array: the mode
+// picks the loop once per run, the operator is one lookup into cmpOutcome
+// per row, and value.Value is touched only for the rare overflow
+// (mixed-type) rows.
 //
 // Semantics are pinned to compareValues exactly:
 //   - a row without the attribute compares as null and is dropped (any op);
@@ -58,13 +60,13 @@ type predMode uint8
 
 const (
 	predInt    predMode = iota // int column vs int target
+	predIntF                   // int column vs any other numeric target
 	predFloat                  // float column vs a target float64 holds exactly
-	predMixed                  // any other numeric column and target
-	predStrEq                  // string column, = against an interned target
-	predStrNe                  // string column, <> against an interned target
+	predFloatI                 // float column vs an int target float64 does not hold
+	predStrEq                  // string column, = or <> against an interned target
 	predStrOrd                 // string column, ordering against the target
-	predKeep                   // kind mismatch under <>: every typed row passes
-	predDrop                   // kind mismatch otherwise: no typed row passes
+	predKeep                   // <> against a target no typed row can equal: every typed row passes
+	predDrop                   // any other op against such a target: no typed row passes
 )
 
 // cmpOp is a comparison operator resolved once at compile time, so the
@@ -82,6 +84,19 @@ const (
 
 var cmpOpText = [...]string{"=", "<>", "<", "<=", ">", ">="}
 
+// cmpOutcome is each operator's verdict on a three-way comparison: a row
+// whose cell compares c ∈ {-1, 0, 1} against the target passes op when
+// cmpOutcome[op][c+1] is set. Every typed comparison in this file goes
+// through it.
+var cmpOutcome = [...][3]bool{
+	cmpEq: {false, true, false},
+	cmpNe: {true, false, true},
+	cmpLt: {true, false, false},
+	cmpLe: {true, true, false},
+	cmpGt: {false, false, true},
+	cmpGe: {false, true, true},
+}
+
 // parseCmpOp maps an operator's text to its cmpOp; empty means =.
 func parseCmpOp(op string) cmpOp {
 	for i, t := range cmpOpText {
@@ -97,11 +112,10 @@ type colPred struct {
 	col   *graph.Column
 	mode  predMode
 	op    cmpOp
-	wantI int64   // predInt/predMixed target
-	wantF float64 // predFloat/predMixed target
-	wantS string  // predStrOrd target
-	sid   uint32  // predStrEq/predStrNe target (valid when sidOK)
-	sidOK bool
+	wantI int64       // predInt/predFloatI target
+	wantF float64     // predIntF/predFloat target
+	wantS string      // predStrOrd target
+	sid   uint32      // predStrEq target
 	wantV value.Value // boxed target, for overflow rows
 }
 
@@ -138,10 +152,12 @@ func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
 			out.mode = mismatchMode(out.op)
 		case col.Kind() == graph.ColInt && want.Kind == value.KindInt:
 			out.mode = predInt
-		case col.Kind() == graph.ColFloat && value.NewFloat(out.wantF).Equals(want):
+		case col.Kind() == graph.ColInt:
+			out.mode = predIntF
+		case value.NewFloat(out.wantF).Equals(want):
 			out.mode = predFloat // a float, or an int its float64 reading equals
 		default:
-			out.mode = predMixed
+			out.mode = predFloatI
 		}
 	case graph.ColString:
 		if want.Kind != value.KindString {
@@ -151,11 +167,11 @@ func compileColPred(ctx *execCtx, attr, op string, want value.Value) colPred {
 		switch out.op {
 		case cmpEq, cmpNe:
 			sid, ok := col.StringID(want.Str())
-			out.sid, out.sidOK = sid, ok
-			if out.op == cmpEq {
-				out.mode = predStrEq
-			} else {
-				out.mode = predStrNe
+			out.sid, out.mode = sid, predStrEq
+			if !ok {
+				// No row holds the target, so every typed row compares
+				// unequal: <> keeps them all, = none.
+				out.mode = mismatchMode(out.op)
 			}
 		default:
 			out.mode = predStrOrd
@@ -174,72 +190,12 @@ func mismatchMode(op cmpOp) predMode {
 	return predDrop
 }
 
-// probe evaluates the predicate for one node ID, mirroring
-// cmpKeep(op, <column value>, want). The presence bitmap is checked first —
-// a typed row is never also in overflow, so the common case costs a bitmap
-// test plus an array read, and the overflow map is only consulted for rows
-// without a typed cell.
+// probe evaluates the predicate for one node ID: filter over a one-row
+// selection, so a traversal's destination mask and a scan share one
+// comparison rule.
 func (p *colPred) probe(id uint64) bool {
-	if p.col == nil {
-		return false
-	}
-	if p.col.Present(id) {
-		switch p.mode {
-		case predInt:
-			return ordKeep(p.op, cmp.Compare(p.col.IntAt(id), p.wantI))
-		case predFloat:
-			return numKeep(p.op, p.col.FloatAt(id), p.wantF)
-		case predMixed:
-			if p.col.Kind() == graph.ColInt {
-				return ordKeep(p.op, value.CompareIntFloat(p.col.IntAt(id), p.wantF))
-			}
-			return ordKeep(p.op, -value.CompareIntFloat(p.wantI, p.col.FloatAt(id)))
-		case predStrEq:
-			return p.sidOK && p.col.StrIDAt(id) == p.sid
-		case predStrNe:
-			return !p.sidOK || p.col.StrIDAt(id) != p.sid
-		case predStrOrd:
-			return ordKeep(p.op, strings.Compare(p.col.StrAt(id), p.wantS))
-		case predKeep:
-			return true
-		default: // predDrop
-			return false
-		}
-	}
-	if v, ok := p.col.OverflowAt(id); ok {
-		return cmpKeep(cmpOpText[p.op], v, p.wantV)
-	}
-	return false // absent ≡ null: dropped under every operator
-}
-
-// numKeep applies op to value.Compare's three-way outcome for two floats:
-// strict < / > first, everything else (including NaN pairs) compares equal.
-func numKeep(op cmpOp, a, b float64) bool {
-	c := 0
-	switch {
-	case a < b:
-		c = -1
-	case a > b:
-		c = 1
-	}
-	return ordKeep(op, c)
-}
-
-func ordKeep(op cmpOp, c int) bool {
-	switch op {
-	case cmpEq:
-		return c == 0
-	case cmpNe:
-		return c != 0
-	case cmpLt:
-		return c < 0
-	case cmpLe:
-		return c <= 0
-	case cmpGt:
-		return c > 0
-	default: // cmpGe
-		return c >= 0
-	}
+	one := [1]uint64{id}
+	return len(p.filter(one[:])) == 1
 }
 
 // candidates appends, in ascending order, every node ID that could pass the
@@ -259,29 +215,116 @@ func (p *colPred) candidates(dst []uint64) []uint64 {
 const colFilterGrain = 512
 
 // filter compacts ids in place to the rows passing the predicate, keeping
-// their order. A typed row of an int column against an int target, or of a
-// float column against a float, is decided inline; every other row goes
-// through probe.
+// their order. The mode picks one loop for the whole run; inside it a typed
+// row costs a presence-bit test, an array read, a three-way compare and a
+// cmpOutcome lookup, and is written back unconditionally with the verdict
+// added to the output length. A row without a typed cell goes through
+// overflowKeeps.
 func (p *colPred) filter(ids []uint64) []uint64 {
-	out := ids[:0]
 	if p.col == nil {
-		return out
+		return ids[:0]
 	}
-	for _, id := range ids {
-		var keep bool
-		switch {
-		case p.mode == predInt && p.col.Present(id):
-			keep = ordKeep(p.op, cmp.Compare(p.col.IntAt(id), p.wantI))
-		case p.mode == predFloat && p.col.Present(id):
-			keep = numKeep(p.op, p.col.FloatAt(id), p.wantF)
-		default:
-			keep = p.probe(id)
+	keep := &cmpOutcome[p.op]
+	n := 0
+	switch p.mode {
+	case predInt:
+		pres, xs := p.col.Ints()
+		for _, id := range ids {
+			if pres.Get(int(id)) {
+				ids[n] = id
+				n += b2i(keep[cmp.Compare(xs[id], p.wantI)+1])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
 		}
-		if keep {
-			out = append(out, id)
+	case predIntF:
+		pres, xs := p.col.Ints()
+		for _, id := range ids {
+			if pres.Get(int(id)) {
+				ids[n] = id
+				n += b2i(keep[value.CompareIntFloat(xs[id], p.wantF)+1])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
+		}
+	case predFloat:
+		pres, xs := p.col.Floats()
+		for _, id := range ids {
+			if pres.Get(int(id)) {
+				ids[n] = id
+				n += b2i(keep[cmpFloat(xs[id], p.wantF)+1])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
+		}
+	case predFloatI:
+		pres, xs := p.col.Floats()
+		for _, id := range ids {
+			if pres.Get(int(id)) {
+				ids[n] = id
+				n += b2i(keep[1-value.CompareIntFloat(p.wantI, xs[id])])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
+		}
+	case predStrEq:
+		pres, sids := p.col.StrIDs()
+		for _, id := range ids {
+			if pres.Get(int(id)) {
+				ids[n] = id
+				n += b2i(keep[1+b2i(sids[id] != p.sid)])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
+		}
+	case predStrOrd:
+		for _, id := range ids {
+			if p.col.Present(id) {
+				ids[n] = id
+				n += b2i(keep[strings.Compare(p.col.StrAt(id), p.wantS)+1])
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
+		}
+	default: // predKeep, predDrop
+		typed := b2i(p.mode == predKeep)
+		for _, id := range ids {
+			if p.col.Present(id) {
+				ids[n] = id
+				n += typed
+			} else if p.overflowKeeps(id) {
+				ids[n] = id
+				n++
+			}
 		}
 	}
-	return out
+	return ids[:n]
+}
+
+// overflowKeeps decides a row without a typed cell: an overflow value goes
+// through the boxed compareValues itself, and a row without the attribute
+// compares as null and is dropped under every operator.
+func (p *colPred) overflowKeeps(id uint64) bool {
+	v, ok := p.col.OverflowAt(id)
+	return ok && cmpKeep(cmpOpText[p.op], v, p.wantV)
+}
+
+// cmpFloat is value.Compare's three-way outcome for two floats: strict < and
+// > first, everything else (NaN pairs included) compares equal.
+func cmpFloat(a, b float64) int { return b2i(a > b) - b2i(a < b) }
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // filterIDsColumnar compacts ids in place to the rows passing every

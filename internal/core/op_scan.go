@@ -400,16 +400,16 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return o.scanPass.nextBatch(ctx, &o.scanNode, o)
 }
 
-// loadPass builds the fully filtered candidate list: the label's diagonal
-// rows, striped by position, masked by the pushed labels, then run through
-// the pushed property comparisons.
+// loadPass builds the fully filtered candidate list: the label's members
+// read off its diagonal, striped by position, masked by the pushed labels,
+// then run through the pushed property comparisons.
 func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lm := labelMatrix(ctx.g, o.label)
 	if lm == nil {
 		return nil
 	}
-	o.ids = lm.AppendRows(o.ids)
+	o.ids = lm.AppendDiag(o.ids)
 	o.narrow(ctx, cf, false)
 	return nil
 }

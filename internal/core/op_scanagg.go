@@ -120,99 +120,148 @@ func (o *scanAggregateOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 // nextLive returns the loaded pass's next run of at most limit candidates,
 // narrowed to the nodes that exist — the IDs the record path would bind, in
 // the order it would bind them — and false once the pass is exhausted. The
-// run is valid until the next call.
+// run is valid until the next call. Only the [0, Dim) sweep probes each ID:
+// every other pass reads a label diagonal, an index posting or a column's
+// holders, and DeleteNode clears a node from all three, so they hold live
+// nodes alone.
 func (s *scanPass) nextLive(ctx *execCtx, limit int) ([]uint64, bool) {
-	var run []uint64
-	if s.sweep {
-		run = s.ids[:0]
-		for len(run) < limit {
-			id, ok := s.sweepNext(ctx)
-			if !ok {
-				break
-			}
+	if !s.sweep {
+		end := min(s.pos+limit, len(s.ids))
+		run := s.ids[s.pos:end]
+		s.pos = end
+		return run, len(run) > 0
+	}
+	run := s.ids[:0]
+	k := 0
+	for ; k < limit; k++ {
+		id, ok := s.sweepNext(ctx)
+		if !ok {
+			break
+		}
+		if _, ok := ctx.g.GetNode(id); ok {
 			run = append(run, id)
 		}
-		s.ids = run
-	} else {
-		end := min(s.pos+limit, len(s.ids))
-		run = s.ids[s.pos:end]
-		s.pos = end
 	}
-	if len(run) == 0 {
-		return nil, false
-	}
-	live := run[:0]
-	for _, id := range run {
-		if _, ok := ctx.g.GetNode(id); ok {
-			live = append(live, id)
-		}
-	}
-	return live, true
+	s.ids = run
+	return run, k > 0
 }
 
-// fold folds one run of live rows into st in order. Int and float cells go
-// through foldNum unboxed; string cells and overflow rows go through
-// update, boxed by Column.Value; absent cells read null and are skipped.
+// fold folds one run of live rows into st in order, through one loop chosen
+// for the whole run by the aggregate and the column's kind. Int and float
+// cells are read unboxed: sum adds ints exactly through addInt (which
+// switches to float64 on overflow) and floats through addFloat, avg adds
+// float64 readings, and min and max box a cell only when it may replace the
+// current extreme, leaving the exact decision to update (a tie in float64
+// reading still may: 2⁵³+1 beats 2⁵³). String cells and rows without a
+// typed cell (overflow values) are boxed by Column.Value and go through
+// update; absent cells read null and are skipped.
 func (it *scanAggItem) fold(st *aggState, col *graph.Column, ids []uint64) {
-	if it.attr == "" {
+	spec := &it.spec
+	switch {
+	case it.attr == "":
 		st.count += int64(len(ids)) // a scanned node is never null
 		return
-	}
-	if col == nil {
+	case col == nil:
 		return // no node holds the attribute: every row reads null
 	}
-	kind := col.Kind()
-	for _, id := range ids {
-		switch present := col.Present(id); {
-		case present && kind == graph.ColInt:
-			x := col.IntAt(id)
-			st.foldNum(&it.spec, float64(x), x, true)
-		case present && kind == graph.ColFloat:
-			st.foldNum(&it.spec, col.FloatAt(id), 0, false)
-		default:
-			if v, ok := col.Value(id); ok {
-				st.update(&it.spec, v)
+	switch kind := col.Kind(); {
+	case spec.kind == aggCount:
+		for _, id := range ids {
+			if col.Present(id) {
+				st.count++
+			} else {
+				st.boxed(spec, col, id)
 			}
+		}
+	case kind == graph.ColInt:
+		pres, xs := col.Ints()
+		switch spec.kind {
+		case aggSum:
+			for _, id := range ids {
+				if pres.Get(int(id)) {
+					st.addInt(xs[id])
+				} else {
+					st.boxed(spec, col, id)
+				}
+			}
+		case aggAvg:
+			for _, id := range ids {
+				if pres.Get(int(id)) {
+					st.count++
+					st.sum += float64(xs[id])
+				} else {
+					st.boxed(spec, col, id)
+				}
+			}
+		case aggMin:
+			for _, id := range ids {
+				if !pres.Get(int(id)) {
+					st.boxed(spec, col, id)
+				} else if x := xs[id]; float64(x) <= st.minF || !isNumeric(st.minv.Kind) {
+					st.update(spec, value.NewInt(x))
+				}
+			}
+		case aggMax:
+			for _, id := range ids {
+				if !pres.Get(int(id)) {
+					st.boxed(spec, col, id)
+				} else if x := xs[id]; st.maxF <= float64(x) || !isNumeric(st.maxv.Kind) {
+					st.update(spec, value.NewInt(x))
+				}
+			}
+		}
+	case kind == graph.ColFloat:
+		pres, xs := col.Floats()
+		switch spec.kind {
+		case aggSum:
+			for _, id := range ids {
+				if pres.Get(int(id)) {
+					st.addFloat(xs[id])
+				} else {
+					st.boxed(spec, col, id)
+				}
+			}
+		case aggAvg:
+			for _, id := range ids {
+				if pres.Get(int(id)) {
+					st.count++
+					st.sum += xs[id]
+				} else {
+					st.boxed(spec, col, id)
+				}
+			}
+		case aggMin:
+			for _, id := range ids {
+				if !pres.Get(int(id)) {
+					st.boxed(spec, col, id)
+				} else if x := xs[id]; x <= st.minF || !isNumeric(st.minv.Kind) {
+					st.update(spec, value.NewFloat(x))
+				}
+			}
+		case aggMax:
+			for _, id := range ids {
+				if !pres.Get(int(id)) {
+					st.boxed(spec, col, id)
+				} else if x := xs[id]; st.maxF <= x || !isNumeric(st.maxv.Kind) {
+					st.update(spec, value.NewFloat(x))
+				}
+			}
+		}
+	default:
+		for _, id := range ids {
+			st.boxed(spec, col, id)
 		}
 	}
 }
 
-// foldNum is update for a numeric cell read unboxed: f is its float64
-// reading (what avg adds and min/max prefilter on), i its exact value when
-// isInt (what sum adds and min/max keep). A min/max candidate is boxed only
-// when it may replace the current extreme, and then update decides exactly:
-// a tie in float64 reading still may (2⁵³+1 beats 2⁵³).
-func (s *aggState) foldNum(spec *aggSpec, f float64, i int64, isInt bool) {
-	switch spec.kind {
-	case aggCount:
-		s.count++
-	case aggSum:
-		if isInt {
-			s.addInt(i)
-		} else {
-			s.addFloat(f)
-		}
-	case aggAvg:
-		s.count++
-		s.sum += f
-	case aggMin:
-		if !isNumeric(s.minv.Kind) || f <= s.minF {
-			s.update(spec, numValue(f, i, isInt))
-		}
-	case aggMax:
-		if !isNumeric(s.maxv.Kind) || s.maxF <= f {
-			s.update(spec, numValue(f, i, isInt))
-		}
+// boxed folds one row through update, boxed by Column.Value; a row without
+// the attribute reads null and is skipped.
+func (s *aggState) boxed(spec *aggSpec, col *graph.Column, id uint64) {
+	if v, ok := col.Value(id); ok {
+		s.update(spec, v)
 	}
 }
 
 // isNumeric is Value.IsNumeric on the kind alone, so the per-row check never
 // copies the Value it reads.
 func isNumeric(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
-
-func numValue(f float64, i int64, isInt bool) value.Value {
-	if isInt {
-		return value.NewInt(i)
-	}
-	return value.NewFloat(f)
-}

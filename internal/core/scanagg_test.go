@@ -18,7 +18,9 @@ import (
 // a different fold order changes a float sum), strings, NaN in the first
 // :P row (nan0) and in the middle (nanmid), int64 values whose sum overflows
 // (big), and a kind-changed column (k: ints with string, float and bool
-// overflow rows). After a fold it buffers more nodes, null SETs, kind-changing
+// overflow rows), a string column with int overflow rows (s) and ints around
+// 2⁵³ that float64 cannot all hold (e). After
+// a fold it buffers more nodes, null SETs, kind-changing
 // SETs and DETACH deletes without folding, so label matrices carry pending
 // delta-plus and delta-minus rows. :P(g) is indexed. A scan has more than
 // 512 candidates, so OpThreads 4 splits the pushed filters into morsels.
@@ -44,6 +46,7 @@ func scanAggGraph(t testing.TB) *graph.Graph {
 			"nanmid": value.NewFloat(float64(v*5%17) - 3),
 			"big":    value.NewInt(1<<61 + int64(v)),
 			"k":      value.NewInt(int64(v * 3 % 20)),
+			"e":      value.NewInt(1<<53 + int64(v%3) - 1),
 		}
 		if v%5 != 0 {
 			props["i"] = value.NewInt(int64(v*7%50 - 10))
@@ -51,8 +54,11 @@ func scanAggGraph(t testing.TB) *graph.Graph {
 		if v%7 != 0 {
 			props["f"] = value.NewFloat(float64(v)/3 - 20)
 		}
-		if v%6 != 0 {
+		switch {
+		case v%6 != 0:
 			props["s"] = value.NewString(fmt.Sprintf("s%02d", v*13%40))
+		case v > 0 && v%12 == 0:
+			props["s"] = value.NewInt(int64(v % 5))
 		}
 		switch {
 		case v == 1:
@@ -121,7 +127,12 @@ func aggCell(v value.Value) string {
 
 func aggRows(t testing.TB, g *graph.Graph, query string, cfg Config) string {
 	t.Helper()
-	rs, err := Query(g, query, nil, cfg)
+	return aggRowsParams(t, g, query, nil, cfg)
+}
+
+func aggRowsParams(t testing.TB, g *graph.Graph, query string, params map[string]value.Value, cfg Config) string {
+	t.Helper()
+	rs, err := Query(g, query, params, cfg)
 	if err != nil {
 		t.Fatalf("cfg %+v %s: %v", cfg, query, err)
 	}
@@ -152,10 +163,88 @@ func planText(t testing.TB, g *graph.Graph, query string, cfg Config) string {
 // TestScanAggregateDifferential checks every ScanAggregate answer against
 // Aggregate over the same scan (noPushdown), cell for cell and float bits
 // included, across batch × threads × kernel × plan cache. The reference runs
-// serially: a parallel Aggregate merges partial sums in another order.
+// serially: a parallel Aggregate merges partial sums in another order. The
+// whole list runs twice: over the fixture's pending label diagonals (the
+// delta-aware member walk) and again after a fold (the members read off the
+// clean diagonal's column indices).
 func TestScanAggregateDifferential(t *testing.T) {
 	g := scanAggGraph(t)
-	queries := []string{
+	queries := scanAggQueries()
+	all := append(scanAggQueries(), scanAggPredQueries()...)
+	for _, q := range all {
+		if plan := planText(t, g, q, Config{}); !strings.Contains(plan, "ScanAggregate") {
+			t.Fatalf("%s must plan ScanAggregate:\n%s", q, plan)
+		}
+		if plan := planText(t, g, q, Config{noPushdown: true}); strings.Contains(plan, "ScanAggregate") {
+			t.Fatalf("%s under noPushdown must keep Aggregate:\n%s", q, plan)
+		}
+	}
+	params := scanAggPredParams()
+	for _, state := range []string{"pending", "synced"} {
+		if state == "synced" {
+			g.Lock()
+			g.Sync()
+			g.Unlock()
+		}
+		if pending := g.PendingDeltas() > 0; pending != (state == "pending") {
+			t.Fatalf("%s fixture: pending deltas %d", state, g.PendingDeltas())
+		}
+		for _, batch := range []int{1, 64} {
+			for _, threads := range []int{1, 4} {
+				for _, kernel := range []string{"auto", "push", "pull"} {
+					for _, cached := range []bool{false, true} {
+						cfg := Config{TraverseBatch: batch, OpThreads: threads, TraverseKernel: kernel}
+						ref := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: true}
+						if cached {
+							cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+							ref.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+						}
+						list := queries
+						if batch == 64 && kernel == "auto" {
+							// The predicates neither traverse nor build
+							// records, so one batch size and kernel cover them.
+							list = all
+						}
+						for _, q := range list {
+							got, want := aggRowsParams(t, g, q, params, cfg), aggRowsParams(t, g, q, params, ref)
+							if got != want {
+								t.Fatalf("%s cfg %+v %s:\nScanAggregate %s\nAggregate     %s", state, cfg, q, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		// Spot checks that the fixture exercises what it claims.
+		if got := aggRows(t, g, `MATCH (p:P) RETURN min(p.nan0), sum(p.big)`, Config{}); !strings.HasPrefix(got, "float:7ff8") ||
+			strings.Contains(got, "integer") {
+			t.Errorf("%s: min over a NaN-first column must be NaN and the overflowing sum a float: %s", state, got)
+		}
+		live := scanAggNodes + scanAggNodes/8 - 5
+		if got, want := aggRows(t, g, `MATCH (p) RETURN count(*)`, Config{}), fmt.Sprintf("integer:%d", live); got != want {
+			t.Errorf("%s: all-node count = %s, want %s", state, got, want)
+		}
+		// ScanAggregate and its reference read label members the same way,
+		// so the member count is checked against the node store itself.
+		members := 0
+		g.ForEachNode(func(n *graph.Node) bool {
+			if nodeHasLabel(g, n, "P") {
+				members++
+			}
+			return true
+		})
+		if got, want := aggRows(t, g, `MATCH (p:P) RETURN count(p)`, Config{}), fmt.Sprintf("integer:%d", members); got != want {
+			t.Errorf("%s: :P count = %s, want %s", state, got, want)
+		}
+		if got := aggRowsParams(t, g, `MATCH (p:P) WHERE p.e = $big RETURN count(p)`, params, Config{}); got == "integer:0" {
+			t.Errorf("%s: no row holds 2⁵³+1 exactly", state)
+		}
+	}
+}
+
+// scanAggQueries lists the aggregates and scans of the differential test.
+func scanAggQueries() []string {
+	return []string{
 		// All-node scans: the [0, Dim) sweep, and a pushed predicate's
 		// candidate list.
 		`MATCH (p) RETURN count(*), count(p), sum(p.i), avg(p.f), min(p.s), max(p.k)`,
@@ -173,6 +262,7 @@ func TestScanAggregateDifferential(t *testing.T) {
 		// Unknown attribute and label.
 		`MATCH (p:P) RETURN count(p.nope), sum(p.nope), avg(p.nope), min(p.nope), max(p.nope)`,
 		`MATCH (p:Nope) RETURN count(*), count(p), sum(p.i), min(p.f)`,
+		`MATCH (p:P) WHERE p.nope < 3 RETURN count(*), sum(p.i)`,
 		// Pushed labels and property predicates, ORDER BY and LIMIT above.
 		`MATCH (p:P:Q) WHERE p.i >= 3 AND p.s <> 's05' RETURN count(p), max(p.f), sum(p.i)`,
 		`MATCH (p:Q) WHERE p.f < 40.5 RETURN count(*) AS c, min(p.i) ORDER BY c LIMIT 1`,
@@ -184,41 +274,37 @@ func TestScanAggregateDifferential(t *testing.T) {
 		`UNWIND [1, 2, 3] AS x MATCH (p:Q) RETURN count(*), sum(p.i), avg(p.f)`,
 		`MATCH (a:P)-[:R]->(b) WITH count(b) AS c MATCH (p:Q) RETURN count(p), sum(p.f)`,
 	}
-	for _, q := range queries {
-		if plan := planText(t, g, q, Config{}); !strings.Contains(plan, "ScanAggregate") {
-			t.Fatalf("%s must plan ScanAggregate:\n%s", q, plan)
-		}
-		if plan := planText(t, g, q, Config{noPushdown: true}); strings.Contains(plan, "ScanAggregate") {
-			t.Fatalf("%s under noPushdown must keep Aggregate:\n%s", q, plan)
-		}
-	}
-	for _, batch := range []int{1, 64} {
-		for _, threads := range []int{1, 4} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
-				for _, cached := range []bool{false, true} {
-					cfg := Config{TraverseBatch: batch, OpThreads: threads, TraverseKernel: kernel}
-					ref := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: true}
-					if cached {
-						cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-						ref.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-					}
-					for _, q := range queries {
-						if got, want := aggRows(t, g, q, cfg), aggRows(t, g, q, ref); got != want {
-							t.Fatalf("cfg %+v %s:\nScanAggregate %s\nAggregate     %s", cfg, q, got, want)
-						}
-					}
-				}
+}
+
+// scanAggPredQueries pushes every comparison operator over an int column
+// (i, and e around 2⁵³), a float column holding int overflow rows (f), a
+// float column holding NaN (nanmid), an int column holding string, float and
+// bool overflow rows (k) and a string column holding int overflow rows (s),
+// against each target of scanAggPredParams and two string literals (one
+// interned, one not): every compiled predicate mode and its overflow
+// fallback.
+func scanAggPredQueries() []string {
+	var out []string
+	for _, col := range []string{"i", "e", "f", "nanmid", "k", "s"} {
+		for _, op := range cmpOpText {
+			for _, target := range []string{"$nan", "$negz", "$big", "$half", "$int", "'s05'", "'zz'"} {
+				out = append(out, fmt.Sprintf("MATCH (p:P) WHERE p.%s %s %s RETURN count(p), sum(p.i), min(p.f), max(p.k)", col, op, target))
 			}
 		}
 	}
-	// Spot checks that the fixture exercises what it claims.
-	if got := aggRows(t, g, `MATCH (p:P) RETURN min(p.nan0), sum(p.big)`, Config{}); !strings.HasPrefix(got, "float:7ff8") ||
-		strings.Contains(got, "integer") {
-		t.Errorf("min over a NaN-first column must be NaN and the overflowing sum a float: %s", got)
-	}
-	live := scanAggNodes + scanAggNodes/8 - 5
-	if got, want := aggRows(t, g, `MATCH (p) RETURN count(*)`, Config{}), fmt.Sprintf("integer:%d", live); got != want {
-		t.Errorf("all-node count = %s, want %s", got, want)
+	return out
+}
+
+// scanAggPredParams are the predicate targets: NaN, −0.0 (equal to 0 and
+// to 0.0), 2⁵³+1 (an int float64 cannot hold), 2.5 (a float no int equals)
+// and a plain int.
+func scanAggPredParams() map[string]value.Value {
+	return map[string]value.Value{
+		"nan":  value.NewFloat(math.NaN()),
+		"negz": value.NewFloat(math.Copysign(0, -1)),
+		"big":  value.NewInt(1<<53 + 1),
+		"half": value.NewFloat(2.5),
+		"int":  value.NewInt(3),
 	}
 }
 

@@ -236,13 +236,13 @@ func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *
 	if e, ok := g.unionCache[key]; ok && e.epoch == epoch {
 		return e.m
 	}
-	var parts []*grb.DeltaMatrix
+	var parts []*grb.Matrix
 	collect := func(rev bool) {
 		if anyType {
 			if rev {
-				parts = append(parts, g.tadj)
+				parts = append(parts, g.tadj.Export())
 			} else {
-				parts = append(parts, g.adj)
+				parts = append(parts, g.adj.Export())
 			}
 			return
 		}
@@ -252,7 +252,7 @@ func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *
 				m = g.TRelationMatrix(t)
 			}
 			if m != nil {
-				parts = append(parts, m)
+				parts = append(parts, m.Export())
 			}
 		}
 	}
@@ -263,10 +263,8 @@ func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *
 		collect(transposed)
 	}
 	acc := grb.NewMatrix(g.dim, g.dim)
-	for _, m := range parts {
-		if err := grb.EWiseAddMatrix(acc, acc, m.Export()); err != nil {
-			panic(fmt.Sprintf("graph: union build: %v", err)) // dimensions are controlled internally
-		}
+	if err := grb.EWiseAddMatrix(acc, parts...); err != nil {
+		panic(fmt.Sprintf("graph: union build: %v", err)) // dimensions are controlled internally
 	}
 	if g.unionCache == nil {
 		g.unionCache = map[string]unionEntry{}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"redisgraph/internal/value"
@@ -121,6 +122,58 @@ func TestDeleteNodeCascades(t *testing.T) {
 	if g.LabelMatrix(lid).NVals() != 2 {
 		t.Fatalf("label diag: %d", g.LabelMatrix(lid).NVals())
 	}
+}
+
+// TestDeletedNodeLeavesScanSources pins what lets a scan skip the per-node
+// liveness probe: once DeleteNode returns, the node is gone from its label
+// diagonals' members, from the index postings of its labels and from every
+// property column's holders — with the diagonal's delete still pending and
+// again after a fold.
+func TestDeletedNodeLeavesScanSources(t *testing.T) {
+	g := New("t")
+	if !g.CreateIndex("P", "k") {
+		t.Fatal("index not created")
+	}
+	var ids []uint64
+	for v := 0; v < 6; v++ {
+		ids = append(ids, g.CreateNode([]string{"P", "Q"}, props("k", v%2, "s", "x")).ID)
+	}
+	g.Sync()
+	victim := ids[2] // k = 0, shared with ids[0] and ids[4]
+	if _, ok := g.DeleteNode(victim); !ok {
+		t.Fatal("delete failed")
+	}
+	lidP, _ := g.Schema.LabelID("P")
+	aidK, _ := g.Schema.AttrID("k")
+	aidS, _ := g.Schema.AttrID("s")
+	ix, _ := g.Schema.Index(lidP, aidK)
+	check := func(when string) {
+		t.Helper()
+		for _, label := range []string{"P", "Q"} {
+			lid, _ := g.Schema.LabelID(label)
+			members := g.LabelMatrix(lid).AppendDiag(nil)
+			if len(members) != len(ids)-1 || slices.Contains(members, victim) {
+				t.Errorf("%s: :%s members %v still hold node %d", when, label, members, victim)
+			}
+		}
+		if posting := ix.Lookup(value.NewInt(0)); len(posting) != 2 || slices.Contains(posting, victim) {
+			t.Errorf("%s: index posting %v still holds node %d", when, posting, victim)
+		}
+		for _, aid := range []int{aidK, aidS} {
+			if holders := g.PropColumn(aid).AppendIDs(nil); len(holders) != len(ids)-1 || slices.Contains(holders, victim) {
+				t.Errorf("%s: column %d holders %v still hold node %d", when, aid, holders, victim)
+			}
+		}
+	}
+	if g.LabelMatrix(lidP).Pending() == 0 {
+		t.Fatal("the delete must leave the diagonal pending")
+	}
+	check("pending")
+	g.Sync()
+	if g.PendingDeltas() != 0 {
+		t.Fatal("Sync left deltas pending")
+	}
+	check("folded")
 }
 
 func TestPropertiesAndIndex(t *testing.T) {

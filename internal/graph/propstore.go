@@ -242,11 +242,17 @@ func (c *Column) Kind() ColKind { return c.kind }
 // Present reports whether entity id holds a typed value in this column.
 func (c *Column) Present(id uint64) bool { return c.present.Get(int(id)) }
 
-// IntAt / FloatAt / StrIDAt read the typed cell for a present entity; callers
-// must check Present (or a selection derived from it) first.
-func (c *Column) IntAt(id uint64) int64     { return c.ints[id] }
+// FloatAt reads the typed cell of a present entity in a float column;
+// callers must check Present first.
 func (c *Column) FloatAt(id uint64) float64 { return c.floats[id] }
-func (c *Column) StrIDAt(id uint64) uint32  { return c.strs[id] }
+
+// Ints, Floats and StrIDs return the presence bitmap and the typed array
+// together, for loops over many rows that hoist both out of the loop. They
+// are read-only views, valid until the next write, and a cell means
+// something only where its presence bit is set.
+func (c *Column) Ints() (grb.Bitmap, []int64)     { return c.present, c.ints }
+func (c *Column) Floats() (grb.Bitmap, []float64) { return c.present, c.floats }
+func (c *Column) StrIDs() (grb.Bitmap, []uint32)  { return c.present, c.strs }
 
 // StrAt returns the interned string value for a present entity.
 func (c *Column) StrAt(id uint64) string { return c.store.strTab[c.strs[id]] }

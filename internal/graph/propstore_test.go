@@ -15,7 +15,7 @@ func TestPropStorePromotionAndOverflow(t *testing.T) {
 	if c == nil || c.Kind() != ColInt {
 		t.Fatalf("first int write must promote to ColInt, got %v", c.Kind())
 	}
-	if !c.Present(3) || c.IntAt(3) != 42 {
+	if !c.Present(3) || c.ints[3] != 42 {
 		t.Fatalf("typed cell not stored: present=%v", c.Present(3))
 	}
 
@@ -33,7 +33,7 @@ func TestPropStorePromotionAndOverflow(t *testing.T) {
 
 	// Writing a matching kind again reclaims the typed slot.
 	ps.set(3, 0, value.NewInt(7))
-	if !c.Present(3) || c.IntAt(3) != 7 {
+	if !c.Present(3) || c.ints[3] != 7 {
 		t.Fatal("typed rewrite must reclaim the cell")
 	}
 	if _, ok := c.OverflowAt(3); ok {
@@ -104,13 +104,13 @@ func TestPropStoreInterning(t *testing.T) {
 	ps.set(1, 0, value.NewString("oak"))
 	ps.set(2, 0, value.NewString("ash"))
 	c := ps.Column(0)
-	if c.StrIDAt(0) != c.StrIDAt(2) {
+	if c.strs[0] != c.strs[2] {
 		t.Fatal("equal strings must share one interned ID")
 	}
-	if c.StrIDAt(0) == c.StrIDAt(1) {
+	if c.strs[0] == c.strs[1] {
 		t.Fatal("distinct strings must not share an ID")
 	}
-	if id, ok := c.StringID("oak"); !ok || id != c.StrIDAt(1) {
+	if id, ok := c.StringID("oak"); !ok || id != c.strs[1] {
 		t.Fatal("StringID must resolve to the stored cell's ID")
 	}
 	if _, ok := c.StringID("nosuch"); ok {

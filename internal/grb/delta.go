@@ -281,24 +281,29 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 	return append([]Index(nil), ci...)
 }
 
-// AppendRows appends to dst, in ascending order, every row index holding at
-// least one effective entry (for a label diagonal: the label's members), as
-// the uint64 entity IDs the graph layer's candidate lists hold. It neither
-// folds nor allocates beyond growing dst. With nothing pending it reads the
-// main CSR's row pointers alone; otherwise a row also counts through its
-// delta-plus entries and loses the main entries its delta-minus removes (the
-// two never share a column).
-func (m *DeltaMatrix) AppendRows(dst []uint64) []uint64 {
+// AppendDiag appends to dst, in ascending order, the index of every entry of
+// a diagonal matrix (for a label diagonal: the label's members), as the
+// uint64 entity IDs the graph layer's candidate lists hold. It neither folds
+// nor allocates beyond growing dst. With nothing pending the main CSR's
+// column indices already are that list, one entry per non-empty row, and
+// are copied straight out; otherwise every row is walked, counting through
+// its delta-plus entries and losing the main entries its delta-minus removes
+// (the two never share a column).
+func (m *DeltaMatrix) AppendDiag(dst []uint64) []uint64 {
+	if m.Pending() == 0 {
+		dst = slices.Grow(dst, len(m.main.colInd))
+		for _, j := range m.main.colInd {
+			dst = append(dst, uint64(j))
+		}
+		return dst
+	}
 	rp := m.main.rowPtr
-	pending := m.Pending() > 0
 	for i := 0; i < m.nrows; i++ {
 		n := rp[i+1] - rp[i]
-		if pending {
-			if m.dp[i] != nil {
-				n = 1 // a delta-plus row is never empty
-			} else {
-				n -= len(m.dm[i])
-			}
+		if m.dp[i] != nil {
+			n = 1 // a delta-plus row is never empty
+		} else {
+			n -= len(m.dm[i])
 		}
 		if n > 0 {
 			dst = append(dst, uint64(i))

@@ -44,17 +44,12 @@ func assertSameMatrix(t *testing.T, dm *DeltaMatrix, ref *Matrix) {
 		t.Fatalf("nvals: delta %d, ref %d", dm.NVals(), ref.NVals())
 	}
 	ri, rj, rv := tuples(ref)
-	// Walk the delta matrix row by row: AppendRows names the non-empty rows,
-	// RowIterate their columns and ExtractElement each value.
+	// Walk the delta matrix row by row: RowIterate names each row's columns
+	// and ExtractElement each value.
 	var di, dj []Index
 	var dv []float64
-	for _, r := range dm.AppendRows(nil) {
-		i := Index(r)
-		cols := dm.RowIterate(i)
-		if len(cols) == 0 {
-			t.Fatalf("AppendRows listed empty row %d", i)
-		}
-		for _, j := range cols {
+	for i := 0; i < ref.nrows; i++ {
+		for _, j := range dm.RowIterate(i) {
 			x, err := dm.ExtractElement(i, j)
 			if err != nil {
 				t.Fatalf("(%d,%d): %v", i, j, err)
@@ -235,44 +230,42 @@ func TestDeltaMatrixSetRemoveBookkeeping(t *testing.T) {
 	check(1, 0)
 }
 
-// TestDeltaMatrixAppendRows checks the non-empty-row walk against pending
-// delta-plus and delta-minus rows without folding, and again after Sync.
-func TestDeltaMatrixAppendRows(t *testing.T) {
-	m := NewMatrix(5, 3)
-	must(t, m.SetElement(1, 0, 7))
-	must(t, m.SetElement(3, 1, 1))
-	must(t, m.SetElement(3, 2, 1))
+// TestDeltaMatrixAppendDiag checks the member walk of a diagonal against
+// pending delta-plus and delta-minus rows without folding, and the clean
+// column-index copy after Sync.
+func TestDeltaMatrixAppendDiag(t *testing.T) {
+	m := NewMatrix(6, 6)
+	for _, i := range []Index{1, 3, 4} {
+		must(t, m.SetElement(i, i, 1))
+	}
 	dm := DeltaFrom(m)
 	dm.SetThreshold(1 << 30)
-	must(t, dm.SetElement(0, 1, 8)) // delta-plus on an empty row
-	must(t, dm.SetElement(3, 1, 5)) // delta-plus override of a main entry
-	must(t, dm.RemoveElement(1, 0)) // delta-minus empties row 1
-	must(t, dm.RemoveElement(3, 2)) // delta-minus leaves row 3 one entry
-	must(t, dm.SetElement(4, 2, 1))
-	must(t, dm.RemoveElement(4, 2)) // a delta-plus row inserted and emptied again
-	want := []uint64{9, 0, 3}
-	check := func(when string) {
+	check := func(when string, want []uint64) {
 		t.Helper()
-		got := dm.AppendRows([]uint64{9})
-		if len(got) != len(want) {
-			t.Fatalf("%s: rows %v, want %v", when, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("%s: rows %v, want %v", when, got, want)
-			}
+		if got := dm.AppendDiag([]uint64{9}); !slices.Equal(got, append([]uint64{9}, want...)) {
+			t.Fatalf("%s: members %v, want 9 then %v", when, got, want)
 		}
 	}
-	check("pending")
+	check("clean", []uint64{1, 3, 4})
+	must(t, dm.SetElement(0, 0, 1)) // delta-plus on an empty row
+	must(t, dm.SetElement(3, 3, 1)) // delta-plus override of a main entry
+	must(t, dm.RemoveElement(1, 1)) // delta-minus empties row 1
+	must(t, dm.SetElement(5, 5, 1)) // a delta-plus row inserted
+	must(t, dm.RemoveElement(5, 5)) // and emptied again
+	want := []uint64{0, 3, 4}
+	check("pending", want)
 	if dm.Pending() == 0 {
-		t.Fatal("AppendRows must not fold")
+		t.Fatal("AppendDiag must not fold")
 	}
 	buf := make([]uint64, 0, 8)
-	if n := testing.AllocsPerRun(10, func() { buf = dm.AppendRows(buf[:0]) }); n != 0 {
-		t.Fatalf("AppendRows allocated %.0f times into a large enough buffer", n)
+	if n := testing.AllocsPerRun(10, func() { buf = dm.AppendDiag(buf[:0]) }); n != 0 {
+		t.Fatalf("pending AppendDiag allocated %.0f times into a large enough buffer", n)
 	}
 	dm.ForceSync()
-	check("synced")
+	check("synced", want)
+	if n := testing.AllocsPerRun(10, func() { buf = dm.AppendDiag(buf[:0]) }); n != 0 {
+		t.Fatalf("clean AppendDiag allocated %.0f times into a large enough buffer", n)
+	}
 }
 
 func TestDeltaMatrixThresholdSync(t *testing.T) {

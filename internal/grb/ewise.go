@@ -1,40 +1,56 @@
 package grb
 
-// EWiseAddMatrix sets C to the pattern union of A and B: an entry of 1
-// wherever either holds one. C's previous contents are replaced, and C may be
-// A or B. The graph folds relation matrices into a multi-type traversal
-// operand with it; nothing reads the union's values.
-func EWiseAddMatrix(c, a, b *Matrix) error {
-	if c == nil || a == nil || b == nil {
+// EWiseAddMatrix sets C to the pattern union of its parts: an entry of 1
+// wherever any part holds one. Each row is merged once across all the parts,
+// so every union entry is written once however many parts there are. C's
+// previous contents are replaced, and C may be one of the parts. The graph
+// folds relation matrices into a multi-type or undirected traversal operand
+// with it; nothing reads the union's values.
+func EWiseAddMatrix(c *Matrix, parts ...*Matrix) error {
+	if c == nil {
 		return ErrNilObject
 	}
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return dimErr("ewiseadd: A %dx%d, B %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
+	nnz := 0
+	for _, p := range parts {
+		if p == nil {
+			return ErrNilObject
+		}
+		if p.nrows != c.nrows || p.ncols != c.ncols {
+			return dimErr("ewiseadd: part %dx%d, C %dx%d", p.nrows, p.ncols, c.nrows, c.ncols)
+		}
+		nnz += len(p.colInd)
 	}
-	if c.nrows != a.nrows || c.ncols != a.ncols {
-		return dimErr("ewiseadd: C %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, a.ncols)
-	}
-	rp := make([]int, a.nrows+1)
-	ci := make([]Index, 0, max(len(a.colInd), len(b.colInd)))
-	for i := 0; i < a.nrows; i++ {
-		ac, _ := a.rowView(i)
-		bc, _ := b.rowView(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(bc) {
-			switch {
-			case ac[x] < bc[y]:
-				ci = append(ci, ac[x])
-				x++
-			case bc[y] < ac[x]:
-				ci = append(ci, bc[y])
-				y++
-			default:
-				ci = append(ci, ac[x])
-				x++
-				y++
+	rp := make([]int, c.nrows+1)
+	ci := make([]Index, 0, nnz)
+	live := make([][]Index, 0, len(parts)) // the current row's non-empty remainders
+	for i := 0; i < c.nrows; i++ {
+		live = live[:0]
+		for _, p := range parts {
+			if r, _ := p.rowView(i); len(r) > 0 {
+				live = append(live, r)
 			}
 		}
-		ci = append(append(ci, ac[x:]...), bc[y:]...)
+		for len(live) > 1 {
+			j := live[0][0]
+			for _, r := range live[1:] {
+				j = min(j, r[0])
+			}
+			ci = append(ci, j)
+			k := 0
+			for _, r := range live {
+				if r[0] == j {
+					r = r[1:]
+				}
+				if len(r) > 0 {
+					live[k] = r
+					k++
+				}
+			}
+			live = live[:k]
+		}
+		if len(live) == 1 {
+			ci = append(ci, live[0]...)
+		}
 		rp[i+1] = len(ci)
 	}
 	c.rowPtr, c.colInd, c.val = rp, ci, ones(len(ci))
