@@ -17,7 +17,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":6379", "listen address")
-	threads := flag.Int("threads", 8, "module threadpool size (queries run one per worker)")
+	threads := flag.Int("threads", 8, "THREAD_COUNT: queries that may execute at once, each on its connection's goroutine (more wait up to ADMISSION_TIMEOUT, then get -BUSY)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 	batch := flag.Int("batch", 0, "pipeline batch size (0 = engine default; 1 = tuple-at-a-time)")
 	kernel := flag.String("kernel", "auto", "kernel direction of var-length hops and expand-into probes: auto | push | pull (fixed hops always push)")
@@ -40,7 +40,7 @@ func main() {
 	if err := s.Start(); err != nil {
 		log.Fatalf("redisgraph-server: %v", err)
 	}
-	log.Printf("redisgraph-server listening on %s (threadpool=%d)", s.Addr(), *threads)
+	log.Printf("redisgraph-server listening on %s (THREAD_COUNT=%d)", s.Addr(), *threads)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

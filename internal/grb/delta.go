@@ -284,30 +284,44 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 // AppendDiag appends to dst, in ascending order, the index of every entry of
 // a diagonal matrix (for a label diagonal: the label's members), as the
 // uint64 entity IDs the graph layer's candidate lists hold. It neither folds
-// nor allocates beyond growing dst. With nothing pending the main CSR's
-// column indices already are that list, one entry per non-empty row, and
-// are copied straight out; otherwise every row is walked, counting through
-// its delta-plus entries and losing the main entries its delta-minus removes
-// (the two never share a column).
+// nor allocates beyond growing dst. It is one merge walk over the main CSR's
+// column indices (one per non-empty row) and the sorted delta rows: the runs
+// between delta rows are copied whole, a delta-minus row drops its main
+// entry, and a delta-plus row is emitted once, in place of any main entry it
+// overrides. The delta rows, tagged plus or minus in their low bit, are
+// staged in dst's spare capacity past the output's upper bound; with nothing
+// pending the walk is one copy of the column indices.
 func (m *DeltaMatrix) AppendDiag(dst []uint64) []uint64 {
-	if m.Pending() == 0 {
-		dst = slices.Grow(dst, len(m.main.colInd))
-		for _, j := range m.main.colInd {
-			dst = append(dst, uint64(j))
-		}
-		return dst
+	mc := m.main.colInd
+	bound := len(dst) + len(mc) + len(m.dp)
+	grown := slices.Grow(dst, len(mc)+2*len(m.dp)+len(m.dm))
+	rows := grown[bound:bound]
+	for i := range m.dp {
+		rows = append(rows, uint64(i)<<1|1)
 	}
-	rp := m.main.rowPtr
-	for i := 0; i < m.nrows; i++ {
-		n := rp[i+1] - rp[i]
-		if m.dp[i] != nil {
-			n = 1 // a delta-plus row is never empty
-		} else {
-			n -= len(m.dm[i])
+	for i := range m.dm {
+		rows = append(rows, uint64(i)<<1)
+	}
+	slices.Sort(rows)
+	out, a := grown[:len(dst)], 0
+	for _, r := range rows {
+		k, inMain := slices.BinarySearch(mc[a:], Index(r>>1))
+		out = appendIDs(out, mc[a:a+k])
+		a += k
+		if inMain {
+			a++ // overridden by the delta-plus row or dropped by the delta-minus row
 		}
-		if n > 0 {
-			dst = append(dst, uint64(i))
+		if r&1 == 1 {
+			out = append(out, r>>1)
 		}
+	}
+	return appendIDs(out, mc[a:])
+}
+
+// appendIDs appends column indices to dst as uint64 entity IDs.
+func appendIDs(dst []uint64, cols []Index) []uint64 {
+	for _, j := range cols {
+		dst = append(dst, uint64(j))
 	}
 	return dst
 }

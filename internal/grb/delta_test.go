@@ -268,6 +268,41 @@ func TestDeltaMatrixAppendDiag(t *testing.T) {
 	}
 }
 
+// TestDeltaMatrixAppendDiagRandom checks the merge walk against a per-row
+// probe on diagonals with random pending inserts, overrides and deletes,
+// appended after a non-empty prefix.
+func TestDeltaMatrixAppendDiagRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(40)
+		m := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				must(t, m.SetElement(i, i, 1))
+			}
+		}
+		dm := DeltaFrom(m)
+		dm.SetThreshold(1 << 30)
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			i := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				must(t, dm.SetElement(i, i, float64(1+rng.Intn(2))))
+			} else {
+				must(t, dm.RemoveElement(i, i))
+			}
+		}
+		want := []uint64{42}
+		for i := 0; i < n; i++ {
+			if _, err := dm.ExtractElement(i, i); err == nil {
+				want = append(want, uint64(i))
+			}
+		}
+		if got := dm.AppendDiag([]uint64{42}); !slices.Equal(got, want) {
+			t.Fatalf("round %d: members %v, want %v (%v)", round, got, want, dm)
+		}
+	}
+}
+
 func TestDeltaMatrixThresholdSync(t *testing.T) {
 	dm := NewDeltaMatrix(8, 8)
 	dm.SetThreshold(4)

@@ -2,23 +2,21 @@ package pool
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ErrBusy is returned by Gate.Acquire when the concurrent-query limit is
-// saturated and the queue-wait deadline expires before a slot frees. The
-// server surfaces it as a Redis -BUSY error so clients can back off and
-// retry instead of piling requests onto an overloaded pool.
+// ErrBusy is returned by Gate.Acquire when every permit is held and the
+// queue-wait deadline expires before one frees. The server surfaces it as a
+// Redis -BUSY error so clients can back off and retry instead of stacking
+// up behind an overloaded server.
 var ErrBusy = errors.New("BUSY max concurrent queries reached and queue wait exceeded the admission timeout")
 
-// Gate is the inter-query admission control: a bounded concurrent-query
-// semaphore with FIFO queueing. Queries past the limit wait in arrival
-// order up to a per-query deadline, then fail fast with ErrBusy — bounded
-// queueing instead of unbounded pile-up. A limit of 0 means unbounded
-// (admission control off), the differential baseline.
+// Gate is the inter-query admission control: a fixed number of permits with
+// FIFO queueing. Queries past the limit wait in arrival order up to a
+// per-query deadline, then fail fast with ErrBusy — bounded queueing instead
+// of unbounded pile-up.
 type Gate struct {
 	mu       sync.Mutex
 	limit    int
@@ -28,7 +26,6 @@ type Gate struct {
 	admitted    atomic.Int64 // queries admitted (immediately or after queueing)
 	queuedTotal atomic.Int64 // queries that had to queue
 	rejected    atomic.Int64 // queries that timed out waiting
-	waitNanos   atomic.Int64 // cumulative queue-wait time of admitted queries
 }
 
 type gateWaiter struct {
@@ -36,38 +33,14 @@ type gateWaiter struct {
 	granted bool // set under Gate.mu before ready is closed
 }
 
-// NewGate returns a gate admitting up to limit concurrent queries
-// (0 = unbounded).
+// NewGate returns a gate with limit permits (limit < 1 is clamped to 1).
 func NewGate(limit int) *Gate {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Gate{limit: limit}
-}
-
-// SetLimit changes the concurrency limit live. Raising it (or setting 0)
-// admits queued waiters immediately; lowering it never evicts queries
-// already running — the inflight count drains naturally.
-func (g *Gate) SetLimit(limit int) {
-	if limit < 0 {
-		limit = 0
-	}
-	g.mu.Lock()
-	g.limit = limit
-	g.admitQueuedLocked()
-	g.mu.Unlock()
-}
-
-// Limit reports the current concurrency limit (0 = unbounded).
-func (g *Gate) Limit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
+	return &Gate{limit: max(limit, 1)}
 }
 
 // admitQueuedLocked promotes FIFO waiters while capacity allows.
 func (g *Gate) admitQueuedLocked() {
-	for len(g.queue) > 0 && (g.limit == 0 || g.inflight < g.limit) {
+	for len(g.queue) > 0 && g.inflight < g.limit {
 		w := g.queue[0]
 		g.queue = g.queue[1:]
 		g.inflight++
@@ -83,7 +56,7 @@ func (g *Gate) admitQueuedLocked() {
 // run. Every successful Acquire must be paired with Release.
 func (g *Gate) Acquire(timeout time.Duration) (time.Duration, error) {
 	g.mu.Lock()
-	if g.limit == 0 || g.inflight < g.limit {
+	if g.inflight < g.limit {
 		g.inflight++
 		g.admitted.Add(1)
 		g.mu.Unlock()
@@ -104,18 +77,14 @@ func (g *Gate) Acquire(timeout time.Duration) (time.Duration, error) {
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		wait := time.Since(start)
-		g.waitNanos.Add(wait.Nanoseconds())
-		return wait, nil
+		return time.Since(start), nil
 	case <-timer.C:
 	}
 	// Deadline expired; a grant may have raced it. Decide under the lock.
 	g.mu.Lock()
 	if w.granted {
 		g.mu.Unlock()
-		wait := time.Since(start)
-		g.waitNanos.Add(wait.Nanoseconds())
-		return wait, nil
+		return time.Since(start), nil
 	}
 	for i, q := range g.queue {
 		if q == w {
@@ -146,7 +115,6 @@ type GateStats struct {
 	Admitted    int64 `json:"admitted"`
 	QueuedTotal int64 `json:"queued_total"`
 	Rejected    int64 `json:"rejected"`
-	WaitNanos   int64 `json:"wait_nanos"`
 }
 
 // Snapshot reads the gate counters.
@@ -161,12 +129,5 @@ func (g *Gate) Snapshot() GateStats {
 		Admitted:    g.admitted.Load(),
 		QueuedTotal: g.queuedTotal.Load(),
 		Rejected:    g.rejected.Load(),
-		WaitNanos:   g.waitNanos.Load(),
 	}
-}
-
-// String renders the snapshot for PROFILE / logs.
-func (s GateStats) String() string {
-	return fmt.Sprintf("limit=%d inflight=%d queued=%d admitted=%d rejected=%d",
-		s.Limit, s.Inflight, s.QueuedNow, s.Admitted, s.Rejected)
 }

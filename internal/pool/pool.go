@@ -1,8 +1,9 @@
-// Package pool implements the RedisGraph module threadpool: a fixed number
-// of workers created at module-load time. Each client connection hands its
-// query here and waits for the result; every query executes on exactly one
-// worker, which is the architecture Section II of the paper argues enables
-// high concurrent throughput at low per-query latency.
+// Package pool holds the server's concurrency machinery: the admission Gate,
+// whose THREAD_COUNT permits bound how many queries execute at once (the
+// paper's fixed threadpool, Section II: one query on one thread, the client
+// blocked until its reply), and the morsel scheduler behind intra-query
+// parallelism. Pool, a fixed set of worker goroutines, is held only for the
+// benchmark harness.
 package pool
 
 import (
@@ -27,11 +28,12 @@ func (f *Future) Wait() (any, error) {
 	return f.val, f.err
 }
 
-// Pool is a fixed-size worker pool.
+// Pool is a fixed-size worker pool. Its last caller is the benchmark
+// harness's pool.submit_wait probe (benchmark/trace.go); dropping that probe
+// (ROADMAP item 4, Step A) deletes Pool, Future, Task and their tests.
 type Pool struct {
 	tasks  chan func()
 	wg     sync.WaitGroup
-	size   int
 	closed atomic.Bool
 }
 
@@ -40,7 +42,7 @@ func New(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{tasks: make(chan func(), 1024), size: n}
+	p := &Pool{tasks: make(chan func(), 1024)}
 	for i := 0; i < n; i++ {
 		p.wg.Add(1)
 		go func() {
@@ -52,9 +54,6 @@ func New(n int) *Pool {
 	}
 	return p
 }
-
-// Size returns the worker count.
-func (p *Pool) Size() int { return p.size }
 
 // Submit enqueues a task, returning a Future for its completion. It must
 // not race with Close: a Submit that passes the closed check while Close

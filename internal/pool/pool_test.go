@@ -89,11 +89,3 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 	p.Close() // double close is a no-op
 }
-
-func TestSize(t *testing.T) {
-	p := New(3)
-	defer p.Close()
-	if p.Size() != 3 {
-		t.Fatalf("size = %d", p.Size())
-	}
-}

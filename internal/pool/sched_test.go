@@ -139,18 +139,18 @@ func TestConcurrentTaggedJobs(t *testing.T) {
 	}
 }
 
-// TestGateImmediateAdmission checks under-limit and unbounded acquires
-// admit without queueing.
+// TestGateImmediateAdmission checks under-limit acquires admit without
+// queueing, and that a limit below 1 is clamped to one permit.
 func TestGateImmediateAdmission(t *testing.T) {
-	g := NewGate(0)
+	g := NewGate(100)
 	for i := 0; i < 100; i++ {
 		if _, err := g.Acquire(0); err != nil {
-			t.Fatalf("unbounded gate rejected: %v", err)
+			t.Fatalf("under-limit acquire %d rejected: %v", i, err)
 		}
 	}
 	s := g.Snapshot()
 	if s.Admitted != 100 || s.Rejected != 0 || s.QueuedTotal != 0 {
-		t.Fatalf("unbounded stats: %+v", s)
+		t.Fatalf("under-limit stats: %+v", s)
 	}
 	b := NewGate(2)
 	if _, err := b.Acquire(0); err != nil {
@@ -161,6 +161,16 @@ func TestGateImmediateAdmission(t *testing.T) {
 	}
 	if _, err := b.Acquire(0); err != ErrBusy {
 		t.Fatalf("saturated gate with no timeout: err = %v, want ErrBusy", err)
+	}
+	z := NewGate(0)
+	if _, err := z.Acquire(0); err != nil {
+		t.Fatalf("NewGate(0) has no permit: %v", err)
+	}
+	if _, err := z.Acquire(0); err != ErrBusy {
+		t.Fatalf("NewGate(0) second acquire: err = %v, want ErrBusy (one permit)", err)
+	}
+	if l := z.Snapshot().Limit; l != 1 {
+		t.Fatalf("NewGate(0) limit = %d, want 1", l)
 	}
 }
 
@@ -223,24 +233,5 @@ func TestGateTimeoutBusy(t *testing.T) {
 	g.Release()
 	if _, err := g.Acquire(0); err != nil {
 		t.Fatalf("post-release acquire: %v", err)
-	}
-}
-
-// TestGateSetLimitPromotes checks raising the limit (or unbounding it)
-// admits queued waiters without a Release.
-func TestGateSetLimitPromotes(t *testing.T) {
-	g := NewGate(1)
-	if _, err := g.Acquire(0); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := g.Acquire(5 * time.Second)
-		done <- err
-	}()
-	waitQueued(g, 1)
-	g.SetLimit(0)
-	if err := <-done; err != nil {
-		t.Fatalf("waiter after SetLimit(0): %v", err)
 	}
 }

@@ -184,3 +184,31 @@ func TestConcurrentSavesOneAtATime(t *testing.T) {
 		t.Fatalf("reloaded count = %d, want 0..%d", n, creates)
 	}
 }
+
+// TestPanicIsContainedToItsCommand plants a nil graph under a key, so a
+// query on it panics after taking its admission permit: the client gets an
+// error reply, the same connection keeps serving keyspace and graph
+// commands, and the permit went back to the gate.
+func TestPanicIsContainedToItsCommand(t *testing.T) {
+	s, c := startServer(t)
+	s.mu.Lock()
+	s.graphs["broken"] = nil
+	s.mu.Unlock()
+	if _, err := c.Do("GRAPH.QUERY", "broken", "MATCH (n) RETURN count(n)"); err == nil ||
+		!strings.HasPrefix(err.Error(), "ERR internal error") {
+		t.Fatalf("query on a nil graph: err = %v, want -ERR internal error", err)
+	}
+	if v, err := c.Do("PING"); err != nil || v != resp.SimpleString("PONG") {
+		t.Fatalf("PING after the panic: %v %v", v, err)
+	}
+	if _, err := c.Query("g", "CREATE (:N), (:N)"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Do("GRAPH.RO_QUERY", "g", "MATCH (n:N) RETURN count(n)")
+	if n := replyCount(t, v, err); n != 2 {
+		t.Fatalf("count after the panic = %d, want 2", n)
+	}
+	if st := s.gate.Snapshot(); st.Inflight != 0 {
+		t.Fatalf("%d admission permits still held after the panic", st.Inflight)
+	}
+}

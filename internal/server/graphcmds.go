@@ -41,10 +41,10 @@ func (s *Server) queryConfig() core.Config {
 	}
 }
 
-// admitQuery takes one admission-gate slot for an executing query command,
-// queueing FIFO up to the live ADMISSION_TIMEOUT. On deadline it returns a
-// -BUSY error reply (release == nil) so saturated clients fail fast and
-// back off instead of piling onto the pool.
+// admitQuery takes one of the THREAD_COUNT admission permits for an
+// executing query command, queueing FIFO up to the live ADMISSION_TIMEOUT.
+// On deadline it returns a -BUSY error reply (release == nil) so saturated
+// clients fail fast and back off instead of stacking up.
 func (s *Server) admitQuery() (wait time.Duration, release func(), busy resp.ErrorReply) {
 	wait, err := s.gate.Acquire(s.admissionTimeout())
 	if err != nil {
@@ -109,7 +109,7 @@ func boolParam(name string, flag func(*Server) *atomic.Bool) configParam {
 // configParams lists every GRAPH.CONFIG parameter, in the order GET *
 // reports them.
 var configParams = []configParam{
-	{"THREAD_COUNT", func(s *Server) any { return int64(s.pool.Size()) }, nil},
+	{"THREAD_COUNT", func(s *Server) any { return int64(s.opts.ThreadCount) }, nil},
 	{"TIMEOUT", func(s *Server) any { return s.opts.QueryTimeout.Milliseconds() }, nil},
 	// GET reports the resolved budget: with auto (SET 0) the stored zero
 	// would hide what queries actually run with.
@@ -136,9 +136,6 @@ var configParams = []configParam{
 	intParam("PLAN_CACHE_MAX_BYTES", 0, math.MaxInt64, " (0 = no byte budget)",
 		func(s *Server) int64 { return s.planCache.MaxBytes() },
 		func(s *Server, n int64) { s.planCache.SetMaxBytes(n) }),
-	intParam("MAX_CONCURRENT_QUERIES", 0, math.MaxInt32, " (0 = unbounded)",
-		func(s *Server) int64 { return int64(s.gate.Limit()) },
-		func(s *Server, n int64) { s.gate.SetLimit(int(n)) }),
 	intParam("ADMISSION_TIMEOUT", 0, math.MaxInt64, " milliseconds (0 = fail fast when saturated)",
 		func(s *Server) int64 { return s.admissionTimeoutMs.Load() },
 		func(s *Server, n int64) { s.admissionTimeoutMs.Store(n) }),
@@ -193,7 +190,9 @@ func (s *Server) configCommand(args []string) (any, error) {
 	return nil, fmt.Errorf("ERR unknown configuration parameter %q", args[1])
 }
 
-// graphCommand executes one GRAPH.* module command on a threadpool worker.
+// graphCommand executes one GRAPH.* module command on the connection
+// goroutine. Only the commands that run a query take an admission permit;
+// EXPLAIN, DELETE, LIST and CONFIG run without one, like keyspace commands.
 func (s *Server) graphCommand(cmd string, args []string) (any, error) {
 	switch cmd {
 	case "GRAPH.QUERY", "GRAPH.RO_QUERY":

@@ -3,17 +3,20 @@
 // Architecture (paper Section II): each client connection is served by one
 // goroutine that reads a command, executes it and writes its reply before
 // reading the next, so a client's commands run one at a time in the order
-// it sent them — Redis's blocked-client order. Keyspace commands execute
-// inline on that goroutine. GRAPH.* commands are handed to the module
-// threadpool, where each query runs on exactly one worker, and the
-// connection goroutine waits for that one result.
+// it sent them — Redis's blocked-client order. Every command executes
+// inline on that goroutine. GRAPH.QUERY, GRAPH.RO_QUERY and GRAPH.PROFILE
+// first take one of THREAD_COUNT admission permits (the paper's fixed
+// threadpool size), so at most THREAD_COUNT queries execute at once; a query
+// past that waits FIFO for up to ADMISSION_TIMEOUT, then gets -BUSY.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"path"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,8 +31,9 @@ import (
 // Options configures the server.
 type Options struct {
 	Addr string
-	// ThreadCount is the module threadpool size (paper: configured at
-	// module load time). Defaults to 8.
+	// ThreadCount is the number of queries that may execute at once, the
+	// paper's threadpool size (configured at module load time, fixed after
+	// it). Defaults to 8.
 	ThreadCount int
 	// TraverseBatch is the engine's pipeline batch size: records per batch
 	// through every operation and frontier rows per fused MxM. 0 uses the
@@ -54,7 +58,6 @@ type Options struct {
 type Server struct {
 	opts Options
 	ln   net.Listener
-	pool *pool.Pool
 
 	// opThreads is the live MAX_QUERY_THREADS value (starts at 1, the
 	// paper's one core per query; 0 = auto, resolved to GOMAXPROCS at query
@@ -78,9 +81,9 @@ type Server struct {
 	// (starts at the engine default, 128; capacity 0 = caching off, the
 	// differential baseline).
 	planCache *core.PlanCache
-	// gate is the inter-query admission control (MAX_CONCURRENT_QUERIES,
-	// starts at 0 = unbounded): executing GRAPH.QUERY/RO_QUERY/PROFILE commands hold
-	// one slot; saturated arrivals queue FIFO up to the admission timeout.
+	// gate is the server's only concurrency bound: THREAD_COUNT permits,
+	// one held by each executing GRAPH.QUERY/RO_QUERY/PROFILE; saturated
+	// arrivals queue FIFO up to the admission timeout.
 	gate *pool.Gate
 	// admissionTimeoutMs is the live ADMISSION_TIMEOUT value in
 	// milliseconds (starts at 1000, mutable via GRAPH.CONFIG SET).
@@ -115,7 +118,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		pool:     pool.New(opts.ThreadCount),
+		gate:     pool.NewGate(opts.ThreadCount),
 		graphs:   map[string]*graph.Graph{},
 		keyspace: map[string]string{},
 		conns:    map[net.Conn]struct{}{},
@@ -130,7 +133,6 @@ func New(opts Options) *Server {
 	}
 	s.traverseKernel.Store(kernel)
 	s.planCache = core.NewPlanCache(core.DefaultPlanCacheSize)
-	s.gate = pool.NewGate(0)
 	s.admissionTimeoutMs.Store(defaultAdmissionTimeoutMs)
 	s.fairScheduler.Store(true)
 	return s
@@ -170,9 +172,8 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Close stops accepting, closes every client connection, waits for their
-// goroutines to finish the command in hand, and only then stops the
-// threadpool, so no connection can submit to a closed pool.
+// Close stops accepting, closes every client connection and waits for
+// their goroutines to finish the command in hand.
 func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
@@ -184,7 +185,6 @@ func (s *Server) Close() {
 	s.conns = nil
 	s.connMu.Unlock()
 	s.wg.Wait()
-	s.pool.Close()
 }
 
 func (s *Server) acceptLoop() {
@@ -240,7 +240,9 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		v, err := s.execute(cmd, args[1:])
 		if err != nil {
-			v = err
+			// Every command error already starts with its Redis error code
+			// ("ERR …"); written as a plain error it would gain a second one.
+			v = resp.ErrorReply(err.Error())
 		}
 		if w.WriteReply(v) != nil {
 			return
@@ -248,19 +250,21 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// execute runs one command: keyspace commands inline, GRAPH.* commands on
-// one threadpool worker.
-func (s *Server) execute(cmd string, args []string) (any, error) {
-	if !strings.HasPrefix(cmd, "GRAPH.") {
-		return s.keyspaceCommand(cmd, args)
-	}
-	f, err := s.pool.Submit(func() (any, error) {
+// execute runs one command on the connection goroutine. A panic in any
+// command is contained here: the client gets an error reply, the command is
+// logged, and the connection keeps serving. A query's deferred permit
+// release runs while the panic unwinds, so no admission permit leaks.
+func (s *Server) execute(cmd string, args []string) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("server: panic in %s: %v\n%s", cmd, r, debug.Stack())
+			v, err = nil, fmt.Errorf("ERR internal error: %v", r)
+		}
+	}()
+	if strings.HasPrefix(cmd, "GRAPH.") {
 		return s.graphCommand(cmd, args)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ERR %v", err)
 	}
-	return f.Wait()
+	return s.keyspaceCommand(cmd, args)
 }
 
 // Graph returns (creating on demand) the named graph.
@@ -407,7 +411,7 @@ func (s *Server) info() string {
 	defer s.mu.RUnlock()
 	var b strings.Builder
 	b.WriteString("# Server\r\nredisgraph_module:go-reproduction\r\n")
-	fmt.Fprintf(&b, "threadpool_size:%d\r\n", s.pool.Size())
+	fmt.Fprintf(&b, "threadpool_size:%d\r\n", s.opts.ThreadCount)
 	fmt.Fprintf(&b, "graphs:%d\r\nkeys:%d\r\n", len(s.graphs), len(s.keyspace))
 	ps := pool.ReadStats()
 	gs := s.gate.Snapshot()

@@ -220,19 +220,18 @@ func TestGraphConfigGetAll(t *testing.T) {
 		got[pair[0].(string)] = pair[1]
 	}
 	want := map[string]any{
-		"THREAD_COUNT":           int64(4),
-		"TIMEOUT":                int64(0),
-		"MAX_QUERY_THREADS":      int64(1),
-		"TRAVERSE_BATCH":         int64(core.DefaultTraverseBatch),
-		"COST_PLANNER":           int64(1),
-		"JOIN_PLANNER":           int64(1),
-		"TRAVERSE_KERNEL":        "auto",
-		"PLAN_CACHE_SIZE":        int64(core.DefaultPlanCacheSize),
-		"PLAN_CACHE_MAX_BYTES":   int64(0),
-		"MAX_CONCURRENT_QUERIES": int64(0),
-		"ADMISSION_TIMEOUT":      int64(1000),
-		"GLOBAL_THREAD_BUDGET":   int64(pool.Budget()),
-		"FAIR_SCHEDULER":         int64(1),
+		"THREAD_COUNT":         int64(4),
+		"TIMEOUT":              int64(0),
+		"MAX_QUERY_THREADS":    int64(1),
+		"TRAVERSE_BATCH":       int64(core.DefaultTraverseBatch),
+		"COST_PLANNER":         int64(1),
+		"JOIN_PLANNER":         int64(1),
+		"TRAVERSE_KERNEL":      "auto",
+		"PLAN_CACHE_SIZE":      int64(core.DefaultPlanCacheSize),
+		"PLAN_CACHE_MAX_BYTES": int64(0),
+		"ADMISSION_TIMEOUT":    int64(1000),
+		"GLOBAL_THREAD_BUDGET": int64(pool.Budget()),
+		"FAIR_SCHEDULER":       int64(1),
 	}
 	if len(got) != len(want) {
 		t.Fatalf("GET * pairs: %v", got)

@@ -23,7 +23,7 @@ const snapshotMagic = "RGSNAP01"
 // new snapshot survives a crash and a crash before it leaves the old one.
 func (s *Server) SaveSnapshot() error {
 	if s.opts.SnapshotPath == "" {
-		return fmt.Errorf("ERR no snapshot path configured")
+		return fmt.Errorf("no snapshot path configured")
 	}
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
@@ -137,7 +137,7 @@ func (s *Server) LoadSnapshot() error {
 // saveCommand handles the SAVE keyspace command.
 func (s *Server) saveCommand() (any, error) {
 	if err := s.SaveSnapshot(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ERR %v", err)
 	}
 	return resp.SimpleString("OK"), nil
 }

@@ -49,8 +49,8 @@ func configSet(t *testing.T, c *client.Client, name string, value int) {
 // TestStressAdmissionSchedulerGrid drives N concurrent clients of mixed
 // read/write traffic — cached plan shapes (literal-normalized repeats) and
 // uncached ones (distinct var-length bounds) — across the full
-// GLOBAL_THREAD_BUDGET x MAX_CONCURRENT_QUERIES grid from the issue. The
-// admission timeout is generous, so every query must be admitted eventually:
+// GLOBAL_THREAD_BUDGET x THREAD_COUNT grid. The admission timeout is
+// generous, so every query must be admitted eventually:
 // any -BUSY error is a failure, and every read must return its closed-form
 // row. Run with -race in CI to cover the scheduler and gate paths.
 func TestStressAdmissionSchedulerGrid(t *testing.T) {
@@ -63,9 +63,10 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 	// auto sizing for the rest of the package.
 	t.Cleanup(func() { pool.SetBudget(0) })
 	for _, budget := range []int{1, 2, nClients} {
-		for _, limit := range []int{1, 4, 0} {
+		// limit is THREAD_COUNT, the admission gate's permit count.
+		for _, limit := range []int{1, 4, nClients} {
 			t.Run(fmt.Sprintf("budget=%d/limit=%d", budget, limit), func(t *testing.T) {
-				s := New(Options{Addr: "127.0.0.1:0", ThreadCount: nClients})
+				s := New(Options{Addr: "127.0.0.1:0", ThreadCount: limit})
 				if err := s.Start(); err != nil {
 					t.Fatal(err)
 				}
@@ -76,7 +77,6 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 				}
 				defer seedConn.Close()
 				configSet(t, seedConn, "GLOBAL_THREAD_BUDGET", budget)
-				configSet(t, seedConn, "MAX_CONCURRENT_QUERIES", limit)
 				configSet(t, seedConn, "ADMISSION_TIMEOUT", 30000)
 				seedRing(t, seedConn, nNodes)
 				// Ask for intra-query parallelism so the elastic budget
@@ -167,12 +167,12 @@ func TestStressAdmissionSchedulerGrid(t *testing.T) {
 	}
 }
 
-// TestStressAdmissionSaturation pins MAX_CONCURRENT_QUERIES to 1 with a
-// fail-fast admission timeout, holds the one slot from the test itself (no
-// query to race), and asserts a wire arrival is rejected with -BUSY while it
-// is held — and admitted again once it is released.
+// TestStressAdmissionSaturation starts a server with one admission permit
+// (THREAD_COUNT 1) and a fail-fast admission timeout, holds that permit from
+// the test itself (no query to race), and asserts a wire arrival is rejected
+// with -BUSY while it is held — and admitted again once it is released.
 func TestStressAdmissionSaturation(t *testing.T) {
-	s := New(Options{Addr: "127.0.0.1:0", ThreadCount: 4})
+	s := New(Options{Addr: "127.0.0.1:0", ThreadCount: 1})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,6 @@ func TestStressAdmissionSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	configSet(t, c, "MAX_CONCURRENT_QUERIES", 1)
 	configSet(t, c, "ADMISSION_TIMEOUT", 0) // fail saturated arrivals immediately
 	g := s.Graph("g")
 	g.Lock()
