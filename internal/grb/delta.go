@@ -286,36 +286,43 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 // uint64 entity IDs the graph layer's candidate lists hold. It neither folds
 // nor allocates beyond growing dst. It is one merge walk over the main CSR's
 // column indices (one per non-empty row) and the sorted delta rows: the runs
-// between delta rows are copied whole, a delta-minus row drops its main
-// entry, and a delta-plus row is emitted once, in place of any main entry it
-// overrides. The delta rows, tagged plus or minus in their low bit, are
-// staged in dst's spare capacity past the output's upper bound; with nothing
-// pending the walk is one copy of the column indices.
+// between delta rows are copied whole, a delta row drops its main entry, and
+// a delta-plus row is emitted in its place. The delta rows are staged in
+// dst's spare capacity past the output's upper bound; with nothing pending
+// the walk is one copy of the column indices.
 func (m *DeltaMatrix) AppendDiag(dst []uint64) []uint64 {
 	mc := m.main.colInd
 	bound := len(dst) + len(mc) + len(m.dp)
 	grown := slices.Grow(dst, len(mc)+2*len(m.dp)+len(m.dm))
-	rows := grown[bound:bound]
-	for i := range m.dp {
-		rows = append(rows, uint64(i)<<1|1)
-	}
-	for i := range m.dm {
-		rows = append(rows, uint64(i)<<1)
-	}
-	slices.Sort(rows)
 	out, a := grown[:len(dst)], 0
-	for _, r := range rows {
-		k, inMain := slices.BinarySearch(mc[a:], Index(r>>1))
+	for _, r := range dirtyRows(m, grown[bound:bound]) {
+		i := Index(r)
+		k, inMain := slices.BinarySearch(mc[a:], i)
 		out = appendIDs(out, mc[a:a+k])
 		a += k
 		if inMain {
 			a++ // overridden by the delta-plus row or dropped by the delta-minus row
 		}
-		if r&1 == 1 {
-			out = append(out, r>>1)
+		if m.dp[i] != nil {
+			out = append(out, r)
 		}
 	}
 	return appendIDs(out, mc[a:])
+}
+
+// dirtyRows appends to buf, each once and in ascending order, the rows that
+// carry deltas, and returns it; buf must be empty.
+func dirtyRows[T ~int | ~uint64](m *DeltaMatrix, buf []T) []T {
+	for i := range m.dp {
+		buf = append(buf, T(i))
+	}
+	for i := range m.dm {
+		if m.dp[i] == nil {
+			buf = append(buf, T(i))
+		}
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // appendIDs appends column indices to dst as uint64 entity IDs.
@@ -378,16 +385,7 @@ func (m *DeltaMatrix) Export() *Matrix {
 // with its row pointers shifted, and the dirty row itself is assembled by
 // srcRow.
 func (m *DeltaMatrix) merged() *Matrix {
-	dirty := make([]Index, 0, len(m.dp)+len(m.dm))
-	for i := range m.dp {
-		dirty = append(dirty, i)
-	}
-	for i := range m.dm {
-		if m.dp[i] == nil {
-			dirty = append(dirty, i)
-		}
-	}
-	slices.Sort(dirty)
+	dirty := dirtyRows(m, make([]Index, 0, len(m.dp)+len(m.dm)))
 	src := m.main
 	out := &Matrix{
 		nrows:  m.nrows,

@@ -258,6 +258,12 @@ func (w *Writer) WriteReply(v any) error {
 	return w.bw.Flush()
 }
 
+// oneLine blanks the line breaks in an error's text. Error texts can quote
+// client input (an unknown command's name is a bulk string, which may hold
+// CRLF); written raw, that would end the error line early and frame the rest
+// as a further reply.
+var oneLine = strings.NewReplacer("\r\n", " ", "\r", " ", "\n", " ")
+
 func (w *Writer) writeValue(v any) error {
 	switch v := v.(type) {
 	case nil:
@@ -267,10 +273,10 @@ func (w *Writer) writeValue(v any) error {
 		_, err := fmt.Fprintf(w.bw, "+%s\r\n", string(v))
 		return err
 	case ErrorReply:
-		_, err := fmt.Fprintf(w.bw, "-%s\r\n", string(v))
+		_, err := fmt.Fprintf(w.bw, "-%s\r\n", oneLine.Replace(string(v)))
 		return err
 	case error:
-		_, err := fmt.Fprintf(w.bw, "-ERR %s\r\n", strings.ReplaceAll(v.Error(), "\r\n", " "))
+		_, err := fmt.Fprintf(w.bw, "-ERR %s\r\n", oneLine.Replace(v.Error()))
 		return err
 	case string:
 		_, err := fmt.Fprintf(w.bw, "$%d\r\n%s\r\n", len(v), v)

@@ -105,6 +105,28 @@ func TestErrorReply(t *testing.T) {
 	}
 }
 
+// TestErrorReplyStaysOneLine writes error texts holding line breaks, as an
+// error quoting client input can: each must read back as one error reply,
+// with the following reply still in step.
+func TestErrorReplyStaysOneLine(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.WriteReply(ErrorReply("ERR unknown command 'foo\r\n+OK\r\n'"))
+	w.WriteReply(errors.New("bad\rvalue\nhere"))
+	w.WriteReply(SimpleString("PONG"))
+	r := NewReader(&buf)
+	for _, want := range []string{"ERR unknown command 'foo +OK '", "ERR bad value here"} {
+		_, err := r.ReadReply()
+		var er ErrorReply
+		if !errors.As(err, &er) || string(er) != want {
+			t.Fatalf("err = %q, want %q", err, want)
+		}
+	}
+	if v, err := r.ReadReply(); err != nil || v != SimpleString("PONG") {
+		t.Fatalf("reply after the errors: %v %v", v, err)
+	}
+}
+
 func TestBinarySafeBulk(t *testing.T) {
 	var buf bytes.Buffer
 	payload := "line1\r\nline2\x00bin"

@@ -123,6 +123,26 @@ func TestProtocolErrorDropsOnlyThatConnection(t *testing.T) {
 	}
 }
 
+// TestErrorQuotingInputIsOneReply sends a command whose bulk name holds
+// CRLF and a RESP reply line: the unknown-command error quoting it must reach
+// the client as one reply, and a PING on the same connection must still get
+// its own PONG.
+func TestErrorQuotingInputIsOneReply(t *testing.T) {
+	s, _ := startServer(t)
+	c := dialRaw(t, s.Addr())
+	if _, err := c.Write([]byte("*1\r\n$10\r\nfoo\r\n+OK\r\n\r\n*1\r\n$4\r\nPING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	r := resp.NewReader(c)
+	_, err := r.ReadReply()
+	if err == nil || !strings.HasPrefix(err.Error(), "ERR unknown command 'foo ") {
+		t.Fatalf("first reply: err = %v, want one unknown-command error", err)
+	}
+	if v, err := r.ReadReply(); err != nil || v != resp.SimpleString("PONG") {
+		t.Fatalf("PING after the error: %v %v", v, err)
+	}
+}
+
 // TestConcurrentSavesOneAtATime has eight connections SAVE at once while a
 // ninth writes: every SAVE succeeds and the file left behind loads as the
 // graph at some point of the write sequence.
