@@ -16,9 +16,9 @@ import "math/bits"
 // Maintenance is O(endpoint labels) per distinct-pair connectivity change:
 // CreateEdge and DeleteEdge already know when a (src, dst) pair becomes
 // connected or disconnected for a relation (R gains or loses its entry; a
-// pair's further edges only touch its extra IDs), and the delta matrices' RowDegree
-// is fold-free, so the bookkeeping never folds a matrix and never scans a
-// row list beyond the one it just touched. This is a deliberate departure
+// pair's further edges only touch its extra IDs), and the delta matrices'
+// RowDegree is O(1) and fold-free, so the bookkeeping never folds a matrix
+// and never scans a row. This is a deliberate departure
 // from Stats' zero-write-path-cost design: the cells cannot be derived in
 // O(labels + rels) from matrix NVals, and recomputing them per epoch would
 // cost O(dim × labels) — fatal to write-heavy workloads — so the write path
@@ -172,17 +172,13 @@ func (cs *CondStats) OutCell(tid, lid int) CondCell { return condCellAt(cs.Out, 
 // lid); lid < 0 selects the any-label aggregate.
 func (cs *CondStats) InCell(tid, lid int) CondCell { return condCellAt(cs.In, tid, lid) }
 
-// condRows grows a [tid][label row] table so that relation tid has a row for
-// label index maxLid.
-func condRows(table [][]CondCell, tid, maxLid int) [][]CondCell {
+// condRows grows a [tid][label row] table so that relation tid has a row
+// for each of nLabels labels.
+func condRows(table [][]CondCell, tid, nLabels int) [][]CondCell {
 	for tid >= len(table) {
 		table = append(table, nil)
 	}
-	need := maxLid + 2 // row 0 = any-label, then lid+1
-	if need < 1 {
-		need = 1
-	}
-	if len(table[tid]) < need {
+	if need := nLabels + 1; len(table[tid]) < need { // row 0 = any-label, then lid+1
 		row := make([]CondCell, need)
 		copy(row, table[tid])
 		table[tid] = row
@@ -190,41 +186,26 @@ func condRows(table [][]CondCell, tid, maxLid int) [][]CondCell {
 	return table
 }
 
-// maxLabelID returns the largest label ID in a node's label set (-1 if
-// unlabelled).
-func maxLabelID(labels []int) int {
-	m := -1
-	for _, l := range labels {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // condEdgeAdded records that (src, dst) became a NEWLY CONNECTED distinct
-// pair for relation tid. The relation matrices must already contain the
-// entry (RowDegree reads the post-insert degrees). Caller holds the
-// exclusive lock.
-func (g *Graph) condEdgeAdded(tid int, src, dst uint64) {
+// pair for relation tid, given the endpoints' nodes. The relation matrices
+// must already contain the entry (RowDegree reads the post-insert degrees).
+// Caller holds the exclusive lock.
+func (g *Graph) condEdgeAdded(tid int, src, dst *Node) {
 	rs := g.relations[tid]
-	if srcN, ok := g.nodes.Get(src); ok {
-		deg := rs.m.RowDegree(int(src))
-		g.condOut = condRows(g.condOut, tid, maxLabelID(srcN.Labels))
-		row := g.condOut[tid]
-		row[0].add(deg)
-		for _, lid := range srcN.Labels {
-			row[lid+1].add(deg)
-		}
+	nLabels := g.Schema.LabelCount()
+	deg := rs.m.RowDegree(int(src.ID))
+	g.condOut = condRows(g.condOut, tid, nLabels)
+	row := g.condOut[tid]
+	row[0].add(deg)
+	for _, lid := range src.Labels {
+		row[lid+1].add(deg)
 	}
-	if dstN, ok := g.nodes.Get(dst); ok {
-		deg := rs.tm.RowDegree(int(dst))
-		g.condIn = condRows(g.condIn, tid, maxLabelID(dstN.Labels))
-		row := g.condIn[tid]
-		row[0].add(deg)
-		for _, lid := range dstN.Labels {
-			row[lid+1].add(deg)
-		}
+	deg = rs.tm.RowDegree(int(dst.ID))
+	g.condIn = condRows(g.condIn, tid, nLabels)
+	row = g.condIn[tid]
+	row[0].add(deg)
+	for _, lid := range dst.Labels {
+		row[lid+1].add(deg)
 	}
 }
 
@@ -236,7 +217,7 @@ func (g *Graph) condEdgeRemoved(tid int, src, dst uint64) {
 	rs := g.relations[tid]
 	if srcN, ok := g.nodes.Get(src); ok {
 		deg := rs.m.RowDegree(int(src))
-		g.condOut = condRows(g.condOut, tid, maxLabelID(srcN.Labels))
+		g.condOut = condRows(g.condOut, tid, g.Schema.LabelCount())
 		row := g.condOut[tid]
 		row[0].remove(deg)
 		for _, lid := range srcN.Labels {
@@ -245,7 +226,7 @@ func (g *Graph) condEdgeRemoved(tid int, src, dst uint64) {
 	}
 	if dstN, ok := g.nodes.Get(dst); ok {
 		deg := rs.tm.RowDegree(int(dst))
-		g.condIn = condRows(g.condIn, tid, maxLabelID(dstN.Labels))
+		g.condIn = condRows(g.condIn, tid, g.Schema.LabelCount())
 		row := g.condIn[tid]
 		row[0].remove(deg)
 		for _, lid := range dstN.Labels {

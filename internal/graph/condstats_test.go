@@ -23,7 +23,7 @@ func recomputeCond(g *Graph) (out, in [][]CondCell) {
 				if !ok {
 					continue
 				}
-				table = condRows(table, tid, maxLabelID(n.Labels))
+				table = condRows(table, tid, g.Schema.LabelCount())
 				bump := func(c *CondCell) {
 					c.Conn++
 					c.Pairs += deg

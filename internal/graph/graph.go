@@ -367,10 +367,12 @@ func (g *Graph) GetEdge(id uint64) (*Edge, bool) { return g.edges.Get(id) }
 
 // CreateEdge connects src→dst with the given relationship type.
 func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.Value) (*Edge, error) {
-	if _, ok := g.nodes.Get(src); !ok {
+	srcN, ok := g.nodes.Get(src)
+	if !ok {
 		return nil, fmt.Errorf("graph: source node %d does not exist", src)
 	}
-	if _, ok := g.nodes.Get(dst); !ok {
+	dstN, ok := g.nodes.Get(dst)
+	if !ok {
 		return nil, fmt.Errorf("graph: destination node %d does not exist", dst)
 	}
 	tid := g.Schema.AddRelType(typ)
@@ -382,15 +384,14 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 		g.edgeProps.set(id, g.Schema.AddAttr(k), v)
 	}
 	si, di := int(src), int(dst)
-	if _, err := rs.m.ExtractElement(si, di); err == nil {
+	if stored, err := rs.m.SetElementIfAbsent(si, di, float64(id)); err != nil {
+		return nil, err
+	} else if !stored {
 		// The pair is already joined: no matrix or statistic changes.
 		k := edgeKey{src, dst}
 		rs.extra[k] = append(rs.extra[k], id)
 		g.bumpEpoch()
 		return e, nil
-	}
-	if err := rs.m.SetElement(si, di, float64(id)); err != nil {
-		return nil, err
 	}
 	if err := rs.tm.SetElement(di, si, 1); err != nil {
 		return nil, err
@@ -401,7 +402,7 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 	if err := g.tadj.SetElement(di, si, 1); err != nil {
 		return nil, err
 	}
-	g.condEdgeAdded(tid, src, dst)
+	g.condEdgeAdded(tid, srcN, dstN)
 	g.bumpEpoch()
 	return e, nil
 }

@@ -11,10 +11,10 @@ import (
 // nothing per hop and nothing per reached vertex — the GraphBLAS frontier
 // reduction without a vector per hop.
 //
-// Both hop kernels check once per hop whether their operand has anything
-// pending. A clean operand's rows are read straight from its main CSR; a
-// dirty one's through srcRow, which merges the delta-plus and delta-minus
-// rows in.
+// Both hop kernels read their operand in place, with no merged copy: a row
+// is its main CSR span plus, when the delta table holds it, its delta-plus
+// columns — unordered, which a scatter or a probe does not mind. Only a row
+// with delta-minus entries is walked entry by entry to skip its zombies.
 
 // BFSHop is what a BFS step callback sees before each hop: the two sides of
 // direction-optimizing BFS's choice.
@@ -37,10 +37,9 @@ type BFSHop struct {
 // operand — what a push hop scatters, direction-optimizing BFS's m_f — and
 // stops summing once the total exceeds budget.
 func (h *BFSHop) FrontierDegree(budget float64) float64 {
-	clean := h.a.Pending() == 0
 	sum := 0.0
 	h.ws.frontier.iterate(func(k Index) bool {
-		sum += float64(h.a.rowLen(k, clean))
+		sum += float64(h.a.RowDegree(k))
 		return sum <= budget
 	})
 	return sum
@@ -51,7 +50,6 @@ func (h *BFSHop) FrontierDegree(budget float64) float64 {
 type bfsWorkspace struct {
 	reached, frontier, next bitset
 	level                   []Index
-	row                     rowScratch
 	hop                     BFSHop
 }
 
@@ -123,11 +121,10 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 	}
 	// Vertices from span on have no in-edge: no hop reaches them, and a pull
 	// hop does not probe them.
-	span, unreachedIn, atClean := n, 0, false
+	span, unreachedIn := n, 0
 	if at != nil {
-		atClean = at.Pending() == 0
 		span = at.rowSpan()
-		unreachedIn = at.NVals() - at.rowLen(src, atClean)
+		unreachedIn = at.NVals() - at.RowDegree(src)
 	}
 	nf, unreached := 1, span
 	if src < span {
@@ -154,7 +151,7 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 		ws.level = ws.next.appendSet(ws.level[:0])
 		if at != nil {
 			for _, j := range ws.level {
-				unreachedIn -= at.rowLen(j, atClean)
+				unreachedIn -= at.RowDegree(j)
 			}
 		}
 		if err := visit(hop, ws.level); err != nil {
@@ -170,20 +167,19 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 // a word at a time, drops the reached vertices from next and adds the rest
 // to reached. It returns the level size.
 func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
-	clean := a.Pending() == 0
 	rp, ci := a.main.rowPtr, a.main.colInd
 	next := ws.next
 	for wi, w := range ws.frontier {
 		for ; w != 0; w &= w - 1 {
 			k := wi<<6 + bits.TrailingZeros64(w)
-			var row []Index
-			if clean {
-				row = ci[rp[k]:rp[k+1]]
-			} else {
-				row, _ = a.srcRow(k, &ws.row)
+			r := a.row(k)
+			if r != nil && r.minus > 0 {
+				a.eachLive(k, r, func(j Index) bool { next.set(j); return true })
+				continue
 			}
-			for _, j := range row {
-				next.set(j)
+			next.setAll(ci[rp[k]:rp[k+1]])
+			if r != nil {
+				next.setAll(r.cols)
 			}
 		}
 	}
@@ -201,7 +197,6 @@ func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
 // the frontier, a bitset word of candidates at a time, and returns the level
 // size.
 func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
-	clean := at.Pending() == 0
 	rp, ci := at.main.rowPtr, at.main.colInd
 	frontier := ws.frontier
 	nf := 0
@@ -215,17 +210,14 @@ func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
 		for ; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
 			j := wi<<6 + b
-			var row []Index
-			if clean {
-				row = ci[rp[j]:rp[j+1]]
+			var found bool
+			if r := at.row(j); r != nil && r.minus > 0 {
+				at.eachLive(j, r, func(k Index) bool { found = frontier.get(k); return !found })
 			} else {
-				row, _ = at.srcRow(j, &ws.row)
+				found = frontier.anyOf(ci[rp[j]:rp[j+1]]) || r != nil && frontier.anyOf(r.cols)
 			}
-			for _, k := range row {
-				if frontier.get(k) {
-					hit |= 1 << uint(b)
-					break
-				}
+			if found {
+				hit |= 1 << uint(b)
 			}
 		}
 		ws.next[wi] = hit

@@ -105,8 +105,8 @@ func hopStates(a, at *DeltaMatrix, seeds, hops int) [][]hopState {
 
 // BenchmarkBFSHop times one push hop and one pull hop of real searches over
 // an RMAT scale-13 graph, on a clean operand pair (the hops read the main
-// CSR) and on a dirty one (the same graph with ~3 000 pending updates, read
-// through the merged rows). Each hop of 1..4 is timed from the states 64
+// CSR) and on a dirty one (the same graph with ~3 000 pending updates, its
+// dirty rows read in place as main span plus delta-plus columns). Each hop of 1..4 is timed from the states 64
 // searches were in before it. Push reports ns per m_f entry (the frontier's
 // out-edges); pull reports ns per m_u entry (the unreached vertices'
 // in-edges) and ns per candidate (unreached vertex). These are the units of

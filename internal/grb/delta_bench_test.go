@@ -7,10 +7,10 @@ import (
 
 // BenchmarkDeltaSetElement times DeltaMatrix.SetElement buffering new
 // entries between folds: 2^14 inserts into one hub row in random column
-// order, and 2^14 inserts spread one per row. A delta-plus row is a sorted
-// slice, so a hub insert shifts every entry after its column (O(row) per
-// insert), where a spread insert starts a row of its own. It reports ns per
-// insert.
+// order, and 2^14 inserts spread one per row. A hub insert probes the row's
+// sorted runs and unsorted tail and appends (the tail's sorts and the run
+// merges cost O(log d) moves per insert); a spread insert starts a row of its
+// own in the row table. It reports ns per insert.
 //
 //	go test -run '^$' -bench DeltaSetElement ./internal/grb
 func BenchmarkDeltaSetElement(b *testing.B) {

@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -392,41 +393,65 @@ func TestVxMDeltaMatchesExportedVxM(t *testing.T) {
 }
 
 // TestDeltaMatrixConcurrentReaders exercises every fold-free read accessor
-// from many goroutines against a dirty delta matrix. Mutations require the
+// from many goroutines against a dirty delta matrix whose rows hold unsorted
+// delta-plus tails, one of them behind a sorted run. Mutations require the
 // caller's exclusive lock; concurrent reads must require nothing. Run under
-// -race this is the regression test for the old read-path fold hazard.
+// -race this is the regression test for a read path that writes: a fold, or
+// a sort of a tail in place.
 func TestDeltaMatrixConcurrentReaders(t *testing.T) {
-	dm, ref := applyOps(t, 32, 800, 5, 0)
-	if dm.Pending() == 0 {
-		t.Fatal("fixture must carry pending deltas")
+	const n, hub = 96, 7
+	dm, ref := applyOps(t, n, 2000, 5, 0)
+	for _, j := range rand.New(rand.NewSource(6)).Perm(n)[:tailMax+13] {
+		must(t, dm.SetElement(hub, j, 2))
+		must(t, ref.SetElement(hub, j, 2))
 	}
+	if r := dm.row(hub); r == nil || r.sorted == 0 || slices.IsSorted(r.cols[r.sorted:]) {
+		t.Fatal("fixture must hold a sorted run followed by an unsorted tail")
+	}
+	want := dm.Export()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			f := NewMatrix(4, 32)
+			f := NewMatrix(4, n)
 			for r := 0; r < 4; r++ {
-				f.SetElement(r, rng.Intn(32), 1)
+				f.SetElement(r, rng.Intn(n), 1)
 			}
+			f.SetElement(0, hub, 1)
 			for iter := 0; iter < 50; iter++ {
-				i, j := rng.Intn(32), rng.Intn(32)
+				i, j := rng.Intn(n), rng.Intn(n)
+				if iter%5 == 0 {
+					i = hub
+				}
 				dm.ExtractElement(i, j)
 				dm.RowIterate(i)
 				dm.RowDegree(i)
 				if dm.NVals() != ref.NVals() {
 					panic("nvals changed under readers")
 				}
-				out := NewMatrix(4, 32)
+				out := NewMatrix(4, n)
 				if err := MxMDelta(out, nil, nil, AnyPair, f, dm, nil); err != nil {
 					panic(err)
 				}
-				u := NewVector(32)
+				u := NewVector(n)
 				u.SetElement(i, 1)
-				wv := NewVector(32)
+				wv, pv := NewVector(n), NewVector(n)
 				if err := VxMDelta(wv, nil, nil, AnyPair, u, dm, nil); err != nil {
 					panic(err)
+				}
+				if err := VxMPull(pv, nil, nil, AnyPair, u, dm, nil, nil); err != nil {
+					panic(err)
+				}
+				// dm stands in for its own transpose: only the reads matter.
+				if err := BFS(dm, dm, i, 2, func(h *BFSHop) (bool, error) {
+					return h.FrontierDegree(100) > 50, nil
+				}, func(int, []Index) error { return nil }); err != nil {
+					panic(err)
+				}
+				if got := dm.Export(); !slices.Equal(got.colInd, want.colInd) {
+					panic("export changed under readers")
 				}
 			}
 		}(int64(w))
@@ -466,5 +491,275 @@ func TestDeltaFromAdoptsMatrix(t *testing.T) {
 	}
 	if dm.Export() != m {
 		t.Fatal("clean export must be the adopted matrix")
+	}
+}
+
+// TestDeltaStarInsertWork inserts a star of 2^16 leaves into one row in
+// random order and counts the entries the write path moves (tail sorts and
+// run merges): O(d log d), where a sorted row that shifts on every insert
+// moves about d²/4 ≈ 10⁹. The row must still read back whole and sorted.
+func TestDeltaStarInsertWork(t *testing.T) {
+	const d = 1 << 16
+	dm := NewDeltaMatrix(1, d)
+	dm.SetThreshold(1 << 30)
+	for _, j := range rand.New(rand.NewSource(8)).Perm(d) {
+		must(t, dm.SetElement(0, j, float64(j+1)))
+	}
+	if limit := 2 * d * 16; dm.moved > limit { // 2 d log2 d
+		t.Fatalf("moved %d entries for %d inserts, want at most %d", dm.moved, d, limit)
+	}
+	if got := dm.RowDegree(0); got != d || dm.NVals() != d {
+		t.Fatalf("degree %d, nvals %d, want %d", got, dm.NVals(), d)
+	}
+	row := dm.RowIterate(0)
+	for j := range row {
+		if row[j] != j {
+			t.Fatalf("column %d reads %d", j, row[j])
+		}
+	}
+	for _, j := range []Index{0, 1234, d - 1} {
+		if x, err := dm.ExtractElement(0, j); err != nil || x != float64(j+1) {
+			t.Fatalf("(0,%d) = %v %v", j, x, err)
+		}
+	}
+}
+
+// deltaOracle is the map reference of the differential test: one column map
+// per row.
+type deltaOracle []map[Index]float64
+
+func (o deltaOracle) nvals() int {
+	n := 0
+	for _, r := range o {
+		n += len(r)
+	}
+	return n
+}
+
+func (o deltaOracle) cols(i Index) []Index {
+	out := make([]Index, 0, len(o[i]))
+	for j := range o[i] {
+		out = append(out, j)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// csr is the oracle as the matrix Export must return.
+func (o deltaOracle) csr(n int) *Matrix {
+	m := &Matrix{nrows: n, ncols: n, rowPtr: make([]int, n+1)}
+	for i := range o {
+		for _, j := range o.cols(i) {
+			m.colInd, m.val = append(m.colInd, j), append(m.val, o[i][j])
+		}
+		m.rowPtr[i+1] = len(m.colInd)
+	}
+	return m
+}
+
+// TestDeltaMatrixDifferential interleaves inserts, deletes, resurrections
+// and value overrides on hub rows and spread rows of a delta matrix over a
+// folded main, mirrored into its transpose and into a diagonal, and checks
+// every read path against a map reference: the touched entry, the touched
+// row's RowDegree and RowIterate, and NVals after every op, and the whole
+// matrix (every entry and row, Export, AppendDiag and one BFS push and pull, VxMDelta,
+// VxMPull and MxMDelta hop) every fullEvery ops, after ForceSync and at the
+// end. The small case checks the whole matrix after every op; the hub case
+// grows its first hub row's pending entries past wholeRun, so its runs merge
+// by the logarithmic method.
+func TestDeltaMatrixDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		n, ops, fullEvery int
+		hubShare, syncAt  int
+	}{
+		{"small", 96, 1200, 1, 3, 600},
+		{"hub", 2048, 8000, 1000, 5, 7000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			rng := rand.New(rand.NewSource(int64(n)))
+			hubs := []Index{0, n / 2, n - 1}
+			ref, diag := make(deltaOracle, n), make(deltaOracle, n)
+			for i := range ref {
+				ref[i], diag[i] = map[Index]float64{}, map[Index]float64{}
+			}
+			// A folded main to delete from, resurrect and override.
+			var mainKeys [][2]Index
+			for k := 0; k < 2*n; k++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				if k%4 == 0 {
+					i = hubs[k%len(hubs)]
+				}
+				if _, ok := ref[i][j]; !ok {
+					ref[i][j] = float64(1 + rng.Intn(3))
+					mainKeys = append(mainKeys, [2]Index{i, j})
+				}
+				if k%3 == 0 {
+					diag[i][i] = 1
+				}
+			}
+			m := ref.csr(n)
+			a, at, d := DeltaFrom(m.Dup()), DeltaFrom(transposeOf(m)), DeltaFrom(diag.csr(n))
+			for _, x := range []*DeltaMatrix{a, at, d} {
+				x.SetThreshold(1 << 30)
+			}
+			keys := append([][2]Index(nil), mainKeys...)
+			set := func(i, j Index, x float64) {
+				must(t, a.SetElement(i, j, x))
+				must(t, at.SetElement(j, i, 1))
+				ref[i][j] = x
+			}
+			remove := func(i, j Index) {
+				must(t, a.RemoveElement(i, j))
+				must(t, at.RemoveElement(j, i))
+				delete(ref[i], j)
+			}
+			for op := 1; op <= tc.ops; op++ {
+				var i, j Index
+				switch kind := rng.Intn(10); {
+				case kind < tc.hubShare: // insert into a hub row, mostly the first
+					i, j = hubs[max(0, rng.Intn(len(hubs)+3)-3)], rng.Intn(n)
+					set(i, j, float64(1+rng.Intn(3)))
+					keys = append(keys, [2]Index{i, j})
+				case kind < 5: // insert into a spread row
+					i, j = rng.Intn(n), rng.Intn(n)
+					set(i, j, float64(1+rng.Intn(3)))
+					keys = append(keys, [2]Index{i, j})
+				case kind < 7: // delete a pending or folded entry, or nothing
+					k := keys[rng.Intn(len(keys))]
+					i, j = k[0], k[1]
+					remove(i, j)
+				case kind < 8: // resurrect a main entry, to its value or another
+					k := mainKeys[rng.Intn(len(mainKeys))]
+					i, j = k[0], k[1]
+					x, _ := m.ExtractElement(i, j)
+					if rng.Intn(2) == 0 {
+						x = float64(4 + rng.Intn(3))
+					}
+					remove(i, j)
+					set(i, j, x)
+				default: // override the value of a live entry
+					k := keys[rng.Intn(len(keys))]
+					i, j = k[0], k[1]
+					if _, ok := ref[i][j]; ok {
+						set(i, j, float64(1+rng.Intn(6)))
+					}
+				}
+				if k := rng.Intn(n); rng.Intn(2) == 0 {
+					must(t, d.SetElement(k, k, 1))
+					diag[k][k] = 1
+				} else {
+					must(t, d.RemoveElement(k, k))
+					delete(diag[k], k)
+				}
+				checkDeltaRow(t, a, ref, i, []Index{j})
+				if a.NVals() != ref.nvals() {
+					t.Fatalf("op %d: nvals %d, want %d", op, a.NVals(), ref.nvals())
+				}
+				if op%tc.fullEvery == 0 || op == tc.ops {
+					checkDeltaAll(t, fmt.Sprintf("op %d", op), a, at, d, ref, diag, hubs)
+				}
+				if op == tc.syncAt {
+					if a.Pending() == 0 || at.Pending() == 0 || d.Pending() == 0 {
+						t.Fatal("fixture must carry pending deltas")
+					}
+					if r := a.row(hubs[0]); tc.name == "hub" && (r == nil || len(r.runs) == 0) {
+						t.Fatal("the first hub row must hold several runs before the fold")
+					}
+					a.ForceSync()
+					at.ForceSync()
+					d.ForceSync()
+					checkDeltaAll(t, "after ForceSync", a, at, d, ref, diag, hubs)
+				}
+			}
+			a.ForceSync()
+			at.ForceSync()
+			d.ForceSync()
+			checkDeltaAll(t, "final ForceSync", a, at, d, ref, diag, hubs)
+		})
+	}
+}
+
+// checkDeltaRow compares row i's degree and columns with the oracle, and
+// the entries at the given columns of it.
+func checkDeltaRow(t *testing.T, a *DeltaMatrix, ref deltaOracle, i Index, cols []Index) {
+	t.Helper()
+	want := ref.cols(i)
+	if got := a.RowDegree(i); got != len(want) {
+		t.Fatalf("row %d: degree %d, want %d", i, got, len(want))
+	}
+	if got := a.RowIterate(i); !slices.Equal(got, want) {
+		t.Fatalf("row %d: columns %v, want %v", i, got, want)
+	}
+	for _, j := range cols {
+		x, err := a.ExtractElement(i, j)
+		if want, ok := ref[i][j]; ok != (err == nil) || x != want {
+			t.Fatalf("(%d,%d) = %v %v, want %v (present %v)", i, j, x, err, want, ok)
+		}
+	}
+}
+
+// checkDeltaAll compares the whole of a, its transpose at and the diagonal
+// d with the oracles, through every read accessor and one hop of each
+// kernel.
+func checkDeltaAll(t *testing.T, when string, a, at, d *DeltaMatrix, ref, diag deltaOracle, hubs []Index) {
+	t.Helper()
+	n := len(ref)
+	if a.NVals() != ref.nvals() {
+		t.Fatalf("%s: nvals %d, want %d", when, a.NVals(), ref.nvals())
+	}
+	for i := 0; i < n; i++ {
+		checkDeltaRow(t, a, ref, i, append(ref.cols(i), (i*7+3)%n))
+	}
+	assertSameCSR(t, when+": export", a.Export(), ref.csr(n))
+	var members []uint64
+	for i := 0; i < n; i++ {
+		if len(diag[i]) > 0 {
+			members = append(members, uint64(i))
+		}
+	}
+	if got := d.AppendDiag(nil); !slices.Equal(got, members) {
+		t.Fatalf("%s: diagonal members %v, want %v", when, got, members)
+	}
+	srcs := []Index{hubs[0], hubs[1], n / 3}
+	union := map[Index]float64{}
+	for _, s := range srcs[:2] {
+		for j := range ref[s] {
+			union[j] = 1
+		}
+	}
+	u := NewVector(n)
+	for _, s := range srcs[:2] {
+		u.SetElement(s, 1)
+	}
+	push, pull := NewVector(n), NewVector(n)
+	must(t, VxMDelta(push, nil, nil, AnyPair, u, a, nil))
+	must(t, VxMPull(pull, nil, nil, AnyPair, u, at, nil, nil))
+	expectVecEq(t, push, union)
+	expectVecEq(t, pull, union)
+	f := NewMatrix(len(srcs), n)
+	must(t, f.BuildFromRows(srcs))
+	c := NewMatrix(len(srcs), n)
+	must(t, MxMDelta(c, nil, nil, AnyPair, f, a, nil))
+	for r, s := range srcs {
+		if got, want := c.RowIterate(r), ref.cols(s); !slices.Equal(got, want) {
+			t.Fatalf("%s: MxMDelta row %d (source %d): %v, want %v", when, r, s, got, want)
+		}
+	}
+	for _, mode := range []string{"push", "pull"} {
+		src := hubs[2]
+		levels, _, err := bfsLevels(a, at, src, 1, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.DeleteFunc(ref.cols(src), func(j Index) bool { return j == src })
+		var got []Index
+		if len(levels) > 1 {
+			got = levels[1]
+		}
+		if !slices.Equal(got, want) && (len(got) != 0 || len(want) != 0) {
+			t.Fatalf("%s: BFS %s hop from %d: %v, want %v", when, mode, src, got, want)
+		}
 	}
 }

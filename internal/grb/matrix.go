@@ -128,6 +128,9 @@ func (m *Matrix) ExtractElement(i, j Index) (float64, error) {
 // find returns the position of (i, j) in the CSR, or the position where it
 // would be inserted, and whether it is present.
 func (m *Matrix) find(i, j Index) (int, bool) {
+	if len(m.colInd) == 0 {
+		return 0, false // an empty matrix: spare the row pointer loads
+	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	k := lo + sort.Search(hi-lo, func(k int) bool { return m.colInd[lo+k] >= j })
 	return k, k < hi && m.colInd[k] == j

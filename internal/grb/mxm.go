@@ -14,7 +14,6 @@ import (
 type mxmWorkspace struct {
 	mark []int64
 	ci   []Index // retained-capacity accumulation buffer (see the kernel body)
-	row  rowScratch
 }
 
 var mxmPool = sync.Pool{New: func() any { return &mxmWorkspace{} }}
@@ -34,9 +33,9 @@ func getMxMWorkspace(n int) *mxmWorkspace {
 
 // MxMDelta replaces C with the structural product A·B (GrB_mxm over AnyPair,
 // no mask, no accumulator): C(i, j) = 1 wherever some A(i, k) meets some
-// B(k, j). B is a delta matrix whose effective rows (main ∪ delta-plus, minus
-// delta-minus) feed Gustavson's row-wise kernel directly, so no fold of B
-// ever happens — the read path of concurrent query execution. When
+// B(k, j). B is a delta matrix whose effective rows (main's live entries,
+// then delta-plus) Gustavson's row-wise kernel gathers in place, so no fold
+// of B ever happens — the read path of concurrent query execution. When
 // d.NThreads > 1 the rows are split into grained morsels on the shared
 // work-stealing pool and merged in deterministic row order. mask, accum and s
 // must be nil, nil and AnyPair (see requireStructural).
@@ -65,6 +64,7 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 	parallelRanges(d.sched(), a.nrows, nth, mxmRowGrain, func(part, lo, hi int) {
 		ws := getMxMWorkspace(b.ncols)
 		mark := ws.mark
+		brp, bci := b.main.rowPtr, b.main.colInd
 		base := mxmStamp.Add(int64(hi-lo)) - int64(hi-lo)
 		// Accumulate into the workspace's retained-capacity buffer, then
 		// snapshot an exact-size slice before the workspace returns to the
@@ -74,21 +74,30 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 		p.rp = make([]int, hi-lo+1)
 		for i := lo; i < hi; i++ {
 			ac, _ := a.rowView(i)
-			if len(ac) == 1 {
-				// Single-entry row (a one-hot traversal frontier): the
-				// result row is row ac[0] of B verbatim — already sorted and
-				// duplicate-free, so skip stamping and sorting entirely.
-				bc, _ := b.srcRow(ac[0], &ws.row)
-				ci = append(ci, bc...)
+			if len(ac) == 1 && b.row(ac[0]) == nil {
+				// Single-entry row (a one-hot traversal frontier) on a clean
+				// row of B: the result row is that row verbatim — already
+				// sorted and duplicate-free, so skip stamping and sorting
+				// entirely. A dirty row is unordered and takes the path below.
+				k := ac[0]
+				ci = append(ci, bci[brp[k]:brp[k+1]]...)
 			} else {
 				stamp := base + int64(i-lo) + 1
 				start := len(ci)
 				for _, k := range ac {
-					bc, _ := b.srcRow(k, &ws.row)
-					for _, j := range bc {
-						if mark[j] != stamp {
+					r := b.row(k)
+					for p := brp[k]; p < brp[k+1]; p++ {
+						if j := bci[p]; mark[j] != stamp && !b.buried(r, p) {
 							mark[j] = stamp
 							ci = append(ci, j)
+						}
+					}
+					if r != nil {
+						for _, j := range r.cols {
+							if mark[j] != stamp {
+								mark[j] = stamp
+								ci = append(ci, j)
+							}
 						}
 					}
 				}

@@ -10,7 +10,7 @@ import (
 // BuildFromRows makes of a batch) multiplied by the relation operand through
 // MxMDelta into a fresh output, over the RMAT scale-13 graph BenchmarkBFSHop
 // uses. The clean operand is read through its main CSR, the dirty one (the
-// same graph with ~3 000 pending updates) through its merged rows. It cycles
+// same graph with ~3 000 pending updates) row by row in place. It cycles
 // through 16 frontiers of vertices with an out-edge and reports ns per
 // scattered entry (the frontier's out-edges) and ns per frontier row.
 //

@@ -5,7 +5,7 @@ import "sync"
 // VxMDelta replaces w with the structural product u'·A (GrB_vxm over
 // AnyPair, no mask, no accumulator) through the push kernel over a delta
 // matrix operand: frontier expansion over a graph matrix with buffered
-// writes, consulting main, delta-plus and delta-minus without folding. mask,
+// writes, reading each row in place without folding. mask,
 // accum and s must be nil, nil and AnyPair (see requireStructural).
 func VxMDelta(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *DeltaMatrix, d *Descriptor) error {
 	if w == nil || a == nil || u == nil {
@@ -27,14 +27,20 @@ func VxMDelta(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a
 	ws := getWorkspace(a.ncols)
 	defer workspacePool.Put(ws)
 	var outs []Index
-	var rowBuf rowScratch
+	scatter := func(j Index) bool {
+		if !ws.ok[j] {
+			ws.ok[j] = true
+			outs = append(outs, j)
+		}
+		return true
+	}
 	u.Iterate(func(k Index, _ float64) bool {
-		ac, _ := a.srcRow(k, &rowBuf)
-		for _, j := range ac {
-			if !ws.ok[j] {
-				ws.ok[j] = true
-				outs = append(outs, j)
-			}
+		if r := a.row(k); r != nil {
+			a.eachLive(k, r, scatter)
+			return true
+		}
+		for _, j := range a.main.colInd[a.main.rowPtr[k]:a.main.rowPtr[k+1]] {
+			scatter(j)
 		}
 		return true
 	})

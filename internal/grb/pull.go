@@ -57,17 +57,22 @@ func VxMPull(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, bt
 	nth := d.nthreads()
 	parts := make([][]Index, partitionParts(bt.nrows, nth, rangeGrain))
 	parallelRanges(d.sched(), bt.nrows, nth, rangeGrain, func(part, lo, hi int) {
-		var rowBuf rowScratch
 		for i := lo; i < hi; i++ {
 			if keep != nil && !keep(i) {
 				continue
 			}
-			ac, _ := bt.srcRow(i, &rowBuf)
-			for _, j := range ac {
-				if ubits.get(j) {
-					parts[part] = append(parts[part], i)
-					break
+			hit := false
+			if r := bt.row(i); r != nil {
+				bt.eachLive(i, r, func(j Index) bool { hit = ubits.get(j); return !hit })
+			} else {
+				for _, j := range bt.main.colInd[bt.main.rowPtr[i]:bt.main.rowPtr[i+1]] {
+					if hit = ubits.get(j); hit {
+						break
+					}
 				}
+			}
+			if hit {
+				parts[part] = append(parts[part], i)
 			}
 		}
 	})

@@ -92,23 +92,30 @@ func (r *Reader) ReadCommand() ([]string, error) {
 // header; longer ones grow with the bytes that arrive.
 const bulkChunk = 64 << 10
 
-// readBulk reads an ln-byte bulk string body and its trailing CRLF.
+// readBulk reads an ln-byte bulk string body and its trailing CRLF. Two
+// other bytes there are a protocol error: skipping them would misframe the
+// rest of the stream.
 func (r *Reader) readBulk(ln int) (string, error) {
 	if ln > maxBulkLen {
 		return "", ProtocolError(fmt.Sprintf("bulk length %d above %d", ln, maxBulkLen))
 	}
+	var body []byte
 	if ln <= bulkChunk {
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+		body = make([]byte, ln+2)
+		if _, err := io.ReadFull(r.br, body); err != nil {
 			return "", err
 		}
-		return string(buf[:ln]), nil
+	} else {
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, r.br, int64(ln+2)); err != nil {
+			return "", err
+		}
+		body = buf.Bytes()
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r.br, int64(ln+2)); err != nil {
-		return "", err
+	if body[ln] != '\r' || body[ln+1] != '\n' {
+		return "", ProtocolError("expected '\\r\\n'")
 	}
-	return string(buf.Bytes()[:ln]), nil
+	return string(body[:ln]), nil
 }
 
 // ReadReply decodes one server reply into Go values: SimpleString, string

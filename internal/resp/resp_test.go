@@ -3,6 +3,7 @@ package resp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -208,6 +209,31 @@ func TestReadCommandLongBulk(t *testing.T) {
 	}
 }
 
+// TestBulkWithoutCRLF sends a bulk string whose body is not followed by
+// CRLF, through the buffered path and the long-bulk stream: both are a
+// protocol error, not a skip of two bytes that misframes what follows.
+func TestBulkWithoutCRLF(t *testing.T) {
+	long := strings.Repeat("x", bulkChunk+1)
+	for _, in := range []string{
+		"*1\r\n$10\r\nfoo\r\n+OK\r\n*1\r\n$4\r\nPING\r\n",
+		"*1\r\n$3\r\nfooXY*1\r\n$4\r\nPING\r\n",
+		"*1\r\n$3\r\nfoo\r*1\r\n$4\r\nPING\r\n",
+		fmt.Sprintf("*1\r\n$%d\r\n%sXY*1\r\n$4\r\nPING\r\n", len(long), long),
+	} {
+		_, err := NewReader(strings.NewReader(in)).ReadCommand()
+		if err == nil || err.Error() != `Protocol error: expected '\r\n'` {
+			t.Fatalf("%.24q: err = %v, want the CRLF protocol error", in, err)
+		}
+	}
+	in := fmt.Sprintf("*1\r\n$%d\r\n%s\r\n*1\r\n$4\r\nPING\r\n", len(long), long)
+	r := NewReader(strings.NewReader(in))
+	for _, want := range []string{long, "PING"} {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 1 || args[0] != want {
+			t.Fatalf("well-framed stream: %d args, err = %v", len(args), err)
+		}
+	}
+}
+
 // FuzzReadCommand feeds arbitrary bytes to the command reader: it must never
 // panic, and what it allocates must track the bytes it was given rather than
 // the lengths the headers claim.
@@ -218,7 +244,8 @@ func FuzzReadCommand(f *testing.F) {
 		"*1048576\r\n",
 		"*1\r\n$536870912\r\nab",
 		"PING \"quoted arg\"\r\n",
-		strings.Repeat("a", 1<<20), // a 1 MiB line without a newline
+		"*1\r\n$10\r\nfoo\r\n+OK\r\n*1\r\n$4\r\nPING\r\n", // a bulk body without its CRLF
+		strings.Repeat("a", 1<<20),                        // a 1 MiB line without a newline
 	} {
 		f.Add([]byte(seed))
 	}

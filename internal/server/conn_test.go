@@ -123,6 +123,24 @@ func TestProtocolErrorDropsOnlyThatConnection(t *testing.T) {
 	}
 }
 
+// TestBulkWithoutCRLFDropsConnection sends a bulk string whose ten bytes
+// are followed by "*1" instead of CRLF: the sender gets the protocol error
+// and is disconnected, and the PING after it in the stream gets no reply.
+func TestBulkWithoutCRLFDropsConnection(t *testing.T) {
+	s, _ := startServer(t)
+	c := dialRaw(t, s.Addr())
+	if _, err := c.Write([]byte("*1\r\n$10\r\nfoo\r\n+OK\r\n*1\r\n$4\r\nPING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	r := resp.NewReader(c)
+	if _, err := r.ReadReply(); err == nil || err.Error() != `ERR Protocol error: expected '\r\n'` {
+		t.Fatalf("reply: err = %v, want the CRLF protocol error", err)
+	}
+	if v, err := r.ReadReply(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a protocol error: %v %v", v, err)
+	}
+}
+
 // TestErrorQuotingInputIsOneReply sends a command whose bulk name holds
 // CRLF and a RESP reply line: the unknown-command error quoting it must reach
 // the client as one reply, and a PING on the same connection must still get
