@@ -11,10 +11,10 @@ import (
 // nothing per hop and nothing per reached vertex — the GraphBLAS frontier
 // reduction without a vector per hop.
 //
-// Both hop kernels read their operand in place, with no merged copy: a row
-// is its main CSR span plus, when the delta table holds it, its delta-plus
-// columns — unordered, which a scatter or a probe does not mind. Only a row
-// with delta-minus entries is walked entry by entry to skip its zombies.
+// Both hop kernels read their operand in place, with no merged copy: a clean
+// row is its main CSR span, and a dirty row (one the delta table holds) its
+// main span less the zombies, then its delta-plus columns — unordered, which
+// a scatter or a probe does not mind.
 
 // BFSHop is what a BFS step callback sees before each hop: the two sides of
 // direction-optimizing BFS's choice.
@@ -172,14 +172,12 @@ func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
 	for wi, w := range ws.frontier {
 		for ; w != 0; w &= w - 1 {
 			k := wi<<6 + bits.TrailingZeros64(w)
-			r := a.row(k)
-			if r != nil && r.minus > 0 {
-				a.eachLive(k, r, func(j Index) bool { next.set(j); return true })
+			if r := a.row(k); r != nil {
+				a.setLive(k, r, next)
 				continue
 			}
-			next.setAll(ci[rp[k]:rp[k+1]])
-			if r != nil {
-				next.setAll(r.cols)
+			for _, j := range ci[rp[k]:rp[k+1]] {
+				next.set(j)
 			}
 		}
 	}
@@ -210,14 +208,17 @@ func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
 		for ; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
 			j := wi<<6 + b
-			var found bool
-			if r := at.row(j); r != nil && r.minus > 0 {
-				at.eachLive(j, r, func(k Index) bool { found = frontier.get(k); return !found })
-			} else {
-				found = frontier.anyOf(ci[rp[j]:rp[j+1]]) || r != nil && frontier.anyOf(r.cols)
+			if r := at.row(j); r != nil {
+				if at.anyLive(j, r, frontier) {
+					hit |= 1 << uint(b)
+				}
+				continue
 			}
-			if found {
-				hit |= 1 << uint(b)
+			for _, k := range ci[rp[j]:rp[j+1]] {
+				if frontier.get(k) {
+					hit |= 1 << uint(b)
+					break
+				}
 			}
 		}
 		ws.next[wi] = hit

@@ -18,23 +18,6 @@ func (b bitset) set(i Index)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) get(i Index) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) unset(i Index)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
-// setAll sets every index in s.
-func (b bitset) setAll(s []Index) {
-	for _, i := range s {
-		b.set(i)
-	}
-}
-
-// anyOf reports whether any index in s is set.
-func (b bitset) anyOf(s []Index) bool {
-	for _, i := range s {
-		if b.get(i) {
-			return true
-		}
-	}
-	return false
-}
-
 // iterate calls fn for every set bit in ascending order; fn returning false
 // stops the iteration.
 func (b bitset) iterate(fn func(i Index) bool) {

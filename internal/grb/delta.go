@@ -201,20 +201,33 @@ func (m *DeltaMatrix) buried(r *deltaRow, p int) bool {
 	return r != nil && r.minus > 0 && m.zombies.get(p)
 }
 
-// eachLive calls f on the effective columns of dirty row i, unordered, each
-// once and in place: main's entries that are not zombies, then the
-// delta-plus entries. It stops when f returns false.
-func (m *DeltaMatrix) eachLive(i Index, r *deltaRow, f func(j Index) bool) {
+// setLive sets in b every effective column of dirty row i, in place: main's
+// entries that are not zombies, then the delta-plus entries.
+func (m *DeltaMatrix) setLive(i Index, r *deltaRow, b bitset) {
 	for p := m.main.rowPtr[i]; p < m.main.rowPtr[i+1]; p++ {
-		if !m.buried(r, p) && !f(m.main.colInd[p]) {
-			return
+		if !m.buried(r, p) {
+			b.set(m.main.colInd[p])
 		}
 	}
 	for _, j := range r.cols {
-		if !f(j) {
-			return
+		b.set(j)
+	}
+}
+
+// anyLive reports whether some effective column of dirty row i is set in b,
+// stopping at the first.
+func (m *DeltaMatrix) anyLive(i Index, r *deltaRow, b bitset) bool {
+	for p := m.main.rowPtr[i]; p < m.main.rowPtr[i+1]; p++ {
+		if b.get(m.main.colInd[p]) && !m.buried(r, p) {
+			return true
 		}
 	}
+	for _, j := range r.cols {
+		if b.get(j) {
+			return true
+		}
+	}
+	return false
 }
 
 // SetElement stores x at (i, j), buffering the update as a delta.
@@ -360,7 +373,12 @@ func (m *DeltaMatrix) RowIterate(i Index) []Index {
 		return m.main.colInd[m.main.rowPtr[i]:m.main.rowPtr[i+1]]
 	}
 	out := make([]Index, 0, m.RowDegree(i))
-	m.eachLive(i, r, func(j Index) bool { out = append(out, j); return true })
+	for p := m.main.rowPtr[i]; p < m.main.rowPtr[i+1]; p++ {
+		if !m.buried(r, p) {
+			out = append(out, m.main.colInd[p])
+		}
+	}
+	out = append(out, r.cols...)
 	slices.Sort(out)
 	return out
 }
@@ -423,8 +441,7 @@ func (m *DeltaMatrix) Sync(force bool) bool {
 		panic(fmt.Sprintf("grb: delta sync drift: folded %d entries, tracked %d", got, m.nvals))
 	}
 	m.main = out
-	clear(m.rows)
-	m.rows, m.zombies = m.rows[:0], nil
+	m.rows, m.zombies, m.mergeCols, m.mergeVals = nil, nil, nil, nil
 	m.dpN, m.dmN = 0, 0
 	return true
 }

@@ -27,20 +27,24 @@ func VxMDelta(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a
 	ws := getWorkspace(a.ncols)
 	defer workspacePool.Put(ws)
 	var outs []Index
-	scatter := func(j Index) bool {
+	scatter := func(j Index) {
 		if !ws.ok[j] {
 			ws.ok[j] = true
 			outs = append(outs, j)
 		}
-		return true
 	}
+	rp, ci := a.main.rowPtr, a.main.colInd
 	u.Iterate(func(k Index, _ float64) bool {
-		if r := a.row(k); r != nil {
-			a.eachLive(k, r, scatter)
-			return true
+		r := a.row(k)
+		for p := rp[k]; p < rp[k+1]; p++ {
+			if !a.buried(r, p) {
+				scatter(ci[p])
+			}
 		}
-		for _, j := range a.main.colInd[a.main.rowPtr[k]:a.main.rowPtr[k+1]] {
-			scatter(j)
+		if r != nil {
+			for _, j := range r.cols {
+				scatter(j)
+			}
 		}
 		return true
 	})

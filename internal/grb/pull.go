@@ -63,7 +63,7 @@ func VxMPull(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, bt
 			}
 			hit := false
 			if r := bt.row(i); r != nil {
-				bt.eachLive(i, r, func(j Index) bool { hit = ubits.get(j); return !hit })
+				hit = bt.anyLive(i, r, ubits)
 			} else {
 				for _, j := range bt.main.colInd[bt.main.rowPtr[i]:bt.main.rowPtr[i+1]] {
 					if hit = ubits.get(j); hit {
