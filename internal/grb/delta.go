@@ -204,9 +204,16 @@ func (m *DeltaMatrix) buried(r *deltaRow, p int) bool {
 // setLive sets in b every effective column of dirty row i, in place: main's
 // entries that are not zombies, then the delta-plus entries.
 func (m *DeltaMatrix) setLive(i Index, r *deltaRow, b bitset) {
-	for p := m.main.rowPtr[i]; p < m.main.rowPtr[i+1]; p++ {
-		if !m.buried(r, p) {
-			b.set(m.main.colInd[p])
+	lo, hi := m.main.rowPtr[i], m.main.rowPtr[i+1]
+	if r.minus == 0 {
+		for _, j := range m.main.colInd[lo:hi] {
+			b.set(j)
+		}
+	} else {
+		for p := lo; p < hi; p++ {
+			if !m.zombies.get(p) {
+				b.set(m.main.colInd[p])
+			}
 		}
 	}
 	for _, j := range r.cols {
@@ -217,8 +224,9 @@ func (m *DeltaMatrix) setLive(i Index, r *deltaRow, b bitset) {
 // anyLive reports whether some effective column of dirty row i is set in b,
 // stopping at the first.
 func (m *DeltaMatrix) anyLive(i Index, r *deltaRow, b bitset) bool {
-	for p := m.main.rowPtr[i]; p < m.main.rowPtr[i+1]; p++ {
-		if b.get(m.main.colInd[p]) && !m.buried(r, p) {
+	lo, hi := m.main.rowPtr[i], m.main.rowPtr[i+1]
+	for p, j := range m.main.colInd[lo:hi] {
+		if b.get(j) && (r.minus == 0 || !m.zombies.get(lo+p)) {
 			return true
 		}
 	}
