@@ -5,8 +5,8 @@ import "sync"
 // VxMDelta replaces w with the structural product u'·A (GrB_vxm over
 // AnyPair, no mask, no accumulator) through the push kernel over a delta
 // matrix operand: frontier expansion over a graph matrix with buffered
-// writes, reading each row in place without folding. mask,
-// accum and s must be nil, nil and AnyPair (see requireStructural).
+// writes, reading each row in place without folding. mask, accum and s must
+// be nil, nil and AnyPair (see requireStructural).
 func VxMDelta(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, a *DeltaMatrix, d *Descriptor) error {
 	if w == nil || a == nil || u == nil {
 		return ErrNilObject
