@@ -562,11 +562,11 @@ func (o deltaOracle) csr(n int) *Matrix {
 // folded main, mirrored into its transpose and into a diagonal, and checks
 // every read path against a map reference: the touched entry, the touched
 // row's RowDegree and RowIterate, and NVals after every op, and the whole
-// matrix (every entry and row, Export, AppendDiag and one BFS push and pull, VxMDelta,
-// VxMPull and MxMDelta hop) every fullEvery ops, after ForceSync and at the
-// end. The small case checks the whole matrix after every op; the hub case
-// grows its first hub row's pending entries past wholeRun, so its runs merge
-// by the logarithmic method.
+// matrix (every entry and row, Export, AppendDiag, and one BFS push and
+// pull, VxMDelta, VxMPull and MxMDelta hop) every fullEvery ops, after
+// ForceSync and at the end. The small case checks the whole matrix after
+// every op; the hub case grows its first hub row's pending entries past
+// wholeRun, so its runs merge by the logarithmic method.
 func TestDeltaMatrixDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
