@@ -14,7 +14,9 @@ import (
 // Both hop kernels read their operand in place, with no merged copy: a clean
 // row is its main CSR span, and a dirty row (one the delta table holds) its
 // main span less the zombies, then its delta-plus columns — unordered, which
-// a scatter or a probe does not mind.
+// a scatter or a probe does not mind. Each checks once per hop whether the
+// operand has anything pending, so a clean operand pays no table lookup per
+// row.
 
 // BFSHop is what a BFS step callback sees before each hop: the two sides of
 // direction-optimizing BFS's choice.
@@ -37,9 +39,10 @@ type BFSHop struct {
 // operand — what a push hop scatters, direction-optimizing BFS's m_f — and
 // stops summing once the total exceeds budget.
 func (h *BFSHop) FrontierDegree(budget float64) float64 {
+	clean := h.a.Pending() == 0
 	sum := 0.0
 	h.ws.frontier.iterate(func(k Index) bool {
-		sum += float64(h.a.RowDegree(k))
+		sum += float64(h.a.rowLen(k, clean))
 		return sum <= budget
 	})
 	return sum
@@ -121,10 +124,11 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 	}
 	// Vertices from span on have no in-edge: no hop reaches them, and a pull
 	// hop does not probe them.
-	span, unreachedIn := n, 0
+	span, unreachedIn, atClean := n, 0, false
 	if at != nil {
+		atClean = at.Pending() == 0
 		span = at.rowSpan()
-		unreachedIn = at.NVals() - at.RowDegree(src)
+		unreachedIn = at.NVals() - at.rowLen(src, atClean)
 	}
 	nf, unreached := 1, span
 	if src < span {
@@ -151,7 +155,7 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 		ws.level = ws.next.appendSet(ws.level[:0])
 		if at != nil {
 			for _, j := range ws.level {
-				unreachedIn -= at.RowDegree(j)
+				unreachedIn -= at.rowLen(j, atClean)
 			}
 		}
 		if err := visit(hop, ws.level); err != nil {
@@ -167,14 +171,17 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 // a word at a time, drops the reached vertices from next and adds the rest
 // to reached. It returns the level size.
 func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
+	clean := a.Pending() == 0
 	rp, ci := a.main.rowPtr, a.main.colInd
 	next := ws.next
 	for wi, w := range ws.frontier {
 		for ; w != 0; w &= w - 1 {
 			k := wi<<6 + bits.TrailingZeros64(w)
-			if r := a.row(k); r != nil {
-				a.setLive(k, r, next)
-				continue
+			if !clean {
+				if r := a.row(k); r != nil {
+					a.setLive(k, r, next)
+					continue
+				}
 			}
 			for _, j := range ci[rp[k]:rp[k+1]] {
 				next.set(j)
@@ -195,6 +202,7 @@ func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
 // the frontier, a bitset word of candidates at a time, and returns the level
 // size.
 func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
+	clean := at.Pending() == 0
 	rp, ci := at.main.rowPtr, at.main.colInd
 	frontier := ws.frontier
 	nf := 0
@@ -208,11 +216,13 @@ func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
 		for ; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
 			j := wi<<6 + b
-			if r := at.row(j); r != nil {
-				if at.anyLive(j, r, frontier) {
-					hit |= 1 << uint(b)
+			if !clean {
+				if r := at.row(j); r != nil {
+					if at.anyLive(j, r, frontier) {
+						hit |= 1 << uint(b)
+					}
+					continue
 				}
-				continue
 			}
 			for _, k := range ci[rp[j]:rp[j+1]] {
 				if frontier.get(k) {

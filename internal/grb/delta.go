@@ -351,9 +351,18 @@ func (m *DeltaMatrix) RowDegree(i Index) int {
 	if i < 0 || i >= m.nrows {
 		return 0
 	}
+	return m.rowLen(i, false)
+}
+
+// rowLen is RowDegree for a row in range. With clean set (the caller checked
+// once that nothing is pending) it reads the row pointers alone, which the
+// BFS loops that sum a degree per reached vertex need.
+func (m *DeltaMatrix) rowLen(i Index, clean bool) int {
 	n := m.main.rowPtr[i+1] - m.main.rowPtr[i]
-	if r := m.row(i); r != nil {
-		n += len(r.cols) - r.minus
+	if !clean {
+		if r := m.row(i); r != nil {
+			n += len(r.cols) - r.minus
+		}
 	}
 	return n
 }
