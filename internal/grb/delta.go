@@ -29,20 +29,21 @@ const wholeRun = 1024
 // method) or the row's runs are shorter than wholeRun, so a row of d inserts
 // moves O(d log d) entries and a probe searches O(log d) runs. Delta-plus
 // never holds a column whose main entry is live: an override buries the
-// main entry and buffers the new value here.
+// main entry and buffers the new value here. The two counts are int32 so a
+// row takes 80 bytes, not 96: a load makes one per dirty row of every matrix.
 type deltaRow struct {
 	cols   []Index
 	vals   []float64
 	runs   []int // end offsets in cols of the sorted runs before the last
-	sorted int   // end offset of the last sorted run: the tail starts here
-	minus  int   // main entries of this row marked in zombies
+	sorted int32 // end offset of the last sorted run: the tail starts here
+	minus  int32 // main entries of this row marked in zombies
 }
 
 // find returns the position of column j among the row's delta-plus entries.
 func (r *deltaRow) find(j Index) (int, bool) {
 	start := 0
 	for x := 0; x <= len(r.runs); x++ {
-		end := r.sorted
+		end := int(r.sorted)
 		if x < len(r.runs) {
 			end = r.runs[x]
 		}
@@ -80,7 +81,7 @@ func lowerBound(s []Index, j Index) int {
 // replaced by the tail's last, a run entry is shifted out.
 func (r *deltaRow) remove(k int) {
 	last := len(r.cols) - 1
-	if k >= r.sorted {
+	if k >= int(r.sorted) {
 		r.cols[k], r.vals[k] = r.cols[last], r.vals[last]
 	} else {
 		copy(r.cols[k:], r.cols[k+1:])
@@ -96,7 +97,7 @@ func (r *deltaRow) remove(k int) {
 			start = end
 		}
 		r.sorted--
-		if n := len(runs); n > 0 && runs[n-1] == r.sorted { // the last run emptied
+		if n := len(runs); n > 0 && runs[n-1] == int(r.sorted) { // the last run emptied
 			runs = runs[:n-1]
 		}
 		r.runs = runs
@@ -361,7 +362,7 @@ func (m *DeltaMatrix) rowLen(i Index, clean bool) int {
 	n := m.main.rowPtr[i+1] - m.main.rowPtr[i]
 	if !clean {
 		if r := m.row(i); r != nil {
-			n += len(r.cols) - r.minus
+			n += len(r.cols) - int(r.minus)
 		}
 	}
 	return n
@@ -530,7 +531,7 @@ func (m *DeltaMatrix) merged() *Matrix {
 		}
 		copySpan(next, i)
 		dc, dv := r.cols, r.vals
-		if len(r.runs) > 0 || r.sorted < len(dc) { // not one sorted run
+		if len(r.runs) > 0 || int(r.sorted) < len(dc) { // not one sorted run
 			es = es[:0]
 			for k, j := range dc {
 				es = append(es, entry{j, dv[k]})
@@ -605,7 +606,7 @@ func (m *DeltaMatrix) dpAppend(r *deltaRow, j Index, x float64) {
 	r.cols = append(r.cols, j)
 	r.vals = append(r.vals, x)
 	m.dpN++
-	if len(r.cols)-r.sorted == tailMax {
+	if len(r.cols)-int(r.sorted) == tailMax {
 		m.compact(r, false)
 	}
 }
@@ -615,7 +616,7 @@ func (m *DeltaMatrix) dpAppend(r *deltaRow, j Index, x float64) {
 // hold fewer than wholeRun entries — with all set, until the row is one
 // sorted run.
 func (m *DeltaMatrix) compact(r *deltaRow, all bool) {
-	if t := r.sorted; t < len(r.cols) {
+	if t := int(r.sorted); t < len(r.cols) {
 		for a := t + 1; a < len(r.cols); a++ { // insertion sort of the tail
 			c, v := r.cols[a], r.vals[a]
 			b := a
@@ -628,10 +629,10 @@ func (m *DeltaMatrix) compact(r *deltaRow, all bool) {
 		if t > 0 {
 			r.runs = append(r.runs, t)
 		}
-		r.sorted = len(r.cols)
+		r.sorted = int32(len(r.cols))
 	}
 	for n := len(r.runs); n > 0; n-- {
-		a, b, c := 0, r.runs[n-1], r.sorted
+		a, b, c := 0, r.runs[n-1], int(r.sorted)
 		if n >= 2 {
 			a = r.runs[n-2]
 		}
