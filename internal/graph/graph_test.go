@@ -274,3 +274,48 @@ func TestEdgePropertyRoundTrip(t *testing.T) {
 		t.Fatalf("recycled edge inherited w=%v", v)
 	}
 }
+
+// TestDeleteNodeRemovesEveryType pins DeleteNode's incident-edge walk: out-
+// and inbound edges of every type, parallel edges and self-loops of two
+// types all go, and edges that do not touch the node stay — with the
+// fixture's deltas pending and after a fold.
+func TestDeleteNodeRemovesEveryType(t *testing.T) {
+	for _, fold := range []bool{false, true} {
+		g := New("t")
+		x := g.CreateNode(nil, nil).ID
+		a := g.CreateNode(nil, nil).ID
+		b := g.CreateNode(nil, nil).ID
+		for _, e := range []struct {
+			typ      string
+			src, dst uint64
+		}{
+			{"A", x, a}, {"A", x, a}, {"B", x, a}, {"B", b, x}, {"A", a, x},
+			{"A", x, x}, {"B", x, x}, {"B", x, x},
+			{"A", a, b}, {"B", b, a},
+		} {
+			if _, err := g.CreateEdge(e.typ, e.src, e.dst, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fold {
+			g.Sync()
+		}
+		if n, ok := g.DeleteNode(x); !ok || n != 8 {
+			t.Fatalf("fold %v: DeleteNode = %d, %v; want 8 edges", fold, n, ok)
+		}
+		if g.EdgeCount() != 2 {
+			t.Fatalf("fold %v: %d edges left, want 2", fold, g.EdgeCount())
+		}
+		g.ForEachEdge(func(e *Edge) bool {
+			if e.Src == x || e.Dst == x {
+				t.Fatalf("fold %v: edge %d %d->%d survived", fold, e.ID, e.Src, e.Dst)
+			}
+			return true
+		})
+		for _, v := range []uint64{a, b} {
+			if len(g.EdgesBetween(-1, x, v))+len(g.EdgesBetween(-1, v, x))+len(g.EdgesBetween(-1, x, x)) != 0 {
+				t.Fatalf("fold %v: the edge index still joins %d and %d", fold, x, v)
+			}
+		}
+	}
+}
