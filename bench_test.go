@@ -31,6 +31,12 @@ type fixture struct {
 
 var fixtures map[string]*fixture
 
+// rel returns the fixture graph's :F relation matrix, every edge's type.
+func (f *fixture) rel() *grb.DeltaMatrix {
+	tid, _ := f.g.Schema.RelTypeID("F")
+	return f.g.RelationMatrix(tid)
+}
+
 func getFixture(name string) *fixture {
 	if fixtures == nil {
 		fixtures = map[string]*fixture{}
@@ -134,13 +140,13 @@ func BenchmarkRobust6Hop(b *testing.B) {
 // ---- Ablations (DESIGN.md §5) ----
 
 // AblationMaskedTraversal: 3-hop BFS whose reached set masks each hop,
-// grb.BFS called directly on the graph's adjacency.
+// grb.BFS called directly on the graph's :F relation matrix.
 func BenchmarkAblationMaskedTraversal(b *testing.B) {
 	f := getFixture("graph500")
-	adj := f.g.Adjacency()
+	rel := []*grb.DeltaMatrix{f.rel()}
 	b.Run("masked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			err := grb.BFS(adj, nil, f.seeds[i%len(f.seeds)], 3, nil, func(int, []grb.Index) error { return nil })
+			err := grb.BFS(rel, nil, f.seeds[i%len(f.seeds)], 3, nil, func(int, []grb.Index) error { return nil })
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -164,14 +170,14 @@ func BenchmarkAblationOpThreads(b *testing.B) {
 
 // BenchmarkGraphBLASKernels measures the raw kernels the traversals stand on.
 func BenchmarkGraphBLASKernels(b *testing.B) {
-	adj := getFixture("graph500").g.Adjacency()
-	n := adj.Export().NRows()
+	rel := getFixture("graph500").rel()
+	n := rel.Export().NRows()
 	b.Run("vxm-onehot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			u := grb.NewVector(n)
 			_ = u.SetElement(i%n, 1)
 			w := grb.NewVector(n)
-			if err := grb.VxMDelta(w, nil, nil, grb.AnyPair, u, adj, nil); err != nil {
+			if err := grb.VxMDelta(w, nil, nil, grb.AnyPair, u, rel, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -92,7 +92,7 @@ func (r *redisGraphEngine) KHopCount(seed, k int) int {
 }
 
 // bfsEngine answers k-hop queries with grb.BFS called directly on the
-// graph's adjacency matrix, push hops only: the kernel RedisGraph's query
+// graph's :F relation matrix, push hops only: the kernel RedisGraph's query
 // runs, without Cypher, planning or records around it.
 type bfsEngine struct{ g *graph.Graph }
 
@@ -102,8 +102,12 @@ func (b bfsEngine) Name() string { return "grb.BFS" }
 func (b bfsEngine) KHopCount(seed, k int) int {
 	b.g.RLock()
 	defer b.g.RUnlock()
+	tid, ok := b.g.Schema.RelTypeID("F")
+	if !ok {
+		return 0 // no edges: nothing past the seed
+	}
 	count := 0
-	err := grb.BFS(b.g.Adjacency(), nil, seed, k, nil, func(hop int, level []grb.Index) error {
+	err := grb.BFS([]*grb.DeltaMatrix{b.g.RelationMatrix(tid)}, nil, seed, k, nil, func(hop int, level []grb.Index) error {
 		if hop > 0 {
 			count += len(level)
 		}

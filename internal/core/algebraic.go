@@ -10,28 +10,63 @@ import (
 )
 
 // algebraicOperand is one matrix factor in a traversal expression: a
-// relation matrix (optionally transposed for inbound traversal) or a
-// diagonal label matrix. The operand holds a resolver over names rather than
-// a matrix pointer or an ID: resolution happens at evaluation time, under
-// the lock the query already holds, so the operand always matches the
-// graph's current schema, dimension and write epoch (plans can outlive a
-// concurrent write). A name that does not exist resolves to nil: no entries.
-//
-// resolveT resolves the operand's TRANSPOSE — the graph maintains R' beside
-// every R — which is what a var-length BFS pull hop reads. Label diagonals
-// have none.
+// relationship hop or a diagonal label matrix. A hop's matrix is the union
+// of a short list of relation matrices — untyped: every type's R; [:A|B]:
+// R_A and R_B; inbound: the transposes Rᵀ; undirected: R and Rᵀ — which the
+// kernels OR in place (RedisGraph's ADD node, never materialised). The
+// operand holds names rather than matrix pointers or IDs: they resolve at
+// evaluation time (parts), under the lock the query already holds, so the
+// operand always matches the graph's current schema, dimension and write
+// epoch (plans can outlive a concurrent write). A name that does not exist
+// contributes no matrix, and an empty list has no entries.
 type algebraicOperand struct {
-	resolve  func(g *graph.Graph) *grb.DeltaMatrix
-	resolveT func(g *graph.Graph) *grb.DeltaMatrix
-	label    string // display name for EXPLAIN
-	diag     bool   // label diagonals: a filter, not a hop; direction is moot
+	names   []string // relationship types (none: every type), or the diagonal's one label
+	label   string   // display name for EXPLAIN
+	diag    bool     // a label diagonal: a filter, not a hop; direction is moot
+	reverse bool     // inbound: the hop reads the transposes
+	both    bool     // undirected: the hop reads R and Rᵀ
+}
+
+// parts appends to dst the matrices whose union is the operand — with
+// transpose set, the operand's transpose, which a var-length BFS pull hop
+// reads — and returns the extended list. A diagonal is its own transpose,
+// and so is an undirected hop.
+func (op *algebraicOperand) parts(g *graph.Graph, transpose bool, dst []*grb.DeltaMatrix) []*grb.DeltaMatrix {
+	if op.diag {
+		if m := labelMatrix(g, op.names[0]); m != nil {
+			dst = append(dst, m)
+		}
+		return dst
+	}
+	rev := op.reverse != transpose
+	add := func(dst []*grb.DeltaMatrix, tid int) []*grb.DeltaMatrix {
+		if m := g.RelationMatrix(tid); m != nil && (op.both || !rev) {
+			dst = append(dst, m)
+		}
+		if m := g.TRelationMatrix(tid); m != nil && (op.both || rev) {
+			dst = append(dst, m)
+		}
+		return dst
+	}
+	if len(op.names) == 0 {
+		for tid := 0; tid < g.Schema.RelTypeCount(); tid++ {
+			dst = add(dst, tid)
+		}
+		return dst
+	}
+	for _, name := range op.names {
+		if tid, ok := g.Schema.RelTypeID(name); ok {
+			dst = add(dst, tid)
+		}
+	}
+	return dst
 }
 
 // algebraicExpr is the product RedisGraph builds for each traversal:
 // frontier · (SrcLabel?) · Rel · (DstLabel?). Evaluation is a chain of
 // frontier-matrix products over the boolean ANY_PAIR semiring, against delta
 // matrices consulted fold-free. Variable-length hops do not use it: they run
-// one relation operand through grb.BFS.
+// one relation operand's list through grb.BFS.
 type algebraicExpr struct {
 	operands []algebraicOperand
 }
@@ -136,10 +171,10 @@ type bfsFrontier interface {
 // frontier's mean degree drifts far from the global mean: mid-BFS frontiers
 // hold the graph's high-degree core. The degree sum early-exits once it
 // clears the pull budget, so the chooser's overhead stays bounded by the
-// cheaper kernel's cost. A forced mode overrides the comparison, and an
-// operand without a transpose always pushes.
+// cheaper kernel's cost. A forced mode overrides the comparison, and a
+// label diagonal always pushes.
 func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached, unreachedIn int) bool {
-	if op.diag || op.resolveT == nil {
+	if op.diag {
 		return false
 	}
 	switch ctx.kernel {
@@ -153,7 +188,7 @@ func (ctx *execCtx) choosePullHop(op *algebraicOperand, f bfsFrontier, unreached
 }
 
 // evalMatrix propagates a whole batch of frontiers — one per row of f — in
-// one MxMDelta per operand. This is the paper's central claim realised:
+// one MxMParts per operand. This is the paper's central claim realised:
 // many traversals fused into a single sparse matrix–matrix multiplication
 // over the ANY_PAIR semiring, instead of one kernel call per record. Every
 // product runs the push (Gustavson) kernel: the frontier holds one source per
@@ -167,12 +202,12 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 	w := f
 	for i := range ae.operands {
 		op := &ae.operands[i]
-		m := ctx.resolveOperand(op)
-		if m == nil {
-			return grb.NewMatrix(f.NRows(), dim), nil // an absent name: every row is empty
+		parts := ctx.operand(op, false)
+		if len(parts) == 0 {
+			return grb.NewMatrix(f.NRows(), dim), nil // absent names: every row is empty
 		}
 		out := grb.NewMatrix(f.NRows(), dim)
-		if err := grb.MxMDelta(out, nil, nil, grb.AnyPair, w, m, ctx.desc); err != nil {
+		if err := grb.MxMParts(out, w, parts, ctx.desc); err != nil {
 			return nil, err
 		}
 		if ks != nil && !op.diag {
@@ -209,14 +244,10 @@ func (b *planBuilder) orderLabelsBySelectivity(labels []string) []string {
 }
 
 // relationOperand is the operand for a relationship hop over the named types
-// (none = any relation, THE adjacency matrix). reverse selects the
-// transposed matrices (inbound), both unions the two directions. The names
-// resolve at evaluation time, so a type a write creates earlier in the same
-// query is traversed, and a multi-type or both-direction union comes from
-// the graph's epoch-keyed cache instead of being folded anew for every
-// query. The transpose resolver flips the direction flag (an undirected
-// union is its own transpose), feeding BFS pull hops the same fold-free
-// delta matrices the push hops get.
+// (none = every type). reverse selects the transposed matrices (inbound),
+// both reads each type's matrix and its transpose. The names resolve at
+// evaluation time, so a type a write creates earlier in the same query is
+// traversed.
 func relationOperand(types []string, reverse, both bool) algebraicOperand {
 	name := "ADJ"
 	if len(types) > 0 {
@@ -228,34 +259,7 @@ func relationOperand(types []string, reverse, both bool) algebraicOperand {
 	case reverse:
 		name = name + "ᵀ"
 	}
-	reverseT := reverse
-	if !both {
-		reverseT = !reverse
-	}
-	return algebraicOperand{
-		resolve:  func(g *graph.Graph) *grb.DeltaMatrix { return traversalMatrix(g, types, reverse, both) },
-		resolveT: func(g *graph.Graph) *grb.DeltaMatrix { return traversalMatrix(g, types, reverseT, both) },
-		label:    name,
-	}
-}
-
-// traversalMatrix looks the type names up in the live schema and returns the
-// matrix a hop multiplies by; nil when none of them exists (no entries).
-func traversalMatrix(g *graph.Graph, types []string, transposed, both bool) *grb.DeltaMatrix {
-	if len(types) == 0 {
-		return g.TraversalMatrix(nil, true, transposed, both)
-	}
-	var buf [4]int // the IDs stay on the stack: the lookup allocates nothing
-	ids := buf[:0]
-	for _, t := range types {
-		if tid, ok := g.Schema.RelTypeID(t); ok {
-			ids = append(ids, tid)
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	return g.TraversalMatrix(ids, false, transposed, both)
+	return algebraicOperand{names: types, label: name, reverse: reverse && !both, both: both}
 }
 
 // labelMatrix looks a label name up in the live schema and returns its

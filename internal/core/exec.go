@@ -18,12 +18,9 @@ type execCtx struct {
 	// mut mediates the exclusive-lock bursts write operations wrap around
 	// their graph mutations.
 	mut mutLocker
-	// opCache memoises algebraic-operand resolution (the name lookups
-	// included) per write epoch, so union-shaped operands ([:A|B],
-	// undirected) pay the graph's union-cache mutex once per epoch instead
-	// of once per kernel call.
-	// No entry predates a burst (a new label keeps the epoch): write ops drain → burst → emit.
-	opCache map[opCacheKey]*grb.DeltaMatrix
+	// parts holds the matrix lists operand resolves, one per direction, so
+	// a var-length hop holds its operand and the transpose at once.
+	parts [2][]*grb.DeltaMatrix
 	// batch, when non-zero, overrides the pipeline batch size
 	// (Config.TraverseBatch); 1 forces tuple-at-a-time execution.
 	batch int
@@ -43,45 +40,18 @@ type execCtx struct {
 	sched *pool.SchedCtx
 }
 
-type opCacheKey struct {
-	op        *algebraicOperand
-	epoch     uint64
-	transpose bool
-}
-
-// resolveOperand resolves an algebraic operand under the lock the query
-// already holds, memoising per (operand, epoch); nil means the operand's
-// name does not exist and the operand has no entries.
-func (ctx *execCtx) resolveOperand(op *algebraicOperand) *grb.DeltaMatrix {
-	key := opCacheKey{op: op, epoch: ctx.g.Epoch()}
-	if m, ok := ctx.opCache[key]; ok {
-		return m
+// operand resolves an algebraic operand — with transpose set, its
+// transpose — under the lock the query already holds, into a list the
+// context owns and reuses: valid until the next call with the same
+// transpose flag. An empty list means none of the operand's names exists:
+// no entries.
+func (ctx *execCtx) operand(op *algebraicOperand, transpose bool) []*grb.DeltaMatrix {
+	t := 0
+	if transpose {
+		t = 1
 	}
-	m := op.resolve(ctx.g)
-	if ctx.opCache == nil {
-		ctx.opCache = map[opCacheKey]*grb.DeltaMatrix{}
-	}
-	ctx.opCache[key] = m
-	return m
-}
-
-// resolveOperandT resolves an operand's transpose (what a BFS pull hop
-// reads), memoised like resolveOperand. Nil when the operand has no
-// transpose resolver.
-func (ctx *execCtx) resolveOperandT(op *algebraicOperand) *grb.DeltaMatrix {
-	if op.resolveT == nil {
-		return nil
-	}
-	key := opCacheKey{op: op, epoch: ctx.g.Epoch(), transpose: true}
-	if m, ok := ctx.opCache[key]; ok {
-		return m
-	}
-	m := op.resolveT(ctx.g)
-	if ctx.opCache == nil {
-		ctx.opCache = map[opCacheKey]*grb.DeltaMatrix{}
-	}
-	ctx.opCache[key] = m
-	return m
+	ctx.parts[t] = op.parts(ctx.g, transpose, ctx.parts[t][:0])
+	return ctx.parts[t]
 }
 
 // mutLocker brackets the mutation bursts of a write query. Under concurrent
@@ -157,14 +127,14 @@ func scaledBatch(base, threads int) int {
 }
 
 // forWorker derives the execution context for one parallel pipeline segment:
-// a private operand cache (the memo map is not goroutine-safe) and a
-// single-threaded kernel descriptor — the segments themselves are the
+// private operand lists (operand reuses them) and a single-threaded kernel
+// descriptor — the segments themselves are the
 // query's parallelism. Segments only exist in read-only plans
 // (parallelizePlan refuses writes), so sharing the graph, params, stats and
 // deadline by value is safe.
 func (ctx *execCtx) forWorker() *execCtx {
 	c := *ctx
-	c.opCache = nil
+	c.parts = [2][]*grb.DeltaMatrix{}
 	c.desc = &grb.Descriptor{NThreads: 1, Sched: ctx.sched}
 	c.threads = 1
 	return &c

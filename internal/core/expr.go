@@ -490,11 +490,7 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			if vs[0].Kind != value.KindNode {
 				return value.Null, nil
 			}
-			m := ctx.g.TAdjacency()
-			if out {
-				m = ctx.g.Adjacency()
-			}
-			return value.NewInt(int64(m.RowDegree(int(vs[0].ID())))), nil
+			return value.NewInt(int64(ctx.g.Degree(vs[0].ID(), out))), nil
 		}, nil
 	case "size", "length":
 		if err := argc(1); err != nil {

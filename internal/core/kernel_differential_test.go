@@ -136,7 +136,7 @@ func TestInvalidTraverseKernel(t *testing.T) {
 
 // TestChoosePullHeuristic exercises the var-length hop chooser directly:
 // the frontier's exact out-degree sum decides, forced modes override it, and
-// operands without a transpose resolver (or label diagonals) stay on push.
+// label diagonals stay on push.
 func TestChoosePullHeuristic(t *testing.T) {
 	g := graph.New("chooser")
 	g.Lock()
@@ -151,11 +151,7 @@ func TestChoosePullHeuristic(t *testing.T) {
 			_ = b.SetElement(i, (i*61+k*127)%dim, 1)
 		}
 	}
-	op := algebraicOperand{
-		resolve:  func(*graph.Graph) *grb.DeltaMatrix { return b },
-		resolveT: func(*graph.Graph) *grb.DeltaMatrix { return b },
-		label:    "B",
-	}
+	op := relationOperand([]string{"B"}, false, false)
 	ctx := &execCtx{g: g}
 
 	// The same nnz count pulls when it sits on the operand's heavy rows and
@@ -193,11 +189,7 @@ func TestChoosePullHeuristic(t *testing.T) {
 	if pull := ctx.choosePullHop(&op, rowsFrontier{b, empty}, dim/2, unreachedIn); !pull {
 		t.Fatal("forced pull must pull when a transpose exists")
 	}
-	noT := algebraicOperand{resolve: op.resolve, label: "B"}
-	if pull := ctx.choosePullHop(&noT, rowsFrontier{b, heavy}, dim/2, unreachedIn); pull {
-		t.Fatal("an operand without a transpose resolver must push")
-	}
-	diag := algebraicOperand{resolve: op.resolve, resolveT: op.resolveT, diag: true}
+	diag := labelDiagOperand("B")
 	if pull := ctx.choosePullHop(&diag, rowsFrontier{b, heavy}, dim/2, unreachedIn); pull {
 		t.Fatal("label diagonals must push")
 	}

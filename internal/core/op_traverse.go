@@ -394,14 +394,18 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if m, ok := o.pullProbe(ctx); ok {
-		// Pull: one point probe of the relation matrix per record — the
+	if parts, ok := o.pullProbe(ctx); ok {
+		// Pull: point probes of the relation matrices per record — the
 		// canonical pull case, a tiny candidate set (each record's bound
 		// destination) against whole frontier rows the push path would build.
 		o.ks.note(true)
 		for _, in := range batch {
-			if _, err := m.ExtractElement(int(in[o.srcSlot].ID()), int(in[o.dstSlot].ID())); err == nil {
-				o.emitConnected(ctx, in)
+			src, dst := int(in[o.srcSlot].ID()), int(in[o.dstSlot].ID())
+			for _, m := range parts {
+				if _, err := m.ExtractElement(src, dst); err == nil {
+					o.emitConnected(ctx, in)
+					break
+				}
 			}
 		}
 		return nil
@@ -429,31 +433,36 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 const expandProbeCost = 4.0
 
 // pullProbe reports whether this expand-into should bypass frontier
-// evaluation and point-probe the relation matrix per record. Eligible when
-// the algebraic expression is a single relation operand (expand-into never
-// folds label diagonals: both endpoints are already bound). The probe is an
-// O(log degree) binary search; the push path builds each record's whole
-// ~mean-degree result row first, so auto mode probes whenever the mean
-// degree exceeds the probe cost.
-func (o *expandIntoOp) pullProbe(ctx *execCtx) (*grb.DeltaMatrix, bool) {
+// evaluation and point-probe the relation matrices per record, and returns
+// them. Eligible when the algebraic expression is a single relation operand
+// (expand-into never folds label diagonals: both endpoints are already
+// bound). A probe is an O(log degree) binary search per matrix; the push
+// path builds each record's whole ~mean-degree result row first, so auto
+// mode probes whenever the mean degree summed over the matrices exceeds the
+// probe cost.
+func (o *expandIntoOp) pullProbe(ctx *execCtx) ([]*grb.DeltaMatrix, bool) {
 	if len(o.ae.operands) != 1 || o.ae.operands[0].diag {
 		return nil, false
 	}
 	if ctx.kernel == kernelPush {
 		return nil, false
 	}
-	m := ctx.resolveOperand(&o.ae.operands[0])
-	if m == nil {
+	parts := ctx.operand(&o.ae.operands[0], false)
+	if len(parts) == 0 {
 		return nil, false
 	}
 	if ctx.kernel == kernelPull {
-		return m, true
+		return parts, true
+	}
+	nvals := 0
+	for _, m := range parts {
+		nvals += m.NVals()
 	}
 	dim := ctx.g.Dim()
-	if dim == 0 || float64(m.NVals())/float64(dim) <= expandProbeCost {
+	if dim == 0 || float64(nvals)/float64(dim) <= expandProbeCost {
 		return nil, false
 	}
-	return m, true
+	return parts, true
 }
 
 // emitConnected queues the output records for one connected (src, dst) pair.
@@ -674,20 +683,20 @@ func (o *varLenTraverseOp) search(ctx *execCtx, src uint64, emit func(j grb.Inde
 		}
 		return nil
 	}
-	a := ctx.resolveOperand(&o.rel)
-	if a == nil {
+	a := ctx.operand(&o.rel, false)
+	if len(a) == 0 {
 		// No such relation type (yet): the search reaches the source alone.
 		return visit(0, []grb.Index{grb.Index(src)})
 	}
-	var at *grb.DeltaMatrix
+	var at []*grb.DeltaMatrix
 	if ctx.kernel != kernelPush {
-		at = ctx.resolveOperandT(&o.rel)
+		at = ctx.operand(&o.rel, true)
 	}
 	step := func(h *grb.BFSHop) (bool, error) {
 		if ctx.expired() {
 			return false, fmt.Errorf("query timed out during variable-length traversal")
 		}
-		pull := at != nil && ctx.choosePullHop(&o.rel, h, h.Unreached, h.UnreachedIn)
+		pull := len(at) > 0 && ctx.choosePullHop(&o.rel, h, h.Unreached, h.UnreachedIn)
 		o.ks.note(pull)
 		return pull, nil
 	}
@@ -702,7 +711,7 @@ func (o *varLenTraverseOp) dstMask(ctx *execCtx) grb.ColMask {
 	}
 	masks := make([]grb.ColMask, len(o.dstLabels))
 	for i := range o.dstLabels {
-		m := ctx.resolveOperand(&o.dstLabels[i])
+		m := labelMatrix(ctx.g, o.dstLabels[i].names[0])
 		if m == nil {
 			return func(grb.Index) bool { return false }
 		}
@@ -728,9 +737,5 @@ func (o *varLenTraverseOp) profileArgs() string { return o.args() + o.ks.describ
 // labelDiagOperand is the diagonal label matrix operand for filtering
 // traversal destinations, resolved by name at evaluation time.
 func labelDiagOperand(label string) algebraicOperand {
-	return algebraicOperand{
-		resolve: func(g *graph.Graph) *grb.DeltaMatrix { return labelMatrix(g, label) },
-		label:   ":" + label,
-		diag:    true, // a diagonal is its own transpose; direction is moot
-	}
+	return algebraicOperand{names: []string{label}, label: ":" + label, diag: true}
 }

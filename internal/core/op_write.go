@@ -267,7 +267,7 @@ func (o *deleteOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 			}
 			for _, id := range nodeIDs {
 				if n, ok := ctx.g.GetNode(id); ok {
-					if !o.detach && ctx.g.Adjacency().RowDegree(int(n.ID))+ctx.g.TAdjacency().RowDegree(int(n.ID)) > 0 {
+					if !o.detach && ctx.g.Degree(n.ID, true)+ctx.g.Degree(n.ID, false) > 0 {
 						return fmt.Errorf("cannot delete node %d with relationships without DETACH", id)
 					}
 				}

@@ -200,3 +200,67 @@ func TestConcurrentLateBoundNames(t *testing.T) {
 		t.Fatalf("final count = %d, want %d", got, writes)
 	}
 }
+
+// TestConcurrentUnionReaders runs union-shaped hops — undirected, two-type,
+// untyped and var-length, whose kernels OR several relation matrices in
+// place — on read-locked goroutines while a writer creates and deletes :S
+// edges, so the matrices they read carry pending deltas that keep changing
+// between queries. Under -race this guards the list kernels' shared reads;
+// each answer must also lie between the ring's and the ring plus every :S
+// edge's.
+func TestConcurrentUnionReaders(t *testing.T) {
+	const nodes, spokes = 32, 8
+	g := raceFixture(t, nodes) // a :R ring, every write buffered
+	queries := []struct {
+		q      string
+		lo, hi int64
+	}{
+		{`MATCH (a:N {uid: 0})-[:R]-(b) RETURN count(b)`, 2, 2},
+		{`MATCH (a:N {uid: 0})-[:R|S]->(b) RETURN count(b)`, 1, 1 + spokes},
+		{`MATCH (a:N {uid: 0})-[:S|R]-(b) RETURN count(b)`, 2, 2 + spokes},
+		{`MATCH (a:N {uid: 0})-[]->(b) RETURN count(b)`, 1, 1 + spokes},
+		{`MATCH (a:N {uid: 0})-[:R|S*1..2]-(b) RETURN count(b)`, 4, nodes - 1},
+		{`MATCH (a:N)-[:R|S]->(b:N {uid: 5}) RETURN count(a)`, 1, 2},
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c := queries[(w+i)%len(queries)]
+				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)],
+					TraverseKernel: []string{"auto", "pull", "push"}[(w+i)%3]}
+				rs, err := ROQuery(g, c.q, nil, cfg)
+				if err != nil {
+					panic(fmt.Sprintf("%s: %v", c.q, err))
+				}
+				if got := rs.Rows[0][0].Int(); got < c.lo || got > c.hi {
+					panic(fmt.Sprintf("%s = %d, want within [%d, %d]", c.q, got, c.lo, c.hi))
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 6; round++ {
+		for k := 1; k <= spokes; k++ {
+			q := fmt.Sprintf(`MATCH (a:N {uid: 0}), (b:N {uid: %d}) CREATE (a)-[:S]->(b)`, 3*k)
+			if _, err := Query(g, q, nil, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Query(g, `MATCH (:N {uid: 0})-[e:S]->() DELETE e`, nil, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if g.PendingDeltas() == 0 {
+		t.Fatal("the writes must stay buffered")
+	}
+}

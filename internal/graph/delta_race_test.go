@@ -1,99 +1,56 @@
 package graph
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
-// TestConcurrentUnionReaders hammers the epoch-keyed union cache and the
-// fold-free read accessors from many read-locked goroutines while the
-// matrices carry pending deltas. Run under -race this guards the store's
-// shared-read guarantees.
-func TestConcurrentUnionReaders(t *testing.T) {
+// TestEpochCountsConnectivityWrites pins what the plan cache and the
+// conditioned statistics key on: reads leave the write epoch alone, each
+// edge create and delete moves it, and the relation matrices show the write
+// at once, with its delta pending and after a fold.
+func TestEpochCountsConnectivityWrites(t *testing.T) {
 	g := New("u")
-	g.SetSyncThreshold(1 << 30) // keep every write buffered
-	const n = 64
-	var ids [n]uint64
+	var ids [3]uint64
 	for i := range ids {
 		ids[i] = g.CreateNode([]string{"N"}, nil).ID
 	}
-	for i := 0; i < n; i++ {
-		typ := "A"
-		if i%2 == 0 {
-			typ = "B"
-		}
-		if _, err := g.CreateEdge(typ, ids[i], ids[(i+1)%n], nil); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := g.CreateEdge("A", ids[0], ids[1], nil); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := g.CreateEdge("B", ids[1], ids[2], nil); err != nil {
+		t.Fatal(err)
+	}
+	g.Sync()
 	aID, _ := g.Schema.RelTypeID("A")
-	bID, _ := g.Schema.RelTypeID("B")
-	if g.PendingDeltas() == 0 {
-		t.Fatal("fixture must carry pending deltas")
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				g.RLock()
-				u := g.TraversalMatrix([]int{aID, bID}, false, false, false)
-				if u.NVals() != n {
-					panic(fmt.Sprintf("union nvals = %d, want %d", u.NVals(), n))
-				}
-				both := g.TraversalMatrix([]int{aID}, false, false, true)
-				_ = both.NVals()
-				g.Adjacency().RowIterate(w)
-				g.Adjacency().RowDegree(w)
-				if _, err := g.Adjacency().ExtractElement(0, 1); err != nil {
-					panic(err)
-				}
-				g.RUnlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if g.PendingDeltas() == 0 {
-		t.Fatal("readers must not fold deltas")
-	}
-}
-
-// TestEpochKeyedUnionInvalidation checks that the write epoch replaces the
-// old ad-hoc union invalidation: a cached union is reused while the epoch
-// is unchanged and rebuilt after any connectivity write.
-func TestEpochKeyedUnionInvalidation(t *testing.T) {
-	g, ids := unionFixture(t)
-	aID, _ := g.Schema.RelTypeID("A")
-	bID, _ := g.Schema.RelTypeID("B")
 
 	e0 := g.Epoch()
-	u1 := g.TraversalMatrix([]int{aID, bID}, false, false, false)
-	if g.TraversalMatrix([]int{bID, aID}, false, false, false) != u1 {
-		t.Fatal("cache must be reused while the epoch is unchanged")
-	}
+	_ = g.Stats()
+	_ = g.Degree(ids[1], true)
 	if g.Epoch() != e0 {
 		t.Fatal("reads must not bump the epoch")
 	}
-	if _, err := g.CreateEdge("A", ids[2], ids[0], nil); err != nil {
+	e, err := g.CreateEdge("A", ids[2], ids[0], nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Epoch() == e0 {
 		t.Fatal("CreateEdge must bump the epoch")
 	}
-	u2 := g.TraversalMatrix([]int{aID, bID}, false, false, false)
-	if u2 == u1 {
-		t.Fatal("stale union must be rebuilt after an epoch bump")
+	if g.RelationMatrix(aID).NVals() != 2 || g.Stats().Edges != 3 {
+		t.Fatalf("pending create: R_A holds %d, Edges %d; want 2, 3", g.RelationMatrix(aID).NVals(), g.Stats().Edges)
 	}
-	if u2.NVals() != 3 {
-		t.Fatalf("rebuilt union nvals = %d, want 3", u2.NVals())
-	}
-	// Deltas pending or folded, the union sees the same effective matrix.
 	g.Sync()
-	if g.TraversalMatrix([]int{aID, bID}, false, false, false).NVals() != 3 {
-		t.Fatal("sync changed the effective union")
+	if g.RelationMatrix(aID).NVals() != 2 || g.TRelationMatrix(aID).RowDegree(int(ids[0])) != 1 {
+		t.Fatal("sync changed the effective relation matrices")
+	}
+	e1 := g.Epoch()
+	g.DeleteEdge(e.ID)
+	if g.Epoch() == e1 {
+		t.Fatal("DeleteEdge must bump the epoch")
+	}
+	if g.Stats().Edges != 2 {
+		t.Fatalf("Edges after delete = %d, want 2", g.Stats().Edges)
 	}
 }
 
@@ -109,7 +66,7 @@ func TestWriterLockUpgrade(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				g.RLock()
-				g.Adjacency().RowDegree(int(id))
+				g.Degree(id, true)
 				g.RUnlock()
 			}
 		}()
@@ -117,7 +74,7 @@ func TestWriterLockUpgrade(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g.BeginWrite()
 		// read phase under the shared lock
-		_ = g.Adjacency().NVals()
+		_ = g.Stats().Edges
 		g.BeginMutation()
 		n := g.CreateNode([]string{"N"}, nil)
 		if _, err := g.CreateEdge("R", id, n.ID, nil); err != nil {

@@ -1,8 +1,14 @@
 // Package graph implements the RedisGraph property-graph store: entities in
 // DataBlocks, connectivity as GraphBLAS matrices — one matrix per
 // relationship type whose entry at (src, dst) is the ID of an edge joining
-// the pair (plus its transpose), a combined boolean adjacency matrix, and
-// one boolean diagonal matrix per node label.
+// the pair, plus its boolean transpose, and one boolean diagonal matrix per
+// node label.
+//
+// Unlike RedisGraph, the store keeps no combined adjacency matrix over all
+// relationship types: an untyped, multi-type or undirected hop hands the
+// kernels the list of relation matrices (and transposes) it reads, and they
+// OR the list in place. Not keeping the union halves the matrix writes per
+// new edge, which makes loading faster and the store smaller.
 //
 // Every matrix is a delta matrix (grb.DeltaMatrix): an immutable main CSR
 // plus buffered insert/delete deltas, folded only when a sync threshold is
@@ -14,8 +20,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -70,25 +74,17 @@ type Graph struct {
 	edgeProps *PropStore
 
 	dim       int
-	adj       *grb.DeltaMatrix
-	tadj      *grb.DeltaMatrix
 	labels    []*grb.DeltaMatrix
 	relations []*relationStore
 
-	// epoch counts connectivity writes (edge create/delete, resize). Caches
-	// derived from the matrices — the union cache below — are keyed by it
-	// instead of being invalidated ad hoc.
+	// epoch counts connectivity writes (edge create/delete, resize). State
+	// derived from the matrices — the conditioned-statistics snapshot, the
+	// plan cache's statistics check — is keyed by it instead of being
+	// invalidated ad hoc.
 	epoch atomic.Uint64
 
 	// syncThreshold is applied to every matrix (grb.DeltaMatrix.SetThreshold).
 	syncThreshold int
-
-	// unionCache memoises the boolean folds traversal planning needs for
-	// multi-type relations ([:A|B]) and undirected hops (fwd ∪ rev), keyed
-	// by shape and validated against the write epoch. Guarded by its own
-	// mutex because read-locked queries populate it concurrently.
-	unionMu    sync.Mutex
-	unionCache map[string]unionEntry
 
 	// condOut/condIn hold the conditioned degree statistics (condstats.go):
 	// per-(relation × label × direction) connectivity cells, mutated only
@@ -102,11 +98,6 @@ type Graph struct {
 	condSnap *CondStats
 }
 
-type unionEntry struct {
-	epoch uint64
-	m     *grb.DeltaMatrix
-}
-
 // New returns an empty graph with the given name.
 func New(name string) *Graph {
 	return &Graph{
@@ -117,8 +108,6 @@ func New(name string) *Graph {
 		nodeProps:     newPropStore(),
 		edgeProps:     newPropStore(),
 		dim:           growthChunk,
-		adj:           grb.NewDeltaMatrix(growthChunk, growthChunk),
-		tadj:          grb.NewDeltaMatrix(growthChunk, growthChunk),
 		syncThreshold: grb.DefaultDeltaThreshold,
 	}
 }
@@ -164,8 +153,6 @@ func (g *Graph) SetSyncThreshold(n int) {
 }
 
 func (g *Graph) forEachMatrix(fn func(m *grb.DeltaMatrix)) {
-	fn(g.adj)
-	fn(g.tadj)
 	for _, l := range g.labels {
 		fn(l)
 	}
@@ -184,14 +171,29 @@ func (g *Graph) NodeCount() int { return g.nodes.Len() }
 // EdgeCount returns the number of live edges.
 func (g *Graph) EdgeCount() int { return g.edges.Len() }
 
-// Adjacency returns THE adjacency matrix over all relationship types.
-func (g *Graph) Adjacency() *grb.DeltaMatrix { return g.adj }
+// Adjacency returns the relation matrix of the graph's one relationship
+// type, and nil while the graph has none or several: the store keeps no
+// adjacency matrix over all types (see the package doc). It is kept for the
+// wire benchmark's kernel probes, whose graph has one type; everything else
+// reads RelationMatrix.
+func (g *Graph) Adjacency() *grb.DeltaMatrix {
+	if len(g.relations) != 1 {
+		return nil
+	}
+	return g.relations[0].m
+}
 
-// TAdjacency returns the transposed adjacency matrix.
-func (g *Graph) TAdjacency() *grb.DeltaMatrix { return g.tadj }
+// TAdjacency is Adjacency's transpose: the sole type's Rᵀ, or nil.
+func (g *Graph) TAdjacency() *grb.DeltaMatrix {
+	if len(g.relations) != 1 {
+		return nil
+	}
+	return g.relations[0].tm
+}
 
-// RelationMatrix returns the adjacency matrix for a relationship type, or
-// nil if the type is unknown.
+// RelationMatrix returns the matrix R of a relationship type, whose entry at
+// (src, dst) is the ID of an edge joining the pair, or nil if the type is
+// unknown.
 func (g *Graph) RelationMatrix(typeID int) *grb.DeltaMatrix {
 	if typeID < 0 || typeID >= len(g.relations) {
 		return nil
@@ -199,7 +201,8 @@ func (g *Graph) RelationMatrix(typeID int) *grb.DeltaMatrix {
 	return g.relations[typeID].m
 }
 
-// TRelationMatrix returns the transposed matrix for a relationship type.
+// TRelationMatrix returns the boolean transpose Rᵀ of a relationship type's
+// matrix, or nil if the type is unknown.
 func (g *Graph) TRelationMatrix(typeID int) *grb.DeltaMatrix {
 	if typeID < 0 || typeID >= len(g.relations) {
 		return nil
@@ -207,91 +210,34 @@ func (g *Graph) TRelationMatrix(typeID int) *grb.DeltaMatrix {
 	return g.relations[typeID].tm
 }
 
-// TraversalMatrix resolves the matrix a traversal hop multiplies by:
-// the combined adjacency (anyType), a single relation matrix, or — for
-// multi-type relations and undirected (both) hops — the LOr union of the
-// constituent matrices. Callers read its structure only: a relation
-// matrix's values are edge IDs. Unions are cached per write epoch; callers
-// under the read lock share one materialisation. Returns nil when a single
-// requested relation type has no matrix.
-func (g *Graph) TraversalMatrix(typeIDs []int, anyType, transposed, both bool) *grb.DeltaMatrix {
-	if !both {
-		if anyType {
-			if transposed {
-				return g.tadj
-			}
-			return g.adj
+// Degree returns the number of distinct out-neighbours of node id (with out
+// unset, in-neighbours) over every relationship type: what outdegree and
+// indegree report. A neighbour joined by several edges, of one type or of
+// several, counts once.
+func (g *Graph) Degree(id uint64, out bool) int {
+	var first, all []grb.Index
+	for _, rs := range g.relations {
+		m := rs.tm
+		if out {
+			m = rs.m
 		}
-		if len(typeIDs) == 1 {
-			if transposed {
-				return g.TRelationMatrix(typeIDs[0])
+		row := m.RowIterate(int(id))
+		switch {
+		case len(row) == 0:
+		case first == nil:
+			first = row
+		default:
+			if all == nil {
+				all = append(all, first...)
 			}
-			return g.RelationMatrix(typeIDs[0])
-		}
-	}
-	key := unionKey(typeIDs, anyType, transposed, both)
-	epoch := g.Epoch()
-	g.unionMu.Lock()
-	defer g.unionMu.Unlock()
-	if e, ok := g.unionCache[key]; ok && e.epoch == epoch {
-		return e.m
-	}
-	var parts []*grb.Matrix
-	collect := func(rev bool) {
-		if anyType {
-			if rev {
-				parts = append(parts, g.tadj.Export())
-			} else {
-				parts = append(parts, g.adj.Export())
-			}
-			return
-		}
-		for _, t := range typeIDs {
-			m := g.RelationMatrix(t)
-			if rev {
-				m = g.TRelationMatrix(t)
-			}
-			if m != nil {
-				parts = append(parts, m.Export())
-			}
+			all = append(all, row...)
 		}
 	}
-	if both {
-		collect(false)
-		collect(true)
-	} else {
-		collect(transposed)
+	if all == nil {
+		return len(first)
 	}
-	acc := grb.NewMatrix(g.dim, g.dim)
-	if err := grb.EWiseAddMatrix(acc, parts...); err != nil {
-		panic(fmt.Sprintf("graph: union build: %v", err)) // dimensions are controlled internally
-	}
-	if g.unionCache == nil {
-		g.unionCache = map[string]unionEntry{}
-	}
-	u := grb.DeltaFrom(acc)
-	g.unionCache[key] = unionEntry{epoch: epoch, m: u}
-	return u
-}
-
-// unionKey canonicalises a union-cache key (type order must not matter).
-func unionKey(typeIDs []int, anyType, transposed, both bool) string {
-	ids := append([]int(nil), typeIDs...)
-	sort.Ints(ids)
-	var b strings.Builder
-	if anyType {
-		b.WriteString("adj")
-	}
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	if transposed {
-		b.WriteByte('T')
-	}
-	if both {
-		b.WriteByte('B')
-	}
-	return b.String()
+	slices.Sort(all)
+	return len(slices.Compact(all))
 }
 
 // LabelMatrix returns the diagonal matrix for a label, or nil if unknown.
@@ -312,7 +258,7 @@ func (g *Graph) grow(needed uint64) {
 	}
 	g.forEachMatrix(func(m *grb.DeltaMatrix) { m.Resize(newDim, newDim) })
 	g.dim = newDim
-	g.bumpEpoch() // cached unions were built at the old dimension
+	g.bumpEpoch() // the matrices changed shape
 }
 
 func (g *Graph) newDelta() *grb.DeltaMatrix {
@@ -396,12 +342,6 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 	if err := rs.tm.SetElement(di, si, 1); err != nil {
 		return nil, err
 	}
-	if err := g.adj.SetElement(si, di, 1); err != nil {
-		return nil, err
-	}
-	if err := g.tadj.SetElement(di, si, 1); err != nil {
-		return nil, err
-	}
 	g.condEdgeAdded(tid, srcN, dstN)
 	g.bumpEpoch()
 	return e, nil
@@ -426,8 +366,8 @@ func (g *Graph) EdgesBetween(typeID int, src, dst uint64) []uint64 {
 	return out
 }
 
-// DeleteEdge removes an edge, fixing up the relation, adjacency and
-// transpose matrices.
+// DeleteEdge removes an edge, fixing up its type's relation matrix and
+// transpose.
 func (g *Graph) DeleteEdge(id uint64) bool {
 	e, ok := g.edges.Get(id)
 	if !ok {
@@ -447,12 +387,6 @@ func (g *Graph) DeleteEdge(id uint64) bool {
 		_ = rs.m.RemoveElement(si, di)
 		_ = rs.tm.RemoveElement(di, si)
 		g.condEdgeRemoved(e.Type, e.Src, e.Dst)
-		// The combined adjacency keeps its entry while any other relation
-		// still connects the pair.
-		if len(g.EdgesBetween(-1, e.Src, e.Dst)) == 0 {
-			_ = g.adj.RemoveElement(si, di)
-			_ = g.tadj.RemoveElement(di, si)
-		}
 	}
 	if len(extra) == 0 {
 		delete(rs.extra, k)
@@ -472,15 +406,17 @@ func (g *Graph) DeleteNode(id uint64) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	// Collect incident edges from the combined adjacency row (out) and
-	// transposed row (in); the delta-aware row accessors never fold.
+	// Collect incident edges from each type's R row (out) and Rᵀ row (in);
+	// the delta-aware row accessors never fold.
 	var victims []uint64
-	for _, j := range g.adj.RowIterate(int(id)) {
-		victims = append(victims, g.EdgesBetween(-1, id, uint64(j))...)
-	}
-	for _, j := range g.tadj.RowIterate(int(id)) {
-		if uint64(j) != id { // self-loops already collected
-			victims = append(victims, g.EdgesBetween(-1, uint64(j), id)...)
+	for tid, rs := range g.relations {
+		for _, j := range rs.m.RowIterate(int(id)) {
+			victims = append(victims, g.EdgesBetween(tid, id, uint64(j))...)
+		}
+		for _, j := range rs.tm.RowIterate(int(id)) {
+			if uint64(j) != id { // self-loops already collected
+				victims = append(victims, g.EdgesBetween(tid, uint64(j), id)...)
+			}
 		}
 	}
 	for _, eid := range victims {

@@ -34,16 +34,13 @@ func TestCreateNodesAndEdges(t *testing.T) {
 	if g.NodeCount() != 2 || g.EdgeCount() != 1 {
 		t.Fatalf("counts: %d %d", g.NodeCount(), g.EdgeCount())
 	}
-	// Adjacency and transpose entries.
-	if v, err := g.Adjacency().ExtractElement(0, 1); err != nil || v != 1 {
-		t.Fatalf("adj: %v %v", v, err)
-	}
-	if v, err := g.TAdjacency().ExtractElement(1, 0); err != nil || v != 1 {
-		t.Fatalf("tadj: %v %v", v, err)
-	}
+	// Relation matrix and transpose entries.
 	tid, _ := g.Schema.RelTypeID("KNOWS")
 	if v, err := g.RelationMatrix(tid).ExtractElement(0, 1); err != nil || v != float64(e.ID) {
 		t.Fatalf("rel: %v %v", v, err)
+	}
+	if v, err := g.TRelationMatrix(tid).ExtractElement(1, 0); err != nil || v != 1 {
+		t.Fatalf("rel transpose: %v %v", v, err)
 	}
 	// Label diagonal.
 	lid, _ := g.Schema.LabelID("Person")
@@ -85,21 +82,34 @@ func TestMultiEdgeSameEndpoints(t *testing.T) {
 	if _, err := g.RelationMatrix(tid).ExtractElement(0, 1); err == nil {
 		t.Fatal("matrix entry should be gone")
 	}
-	if _, err := g.Adjacency().ExtractElement(0, 1); err == nil {
-		t.Fatal("adjacency entry should be gone")
+	if _, err := g.TRelationMatrix(tid).ExtractElement(1, 0); err == nil {
+		t.Fatal("transpose entry should be gone")
 	}
 }
 
+// TestAdjacencySharedAcrossRelations checks that a pair joined by two types
+// stays joined for untyped reads while either edge remains, and that
+// Adjacency, which only the one-type wire benchmark reads, is the sole
+// type's R and nil once a second type exists.
 func TestAdjacencySharedAcrossRelations(t *testing.T) {
 	g := New("t")
 	a := g.CreateNode(nil, nil)
 	b := g.CreateNode(nil, nil)
 	e1, _ := g.CreateEdge("R1", a.ID, b.ID, nil)
+	if g.Adjacency() != g.RelationMatrix(0) || g.TAdjacency() != g.TRelationMatrix(0) {
+		t.Fatal("a one-type graph's adjacency must be its relation matrix")
+	}
 	g.CreateEdge("R2", a.ID, b.ID, nil)
+	if g.Adjacency() != nil || g.TAdjacency() != nil {
+		t.Fatal("a two-type graph has no adjacency matrix")
+	}
+	if g.Degree(a.ID, true) != 1 || g.Stats().Edges != 2 {
+		t.Fatalf("two types, one pair: degree %d, Edges %d; want 1, 2", g.Degree(a.ID, true), g.Stats().Edges)
+	}
 	g.DeleteEdge(e1.ID)
-	// R2 still connects the pair → adjacency entry must survive.
-	if _, err := g.Adjacency().ExtractElement(0, 1); err != nil {
-		t.Fatal("adjacency entry dropped while R2 edge remains")
+	// R2 still connects the pair.
+	if ids := g.EdgesBetween(-1, a.ID, b.ID); len(ids) != 1 || g.Degree(b.ID, false) != 1 {
+		t.Fatalf("pair dropped while the R2 edge remains: %v", ids)
 	}
 }
 
@@ -225,7 +235,7 @@ func TestGrowthPastChunk(t *testing.T) {
 	if _, err := g.CreateEdge("R", first.ID, last.ID, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := g.Adjacency().ExtractElement(0, int(last.ID)); err != nil || v != 1 {
+	if v, err := g.TRelationMatrix(0).ExtractElement(int(last.ID), 0); err != nil || v != 1 {
 		t.Fatalf("edge after growth: %v %v", v, err)
 	}
 }

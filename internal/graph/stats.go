@@ -14,10 +14,10 @@ type Stats struct {
 	Epoch uint64
 	// Nodes is the live node count.
 	Nodes int
-	// Edges is the number of distinct connected (src, dst) pairs over all
-	// relationship types (the combined adjacency matrix's NVals) — multi-
-	// edges between the same pair count once, matching what one MxM step
-	// actually visits.
+	// Edges is the sum of RelPairs: the distinct connected (src, dst) pairs
+	// of each relationship type, so parallel edges of one type count once
+	// and a pair joined by two types counts twice — what an untyped hop's
+	// kernels visit, one relation matrix after another.
 	Edges int
 	// LabelNodes[lid] is the number of nodes carrying label lid (the label
 	// diagonal's NVals).
@@ -33,7 +33,6 @@ func (g *Graph) Stats() *Stats {
 	s := &Stats{
 		Epoch: g.Epoch(),
 		Nodes: g.nodes.Len(),
-		Edges: g.adj.NVals(),
 	}
 	s.LabelNodes = make([]int, len(g.labels))
 	for i, lm := range g.labels {
@@ -42,6 +41,7 @@ func (g *Graph) Stats() *Stats {
 	s.RelPairs = make([]int, len(g.relations))
 	for i, rs := range g.relations {
 		s.RelPairs[i] = rs.m.NVals()
+		s.Edges += s.RelPairs[i]
 	}
 	return s
 }
@@ -74,8 +74,8 @@ func (s *Stats) MeanOutDegree(tid int) float64 {
 	return float64(s.RelCount(tid)) / float64(s.Nodes)
 }
 
-// MeanDegreeAll is the mean fan-out over THE adjacency matrix (any-type
-// hops).
+// MeanDegreeAll is the mean fan-out of an untyped hop: Edges per node, the
+// relation matrices' entries summed over every type.
 func (s *Stats) MeanDegreeAll() float64 {
 	if s.Nodes == 0 {
 		return 0

@@ -11,12 +11,17 @@ import (
 // nothing per hop and nothing per reached vertex — the GraphBLAS frontier
 // reduction without a vector per hop.
 //
-// Both hop kernels read their operand in place, with no merged copy: a clean
-// row is its main CSR span, and a dirty row (one the delta table holds) its
-// main span less the zombies, then its delta-plus columns — unordered, which
-// a scatter or a probe does not mind. Each checks once per hop whether the
-// operand has anything pending, so a clean operand pays no table lookup per
-// row.
+// The operand is a list of matrices whose union is the graph BFS walks —
+// one relation matrix for a typed directed hop, R and Rᵀ for an undirected
+// one, one per type for [:A|B] or an untyped hop — and both hop kernels OR
+// the parts in place instead of reading a materialised union: a push hop
+// scatters each part's rows into one bitset, and a pull hop probes each part
+// for the candidates the earlier parts did not reach. Each part is read in
+// place, with no merged copy: a clean row is its main CSR span, and a dirty
+// row (one the delta table holds) its main span less the zombies, then its
+// delta-plus columns — unordered, which a scatter or a probe does not mind.
+// Each hop checks once per part whether it has anything pending, so a clean
+// part pays no table lookup per row.
 
 // BFSHop is what a BFS step callback sees before each hop: the two sides of
 // direction-optimizing BFS's choice.
@@ -27,24 +32,29 @@ type BFSHop struct {
 	// not counted.
 	Unreached int
 	// UnreachedIn counts the unreached vertices' in-edges (their transpose
-	// rows' entries, direction-optimizing BFS's m_u): the most a pull hop
-	// scans. It is zero when BFS has no transpose.
+	// rows' entries summed over the parts, direction-optimizing BFS's m_u):
+	// the most a pull hop scans. It is zero when BFS has no transpose.
 	UnreachedIn int
 
 	ws *bfsWorkspace
-	a  *DeltaMatrix
+	a  []*DeltaMatrix
 }
 
-// FrontierDegree returns the summed out-degree of the frontier in the push
-// operand — what a push hop scatters, direction-optimizing BFS's m_f — and
-// stops summing once the total exceeds budget.
+// FrontierDegree returns the frontier's out-degree summed over the push
+// operand's parts — what a push hop scatters, direction-optimizing BFS's
+// m_f — and stops summing once the total exceeds budget.
 func (h *BFSHop) FrontierDegree(budget float64) float64 {
-	clean := h.a.Pending() == 0
 	sum := 0.0
-	h.ws.frontier.iterate(func(k Index) bool {
-		sum += float64(h.a.rowLen(k, clean))
-		return sum <= budget
-	})
+	for _, a := range h.a {
+		clean := a.Pending() == 0
+		h.ws.frontier.iterate(func(k Index) bool {
+			sum += float64(a.rowLen(k, clean))
+			return sum <= budget
+		})
+		if sum > budget {
+			break
+		}
+	}
 	return sum
 }
 
@@ -68,7 +78,7 @@ func getBFSWorkspace(n int) *bfsWorkspace {
 }
 
 func putBFSWorkspace(ws *bfsWorkspace) {
-	ws.hop = BFSHop{} // drop the operand reference
+	ws.hop = BFSHop{} // drop the operand references
 	bfsPool.Put(ws)
 }
 
@@ -81,14 +91,15 @@ func clearedBitset(b bitset, words int) bitset {
 	return b
 }
 
-// BFS runs a level-synchronous breadth-first search from src over the square
-// operand a, whose row k lists k's out-neighbours. at, when non-nil, is a's
-// transpose (row j lists j's in-neighbours) and enables pull hops. maxHops < 0
-// searches until no new vertex is reached.
+// BFS runs a level-synchronous breadth-first search from src over the union
+// of the square parts of a, whose row k lists k's out-neighbours. at, when
+// not empty, lists the parts of a's transpose (row j lists j's
+// in-neighbours; the parts need not pair up with a's) and enables pull hops.
+// maxHops < 0 searches until no new vertex is reached.
 //
 // step, when non-nil, runs before every hop: it chooses pull (honoured only
-// when at is non-nil) or push, and an error it returns stops the search and is
-// returned by BFS. A push hop scatters the out-rows of the frontier; a pull hop
+// when at is not empty) or push, and an error it returns stops the search and
+// is returned by BFS. A push hop scatters the out-rows of the frontier; a pull hop
 // probes every unreached vertex's in-row for a frontier member, stopping at
 // the first — both reach the same level.
 //
@@ -98,17 +109,21 @@ func clearedBitset(b bitset, words int) bitset {
 // returned by BFS.
 //
 // The search runs on the calling goroutine.
-func BFS(a, at *DeltaMatrix, src Index, maxHops int,
+func BFS(a, at []*DeltaMatrix, src Index, maxHops int,
 	step func(h *BFSHop) (pull bool, err error), visit func(hop int, level []Index) error) error {
-	if a == nil {
+	if len(a) == 0 || a[0] == nil {
 		return ErrNilObject
 	}
-	n := a.nrows
-	if a.ncols != n {
-		return dimErr("bfs: operand is %dx%d, want a square matrix", n, a.ncols)
-	}
-	if at != nil && (at.nrows != n || at.ncols != n) {
-		return dimErr("bfs: transpose is %dx%d, want %dx%d", at.nrows, at.ncols, n, n)
+	n := a[0].nrows
+	for _, parts := range [2][]*DeltaMatrix{a, at} {
+		for _, p := range parts {
+			if p == nil {
+				return ErrNilObject
+			}
+			if p.nrows != n || p.ncols != n {
+				return dimErr("bfs: operand part is %dx%d, want %dx%d", p.nrows, p.ncols, n, n)
+			}
+		}
 	}
 	if src < 0 || src >= n {
 		return boundsErr("bfs: source %d, dimension %d", src, n)
@@ -124,11 +139,13 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 	}
 	// Vertices from span on have no in-edge: no hop reaches them, and a pull
 	// hop does not probe them.
-	span, unreachedIn, atClean := n, 0, false
-	if at != nil {
-		atClean = at.Pending() == 0
-		span = at.rowSpan()
-		unreachedIn = at.NVals() - at.rowLen(src, atClean)
+	span, unreachedIn := n, 0
+	if len(at) > 0 {
+		span = 0
+		for _, p := range at {
+			span = max(span, p.rowSpan())
+			unreachedIn += p.NVals() - p.rowLen(src, p.Pending() == 0)
+		}
 	}
 	nf, unreached := 1, span
 	if src < span {
@@ -143,7 +160,7 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 				return err
 			}
 		}
-		if pull && at != nil {
+		if pull && len(at) > 0 {
 			nf = ws.pullHop(at, span)
 		} else {
 			nf = ws.pushHop(a)
@@ -153,9 +170,10 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 		}
 		unreached -= nf
 		ws.level = ws.next.appendSet(ws.level[:0])
-		if at != nil {
+		for _, p := range at {
+			clean := p.Pending() == 0
 			for _, j := range ws.level {
-				unreachedIn -= at.rowLen(j, atClean)
+				unreachedIn -= p.rowLen(j, clean)
 			}
 		}
 		if err := visit(hop, ws.level); err != nil {
@@ -167,24 +185,26 @@ func BFS(a, at *DeltaMatrix, src Index, maxHops int,
 	return nil
 }
 
-// pushHop ORs the frontier's out-rows into next without testing a bit, then,
-// a word at a time, drops the reached vertices from next and adds the rest
-// to reached. It returns the level size.
-func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
-	clean := a.Pending() == 0
-	rp, ci := a.main.rowPtr, a.main.colInd
+// pushHop ORs the frontier's out-rows in every part into next without
+// testing a bit, then, a word at a time, drops the reached vertices from next
+// and adds the rest to reached. It returns the level size.
+func (ws *bfsWorkspace) pushHop(a []*DeltaMatrix) int {
 	next := ws.next
-	for wi, w := range ws.frontier {
-		for ; w != 0; w &= w - 1 {
-			k := wi<<6 + bits.TrailingZeros64(w)
-			if !clean {
-				if r := a.row(k); r != nil {
-					a.setLive(k, r, next)
-					continue
+	for _, p := range a {
+		clean := p.Pending() == 0
+		rp, ci := p.main.rowPtr, p.main.colInd
+		for wi, w := range ws.frontier {
+			for ; w != 0; w &= w - 1 {
+				k := wi<<6 + bits.TrailingZeros64(w)
+				if !clean {
+					if r := p.row(k); r != nil {
+						p.setLive(k, r, next)
+						continue
+					}
 				}
-			}
-			for _, j := range ci[rp[k]:rp[k+1]] {
-				next.set(j)
+				for _, j := range ci[rp[k]:rp[k+1]] {
+					next.set(j)
+				}
 			}
 		}
 	}
@@ -200,11 +220,8 @@ func (ws *bfsWorkspace) pushHop(a *DeltaMatrix) int {
 
 // pullHop finds every unreached vertex below span with an in-neighbour in
 // the frontier, a bitset word of candidates at a time, and returns the level
-// size.
-func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
-	clean := at.Pending() == 0
-	rp, ci := at.main.rowPtr, at.main.colInd
-	frontier := ws.frontier
+// size. Each part probes only the candidates the earlier parts missed.
+func (ws *bfsWorkspace) pullHop(at []*DeltaMatrix, span int) int {
 	nf := 0
 	words := (span + 63) / 64
 	for wi := 0; wi < words; wi++ {
@@ -213,27 +230,45 @@ func (ws *bfsWorkspace) pullHop(at *DeltaMatrix, span int) int {
 			cand &= 1<<tail - 1
 		}
 		var hit uint64
-		for ; cand != 0; cand &= cand - 1 {
-			b := bits.TrailingZeros64(cand)
-			j := wi<<6 + b
-			if !clean {
-				if r := at.row(j); r != nil {
-					if at.anyLive(j, r, frontier) {
-						hit |= 1 << uint(b)
-					}
-					continue
-				}
+		for _, p := range at {
+			if cand == 0 {
+				break
 			}
-			for _, k := range ci[rp[j]:rp[j+1]] {
-				if frontier.get(k) {
-					hit |= 1 << uint(b)
-					break
-				}
-			}
+			h := p.probeWord(wi, cand, ws.frontier)
+			hit |= h
+			cand &^= h
 		}
 		ws.next[wi] = hit
 		ws.reached[wi] |= hit
 		nf += bits.OnesCount64(hit)
 	}
 	return nf
+}
+
+// probeWord returns the candidates among the bits of cand — vertices wi·64
+// + b — whose row of m holds a member of frontier, probing each row up to
+// its first member.
+func (m *DeltaMatrix) probeWord(wi int, cand uint64, frontier bitset) uint64 {
+	clean := m.Pending() == 0
+	rp, ci := m.main.rowPtr, m.main.colInd
+	var hit uint64
+	for ; cand != 0; cand &= cand - 1 {
+		b := bits.TrailingZeros64(cand)
+		j := wi<<6 + b
+		if !clean {
+			if r := m.row(j); r != nil {
+				if m.anyLive(j, r, frontier) {
+					hit |= 1 << uint(b)
+				}
+				continue
+			}
+		}
+		for _, k := range ci[rp[j]:rp[j+1]] {
+			if frontier.get(k) {
+				hit |= 1 << uint(b)
+				break
+			}
+		}
+	}
+	return hit
 }

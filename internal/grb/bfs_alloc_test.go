@@ -8,8 +8,8 @@ package grb
 import "testing"
 
 // TestBFSAllocsConstant checks a warm BFS allocates O(1) — not per hop, not
-// per reached vertex: a 2 000-hop path and a wide two-level fan-out, pushed
-// and pulled, over delta matrices with pending rows.
+// per reached vertex: a 2 000-hop path, a wide two-level fan-out and their
+// two-part union, pushed and pulled, over delta matrices with pending rows.
 func TestBFSAllocsConstant(t *testing.T) {
 	const n = 2000
 	path, pathT := NewDeltaMatrix(n, n), NewDeltaMatrix(n, n)
@@ -27,15 +27,20 @@ func TestBFSAllocsConstant(t *testing.T) {
 	}
 	push := func(*BFSHop) (bool, error) { return false, nil }
 	pull := func(*BFSHop) (bool, error) { return true, nil }
+	paths, pathTs := []*DeltaMatrix{path}, []*DeltaMatrix{pathT}
+	fans, fanTs := []*DeltaMatrix{fan}, []*DeltaMatrix{fanT}
+	both := []*DeltaMatrix{fan, path} // a two-part operand: fan ∪ path
 	for _, c := range []struct {
 		name  string
-		a, at *DeltaMatrix
+		a, at []*DeltaMatrix
 		step  func(*BFSHop) (bool, error)
 	}{
-		{"path/push", path, pathT, push},
-		{"path/pull", path, pathT, pull},
-		{"fan/push", fan, fanT, push},
-		{"fan/pull", fan, fanT, pull},
+		{"path/push", paths, pathTs, push},
+		{"path/pull", paths, pathTs, pull},
+		{"fan/push", fans, fanTs, push},
+		{"fan/pull", fans, fanTs, pull},
+		{"fan+path/push", both, []*DeltaMatrix{fanT, pathT}, push},
+		{"fan+path/pull", both, []*DeltaMatrix{pathT, fanT}, pull},
 	} {
 		run := func() {
 			reached = 0

@@ -85,7 +85,7 @@ func hopStates(a, at *DeltaMatrix, seeds, hops int) [][]hopState {
 		}
 		found++
 		hop := 0
-		err := BFS(a, at, src, hops, func(h *BFSHop) (bool, error) {
+		err := BFS([]*DeltaMatrix{a}, []*DeltaMatrix{at}, src, hops, func(h *BFSHop) (bool, error) {
 			out[hop] = append(out[hop], hopState{
 				reached:  append(bitset(nil), h.ws.reached...),
 				frontier: append(bitset(nil), h.ws.frontier...),
@@ -137,6 +137,7 @@ func benchHop(b *testing.B, a, at *DeltaMatrix, states []hopState, pull bool) {
 	ws := getBFSWorkspace(a.nrows)
 	defer putBFSWorkspace(ws)
 	span := at.rowSpan()
+	as, ats := []*DeltaMatrix{a}, []*DeltaMatrix{at}
 	var mf, mu, cand int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -145,9 +146,9 @@ func benchHop(b *testing.B, a, at *DeltaMatrix, states []hopState, pull bool) {
 		copy(ws.frontier, st.frontier)
 		clear(ws.next)
 		if pull {
-			ws.pullHop(at, span)
+			ws.pullHop(ats, span)
 		} else {
-			ws.pushHop(a)
+			ws.pushHop(as)
 		}
 		mf, mu, cand = mf+st.mf, mu+st.mu, cand+st.cand
 	}

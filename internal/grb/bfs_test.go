@@ -111,7 +111,7 @@ type hopCounts struct{ unreached, unreachedIn int }
 // and the counts each step call saw. The auto policy is the var-length
 // chooser's formula (choosePullHop in internal/core): pull when the
 // frontier's out-degree sum exceeds 1.1 × UnreachedIn + 1.4 × Unreached.
-func bfsLevels(a, at *DeltaMatrix, src Index, maxHops int, mode string) ([][]Index, []hopCounts, error) {
+func bfsLevels(a, at []*DeltaMatrix, src Index, maxHops int, mode string) ([][]Index, []hopCounts, error) {
 	var levels [][]Index
 	var hops []hopCounts
 	step := func(h *BFSHop) (bool, error) {
@@ -215,7 +215,7 @@ func TestBFSMatchesVxMLoop(t *testing.T) {
 				t.Fatalf("n=%d src=%d maxHops=%d %s VxM loop:\n got %v\nwant %v", n, src, maxHops, state, got, want)
 			}
 			for _, mode := range []string{"push", "pull", "auto"} {
-				got, hops, err := bfsLevels(a, at, src, maxHops, mode)
+				got, hops, err := bfsLevels([]*DeltaMatrix{a}, []*DeltaMatrix{at}, src, maxHops, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,6 +233,90 @@ func TestBFSMatchesVxMLoop(t *testing.T) {
 	}
 }
 
+// TestBFSOverParts checks BFS over a multi-part operand — two random
+// digraphs on one vertex set ([:A|B]), and one digraph with its transpose
+// (an undirected hop) — against the dense reference BFS over the parts'
+// union, under forced push, forced pull and a cost-based choice, with
+// pending rows and after Sync. Every step call's UnreachedIn must be the
+// unreached vertices' in-degrees summed over the transpose's parts.
+func TestBFSOverParts(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for iter := 0; iter < 150; iter++ {
+		n := r.Intn(120) + 1
+		a1, at1, ref1 := randomDeltaPair(r, n)
+		a2, at2, ref2 := randomDeltaPair(r, n)
+		undirected := newDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if ref1.at(i, j) {
+					undirected.set(i, j)
+					undirected.set(j, i)
+				}
+			}
+		}
+		typed := newDense(n, n)
+		for x := range typed.ok {
+			typed.ok[x] = ref1.ok[x] || ref2.ok[x]
+		}
+		src := r.Intn(n)
+		maxHops := r.Intn(6) - 1
+		for _, state := range []string{"pending", "synced"} {
+			if state == "synced" {
+				for _, m := range []*DeltaMatrix{a1, at1, a2, at2} {
+					m.ForceSync()
+				}
+			}
+			for _, c := range []struct {
+				name    string
+				a, at   []*DeltaMatrix
+				ref     *dense
+				inParts []*dense // what each part of at counts as in-edges
+			}{
+				{"A|B", []*DeltaMatrix{a1, a2}, []*DeltaMatrix{at1, at2}, typed, []*dense{ref1, ref2}},
+				{"A±", []*DeltaMatrix{a1, at1}, []*DeltaMatrix{at1, a1}, undirected, []*dense{ref1, transposeDense(ref1)}},
+			} {
+				want := denseLevels(c.ref, src, maxHops)
+				for _, mode := range []string{"push", "pull", "auto"} {
+					got, hops, err := bfsLevels(c.a, c.at, src, maxHops, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d src=%d maxHops=%d %s %s mode=%s:\n got %v\nwant %v", n, src, maxHops, c.name, state, mode, got, want)
+					}
+					var wantIn []int
+					for _, part := range c.inParts {
+						for s, h := range bruteHopCounts(part, want, len(hops), n) {
+							if s == len(wantIn) {
+								wantIn = append(wantIn, 0)
+							}
+							wantIn[s] += h.unreachedIn
+						}
+					}
+					for s, h := range hops {
+						if h.unreachedIn != wantIn[s] {
+							t.Fatalf("n=%d %s %s mode=%s: step %d UnreachedIn %d, want %d", n, c.name, state, mode, s, h.unreachedIn, wantIn[s])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// transposeDense returns d's transpose.
+func transposeDense(d *dense) *dense {
+	out := newDense(d.nc, d.nr)
+	for i := 0; i < d.nr; i++ {
+		for j := 0; j < d.nc; j++ {
+			if d.at(i, j) {
+				out.set(j, i)
+			}
+		}
+	}
+	return out
+}
+
 // TestBFSPlainMatrixAndStop covers a plain matrix wrapped by DeltaFrom, the
 // nil step (push only), stopping from step and from visit, and the argument
 // checks.
@@ -241,7 +325,7 @@ func TestBFSPlainMatrixAndStop(t *testing.T) {
 	_ = pm.SetElement(0, 1, 1)
 	_ = pm.SetElement(1, 2, 1)
 	_ = pm.SetElement(2, 0, 1)
-	m := DeltaFrom(pm)
+	m := []*DeltaMatrix{DeltaFrom(pm)}
 	var got [][]Index
 	err := BFS(m, nil, 0, -1, nil, func(hop int, level []Index) error {
 		got = append(got, append([]Index(nil), level...))
@@ -276,10 +360,16 @@ func TestBFSPlainMatrixAndStop(t *testing.T) {
 	if err := BFS(m, nil, 4, -1, nil, noop); err == nil {
 		t.Fatal("source out of range: want an error")
 	}
-	if err := BFS(NewDeltaMatrix(3, 4), nil, 0, -1, nil, noop); err == nil {
+	if err := BFS([]*DeltaMatrix{NewDeltaMatrix(3, 4)}, nil, 0, -1, nil, noop); err == nil {
 		t.Fatal("rectangular operand: want an error")
 	}
-	if err := BFS(m, NewDeltaMatrix(3, 3), 0, -1, nil, noop); err == nil {
+	if err := BFS(append(m, NewDeltaMatrix(3, 3)), nil, 0, -1, nil, noop); err == nil {
+		t.Fatal("a second part of the wrong size: want an error")
+	}
+	if err := BFS(m, []*DeltaMatrix{NewDeltaMatrix(3, 3)}, 0, -1, nil, noop); err == nil {
 		t.Fatal("transpose of the wrong size: want an error")
+	}
+	if err := BFS(nil, nil, 0, -1, nil, noop); err != ErrNilObject {
+		t.Fatalf("no operand: err = %v, want ErrNilObject", err)
 	}
 }

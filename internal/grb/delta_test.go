@@ -445,7 +445,7 @@ func TestDeltaMatrixConcurrentReaders(t *testing.T) {
 					panic(err)
 				}
 				// dm stands in for its own transpose: only the reads matter.
-				if err := BFS(dm, dm, i, 2, func(h *BFSHop) (bool, error) {
+				if err := BFS([]*DeltaMatrix{dm}, []*DeltaMatrix{dm}, i, 2, func(h *BFSHop) (bool, error) {
 					return h.FrontierDegree(100) > 50, nil
 				}, func(int, []Index) error { return nil }); err != nil {
 					panic(err)
@@ -749,7 +749,7 @@ func checkDeltaAll(t *testing.T, when string, a, at, d *DeltaMatrix, ref, diag d
 	}
 	for _, mode := range []string{"push", "pull"} {
 		src := hubs[2]
-		levels, _, err := bfsLevels(a, at, src, 1, mode)
+		levels, _, err := bfsLevels([]*DeltaMatrix{a}, []*DeltaMatrix{at}, src, 1, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

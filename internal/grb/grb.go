@@ -4,9 +4,10 @@
 // It provides sparse matrices in CSR form, delta matrices (the one
 // pending-update buffer: SuiteSparse's non-blocking mode, with
 // DeltaMatrix.Sync as GrB_wait), sparse/dense dual-mode vectors, and the
-// operations the engine and the benchmark harness call: BFS, MxMDelta (push)
-// and VxMDelta/VxMPull (push and pull) over a delta operand, column selection
-// and the pattern union of two matrices.
+// operations the engine and the benchmark harness call: BFS and MxMParts
+// (MxMDelta for one part) over a list of delta matrices whose union is the
+// operand, VxMDelta/VxMPull (push and pull) over one delta operand, and
+// column selection.
 //
 // Every product is structural, over the AnyPair semiring: an output entry is
 // 1 wherever some A(i, k) meets some B(k, j), and a kernel stops at the first

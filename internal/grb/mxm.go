@@ -32,25 +32,41 @@ func getMxMWorkspace(n int) *mxmWorkspace {
 }
 
 // MxMDelta replaces C with the structural product A·B (GrB_mxm over AnyPair,
-// no mask, no accumulator): C(i, j) = 1 wherever some A(i, k) meets some
-// B(k, j). B is a delta matrix whose effective rows (main's live entries,
-// then delta-plus) Gustavson's row-wise kernel gathers in place, so no fold
-// of B ever happens — the read path of concurrent query execution. When
-// d.NThreads > 1 the rows are split into grained morsels on the shared
-// work-stealing pool and merged in deterministic row order. mask, accum and s
-// must be nil, nil and AnyPair (see requireStructural).
+// no mask, no accumulator): MxMParts with B as the one part. mask, accum and
+// s must be nil, nil and AnyPair (see requireStructural).
 func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b *DeltaMatrix, d *Descriptor) error {
-	if c == nil || a == nil || b == nil {
+	if b == nil {
 		return ErrNilObject
 	}
 	if err := requireStructural("mxm", mask != nil, accum, s); err != nil {
 		return err
 	}
-	if a.ncols != b.nrows {
-		return dimErr("mxm: A is %dx%d, B is %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
+	return MxMParts(c, a, []*DeltaMatrix{b}, d)
+}
+
+// MxMParts replaces C with the structural product A·(B₁ ∨ B₂ ∨ …): C(i, j)
+// = 1 wherever some A(i, k) meets some Bₚ(k, j) — RedisGraph's ADD node of
+// relation matrices, folded into the product instead of materialised. Each
+// part is a delta matrix whose effective rows (main's live entries, then
+// delta-plus) Gustavson's row-wise kernel gathers in place under the result
+// row's one stamp, so no fold and no union of the parts ever happens — the
+// read path of concurrent query execution. When d.NThreads > 1 the rows are
+// split into grained morsels on the shared work-stealing pool and merged in
+// deterministic row order.
+func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix, d *Descriptor) error {
+	if c == nil || a == nil || len(bs) == 0 {
+		return ErrNilObject
 	}
-	if c.nrows != a.nrows || c.ncols != b.ncols {
-		return dimErr("mxm: C is %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, b.ncols)
+	for _, b := range bs {
+		if b == nil {
+			return ErrNilObject
+		}
+		if a.ncols != b.nrows {
+			return dimErr("mxm: A is %dx%d, B is %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
+		}
+		if c.nrows != a.nrows || c.ncols != b.ncols {
+			return dimErr("mxm: C is %dx%d, want %dx%d", c.nrows, c.ncols, a.nrows, b.ncols)
+		}
 	}
 
 	nth := d.nthreads()
@@ -62,9 +78,8 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 	parts := make([]partial, nparts)
 
 	parallelRanges(d.sched(), a.nrows, nth, mxmRowGrain, func(part, lo, hi int) {
-		ws := getMxMWorkspace(b.ncols)
+		ws := getMxMWorkspace(c.ncols)
 		mark := ws.mark
-		brp, bci := b.main.rowPtr, b.main.colInd
 		base := mxmStamp.Add(int64(hi-lo)) - int64(hi-lo)
 		// Accumulate into the workspace's retained-capacity buffer, then
 		// snapshot an exact-size slice before the workspace returns to the
@@ -74,29 +89,33 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 		p.rp = make([]int, hi-lo+1)
 		for i := lo; i < hi; i++ {
 			ac, _ := a.rowView(i)
-			if len(ac) == 1 && b.row(ac[0]) == nil {
+			if b := bs[0]; len(bs) == 1 && len(ac) == 1 && b.row(ac[0]) == nil {
 				// Single-entry row (a one-hot traversal frontier) on a clean
-				// row of B: the result row is that row verbatim — already
-				// sorted and duplicate-free, so skip stamping and sorting
-				// entirely. A dirty row is unordered and takes the path below.
+				// row of a one-part B: the result row is that row verbatim —
+				// already sorted and duplicate-free, so skip stamping and
+				// sorting entirely. A dirty row is unordered and takes the
+				// path below.
 				k := ac[0]
-				ci = append(ci, bci[brp[k]:brp[k+1]]...)
+				ci = append(ci, b.main.colInd[b.main.rowPtr[k]:b.main.rowPtr[k+1]]...)
 			} else {
 				stamp := base + int64(i-lo) + 1
 				start := len(ci)
-				for _, k := range ac {
-					r := b.row(k)
-					for p := brp[k]; p < brp[k+1]; p++ {
-						if j := bci[p]; mark[j] != stamp && !b.buried(r, p) {
-							mark[j] = stamp
-							ci = append(ci, j)
-						}
-					}
-					if r != nil {
-						for _, j := range r.cols {
-							if mark[j] != stamp {
+				for _, b := range bs {
+					brp, bci := b.main.rowPtr, b.main.colInd
+					for _, k := range ac {
+						r := b.row(k)
+						for p := brp[k]; p < brp[k+1]; p++ {
+							if j := bci[p]; mark[j] != stamp && !b.buried(r, p) {
 								mark[j] = stamp
 								ci = append(ci, j)
+							}
+						}
+						if r != nil {
+							for _, j := range r.cols {
+								if mark[j] != stamp {
+									mark[j] = stamp
+									ci = append(ci, j)
+								}
 							}
 						}
 					}

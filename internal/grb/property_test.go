@@ -66,24 +66,34 @@ func TestPropIdentityIsMxMNeutral(t *testing.T) {
 	}
 }
 
-func TestPropEWiseAddCommutative(t *testing.T) {
-	f := func(s1, s2 cooSpec) bool {
-		// Reshape s2 onto s1's dims by clamping indices.
-		a := s1.matrix()
-		b := NewMatrix(a.nrows, a.ncols)
-		for k := range s2.Rows {
-			_ = b.SetElement(s2.Rows[k]%a.nrows, s2.Cols[k]%a.ncols, s2.Vals[k])
+// TestPropMxMPartsCommutative checks that a two-part operand's product
+// does not depend on the parts' order and equals the product with their
+// union.
+func TestPropMxMPartsCommutative(t *testing.T) {
+	f := func(s1, s2, s3 cooSpec) bool {
+		// Reshape s2 and s3 onto square operands of s1's row count, and s1
+		// into a frontier of as many columns, by clamping indices.
+		n := s1.NRows
+		a, b1, b2 := NewMatrix(s1.NRows, n), NewMatrix(n, n), NewMatrix(n, n)
+		for k := range s1.Rows {
+			_ = a.SetElement(s1.Rows[k], s1.Cols[k]%n, 1)
 		}
-		c1 := NewMatrix(a.nrows, a.ncols)
-		c2 := NewMatrix(a.nrows, a.ncols)
-		if EWiseAddMatrix(c1, a, b) != nil || EWiseAddMatrix(c2, b, a) != nil {
+		for k := range s2.Rows {
+			_ = b1.SetElement(s2.Rows[k]%n, s2.Cols[k]%n, s2.Vals[k])
+		}
+		for k := range s3.Rows {
+			_ = b2.SetElement(s3.Rows[k]%n, s3.Cols[k]%n, s3.Vals[k])
+		}
+		p1, p2 := DeltaFrom(b1), DeltaFrom(b2)
+		c1, c2 := NewMatrix(a.nrows, n), NewMatrix(a.nrows, n)
+		if MxMParts(c1, a, []*DeltaMatrix{p1, p2}, nil) != nil || MxMParts(c2, a, []*DeltaMatrix{p2, p1}, nil) != nil {
 			return false
 		}
-		want := toDenseM(a)
-		for k, ok := range toDenseM(b).ok {
-			want.ok[k] = want.ok[k] || ok
+		union := toDenseM(b1)
+		for k, ok := range toDenseM(b2).ok {
+			union.ok[k] = union.ok[k] || ok
 		}
-		return sameMatrix(c1, c2) && sameDense(c1, want)
+		return sameMatrix(c1, c2) && sameDense(c1, denseMxM(toDenseM(a), union))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

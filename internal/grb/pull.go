@@ -12,8 +12,7 @@ package grb
 // frontier of one source per record never grows dense.
 //
 // The kernel takes the operand's TRANSPOSE as a delta matrix, so the graph
-// layer's R' and adj' feed it fold-free, exactly like the push kernels
-// consume R and adj.
+// layer's Rᵀ feeds it fold-free, exactly like the push kernels consume R.
 
 // bitmap returns the vector's presence bitmap for O(1) membership tests. A
 // bitmap-mode vector returns its own bitset zero-copy; a sparse vector
