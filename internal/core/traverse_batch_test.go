@@ -106,7 +106,7 @@ func TestBatchedTraversalDifferential(t *testing.T) {
 		`MATCH (a:N)-[:B]-(b:N) RETURN a.uid, b.uid`,
 		// Two chained traversals: the downstream op consumes batched output.
 		`MATCH (a:N)-[:A]->(b:N)-[:B]->(c:N) RETURN a.uid, b.uid, c.uid`,
-		// Any-type traversal over THE adjacency matrix.
+		// Any-type traversal: every relation matrix, ORed in the kernel.
 		`MATCH (a:N)-->(b) RETURN a.uid, b.uid`,
 	}
 	for _, q := range queries {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"redisgraph/internal/graph"
+	"redisgraph/internal/grb"
 )
 
 // pendingThenFolded runs check with the graph's deltas pending, then again
@@ -238,4 +239,46 @@ func TestUnionShapedHopsMatchReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRelationOperandParts pins the matrices each hop shape resolves to —
+// the lists the kernels OR in place — with and without transpose, and that
+// resolving into the context's lists allocates nothing once they have grown.
+func TestRelationOperandParts(t *testing.T) {
+	g := graph.New("t")
+	q(t, g, `CREATE (a:L)-[:A]->(b:L), (b)-[:B]->(a)`)
+	a, _ := g.Schema.RelTypeID("A")
+	b, _ := g.Schema.RelTypeID("B")
+	lid, _ := g.Schema.LabelID("L")
+	ra, rat := g.RelationMatrix(a), g.TRelationMatrix(a)
+	rb, rbt := g.RelationMatrix(b), g.TRelationMatrix(b)
+	cases := []struct {
+		name      string
+		op        algebraicOperand
+		want, wtT []*grb.DeltaMatrix
+	}{
+		{"A", relationOperand([]string{"A"}, false, false), []*grb.DeltaMatrix{ra}, []*grb.DeltaMatrix{rat}},
+		{"Aᵀ", relationOperand([]string{"A"}, true, false), []*grb.DeltaMatrix{rat}, []*grb.DeltaMatrix{ra}},
+		{"A±", relationOperand([]string{"A"}, false, true), []*grb.DeltaMatrix{ra, rat}, []*grb.DeltaMatrix{ra, rat}},
+		{"A± inbound", relationOperand([]string{"A"}, true, true), []*grb.DeltaMatrix{ra, rat}, []*grb.DeltaMatrix{ra, rat}},
+		{"A|B", relationOperand([]string{"A", "B"}, false, false), []*grb.DeltaMatrix{ra, rb}, []*grb.DeltaMatrix{rat, rbt}},
+		{"B|A", relationOperand([]string{"B", "A"}, false, false), []*grb.DeltaMatrix{rb, ra}, []*grb.DeltaMatrix{rbt, rat}},
+		{"A|Nope", relationOperand([]string{"A", "Nope"}, false, false), []*grb.DeltaMatrix{ra}, []*grb.DeltaMatrix{rat}},
+		{"Nope", relationOperand([]string{"Nope"}, false, false), nil, nil},
+		{"ADJ", relationOperand(nil, false, false), []*grb.DeltaMatrix{ra, rb}, []*grb.DeltaMatrix{rat, rbt}},
+		{"ADJᵀ", relationOperand(nil, true, false), []*grb.DeltaMatrix{rat, rbt}, []*grb.DeltaMatrix{ra, rb}},
+		{"ADJ±", relationOperand(nil, false, true), []*grb.DeltaMatrix{ra, rat, rb, rbt}, []*grb.DeltaMatrix{ra, rat, rb, rbt}},
+		{":L", labelDiagOperand("L"), []*grb.DeltaMatrix{g.LabelMatrix(lid)}, []*grb.DeltaMatrix{g.LabelMatrix(lid)}},
+		{":Nope", labelDiagOperand("Nope"), nil, nil},
+	}
+	ctx := &execCtx{g: g}
+	for _, c := range cases {
+		got, gotT := ctx.operand(&c.op, false), ctx.operand(&c.op, true)
+		if !slices.Equal(got, c.want) || !slices.Equal(gotT, c.wtT) {
+			t.Fatalf("%s: parts %v, transpose %v; want %v, %v", c.name, got, gotT, c.want, c.wtT)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ctx.operand(&c.op, false) }); allocs != 0 {
+			t.Fatalf("%s: %.0f allocations per resolution, want 0", c.name, allocs)
+		}
+	}
 }

@@ -141,8 +141,8 @@ func (c CondCell) DegreeQuantile(q float64) int {
 // [relation type][label row] where row 0 is the any-label aggregate and row
 // lid+1 conditions on label lid. Out conditions on the SOURCE endpoint's
 // labels (out-degrees), In on the DESTINATION's (in-degrees). Snapshots are
-// epoch-cached like the union cache, so planning a hot query shape costs one
-// mutex probe, not a copy.
+// cached per write epoch, so planning a hot query shape costs one mutex
+// probe, not a copy.
 type CondStats struct {
 	Epoch uint64
 	Out   [][]CondCell

@@ -8,11 +8,12 @@
 //     (GRAPH.QUERY/EXPLAIN/...) with any Redis client, e.g.
 //     cmd/redisgraph-cli.
 //
-// The property graph is stored as sparse boolean adjacency matrices — one
-// per relationship type plus a combined adjacency matrix and one diagonal
-// matrix per label — and Cypher pattern traversals compile to sparse
-// vector-matrix products over a boolean semiring, exactly the architecture
-// the paper describes.
+// The property graph is stored as sparse adjacency matrices — one per
+// relationship type (plus its transpose) and one diagonal matrix per label —
+// and Cypher pattern traversals compile to sparse matrix products over a
+// boolean semiring, the architecture the paper describes. A hop over
+// several types, or in both directions, ORs their matrices inside the
+// kernel instead of keeping a combined adjacency matrix.
 //
 // Quickstart:
 //
