@@ -10,25 +10,34 @@ import (
 
 // TestRepeatedRelTypeBindsOnce pins that a type listed twice in a pattern
 // ([:R|R]) is the type listed once: each edge binds once, whether the hop
-// expands, carries an edge variable or closes a cycle.
+// expands, carries an edge variable, runs undirected or closes a cycle —
+// over parallel edges, with the writes pending and after a fold.
 func TestRepeatedRelTypeBindsOnce(t *testing.T) {
 	g := graph.New("t")
-	q(t, g, `CREATE (a)-[:R]->(b)`)
-	for _, query := range []string{
-		`MATCH (a)-[e:R|R]->(b) RETURN count(e)`,
-		`MATCH (a)-[:R|R]->(b) RETURN count(b)`,
-		`MATCH (a)-[:R]->(b), (a)-[e:R|R]->(b) RETURN count(e)`,
-	} {
-		for _, cfg := range kernelConfigs() {
-			rs, err := Query(g, query, nil, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", query, err)
-			}
-			if got := singleInt(t, rs); got != 1 {
-				t.Fatalf("%s (cfg %+v) = %d, want 1", query, cfg, got)
+	q(t, g, `CREATE (a:N)-[:R]->(b:N), (a)-[:R]->(b), (b)-[:R]->(a), (a)-[:S]->(b)`)
+	cases := []struct {
+		query string
+		want  int64
+	}{
+		{`MATCH (a)-[e:R|R]->(b) RETURN count(e)`, 3},
+		{`MATCH (a)-[:R|R]->(b) RETURN count(b)`, 2},
+		{`MATCH (a)-[:R]->(b), (a)-[e:R|R]->(b) RETURN count(e)`, 3},
+		{`MATCH (a)-[e:R|R]-(b) RETURN count(e)`, 6},
+		{`MATCH (a)-[e:R|S|R]->(b) RETURN count(e)`, 4},
+	}
+	pendingThenFolded(t, g, func(state string) {
+		for _, c := range cases {
+			for _, cfg := range kernelConfigs() {
+				rs, err := Query(g, c.query, nil, cfg)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", state, c.query, err)
+				}
+				if got := singleInt(t, rs); got != c.want {
+					t.Fatalf("%s: %s (cfg %+v) = %d, want %d", state, c.query, cfg, got, c.want)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestEdgeVariableTraversalsMatchDatablock checks every edge-variable

@@ -64,36 +64,6 @@ func TestDeleteWithoutDetachSeesEveryType(t *testing.T) {
 	})
 }
 
-// TestRepeatedRelTypeBindsOncePendingAndFolded pins PR 29's rule over
-// parallel edges and both directions: a type listed twice is the type
-// listed once, with the writes pending and after a fold.
-func TestRepeatedRelTypeBindsOncePendingAndFolded(t *testing.T) {
-	g := graph.New("t")
-	q(t, g, `CREATE (a:N)-[:R]->(b:N), (a)-[:R]->(b), (b)-[:R]->(a), (a)-[:S]->(b)`)
-	cases := []struct {
-		query string
-		want  int64
-	}{
-		{`MATCH (a)-[e:R|R]->(b) RETURN count(e)`, 3},
-		{`MATCH (a)-[:R|R]->(b) RETURN count(b)`, 2},
-		{`MATCH (a)-[e:R|R]-(b) RETURN count(e)`, 6},
-		{`MATCH (a)-[e:R|S|R]->(b) RETURN count(e)`, 4},
-	}
-	pendingThenFolded(t, g, func(state string) {
-		for _, c := range cases {
-			for _, cfg := range kernelConfigs() {
-				rs, err := Query(g, c.query, nil, cfg)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", state, c.query, err)
-				}
-				if got := singleInt(t, rs); got != c.want {
-					t.Fatalf("%s: %s (cfg %+v) = %d, want %d", state, c.query, cfg, got, c.want)
-				}
-			}
-		}
-	})
-}
-
 // refGraph is an adjacency oracle built from the datablock's live edges
 // alone: per node, the typed out- and in-neighbours.
 type refGraph struct {

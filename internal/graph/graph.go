@@ -191,9 +191,8 @@ func (g *Graph) TAdjacency() *grb.DeltaMatrix {
 	return g.relations[0].tm
 }
 
-// RelationMatrix returns the matrix R of a relationship type, whose entry at
-// (src, dst) is the ID of an edge joining the pair, or nil if the type is
-// unknown.
+// RelationMatrix returns the adjacency matrix for a relationship type, or
+// nil if the type is unknown.
 func (g *Graph) RelationMatrix(typeID int) *grb.DeltaMatrix {
 	if typeID < 0 || typeID >= len(g.relations) {
 		return nil
@@ -201,8 +200,7 @@ func (g *Graph) RelationMatrix(typeID int) *grb.DeltaMatrix {
 	return g.relations[typeID].m
 }
 
-// TRelationMatrix returns the boolean transpose Rᵀ of a relationship type's
-// matrix, or nil if the type is unknown.
+// TRelationMatrix returns the transposed matrix for a relationship type.
 func (g *Graph) TRelationMatrix(typeID int) *grb.DeltaMatrix {
 	if typeID < 0 || typeID >= len(g.relations) {
 		return nil

@@ -99,9 +99,9 @@ func clearedBitset(b bitset, words int) bitset {
 //
 // step, when non-nil, runs before every hop: it chooses pull (honoured only
 // when at is not empty) or push, and an error it returns stops the search and
-// is returned by BFS. A push hop scatters the out-rows of the frontier; a pull hop
-// probes every unreached vertex's in-row for a frontier member, stopping at
-// the first — both reach the same level.
+// is returned by BFS. A push hop scatters the out-rows of the frontier; a
+// pull hop probes every unreached vertex's in-rows for a frontier member,
+// stopping at the first — both reach the same level.
 //
 // visit receives level 0 (the source alone), then each newly reached,
 // non-empty level, in ascending vertex order. The slice is reused: it is valid
@@ -189,33 +189,38 @@ func BFS(a, at []*DeltaMatrix, src Index, maxHops int,
 // testing a bit, then, a word at a time, drops the reached vertices from next
 // and adds the rest to reached. It returns the level size.
 func (ws *bfsWorkspace) pushHop(a []*DeltaMatrix) int {
-	next := ws.next
 	for _, p := range a {
-		clean := p.Pending() == 0
-		rp, ci := p.main.rowPtr, p.main.colInd
-		for wi, w := range ws.frontier {
-			for ; w != 0; w &= w - 1 {
-				k := wi<<6 + bits.TrailingZeros64(w)
-				if !clean {
-					if r := p.row(k); r != nil {
-						p.setLive(k, r, next)
-						continue
-					}
-				}
-				for _, j := range ci[rp[k]:rp[k+1]] {
-					next.set(j)
-				}
-			}
-		}
+		ws.scatter(p)
 	}
 	nf := 0
-	for wi, w := range next {
+	for wi, w := range ws.next {
 		w &^= ws.reached[wi]
-		next[wi] = w
+		ws.next[wi] = w
 		ws.reached[wi] |= w
 		nf += bits.OnesCount64(w)
 	}
 	return nf
+}
+
+// scatter ORs the frontier's out-rows in a into next.
+func (ws *bfsWorkspace) scatter(a *DeltaMatrix) {
+	clean := a.Pending() == 0
+	rp, ci := a.main.rowPtr, a.main.colInd
+	next := ws.next
+	for wi, w := range ws.frontier {
+		for ; w != 0; w &= w - 1 {
+			k := wi<<6 + bits.TrailingZeros64(w)
+			if !clean {
+				if r := a.row(k); r != nil {
+					a.setLive(k, r, next)
+					continue
+				}
+			}
+			for _, j := range ci[rp[k]:rp[k+1]] {
+				next.set(j)
+			}
+		}
+	}
 }
 
 // pullHop finds every unreached vertex below span with an in-neighbour in
@@ -231,9 +236,6 @@ func (ws *bfsWorkspace) pullHop(at []*DeltaMatrix, span int) int {
 		}
 		var hit uint64
 		for _, p := range at {
-			if cand == 0 {
-				break
-			}
 			h := p.probeWord(wi, cand, ws.frontier)
 			hit |= h
 			cand &^= h

@@ -35,9 +35,6 @@ func getMxMWorkspace(n int) *mxmWorkspace {
 // no mask, no accumulator): MxMParts with B as the one part. mask, accum and
 // s must be nil, nil and AnyPair (see requireStructural).
 func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b *DeltaMatrix, d *Descriptor) error {
-	if b == nil {
-		return ErrNilObject
-	}
 	if err := requireStructural("mxm", mask != nil, accum, s); err != nil {
 		return err
 	}
