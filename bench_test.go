@@ -107,7 +107,7 @@ func BenchmarkKHop(b *testing.B) {
 
 func BenchmarkThroughput(b *testing.B) {
 	f := getFixture("graph500")
-	rg := bench.NewRedisGraphEngine(f.g, 1)
+	rg := bench.NewRedisGraphEngine(f.g)
 	b.Run("RedisGraphPool", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
@@ -152,20 +152,6 @@ func BenchmarkAblationMaskedTraversal(b *testing.B) {
 			}
 		}
 	})
-}
-
-// AblationOpThreads: single-core query kernels (RedisGraph's model) vs
-// intra-op parallelism for one query.
-func BenchmarkAblationOpThreads(b *testing.B) {
-	f := getFixture("graph500")
-	for _, th := range []int{1, 2, 4} {
-		e := bench.NewRedisGraphEngine(f.g, th)
-		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.KHopCount(f.seeds[i%len(f.seeds)], 2)
-			}
-		})
-	}
 }
 
 // BenchmarkGraphBLASKernels measures the raw kernels the traversals stand on.

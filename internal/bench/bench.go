@@ -70,21 +70,18 @@ func BuildGraph(name string, e *gen.EdgeList) *graph.Graph {
 
 // redisGraphEngine answers k-hop queries through the full database stack:
 // Cypher parse → plan (index scan + variable-length traversal) → GraphBLAS.
-type redisGraphEngine struct {
-	g   *graph.Graph
-	cfg core.Config
-}
+type redisGraphEngine struct{ g *graph.Graph }
 
 // NewRedisGraphEngine wraps a loaded graph as a benchmark engine.
-func NewRedisGraphEngine(g *graph.Graph, opThreads int) baseline.Engine {
-	return &redisGraphEngine{g: g, cfg: core.Config{OpThreads: opThreads}}
+func NewRedisGraphEngine(g *graph.Graph) baseline.Engine {
+	return &redisGraphEngine{g: g}
 }
 
 func (r *redisGraphEngine) Name() string { return "RedisGraph" }
 
 func (r *redisGraphEngine) KHopCount(seed, k int) int {
 	q := fmt.Sprintf(`MATCH (s:Node {uid: $seed})-[:F*1..%d]->(n) RETURN count(n)`, k)
-	rs, err := core.ROQuery(r.g, q, map[string]value.Value{"seed": value.NewInt(int64(seed))}, r.cfg)
+	rs, err := core.ROQuery(r.g, q, map[string]value.Value{"seed": value.NewInt(int64(seed))}, core.Config{})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
@@ -124,7 +121,7 @@ func (b bfsEngine) KHopCount(seed, k int) int {
 // the same edge list. Every entry is measured; none adds an injected cost.
 func Systems(g *graph.Graph, e *gen.EdgeList) []baseline.Engine {
 	return []baseline.Engine{
-		NewRedisGraphEngine(g, 1),
+		NewRedisGraphEngine(g),
 		bfsEngine{g},
 		baseline.NewAdjList(e.NumNodes, e.Src, e.Dst),
 		baseline.NewParallelAdjList(e.NumNodes, e.Src, e.Dst, 0),

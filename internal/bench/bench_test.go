@@ -48,7 +48,7 @@ func TestEnginesAgreeThroughFullStack(t *testing.T) {
 func TestMeasurementStats(t *testing.T) {
 	el := gen.RMAT(gen.Graph500Defaults(8, 7))
 	g := BuildGraph("t", el)
-	e := NewRedisGraphEngine(g, 1)
+	e := NewRedisGraphEngine(g)
 	m := RunKHop(e, "t", 2, gen.Seeds(el, 20, 6))
 	if m.Seeds != 20 || m.MeanMS <= 0 || m.P50MS <= 0 || m.P95MS < m.P50MS {
 		t.Fatalf("measurement: %+v", m)

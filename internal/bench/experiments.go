@@ -199,7 +199,7 @@ func (s *Suite) Throughput(queries int) []ThroughputResult {
 	// query inline under one of GOMAXPROCS admission permits, one core per
 	// query.
 	gate := pool.NewGate(runtime.GOMAXPROCS(0))
-	rg := NewRedisGraphEngine(g, 1)
+	rg := NewRedisGraphEngine(g)
 	run("RedisGraph (gate, 1 core/q)", runtime.GOMAXPROCS(0), func(seed int) {
 		if _, err := gate.Acquire(time.Minute); err != nil {
 			panic(err)
@@ -238,7 +238,7 @@ func (s *Suite) Robustness(timeout time.Duration) []RobustResult {
 	var out []RobustResult
 	for _, d := range s.Datasets {
 		g := s.graphs[d.Name]
-		eng := NewRedisGraphEngine(g, 1)
+		eng := NewRedisGraphEngine(g)
 		seeds := gen.Seeds(d.Edges, SeedCounts(6), 2024)
 		res := RobustResult{Dataset: d.Name, Seeds: len(seeds)}
 		var total time.Duration

@@ -207,7 +207,7 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 			return grb.NewMatrix(f.NRows(), dim), nil // absent names: every row is empty
 		}
 		out := grb.NewMatrix(f.NRows(), dim)
-		if err := grb.MxMParts(out, w, parts, ctx.desc); err != nil {
+		if err := grb.MxMParts(out, w, parts); err != nil {
 			return nil, err
 		}
 		if ks != nil && !op.diag {
@@ -216,7 +216,7 @@ func (ae *algebraicExpr) evalMatrix(ctx *execCtx, f *grb.Matrix, ks *kernelStats
 		w = out
 	}
 	if keep != nil {
-		grb.SelectCols(w, keep, ctx.desc)
+		grb.SelectCols(w, keep)
 	}
 	return w, nil
 }

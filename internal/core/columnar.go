@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"redisgraph/internal/graph"
-	"redisgraph/internal/grb"
 	"redisgraph/internal/value"
 )
 
@@ -209,11 +208,6 @@ func (p *colPred) candidates(dst []uint64) []uint64 {
 	return p.col.AppendIDs(dst)
 }
 
-// colFilterGrain is the minimum candidate rows per morsel for the parallel
-// selection loop; a probe is a couple of array reads, so small lists run
-// inline.
-const colFilterGrain = 512
-
 // filter compacts ids in place to the rows passing the predicate, keeping
 // their order. The mode picks one loop for the whole run; inside it a typed
 // row costs a presence-bit test, an array read, a three-way compare and a
@@ -325,35 +319,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// filterIDsColumnar compacts ids in place to the rows passing every
-// predicate, preserving ascending order: each predicate in turn filters the
-// survivors of the one before. Large candidate lists fan out over the morsel
-// pool in contiguous ranges, each compacted within its own range and stitched
-// back in part order, so the result is deterministic regardless of
-// scheduling. The caller must own the ids slice (never an index posting or
-// another shared backing array).
-func filterIDsColumnar(ctx *execCtx, preds []colPred, ids []uint64) []uint64 {
-	filter := func(ids []uint64) []uint64 {
-		for i := range preds {
-			ids = preds[i].filter(ids)
-		}
-		return ids
-	}
-	parts := grb.PartitionParts(len(ids), ctx.threads, colFilterGrain)
-	if parts == 1 {
-		return filter(ids)
-	}
-	kept := make([][]uint64, parts)
-	grb.ParallelRanges(ctx.sched, len(ids), ctx.threads, colFilterGrain, func(part, lo, hi int) {
-		kept[part] = filter(ids[lo:hi])
-	})
-	// Each part's survivors start at or after the end of those before them,
-	// so the in-place stitch only ever copies forward.
-	out := ids[:0]
-	for _, k := range kept {
-		out = append(out, k...)
-	}
-	return out
 }

@@ -7,8 +7,6 @@ import (
 
 	"redisgraph/internal/cypher"
 	"redisgraph/internal/graph"
-	"redisgraph/internal/grb"
-	"redisgraph/internal/pool"
 	"redisgraph/internal/value"
 )
 
@@ -18,11 +16,6 @@ const DefaultTraverseBatch = defaultTraverseBatch
 
 // Config controls query execution.
 type Config struct {
-	// OpThreads bounds intra-operation (GraphBLAS kernel) parallelism.
-	// RedisGraph's architecture runs each query on a single core — the
-	// threadpool provides inter-query parallelism instead — so the default
-	// of 0 is treated as 1. Baseline comparisons set it higher.
-	OpThreads int
 	// Timeout aborts queries exceeding this duration (0 = no timeout).
 	Timeout time.Duration
 	// TraverseBatch is the pipeline batch size: the number of records every
@@ -57,56 +50,11 @@ type Config struct {
 	// instantiate their own running ops. Nil plans every query from scratch —
 	// the differential baseline behind GRAPH.CONFIG SET PLAN_CACHE_SIZE 0.
 	PlanCache *PlanCache
-	// NoFairScheduler disables multi-tenant scheduling: the query does not
-	// register a scheduling context with the shared pool and runs with its
-	// full configured thread count regardless of concurrent load — the PR 8
-	// behaviour, kept as the differential baseline and safety valve
-	// (GRAPH.CONFIG SET FAIR_SCHEDULER 0).
-	NoFairScheduler bool
 
 	// noPushdown disables algebraic predicate pushdown at plan time: every
 	// label and property predicate stays an interpreted per-record filter.
 	// Only the in-package differential tests set it, as their baseline.
 	noPushdown bool
-	// sched is the query's scheduling context, set by beginSched once the
-	// query registers with the pool's fair dispatcher.
-	sched *pool.SchedCtx
-	// reqThreads preserves the configured thread count after OpThreads is
-	// clamped to the elastic share, for PROFILE's scheduler line.
-	reqThreads int
-}
-
-// beginSched registers one query execution with the pool's fair scheduler
-// and resolves the elastic thread budget: the configured thread count
-// clamped to this query's share of the global budget (budget divided by
-// active queries, floor 1). It must run before planning so segment counts
-// and thread-scaled batch sizes see the elastic value — and so the plan
-// cache keys on the effective count, which takes at most budget distinct
-// values. The caller must End() the returned context (nil under
-// NoFairScheduler).
-func beginSched(cfg Config) (Config, *pool.SchedCtx) {
-	if cfg.NoFairScheduler {
-		return cfg, nil
-	}
-	sc := pool.BeginQuery()
-	cfg.sched = sc
-	cfg.reqThreads = cfg.threads()
-	cfg.OpThreads = pool.EffectiveThreads(cfg.reqThreads)
-	return cfg, sc
-}
-
-// threads resolves OpThreads to the effective per-query thread budget
-// (< 1 means 1, the paper's one-core-per-query default; the server maps
-// MAX_QUERY_THREADS 0 = auto to GOMAXPROCS before queries reach core).
-func (c Config) threads() int {
-	if c.OpThreads < 1 {
-		return 1
-	}
-	return c.OpThreads
-}
-
-func (c Config) descriptor() *grb.Descriptor {
-	return &grb.Descriptor{NThreads: c.threads(), Sched: c.sched}
 }
 
 // planOptions is the one mapping from a Config to what the planner reads
@@ -114,7 +62,7 @@ func (c Config) descriptor() *grb.Descriptor {
 // config half of the plan cache's key.
 func (c Config) planOptions() planOptions {
 	return planOptions{NoPushdown: c.noPushdown, NoCostPlanner: c.NoCostPlanner,
-		NoJoinPlanner: c.NoJoinPlanner, Threads: c.threads()}
+		NoJoinPlanner: c.NoJoinPlanner}
 }
 
 // planFor resolves a query to its plan: through the plan cache when the
@@ -152,10 +100,6 @@ func ROQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Co
 }
 
 func runQuery(g *graph.Graph, query string, params map[string]value.Value, cfg Config, readOnly bool) (*ResultSet, error) {
-	cfg, sc := beginSched(cfg)
-	if sc != nil {
-		defer sc.End()
-	}
 	plan, _, err := planFor(g, query, cfg)
 	if err != nil {
 		return nil, err
@@ -207,15 +151,12 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 	}
 	rs := &ResultSet{Columns: plan.columns}
 	ctx := &execCtx{
-		g:       g,
-		params:  params,
-		desc:    cfg.descriptor(),
-		stats:   &rs.Stats,
-		mut:     mutLocker{g: g, concurrent: concurrent},
-		batch:   cfg.TraverseBatch,
-		threads: cfg.threads(),
-		kernel:  kernel,
-		sched:   cfg.sched,
+		g:      g,
+		params: params,
+		stats:  &rs.Stats,
+		mut:    mutLocker{g: g, concurrent: concurrent},
+		batch:  cfg.TraverseBatch,
+		kernel: kernel,
 	}
 	if cfg.Timeout > 0 {
 		ctx.deadline = time.Now().Add(cfg.Timeout)
@@ -273,15 +214,6 @@ func planSourceLine(cfg Config, cached bool) (string, bool) {
 	return fmt.Sprintf("plan: %s | %s", src, pc.Counters()), true
 }
 
-// schedulerLine renders PROFILE's scheduler accounting: the effective
-// thread count the fair scheduler granted (vs the configured request), the
-// concurrent-query count it was derived from, and how much of the query's
-// morsel work pool workers ran.
-func schedulerLine(cfg Config, sc *pool.SchedCtx) string {
-	return fmt.Sprintf("scheduler: effective-threads: %d/%d | active-queries: %d | stolen-morsels: %d | worker-time: %.6f ms",
-		cfg.threads(), cfg.reqThreads, pool.ActiveQueries(), sc.StolenMorsels(), float64(sc.WorkerNanos())/1e6)
-}
-
 // estAnnotation renders a node's estimated output cardinality for
 // EXPLAIN/PROFILE lines.
 func (p *Plan) estAnnotation(n planNode) string {
@@ -310,10 +242,6 @@ func fmtEst(e float64) string {
 // Profile executes the query with per-operation accounting and returns the
 // annotated plan tree (GRAPH.PROFILE).
 func Profile(g *graph.Graph, query string, params map[string]value.Value, cfg Config) ([]string, error) {
-	cfg, sc := beginSched(cfg)
-	if sc != nil {
-		defer sc.End()
-	}
 	plan, cached, err := planFor(g, query, cfg)
 	if err != nil {
 		return nil, err
@@ -325,9 +253,6 @@ func Profile(g *graph.Graph, query string, params map[string]value.Value, cfg Co
 	var lines []string
 	if line, ok := planSourceLine(cfg, cached); ok {
 		lines = append(lines, line)
-	}
-	if sc != nil {
-		lines = append(lines, schedulerLine(cfg, sc))
 	}
 	printPlan(plan.root, 0, &lines, func(n planNode) string {
 		if d, ok := prof[n].inner.(profileDescriber); ok {

@@ -252,42 +252,40 @@ func TestUnknownLabelBelowWrite(t *testing.T) {
 	}
 	for _, cached := range []bool{false, true} {
 		for _, batch := range []int{1, 64} {
-			for _, threads := range []int{1, 4} {
-				for _, textual := range []bool{false, true} {
-					for _, noPushdown := range []bool{false, true} {
-						for _, c := range cases {
-							g := graph.New("t")
-							if c.setup != "" {
-								q(t, g, c.setup)
+			for _, textual := range []bool{false, true} {
+				for _, noPushdown := range []bool{false, true} {
+					for _, c := range cases {
+						g := graph.New("t")
+						if c.setup != "" {
+							q(t, g, c.setup)
+						}
+						cfg := Config{TraverseBatch: batch, NoCostPlanner: textual, noPushdown: noPushdown}
+						if cached {
+							cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+						}
+						rs, err := Query(g, c.query, nil, cfg)
+						if c.err != "" {
+							if err == nil || !strings.Contains(err.Error(), c.err) {
+								t.Errorf("cfg=%+v %s: err = %v, want %q", cfg, c.query, err, c.err)
 							}
-							cfg := Config{TraverseBatch: batch, OpThreads: threads, NoCostPlanner: textual, noPushdown: noPushdown}
-							if cached {
-								cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-							}
-							rs, err := Query(g, c.query, nil, cfg)
-							if c.err != "" {
-								if err == nil || !strings.Contains(err.Error(), c.err) {
-									t.Errorf("cfg=%+v %s: err = %v, want %q", cfg, c.query, err, c.err)
-								}
-								continue
-							}
-							if err != nil {
-								t.Fatalf("cfg=%+v %s: %v", cfg, c.query, err)
-							}
-							rs.Stats.ExecutionTime = 0
-							if got := render(rs); got != c.rows || rs.Stats != c.stats {
-								t.Errorf("cfg=%+v %s:\nrows %q stats %+v\nwant %q stats %+v", cfg, c.query, got, rs.Stats, c.rows, c.stats)
-							}
-							if c.after == "" {
-								continue
-							}
-							rs, err = Query(g, c.after, nil, cfg)
-							if err != nil {
-								t.Fatalf("cfg=%+v %s: %v", cfg, c.after, err)
-							}
-							if got := render(rs); got != c.again {
-								t.Errorf("cfg=%+v after %s: %s = %q, want %q", cfg, c.query, c.after, got, c.again)
-							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("cfg=%+v %s: %v", cfg, c.query, err)
+						}
+						rs.Stats.ExecutionTime = 0
+						if got := render(rs); got != c.rows || rs.Stats != c.stats {
+							t.Errorf("cfg=%+v %s:\nrows %q stats %+v\nwant %q stats %+v", cfg, c.query, got, rs.Stats, c.rows, c.stats)
+						}
+						if c.after == "" {
+							continue
+						}
+						rs, err = Query(g, c.after, nil, cfg)
+						if err != nil {
+							t.Fatalf("cfg=%+v %s: %v", cfg, c.after, err)
+						}
+						if got := render(rs); got != c.again {
+							t.Errorf("cfg=%+v after %s: %s = %q, want %q", cfg, c.query, c.after, got, c.again)
 						}
 					}
 				}

@@ -5,7 +5,6 @@ import (
 
 	"redisgraph/internal/graph"
 	"redisgraph/internal/grb"
-	"redisgraph/internal/pool"
 	"redisgraph/internal/value"
 )
 
@@ -13,7 +12,6 @@ import (
 type execCtx struct {
 	g      *graph.Graph
 	params map[string]value.Value
-	desc   *grb.Descriptor
 	stats  *Statistics
 	// mut mediates the exclusive-lock bursts write operations wrap around
 	// their graph mutations.
@@ -24,20 +22,12 @@ type execCtx struct {
 	// batch, when non-zero, overrides the pipeline batch size
 	// (Config.TraverseBatch); 1 forces tuple-at-a-time execution.
 	batch int
-	// threads is the resolved per-query thread budget (Config.OpThreads,
-	// >= 1). It widens automatic batch sizes so morselised kernels see
-	// enough frontier rows, and is 1 inside parallel pipeline segments.
-	threads int
 	// kernel selects the traversal kernel direction (Config.TraverseKernel):
 	// density-adaptive per hop by default, forced for differential baselines.
 	kernel kernelMode
 	// deadline, when non-zero, aborts long queries (the benchmark's timeout
 	// guard; the paper reports RedisGraph had none on the large graphs).
 	deadline time.Time
-	// sched is the query's pool scheduling context (nil under
-	// FAIR_SCHEDULER 0): pipeline segments and kernel morsels submitted
-	// through it are attributed to this query by the fair dispatcher.
-	sched *pool.SchedCtx
 }
 
 // operand resolves an algebraic operand — with transpose set, its
@@ -88,7 +78,7 @@ func (ctx *execCtx) batchSize() int {
 	if ctx.batch > 0 {
 		return ctx.batch
 	}
-	return scaledBatch(defaultTraverseBatch, ctx.threads)
+	return defaultTraverseBatch
 }
 
 // traverseBatch resolves the effective frontier batch size for a traversal
@@ -97,8 +87,6 @@ func (ctx *execCtx) traverseBatch(planned int) int {
 	bs := planned
 	if ctx.batch != 0 {
 		bs = ctx.batch
-	} else {
-		bs = scaledBatch(bs, ctx.threads)
 	}
 	if bs < 1 {
 		bs = 1
@@ -106,44 +94,10 @@ func (ctx *execCtx) traverseBatch(planned int) int {
 	return bs
 }
 
-// maxAutoBatch caps the thread-scaled automatic batch size; past ~1k rows
-// the frontier stops fitting comfortably in cache and wider batches stop
-// paying for themselves.
-const maxAutoBatch = 1024
-
-// scaledBatch widens an automatic batch size by the query's thread budget:
-// the morselised kernels split frontier rows across workers, so the default
-// 64-row batch would leave most of a multi-thread budget idle. Explicit
-// TRAVERSE_BATCH settings are never scaled.
-func scaledBatch(base, threads int) int {
-	if threads <= 1 {
-		return base
-	}
-	bs := base * threads
-	if bs > maxAutoBatch {
-		bs = maxAutoBatch
-	}
-	return bs
-}
-
-// forWorker derives the execution context for one parallel pipeline segment:
-// private operand lists (operand reuses them) and a single-threaded kernel
-// descriptor — the segments themselves are the
-// query's parallelism. Segments only exist in read-only plans
-// (parallelizePlan refuses writes), so sharing the graph, params, stats and
-// deadline by value is safe.
-func (ctx *execCtx) forWorker() *execCtx {
-	c := *ctx
-	c.parts = [2][]*grb.DeltaMatrix{}
-	c.desc = &grb.Descriptor{NThreads: 1, Sched: ctx.sched}
-	c.threads = 1
-	return &c
-}
-
 // planNode is one immutable node of a query plan: what the planner builds,
 // the plan cache stores and EXPLAIN prints. Nothing writes a node once plan
-// construction (buildPlanOpts, including the parallel-segment decision) has
-// returned, so any number of concurrent executions share one tree.
+// construction (buildPlanOpts) has returned, so any number of concurrent
+// executions share one tree.
 type planNode interface {
 	// name is the node's display name for EXPLAIN/PROFILE.
 	name() string
@@ -163,10 +117,6 @@ func (u *unary) children() []planNode {
 	return []planNode{u.child}
 }
 
-// input exposes the link parallelizePlan splices its merge node into while
-// the plan is still under construction.
-func (u *unary) input() *unary { return u }
-
 // operation is a running op: the per-execution state of one plan node (pull
 // buffers, arenas, memos, done flags) plus a pointer to the node it runs.
 // instantiate builds a fresh tree of them per execution. Every hot operation
@@ -182,7 +132,7 @@ type operation interface {
 
 // profileDescriber is implemented by running ops whose PROFILE line carries
 // what only execution knows: the effective batch size and kernel mix of a
-// traversal, the summed worker time of a parallel merge.
+// traversal.
 type profileDescriber interface {
 	profileArgs() string
 }

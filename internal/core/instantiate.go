@@ -8,10 +8,6 @@ package core
 
 // instOpts carries what varies between two instantiations of the same nodes.
 type instOpts struct {
-	// part/parts give the childless entry scan its stripe when the nodes are
-	// instantiated as one of a parallel merge's segments (parts <= 1: the
-	// whole scan).
-	part, parts int
 	// prof, when non-nil, wraps every running op in a profiledOp and records
 	// it under its node (GRAPH.PROFILE).
 	prof map[planNode]*profiledOp
@@ -29,8 +25,7 @@ func instantiate(n planNode, opts instOpts) operation {
 }
 
 // open is instantiate without the profiler's wrapper around n itself: the
-// parallel merges, the traversal count and the scan aggregate drive a
-// concrete op type directly.
+// traversal count and the scan aggregate drive a concrete op type directly.
 func (opts instOpts) open(n planNode) operation {
 	switch n := n.(type) {
 	case *argumentNode:
@@ -83,17 +78,14 @@ func (opts instOpts) open(n planNode) operation {
 		return &setOp{setNode: n, child: instantiate(n.child, opts)}
 	case *joinNode:
 		return &joinOp{joinNode: n, probe: instantiate(n.probe, opts), build: instantiate(n.build, opts)}
-	case *parallelNode:
-		return opts.openParallel(n)
 	}
 	panic("core: instantiate: unknown plan node")
 }
 
-// scanPass starts a scan's running state: its input, or — for the childless
-// scan a segment chain ends in — this instantiation's stripe.
+// scanPass starts a scan's running state: its input, if it has one.
 func (opts instOpts) scanPass(n *scanNode) scanPass {
 	if n.child == nil {
-		return scanPass{part: opts.part, parts: opts.parts}
+		return scanPass{}
 	}
 	return scanPass{child: instantiate(n.child, opts)}
 }

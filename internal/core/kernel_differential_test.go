@@ -15,7 +15,7 @@ func kernelConfigs() []Config {
 	var out []Config
 	for _, batch := range []int{1, 64} {
 		for _, kernel := range []string{"auto", "push", "pull"} {
-			out = append(out, Config{OpThreads: 1, TraverseBatch: batch, TraverseKernel: kernel})
+			out = append(out, Config{TraverseBatch: batch, TraverseKernel: kernel})
 		}
 	}
 	return out
@@ -110,7 +110,7 @@ func TestProfileReportsKernel(t *testing.T) {
 		{"pull", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
 	}
 	for _, c := range cases {
-		lines, err := Profile(g, c.query, nil, Config{OpThreads: 1, TraverseKernel: c.kernel})
+		lines, err := Profile(g, c.query, nil, Config{TraverseKernel: c.kernel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func BenchmarkMixedHop(b *testing.B) {
 				name = hop.name + "/after-create"
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := Config{OpThreads: 1, PlanCache: NewPlanCache(DefaultPlanCacheSize)}
+				cfg := Config{PlanCache: NewPlanCache(DefaultPlanCacheSize)}
 				if _, err := Query(g, create, writes[0], cfg); err != nil { // plan both, warm the pools
 					b.Fatal(err)
 				}

@@ -196,36 +196,6 @@ func (s *aggState) addFloat(f float64) {
 	s.sum += f
 }
 
-// merge folds another partial state for the same group into s. Used by the
-// parallel aggregation merge; distinct aggregates never reach it (their
-// per-segment dedup sets cannot be combined, so the planner refuses to
-// parallelise them).
-func (s *aggState) merge(spec *aggSpec, src *aggState) {
-	switch spec.kind {
-	case aggCount:
-		s.count += src.count
-	case aggSum:
-		if src.sumIsFl {
-			s.addFloat(src.sum)
-		} else {
-			s.addInt(src.isum)
-		}
-	case aggAvg:
-		s.count += src.count
-		s.sum += src.sum
-	case aggMin:
-		if !src.minv.IsNull() && (s.minv.IsNull() || value.OrderLess(src.minv, s.minv)) {
-			s.minv, s.minF = src.minv, src.minF
-		}
-	case aggMax:
-		if !src.maxv.IsNull() && (s.maxv.IsNull() || value.OrderLess(s.maxv, src.maxv)) {
-			s.maxv, s.maxF = src.maxv, src.maxF
-		}
-	case aggCollect:
-		s.list = append(s.list, src.list...)
-	}
-}
-
 func (s *aggState) finalize(spec *aggSpec) value.Value {
 	switch spec.kind {
 	case aggCount:
@@ -439,9 +409,6 @@ func (o *distinctOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 // distinctKey builds the dedup key over a record's first `visible` slots.
-// The serial distinctOp and the parallel merge (parallelDistinctOp) must use
-// the identical construction, or a row could survive one path and not the
-// other.
 func distinctKey(r record, visible int) string {
 	var kb strings.Builder
 	for i := 0; i < visible && i < len(r); i++ {
@@ -487,9 +454,7 @@ type sortOp struct {
 	primed bool
 }
 
-// prime materialises and sorts the input. Split out from nextBatch so the
-// parallel sort merge can drive one segment's sort on a worker context and
-// then read o.rows directly.
+// prime materialises and sorts the input.
 func (o *sortOp) prime(ctx *execCtx) error {
 	for {
 		b, err := o.child.nextBatch(ctx)
@@ -600,8 +565,6 @@ func (o *topNSortNode) bound(ctx *execCtx) (int, error) {
 }
 
 // prime drains the input through the bounded heap and sorts the survivors.
-// Split out from nextBatch so the parallel top-N merge can fill one
-// segment's heap on a worker context and then read o.h.rows directly.
 func (o *topNSortOp) prime(ctx *execCtx) error {
 	keep, err := o.bound(ctx)
 	if err != nil {

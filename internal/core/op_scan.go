@@ -102,13 +102,15 @@ func (c *compiledScanFilter) admitMask(id uint64) bool {
 }
 
 // filterProps compacts a pass's candidate list in place to the rows passing
-// every pushed property comparison, before any record exists. The caller
-// must own ids.
-func (c *compiledScanFilter) filterProps(ctx *execCtx, ids []uint64) []uint64 {
-	if len(c.preds) == 0 {
-		return ids
+// every pushed property comparison, before any record exists, preserving
+// ascending order: each comparison in turn filters the survivors of the one
+// before. The caller must own ids (never an index posting or another shared
+// backing array).
+func (c *compiledScanFilter) filterProps(ids []uint64) []uint64 {
+	for i := range c.preds {
+		ids = c.preds[i].filter(ids)
 	}
-	return filterIDsColumnar(ctx, c.preds, ids)
+	return ids
 }
 
 // scanNode is the planned state the three scans share. With a child the scan
@@ -119,23 +121,9 @@ type scanNode struct {
 	alias  string
 	width  int
 	pushed *scanFilter
-	// segments is the number of pipeline segments parallelizePlan striped
-	// this entry scan across (<= 1: none). Which stripe a running scan takes
-	// is per-execution state (scanPass.part).
-	segments int
 }
 
 func (n *scanNode) scan() *scanNode { return n }
-
-// describe renders the pushed filter and, on a striped entry scan, segment
-// 1's residue class (1-based, matching the "workers: K" merge annotation).
-func (n *scanNode) describe() string {
-	s := n.pushed.describe()
-	if n.segments > 1 {
-		s += fmt.Sprintf(" | segment 1/%d", n.segments)
-	}
-	return s
-}
 
 // passLoader is the part of a scan that differs between the three: building
 // one pass's candidates from the filter compiled for it.
@@ -152,10 +140,6 @@ var idBufPool = sync.Pool{New: func() any { return new([]uint64) }}
 // the open pass, its candidates, and the compiled-filter memo.
 type scanPass struct {
 	child operation
-	// part/parts restrict a childless entry scan to one stripe of its
-	// candidates when it runs as a parallel segment. parts <= 1 scans
-	// everything.
-	part, parts int
 
 	in     batchPuller
 	cur    record
@@ -261,29 +245,19 @@ func (s *scanPass) compile(ctx *execCtx, f *scanFilter) (compiledScanFilter, err
 	return out, nil
 }
 
-// inStripe reports whether candidate k (an id or a list position, whichever
-// the scan stripes by) belongs to this segment.
-func (s *scanPass) inStripe(k int) bool {
-	return s.parts <= 1 || k%s.parts == s.part
-}
-
-// narrow compacts the pass's loaded candidates in place to this segment's
-// stripe (by node ID when byID, else by list position) and the pushed label
+// narrow compacts the pass's loaded candidates in place to the pushed label
 // mask, then runs them through the pushed property comparisons.
-func (s *scanPass) narrow(ctx *execCtx, cf compiledScanFilter, byID bool) {
-	if s.parts > 1 || cf.mask != nil {
+func (s *scanPass) narrow(cf compiledScanFilter) {
+	if cf.mask != nil {
 		kept := s.ids[:0]
-		for k, id := range s.ids {
-			if byID {
-				k = int(id)
-			}
-			if s.inStripe(k) && cf.admitMask(id) {
+		for _, id := range s.ids {
+			if cf.admitMask(id) {
 				kept = append(kept, id)
 			}
 		}
 		s.ids = kept
 	}
-	s.ids = cf.filterProps(ctx, s.ids)
+	s.ids = cf.filterProps(s.ids)
 }
 
 // sweepNext returns a sweeping pass's next admitted node ID, or false once
@@ -292,7 +266,7 @@ func (s *scanPass) sweepNext(ctx *execCtx) (uint64, bool) {
 	for high := uint64(ctx.g.Dim()); s.nextID < high; {
 		id := s.nextID
 		s.nextID++
-		if s.inStripe(int(id)) && (s.sweepMask == nil || s.sweepMask(grb.Index(id))) {
+		if s.sweepMask == nil || s.sweepMask(grb.Index(id)) {
 			return id, true
 		}
 	}
@@ -351,7 +325,7 @@ func (s *scanPass) nextBatch(ctx *execCtx, n *scanNode, src passLoader) (recordB
 type allNodeScanNode struct{ scanNode }
 
 func (n *allNodeScanNode) name() string { return "AllNodeScan" }
-func (n *allNodeScanNode) args() string { return n.alias + n.describe() }
+func (n *allNodeScanNode) args() string { return n.alias + n.pushed.describe() }
 
 type allNodeScanOp struct {
 	*allNodeScanNode
@@ -364,16 +338,15 @@ func (o *allNodeScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 
 // loadPass: with pushed property comparisons the pass walks the first
 // comparison's candidate list (rows without the attribute can never pass, so
-// they are skipped wholesale), striped, masked and run through every
-// comparison. Without any there is nothing to narrow by, and the pass sweeps
-// [0, Dim).
+// they are skipped wholesale), masked and run through every comparison.
+// Without any there is nothing to narrow by, and the pass sweeps [0, Dim).
 func (o *allNodeScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	if len(cf.preds) == 0 {
 		o.sweep, o.sweepMask = true, cf.mask
 		return nil
 	}
 	o.ids = cf.preds[0].candidates(o.ids[:0])
-	o.narrow(ctx, cf, true)
+	o.narrow(cf)
 	return nil
 }
 
@@ -388,7 +361,7 @@ type labelScanNode struct {
 
 func (n *labelScanNode) name() string { return "NodeByLabelScan" }
 func (n *labelScanNode) args() string {
-	return fmt.Sprintf("%s:%s%s", n.alias, n.label, n.describe())
+	return fmt.Sprintf("%s:%s%s", n.alias, n.label, n.pushed.describe())
 }
 
 type labelScanOp struct {
@@ -401,8 +374,8 @@ func (o *labelScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 // loadPass builds the fully filtered candidate list: the label's members
-// read off its diagonal, striped by position, masked by the pushed labels,
-// then run through the pushed property comparisons.
+// read off its diagonal, masked by the pushed labels, then run through the
+// pushed property comparisons.
 func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lm := labelMatrix(ctx.g, o.label)
@@ -410,7 +383,7 @@ func (o *labelScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 		return nil
 	}
 	o.ids = lm.AppendDiag(o.ids)
-	o.narrow(ctx, cf, false)
+	o.narrow(cf)
 	return nil
 }
 
@@ -425,7 +398,7 @@ type indexScanNode struct {
 
 func (n *indexScanNode) name() string { return "NodeByIndexScan" }
 func (n *indexScanNode) args() string {
-	return fmt.Sprintf("%s:%s(%s)%s", n.alias, n.label, n.attr, n.describe())
+	return fmt.Sprintf("%s:%s(%s)%s", n.alias, n.label, n.attr, n.pushed.describe())
 }
 
 type indexScanOp struct {
@@ -438,10 +411,7 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 // loadPass resolves the seed list: a private copy of the index posting for
-// the key, striped by position (not by id value: index postings are often
-// skewed, and position striping balances segments regardless of how ids were
-// assigned), then run through the pushed label masks and property
-// comparisons.
+// the key, run through the pushed label masks and property comparisons.
 func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lid, okL := ctx.g.Schema.LabelID(o.label)
@@ -458,7 +428,7 @@ func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 		return err
 	}
 	o.ids = append(o.ids, ix.Lookup(v)...)
-	o.narrow(ctx, cf, false)
+	o.narrow(cf)
 	return nil
 }
 

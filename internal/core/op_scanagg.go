@@ -26,7 +26,6 @@ type scanAggregateNode struct {
 type aggregatedScan interface {
 	planNode
 	scan() *scanNode
-	input() *unary
 }
 
 // scanAggItem is one output column: the aggregate and the node property it
@@ -46,7 +45,6 @@ func (n *scanAggregateNode) args() string {
 	return n.scan.args() + " | " + strings.Join(descs, ", ")
 }
 func (n *scanAggregateNode) children() []planNode { return n.scan.children() }
-func (n *scanAggregateNode) input() *unary        { return n.scan.input() }
 
 // scanRunner is the running op of an aggregatedScan: its pass state and the
 // loader that fills one pass's candidates.

@@ -97,15 +97,6 @@ func (o *condTraverseOp) dstMaskFn(ctx *execCtx) (grb.ColMask, error) {
 	return m, nil
 }
 
-// describeThreads renders an operation's kernel parallelism degree for
-// EXPLAIN/PROFILE; the default single-threaded case prints nothing.
-func describeThreads(n int) string {
-	if n <= 1 {
-		return ""
-	}
-	return fmt.Sprintf(" | threads: %d", n)
-}
-
 func describeMasks(masks []dstMask) string {
 	if len(masks) == 0 {
 		return ""
@@ -139,7 +130,6 @@ type condTraverseNode struct {
 	types     []string // for edge lookup; none = any type
 	direction cypher.Direction
 	optional  bool
-	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
 }
 
 type condTraverseOp struct {
@@ -316,7 +306,7 @@ func (n *condTraverseNode) name() string {
 // describe renders the node with a given batch size and kernel mix: the
 // planned ones for EXPLAIN, the effective ones for PROFILE.
 func (n *condTraverseNode) describe(batch int, ks kernelStats) string {
-	return fmt.Sprintf("%s | batched(%d)%s%s%s", n.ae.String(), batch, describeThreads(n.kthreads), describeMasks(n.masks), ks.describe())
+	return fmt.Sprintf("%s | batched(%d)%s%s", n.ae.String(), batch, describeMasks(n.masks), ks.describe())
 }
 func (n *condTraverseNode) args() string      { return n.describe(n.batch, kernelStats{}) }
 func (o *condTraverseOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
@@ -336,7 +326,6 @@ type expandIntoNode struct {
 	ae        *algebraicExpr
 	types     []string
 	direction cypher.Direction
-	kthreads  int // kernel parallelism degree, for EXPLAIN/PROFILE
 }
 
 type expandIntoOp struct {
@@ -485,7 +474,7 @@ func (o *expandIntoOp) emitConnected(ctx *execCtx, in record) {
 
 func (n *expandIntoNode) name() string { return "ExpandInto" }
 func (n *expandIntoNode) describe(batch int, ks kernelStats) string {
-	return fmt.Sprintf("%s | batched(%d)%s%s", n.ae.String(), batch, describeThreads(n.kthreads), ks.describe())
+	return fmt.Sprintf("%s | batched(%d)%s", n.ae.String(), batch, ks.describe())
 }
 func (n *expandIntoNode) args() string      { return n.describe(n.batch, kernelStats{}) }
 func (o *expandIntoOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
@@ -496,14 +485,8 @@ func (o *expandIntoOp) profileArgs() string { return o.describe(o.effBatch, o.ks
 // traversal's result frontiers — the paper's own k-hop counting strategy —
 // so no output record is ever materialised. Pushed destination masks and
 // destination labels still apply: they filter the frontiers before the
-// reduction.
-type traverseCountNode struct{ t countedTraversal }
-
-// countedTraversal is a traversal node a traverseCountNode stands over.
-type countedTraversal interface {
-	planNode
-	input() *unary
-}
+// reduction. t is the traversal node it stands over.
+type traverseCountNode struct{ t planNode }
 
 func (n *traverseCountNode) name() string {
 	if _, ok := n.t.(*varLenTraverseNode); ok {
@@ -513,9 +496,8 @@ func (n *traverseCountNode) name() string {
 }
 func (n *traverseCountNode) args() string         { return n.t.args() }
 func (n *traverseCountNode) children() []planNode { return n.t.children() }
-func (n *traverseCountNode) input() *unary        { return n.t.input() }
 
-// counter is the running op of a countedTraversal: it counts the nodes its
+// counter is the running op of a counted traversal: it counts the nodes its
 // whole input reaches without building a record.
 type counter interface {
 	profileDescriber

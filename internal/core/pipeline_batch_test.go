@@ -239,7 +239,7 @@ func TestMergeBatches(t *testing.T) {
 	}
 	m := instantiate(mn, instOpts{})
 	g.RLock()
-	ctx := &execCtx{g: g, batch: 4, threads: 1, stats: &Statistics{}}
+	ctx := &execCtx{g: g, batch: 4, stats: &Statistics{}}
 	var sizes []int
 	for {
 		b, err := m.nextBatch(ctx)

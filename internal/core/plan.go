@@ -43,9 +43,6 @@ type planBuilder struct {
 	// the greedy hop ordering and cartesian rescans (the join differential
 	// tests' baseline).
 	noJoinPlanner bool
-	// threads is the query's resolved thread budget (planOptions.Threads),
-	// recorded on traversal operations for EXPLAIN/PROFILE.
-	threads int
 	// gs is the stats snapshot feeding the cost model (see logical.go).
 	gs *graph.Stats
 	// cond is the conditioned degree-statistics snapshot: per-(label ×
@@ -106,10 +103,6 @@ type planOptions struct {
 	// disabling hash joins and the DP join-order search (the join
 	// differential tests' baseline). Implied by NoCostPlanner.
 	NoJoinPlanner bool
-	// Threads is the query's resolved thread budget. Above 1 it enables
-	// pipeline-segment parallelisation of eligible read-only plans and
-	// annotates traversal operations with their kernel parallelism degree.
-	Threads int
 }
 
 // BuildPlan compiles a parsed query against a graph.
@@ -117,15 +110,13 @@ func BuildPlan(g *graph.Graph, q *cypher.Query) (*Plan, error) {
 	return buildPlanOpts(g, q, planOptions{})
 }
 
-// buildPlanOpts compiles the single-pipeline plan, then makes the
-// parallel-segment decision for the thread budget (parallelizePlan). What it
-// returns is final: nothing assigns a plan-node field afterwards.
+// buildPlanOpts compiles the single-pipeline plan. What it returns is final:
+// nothing assigns a plan-node field afterwards.
 func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {
 	b := &planBuilder{g: g, st: newSymtab(), bound: map[string]bool{}, readonly: true,
 		noPushdown: opts.NoPushdown, noCostPlanner: opts.NoCostPlanner,
-		noJoinPlanner: opts.NoJoinPlanner || opts.NoCostPlanner, threads: opts.Threads,
-		gs: g.Stats(), cond: g.CondStats(), binders: map[string]*binderInfo{},
-		est: map[planNode]float64{}, rowEst: 1}
+		noJoinPlanner: opts.NoJoinPlanner || opts.NoCostPlanner, gs: g.Stats(), cond: g.CondStats(),
+		binders: map[string]*binderInfo{}, est: map[planNode]float64{}, rowEst: 1}
 	for i := 0; i < len(q.Clauses); i++ {
 		if b.terminated {
 			return nil, fmt.Errorf("core: RETURN must be the final clause")
@@ -179,9 +170,7 @@ func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, er
 	if b.cur == nil {
 		return nil, fmt.Errorf("core: empty plan")
 	}
-	p := &Plan{root: b.cur, columns: b.columns, visible: b.visible, ReadOnly: b.readonly, est: b.est}
-	parallelizePlan(p, opts.Threads)
-	return p, nil
+	return &Plan{root: b.cur, columns: b.columns, visible: b.visible, ReadOnly: b.readonly, est: b.est}, nil
 }
 
 func (b *planBuilder) anonVar() string {
@@ -657,8 +646,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	if dstBound {
 		dstSlot, _ := b.st.lookup(dstVar)
 		b.setCur(&expandIntoNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
-			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir,
-			kthreads: b.threads},
+			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir},
 			b.rowEst*b.pairProbability(rel))
 	} else {
 		dstSlot := b.st.add(dstVar)
@@ -673,7 +661,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 		}
 		b.setCur(&condTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
 			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir,
-			optional: optional, kthreads: b.threads},
+			optional: optional},
 			est)
 		b.binders[dstVar] = &binderInfo{op: b.cur, labels: dstNode.Labels}
 	}
@@ -780,7 +768,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	// the estimate map so the sub-plan's operations annotate too.
 	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon,
 		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner, noJoinPlanner: b.noJoinPlanner,
-		threads: b.threads, gs: b.gs, cond: b.cond,
+		gs: b.gs, cond: b.cond,
 		binders: map[string]*binderInfo{}, est: b.est, rowEst: 1}
 	if err := mb.buildPattern(c.Pattern, false); err != nil {
 		return err
@@ -1059,7 +1047,7 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child planNod
 	if !ok || fc.Name != "count" || fc.Distinct {
 		return nil
 	}
-	var t countedTraversal
+	var t planNode
 	var dstSlot int
 	switch c := child.(type) {
 	case *condTraverseNode:

@@ -44,8 +44,8 @@ import (
 // small enough that cold shapes age out quickly.
 const DefaultPlanCacheSize = 128
 
-// planKey identifies one cached template. The planner options (thread
-// budget, pushdown and planner toggles) all change the planned tree, so they
+// planKey identifies one cached template. The planner options (pushdown and
+// planner toggles) all change the planned tree, so they
 // key separately; batch size and kernel direction resolve at execution time
 // and do not.
 type planKey struct {

@@ -234,9 +234,9 @@ func mustLabel(t testing.TB, g *graph.Graph, name string) int {
 }
 
 // TestPlanCacheDifferentialConfigs runs one query through one shared cache
-// across the thread/batch/kernel grid: thread budgets key separate templates,
-// batch and kernel resolve at execution time on a shared one, and every cell
-// must match the uncached answer.
+// across the planner/batch/kernel grid: the cost-planner toggle keys separate
+// templates, batch and kernel resolve at execution time on a shared one, and
+// every cell must match the uncached answer.
 func TestPlanCacheDifferentialConfigs(t *testing.T) {
 	g := adversarialGraph(t, 200)
 	pc := NewPlanCache(DefaultPlanCacheSize)
@@ -247,10 +247,10 @@ func TestPlanCacheDifferentialConfigs(t *testing.T) {
 	}
 	p := intParam("id", 7)
 	for _, q := range queries {
-		for _, th := range []int{1, 4} {
+		for _, textual := range []bool{false, true} {
 			for _, batch := range []int{1, 64} {
 				for _, kernel := range []string{"auto", "push", "pull"} {
-					cfg := Config{OpThreads: th, TraverseBatch: batch, TraverseKernel: kernel}
+					cfg := Config{NoCostPlanner: textual, TraverseBatch: batch, TraverseKernel: kernel}
 					want := runSortedP(t, g, q, p, cfg)
 					cfg.PlanCache = pc
 					got := runSortedP(t, g, q, p, cfg)
@@ -262,7 +262,7 @@ func TestPlanCacheDifferentialConfigs(t *testing.T) {
 			}
 		}
 	}
-	// 3 shapes x 2 thread budgets = 6 templates; batch/kernel never fork.
+	// 3 shapes x 2 planner settings = 6 templates; batch/kernel never fork.
 	if n := pc.Len(); n != 6 {
 		t.Errorf("cache holds %d templates, want 6 (batch/kernel must not key)", n)
 	}
@@ -345,7 +345,7 @@ func TestPlanCacheConcurrentSharedEntry(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cfg := Config{PlanCache: pc, OpThreads: 1 + w%3}
+			cfg := Config{PlanCache: pc}
 			for i := 0; i < 30; i++ {
 				id := int64((w*31 + i) % 200)
 				rs, err := Query(g, q, intParam("id", id), cfg)
@@ -369,7 +369,7 @@ func TestPlanCacheConcurrentSharedEntry(t *testing.T) {
 
 // TestPlanCacheSharedTemplateImmutable proves a cached template is really
 // shared and really immutable: goroutines mix Query, Profile and Explain
-// across thread counts and batch sizes on the same cache entries, over read,
+// across batch sizes on the same cache entries, over read,
 // traversal, aggregate, count-pushdown, var-length, join, top-N and
 // write-then-read shapes (run under -race in CI). Every answer must equal
 // the uncached run's, every entry must still hold the very *Plan it was
@@ -416,16 +416,14 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 	}
 
 	pc := NewPlanCache(DefaultPlanCacheSize)
-	threadCounts := []int{1, 4}
 	type primed struct {
 		tmpl *Plan
 		text string
 	}
-	templateOf := func(q string, threads int) primed {
-		cfg := Config{OpThreads: threads}
-		ent, ok := pc.lookup(planKey{g: g, text: cypher.CanonicalQueryText(q), opts: cfg.planOptions()})
+	templateOf := func(q string) primed {
+		ent, ok := pc.lookup(planKey{g: g, text: cypher.CanonicalQueryText(q), opts: Config{}.planOptions()})
 		if !ok {
-			t.Fatalf("no cache entry for threads=%d %s", threads, q)
+			t.Fatalf("no cache entry for %s", q)
 		}
 		tmpl, _, _, _ := pc.snapshot(ent)
 		var lines []string
@@ -434,14 +432,10 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 	}
 	before := map[string]primed{}
 	for _, q := range shapes {
-		for _, th := range threadCounts {
-			// EXPLAIN takes the configured thread count as is, so these
-			// are exactly the entries the goroutines' Explain calls share.
-			if _, err := Explain(g, q, Config{PlanCache: pc, OpThreads: th}); err != nil {
-				t.Fatal(err)
-			}
-			before[fmt.Sprint(th, q)] = templateOf(q, th)
+		if _, err := Explain(g, q, Config{PlanCache: pc}); err != nil {
+			t.Fatal(err)
 		}
+		before[q] = templateOf(q)
 	}
 
 	var wg sync.WaitGroup
@@ -452,16 +446,15 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				for s, q := range shapes {
-					th := threadCounts[(w+i)%2]
-					cfg := Config{PlanCache: pc, OpThreads: th, TraverseBatch: []int{0, 1, 7}[(w+i+s)%3]}
+					cfg := Config{PlanCache: pc, TraverseBatch: []int{0, 1, 7}[(w+i+s)%3]}
 					id := (w*5 + i*3 + s) % ids
 					switch (w + i + s) % 4 {
 					case 0:
 						lines, err := Explain(g, q, cfg)
 						if err != nil {
 							errs <- err.Error()
-						} else if got := strings.Join(lines[1:], "\n"); got != before[fmt.Sprint(th, q)].text {
-							errs <- fmt.Sprintf("EXPLAIN drifted mid-run (threads=%d) %s:\n%s", th, q, got)
+						} else if got := strings.Join(lines[1:], "\n"); got != before[q].text {
+							errs <- fmt.Sprintf("EXPLAIN drifted mid-run %s:\n%s", q, got)
 						}
 					case 1:
 						if _, err := Profile(g, q, intParam("id", int64(id)), cfg); err != nil {
@@ -485,14 +478,12 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 		t.Error(e)
 	}
 	for _, q := range shapes {
-		for _, th := range threadCounts {
-			was, now := before[fmt.Sprint(th, q)], templateOf(q, th)
-			if now.tmpl != was.tmpl {
-				t.Errorf("threads=%d %s: the entry's template was replaced", th, q)
-			}
-			if now.text != was.text {
-				t.Errorf("threads=%d %s: template EXPLAIN changed:\nbefore:\n%s\nafter:\n%s", th, q, was.text, now.text)
-			}
+		was, now := before[q], templateOf(q)
+		if now.tmpl != was.tmpl {
+			t.Errorf("%s: the entry's template was replaced", q)
+		}
+		if now.text != was.text {
+			t.Errorf("%s: template EXPLAIN changed:\nbefore:\n%s\nafter:\n%s", q, was.text, now.text)
 		}
 	}
 	if c := pc.Counters(); c.Invalidations != 0 {

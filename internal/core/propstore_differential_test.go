@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -13,22 +12,18 @@ import (
 // propStoreConfigs is the property-read differential grid: the interpreted
 // reference (NoPushdown: every comparison boxes its column cell and runs
 // compareValues) and the compiled unboxed kernels, at every batch size x
-// thread count x kernel direction cell. Every cell must return rows
-// bit-identical to the serial interpreted baseline.
+// kernel direction cell. Every cell must return rows bit-identical to the
+// interpreted baseline.
 func propStoreConfigs() []Config {
-	threads := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var out []Config
 	for _, noPushdown := range []bool{true, false} {
-		for _, th := range threads {
-			for _, batch := range []int{1, 64} {
-				for _, kernel := range []string{"auto", "push", "pull"} {
-					out = append(out, Config{
-						OpThreads:      th,
-						TraverseBatch:  batch,
-						TraverseKernel: kernel,
-						noPushdown:     noPushdown,
-					})
-				}
+		for _, batch := range []int{1, 64} {
+			for _, kernel := range []string{"auto", "push", "pull"} {
+				out = append(out, Config{
+					TraverseBatch:  batch,
+					TraverseKernel: kernel,
+					noPushdown:     noPushdown,
+				})
 			}
 		}
 	}

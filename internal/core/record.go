@@ -1,6 +1,9 @@
 // Package core is the RedisGraph query engine: it compiles Cypher ASTs into
 // execution plans whose traversal operations are algebraic expressions over
-// the graph's GraphBLAS matrices, and executes them one record at a time.
+// the graph's GraphBLAS matrices, and executes them in record batches. A
+// query runs entirely on its caller's goroutine, as in the paper, where each
+// query runs on one thread of the threadpool; concurrency comes from
+// concurrent queries.
 package core
 
 import (

@@ -2,17 +2,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"redisgraph/internal/graph"
 )
-
-// raceThreadBudgets are the per-query thread budgets the race tests cycle
-// through, so -race exercises morselised kernels and parallel pipeline
-// segments alongside the serial path.
-var raceThreadBudgets = []int{1, 4, runtime.GOMAXPROCS(0)}
 
 // raceFixture builds a graph that still carries pending deltas (a huge sync
 // threshold keeps every write buffered), the state in which the old read
@@ -60,7 +54,7 @@ func TestConcurrentROQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				q := queries[(w+i)%len(queries)]
-				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)]}
+				cfg := Config{}
 				if _, err := ROQuery(g, q, nil, cfg); err != nil {
 					panic(fmt.Sprintf("%s: %v", q, err))
 				}
@@ -101,7 +95,7 @@ func TestConcurrentReadWriteQueries(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
-				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)]}
+				cfg := Config{}
 				i++
 				if _, err := ROQuery(g, q, nil, cfg); err != nil {
 					panic(fmt.Sprintf("%s: %v", q, err))
@@ -127,7 +121,7 @@ func TestConcurrentReadWriteQueries(t *testing.T) {
 				default:
 					q = fmt.Sprintf(`MATCH (a:N {uid: %d}) SET a.w = %d`, x, i)
 				}
-				cfg := Config{OpThreads: raceThreadBudgets[i%len(raceThreadBudgets)]}
+				cfg := Config{}
 				if _, err := Query(g, q, nil, cfg); err != nil {
 					panic(fmt.Sprintf("%s: %v", q, err))
 				}
@@ -170,7 +164,7 @@ func TestConcurrentLateBoundNames(t *testing.T) {
 					return
 				default:
 				}
-				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)]}
+				cfg := Config{}
 				if (w+i)%2 == 0 {
 					cfg.PlanCache = pc // plans cached before the names existed
 				}
@@ -235,8 +229,7 @@ func TestConcurrentUnionReaders(t *testing.T) {
 				default:
 				}
 				c := queries[(w+i)%len(queries)]
-				cfg := Config{OpThreads: raceThreadBudgets[(w+i)%len(raceThreadBudgets)],
-					TraverseKernel: []string{"auto", "pull", "push"}[(w+i)%3]}
+				cfg := Config{TraverseKernel: []string{"auto", "pull", "push"}[(w+i)%3]}
 				rs, err := ROQuery(g, c.q, nil, cfg)
 				if err != nil {
 					panic(fmt.Sprintf("%s: %v", c.q, err))

@@ -50,7 +50,7 @@ func BenchmarkScanAggregate(b *testing.B) {
 	}{{"clean", false}, {"pending", true}} {
 		b.Run(c.name, func(b *testing.B) {
 			g := build(c.pending)
-			cfg := Config{OpThreads: 1, PlanCache: NewPlanCache(DefaultPlanCacheSize)}
+			cfg := Config{PlanCache: NewPlanCache(DefaultPlanCacheSize)}
 			params := make([]map[string]value.Value, 100)
 			for t := range params {
 				params[t] = map[string]value.Value{"t": value.NewInt(int64(t))}

@@ -22,8 +22,7 @@ import (
 // 2⁵³ that float64 cannot all hold (e). After
 // a fold it buffers more nodes, null SETs, kind-changing
 // SETs and DETACH deletes without folding, so label matrices carry pending
-// delta-plus and delta-minus rows. :P(g) is indexed. A scan has more than
-// 512 candidates, so OpThreads 4 splits the pushed filters into morsels.
+// delta-plus and delta-minus rows. :P(g) is indexed.
 func scanAggGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	const n = scanAggNodes
@@ -162,11 +161,10 @@ func planText(t testing.TB, g *graph.Graph, query string, cfg Config) string {
 
 // TestScanAggregateDifferential checks every ScanAggregate answer against
 // Aggregate over the same scan (noPushdown), cell for cell and float bits
-// included, across batch × threads × kernel × plan cache. The reference runs
-// serially: a parallel Aggregate merges partial sums in another order. The
-// whole list runs twice: over the fixture's pending label diagonals (the
-// delta-aware member walk) and again after a fold (the members read off the
-// clean diagonal's column indices).
+// included, across batch × kernel × plan cache. The whole list runs twice:
+// over the fixture's pending label diagonals (the delta-aware member walk)
+// and again after a fold (the members read off the clean diagonal's column
+// indices).
 func TestScanAggregateDifferential(t *testing.T) {
 	g := scanAggGraph(t)
 	queries := scanAggQueries()
@@ -190,26 +188,24 @@ func TestScanAggregateDifferential(t *testing.T) {
 			t.Fatalf("%s fixture: pending deltas %d", state, g.PendingDeltas())
 		}
 		for _, batch := range []int{1, 64} {
-			for _, threads := range []int{1, 4} {
-				for _, kernel := range []string{"auto", "push", "pull"} {
-					for _, cached := range []bool{false, true} {
-						cfg := Config{TraverseBatch: batch, OpThreads: threads, TraverseKernel: kernel}
-						ref := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: true}
-						if cached {
-							cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-							ref.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-						}
-						list := queries
-						if batch == 64 && kernel == "auto" {
-							// The predicates neither traverse nor build
-							// records, so one batch size and kernel cover them.
-							list = all
-						}
-						for _, q := range list {
-							got, want := aggRowsParams(t, g, q, params, cfg), aggRowsParams(t, g, q, params, ref)
-							if got != want {
-								t.Fatalf("%s cfg %+v %s:\nScanAggregate %s\nAggregate     %s", state, cfg, q, got, want)
-							}
+			for _, kernel := range []string{"auto", "push", "pull"} {
+				for _, cached := range []bool{false, true} {
+					cfg := Config{TraverseBatch: batch, TraverseKernel: kernel}
+					ref := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: true}
+					if cached {
+						cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+						ref.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+					}
+					list := queries
+					if batch == 64 && kernel == "auto" {
+						// The predicates neither traverse nor build
+						// records, so one batch size and kernel cover them.
+						list = all
+					}
+					for _, q := range list {
+						got, want := aggRowsParams(t, g, q, params, cfg), aggRowsParams(t, g, q, params, ref)
+						if got != want {
+							t.Fatalf("%s cfg %+v %s:\nScanAggregate %s\nAggregate     %s", state, cfg, q, got, want)
 						}
 					}
 				}
@@ -269,8 +265,7 @@ func scanAggQueries() []string {
 		// Index scans, with and without a pushed predicate.
 		`MATCH (p:P {g: 1}) WHERE p.i > 10 RETURN count(p), sum(p.i), max(p.s)`,
 		`MATCH (p:P {g: 2}) RETURN count(p), sum(p.f), min(p.nan0)`,
-		// A scan with an input runs one pass per input record; at OpThreads 4
-		// the second input is a parallel merge spliced below the scan.
+		// A scan with an input runs one pass per input record.
 		`UNWIND [1, 2, 3] AS x MATCH (p:Q) RETURN count(*), sum(p.i), avg(p.f)`,
 		`MATCH (a:P)-[:R]->(b) WITH count(b) AS c MATCH (p:Q) RETURN count(p), sum(p.f)`,
 	}
@@ -309,8 +304,8 @@ func scanAggPredParams() map[string]value.Value {
 }
 
 // TestScanAggregateConcurrent runs scan aggregates from several goroutines
-// at once over one graph and one plan cache: pooled candidate buffers and
-// morsel-split filters must not leak rows between queries.
+// at once over one graph and one plan cache: pooled candidate buffers must
+// not leak rows between queries.
 func TestScanAggregateConcurrent(t *testing.T) {
 	g := scanAggGraph(t)
 	queries := []string{
@@ -322,7 +317,7 @@ func TestScanAggregateConcurrent(t *testing.T) {
 	for i, q := range queries {
 		want[i] = aggRows(t, g, q, Config{noPushdown: true})
 	}
-	cfg := Config{OpThreads: 4, PlanCache: NewPlanCache(DefaultPlanCacheSize)}
+	cfg := Config{PlanCache: NewPlanCache(DefaultPlanCacheSize)}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -436,7 +431,7 @@ func TestSumExact(t *testing.T) {
 		if len(c.vals) > 0 {
 			q(t, g, `UNWIND `+list+` AS x CREATE (:S {v: x})`)
 		}
-		for _, cfg := range []Config{{}, {noPushdown: true}, {noPushdown: true, OpThreads: 4}} {
+		for _, cfg := range []Config{{}, {noPushdown: true}} {
 			if got := aggRows(t, g, `MATCH (p:S) RETURN sum(p.v)`, cfg); got != c.want {
 				t.Errorf("cfg %+v: sum(p.v) over %s = %s, want %s", cfg, list, got, c.want)
 			}

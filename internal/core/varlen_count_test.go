@@ -116,7 +116,7 @@ func adjOf(n int, edges []varLenEdge, types string, reverse, both bool) *baselin
 // TestVarLenCountPushdown checks `count(n)` over a var-length hop, pushed
 // into the BFS kernel, against the same query with records and Aggregate
 // (noPushdown) and against baseline.AdjList's k-hop count, across batch ×
-// threads × kernel × plan cache, on a graph with pending deltas and
+// kernel × plan cache, on a graph with pending deltas and
 // DETACH-deleted nodes.
 func TestVarLenCountPushdown(t *testing.T) {
 	const n = 120
@@ -164,20 +164,18 @@ func TestVarLenCountPushdown(t *testing.T) {
 	}
 
 	for _, batch := range []int{1, 64} {
-		for _, threads := range []int{1, 4} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
-				for _, cached := range []bool{false, true} {
-					cfg := Config{TraverseBatch: batch, OpThreads: threads, TraverseKernel: kernel}
-					if cached {
-						cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
-					}
-					ref := cfg
-					ref.noPushdown = true
-					for _, sh := range shapes {
-						got, want := varLenCount(t, g, sh.query, cfg), varLenCount(t, g, sh.query, ref)
-						if got != want || (sh.want >= 0 && got != sh.want) {
-							t.Fatalf("cfg %+v %s: pushed %d, records %d, baseline %d", cfg, sh.query, got, want, sh.want)
-						}
+		for _, kernel := range []string{"auto", "push", "pull"} {
+			for _, cached := range []bool{false, true} {
+				cfg := Config{TraverseBatch: batch, TraverseKernel: kernel}
+				if cached {
+					cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
+				}
+				ref := cfg
+				ref.noPushdown = true
+				for _, sh := range shapes {
+					got, want := varLenCount(t, g, sh.query, cfg), varLenCount(t, g, sh.query, ref)
+					if got != want || (sh.want >= 0 && got != sh.want) {
+						t.Fatalf("cfg %+v %s: pushed %d, records %d, baseline %d", cfg, sh.query, got, want, sh.want)
 					}
 				}
 			}

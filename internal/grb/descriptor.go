@@ -1,32 +1,11 @@
 package grb
 
-import "redisgraph/internal/pool"
-
-// Descriptor carries an operation's execution settings. The zero value (and
-// a nil *Descriptor) runs the operation on the calling goroutine under the
-// pool's background context.
+// Descriptor carries an operation's execution settings, in the GraphBLAS
+// call shape. Every kernel runs on the calling goroutine: a query is never
+// split across goroutines, so the settings are ignored. Its only non-test
+// user is benchmark/trace.go, which builds one for MxMDelta, VxMDelta and
+// VxMPull.
 type Descriptor struct {
-	// NThreads bounds intra-operation parallelism, like SuiteSparse's
-	// GxB_NTHREADS. 0 or 1 keeps the operation on the calling goroutine,
-	// which is the RedisGraph one-core-per-query configuration.
+	// NThreads mirrors SuiteSparse's GxB_NTHREADS; kernels ignore it.
 	NThreads int
-	// Sched tags every morsel this operation submits with the owning
-	// query's scheduling context, so the shared pool's fair dispatcher can
-	// attribute and balance work across concurrent queries. Nil falls back
-	// to the pool's background context.
-	Sched *pool.SchedCtx
-}
-
-func (d *Descriptor) nthreads() int {
-	if d == nil || d.NThreads < 2 {
-		return 1
-	}
-	return d.NThreads
-}
-
-func (d *Descriptor) sched() *pool.SchedCtx {
-	if d == nil {
-		return nil
-	}
-	return d.Sched
 }

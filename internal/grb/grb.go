@@ -15,9 +15,11 @@
 // or an input transpose; each replaces its output. Matrix values are float64:
 // structure matrices store 1.0, a relation matrix its edge IDs.
 //
-// Concurrency: a Matrix holds no pending state, so once built it may be read
-// by any number of goroutines without a lock; a DeltaMatrix's readers never
-// fold either. Mutating calls (SetElement, Sync, a kernel writing its output)
+// Every kernel runs on the calling goroutine: a query is never split across
+// goroutines, and a Descriptor's thread count is ignored. Concurrency comes
+// from concurrent queries: a Matrix holds no pending state, so once built it
+// may be read by any number of goroutines without a lock; a DeltaMatrix's
+// readers never fold either. Mutating calls (SetElement, Sync, a kernel writing its output)
 // are not goroutine-safe: the graph layer runs them under its write lock.
 package grb
 

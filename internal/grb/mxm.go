@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// mxmWorkspace is the per-thread dense scatter buffer of the Gustavson
+// mxmWorkspace is the per-call dense scatter buffer of the Gustavson
 // kernel. Instances are pooled: the mark array carries row stamps drawn from
 // a package-global monotonic counter, so a reused workspace never needs
 // scrubbing — stale stamps from earlier calls are always smaller than any
@@ -38,7 +38,7 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 	if err := requireStructural("mxm", mask != nil, accum, s); err != nil {
 		return err
 	}
-	return MxMParts(c, a, []*DeltaMatrix{b}, d)
+	return MxMParts(c, a, []*DeltaMatrix{b})
 }
 
 // MxMParts replaces C with the structural product A·(B₁ ∨ B₂ ∨ …): C(i, j)
@@ -47,10 +47,8 @@ func MxMDelta(c *Matrix, mask *Matrix, accum *BinaryOp, s Semiring, a *Matrix, b
 // part is a delta matrix whose effective rows (main's live entries, then
 // delta-plus) Gustavson's row-wise kernel gathers in place under the result
 // row's one stamp, so no fold and no union of the parts ever happens — the
-// read path of concurrent query execution. When d.NThreads > 1 the rows are
-// split into grained morsels on the shared work-stealing pool and merged in
-// deterministic row order.
-func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix, d *Descriptor) error {
+// read path of concurrent query execution.
+func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix) error {
 	if c == nil || a == nil || len(bs) == 0 {
 		return ErrNilObject
 	}
@@ -66,88 +64,55 @@ func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix, d *Descriptor) error {
 		}
 	}
 
-	nth := d.nthreads()
-	nparts := partitionParts(a.nrows, nth, mxmRowGrain)
-	type partial struct {
-		rp []int
-		ci []Index
-	}
-	parts := make([]partial, nparts)
-
-	parallelRanges(d.sched(), a.nrows, nth, mxmRowGrain, func(part, lo, hi int) {
-		ws := getMxMWorkspace(c.ncols)
-		mark := ws.mark
-		base := mxmStamp.Add(int64(hi-lo)) - int64(hi-lo)
-		// Accumulate into the workspace's retained-capacity buffer, then
-		// snapshot an exact-size slice before the workspace returns to the
-		// pool — repeated small-batch calls then allocate only the result.
-		ci := ws.ci[:0]
-		p := &parts[part]
-		p.rp = make([]int, hi-lo+1)
-		for i := lo; i < hi; i++ {
-			ac, _ := a.rowView(i)
-			if b := bs[0]; len(bs) == 1 && len(ac) == 1 && b.row(ac[0]) == nil {
-				// Single-entry row (a one-hot traversal frontier) on a clean
-				// row of a one-part B: the result row is that row verbatim —
-				// already sorted and duplicate-free, so skip stamping and
-				// sorting entirely. A dirty row is unordered and takes the
-				// path below.
-				k := ac[0]
-				ci = append(ci, b.main.colInd[b.main.rowPtr[k]:b.main.rowPtr[k+1]]...)
-			} else {
-				stamp := base + int64(i-lo) + 1
-				start := len(ci)
-				for _, b := range bs {
-					brp, bci := b.main.rowPtr, b.main.colInd
-					for _, k := range ac {
-						r := b.row(k)
-						for p := brp[k]; p < brp[k+1]; p++ {
-							if j := bci[p]; mark[j] != stamp && !b.buried(r, p) {
+	ws := getMxMWorkspace(c.ncols)
+	mark := ws.mark
+	base := mxmStamp.Add(int64(a.nrows)) - int64(a.nrows)
+	// Accumulate into the workspace's retained-capacity buffer, then
+	// snapshot an exact-size slice before the workspace returns to the
+	// pool — repeated small-batch calls then allocate only the result.
+	ci := ws.ci[:0]
+	rp := make([]int, a.nrows+1)
+	for i := 0; i < a.nrows; i++ {
+		ac, _ := a.rowView(i)
+		if b := bs[0]; len(bs) == 1 && len(ac) == 1 && b.row(ac[0]) == nil {
+			// Single-entry row (a one-hot traversal frontier) on a clean
+			// row of a one-part B: the result row is that row verbatim —
+			// already sorted and duplicate-free, so skip stamping and
+			// sorting entirely. A dirty row is unordered and takes the
+			// path below.
+			k := ac[0]
+			ci = append(ci, b.main.colInd[b.main.rowPtr[k]:b.main.rowPtr[k+1]]...)
+		} else {
+			stamp := base + int64(i) + 1
+			start := len(ci)
+			for _, b := range bs {
+				brp, bci := b.main.rowPtr, b.main.colInd
+				for _, k := range ac {
+					r := b.row(k)
+					for p := brp[k]; p < brp[k+1]; p++ {
+						if j := bci[p]; mark[j] != stamp && !b.buried(r, p) {
+							mark[j] = stamp
+							ci = append(ci, j)
+						}
+					}
+					if r != nil {
+						for _, j := range r.cols {
+							if mark[j] != stamp {
 								mark[j] = stamp
 								ci = append(ci, j)
 							}
 						}
-						if r != nil {
-							for _, j := range r.cols {
-								if mark[j] != stamp {
-									mark[j] = stamp
-									ci = append(ci, j)
-								}
-							}
-						}
 					}
 				}
-				sortIndices(ci[start:])
 			}
-			p.rp[i-lo+1] = len(ci)
+			sortIndices(ci[start:])
 		}
-		p.ci = append(make([]Index, 0, len(ci)), ci...)
-		ws.ci = ci
-		mxmPool.Put(ws)
-	})
-
-	// Concatenate the partials in row order. A single-part run produced
-	// exactly one partial covering every row: adopt its slices instead of
-	// copying (the common case for batched traversal frontiers).
-	rp, ci := parts[0].rp, parts[0].ci
-	if nparts > 1 {
-		total := 0
-		for _, p := range parts {
-			total += len(p.ci)
-		}
-		rp = make([]int, c.nrows+1)
-		ci = make([]Index, 0, total)
-		row := 0
-		for _, p := range parts {
-			base := len(ci)
-			for r := 1; r < len(p.rp); r++ {
-				row++
-				rp[row] = base + p.rp[r]
-			}
-			ci = append(ci, p.ci...)
-		}
+		rp[i+1] = len(ci)
 	}
-	c.rowPtr, c.colInd, c.val = rp, ci, ones(len(ci))
+	out := append(make([]Index, 0, len(ci)), ci...)
+	ws.ci = ci
+	mxmPool.Put(ws)
+	c.rowPtr, c.colInd, c.val = rp, out, ones(len(out))
 	return nil
 }
 

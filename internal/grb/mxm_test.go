@@ -19,6 +19,8 @@ func TestMxMAgainstDenseReference(t *testing.T) {
 	}
 }
 
+// TestMxMParallelMatchesSerial checks a descriptor's thread count changes
+// nothing: kernels ignore it and run on the caller.
 func TestMxMParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMatrix(rng, 60, 60, 0.1)

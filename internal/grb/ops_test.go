@@ -8,8 +8,8 @@ import (
 
 // TestMxMPartsMatchesUnion checks the product with a k = 1…4 part operand
 // against a dense product with the parts' union, for parts clean and with
-// pending deltas, frontier rows one-hot and wider, serial and morselised,
-// and the parts in either order. The graph hands the kernel a multi-type,
+// pending deltas, frontier rows one-hot and wider, and the parts in either
+// order. The graph hands the kernel a multi-type,
 // untyped or undirected hop this way: relation matrices whose values are
 // edge IDs, one of them possibly a transpose of another.
 func TestMxMPartsMatchesUnion(t *testing.T) {
@@ -51,24 +51,21 @@ func TestMxMPartsMatchesUnion(t *testing.T) {
 			want := denseMxM(toDenseM(f), union)
 			reversed := append([]*DeltaMatrix(nil), parts...)
 			slices.Reverse(reversed)
-			for _, c := range []struct {
-				bs []*DeltaMatrix
-				d  *Descriptor
-			}{{parts, nil}, {reversed, nil}, {parts, &Descriptor{NThreads: 4}}} {
+			for _, bs := range [][]*DeltaMatrix{parts, reversed} {
 				got := NewMatrix(2*n, n)
-				must(t, MxMParts(got, f, c.bs, c.d))
+				must(t, MxMParts(got, f, bs))
 				expectDenseEq(t, got, want)
 			}
 		}
 	}
 	a, c := NewMatrix(3, 3), NewMatrix(3, 3)
-	if err := MxMParts(c, a, []*DeltaMatrix{NewDeltaMatrix(3, 3), nil}, nil); err != ErrNilObject {
+	if err := MxMParts(c, a, []*DeltaMatrix{NewDeltaMatrix(3, 3), nil}); err != ErrNilObject {
 		t.Fatalf("nil part: err = %v, want ErrNilObject", err)
 	}
-	if err := MxMParts(c, a, nil, nil); err != ErrNilObject {
+	if err := MxMParts(c, a, nil); err != ErrNilObject {
 		t.Fatalf("no part: err = %v, want ErrNilObject", err)
 	}
-	if err := MxMParts(c, a, []*DeltaMatrix{NewDeltaMatrix(3, 3), NewDeltaMatrix(3, 4)}, nil); err == nil {
+	if err := MxMParts(c, a, []*DeltaMatrix{NewDeltaMatrix(3, 3), NewDeltaMatrix(3, 4)}); err == nil {
 		t.Fatal("a part of the wrong size: want a dimension error")
 	}
 }
@@ -86,7 +83,7 @@ func TestEWiseAddMatrixFoldsRelations(t *testing.T) {
 	must(t, r2.SetElement(2, 0, 0))
 	parts := []*DeltaMatrix{DeltaFrom(r1), DeltaFrom(r2)}
 	got := NewMatrix(3, 3)
-	must(t, MxMParts(got, identity(3), parts, nil))
+	must(t, MxMParts(got, identity(3), parts))
 	want := newDense(3, 3)
 	want.set(0, 1)
 	want.set(1, 2)
@@ -96,7 +93,7 @@ func TestEWiseAddMatrixFoldsRelations(t *testing.T) {
 		t.Fatalf("union holds %d entries for 3 cells", got.NVals())
 	}
 	parts = append(parts, NewDeltaMatrix(3, 4))
-	if err := MxMParts(got, identity(3), parts, nil); err == nil {
+	if err := MxMParts(got, identity(3), parts); err == nil {
 		t.Fatal("want a dimension error")
 	}
 }
@@ -133,13 +130,13 @@ func TestEWiseAddMatrixKWay(t *testing.T) {
 			pairwise := newDense(n, n)
 			for _, p := range parts {
 				one := NewMatrix(n, n)
-				must(t, MxMParts(one, f, []*DeltaMatrix{p}, nil))
+				must(t, MxMParts(one, f, []*DeltaMatrix{p}))
 				for x, ok := range toDenseM(one).ok {
 					pairwise.ok[x] = pairwise.ok[x] || ok
 				}
 			}
 			got := NewMatrix(n, n)
-			must(t, MxMParts(got, f, parts, nil))
+			must(t, MxMParts(got, f, parts))
 			expectDenseEq(t, got, pairwise)
 			cells := 0
 			for _, ok := range pairwise.ok {

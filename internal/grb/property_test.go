@@ -86,7 +86,7 @@ func TestPropMxMPartsCommutative(t *testing.T) {
 		}
 		p1, p2 := DeltaFrom(b1), DeltaFrom(b2)
 		c1, c2 := NewMatrix(a.nrows, n), NewMatrix(a.nrows, n)
-		if MxMParts(c1, a, []*DeltaMatrix{p1, p2}, nil) != nil || MxMParts(c2, a, []*DeltaMatrix{p2, p1}, nil) != nil {
+		if MxMParts(c1, a, []*DeltaMatrix{p1, p2}) != nil || MxMParts(c2, a, []*DeltaMatrix{p2, p1}) != nil {
 			return false
 		}
 		union := toDenseM(b1)

@@ -53,31 +53,24 @@ func VxMPull(w *Vector, mask *Vector, accum *BinaryOp, s Semiring, u *Vector, bt
 	}
 
 	ubits := u.bitmap()
-	nth := d.nthreads()
-	parts := make([][]Index, partitionParts(bt.nrows, nth, rangeGrain))
-	parallelRanges(d.sched(), bt.nrows, nth, rangeGrain, func(part, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keep != nil && !keep(i) {
-				continue
-			}
-			hit := false
-			if r := bt.row(i); r != nil {
-				hit = bt.anyLive(i, r, ubits)
-			} else {
-				for _, j := range bt.main.colInd[bt.main.rowPtr[i]:bt.main.rowPtr[i+1]] {
-					if hit = ubits.get(j); hit {
-						break
-					}
+	var ind []Index
+	for i := 0; i < bt.nrows; i++ {
+		if keep != nil && !keep(i) {
+			continue
+		}
+		hit := false
+		if r := bt.row(i); r != nil {
+			hit = bt.anyLive(i, r, ubits)
+		} else {
+			for _, j := range bt.main.colInd[bt.main.rowPtr[i]:bt.main.rowPtr[i+1]] {
+				if hit = ubits.get(j); hit {
+					break
 				}
 			}
-			if hit {
-				parts[part] = append(parts[part], i)
-			}
 		}
-	})
-	var ind []Index
-	for _, p := range parts {
-		ind = append(ind, p...)
+		if hit {
+			ind = append(ind, i)
+		}
 	}
 	*w = Vector{n: w.n, ind: ind, val: ones(len(ind))}
 	w.maybeDensify()

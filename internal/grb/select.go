@@ -63,65 +63,19 @@ func AndMasks(masks []ColMask) ColMask {
 // SelectCols applies a column mask to m in place, deleting every entry whose
 // column fails keep. The matrix must have no concurrent readers; the batched
 // executor only calls this on freshly produced result frontiers, which it
-// owns exclusively. When d requests
-// threads and the frontier is large enough, the rows are morselised: each
-// part compacts its row range into private buffers (keep must therefore be
-// safe for concurrent calls — the compiled scan masks are read-only), and
-// the parts concatenate back in order, yielding entries identical to the
-// serial path.
-func SelectCols(m *Matrix, keep ColMask, d *Descriptor) {
-	nth := d.nthreads()
-	nparts := partitionParts(m.nrows, nth, selectGrain)
-	if nparts == 1 {
-		out := 0
-		for i := 0; i < m.nrows; i++ {
-			lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-			m.rowPtr[i] = out
-			for k := lo; k < hi; k++ {
-				if keep(m.colInd[k]) {
-					m.colInd[out] = m.colInd[k]
-					m.val[out] = m.val[k]
-					out++
-				}
+// owns exclusively.
+func SelectCols(m *Matrix, keep ColMask) {
+	out := 0
+	for i := 0; i < m.nrows; i++ {
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		m.rowPtr[i] = out
+		for k := lo; k < hi; k++ {
+			if keep(m.colInd[k]) {
+				m.colInd[out] = m.colInd[k]
+				m.val[out] = m.val[k]
+				out++
 			}
 		}
-		m.rowPtr[m.nrows] = out
-		m.colInd = m.colInd[:out]
-		m.val = m.val[:out]
-		return
-	}
-	type partial struct {
-		rp []int // per-row kept-entry offsets, local prefix sums
-		ci []Index
-		vv []float64
-	}
-	parts := make([]partial, nparts)
-	parallelRanges(d.sched(), m.nrows, nth, selectGrain, func(part, lo, hi int) {
-		p := &parts[part]
-		p.rp = make([]int, hi-lo+1)
-		for i := lo; i < hi; i++ {
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				if keep(m.colInd[k]) {
-					p.ci = append(p.ci, m.colInd[k])
-					p.vv = append(p.vv, m.val[k])
-				}
-			}
-			p.rp[i-lo+1] = len(p.ci)
-		}
-	})
-	// Stitch the compacted parts back into m in part order. Kept entries
-	// only ever move left, and the parallel phase already copied them out,
-	// so overwriting in place is safe.
-	row, out := 0, 0
-	for pi := range parts {
-		p := &parts[pi]
-		for r := 0; r+1 < len(p.rp); r++ {
-			m.rowPtr[row] = out + p.rp[r]
-			row++
-		}
-		copy(m.colInd[out:], p.ci)
-		copy(m.val[out:], p.vv)
-		out += len(p.ci)
 	}
 	m.rowPtr[m.nrows] = out
 	m.colInd = m.colInd[:out]

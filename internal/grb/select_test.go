@@ -12,7 +12,7 @@ func TestSelectColsMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	SelectCols(m, func(j Index) bool { return j%2 == 0 }, nil)
+	SelectCols(m, func(j Index) bool { return j%2 == 0 })
 	var got [][2]Index
 	m.iterate(func(i, j Index, x float64) bool {
 		got = append(got, [2]Index{i, j})
@@ -26,7 +26,7 @@ func TestSelectColsMatrix(t *testing.T) {
 		t.Fatalf("NVals = %d", m.NVals())
 	}
 	// Rejecting everything empties the matrix but keeps its shape.
-	SelectCols(m, func(Index) bool { return false }, nil)
+	SelectCols(m, func(Index) bool { return false })
 	if m.NVals() != 0 || m.nrows != 3 || m.ncols != 5 {
 		t.Fatalf("empty select: %s", m)
 	}

@@ -34,6 +34,8 @@ type gateWaiter struct {
 }
 
 // NewGate returns a gate with limit permits (limit < 1 is clamped to 1).
+// Besides the server, its only non-test caller is the benchmark harness's
+// pool.gate probe (benchmark/trace.go).
 func NewGate(limit int) *Gate {
 	return &Gate{limit: max(limit, 1)}
 }

@@ -36,8 +36,7 @@ func TestParallelZeroAndNegative(t *testing.T) {
 }
 
 // TestParallelInlineWhenSerial checks parallelism <= 1 stays on the calling
-// goroutine (no pool involvement), which the engine relies on for
-// MAX_QUERY_THREADS=1 queries.
+// goroutine, in index order.
 func TestParallelInlineWhenSerial(t *testing.T) {
 	var order []int
 	Parallel(1, 10, func(i int) { order = append(order, i) })
@@ -48,9 +47,8 @@ func TestParallelInlineWhenSerial(t *testing.T) {
 	}
 }
 
-// TestParallelNested submits a job from inside another job's morsel — the
-// pattern of a pipeline segment running a parallel kernel. The caller-drains
-// design must not deadlock even with every worker busy.
+// TestParallelNested fans out from inside another fan-out's call; every
+// inner index must still run exactly once.
 func TestParallelNested(t *testing.T) {
 	var total atomic.Int64
 	Parallel(4, 8, func(i int) {
@@ -63,8 +61,8 @@ func TestParallelNested(t *testing.T) {
 	}
 }
 
-// TestParallelConcurrentJobs hammers the shared pool from many goroutines at
-// once so jobs contend for workers; every job must still complete exactly.
+// TestParallelConcurrentJobs runs many fan-outs from concurrent goroutines;
+// every job must still complete exactly.
 func TestParallelConcurrentJobs(t *testing.T) {
 	const jobs, n = 32, 64
 	var wg sync.WaitGroup
@@ -84,13 +82,5 @@ func TestParallelConcurrentJobs(t *testing.T) {
 		if got != want {
 			t.Fatalf("job %d: sum = %d, want %d", j, got, want)
 		}
-	}
-}
-
-// TestParallelismFloor checks the participant budget never drops below 4, so
-// race-enabled tests exercise real cross-goroutine merges on small hosts.
-func TestParallelismFloor(t *testing.T) {
-	if p := Parallelism(); p < 4 {
-		t.Fatalf("Parallelism() = %d, want >= 4", p)
 	}
 }

@@ -1,9 +1,9 @@
 // Package pool holds the server's concurrency machinery: the admission Gate,
 // whose THREAD_COUNT permits bound how many queries execute at once (the
 // paper's fixed threadpool, Section II: one query on one thread, the client
-// blocked until its reply), and the morsel scheduler behind intra-query
-// parallelism. Pool, a fixed set of worker goroutines, is held only for the
-// benchmark harness.
+// blocked until its reply). A query runs on its connection goroutine and is
+// never split across goroutines. Pool, a fixed set of worker goroutines, and
+// Parallel, a plain fan-out, are held only for the benchmark harness.
 package pool
 
 import (
@@ -28,16 +28,18 @@ func (f *Future) Wait() (any, error) {
 	return f.val, f.err
 }
 
-// Pool is a fixed-size worker pool. Its last caller is the benchmark
-// harness's pool.submit_wait probe (benchmark/trace.go); dropping that probe
-// (ROADMAP item 4, Step A) deletes Pool, Future, Task and their tests.
+// Pool is a fixed-size worker pool. Its only non-test caller is the
+// benchmark harness's pool.submit_wait probe (benchmark/trace.go); dropping
+// that probe (ROADMAP item 4, Step A) deletes Pool, Future, Task and their
+// tests.
 type Pool struct {
 	tasks  chan func()
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
-// New starts a pool with n workers (n < 1 is clamped to 1).
+// New starts a pool with n workers (n < 1 is clamped to 1). Its only
+// non-test caller is benchmark/trace.go.
 func New(n int) *Pool {
 	if n < 1 {
 		n = 1

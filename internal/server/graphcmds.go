@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -11,33 +10,20 @@ import (
 
 	"redisgraph/internal/core"
 	"redisgraph/internal/cypher"
-	"redisgraph/internal/pool"
 	"redisgraph/internal/resp"
 	"redisgraph/internal/value"
 )
-
-// resolvedOpThreads maps the live MAX_QUERY_THREADS setting to the thread
-// budget queries actually run with: 0 means "auto", resolving to
-// GOMAXPROCS at query time so a later GOMAXPROCS change is picked up.
-func (s *Server) resolvedOpThreads() int {
-	if n := int(s.opThreads.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // queryConfig assembles the per-query engine configuration from the
 // server's options and live GRAPH.CONFIG state.
 func (s *Server) queryConfig() core.Config {
 	return core.Config{
-		OpThreads:       s.resolvedOpThreads(),
-		TraverseBatch:   int(s.traverseBatch.Load()),
-		Timeout:         s.opts.QueryTimeout,
-		NoCostPlanner:   !s.costPlanner.Load(),
-		NoJoinPlanner:   !s.joinPlanner.Load(),
-		TraverseKernel:  s.traverseKernel.Load().(string),
-		PlanCache:       s.planCache,
-		NoFairScheduler: !s.fairScheduler.Load(),
+		TraverseBatch:  int(s.traverseBatch.Load()),
+		Timeout:        s.opts.QueryTimeout,
+		NoCostPlanner:  !s.costPlanner.Load(),
+		NoJoinPlanner:  !s.joinPlanner.Load(),
+		TraverseKernel: s.traverseKernel.Load().(string),
+		PlanCache:      s.planCache,
 	}
 }
 
@@ -111,11 +97,6 @@ func boolParam(name string, flag func(*Server) *atomic.Bool) configParam {
 var configParams = []configParam{
 	{"THREAD_COUNT", func(s *Server) any { return int64(s.opts.ThreadCount) }, nil},
 	{"TIMEOUT", func(s *Server) any { return s.opts.QueryTimeout.Milliseconds() }, nil},
-	// GET reports the resolved budget: with auto (SET 0) the stored zero
-	// would hide what queries actually run with.
-	intParam("MAX_QUERY_THREADS", 0, math.MaxInt32, " (0 = auto: match GOMAXPROCS)",
-		func(s *Server) int64 { return int64(s.resolvedOpThreads()) },
-		func(s *Server, n int64) { s.opThreads.Store(int32(n)) }),
 	intParam("TRAVERSE_BATCH", 1, maxTraverseBatch, "",
 		func(s *Server) int64 { return int64(s.traverseBatch.Load()) },
 		func(s *Server, n int64) { s.traverseBatch.Store(int32(n)) }),
@@ -139,11 +120,6 @@ var configParams = []configParam{
 	intParam("ADMISSION_TIMEOUT", 0, math.MaxInt64, " milliseconds (0 = fail fast when saturated)",
 		func(s *Server) int64 { return s.admissionTimeoutMs.Load() },
 		func(s *Server, n int64) { s.admissionTimeoutMs.Store(n) }),
-	// GET reports the resolved budget (SET 0 = auto), like MAX_QUERY_THREADS.
-	intParam("GLOBAL_THREAD_BUDGET", 0, math.MaxInt32, " (0 = auto: match GOMAXPROCS)",
-		func(s *Server) int64 { return int64(pool.Budget()) },
-		func(s *Server, n int64) { pool.SetBudget(int(n)) }),
-	boolParam("FAIR_SCHEDULER", func(s *Server) *atomic.Bool { return &s.fairScheduler }),
 }
 
 // configCommand serves GRAPH.CONFIG GET <name>|* and SET <name> <value>.

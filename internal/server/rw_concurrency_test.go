@@ -2,64 +2,11 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"redisgraph/internal/client"
-	"redisgraph/internal/resp"
 )
-
-// TestGraphConfigMaxQueryThreads covers the live MAX_QUERY_THREADS
-// parameter: default 1, SET sticks.
-func TestGraphConfigMaxQueryThreads(t *testing.T) {
-	_, c := startServer(t)
-	v, err := c.Do("GRAPH.CONFIG", "GET", "MAX_QUERY_THREADS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := v.([]any)
-	if pair[0].(string) != "MAX_QUERY_THREADS" || pair[1].(int64) != 1 {
-		t.Fatalf("default: %v", pair)
-	}
-	if v, err := c.Do("GRAPH.CONFIG", "SET", "MAX_QUERY_THREADS", "4"); err != nil || v.(resp.SimpleString) != "OK" {
-		t.Fatalf("%v %v", v, err)
-	}
-	v, err = c.Do("GRAPH.CONFIG", "GET", "MAX_QUERY_THREADS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.([]any)[1].(int64) != 4 {
-		t.Fatalf("after set: %v", v)
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "MAX_QUERY_THREADS", "zero"); err == nil {
-		t.Fatal("non-numeric SET must fail")
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "MAX_QUERY_THREADS", "-1"); err == nil {
-		t.Fatal("negative SET must fail")
-	}
-	// 0 means auto: accepted, and GET reports the resolved GOMAXPROCS
-	// budget rather than the stored zero.
-	if v, err := c.Do("GRAPH.CONFIG", "SET", "MAX_QUERY_THREADS", "0"); err != nil || v.(resp.SimpleString) != "OK" {
-		t.Fatalf("%v %v", v, err)
-	}
-	v, err = c.Do("GRAPH.CONFIG", "GET", "MAX_QUERY_THREADS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.([]any)[1].(int64); got != int64(runtime.GOMAXPROCS(0)) {
-		t.Fatalf("auto: got %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if _, err := c.Do("GRAPH.QUERY", "cfg", "CREATE (:T {x: 1})"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Do("GRAPH.QUERY", "cfg", "MATCH (n:T) RETURN n.x"); err != nil {
-		t.Fatalf("query under auto threads: %v", err)
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "TIMEOUT", "5"); err == nil {
-		t.Fatal("SET of an unsupported parameter must fail")
-	}
-}
 
 // TestConcurrentMixedGraphTraffic drives GRAPH.RO_QUERY readers concurrently
 // with GRAPH.QUERY writers over real connections — the server-level slice of

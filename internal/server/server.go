@@ -59,10 +59,6 @@ type Server struct {
 	opts Options
 	ln   net.Listener
 
-	// opThreads is the live MAX_QUERY_THREADS value (starts at 1, the
-	// paper's one core per query; 0 = auto, resolved to GOMAXPROCS at query
-	// time; mutable via GRAPH.CONFIG SET).
-	opThreads atomic.Int32
 	// traverseBatch is the live TRAVERSE_BATCH value (seeded from
 	// Options.TraverseBatch, mutable via GRAPH.CONFIG SET).
 	traverseBatch atomic.Int32
@@ -88,9 +84,6 @@ type Server struct {
 	// admissionTimeoutMs is the live ADMISSION_TIMEOUT value in
 	// milliseconds (starts at 1000, mutable via GRAPH.CONFIG SET).
 	admissionTimeoutMs atomic.Int64
-	// fairScheduler is the live FAIR_SCHEDULER value (starts on, mutable via
-	// GRAPH.CONFIG SET).
-	fairScheduler atomic.Bool
 
 	mu       sync.RWMutex
 	graphs   map[string]*graph.Graph
@@ -123,7 +116,6 @@ func New(opts Options) *Server {
 		keyspace: map[string]string{},
 		conns:    map[net.Conn]struct{}{},
 	}
-	s.opThreads.Store(1)
 	s.traverseBatch.Store(int32(opts.TraverseBatch))
 	s.costPlanner.Store(true)
 	s.joinPlanner.Store(true)
@@ -134,7 +126,6 @@ func New(opts Options) *Server {
 	s.traverseKernel.Store(kernel)
 	s.planCache = core.NewPlanCache(core.DefaultPlanCacheSize)
 	s.admissionTimeoutMs.Store(defaultAdmissionTimeoutMs)
-	s.fairScheduler.Store(true)
 	return s
 }
 
@@ -413,15 +404,8 @@ func (s *Server) info() string {
 	b.WriteString("# Server\r\nredisgraph_module:go-reproduction\r\n")
 	fmt.Fprintf(&b, "threadpool_size:%d\r\n", s.opts.ThreadCount)
 	fmt.Fprintf(&b, "graphs:%d\r\nkeys:%d\r\n", len(s.graphs), len(s.keyspace))
-	ps := pool.ReadStats()
 	gs := s.gate.Snapshot()
 	b.WriteString("# Scheduler\r\n")
-	fmt.Fprintf(&b, "global_thread_budget:%d\r\n", ps.Budget)
-	fmt.Fprintf(&b, "active_queries:%d\r\n", ps.ActiveQueries)
-	fmt.Fprintf(&b, "busy_workers:%d\r\n", ps.BusyWorkers)
-	fmt.Fprintf(&b, "stolen_morsels:%d\r\n", ps.StolenMorsels)
-	fmt.Fprintf(&b, "caller_morsels:%d\r\n", ps.CallerMorsels)
-	fmt.Fprintf(&b, "worker_time_ms:%.3f\r\n", float64(ps.WorkerNanos)/1e6)
 	fmt.Fprintf(&b, "admission_limit:%d\r\n", gs.Limit)
 	fmt.Fprintf(&b, "admission_inflight:%d\r\n", gs.Inflight)
 	fmt.Fprintf(&b, "admission_queued:%d\r\n", gs.QueuedNow)

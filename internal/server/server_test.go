@@ -9,7 +9,6 @@ import (
 
 	"redisgraph/internal/client"
 	"redisgraph/internal/core"
-	"redisgraph/internal/pool"
 	"redisgraph/internal/resp"
 )
 
@@ -205,6 +204,64 @@ func TestGraphConfig(t *testing.T) {
 	if pair[0].(string) != "THREAD_COUNT" || pair[1].(int64) != 4 {
 		t.Fatalf("config: %v", v)
 	}
+	if _, err := c.Do("GRAPH.CONFIG", "SET", "TIMEOUT", "5"); err == nil {
+		t.Fatal("SET of a start-up parameter must fail")
+	}
+
+	// A query runs on its connection goroutine, never split: the knobs of
+	// intra-query parallelism are unknown parameters.
+	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER"} {
+		for _, args := range [][]string{{"GRAPH.CONFIG", "GET", name}, {"GRAPH.CONFIG", "SET", name, "1"}} {
+			_, err := c.Do(args...)
+			if err == nil || !strings.Contains(err.Error(), "unknown configuration parameter") {
+				t.Fatalf("GRAPH.CONFIG %v: err = %v, want unknown parameter", args, err)
+			}
+		}
+	}
+	v, err = c.Do("GRAPH.CONFIG", "GET", "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range v.([]any) {
+		names = append(names, p.([]any)[0].(string))
+	}
+	want := "THREAD_COUNT TIMEOUT TRAVERSE_BATCH COST_PLANNER JOIN_PLANNER TRAVERSE_KERNEL " +
+		"PLAN_CACHE_SIZE PLAN_CACHE_MAX_BYTES ADMISSION_TIMEOUT"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("GET * names:\n got %s\nwant %s", got, want)
+	}
+
+	if _, err := c.Query("g", `CREATE (:N {x: 1})-[:L]->(:N {x: 2})`); err != nil {
+		t.Fatal(err)
+	}
+	v, err = c.Do("GRAPH.PROFILE", "g", `MATCH (a:N)-[:L]->(b) RETURN count(b)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range v.([]any) {
+		if strings.HasPrefix(line.(string), "scheduler:") {
+			t.Fatalf("PROFILE prints a scheduler line: %v", v)
+		}
+	}
+
+	v, err = c.Do("INFO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := v.(string)
+	for _, key := range []string{"threadpool_size:4", "admission_limit:", "admission_inflight:",
+		"admission_queued:", "admission_admitted:", "admission_rejected:"} {
+		if !strings.Contains(info, key) {
+			t.Fatalf("INFO lacks %q:\n%s", key, info)
+		}
+	}
+	for _, key := range []string{"global_thread_budget:", "active_queries:", "busy_workers:",
+		"stolen_morsels:", "caller_morsels:", "worker_time_ms:"} {
+		if strings.Contains(info, key) {
+			t.Fatalf("INFO still reports %q:\n%s", key, info)
+		}
+	}
 }
 
 func TestGraphConfigGetAll(t *testing.T) {
@@ -222,7 +279,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 	want := map[string]any{
 		"THREAD_COUNT":         int64(4),
 		"TIMEOUT":              int64(0),
-		"MAX_QUERY_THREADS":    int64(1),
 		"TRAVERSE_BATCH":       int64(core.DefaultTraverseBatch),
 		"COST_PLANNER":         int64(1),
 		"JOIN_PLANNER":         int64(1),
@@ -230,8 +286,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 		"PLAN_CACHE_SIZE":      int64(core.DefaultPlanCacheSize),
 		"PLAN_CACHE_MAX_BYTES": int64(0),
 		"ADMISSION_TIMEOUT":    int64(1000),
-		"GLOBAL_THREAD_BUDGET": int64(pool.Budget()),
-		"FAIR_SCHEDULER":       int64(1),
 	}
 	if len(got) != len(want) {
 		t.Fatalf("GET * pairs: %v", got)

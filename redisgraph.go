@@ -45,13 +45,6 @@ type DB struct {
 // Option configures a DB.
 type Option func(*DB)
 
-// WithOpThreads sets intra-query GraphBLAS parallelism. RedisGraph runs one
-// core per query (the default, 1); values > 1 parallelise individual kernel
-// invocations, which trades concurrent throughput for single-query latency.
-func WithOpThreads(n int) Option {
-	return func(db *DB) { db.cfg.OpThreads = n }
-}
-
 // WithTimeout aborts queries that exceed d.
 func WithTimeout(d time.Duration) Option {
 	return func(db *DB) { db.cfg.Timeout = d }

@@ -105,19 +105,3 @@ func TestWithTimeoutOption(t *testing.T) {
 		t.Fatal("want timeout")
 	}
 }
-
-func TestWithOpThreadsMatchesSingleThread(t *testing.T) {
-	single := Open("s")
-	multi := Open("m", WithOpThreads(4))
-	for _, db := range []*DB{single, multi} {
-		db.MustQuery(`CREATE (:A {uid: 0})`, nil)
-		db.MustQuery(`CREATE (:A {uid: 1})`, nil)
-		db.MustQuery(`MATCH (a:A {uid: 0}), (b:A {uid: 1}) CREATE (a)-[:R]->(b)`, nil)
-	}
-	q := `MATCH (a:A {uid: 0})-[:R*1..3]->(n) RETURN count(n)`
-	r1 := single.MustQuery(q, nil)
-	r2 := multi.MustQuery(q, nil)
-	if r1.Rows[0][0].Int() != r2.Rows[0][0].Int() {
-		t.Fatalf("thread counts diverge: %v vs %v", r1.Rows, r2.Rows)
-	}
-}
