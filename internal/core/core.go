@@ -27,16 +27,11 @@ type Config struct {
 	TraverseBatch int
 	// NoCostPlanner disables the cost-based planner: MATCH patterns are
 	// planned in the exact order they were written, with no stats-driven
-	// entry-point choice, hop reordering or traversal-direction decisions.
-	// It is the planner differential tests' baseline and a safety valve
-	// (GRAPH.CONFIG SET COST_PLANNER 0).
+	// entry-point choice, hop reordering, traversal-direction decisions or
+	// hash joins (a WHERE-bridged component is a cartesian rescan plus a
+	// Filter). It is the planner and join differential tests' baseline and
+	// a safety valve (GRAPH.CONFIG SET COST_PLANNER 0).
 	NoCostPlanner bool
-	// NoJoinPlanner disables the second-generation join planner: hash
-	// joins for WHERE-bridged pattern components and the DP join-order
-	// search fall back to the greedy hop ordering and cartesian rescans.
-	// It is the join differential tests' baseline and a safety valve
-	// (GRAPH.CONFIG SET JOIN_PLANNER 0); implied by NoCostPlanner.
-	NoJoinPlanner bool
 	// TraverseKernel selects the traversal kernel direction where a pull
 	// kernel exists: var-length BFS hops and expand-into point probes.
 	// "" or "auto" picks push or pull per hop (a BFS hop weighs its
@@ -61,8 +56,7 @@ type Config struct {
 // from it — and, since plans differ exactly where these differ, the
 // config half of the plan cache's key.
 func (c Config) planOptions() planOptions {
-	return planOptions{NoPushdown: c.noPushdown, NoCostPlanner: c.NoCostPlanner,
-		NoJoinPlanner: c.NoJoinPlanner}
+	return planOptions{NoPushdown: c.noPushdown, NoCostPlanner: c.NoCostPlanner}
 }
 
 // planFor resolves a query to its plan: through the plan cache when the

@@ -61,8 +61,9 @@ func bridgedGraph(t testing.TB) *graph.Graph {
 }
 
 // TestHashJoinDifferential asserts WHERE-bridged queries return identical
-// sorted rows with the join planner on (hash join) and off (cartesian
-// rescan), across batch sizes and kernel modes.
+// sorted rows as hash joins under the cost planner and as cartesian
+// rescans in textual order (NoCostPlanner), across batch sizes and kernel
+// modes.
 func TestHashJoinDifferential(t *testing.T) {
 	g := bridgedGraph(t)
 	queries := []string{
@@ -81,7 +82,7 @@ func TestHashJoinDifferential(t *testing.T) {
 		// Three components, two bridges.
 		`MATCH (a:Src)-[:R]->(b:Mid), (c:Far), (d:End) WHERE b.k = c.k AND c.tag = d.uid - 100 RETURN a.uid, c.tag, d.uid`,
 	}
-	baseline := Config{NoJoinPlanner: true}
+	baseline := Config{NoCostPlanner: true}
 	for _, query := range queries {
 		want := runSorted(t, g, query, baseline)
 		for _, batch := range []int{1, 64} {
@@ -94,18 +95,13 @@ func TestHashJoinDifferential(t *testing.T) {
 				}
 			}
 		}
-		// The textual baseline must agree too.
-		if got := runSorted(t, g, query, Config{NoCostPlanner: true}); strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("textual disagreement on %s:\n%s\nvs\n%s",
-				query, strings.Join(got, "\n"), strings.Join(want, "\n"))
-		}
 	}
 }
 
 // TestHashJoinInExplain asserts the planner actually substitutes the hash
 // join for the cartesian rescan on a bridged query — with build/probe
-// annotations and row estimates — and that NoJoinPlanner/NoCostPlanner
-// keep it out of the plan.
+// annotations and row estimates — and that NoCostPlanner keeps it out of
+// the plan.
 func TestHashJoinInExplain(t *testing.T) {
 	g := bridgedGraph(t)
 	const q = `MATCH (a:Src)-[:R]->(b:Mid), (c:Far)-[:S]->(d:End) WHERE b.k = c.k RETURN count(*)`
@@ -129,25 +125,23 @@ func TestHashJoinInExplain(t *testing.T) {
 	if !regexp.MustCompile(`est: \S+ rows`).MatchString(joinLine) {
 		t.Fatalf("hash join line must carry row estimates: %s", joinLine)
 	}
-	for _, cfg := range []Config{{NoJoinPlanner: true}, {NoCostPlanner: true}} {
-		lines, err := Explain(g, q, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan := strings.Join(lines, "\n"); strings.Contains(plan, "HashJoin") {
-			t.Fatalf("cfg=%+v must keep the cartesian rescan:\n%s", cfg, plan)
-		}
+	lines, err = Explain(g, q, Config{NoCostPlanner: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := strings.Join(lines, "\n"); strings.Contains(plan, "HashJoin") || !strings.Contains(plan, "Filter") {
+		t.Fatalf("NoCostPlanner must keep the cartesian rescan and a residual Filter:\n%s", plan)
 	}
 }
 
 // TestHashJoinPlanCache asserts plans containing hash joins (the one
-// two-input node) run from a shared cached template and that the join knob
-// partitions the cache key.
+// two-input node) run from a shared cached template and that the cost
+// planner knob partitions the cache key.
 func TestHashJoinPlanCache(t *testing.T) {
 	g := bridgedGraph(t)
 	pc := NewPlanCache(8)
 	const q = `MATCH (a:Src)-[:R]->(b:Mid), (c:Far)-[:S]->(d:End) WHERE b.k = c.k RETURN count(*)`
-	base := runSorted(t, g, q, Config{NoJoinPlanner: true})
+	base := runSorted(t, g, q, Config{NoCostPlanner: true})
 	for i := 0; i < 3; i++ {
 		got := runSorted(t, g, q, Config{PlanCache: pc})
 		if strings.Join(got, "\n") != strings.Join(base, "\n") {
@@ -158,13 +152,13 @@ func TestHashJoinPlanCache(t *testing.T) {
 	if c.Hits < 2 {
 		t.Fatalf("joined plan must be cacheable: %+v", c)
 	}
-	// Toggling the join planner must miss, not serve the joined template.
-	lines, err := Explain(g, q, Config{PlanCache: pc, NoJoinPlanner: true})
+	// Toggling the cost planner must miss, not serve the joined template.
+	lines, err := Explain(g, q, Config{PlanCache: pc, NoCostPlanner: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan := strings.Join(lines, "\n"); strings.Contains(plan, "HashJoin") {
-		t.Fatalf("NoJoinPlanner must not reuse the joined template:\n%s", plan)
+		t.Fatalf("NoCostPlanner must not reuse the joined template:\n%s", plan)
 	}
 }
 

@@ -1,31 +1,25 @@
-// Join planning (planner v2): the pattern-graph ordering loop, hash joins
-// for WHERE-bridged components, and the DPccp-style join-order search.
+// Join planning: the greedy pattern-graph ordering loop and hash joins for
+// WHERE-bridged components.
 //
-// orderPatternGraph owns the greedy hop ordering that buildMatchGroup used
-// to inline. Two extensions hang off it, both disabled by NoJoinPlanner
-// (and by NoCostPlanner, which implies it):
+// orderPatternGraph emits a MATCH group's scans and hops in greedy cost
+// order: the cheapest hop out of the bound set first, cycle-closing hops as
+// soon as both endpoints are bound, and the cheapest entry scan whenever no
+// edge touches the bound set. It is reached only from the cost planner
+// (NoCostPlanner plans in textual order and never gets here).
 //
-//   - When the ordering is stuck — no remaining edge touches the bound set —
-//     and a WHERE equality `a.k = b.k` bridges the bound prefix to an
-//     unbound component, the component is planned standalone and combined
-//     through a hash join (op_join.go) instead of a cartesian rescan. The
-//     chained-scan rescan re-executes the inner component once per outer
-//     row; the join builds it exactly once.
+// When the ordering is stuck — no remaining edge touches the bound set — and
+// a WHERE equality `a.k = b.k` bridges the bound prefix to an unbound
+// component, the component is planned standalone and combined through a
+// hash join (op_join.go) instead of a cartesian rescan. The chained-scan
+// rescan re-executes the inner component once per outer row; the join
+// builds it exactly once.
 //
-//   - Before each greedy expansion, a connected-subgraph dynamic program
-//     over the reachable unbound region (≤ dpMaxPatternVars vertices)
-//     searches all feasible bind orders under the same cost model. The DP
-//     order is adopted only when its simulated total cost (Σ intermediate
-//     rows) is strictly below a faithful simulation of the greedy order —
-//     ties and losses keep greedy, so existing plans only change when the
-//     search finds a genuine modeled improvement.
-//
-// Feasibility in the DP mirrors the physical layer: a variable-length hop
-// with both endpoints bound cannot execute, so any bind order that closes a
-// var-length edge is pruned (this subsumes the greedy loop's varLenInto
-// guard). Cycle-closing hops are deterministic per vertex set — an edge is
-// consumed exactly when its second endpoint binds — so DP states need no
-// per-state edge bookkeeping.
+// There is no join-order search. The paper's RedisGraph evaluates a
+// pattern's algebraic expressions in order; an exhaustive DP over bind
+// orders here found plans only a few percent cheaper under the cost model,
+// and some of them ran several times slower (they gave up the scan-pushed
+// predicate and the TraverseCount pushdown), so greedy order is the only
+// order.
 package core
 
 import (
@@ -36,10 +30,6 @@ import (
 	"redisgraph/internal/cypher"
 )
 
-// dpMaxPatternVars bounds the DP region: 2^n states with n ≤ 8 keeps the
-// search negligible next to parsing, matching the classic DP-size cutoffs.
-const dpMaxPatternVars = 8
-
 // edgeInScope restricts ordering to a vertex subset (nil = whole graph);
 // hash-join side planning passes the bridged component.
 func edgeInScope(e *patternEdge, only map[int]bool) bool {
@@ -47,8 +37,8 @@ func edgeInScope(e *patternEdge, only map[int]bool) bool {
 }
 
 // orderPatternGraph emits scans and hops for the pattern graph restricted
-// to `only` (nil = all vertices), in greedy cost order with the DP and
-// hash-join extensions above. WHERE predicates and deferred cross-variable
+// to `only` (nil = all vertices), in greedy cost order with hash joins for
+// WHERE-bridged components. WHERE predicates and deferred cross-variable
 // property predicates are the caller's business.
 func (b *planBuilder) orderPatternGraph(pg *patternGraph, clauses []*cypher.MatchClause, only map[int]bool) error {
 	isBound := func(i int) bool { return b.bound[pg.nodes[i].name] }
@@ -89,15 +79,6 @@ func (b *planBuilder) orderPatternGraph(pg *patternGraph, clauses []*cypher.Matc
 		}
 		if best != nil {
 			if !bestClose {
-				if !b.noJoinPlanner {
-					handled, err := b.dpExtend(pg, only)
-					if err != nil {
-						return err
-					}
-					if handled {
-						continue
-					}
-				}
 				// Variable-length guard: never bind the far endpoint of a
 				// pending var-length hop through another edge.
 				bindTarget := best.dst
@@ -121,24 +102,13 @@ func (b *planBuilder) orderPatternGraph(pg *patternGraph, clauses []*cypher.Matc
 		}
 		// No edge touches the bound set. A WHERE equality bridging into an
 		// unbound component turns the cartesian product into a hash join;
-		// failing that, the DP may pick a better entry + order for one
-		// component; failing that, open the cheapest remaining component
-		// with a scan, exactly as before.
-		if !b.noJoinPlanner {
-			if only == nil {
-				joined, err := b.tryHashJoin(pg, clauses)
-				if err != nil {
-					return err
-				}
-				if joined {
-					continue
-				}
-			}
-			handled, err := b.dpOpen(pg, only)
+		// failing that, open the cheapest remaining component with a scan.
+		if only == nil {
+			joined, err := b.tryHashJoin(pg, clauses)
 			if err != nil {
 				return err
 			}
-			if handled {
+			if joined {
 				continue
 			}
 		}
@@ -186,7 +156,7 @@ func (b *planBuilder) orderPatternGraph(pg *patternGraph, clauses []*cypher.Matc
 	}
 	sort.SliceStable(isolated, func(i, j int) bool { return isolated[i].base < isolated[j].base })
 	for _, es := range isolated {
-		if only == nil && !b.noJoinPlanner && b.cur != nil {
+		if only == nil && b.cur != nil {
 			for {
 				joined, err := b.tryHashJoin(pg, clauses)
 				if err != nil {
@@ -234,21 +204,16 @@ func (b *planBuilder) emitPatternHop(pg *patternGraph, e *patternEdge, fromSrc b
 // pattern sharing both endpoints), so on those queries the baseline errors
 // while the cost planner succeeds.
 func (b *planBuilder) varLenInto(pg *patternGraph, i int, only map[int]bool) *patternEdge {
-	return b.varLenIntoAt(pg, i, func(j int) bool { return b.bound[pg.nodes[j].name] }, nil, only)
-}
-
-// varLenIntoAt is varLenInto against a virtual bound set and consumed-edge
-// overlay, shared with the greedy cost simulation.
-func (b *planBuilder) varLenIntoAt(pg *patternGraph, i int, bound func(int) bool, used map[int]bool, only map[int]bool) *patternEdge {
+	bound := func(j int) bool { return b.bound[pg.nodes[j].name] }
+	if bound(i) {
+		return nil
+	}
 	for _, ei := range pg.nodes[i].edges {
 		e := pg.edges[ei]
-		if e.used || used[e.idx] || !e.rel.VarLength || !edgeInScope(e, only) {
+		if e.used || !e.rel.VarLength || !edgeInScope(e, only) {
 			continue
 		}
-		if e.src == i && bound(e.dst) && !bound(i) {
-			return e
-		}
-		if e.dst == i && bound(e.src) && !bound(i) {
+		if (e.src == i && bound(e.dst)) || (e.dst == i && bound(e.src)) {
 			return e
 		}
 	}
@@ -472,411 +437,4 @@ func slotsForNames(st *symtab, names map[string]bool) []int {
 	}
 	sort.Ints(slots)
 	return slots
-}
-
-// ---- DP join-order search ----
-
-// dpStep is one emitted hop in a DP-chosen order; cycle closers ride along
-// with the expansion that bound their second endpoint.
-type dpStep struct {
-	e       *patternEdge
-	fromSrc bool
-}
-
-// dpState is the best known way to bind one vertex subset: its estimated
-// output rows, the total cost (Σ intermediate rows) to get there, and the
-// steps taken since the parent subset.
-type dpState struct {
-	ok     bool
-	rows   float64
-	cost   float64
-	parent int
-	steps  []dpStep
-	entry  *entryScan // set on initial states (dpOpen component seeds)
-}
-
-// dpClosers folds in every unused cycle-closing edge incident to the newly
-// bound vertex v (under the virtual bound set). A var-length closer makes
-// the state infeasible — the physical layer cannot expand-into a var-length
-// hop. Closers not incident to v were consumed at an earlier subset.
-func (b *planBuilder) dpClosers(pg *patternGraph, only map[int]bool, bound func(int) bool, v int,
-	binding *patternEdge, rows, cost float64) ([]dpStep, float64, float64, bool) {
-	var steps []dpStep
-	for _, c := range pg.edges {
-		if c.used || c == binding || !edgeInScope(c, only) {
-			continue
-		}
-		if c.src != v && c.dst != v {
-			continue
-		}
-		if !bound(c.src) || !bound(c.dst) {
-			continue
-		}
-		if c.rel.VarLength {
-			return nil, 0, 0, false
-		}
-		rows = capEst(rows * b.pairProbability(c.rel))
-		cost += rows
-		steps = append(steps, dpStep{e: c, fromSrc: true})
-	}
-	return steps, rows, cost, true
-}
-
-// dpSearch runs the subset DP over verts, extending seeded states one
-// vertex at a time through in-scope pattern edges, and reconstructs the
-// cheapest full-subset order. states must be pre-seeded (mask 0 for
-// extension from the bound set; singleton masks for component openings).
-func (b *planBuilder) dpSearch(pg *patternGraph, only map[int]bool, verts []int, states []dpState) ([]dpStep, *entryScan, bool) {
-	pos := map[int]int{}
-	for i, v := range verts {
-		pos[v] = i
-	}
-	full := len(states) - 1
-	for m := 0; m < full; m++ {
-		if !states[m].ok {
-			continue
-		}
-		st := states[m]
-		bound := func(i int) bool {
-			if p, ok := pos[i]; ok {
-				return m&(1<<p) != 0
-			}
-			return b.bound[pg.nodes[i].name]
-		}
-		for _, e := range pg.edges {
-			if e.used || !edgeInScope(e, only) {
-				continue
-			}
-			sb, db := bound(e.src), bound(e.dst)
-			if sb == db {
-				continue
-			}
-			v, from, fromSrc := e.dst, e.src, true
-			if db {
-				v, from, fromSrc = e.src, e.dst, false
-			}
-			p, inRegion := pos[v]
-			if !inRegion {
-				continue
-			}
-			nrows := capEst(st.rows * b.condFanout(e.rel, pg.nodes[from].merged.Labels, !fromSrc) * b.nodeSelectivity(pg.nodes[v].merged))
-			ncost := st.cost + nrows
-			boundV := func(i int) bool { return i == v || bound(i) }
-			cSteps, r2, c2, feasible := b.dpClosers(pg, only, boundV, v, e, nrows, ncost)
-			if !feasible {
-				continue
-			}
-			nm := m | (1 << p)
-			if !states[nm].ok || c2 < states[nm].cost {
-				steps := append([]dpStep{{e: e, fromSrc: fromSrc}}, cSteps...)
-				states[nm] = dpState{ok: true, rows: r2, cost: c2, parent: m, steps: steps}
-			}
-		}
-	}
-	if !states[full].ok {
-		return nil, nil, false
-	}
-	var chains [][]dpStep
-	var entry *entryScan
-	for m := full; ; {
-		st := states[m]
-		chains = append(chains, st.steps)
-		if st.parent < 0 {
-			entry = st.entry
-			break
-		}
-		m = st.parent
-	}
-	var steps []dpStep
-	for i := len(chains) - 1; i >= 0; i-- {
-		steps = append(steps, chains[i]...)
-	}
-	return steps, entry, true
-}
-
-// dpRegion collects the unbound vertices reachable from the bound set over
-// unused in-scope edges — the subset dpExtend searches.
-func (b *planBuilder) dpRegion(pg *patternGraph, only map[int]bool) []int {
-	seen := map[int]bool{}
-	var queue []int
-	for _, e := range pg.edges {
-		if e.used || !edgeInScope(e, only) {
-			continue
-		}
-		sb := b.bound[pg.nodes[e.src].name]
-		db := b.bound[pg.nodes[e.dst].name]
-		if sb == db {
-			continue
-		}
-		v := e.dst
-		if db {
-			v = e.src
-		}
-		if !seen[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	var region []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		region = append(region, v)
-		for _, ei := range pg.nodes[v].edges {
-			e := pg.edges[ei]
-			if e.used || !edgeInScope(e, only) {
-				continue
-			}
-			for _, o := range []int{e.src, e.dst} {
-				if !seen[o] && !b.bound[pg.nodes[o].name] {
-					seen[o] = true
-					queue = append(queue, o)
-				}
-			}
-		}
-	}
-	sort.Ints(region)
-	return region
-}
-
-// dpExtend searches all feasible orders for the reachable unbound region
-// and replays the winner when it strictly beats the simulated greedy order.
-// Returns whether it consumed the region.
-func (b *planBuilder) dpExtend(pg *patternGraph, only map[int]bool) (bool, error) {
-	region := b.dpRegion(pg, only)
-	if len(region) == 0 || len(region) > dpMaxPatternVars {
-		return false, nil
-	}
-	states := make([]dpState, 1<<len(region))
-	states[0] = dpState{ok: true, rows: b.rowEst, parent: -1}
-	steps, _, ok := b.dpSearch(pg, only, region, states)
-	if !ok {
-		return false, nil
-	}
-	gCost, gok := b.greedyRegionCost(pg, only, func(i int) bool { return b.bound[pg.nodes[i].name] }, b.rowEst)
-	if gok && states[len(states)-1].cost >= gCost {
-		return false, nil
-	}
-	for _, s := range steps {
-		if err := b.emitPatternHop(pg, s.e, s.fromSrc); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// dpOpen searches entry scan + order for each unbound component (≤
-// dpMaxPatternVars vertices) and replays the globally cheapest when it
-// strictly beats greedy's entry choice. Returns whether it consumed a
-// component.
-func (b *planBuilder) dpOpen(pg *patternGraph, only map[int]bool) (bool, error) {
-	var bestSteps []dpStep
-	var bestES *entryScan
-	bestCost := math.Inf(1)
-	for _, verts := range b.unboundComponents(pg, only) {
-		if len(verts) > dpMaxPatternVars {
-			continue
-		}
-		states := make([]dpState, 1<<len(verts))
-		for i, v := range verts {
-			n := pg.nodes[v]
-			es := b.bestEntry(n)
-			scanRows := capEst(b.rowEst * es.base)
-			rows := capEst(scanRows * b.entryResidualSel(n, es))
-			boundV := func(j int) bool { return j == v || b.bound[pg.nodes[j].name] }
-			cSteps, r2, c2, feasible := b.dpClosers(pg, only, boundV, v, nil, rows, scanRows)
-			if !feasible {
-				continue
-			}
-			esc := es
-			states[1<<i] = dpState{ok: true, rows: r2, cost: c2, parent: -1, steps: cSteps, entry: &esc}
-		}
-		steps, entry, ok := b.dpSearch(pg, only, verts, states)
-		if !ok || entry == nil {
-			continue
-		}
-		if c := states[len(states)-1].cost; c < bestCost {
-			bestCost, bestSteps, bestES = c, steps, entry
-		}
-	}
-	if bestES == nil {
-		return false, nil
-	}
-	if gCost, gok := b.greedyOpenCost(pg, only); gok && bestCost >= gCost {
-		return false, nil
-	}
-	if err := b.emitNodeScan(*bestES); err != nil {
-		return true, err
-	}
-	for _, s := range bestSteps {
-		if err := b.emitPatternHop(pg, s.e, s.fromSrc); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// unboundComponents groups the unbound endpoints of unused in-scope edges
-// into connected components, each sorted by vertex index.
-func (b *planBuilder) unboundComponents(pg *patternGraph, only map[int]bool) [][]int {
-	seen := map[int]bool{}
-	var comps [][]int
-	for _, e := range pg.edges {
-		if e.used || !edgeInScope(e, only) {
-			continue
-		}
-		for _, s := range []int{e.src, e.dst} {
-			if seen[s] || b.bound[pg.nodes[s].name] {
-				continue
-			}
-			comp := []int{s}
-			seen[s] = true
-			for qi := 0; qi < len(comp); qi++ {
-				for _, ei := range pg.nodes[comp[qi]].edges {
-					e2 := pg.edges[ei]
-					if e2.used || !edgeInScope(e2, only) {
-						continue
-					}
-					for _, o := range []int{e2.src, e2.dst} {
-						if !seen[o] && !b.bound[pg.nodes[o].name] {
-							seen[o] = true
-							comp = append(comp, o)
-						}
-					}
-				}
-			}
-			sort.Ints(comp)
-			comps = append(comps, comp)
-		}
-	}
-	return comps
-}
-
-// entryResidualSel estimates the selectivity of the predicates an entry
-// scan leaves as residuals — labels beyond the scanned one, properties
-// beyond the index seed, and duplicate-attribute extras. Mirrors what
-// addNodeResiduals will charge so DP and greedy cost the same plan alike.
-func (b *planBuilder) entryResidualSel(n *patternNode, es entryScan) float64 {
-	sel := 1.0
-	skippedLabel := false
-	for _, l := range n.merged.Labels {
-		if !skippedLabel && l == es.scanLabel {
-			skippedLabel = true
-			continue
-		}
-		sel *= b.labelSel(l)
-	}
-	for attr := range n.merged.Props {
-		if attr == es.indexAttr {
-			continue
-		}
-		sel *= propEqSelectivity
-	}
-	for range n.extras {
-		sel *= propEqSelectivity
-	}
-	return sel
-}
-
-// greedyRegionCost simulates the greedy loop's own choices from a virtual
-// bound set — identical selection rules, estimate formulas, var-length
-// guard and closer handling — and returns the total cost (Σ intermediate
-// rows) of the hops it would emit until no edge touches the bound set.
-// ok=false means greedy would hit an inexecutable var-length closer.
-func (b *planBuilder) greedyRegionCost(pg *patternGraph, only map[int]bool, bound0 func(int) bool, rows float64) (float64, bool) {
-	vbound := map[int]bool{}
-	bound := func(i int) bool { return vbound[i] || bound0(i) }
-	used := map[int]bool{}
-	cost := 0.0
-	for {
-		var best *patternEdge
-		bestFromSrc := true
-		bestOut := math.Inf(1)
-		bestClose := false
-		for _, e := range pg.edges {
-			if e.used || used[e.idx] || !edgeInScope(e, only) {
-				continue
-			}
-			sb, db := bound(e.src), bound(e.dst)
-			switch {
-			case sb && db:
-				if !bestClose || e.idx < best.idx {
-					best, bestFromSrc, bestClose = e, true, true
-				}
-			case bestClose:
-			case sb || db:
-				fromSrc := sb
-				from, other := pg.nodes[e.src], pg.nodes[e.dst]
-				if !fromSrc {
-					from, other = other, from
-				}
-				out := capEst(rows * b.condFanout(e.rel, from.merged.Labels, !fromSrc) * b.nodeSelectivity(other.merged))
-				if out < bestOut {
-					best, bestFromSrc, bestOut = e, fromSrc, out
-				}
-			}
-		}
-		if best == nil {
-			return cost, true
-		}
-		if bestClose {
-			if best.rel.VarLength {
-				return 0, false
-			}
-			used[best.idx] = true
-			rows = capEst(rows * b.pairProbability(best.rel))
-			cost += rows
-			continue
-		}
-		bindTarget := best.dst
-		if !bestFromSrc {
-			bindTarget = best.src
-		}
-		if vl := b.varLenIntoAt(pg, bindTarget, bound, used, only); vl != nil && vl != best {
-			best, bestFromSrc = vl, bound(vl.src)
-		}
-		from, to := best.src, best.dst
-		if !bestFromSrc {
-			from, to = to, from
-		}
-		used[best.idx] = true
-		rows = capEst(rows * b.condFanout(best.rel, pg.nodes[from].merged.Labels, !bestFromSrc) * b.nodeSelectivity(pg.nodes[to].merged))
-		cost += rows
-		vbound[to] = true
-	}
-}
-
-// greedyOpenCost simulates greedy's component opening: the cheapest entry
-// scan by base cardinality, then the greedy extension from it.
-func (b *planBuilder) greedyOpenCost(pg *patternGraph, only map[int]bool) (float64, bool) {
-	var entry *entryScan
-	entryIdx := -1
-	for _, e := range pg.edges {
-		if e.used || !edgeInScope(e, only) {
-			continue
-		}
-		for _, ni := range []int{e.src, e.dst} {
-			if b.bound[pg.nodes[ni].name] {
-				continue
-			}
-			es := b.bestEntry(pg.nodes[ni])
-			if entry == nil || es.base < entry.base {
-				es := es
-				entry = &es
-				entryIdx = ni
-			}
-		}
-	}
-	if entry == nil {
-		return 0, false
-	}
-	scanRows := capEst(b.rowEst * entry.base)
-	rows := capEst(scanRows * b.entryResidualSel(entry.node, *entry))
-	ext, ok := b.greedyRegionCost(pg, only, func(i int) bool {
-		return i == entryIdx || b.bound[pg.nodes[i].name]
-	}, rows)
-	if !ok {
-		return 0, false
-	}
-	return scanRows + ext, true
 }

@@ -650,8 +650,8 @@ func (b *planBuilder) buildMatchGroup(clauses []*cypher.MatchClause) error {
 		}
 	}
 
-	// Order and emit the pattern graph: the greedy loop plus the hash-join
-	// and DP extensions live in joinorder.go.
+	// Order and emit the pattern graph: the greedy loop and the hash joins
+	// for WHERE-bridged components live in joinorder.go.
 	if err := b.orderPatternGraph(pg, clauses, nil); err != nil {
 		return err
 	}

@@ -38,11 +38,6 @@ type planBuilder struct {
 	// emitted exactly as written instead of being reordered by the cost
 	// model (the planner differential tests' baseline).
 	noCostPlanner bool
-	// noJoinPlanner disables the second-generation join planner — hash joins
-	// for WHERE-bridged components and the DP join-order search — keeping
-	// the greedy hop ordering and cartesian rescans (the join differential
-	// tests' baseline).
-	noJoinPlanner bool
 	// gs is the stats snapshot feeding the cost model (see logical.go).
 	gs *graph.Stats
 	// cond is the conditioned degree-statistics snapshot: per-(label ×
@@ -99,10 +94,6 @@ type planOptions struct {
 	// NoCostPlanner keeps the textual planning order instead of reordering
 	// scans and traversals by estimated cardinality.
 	NoCostPlanner bool
-	// NoJoinPlanner keeps the greedy hop ordering and cartesian rescans,
-	// disabling hash joins and the DP join-order search (the join
-	// differential tests' baseline). Implied by NoCostPlanner.
-	NoJoinPlanner bool
 }
 
 // BuildPlan compiles a parsed query against a graph.
@@ -114,8 +105,7 @@ func BuildPlan(g *graph.Graph, q *cypher.Query) (*Plan, error) {
 // nothing assigns a plan-node field afterwards.
 func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {
 	b := &planBuilder{g: g, st: newSymtab(), bound: map[string]bool{}, readonly: true,
-		noPushdown: opts.NoPushdown, noCostPlanner: opts.NoCostPlanner,
-		noJoinPlanner: opts.NoJoinPlanner || opts.NoCostPlanner, gs: g.Stats(), cond: g.CondStats(),
+		noPushdown: opts.NoPushdown, noCostPlanner: opts.NoCostPlanner, gs: g.Stats(), cond: g.CondStats(),
 		binders: map[string]*binderInfo{}, est: map[planNode]float64{}, rowEst: 1}
 	for i := 0; i < len(q.Clauses); i++ {
 		if b.terminated {
@@ -767,7 +757,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	// Build the match side against a fresh argument. The sub-builder shares
 	// the estimate map so the sub-plan's operations annotate too.
 	mb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon,
-		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner, noJoinPlanner: b.noJoinPlanner,
+		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner,
 		gs: b.gs, cond: b.cond,
 		binders: map[string]*binderInfo{}, est: b.est, rowEst: 1}
 	if err := mb.buildPattern(c.Pattern, false); err != nil {
@@ -776,7 +766,7 @@ func (b *planBuilder) buildMerge(c *cypher.MergeClause) error {
 	b.anon = mb.anon
 	// Compile the create side with the same slots.
 	cb := &planBuilder{g: b.g, st: b.st, bound: map[string]bool{}, anon: b.anon,
-		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner, noJoinPlanner: b.noJoinPlanner,
+		noPushdown: b.noPushdown, noCostPlanner: b.noCostPlanner,
 		gs: b.gs, cond: b.cond,
 		binders: map[string]*binderInfo{}, est: b.est, rowEst: 1}
 	spec, err := cb.compileCreatePattern(c.Pattern)

@@ -100,8 +100,7 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 		`MATCH (a:Hub)-[:Sp]->(b:Rare) MATCH (b)<-[:Sp]-(c:Hub) RETURN a.uid, c.uid`,
 		// Cycle closing (expand-into).
 		`MATCH (a:Hub)-[:D]->(m:Hub)-[:D]->(a) RETURN count(*)`,
-		// Diamond: two paths from a small label meeting at one vertex, the
-		// shape the DP order search exists for.
+		// Diamond: two paths from a small label meeting at one vertex.
 		`MATCH (a:Rare)-[:Back]->(b:Hub)-[:D]->(d:Hub), (a)<-[:Sp]-(c:Hub)-[:D]->(d) RETURN count(*)`,
 		// Edge variables and relationship properties.
 		`MATCH (a:Hub)-[e:Sp]->(b:Rare) RETURN a.uid, b.uid`,
@@ -133,9 +132,8 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 				query, strings.Join(cost, "\n"), strings.Join(textual, "\n"))
 		}
 		// The cost planner must also agree with itself under the other
-		// engine baselines (batch 1, no pushdown, greedy order without the
-		// join planner's DP search and hash joins).
-		for _, cfg := range []Config{{TraverseBatch: 1}, {noPushdown: true}, {NoJoinPlanner: true}} {
+		// engine baselines (batch 1, no pushdown).
+		for _, cfg := range []Config{{TraverseBatch: 1}, {noPushdown: true}} {
 			alt := runSorted(t, g, query, cfg)
 			if strings.Join(cost, "\n") != strings.Join(alt, "\n") {
 				t.Errorf("cfg %+v disagreement on %s\n%s\nvs\n%s",
@@ -189,10 +187,13 @@ func TestPlannerDifferentialWrites(t *testing.T) {
 // TestCostPlannerPicksSelectiveEntry asserts the optimizer actually
 // reorders: on the skewed graph the plan must start from the 5-node :Rare
 // label, traversing :Sp transposed, while the textual baseline scans :Hub.
+// A selective predicate on the written entry keeps that entry: the scan
+// carries it and the hop folds into TraverseCount (a join-order search once
+// entered at an all-node scan of b instead and ran several times slower).
 func TestCostPlannerPicksSelectiveEntry(t *testing.T) {
 	g := adversarialGraph(t, 200)
-	explain := func(cfg planOptions) string {
-		ast, err := cypher.Parse(`MATCH (a:Hub)-[:Sp]->(b:Rare) RETURN count(a)`)
+	explain := func(query string, cfg planOptions) string {
+		ast, err := cypher.Parse(query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +205,20 @@ func TestCostPlannerPicksSelectiveEntry(t *testing.T) {
 		printPlan(plan.root, 0, &lines, planNode.args, plan.estAnnotation)
 		return strings.Join(lines, "\n")
 	}
-	cost := explain(planOptions{})
+	const q = `MATCH (a:Hub)-[:Sp]->(b:Rare) RETURN count(a)`
+	cost := explain(q, planOptions{})
 	if !strings.Contains(cost, "b:Rare") || !strings.Contains(cost, "Spᵀ") {
 		t.Fatalf("cost plan must enter at :Rare and transpose :Sp:\n%s", cost)
 	}
-	textual := explain(planOptions{NoCostPlanner: true})
+	textual := explain(q, planOptions{NoCostPlanner: true})
 	if !strings.Contains(textual, "a:Hub") || strings.Contains(textual, "Spᵀ") {
 		t.Fatalf("textual plan must keep the written order:\n%s", textual)
+	}
+	hub := explain(`MATCH (a:Hub)-[:D]->(b) WHERE a.uid < 150 RETURN count(b)`, planOptions{})
+	lines := strings.Split(hub, "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "TraverseCount | D |") ||
+		!strings.Contains(lines[1], "NodeByLabelScan | a:Hub | pushed: a.uid < 150") {
+		t.Fatalf("hub plan must be TraverseCount over the a:Hub scan carrying a.uid < 150:\n%s", hub)
 	}
 }
 

@@ -1,7 +1,5 @@
 package graph
 
-import "math/bits"
-
 // Conditioned degree statistics: per-(relationship type × source/destination
 // label × direction) connectivity summaries, maintained incrementally from
 // the delta matrices' fold-free row degrees. Where Stats answers "how many
@@ -24,20 +22,6 @@ import "math/bits"
 // cost O(dim × labels) — fatal to write-heavy workloads — so the write path
 // pays a few array increments instead.
 
-// condHistBuckets is the number of log2 degree-histogram buckets per cell;
-// bucket b counts connected nodes whose degree lies in [2^b, 2^(b+1)).
-// 16 buckets cover degrees up to 65535, far beyond any realistic fan-out.
-const condHistBuckets = 16
-
-// condBucket maps a degree ≥ 1 to its histogram bucket.
-func condBucket(deg int) int {
-	b := bits.Len(uint(deg)) - 1
-	if b >= condHistBuckets {
-		b = condHistBuckets - 1
-	}
-	return b
-}
-
 // CondCell summarises one (relation, label, direction) combination: the
 // degree distribution of label-L nodes over relation T's out- (or in-) edges.
 // Degrees count distinct neighbours, matching what one MxM step visits.
@@ -52,8 +36,6 @@ type CondCell struct {
 	// the degree distribution over ALL label-L nodes, which is what the
 	// configuration-model skew correction needs.
 	SumDegSq float64
-	// Hist is the log2-bucketed degree histogram over connected nodes.
-	Hist [condHistBuckets]int32
 }
 
 // add records a node's degree transition old → old+1 (a newly connected
@@ -64,10 +46,7 @@ func (c *CondCell) add(newDeg int) {
 	c.SumDegSq += float64(newDeg*newDeg - old*old)
 	if old == 0 {
 		c.Conn++
-	} else {
-		c.Hist[condBucket(old)]--
 	}
-	c.Hist[condBucket(newDeg)]++
 }
 
 // remove records a node's degree transition newDeg+1 → newDeg (a distinct
@@ -76,21 +55,9 @@ func (c *CondCell) remove(newDeg int) {
 	old := newDeg + 1
 	c.Pairs--
 	c.SumDegSq += float64(newDeg*newDeg - old*old)
-	c.Hist[condBucket(old)]--
 	if newDeg == 0 {
 		c.Conn--
-	} else {
-		c.Hist[condBucket(newDeg)]++
 	}
-}
-
-// MeanDegree is the mean distinct-neighbour degree over CONNECTED nodes
-// (Pairs / Conn); zero when nothing is connected.
-func (c CondCell) MeanDegree() float64 {
-	if c.Conn == 0 {
-		return 0
-	}
-	return float64(c.Pairs) / float64(c.Conn)
 }
 
 // FanoutOver is the mean degree over a population of `nodes` candidates,
@@ -117,24 +84,6 @@ func (c CondCell) DegreeSkew(nodes int) float64 {
 		return 1
 	}
 	return k
-}
-
-// DegreeQuantile returns an upper bound for the q-quantile of the connected
-// nodes' degree distribution (the upper edge of the histogram bucket where
-// the cumulative count crosses q·Conn). Zero when nothing is connected.
-func (c CondCell) DegreeQuantile(q float64) int {
-	if c.Conn == 0 {
-		return 0
-	}
-	want := int64(q * float64(c.Conn))
-	var cum int64
-	for b := 0; b < condHistBuckets; b++ {
-		cum += int64(c.Hist[b])
-		if cum > want || (cum == want && cum == int64(c.Conn)) {
-			return 1<<(b+1) - 1
-		}
-	}
-	return 1<<condHistBuckets - 1
 }
 
 // CondStats is a point-in-time snapshot of every conditioned cell, indexed

@@ -21,7 +21,6 @@ func (s *Server) queryConfig() core.Config {
 		TraverseBatch:  int(s.traverseBatch.Load()),
 		Timeout:        s.opts.QueryTimeout,
 		NoCostPlanner:  !s.costPlanner.Load(),
-		NoJoinPlanner:  !s.joinPlanner.Load(),
 		TraverseKernel: s.traverseKernel.Load().(string),
 		PlanCache:      s.planCache,
 	}
@@ -101,7 +100,6 @@ var configParams = []configParam{
 		func(s *Server) int64 { return int64(s.traverseBatch.Load()) },
 		func(s *Server, n int64) { s.traverseBatch.Store(int32(n)) }),
 	boolParam("COST_PLANNER", func(s *Server) *atomic.Bool { return &s.costPlanner }),
-	boolParam("JOIN_PLANNER", func(s *Server) *atomic.Bool { return &s.joinPlanner }),
 	{"TRAVERSE_KERNEL", func(s *Server) any { return s.traverseKernel.Load().(string) },
 		func(s *Server, v string) error {
 			switch kernel := strings.ToLower(v); kernel {

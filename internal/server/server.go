@@ -65,9 +65,6 @@ type Server struct {
 	// costPlanner is the live COST_PLANNER value (starts on, mutable via
 	// GRAPH.CONFIG SET).
 	costPlanner atomic.Bool
-	// joinPlanner is the live JOIN_PLANNER value (starts on, mutable via
-	// GRAPH.CONFIG SET).
-	joinPlanner atomic.Bool
 	// traverseKernel is the live TRAVERSE_KERNEL value ("auto", "push" or
 	// "pull"; seeded from Options.TraverseKernel, mutable via GRAPH.CONFIG
 	// SET).
@@ -118,7 +115,6 @@ func New(opts Options) *Server {
 	}
 	s.traverseBatch.Store(int32(opts.TraverseBatch))
 	s.costPlanner.Store(true)
-	s.joinPlanner.Store(true)
 	kernel := strings.ToLower(opts.TraverseKernel)
 	if kernel != "push" && kernel != "pull" {
 		kernel = "auto"

@@ -208,9 +208,10 @@ func TestGraphConfig(t *testing.T) {
 		t.Fatal("SET of a start-up parameter must fail")
 	}
 
-	// A query runs on its connection goroutine, never split: the knobs of
-	// intra-query parallelism are unknown parameters.
-	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER"} {
+	// A query runs on its connection goroutine, never split, and the cost
+	// planner alone decides join order and hash joins: the knobs of
+	// intra-query parallelism and the join planner are unknown parameters.
+	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER", "JOIN_PLANNER"} {
 		for _, args := range [][]string{{"GRAPH.CONFIG", "GET", name}, {"GRAPH.CONFIG", "SET", name, "1"}} {
 			_, err := c.Do(args...)
 			if err == nil || !strings.Contains(err.Error(), "unknown configuration parameter") {
@@ -226,7 +227,7 @@ func TestGraphConfig(t *testing.T) {
 	for _, p := range v.([]any) {
 		names = append(names, p.([]any)[0].(string))
 	}
-	want := "THREAD_COUNT TIMEOUT TRAVERSE_BATCH COST_PLANNER JOIN_PLANNER TRAVERSE_KERNEL " +
+	want := "THREAD_COUNT TIMEOUT TRAVERSE_BATCH COST_PLANNER TRAVERSE_KERNEL " +
 		"PLAN_CACHE_SIZE PLAN_CACHE_MAX_BYTES ADMISSION_TIMEOUT"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("GET * names:\n got %s\nwant %s", got, want)
@@ -281,7 +282,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 		"TIMEOUT":              int64(0),
 		"TRAVERSE_BATCH":       int64(core.DefaultTraverseBatch),
 		"COST_PLANNER":         int64(1),
-		"JOIN_PLANNER":         int64(1),
 		"TRAVERSE_KERNEL":      "auto",
 		"PLAN_CACHE_SIZE":      int64(core.DefaultPlanCacheSize),
 		"PLAN_CACHE_MAX_BYTES": int64(0),
@@ -363,30 +363,27 @@ func TestGraphConfigJoinPlanner(t *testing.T) {
 	if _, err := c.Query("g", `CREATE (:L {k: 1})-[:E1]->(:M {k: 1}), (:F {k: 1})-[:E2]->(:T {k: 1})`); err != nil {
 		t.Fatal(err)
 	}
-	for _, setting := range []string{"0", "no", "1", "yes"} {
-		if v, err := c.Do("GRAPH.CONFIG", "SET", "JOIN_PLANNER", setting); err != nil || v.(resp.SimpleString) != "OK" {
-			t.Fatalf("SET JOIN_PLANNER %s: %v %v", setting, v, err)
+	for _, setting := range []string{"0", "1"} {
+		if v, err := c.Do("GRAPH.CONFIG", "SET", "COST_PLANNER", setting); err != nil || v.(resp.SimpleString) != "OK" {
+			t.Fatalf("SET COST_PLANNER %s: %v %v", setting, v, err)
 		}
-		want := int64(1)
-		if setting == "0" || setting == "no" {
-			want = 0
+		// The WHERE-bridged cartesian answers identically as a hash join
+		// (cost planner on) and as a rescan plus Filter (textual order).
+		const q = `MATCH (a:L)-[:E1]->(b:M), (c:F)-[:E2]->(d:T) WHERE b.k = c.k RETURN count(*)`
+		plan, err := c.Do("GRAPH.EXPLAIN", "g", q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		v, err := c.Do("GRAPH.CONFIG", "GET", "JOIN_PLANNER")
-		if err != nil || v.([]any)[1].(int64) != want {
-			t.Fatalf("GET JOIN_PLANNER after %s: %v %v", setting, v, err)
+		if joined := strings.Contains(fmt.Sprint(plan), "HashJoin"); joined != (setting == "1") {
+			t.Fatalf("COST_PLANNER=%s plan:\n%v", setting, plan)
 		}
-		// The WHERE-bridged cartesian answers identically with hash joins
-		// on (HashJoin op) and off (rescan fallback).
-		rep, err := c.Query("g", `MATCH (a:L)-[:E1]->(b:M), (c:F)-[:E2]->(d:T) WHERE b.k = c.k RETURN count(*)`)
+		rep, err := c.Query("g", q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows := rep[1].([]any); len(rows) != 1 || rows[0].([]any)[0].(int64) != 1 {
-			t.Fatalf("JOIN_PLANNER=%s rows: %v", setting, rep[1])
+			t.Fatalf("COST_PLANNER=%s rows: %v", setting, rep[1])
 		}
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "JOIN_PLANNER", "maybe"); err == nil {
-		t.Fatal("SET JOIN_PLANNER maybe must fail")
 	}
 }
 
