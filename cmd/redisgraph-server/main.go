@@ -1,5 +1,7 @@
 // Command redisgraph-server runs the Redis-like server with the graph
-// module loaded. Speak to it with cmd/redisgraph-cli or any RESP client:
+// module loaded. Its four flags are deployment settings: listen address,
+// THREAD_COUNT, per-query timeout and snapshot file. Speak to it with
+// cmd/redisgraph-cli or any RESP client:
 //
 //	redisgraph-server -addr :6379 -threads 8
 //	redisgraph-cli GRAPH.QUERY social "CREATE (:Person {name: 'alice'})"
@@ -19,23 +21,14 @@ func main() {
 	addr := flag.String("addr", ":6379", "listen address")
 	threads := flag.Int("threads", 8, "THREAD_COUNT: queries that may execute at once, each on its connection's goroutine (more wait up to ADMISSION_TIMEOUT, then get -BUSY)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none)")
-	batch := flag.Int("batch", 0, "pipeline batch size (0 = engine default; 1 = tuple-at-a-time)")
-	kernel := flag.String("kernel", "auto", "kernel direction of var-length hops and expand-into probes: auto | push | pull (fixed hops always push)")
 	snapshot := flag.String("snapshot", "", "snapshot file: loaded at start, written by SAVE and at shutdown")
 	flag.Parse()
-	switch *kernel {
-	case "auto", "push", "pull":
-	default:
-		log.Fatalf("redisgraph-server: -kernel must be auto, push or pull (got %q)", *kernel)
-	}
 
 	s := server.New(server.Options{
-		Addr:           *addr,
-		ThreadCount:    *threads,
-		TraverseBatch:  *batch,
-		TraverseKernel: *kernel,
-		QueryTimeout:   *timeout,
-		SnapshotPath:   *snapshot,
+		Addr:         *addr,
+		ThreadCount:  *threads,
+		QueryTimeout: *timeout,
+		SnapshotPath: *snapshot,
 	})
 	if err := s.Start(); err != nil {
 		log.Fatalf("redisgraph-server: %v", err)

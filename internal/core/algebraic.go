@@ -87,7 +87,7 @@ func (ae *algebraicExpr) dim(ctx *execCtx) int { return ctx.g.Dim() }
 
 // kernelMode selects the traversal kernel direction for a query: chosen per
 // hop (auto), or forced to one direction for differential baselines
-// (GRAPH.CONFIG SET TRAVERSE_KERNEL push|pull). It reaches the two places a
+// (Config.kernel, set only by tests). It reaches the two places a
 // pull kernel exists, the var-length BFS hop and the expand-into point
 // probe; fixed-length hops always push.
 type kernelMode int
@@ -97,19 +97,6 @@ const (
 	kernelPush
 	kernelPull
 )
-
-// parseKernelMode maps Config.TraverseKernel to a kernelMode.
-func parseKernelMode(s string) (kernelMode, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return kernelAuto, nil
-	case "push":
-		return kernelPush, nil
-	case "pull":
-		return kernelPull, nil
-	}
-	return kernelAuto, fmt.Errorf("core: invalid traverse kernel %q (want auto, push or pull)", s)
-}
 
 // kernelStats counts a traversal operation's per-hop kernel decisions, so
 // PROFILE shows which direction each hop actually ran (one evaluation of a

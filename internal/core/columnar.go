@@ -12,7 +12,7 @@ import (
 //
 // Interpreted, a property comparison (`n.x > 5`) evaluates per row: resolve
 // the attribute name, box the column cell into a value.Value, run
-// compareValues — the path every residual filter takes, and under NoPushdown
+// compareValues — the path every residual filter takes, and under noPushdown
 // the differential reference for this file. A pushed-down predicate is
 // instead compiled once into a colPred — a mode tag plus an unboxed target —
 // and run as one tight loop per mode over the column's flat array: the mode

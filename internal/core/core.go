@@ -10,45 +10,39 @@ import (
 	"redisgraph/internal/value"
 )
 
-// DefaultTraverseBatch is the default pipeline batch size (records per
-// batch, frontier rows per fused MxM) when Config.TraverseBatch is 0.
-const DefaultTraverseBatch = defaultTraverseBatch
-
-// Config controls query execution.
+// Config controls query execution. Its exported fields are the deployment
+// settings an embedder sets; the unexported ones are the differential
+// baselines only the in-package tests set.
 type Config struct {
 	// Timeout aborts queries exceeding this duration (0 = no timeout).
 	Timeout time.Duration
-	// TraverseBatch is the pipeline batch size: the number of records every
-	// operation aims to put in each batch, and the number a traversal fuses
-	// into one frontier matrix before evaluating the algebraic expression
-	// with a single MxM per operand. 0 uses the default (64); 1 is
-	// tuple-at-a-time execution (one-row batches and frontiers through the
-	// same code), which the differential tests use as the baseline.
-	TraverseBatch int
-	// NoCostPlanner disables the cost-based planner: MATCH patterns are
-	// planned in the exact order they were written, with no stats-driven
-	// entry-point choice, hop reordering, traversal-direction decisions or
-	// hash joins (a WHERE-bridged component is a cartesian rescan plus a
-	// Filter). It is the planner and join differential tests' baseline and
-	// a safety valve (GRAPH.CONFIG SET COST_PLANNER 0).
-	NoCostPlanner bool
-	// TraverseKernel selects the traversal kernel direction where a pull
-	// kernel exists: var-length BFS hops and expand-into point probes.
-	// "" or "auto" picks push or pull per hop (a BFS hop weighs its
-	// frontier's out-edges against the unreached vertices' in-edges);
-	// "push" and "pull" force one direction — the differential baselines
-	// behind GRAPH.CONFIG SET TRAVERSE_KERNEL. Fixed-length hops always
-	// push, in every mode.
-	TraverseKernel string
 	// PlanCache, when set, amortizes parse+plan across requests: queries
 	// resolve through the cache's shared templates (see plancache.go) and
 	// instantiate their own running ops. Nil plans every query from scratch —
 	// the differential baseline behind GRAPH.CONFIG SET PLAN_CACHE_SIZE 0.
 	PlanCache *PlanCache
 
+	// batch is the pipeline batch size: the number of records every
+	// operation aims to put in each batch, and the number a traversal fuses
+	// into one frontier matrix before evaluating the algebraic expression
+	// with a single MxM per operand. 0 uses the default (64); 1 is
+	// tuple-at-a-time execution (one-row batches and frontiers through the
+	// same code), the differential tests' baseline.
+	batch int
+	// kernel forces the traversal kernel direction where a pull kernel
+	// exists (var-length BFS hops and expand-into point probes); the zero
+	// value, kernelAuto, picks push or pull per hop. Fixed-length hops
+	// always push, in every mode.
+	kernel kernelMode
+	// noCostPlanner plans MATCH patterns in the exact order they were
+	// written, with no stats-driven entry-point choice, hop reordering,
+	// traversal-direction decisions or hash joins (a WHERE-bridged
+	// component is a cartesian rescan plus a Filter). It is the planner and
+	// join differential tests' baseline.
+	noCostPlanner bool
 	// noPushdown disables algebraic predicate pushdown at plan time: every
 	// label and property predicate stays an interpreted per-record filter.
-	// Only the in-package differential tests set it, as their baseline.
+	// It is the pushdown differential tests' baseline.
 	noPushdown bool
 }
 
@@ -56,7 +50,7 @@ type Config struct {
 // from it — and, since plans differ exactly where these differ, the
 // config half of the plan cache's key.
 func (c Config) planOptions() planOptions {
-	return planOptions{NoPushdown: c.noPushdown, NoCostPlanner: c.NoCostPlanner}
+	return planOptions{noPushdown: c.noPushdown, noCostPlanner: c.noCostPlanner}
 }
 
 // planFor resolves a query to its plan: through the plan cache when the
@@ -139,18 +133,14 @@ func maybeSyncLocked(g *graph.Graph) {
 // set, under the lock the caller took.
 func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Config, concurrent bool,
 	prof map[planNode]*profiledOp) (*ResultSet, error) {
-	kernel, err := parseKernelMode(cfg.TraverseKernel)
-	if err != nil {
-		return nil, err
-	}
 	rs := &ResultSet{Columns: plan.columns}
 	ctx := &execCtx{
 		g:      g,
 		params: params,
 		stats:  &rs.Stats,
 		mut:    mutLocker{g: g, concurrent: concurrent},
-		batch:  cfg.TraverseBatch,
-		kernel: kernel,
+		batch:  cfg.batch,
+		kernel: cfg.kernel,
 	}
 	if cfg.Timeout > 0 {
 		ctx.deadline = time.Now().Add(cfg.Timeout)
@@ -177,8 +167,8 @@ func execute(g *graph.Graph, plan *Plan, params map[string]value.Value, cfg Conf
 }
 
 // Explain returns the execution-plan tree for a query (GRAPH.EXPLAIN): it
-// prints plan nodes and instantiates nothing. The config matters:
-// noPushdown and NoCostPlanner change the plan. With a plan cache
+// prints plan nodes and instantiates nothing. Of the config, only the test
+// baselines noPushdown and noCostPlanner change the plan. With a plan cache
 // configured, the first line reports whether this plan came from a cached
 // template and the cache's lifetime counters.
 func Explain(g *graph.Graph, query string, cfg Config) ([]string, error) {

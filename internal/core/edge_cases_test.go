@@ -259,7 +259,7 @@ func TestUnknownLabelBelowWrite(t *testing.T) {
 						if c.setup != "" {
 							q(t, g, c.setup)
 						}
-						cfg := Config{TraverseBatch: batch, NoCostPlanner: textual, noPushdown: noPushdown}
+						cfg := Config{batch: batch, noCostPlanner: textual, noPushdown: noPushdown}
 						if cached {
 							cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
 						}

@@ -20,9 +20,9 @@ type execCtx struct {
 	// a var-length hop holds its operand and the transpose at once.
 	parts [2][]*grb.DeltaMatrix
 	// batch, when non-zero, overrides the pipeline batch size
-	// (Config.TraverseBatch); 1 forces tuple-at-a-time execution.
+	// (Config.batch); 1 forces tuple-at-a-time execution.
 	batch int
-	// kernel selects the traversal kernel direction (Config.TraverseKernel):
+	// kernel selects the traversal kernel direction (Config.kernel):
 	// density-adaptive per hop by default, forced for differential baselines.
 	kernel kernelMode
 	// deadline, when non-zero, aborts long queries (the benchmark's timeout
@@ -70,7 +70,7 @@ func (ctx *execCtx) expired() bool {
 }
 
 // batchSize is the effective pipeline batch size: the number of records an
-// operation aims to put in each batch it produces. Config.TraverseBatch
+// operation aims to put in each batch it produces. Config.batch
 // overrides the default; 1 is tuple-at-a-time execution — one-row batches
 // and frontiers through the same operators (the differential tests'
 // baseline).

@@ -62,7 +62,7 @@ func bridgedGraph(t testing.TB) *graph.Graph {
 
 // TestHashJoinDifferential asserts WHERE-bridged queries return identical
 // sorted rows as hash joins under the cost planner and as cartesian
-// rescans in textual order (NoCostPlanner), across batch sizes and kernel
+// rescans in textual order (noCostPlanner), across batch sizes and kernel
 // modes.
 func TestHashJoinDifferential(t *testing.T) {
 	g := bridgedGraph(t)
@@ -82,12 +82,12 @@ func TestHashJoinDifferential(t *testing.T) {
 		// Three components, two bridges.
 		`MATCH (a:Src)-[:R]->(b:Mid), (c:Far), (d:End) WHERE b.k = c.k AND c.tag = d.uid - 100 RETURN a.uid, c.tag, d.uid`,
 	}
-	baseline := Config{NoCostPlanner: true}
+	baseline := Config{noCostPlanner: true}
 	for _, query := range queries {
 		want := runSorted(t, g, query, baseline)
 		for _, batch := range []int{1, 64} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
-				cfg := Config{TraverseBatch: batch, TraverseKernel: kernel}
+			for _, kernel := range kernelModes {
+				cfg := Config{batch: batch, kernel: kernel}
 				got := runSorted(t, g, query, cfg)
 				if strings.Join(got, "\n") != strings.Join(want, "\n") {
 					t.Errorf("join/rescan disagreement on %s (batch=%d kernel=%s)\njoin:\n%s\nrescan:\n%s",
@@ -100,7 +100,7 @@ func TestHashJoinDifferential(t *testing.T) {
 
 // TestHashJoinInExplain asserts the planner actually substitutes the hash
 // join for the cartesian rescan on a bridged query — with build/probe
-// annotations and row estimates — and that NoCostPlanner keeps it out of
+// annotations and row estimates — and that noCostPlanner keeps it out of
 // the plan.
 func TestHashJoinInExplain(t *testing.T) {
 	g := bridgedGraph(t)
@@ -125,12 +125,12 @@ func TestHashJoinInExplain(t *testing.T) {
 	if !regexp.MustCompile(`est: \S+ rows`).MatchString(joinLine) {
 		t.Fatalf("hash join line must carry row estimates: %s", joinLine)
 	}
-	lines, err = Explain(g, q, Config{NoCostPlanner: true})
+	lines, err = Explain(g, q, Config{noCostPlanner: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan := strings.Join(lines, "\n"); strings.Contains(plan, "HashJoin") || !strings.Contains(plan, "Filter") {
-		t.Fatalf("NoCostPlanner must keep the cartesian rescan and a residual Filter:\n%s", plan)
+		t.Fatalf("noCostPlanner must keep the cartesian rescan and a residual Filter:\n%s", plan)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestHashJoinPlanCache(t *testing.T) {
 	g := bridgedGraph(t)
 	pc := NewPlanCache(8)
 	const q = `MATCH (a:Src)-[:R]->(b:Mid), (c:Far)-[:S]->(d:End) WHERE b.k = c.k RETURN count(*)`
-	base := runSorted(t, g, q, Config{NoCostPlanner: true})
+	base := runSorted(t, g, q, Config{noCostPlanner: true})
 	for i := 0; i < 3; i++ {
 		got := runSorted(t, g, q, Config{PlanCache: pc})
 		if strings.Join(got, "\n") != strings.Join(base, "\n") {
@@ -153,12 +153,12 @@ func TestHashJoinPlanCache(t *testing.T) {
 		t.Fatalf("joined plan must be cacheable: %+v", c)
 	}
 	// Toggling the cost planner must miss, not serve the joined template.
-	lines, err := Explain(g, q, Config{PlanCache: pc, NoCostPlanner: true})
+	lines, err := Explain(g, q, Config{PlanCache: pc, noCostPlanner: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan := strings.Join(lines, "\n"); strings.Contains(plan, "HashJoin") {
-		t.Fatalf("NoCostPlanner must not reuse the joined template:\n%s", plan)
+		t.Fatalf("noCostPlanner must not reuse the joined template:\n%s", plan)
 	}
 }
 

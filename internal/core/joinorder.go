@@ -5,7 +5,7 @@
 // order: the cheapest hop out of the bound set first, cycle-closing hops as
 // soon as both endpoints are bound, and the cheapest entry scan whenever no
 // edge touches the bound set. It is reached only from the cost planner
-// (NoCostPlanner plans in textual order and never gets here).
+// (noCostPlanner plans in textual order and never gets here).
 //
 // When the ordering is stuck — no remaining edge touches the bound set — and
 // a WHERE equality `a.k = b.k` bridges the bound prefix to an unbound

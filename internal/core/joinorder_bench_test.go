@@ -10,7 +10,7 @@ import "testing"
 // components by a cartesian product; bridged/hash-join and bridged/rescan
 // are two components bridged by a WHERE equality, planned as a hash join by
 // the cost planner and as a cartesian rescan plus Filter under
-// NoCostPlanner.
+// noCostPlanner.
 //
 //	go test -run '^$' -bench JoinOrder ./internal/core
 func BenchmarkJoinOrder(b *testing.B) {
@@ -24,7 +24,7 @@ func BenchmarkJoinOrder(b *testing.B) {
 		{"two-hop", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN a.uid, count(c)`, Config{}},
 		{"two-component", `MATCH (a:Hub)-[:Sp]->(b:Rare), (c:Rare)-[:Back]->(d:Hub) RETURN count(*)`, Config{}},
 		{"bridged/hash-join", bridged, Config{}},
-		{"bridged/rescan", bridged, Config{NoCostPlanner: true}},
+		{"bridged/rescan", bridged, Config{noCostPlanner: true}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			cfg := shape.cfg

@@ -9,13 +9,19 @@ import (
 	"redisgraph/internal/grb"
 )
 
+// kernelModes is the kernel-direction axis of the differential lattices.
+var kernelModes = []kernelMode{kernelAuto, kernelPush, kernelPull}
+
+// String names a kernel mode in test failure messages.
+func (k kernelMode) String() string { return [...]string{"auto", "push", "pull"}[k] }
+
 // kernelConfigs enumerates the direction-optimizing differential cells:
 // every kernel mode at tuple-at-a-time and fused-frontier batch sizes.
 func kernelConfigs() []Config {
 	var out []Config
 	for _, batch := range []int{1, 64} {
-		for _, kernel := range []string{"auto", "push", "pull"} {
-			out = append(out, Config{TraverseBatch: batch, TraverseKernel: kernel})
+		for _, kernel := range kernelModes {
+			out = append(out, Config{batch: batch, kernel: kernel})
 		}
 	}
 	return out
@@ -104,13 +110,16 @@ func TestKernelDifferentialWrites(t *testing.T) {
 // fixed-length hop always runs the push kernel, whatever the mode.
 func TestProfileReportsKernel(t *testing.T) {
 	g := adversarialGraph(t, 80)
-	cases := []struct{ kernel, query, want string }{
-		{"push", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
-		{"pull", `MATCH (a:Hub {uid: 1})-[:D*1..3]->(b) RETURN count(b)`, "kernel: pull"},
-		{"pull", `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
+	cases := []struct {
+		kernel      kernelMode
+		query, want string
+	}{
+		{kernelPush, `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
+		{kernelPull, `MATCH (a:Hub {uid: 1})-[:D*1..3]->(b) RETURN count(b)`, "kernel: pull"},
+		{kernelPull, `MATCH (a:Hub)-[:D]->(b:Hub)-[:D]->(c) RETURN count(c)`, "kernel: push"},
 	}
 	for _, c := range cases {
-		lines, err := Profile(g, c.query, nil, Config{TraverseKernel: c.kernel})
+		lines, err := Profile(g, c.query, nil, Config{kernel: c.kernel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,14 +132,6 @@ func TestProfileReportsKernel(t *testing.T) {
 		if !found {
 			t.Fatalf("PROFILE (%s) of %s missing %q:\n%s", c.kernel, c.query, c.want, strings.Join(lines, "\n"))
 		}
-	}
-}
-
-// TestInvalidTraverseKernel checks the config knob rejects unknown values.
-func TestInvalidTraverseKernel(t *testing.T) {
-	g := adversarialGraph(t, 10)
-	if _, err := Query(g, `MATCH (a:Hub) RETURN count(a)`, nil, Config{TraverseKernel: "sideways"}); err == nil {
-		t.Fatal("expected an error for an invalid traverse kernel")
 	}
 }
 

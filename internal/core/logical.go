@@ -19,7 +19,7 @@ import (
 // closing cycles as soon as both endpoints are bound. The physical phase
 // (plan.go) emits scan/traversal operations in the chosen order through the
 // same machinery the textual planner uses, so pushdown, masks and batching
-// apply unchanged. Config.NoCostPlanner keeps the textual order — the
+// apply unchanged. Config.noCostPlanner keeps the textual order — the
 // differential baseline.
 
 const (

@@ -13,7 +13,7 @@ import (
 // defaultTraverseBatch is the number of records fused into one frontier
 // matrix by the batched traversal operations — and, since the batch-at-a-
 // time refactor, the pipeline-wide batch size every operation aims for.
-// Config.TraverseBatch overrides it per query.
+// Config.batch overrides it per query.
 const defaultTraverseBatch = 64
 
 // dstMask is a pushed-down destination predicate: a property comparison

@@ -13,12 +13,12 @@ import (
 // pushdown enabled and disabled. The scalar no-pushdown cell (batch 1) is
 // the reference engine.
 var pipelineConfigs = []Config{
-	{TraverseBatch: 1, noPushdown: true},
-	{TraverseBatch: 1},
-	{TraverseBatch: 3, noPushdown: true},
-	{TraverseBatch: 3},
-	{TraverseBatch: 64, noPushdown: true},
-	{TraverseBatch: 64},
+	{batch: 1, noPushdown: true},
+	{batch: 1},
+	{batch: 3, noPushdown: true},
+	{batch: 3},
+	{batch: 64, noPushdown: true},
+	{batch: 64},
 }
 
 // assertPipelineEquivalent runs one query across the differential grid and
@@ -159,12 +159,12 @@ func TestPushdownExplain(t *testing.T) {
 	if strings.Contains(p, "mask:") {
 		t.Fatalf("optional traversal must not absorb masks:\n%s", p)
 	}
-	// NoPushdown keeps the interpreted filter plan.
+	// noPushdown keeps the interpreted filter plan.
 	ast, err := cypher.Parse(`MATCH (n:N {uid: 3}) RETURN n.uid`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := buildPlanOpts(g, ast, planOptions{NoPushdown: true})
+	plan, err := buildPlanOpts(g, ast, planOptions{noPushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPushdownExplain(t *testing.T) {
 	printPlan(plan.root, 0, &lines, planNode.args, nil)
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "Filter") || strings.Contains(joined, "pushed:") {
-		t.Fatalf("NoPushdown plan must keep residual filters:\n%s", joined)
+		t.Fatalf("noPushdown plan must keep residual filters:\n%s", joined)
 	}
 }
 

@@ -88,12 +88,12 @@ type binderInfo struct {
 
 // planOptions tunes plan construction.
 type planOptions struct {
-	// NoPushdown keeps every predicate as an interpreted per-record filter
+	// noPushdown keeps every predicate as an interpreted per-record filter
 	// instead of compiling it into scan filters and GraphBLAS masks.
-	NoPushdown bool
-	// NoCostPlanner keeps the textual planning order instead of reordering
+	noPushdown bool
+	// noCostPlanner keeps the textual planning order instead of reordering
 	// scans and traversals by estimated cardinality.
-	NoCostPlanner bool
+	noCostPlanner bool
 }
 
 // BuildPlan compiles a parsed query against a graph.
@@ -105,7 +105,7 @@ func BuildPlan(g *graph.Graph, q *cypher.Query) (*Plan, error) {
 // nothing assigns a plan-node field afterwards.
 func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {
 	b := &planBuilder{g: g, st: newSymtab(), bound: map[string]bool{}, readonly: true,
-		noPushdown: opts.NoPushdown, noCostPlanner: opts.NoCostPlanner, gs: g.Stats(), cond: g.CondStats(),
+		noPushdown: opts.noPushdown, noCostPlanner: opts.noCostPlanner, gs: g.Stats(), cond: g.CondStats(),
 		binders: map[string]*binderInfo{}, est: map[planNode]float64{}, rowEst: 1}
 	for i := 0; i < len(q.Clauses); i++ {
 		if b.terminated {
@@ -604,7 +604,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 			// Fold every destination label into a diagonal mask applied to
 			// each emitted level inside the expansion loop — the
 			// intermediate hops stay unfiltered, only emission is. Under
-			// NoPushdown the labels stay residual filters.
+			// noPushdown the labels stay residual filters.
 			labels := dstNode.Labels
 			if !b.noCostPlanner {
 				labels = b.orderLabelsBySelectivity(labels)

@@ -44,10 +44,10 @@ import (
 // small enough that cold shapes age out quickly.
 const DefaultPlanCacheSize = 128
 
-// planKey identifies one cached template. The planner options (pushdown and
-// planner toggles) all change the planned tree, so they
-// key separately; batch size and kernel direction resolve at execution time
-// and do not.
+// planKey identifies one cached template. The planner options (the test
+// baselines noPushdown and noCostPlanner) change the planned tree, so they
+// key separately; the test-only batch size and kernel direction resolve at
+// execution time and do not.
 type planKey struct {
 	g    *graph.Graph
 	text string

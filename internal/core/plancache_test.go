@@ -249,8 +249,8 @@ func TestPlanCacheDifferentialConfigs(t *testing.T) {
 	for _, q := range queries {
 		for _, textual := range []bool{false, true} {
 			for _, batch := range []int{1, 64} {
-				for _, kernel := range []string{"auto", "push", "pull"} {
-					cfg := Config{NoCostPlanner: textual, TraverseBatch: batch, TraverseKernel: kernel}
+				for _, kernel := range kernelModes {
+					cfg := Config{noCostPlanner: textual, batch: batch, kernel: kernel}
 					want := runSortedP(t, g, q, p, cfg)
 					cfg.PlanCache = pc
 					got := runSortedP(t, g, q, p, cfg)
@@ -446,7 +446,7 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				for s, q := range shapes {
-					cfg := Config{PlanCache: pc, TraverseBatch: []int{0, 1, 7}[(w+i+s)%3]}
+					cfg := Config{PlanCache: pc, batch: []int{0, 1, 7}[(w+i+s)%3]}
 					id := (w*5 + i*3 + s) % ids
 					switch (w + i + s) % 4 {
 					case 0:

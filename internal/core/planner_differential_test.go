@@ -126,14 +126,14 @@ func TestPlannerDifferentialReadOnly(t *testing.T) {
 	}
 	for _, query := range queries {
 		cost := runSorted(t, g, query, Config{})
-		textual := runSorted(t, g, query, Config{NoCostPlanner: true})
+		textual := runSorted(t, g, query, Config{noCostPlanner: true})
 		if strings.Join(cost, "\n") != strings.Join(textual, "\n") {
 			t.Errorf("planner disagreement on %s\ncost:\n%s\ntextual:\n%s",
 				query, strings.Join(cost, "\n"), strings.Join(textual, "\n"))
 		}
 		// The cost planner must also agree with itself under the other
 		// engine baselines (batch 1, no pushdown).
-		for _, cfg := range []Config{{TraverseBatch: 1}, {noPushdown: true}} {
+		for _, cfg := range []Config{{batch: 1}, {noPushdown: true}} {
 			alt := runSorted(t, g, query, cfg)
 			if strings.Join(cost, "\n") != strings.Join(alt, "\n") {
 				t.Errorf("cfg %+v disagreement on %s\n%s\nvs\n%s",
@@ -166,7 +166,7 @@ func TestPlannerDifferentialWrites(t *testing.T) {
 	const edgeQuery = `MATCH (a)-[e]->(b) RETURN a.uid, b.uid`
 	for si, script := range scripts {
 		var states [2][]string
-		for vi, cfg := range []Config{{}, {NoCostPlanner: true}} {
+		for vi, cfg := range []Config{{}, {noCostPlanner: true}} {
 			g := adversarialGraph(t, 80)
 			for _, q := range script {
 				if _, err := Query(g, q, nil, cfg); err != nil {
@@ -210,7 +210,7 @@ func TestCostPlannerPicksSelectiveEntry(t *testing.T) {
 	if !strings.Contains(cost, "b:Rare") || !strings.Contains(cost, "Spᵀ") {
 		t.Fatalf("cost plan must enter at :Rare and transpose :Sp:\n%s", cost)
 	}
-	textual := explain(q, planOptions{NoCostPlanner: true})
+	textual := explain(q, planOptions{noCostPlanner: true})
 	if !strings.Contains(textual, "a:Hub") || strings.Contains(textual, "Spᵀ") {
 		t.Fatalf("textual plan must keep the written order:\n%s", textual)
 	}
@@ -226,8 +226,7 @@ func TestCostPlannerPicksSelectiveEntry(t *testing.T) {
 // contract: columns appear in the order the pattern wrote the variables,
 // regardless of the join order the optimizer picks. (The textual baseline
 // orders by its own binding sequence, which can start mid-pattern at an
-// index seed — so the two planners are allowed to disagree here, and
-// clients toggling COST_PLANNER should read columns by name.)
+// index seed — so the two planners are allowed to disagree here.)
 func TestCostPlannerReturnStarOrder(t *testing.T) {
 	g := adversarialGraph(t, 30)
 	rs, err := Query(g, `MATCH (a:Hub)-[e:Sp]->(b:Rare) RETURN *`, nil, Config{})
@@ -250,7 +249,7 @@ func TestCostPlannerRecordDependentProps(t *testing.T) {
 	// planners must agree.
 	q := `MATCH (a:Hub)-[:D]->(b {uid: a.uid}) RETURN count(*)`
 	cost := runSorted(t, g, q, Config{})
-	textual := runSorted(t, g, q, Config{NoCostPlanner: true})
+	textual := runSorted(t, g, q, Config{noCostPlanner: true})
 	if strings.Join(cost, "\n") != strings.Join(textual, "\n") {
 		t.Fatalf("record-dependent prop disagreement:\n%v\nvs\n%v", cost, textual)
 	}
@@ -267,7 +266,7 @@ func TestCostPlannerRecordDependentProps(t *testing.T) {
 	}
 	// A WHERE referencing a variable from a later MATCH clause is invalid
 	// under both planners.
-	for _, cfg := range []Config{{}, {NoCostPlanner: true}} {
+	for _, cfg := range []Config{{}, {noCostPlanner: true}} {
 		_, err := Query(g, `MATCH (a:Rare) WHERE h.uid < 50 MATCH (a)-[:Back]->(h) RETURN count(*)`, nil, cfg)
 		if err == nil || !strings.Contains(err.Error(), `undefined variable "h"`) {
 			t.Fatalf("cfg=%+v: forward WHERE reference must error, got %v", cfg, err)
@@ -276,14 +275,14 @@ func TestCostPlannerRecordDependentProps(t *testing.T) {
 	// Relationship properties referencing other pattern variables fall
 	// back to textual ordering: both planners agree.
 	q = `MATCH (a:Hub)-[e:Sp {w: a.uid}]->(b:Rare) RETURN count(*)`
-	if c, x := runSorted(t, g, q, Config{}), runSorted(t, g, q, Config{NoCostPlanner: true}); strings.Join(c, "\n") != strings.Join(x, "\n") {
+	if c, x := runSorted(t, g, q, Config{}), runSorted(t, g, q, Config{noCostPlanner: true}); strings.Join(c, "\n") != strings.Join(x, "\n") {
 		t.Fatalf("rel-prop disagreement:\n%v\nvs\n%v", c, x)
 	}
 }
 
 // TestVarLenDstLabelMask asserts the destination label of a variable-length
 // pattern folds into an algebraic mask inside the expansion loop (no
-// residual Filter), while NoPushdown keeps the labels as residual filters.
+// residual Filter), while noPushdown keeps the labels as residual filters.
 func TestVarLenDstLabelMask(t *testing.T) {
 	g := adversarialGraph(t, 50)
 	explain := func(opts planOptions) string {
@@ -303,9 +302,9 @@ func TestVarLenDstLabelMask(t *testing.T) {
 	if !strings.Contains(p, "dst mask: :Rare") || strings.Contains(p, "Filter") {
 		t.Fatalf("var-length dst labels must fold into the mask:\n%s", p)
 	}
-	p = explain(planOptions{NoPushdown: true})
+	p = explain(planOptions{noPushdown: true})
 	if strings.Contains(p, "dst mask") || !strings.Contains(p, "Filter") {
-		t.Fatalf("NoPushdown var-length must keep residual label filters:\n%s", p)
+		t.Fatalf("noPushdown var-length must keep residual label filters:\n%s", p)
 	}
 }
 
@@ -320,13 +319,13 @@ func TestExplainShowsCardinalities(t *testing.T) {
 		`MATCH (a:Hub {uid: 1}), (b:Rare) CREATE (a)-[:W]->(b)`,
 		`UNWIND [1, 2, 3] AS x RETURN x`,
 	}
-	for _, cfg := range []Config{{}, {NoCostPlanner: true}} {
+	for _, cfg := range []Config{{}, {noCostPlanner: true}} {
 		for _, query := range queries {
 			ast, err := cypher.Parse(query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := buildPlanOpts(g, ast, planOptions{NoCostPlanner: cfg.NoCostPlanner})
+			plan, err := buildPlanOpts(g, ast, planOptions{noCostPlanner: cfg.noCostPlanner})
 			if err != nil {
 				t.Fatal(err)
 			}

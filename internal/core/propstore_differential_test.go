@@ -10,7 +10,7 @@ import (
 )
 
 // propStoreConfigs is the property-read differential grid: the interpreted
-// reference (NoPushdown: every comparison boxes its column cell and runs
+// reference (noPushdown: every comparison boxes its column cell and runs
 // compareValues) and the compiled unboxed kernels, at every batch size x
 // kernel direction cell. Every cell must return rows bit-identical to the
 // interpreted baseline.
@@ -18,11 +18,11 @@ func propStoreConfigs() []Config {
 	var out []Config
 	for _, noPushdown := range []bool{true, false} {
 		for _, batch := range []int{1, 64} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
+			for _, kernel := range kernelModes {
 				out = append(out, Config{
-					TraverseBatch:  batch,
-					TraverseKernel: kernel,
-					noPushdown:     noPushdown,
+					batch:      batch,
+					kernel:     kernel,
+					noPushdown: noPushdown,
 				})
 			}
 		}
@@ -148,7 +148,7 @@ var propStoreReadQueries = []string{
 	`MATCH (n:P) WHERE n.age = 7 RETURN n`,
 }
 
-// TestPropStoreDifferentialReads proves pushdown ≡ NoPushdown on read
+// TestPropStoreDifferentialReads proves pushdown ≡ noPushdown on read
 // pipelines: identical rows for every query in every grid cell.
 func TestPropStoreDifferentialReads(t *testing.T) {
 	g := propStoreGraph(t, 240)

@@ -141,7 +141,7 @@ func TestMixedWorkloadDifferential(t *testing.T) {
 // compose.
 func TestMixedWorkloadBatchSizes(t *testing.T) {
 	stream := mixedStream(7, 16, 200)
-	baseline := runStream(t, stream, coarseQuery, Config{TraverseBatch: 1}, 0)
+	baseline := runStream(t, stream, coarseQuery, Config{batch: 1}, 0)
 	got := runStream(t, stream, Query, Config{}, 16)
 	for i := range got {
 		if got[i] != baseline[i] {

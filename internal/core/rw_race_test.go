@@ -229,7 +229,7 @@ func TestConcurrentUnionReaders(t *testing.T) {
 				default:
 				}
 				c := queries[(w+i)%len(queries)]
-				cfg := Config{TraverseKernel: []string{"auto", "pull", "push"}[(w+i)%3]}
+				cfg := Config{kernel: []kernelMode{kernelAuto, kernelPull, kernelPush}[(w+i)%3]}
 				rs, err := ROQuery(g, c.q, nil, cfg)
 				if err != nil {
 					panic(fmt.Sprintf("%s: %v", c.q, err))

@@ -188,16 +188,16 @@ func TestScanAggregateDifferential(t *testing.T) {
 			t.Fatalf("%s fixture: pending deltas %d", state, g.PendingDeltas())
 		}
 		for _, batch := range []int{1, 64} {
-			for _, kernel := range []string{"auto", "push", "pull"} {
+			for _, kernel := range kernelModes {
 				for _, cached := range []bool{false, true} {
-					cfg := Config{TraverseBatch: batch, TraverseKernel: kernel}
-					ref := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: true}
+					cfg := Config{batch: batch, kernel: kernel}
+					ref := Config{batch: batch, kernel: kernel, noPushdown: true}
 					if cached {
 						cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
 						ref.PlanCache = NewPlanCache(DefaultPlanCacheSize)
 					}
 					list := queries
-					if batch == 64 && kernel == "auto" {
+					if batch == 64 && kernel == kernelAuto {
 						// The predicates neither traverse nor build
 						// records, so one batch size and kernel cover them.
 						list = all
@@ -356,7 +356,7 @@ func TestScanAggregateBelowWrite(t *testing.T) {
 		}
 		for _, batch := range []int{1, 64} {
 			for _, noPushdown := range []bool{false, true} {
-				cfg := Config{TraverseBatch: batch, noPushdown: noPushdown}
+				cfg := Config{batch: batch, noPushdown: noPushdown}
 				g := graph.New("w")
 				if got := aggRows(t, g, c.query, cfg); got != c.first {
 					t.Errorf("cfg %+v %s: first run %s, want %s", cfg, c.query, got, c.first)

@@ -65,7 +65,7 @@ func rowMultiset(rs *ResultSet) []string {
 func assertBatchEquivalent(t *testing.T, g *graph.Graph, query string) {
 	t.Helper()
 	run := func(batch int) []string {
-		rs, err := Query(g, query, nil, Config{TraverseBatch: batch})
+		rs, err := Query(g, query, nil, Config{batch: batch})
 		if err != nil {
 			t.Fatalf("batch=%d %s: %v", batch, query, err)
 		}
@@ -154,7 +154,7 @@ func TestBatchedExpandIntoDifferential(t *testing.T) {
 		// ExpandInto matches may legitimately be empty on a sparse random
 		// graph; assert equivalence without requiring rows.
 		run := func(batch int) []string {
-			rs, err := Query(g, q, nil, Config{TraverseBatch: batch})
+			rs, err := Query(g, q, nil, Config{batch: batch})
 			if err != nil {
 				t.Fatalf("batch=%d %s: %v", batch, q, err)
 			}
@@ -198,6 +198,24 @@ func TestExplainShowsBatchedTraverse(t *testing.T) {
 	if !strings.Contains(joined, "TraverseCount") || !strings.Contains(joined, want) {
 		t.Fatalf("EXPLAIN missing TraverseCount pushdown:\n%s", joined)
 	}
+	// PROFILE reports the batch a running op used; the cached plan node it
+	// was instantiated from keeps the planned one.
+	pc := NewPlanCache(DefaultPlanCacheSize)
+	const q = `MATCH (a:N)-[:A]->(b:N) RETURN b.uid`
+	lines, err = Profile(g, q, nil, Config{PlanCache: pc, batch: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined = strings.Join(lines, "\n"); !strings.Contains(joined, "batched(7)") {
+		t.Fatalf("PROFILE at batch 7 must show batched(7):\n%s", joined)
+	}
+	lines, err = Explain(g, q, Config{PlanCache: pc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined = strings.Join(lines, "\n"); !strings.Contains(joined, "plan: cached") || !strings.Contains(joined, want) {
+		t.Fatalf("EXPLAIN after PROFILE at batch 7 must show the cached plan's %s:\n%s", want, joined)
+	}
 }
 
 // TestTraverseCountPushdown checks the pushdown against the unfused
@@ -214,7 +232,7 @@ func TestTraverseCountPushdown(t *testing.T) {
 			`MATCH (a:N)-[:A]->(b:N) RETURN count(b)`,
 			`MATCH (a:N)-[:A]->(b:N) RETURN count(*)`,
 		} {
-			rs, err := Query(g, query, nil, Config{TraverseBatch: batch})
+			rs, err := Query(g, query, nil, Config{batch: batch})
 			if err != nil {
 				t.Fatalf("batch=%d %s: %v", batch, query, err)
 			}
@@ -251,7 +269,7 @@ func TestTraverseCountPushdown(t *testing.T) {
 	} {
 		want := q(t, g, query).Rows[0][0].Int()
 		for _, batch := range []int{1, 3, 64} {
-			rs, err := Query(g, query, nil, Config{TraverseBatch: batch})
+			rs, err := Query(g, query, nil, Config{batch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,9 +164,9 @@ func TestVarLenCountPushdown(t *testing.T) {
 	}
 
 	for _, batch := range []int{1, 64} {
-		for _, kernel := range []string{"auto", "push", "pull"} {
+		for _, kernel := range kernelModes {
 			for _, cached := range []bool{false, true} {
-				cfg := Config{TraverseBatch: batch, TraverseKernel: kernel}
+				cfg := Config{batch: batch, kernel: kernel}
 				if cached {
 					cfg.PlanCache = NewPlanCache(DefaultPlanCacheSize)
 				}
@@ -204,9 +204,9 @@ func TestVarLenCountBelowWrite(t *testing.T) {
 		t.Fatalf("count over a created type must push down:\n%s", plan)
 	}
 	for _, batch := range []int{1, 64} {
-		for _, kernel := range []string{"auto", "push", "pull"} {
+		for _, kernel := range kernelModes {
 			for _, noPushdown := range []bool{false, true} {
-				cfg := Config{TraverseBatch: batch, TraverseKernel: kernel, noPushdown: noPushdown}
+				cfg := Config{batch: batch, kernel: kernel, noPushdown: noPushdown}
 				if got := varLenCount(t, graph.New("w"), query, cfg); got != 2 {
 					t.Fatalf("cfg %+v: count = %d, want 2", cfg, got)
 				}

@@ -33,12 +33,12 @@ func TestWhereDrivenIndexSeed(t *testing.T) {
 
 	// The textual baseline must stay on its label scan, and both planners
 	// must agree on results.
-	baseline := strings.Join(explainLines(t, q, Config{NoCostPlanner: true}), "\n")
+	baseline := strings.Join(explainLines(t, q, Config{noCostPlanner: true}), "\n")
 	if strings.Contains(baseline, "NodeByIndexScan") {
 		t.Fatalf("textual baseline unexpectedly index-seeded:\n%s", baseline)
 	}
 	g := adversarialGraph(t, 200)
-	want := runSorted(t, g, q, Config{NoCostPlanner: true})
+	want := runSorted(t, g, q, Config{noCostPlanner: true})
 	got := runSorted(t, g, q, Config{})
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("planner differential mismatch:\nwant %v\ngot  %v", want, got)
@@ -58,7 +58,7 @@ func TestWhereDrivenIndexSeedConjuncts(t *testing.T) {
 		t.Fatalf("inequality conjunct lost:\n%s", plan)
 	}
 	g := adversarialGraph(t, 200)
-	want := runSorted(t, g, q, Config{NoCostPlanner: true})
+	want := runSorted(t, g, q, Config{noCostPlanner: true})
 	got := runSorted(t, g, q, Config{})
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("planner differential mismatch:\nwant %v\ngot  %v", want, got)
@@ -84,7 +84,7 @@ func TestWhereSeedParameter(t *testing.T) {
 	}
 	g := adversarialGraph(t, 200)
 	params := map[string]value.Value{"id": value.NewInt(3)}
-	for _, cfg := range []Config{{}, {NoCostPlanner: true}} {
+	for _, cfg := range []Config{{}, {noCostPlanner: true}} {
 		rs, err := Query(g, q, params, cfg)
 		if err != nil {
 			t.Fatalf("cfg=%+v: %v", cfg, err)

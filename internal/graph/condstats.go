@@ -26,8 +26,6 @@ package graph
 // degree distribution of label-L nodes over relation T's out- (or in-) edges.
 // Degrees count distinct neighbours, matching what one MxM step visits.
 type CondCell struct {
-	// Conn is the number of label-L nodes with at least one T-neighbour.
-	Conn int
 	// Pairs is the number of distinct (src, dst) pairs whose labelled
 	// endpoint is a label-L node — the restriction of Stats.RelPairs to L.
 	Pairs int
@@ -44,9 +42,6 @@ func (c *CondCell) add(newDeg int) {
 	old := newDeg - 1
 	c.Pairs++
 	c.SumDegSq += float64(newDeg*newDeg - old*old)
-	if old == 0 {
-		c.Conn++
-	}
 }
 
 // remove records a node's degree transition newDeg+1 → newDeg (a distinct
@@ -55,9 +50,6 @@ func (c *CondCell) remove(newDeg int) {
 	old := newDeg + 1
 	c.Pairs--
 	c.SumDegSq += float64(newDeg*newDeg - old*old)
-	if newDeg == 0 {
-		c.Conn--
-	}
 }
 
 // FanoutOver is the mean degree over a population of `nodes` candidates,

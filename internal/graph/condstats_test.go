@@ -25,7 +25,6 @@ func recomputeCond(g *Graph) (out, in [][]CondCell) {
 				}
 				table = condRows(table, tid, g.Schema.LabelCount())
 				bump := func(c *CondCell) {
-					c.Conn++
 					c.Pairs += deg
 					c.SumDegSq += float64(deg * deg)
 				}
@@ -152,16 +151,16 @@ func TestCondStatsSnapshot(t *testing.T) {
 	lidA, _ := g.Schema.LabelID("A")
 	lidB, _ := g.Schema.LabelID("B")
 	out := cs.OutCell(tid, lidA)
-	if out.Conn != 1 || out.Pairs != 8 {
-		t.Fatalf("out cell = %+v, want Conn=1 Pairs=8", out)
+	if out.Pairs != 8 {
+		t.Fatalf("out cell = %+v, want Pairs=8", out)
 	}
 	// One node owns all 8 pairs: κ over the 9 nodes = 9·64/64 = 9.
 	if got := out.DegreeSkew(9); got != 9 {
 		t.Fatalf("skew = %v, want 9", got)
 	}
 	in := cs.InCell(tid, lidB)
-	if in.Conn != 8 || in.Pairs != 8 {
-		t.Fatalf("in cell = %+v, want Conn=8 Pairs=8", in)
+	if in.Pairs != 8 {
+		t.Fatalf("in cell = %+v, want Pairs=8", in)
 	}
 	// In-degrees are all 1: a regular distribution, κ = 1.
 	if got := in.DegreeSkew(8); got != 1 {
@@ -187,7 +186,7 @@ func TestCondStatsSnapshot(t *testing.T) {
 	if cs2 == cs {
 		t.Fatal("snapshot not invalidated by write")
 	}
-	if got := cs2.OutCell(tid, lidB).Conn; got != 1 {
-		t.Fatalf("post-write B out conn = %d, want 1", got)
+	if got := cs2.OutCell(tid, lidB).Pairs; got != 1 {
+		t.Fatalf("post-write B out pairs = %d, want 1", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"redisgraph/internal/core"
@@ -17,13 +16,7 @@ import (
 // queryConfig assembles the per-query engine configuration from the
 // server's options and live GRAPH.CONFIG state.
 func (s *Server) queryConfig() core.Config {
-	return core.Config{
-		TraverseBatch:  int(s.traverseBatch.Load()),
-		Timeout:        s.opts.QueryTimeout,
-		NoCostPlanner:  !s.costPlanner.Load(),
-		TraverseKernel: s.traverseKernel.Load().(string),
-		PlanCache:      s.planCache,
-	}
+	return core.Config{Timeout: s.opts.QueryTimeout, PlanCache: s.planCache}
 }
 
 // admitQuery takes one of the THREAD_COUNT admission permits for an
@@ -38,27 +31,21 @@ func (s *Server) admitQuery() (wait time.Duration, release func(), busy resp.Err
 	return wait, s.gate.Release, ""
 }
 
-// maxTraverseBatch caps GRAPH.CONFIG SET TRAVERSE_BATCH: beyond this the
-// frontier matrices stop fitting comfortably in cache and the win flattens.
-const maxTraverseBatch = 1 << 16
-
 // configParam is one GRAPH.CONFIG parameter: GET, GET *, SET, its validation
 // error and the usage line all derive from the configParams table. get reads
-// the live value (an int64, or a string for the enum-valued
-// TRAVERSE_KERNEL). set parses and applies a new value, returning the
+// the live value. set parses and applies a new value, returning the
 // constraint a rejected value violated ("must be …"); it is nil for the
 // parameters fixed at start-up.
 type configParam struct {
 	name string
-	get  func(s *Server) any
+	get  func(s *Server) int64
 	set  func(s *Server, v string) error
 }
 
 // intParam is an integer parameter accepting [min, max]; note says what a
 // special value means.
 func intParam(name string, min, max int64, note string, get func(*Server) int64, set func(*Server, int64)) configParam {
-	return configParam{name,
-		func(s *Server) any { return get(s) },
+	return configParam{name, get,
 		func(s *Server, v string) error {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < min || n > max {
@@ -69,46 +56,11 @@ func intParam(name string, min, max int64, note string, get func(*Server) int64,
 		}}
 }
 
-// boolParam is an on/off parameter accepting Redis-style booleans.
-func boolParam(name string, flag func(*Server) *atomic.Bool) configParam {
-	return configParam{name,
-		func(s *Server) any {
-			if flag(s).Load() {
-				return int64(1)
-			}
-			return int64(0)
-		},
-		func(s *Server, v string) error {
-			switch strings.ToLower(v) {
-			case "1", "yes", "true", "on":
-				flag(s).Store(true)
-			case "0", "no", "false", "off":
-				flag(s).Store(false)
-			default:
-				return fmt.Errorf("must be 0|1|yes|no")
-			}
-			return nil
-		}}
-}
-
 // configParams lists every GRAPH.CONFIG parameter, in the order GET *
 // reports them.
 var configParams = []configParam{
-	{"THREAD_COUNT", func(s *Server) any { return int64(s.opts.ThreadCount) }, nil},
-	{"TIMEOUT", func(s *Server) any { return s.opts.QueryTimeout.Milliseconds() }, nil},
-	intParam("TRAVERSE_BATCH", 1, maxTraverseBatch, "",
-		func(s *Server) int64 { return int64(s.traverseBatch.Load()) },
-		func(s *Server, n int64) { s.traverseBatch.Store(int32(n)) }),
-	boolParam("COST_PLANNER", func(s *Server) *atomic.Bool { return &s.costPlanner }),
-	{"TRAVERSE_KERNEL", func(s *Server) any { return s.traverseKernel.Load().(string) },
-		func(s *Server, v string) error {
-			switch kernel := strings.ToLower(v); kernel {
-			case "auto", "push", "pull":
-				s.traverseKernel.Store(kernel)
-				return nil
-			}
-			return fmt.Errorf("must be auto|push|pull")
-		}},
+	{"THREAD_COUNT", func(s *Server) int64 { return int64(s.opts.ThreadCount) }, nil},
+	{"TIMEOUT", func(s *Server) int64 { return s.opts.QueryTimeout.Milliseconds() }, nil},
 	intParam("PLAN_CACHE_SIZE", 0, math.MaxInt32, " (0 = caching off)",
 		func(s *Server) int64 { return int64(s.planCache.Capacity()) },
 		func(s *Server, n int64) { s.planCache.SetCapacity(int(n)) }),

@@ -35,18 +35,6 @@ type Options struct {
 	// paper's threadpool size (configured at module load time, fixed after
 	// it). Defaults to 8.
 	ThreadCount int
-	// TraverseBatch is the engine's pipeline batch size: records per batch
-	// through every operation and frontier rows per fused MxM. 0 uses the
-	// engine default (64); 1 is tuple-at-a-time execution (one-row batches
-	// and frontiers through the same code). Runtime changes go through
-	// GRAPH.CONFIG SET TRAVERSE_BATCH.
-	TraverseBatch int
-	// TraverseKernel selects the kernel direction of var-length BFS hops and
-	// expand-into probes: "auto" (default) picks push or pull per hop,
-	// "push"/"pull" force one direction for differential baselines.
-	// Fixed-length hops always push. Runtime changes go through
-	// GRAPH.CONFIG SET TRAVERSE_KERNEL.
-	TraverseKernel string
 	// QueryTimeout bounds each query (0 = none).
 	QueryTimeout time.Duration
 	// SnapshotPath, when set, enables the SAVE command and loading the
@@ -59,16 +47,6 @@ type Server struct {
 	opts Options
 	ln   net.Listener
 
-	// traverseBatch is the live TRAVERSE_BATCH value (seeded from
-	// Options.TraverseBatch, mutable via GRAPH.CONFIG SET).
-	traverseBatch atomic.Int32
-	// costPlanner is the live COST_PLANNER value (starts on, mutable via
-	// GRAPH.CONFIG SET).
-	costPlanner atomic.Bool
-	// traverseKernel is the live TRAVERSE_KERNEL value ("auto", "push" or
-	// "pull"; seeded from Options.TraverseKernel, mutable via GRAPH.CONFIG
-	// SET).
-	traverseKernel atomic.Value
 	// planCache is the server-wide parameterized plan cache, shared by every
 	// graph and worker. Its capacity is the live PLAN_CACHE_SIZE value
 	// (starts at the engine default, 128; capacity 0 = caching off, the
@@ -103,9 +81,6 @@ func New(opts Options) *Server {
 	if opts.ThreadCount <= 0 {
 		opts.ThreadCount = 8
 	}
-	if opts.TraverseBatch <= 0 {
-		opts.TraverseBatch = core.DefaultTraverseBatch
-	}
 	s := &Server{
 		opts:     opts,
 		gate:     pool.NewGate(opts.ThreadCount),
@@ -113,13 +88,6 @@ func New(opts Options) *Server {
 		keyspace: map[string]string{},
 		conns:    map[net.Conn]struct{}{},
 	}
-	s.traverseBatch.Store(int32(opts.TraverseBatch))
-	s.costPlanner.Store(true)
-	kernel := strings.ToLower(opts.TraverseKernel)
-	if kernel != "push" && kernel != "pull" {
-		kernel = "auto"
-	}
-	s.traverseKernel.Store(kernel)
 	s.planCache = core.NewPlanCache(core.DefaultPlanCacheSize)
 	s.admissionTimeoutMs.Store(defaultAdmissionTimeoutMs)
 	return s

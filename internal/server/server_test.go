@@ -208,10 +208,12 @@ func TestGraphConfig(t *testing.T) {
 		t.Fatal("SET of a start-up parameter must fail")
 	}
 
-	// A query runs on its connection goroutine, never split, and the cost
-	// planner alone decides join order and hash joins: the knobs of
-	// intra-query parallelism and the join planner are unknown parameters.
-	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER", "JOIN_PLANNER"} {
+	// A query runs on its connection goroutine, never split, and only
+	// deployment settings are parameters: the knobs of intra-query
+	// parallelism, the join planner and the differential baselines (batch
+	// size, cost planner, kernel direction) are unknown parameters.
+	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER", "JOIN_PLANNER",
+		"TRAVERSE_BATCH", "COST_PLANNER", "TRAVERSE_KERNEL"} {
 		for _, args := range [][]string{{"GRAPH.CONFIG", "GET", name}, {"GRAPH.CONFIG", "SET", name, "1"}} {
 			_, err := c.Do(args...)
 			if err == nil || !strings.Contains(err.Error(), "unknown configuration parameter") {
@@ -227,10 +229,13 @@ func TestGraphConfig(t *testing.T) {
 	for _, p := range v.([]any) {
 		names = append(names, p.([]any)[0].(string))
 	}
-	want := "THREAD_COUNT TIMEOUT TRAVERSE_BATCH COST_PLANNER TRAVERSE_KERNEL " +
-		"PLAN_CACHE_SIZE PLAN_CACHE_MAX_BYTES ADMISSION_TIMEOUT"
+	want := "THREAD_COUNT TIMEOUT PLAN_CACHE_SIZE PLAN_CACHE_MAX_BYTES ADMISSION_TIMEOUT"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("GET * names:\n got %s\nwant %s", got, want)
+	}
+	_, err = c.Do("GRAPH.CONFIG", "SET")
+	if err == nil || !strings.Contains(err.Error(), "SET PLAN_CACHE_SIZE|PLAN_CACHE_MAX_BYTES|ADMISSION_TIMEOUT <value>") {
+		t.Fatalf("usage error = %v, want the three settable parameters", err)
 	}
 
 	if _, err := c.Query("g", `CREATE (:N {x: 1})-[:L]->(:N {x: 2})`); err != nil {
@@ -280,9 +285,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 	want := map[string]any{
 		"THREAD_COUNT":         int64(4),
 		"TIMEOUT":              int64(0),
-		"TRAVERSE_BATCH":       int64(core.DefaultTraverseBatch),
-		"COST_PLANNER":         int64(1),
-		"TRAVERSE_KERNEL":      "auto",
 		"PLAN_CACHE_SIZE":      int64(core.DefaultPlanCacheSize),
 		"PLAN_CACHE_MAX_BYTES": int64(0),
 		"ADMISSION_TIMEOUT":    int64(1000),
@@ -293,96 +295,6 @@ func TestGraphConfigGetAll(t *testing.T) {
 	for k, w := range want {
 		if got[k] != w {
 			t.Fatalf("GET * %s = %v, want %v (all: %v)", k, got[k], w, got)
-		}
-	}
-}
-
-func TestGraphConfigTraverseKernel(t *testing.T) {
-	_, c := startServer(t)
-	if _, err := c.Query("g", `CREATE (:N {x: 1})-[:L]->(:N {x: 2})-[:L]->(:N {x: 3})`); err != nil {
-		t.Fatal(err)
-	}
-	for _, kernel := range []string{"push", "pull", "auto"} {
-		if v, err := c.Do("GRAPH.CONFIG", "SET", "TRAVERSE_KERNEL", kernel); err != nil || v.(resp.SimpleString) != "OK" {
-			t.Fatalf("SET TRAVERSE_KERNEL %s: %v %v", kernel, v, err)
-		}
-		v, err := c.Do("GRAPH.CONFIG", "GET", "TRAVERSE_KERNEL")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pair := v.([]any); pair[1].(string) != kernel {
-			t.Fatalf("GET TRAVERSE_KERNEL after SET %s: %v", kernel, v)
-		}
-		// The forced kernel must serve identical query results.
-		reply, err := c.Query("g", `MATCH (a:N)-[:L]->(b:N)-[:L]->(c:N) RETURN a.x, c.x`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows := reply[1].([]any); len(rows) != 1 || fmt.Sprint(rows[0]) != "[1 3]" {
-			t.Fatalf("kernel %s rows: %v", kernel, reply[1])
-		}
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "TRAVERSE_KERNEL", "sideways"); err == nil {
-		t.Fatal("expected an error for an invalid TRAVERSE_KERNEL")
-	}
-}
-
-func TestGraphConfigCostPlanner(t *testing.T) {
-	_, c := startServer(t)
-	if _, err := c.Query("g", `CREATE (:Big {x: 1})-[:L]->(:Small {x: 2})`); err != nil {
-		t.Fatal(err)
-	}
-	for _, setting := range []string{"0", "no", "1", "yes"} {
-		if v, err := c.Do("GRAPH.CONFIG", "SET", "COST_PLANNER", setting); err != nil || v.(resp.SimpleString) != "OK" {
-			t.Fatalf("SET COST_PLANNER %s: %v %v", setting, v, err)
-		}
-		want := int64(1)
-		if setting == "0" || setting == "no" {
-			want = 0
-		}
-		v, err := c.Do("GRAPH.CONFIG", "GET", "COST_PLANNER")
-		if err != nil || v.([]any)[1].(int64) != want {
-			t.Fatalf("GET COST_PLANNER after %s: %v %v", setting, v, err)
-		}
-		// Queries agree under both planners.
-		rep, err := c.Query("g", `MATCH (a:Big)-[:L]->(b:Small) RETURN count(b)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows := rep[1].([]any); len(rows) != 1 || rows[0].([]any)[0].(int64) != 1 {
-			t.Fatalf("COST_PLANNER=%s rows: %v", setting, rep[1])
-		}
-	}
-	if _, err := c.Do("GRAPH.CONFIG", "SET", "COST_PLANNER", "maybe"); err == nil {
-		t.Fatal("SET COST_PLANNER maybe must fail")
-	}
-}
-
-func TestGraphConfigJoinPlanner(t *testing.T) {
-	_, c := startServer(t)
-	if _, err := c.Query("g", `CREATE (:L {k: 1})-[:E1]->(:M {k: 1}), (:F {k: 1})-[:E2]->(:T {k: 1})`); err != nil {
-		t.Fatal(err)
-	}
-	for _, setting := range []string{"0", "1"} {
-		if v, err := c.Do("GRAPH.CONFIG", "SET", "COST_PLANNER", setting); err != nil || v.(resp.SimpleString) != "OK" {
-			t.Fatalf("SET COST_PLANNER %s: %v %v", setting, v, err)
-		}
-		// The WHERE-bridged cartesian answers identically as a hash join
-		// (cost planner on) and as a rescan plus Filter (textual order).
-		const q = `MATCH (a:L)-[:E1]->(b:M), (c:F)-[:E2]->(d:T) WHERE b.k = c.k RETURN count(*)`
-		plan, err := c.Do("GRAPH.EXPLAIN", "g", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if joined := strings.Contains(fmt.Sprint(plan), "HashJoin"); joined != (setting == "1") {
-			t.Fatalf("COST_PLANNER=%s plan:\n%v", setting, plan)
-		}
-		rep, err := c.Query("g", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows := rep[1].([]any); len(rows) != 1 || rows[0].([]any)[0].(int64) != 1 {
-			t.Fatalf("COST_PLANNER=%s rows: %v", setting, rep[1])
 		}
 	}
 }
@@ -425,48 +337,5 @@ func TestQueryTimeout(t *testing.T) {
 	if _, err := c.Do("GRAPH.QUERY", "g", "MATCH (n:N) RETURN count(n)"); err == nil ||
 		!strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGraphConfigTraverseBatch(t *testing.T) {
-	_, c := startServer(t)
-	// Defaults to the engine's batch size.
-	v, err := c.Do("GRAPH.CONFIG", "GET", "TRAVERSE_BATCH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := v.([]any)
-	if pair[0].(string) != "TRAVERSE_BATCH" || pair[1].(int64) != int64(core.DefaultTraverseBatch) {
-		t.Fatalf("default TRAVERSE_BATCH: %v", v)
-	}
-	// Queries keep working at every accepted setting, including the
-	// tuple-at-a-time degenerate batch.
-	if _, err := c.Query("g", `CREATE (:P {x: 1})-[:L]->(:P {x: 2})`); err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []string{"1", "3", "128"} {
-		if v, err := c.Do("GRAPH.CONFIG", "SET", "TRAVERSE_BATCH", bs); err != nil || v.(resp.SimpleString) != "OK" {
-			t.Fatalf("SET TRAVERSE_BATCH %s: %v %v", bs, v, err)
-		}
-		v, err := c.Do("GRAPH.CONFIG", "GET", "TRAVERSE_BATCH")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := v.([]any)[1].(int64); fmt.Sprint(got) != bs {
-			t.Fatalf("GET after SET %s: %d", bs, got)
-		}
-		rep, err := c.Query("g", `MATCH (a:P)-[:L]->(b:P) RETURN count(b)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows := rep[1].([]any); len(rows) != 1 || rows[0].([]any)[0].(int64) != 1 {
-			t.Fatalf("batch=%s rows: %v", bs, rep[1])
-		}
-	}
-	// Validation: zero, negative, junk and over-cap values are rejected.
-	for _, bad := range []string{"0", "-4", "many", "1000000"} {
-		if _, err := c.Do("GRAPH.CONFIG", "SET", "TRAVERSE_BATCH", bad); err == nil {
-			t.Fatalf("SET TRAVERSE_BATCH %s must fail", bad)
-		}
 	}
 }

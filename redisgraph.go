@@ -50,14 +50,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(db *DB) { db.cfg.Timeout = d }
 }
 
-// WithSyncThreshold sets the pending-delta count at which a write query
-// folds a matrix's buffered updates into its main CSR. 0 folds after every
-// write query; higher values trade fold cost for slightly slower reads on
-// delta-heavy rows.
-func WithSyncThreshold(n int) Option {
-	return func(db *DB) { db.g.SetSyncThreshold(n) }
-}
-
 // Open creates an empty in-memory graph database.
 func Open(name string, opts ...Option) *DB {
 	db := &DB{g: graph.New(name)}
