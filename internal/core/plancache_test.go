@@ -739,6 +739,9 @@ func TestPlanCacheWriteDifferential(t *testing.T) {
 // lookup → instantiate → execute through Query; instantiate = lookup →
 // instantiate only. point-lookup is the wire benchmark's hot shape (two
 // nodes); traverse-agg is a six-node traverse + aggregate + sort.
+// after-write is a point-lookup lookup → instantiate right after an edge
+// write has moved the graph's epoch; each op also pays that write (one edge
+// created and deleted, so the graph stays the same size).
 func BenchmarkPlanCacheHit(b *testing.B) {
 	g := adversarialGraph(b, 200)
 	g.Lock()
@@ -773,4 +776,26 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 			}
 		})
 	}
+	cfg := Config{PlanCache: NewPlanCache(DefaultPlanCacheSize)}
+	query := shapes[0].query
+	if _, err := Query(g, query, intParam("seed", 7), cfg); err != nil { // prime the entry
+		b.Fatal(err)
+	}
+	b.Run("after-write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.Lock()
+			e, err := g.CreateEdge("Sp", 0, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.DeleteEdge(e.ID)
+			g.Unlock()
+			p, cached, err := cfg.PlanCache.plan(g, query, cfg)
+			if err != nil || !cached {
+				b.Fatal(cached, err)
+			}
+			instantiate(p.root, instOpts{})
+		}
+	})
 }
