@@ -81,19 +81,6 @@ func (ctx *execCtx) batchSize() int {
 	return defaultTraverseBatch
 }
 
-// traverseBatch resolves the effective frontier batch size for a traversal
-// operation planned with the given default.
-func (ctx *execCtx) traverseBatch(planned int) int {
-	bs := planned
-	if ctx.batch != 0 {
-		bs = ctx.batch
-	}
-	if bs < 1 {
-		bs = 1
-	}
-	return bs
-}
-
 // planNode is one immutable node of a query plan: what the planner builds,
 // the plan cache stores and EXPLAIN prints. Nothing writes a node once plan
 // construction (buildPlanOpts) has returned, so any number of concurrent

@@ -59,9 +59,9 @@ func (opts instOpts) open(n planNode) operation {
 	case *appendKeysNode:
 		return &appendKeysOp{appendKeysNode: n, child: instantiate(n.child, opts)}
 	case *condTraverseNode:
-		return &condTraverseOp{condTraverseNode: n, child: instantiate(n.child, opts), effBatch: n.batch}
+		return &condTraverseOp{condTraverseNode: n, child: instantiate(n.child, opts), effBatch: defaultTraverseBatch}
 	case *expandIntoNode:
-		return &expandIntoOp{expandIntoNode: n, child: instantiate(n.child, opts), effBatch: n.batch}
+		return &expandIntoOp{expandIntoNode: n, child: instantiate(n.child, opts), effBatch: defaultTraverseBatch}
 	case *varLenTraverseNode:
 		return &varLenTraverseOp{varLenTraverseNode: n, child: instantiate(n.child, opts)}
 	case *traverseCountNode:

@@ -411,7 +411,11 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 // loadPass resolves the seed list: a private copy of the index posting for
-// the key, run through the pushed label masks and property comparisons.
+// the key, run through the pushed label masks and property comparisons. A
+// plan is validated against the schema before it takes the query's lock, so
+// its index may have been dropped since: the pass then compares the label's
+// members against the column, as the label scan a fresh plan starts with
+// does.
 func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lid, okL := ctx.g.Schema.LabelID(o.label)
@@ -419,15 +423,16 @@ func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	if !okL || !okA {
 		return nil
 	}
-	ix, ok := ctx.g.Schema.Index(lid, aid)
-	if !ok {
-		return nil
-	}
 	v, err := o.val(ctx, o.cur)
 	if err != nil {
 		return err
 	}
-	o.ids = append(o.ids, ix.Lookup(v)...)
+	if ix, ok := ctx.g.Schema.Index(lid, aid); ok {
+		o.ids = append(o.ids, ix.Lookup(v)...)
+	} else if lm := ctx.g.LabelMatrix(lid); lm != nil {
+		pred := compileColPred(ctx, o.attr, "=", v)
+		o.ids = pred.filter(lm.AppendDiag(o.ids))
+	}
 	o.narrow(cf)
 	return nil
 }

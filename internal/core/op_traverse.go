@@ -109,8 +109,8 @@ func describeMasks(masks []dstMask) string {
 }
 
 // condTraverseNode expands records one hop along an algebraic expression.
-// It is batch-oriented: up to `batch` input records are pulled from the
-// child, fused into an n×dim frontier matrix F (row r = one-hot source of
+// It is batch-oriented: up to ctx.batchSize() input records are pulled from
+// the child, fused into an n×dim frontier matrix F (row r = one-hot source of
 // record r), the whole algebraic chain is evaluated with a single masked
 // MxM per operand, pushed-down destination predicates are applied to the
 // result frontier as column masks, and the rows are scattered into output
@@ -123,7 +123,6 @@ type condTraverseNode struct {
 	dstSlot  int
 	edgeSlot int // -1 when no edge variable
 	width    int
-	batch    int // frontier rows per evaluation; >= 1
 
 	ae        *algebraicExpr
 	masks     []dstMask
@@ -204,7 +203,7 @@ func (o *condTraverseOp) gather(ctx *execCtx, bs int) ([]record, []grb.Index, er
 // the pushed destination masks: row r of the result holds record r's
 // destinations. An exhausted input returns no records and a nil result.
 func (o *condTraverseOp) evalBatch(ctx *execCtx) ([]record, []grb.Index, *grb.Matrix, error) {
-	o.effBatch = ctx.traverseBatch(o.batch)
+	o.effBatch = ctx.batchSize()
 	batch, srcs, err := o.gather(ctx, o.effBatch)
 	if err != nil || len(batch) == 0 {
 		return nil, nil, nil, err
@@ -304,11 +303,11 @@ func (n *condTraverseNode) name() string {
 }
 
 // describe renders the node with a given batch size and kernel mix: the
-// planned ones for EXPLAIN, the effective ones for PROFILE.
+// default batch for EXPLAIN, the resolved batch and kernels for PROFILE.
 func (n *condTraverseNode) describe(batch int, ks kernelStats) string {
 	return fmt.Sprintf("%s | batched(%d)%s%s", n.ae.String(), batch, describeMasks(n.masks), ks.describe())
 }
-func (n *condTraverseNode) args() string      { return n.describe(n.batch, kernelStats{}) }
+func (n *condTraverseNode) args() string      { return n.describe(defaultTraverseBatch, kernelStats{}) }
 func (o *condTraverseOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
 
 // expandIntoNode closes a cycle: both endpoints are bound and the operation
@@ -321,7 +320,6 @@ type expandIntoNode struct {
 	dstSlot  int
 	edgeSlot int
 	width    int
-	batch    int
 
 	ae        *algebraicExpr
 	types     []string
@@ -360,7 +358,7 @@ func (o *expandIntoOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 func (o *expandIntoOp) fill(ctx *execCtx) error {
-	bs := ctx.traverseBatch(o.batch)
+	bs := ctx.batchSize()
 	o.effBatch = bs
 	batch := o.batchBuf[:0]
 	srcs := o.srcBuf[:0]
@@ -476,7 +474,7 @@ func (n *expandIntoNode) name() string { return "ExpandInto" }
 func (n *expandIntoNode) describe(batch int, ks kernelStats) string {
 	return fmt.Sprintf("%s | batched(%d)%s", n.ae.String(), batch, ks.describe())
 }
-func (n *expandIntoNode) args() string      { return n.describe(n.batch, kernelStats{}) }
+func (n *expandIntoNode) args() string      { return n.describe(defaultTraverseBatch, kernelStats{}) }
 func (o *expandIntoOp) profileArgs() string { return o.describe(o.effBatch, o.ks) }
 
 // traverseCountNode is aggregate pushdown for `RETURN count(dst)` directly

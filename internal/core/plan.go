@@ -636,7 +636,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	if dstBound {
 		dstSlot, _ := b.st.lookup(dstVar)
 		b.setCur(&expandIntoNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
-			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir},
+			width: b.st.size(), ae: ae, types: rel.Types, direction: dir},
 			b.rowEst*b.pairProbability(rel))
 	} else {
 		dstSlot := b.st.add(dstVar)
@@ -650,7 +650,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 			est = b.rowEst // optional traversals emit at least a null row per input
 		}
 		b.setCur(&condTraverseNode{unary: unary{b.cur}, srcSlot: srcSlot, dstSlot: dstSlot, edgeSlot: edgeSlot,
-			width: b.st.size(), batch: defaultTraverseBatch, ae: ae, types: rel.Types, direction: dir,
+			width: b.st.size(), ae: ae, types: rel.Types, direction: dir,
 			optional: optional},
 			est)
 		b.binders[dstVar] = &binderInfo{op: b.cur, labels: dstNode.Labels}

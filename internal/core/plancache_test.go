@@ -106,9 +106,9 @@ func TestPlanCacheWhitespaceCanonicalization(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochRevalidation checks the middle validation band: small
-// connectivity writes move the epoch but not the stats, so the cache
-// revalidates instead of replanning — and the answers track the writes.
+// TestPlanCacheEpochRevalidation checks that cached reads track edge writes:
+// every write moves the graph's epoch, none moves its schema, so each read
+// is a hit on the same template and its answer matches the uncached run.
 func TestPlanCacheEpochRevalidation(t *testing.T) {
 	g := adversarialGraph(t, 200)
 	pc := NewPlanCache(DefaultPlanCacheSize)
@@ -122,59 +122,107 @@ func TestPlanCacheEpochRevalidation(t *testing.T) {
 		if _, err := Query(g, write, nil, cached); err != nil {
 			t.Fatalf("write: %v", err)
 		}
+		hits := pc.Counters().Hits
 		got := runSortedP(t, g, read, intParam("id", 7), cached)
 		want := runSortedP(t, g, read, intParam("id", 7), uncached)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("after write %d: cached read stale\ngot:\n%s\nwant:\n%s",
 				i, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+		if c := pc.Counters(); c.Hits != hits+1 {
+			t.Errorf("after write %d: counters %v, want the read to hit", i, c)
+		}
 	}
-	c := pc.Counters()
-	if c.Revalidations == 0 {
-		t.Errorf("counters %v: small writes should revalidate, not replan", c)
-	}
-	if c.Invalidations != 0 {
-		t.Errorf("counters %v: stats stayed close, no replan expected", c)
+	if c := pc.Counters(); c.Invalidations != 0 {
+		t.Errorf("counters %v: edge writes leave the schema alone, no replan expected", c)
 	}
 }
 
-// TestPlanCacheStatsInvalidation checks the outer band: a write burst that
-// moves the stats materially forces a replan from the cached AST.
-func TestPlanCacheStatsInvalidation(t *testing.T) {
-	g := adversarialGraph(t, 200)
-	pc := NewPlanCache(DefaultPlanCacheSize)
-	cached := Config{PlanCache: pc}
-	read := `MATCH (a:Hub)-[:D]->(b:Hub) RETURN count(b)`
-	before := runSortedP(t, g, read, nil, cached)
-	_ = before
-
-	// Triple the :D edge count (well past the 2x statsClose band). The 200
-	// hubs are the first nodes adversarialGraph creates, so their ids are
-	// 0..199.
-	g.Lock()
-	hubs := make([]uint64, 200)
-	for i := range hubs {
-		hubs[i] = uint64(i)
+// explainBody is EXPLAIN without its plan-cache header line.
+func explainBody(t testing.TB, g *graph.Graph, query string, cfg Config) string {
+	t.Helper()
+	lines, err := Explain(g, query, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, h := range hubs {
-		for k := 0; k < 8; k++ {
-			if _, err := g.CreateEdge("D", h, hubs[(i*3+k*17+5)%len(hubs)], nil); err != nil {
-				t.Fatalf("edge: %v", err)
-			}
+	if strings.HasPrefix(lines[0], "plan:") {
+		lines = lines[1:]
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestPlanCacheStatsInvalidation checks that cardinality drift keeps the
+// template, as in RedisGraph: only a schema change replans. A 3x edge burst
+// and growing a label 300-fold both leave the cached plan in place while a
+// fresh plan comes out different, and the stale plan still answers exactly
+// as the uncached run does.
+func TestPlanCacheStatsInvalidation(t *testing.T) {
+	keeps := func(t *testing.T, g *graph.Graph, pc *PlanCache, read, planned string) {
+		t.Helper()
+		cached := Config{PlanCache: pc}
+		got := runSortedP(t, g, read, nil, cached)
+		want := runSortedP(t, g, read, nil, Config{})
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("cached read after drift differs\ngot:\n%s\nwant:\n%s",
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if now := explainBody(t, g, read, cached); now != planned {
+			t.Errorf("drift replaced the template:\nbefore:\n%s\nafter:\n%s", planned, now)
+		}
+		if fresh := explainBody(t, g, read, Config{}); fresh == planned {
+			t.Errorf("a fresh plan after drift is the cached one; the drift tests nothing:\n%s", fresh)
+		}
+		if c := pc.Counters(); c.Invalidations != 0 {
+			t.Errorf("counters %v: cardinality drift must not replan", c)
 		}
 	}
-	g.Sync()
-	g.Unlock()
 
-	got := runSortedP(t, g, read, nil, cached)
-	want := runSortedP(t, g, read, nil, Config{})
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("post-burst cached read stale\ngot:\n%s\nwant:\n%s",
-			strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	if c := pc.Counters(); c.Invalidations == 0 {
-		t.Errorf("counters %v: a 3x edge burst must replan", c)
-	}
+	t.Run("edge-burst", func(t *testing.T) {
+		g := adversarialGraph(t, 200)
+		pc := NewPlanCache(DefaultPlanCacheSize)
+		read := `MATCH (a:Hub)-[:D]->(b:Hub) RETURN b.uid, count(a)`
+		planned := explainBody(t, g, read, Config{PlanCache: pc})
+		// Triple the :D edge count. The 200 hubs are the first nodes
+		// adversarialGraph creates, so their ids are 0..199.
+		g.Lock()
+		for h := 0; h < 200; h++ {
+			for k := 0; k < 8; k++ {
+				if _, err := g.CreateEdge("D", uint64(h), uint64((h*3+k*17+5)%200), nil); err != nil {
+					t.Fatalf("edge: %v", err)
+				}
+			}
+		}
+		g.Sync()
+		g.Unlock()
+		keeps(t, g, pc, read, planned)
+	})
+
+	t.Run("label-drift", func(t *testing.T) {
+		// 10 :A nodes each joined to 10 of 100 :B nodes: a plan enters at
+		// the smaller label, a:A. Node-only CREATEs then grow :A to 3 010,
+		// past :B, so a fresh plan enters at b:B instead.
+		g := graph.New("drift")
+		if _, err := Query(g, `UNWIND range(0, 99) AS i CREATE (:B {uid: i})`, nil, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Query(g, `UNWIND range(0, 9) AS i CREATE (a:A {uid: i}) WITH a, i
+			MATCH (b:B) WHERE b.uid % 10 = i CREATE (a)-[:R]->(b)`, nil, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		pc := NewPlanCache(DefaultPlanCacheSize)
+		read := `MATCH (a:A)-[:R]->(b:B) RETURN a.uid, b.uid`
+		planned := explainBody(t, g, read, Config{PlanCache: pc})
+		if !strings.Contains(planned, "NodeByLabelScan | a:A") {
+			t.Fatalf("setup: the plan should enter at a:A:\n%s", planned)
+		}
+		if _, err := Query(g, `UNWIND range(10, 3009) AS i CREATE (:A {uid: i})`, nil, Config{PlanCache: pc}); err != nil {
+			t.Fatal(err)
+		}
+		if fresh := explainBody(t, g, read, Config{}); !strings.Contains(fresh, "NodeByLabelScan | b:B") {
+			t.Fatalf("setup: after the drift a fresh plan should enter at b:B:\n%s", fresh)
+		}
+		keeps(t, g, pc, read, planned)
+	})
 }
 
 func mustAttr(t testing.TB, g *graph.Graph, name string) int {
@@ -367,6 +415,79 @@ func TestPlanCacheConcurrentSharedEntry(t *testing.T) {
 	}
 }
 
+// TestPlanCacheConcurrentReplan races replans against hits on one entry
+// (run under -race in CI): goroutines re-bind a parameterised index seek
+// while another drops and re-creates the index it seeks, so every toggle
+// moves the schema version and the next lookup swaps in a freshly planned
+// entry. Every answer must equal the uncached run's.
+func TestPlanCacheConcurrentReplan(t *testing.T) {
+	g := adversarialGraph(t, 200)
+	hub, uid := mustLabel(t, g, "Hub"), mustAttr(t, g, "uid")
+	q := `MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN b.uid`
+	const ids = 16
+	want := make([]string, ids)
+	for id := range want {
+		want[id] = strings.Join(runSortedP(t, g, q, intParam("id", int64(id)), Config{}), "\n")
+	}
+	pc := NewPlanCache(DefaultPlanCacheSize)
+	runSortedP(t, g, q, intParam("id", 0), Config{PlanCache: pc}) // prime
+
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g.Lock()
+			if !g.Schema.DropIndex(hub, uid) {
+				g.CreateIndex("Hub", "uid")
+			}
+			g.Unlock()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cfg := Config{PlanCache: pc}
+			for i := 0; i < 40; i++ {
+				id := (w*7 + i) % ids
+				rs, err := Query(g, q, intParam("id", int64(id)), cfg)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				rows := make([]string, len(rs.Rows))
+				for r, row := range rs.Rows {
+					rows[r] = row[0].String()
+				}
+				sortStrings(rows)
+				if got := strings.Join(append([]string{"b.uid"}, rows...), "\n"); got != want[id] {
+					errs <- fmt.Sprintf("id=%d:\ngot  %s\nwant %s", id, got, want[id])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-toggled
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if c := pc.Counters(); c.Invalidations == 0 {
+		t.Errorf("counters %v: index toggles never forced a replan", c)
+	}
+}
+
 // TestPlanCacheSharedTemplateImmutable proves a cached template is really
 // shared and really immutable: goroutines mix Query, Profile and Explain
 // across batch sizes on the same cache entries, over read,
@@ -425,10 +546,9 @@ func TestPlanCacheSharedTemplateImmutable(t *testing.T) {
 		if !ok {
 			t.Fatalf("no cache entry for %s", q)
 		}
-		tmpl, _, _, _ := pc.snapshot(ent)
 		var lines []string
-		printPlan(tmpl.root, 0, &lines, planNode.args, tmpl.estAnnotation)
-		return primed{tmpl, strings.Join(lines, "\n")}
+		printPlan(ent.tmpl.root, 0, &lines, planNode.args, ent.tmpl.estAnnotation)
+		return primed{ent.tmpl, strings.Join(lines, "\n")}
 	}
 	before := map[string]primed{}
 	for _, q := range shapes {
@@ -516,8 +636,8 @@ func TestExplainPlanCacheLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(lines[0], "plan: cached") || !strings.Contains(lines[0], "hits=1") {
-		t.Errorf("second EXPLAIN = %q, want plan: cached with hits=1", lines[0])
+	if want := "plan: cached | hits=1 misses=1 evictions=0 invalidations=0"; lines[0] != want {
+		t.Errorf("second EXPLAIN = %q, want %q", lines[0], want)
 	}
 	lines, err = Profile(g, q, intParam("id", 3), cfg)
 	if err != nil {
@@ -525,144 +645,6 @@ func TestExplainPlanCacheLine(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "plan: cached") {
 		t.Errorf("PROFILE = %q, want plan: cached", lines[0])
-	}
-}
-
-// TestCountsClose pins the revalidation tolerance band.
-func TestCountsClose(t *testing.T) {
-	cases := []struct {
-		a, b int
-		want bool
-	}{
-		{0, 0, true},
-		{0, statsSlackFloor, true},      // under the floor: always close
-		{3, 40, true},                   // tiny graphs never thrash
-		{100, 199, true},                // within 2x
-		{100, 201, false},               // past 2x
-		{0, statsSlackFloor + 1, false}, // zero vs real cardinality
-		{1000, 500, true},               // symmetric
-		{1000, 499, false},
-	}
-	for _, c := range cases {
-		if got := countsClose(c.a, c.b); got != c.want {
-			t.Errorf("countsClose(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// TestPlanCacheBytes pins the memory accounting: resident templates report
-// a nonzero estimated size in the counters and the EXPLAIN provenance
-// header, every removal path (eviction, invalidation, capacity change)
-// returns the figure to zero when the cache empties, and replans keep the
-// sum consistent with the live entries.
-func TestPlanCacheBytes(t *testing.T) {
-	g := adversarialGraph(t, 100)
-	pc := NewPlanCache(2)
-	cached := Config{PlanCache: pc}
-	runSortedP(t, g, `MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN b.uid`, intParam("id", 1), cached)
-	b1 := pc.Counters().Bytes
-	if b1 <= 0 {
-		t.Fatalf("one resident template, Bytes = %d", b1)
-	}
-	runSortedP(t, g, `MATCH (a:Hub) RETURN count(a)`, nil, cached)
-	b2 := pc.Counters().Bytes
-	if b2 <= b1 {
-		t.Fatalf("second template must grow the estimate: %d -> %d", b1, b2)
-	}
-	// Evicting down to one entry sheds the evicted template's share.
-	runSortedP(t, g, `MATCH (a:Rare) RETURN a.uid`, nil, cached)
-	if b := pc.Counters().Bytes; b >= b2 {
-		t.Errorf("eviction at capacity must not grow the sum monotonically: %d -> %d", b2, b)
-	}
-	// The figure surfaces in the EXPLAIN provenance header.
-	lines, err := Explain(g, `MATCH (a:Rare) RETURN a.uid`, cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(lines[0], "plan_cache_bytes=") {
-		t.Errorf("EXPLAIN header missing plan_cache_bytes: %q", lines[0])
-	}
-	pc.SetCapacity(0)
-	if b := pc.Counters().Bytes; b != 0 {
-		t.Errorf("empty cache reports %d bytes", b)
-	}
-	pc.SetCapacity(4)
-	runSortedP(t, g, `MATCH (a:Rare) RETURN a.uid`, nil, cached)
-	pc.InvalidateGraph(g)
-	if b := pc.Counters().Bytes; b != 0 {
-		t.Errorf("InvalidateGraph left %d bytes", b)
-	}
-}
-
-// TestPlanCacheByteBudgetEviction pins the PLAN_CACHE_MAX_BYTES policy:
-// under byte pressure the cache evicts LRU templates until the resident
-// estimate fits, both when the budget shrinks (SetMaxBytes) and on every
-// insert while the budget holds — while the most-recently-used template
-// always survives, even when it alone exceeds the budget.
-func TestPlanCacheByteBudgetEviction(t *testing.T) {
-	g := adversarialGraph(t, 100)
-	pc := NewPlanCache(32)
-	cached := Config{PlanCache: pc}
-	uncached := Config{}
-	queries := []string{
-		`MATCH (a:Hub {uid: $id}) RETURN a.uid`,
-		`MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN b.uid`,
-		`MATCH (a:Hub)-[:D]->(b:Hub) WHERE b.uid < $id RETURN count(b)`,
-		`MATCH (a:Rare) RETURN a.uid`,
-	}
-	for _, q := range queries {
-		runSortedP(t, g, q, intParam("id", 1), cached)
-	}
-	full := pc.Counters().Bytes
-	if full <= 0 || pc.Len() != len(queries) {
-		t.Fatalf("setup: %d templates, %d bytes", pc.Len(), full)
-	}
-	// Shrink the budget to roughly half the resident estimate: LRU entries
-	// must go until the sum fits, with evictions counted.
-	evBefore := pc.Counters().Evictions
-	pc.SetMaxBytes(full / 2)
-	c := pc.Counters()
-	if c.Bytes > full/2 {
-		t.Errorf("SetMaxBytes(%d) left %d resident bytes", full/2, c.Bytes)
-	}
-	if pc.Len() >= len(queries) {
-		t.Errorf("byte pressure evicted nothing: %d templates resident", pc.Len())
-	}
-	if c.Evictions == evBefore {
-		t.Errorf("byte-pressure evictions not counted")
-	}
-	// Inserts under a one-template-sized budget keep evicting LRU entries;
-	// results stay correct and the MRU template always survives.
-	pc.SetMaxBytes(full / int64(len(queries)))
-	for round := 0; round < 3; round++ {
-		for qi, q := range queries {
-			p := intParam("id", int64(round*10+qi))
-			got := runSortedP(t, g, q, p, cached)
-			want := runSortedP(t, g, q, p, uncached)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("round=%d divergence on %s", round, q)
-			}
-			if n := pc.Len(); n < 1 {
-				t.Errorf("budgeted cache must retain the MRU template, holds %d", n)
-			}
-		}
-	}
-	if pc.MaxBytes() != full/int64(len(queries)) {
-		t.Errorf("MaxBytes getter = %d", pc.MaxBytes())
-	}
-	// A budget below any single template still caches exactly one entry.
-	pc.SetMaxBytes(1)
-	runSortedP(t, g, queries[0], intParam("id", 99), cached)
-	if n := pc.Len(); n != 1 {
-		t.Errorf("one-byte budget holds %d templates, want 1 (MRU keepalive)", n)
-	}
-	// Lifting the budget restores entry-count-only bounding.
-	pc.SetMaxBytes(0)
-	for _, q := range queries {
-		runSortedP(t, g, q, intParam("id", 7), cached)
-	}
-	if pc.Len() != len(queries) {
-		t.Errorf("budget off: %d templates, want %d", pc.Len(), len(queries))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"redisgraph/internal/grb"
 	"redisgraph/internal/value"
 )
 
@@ -325,6 +326,26 @@ func TestDeleteNodeRemovesEveryType(t *testing.T) {
 		for _, v := range []uint64{a, b} {
 			if len(g.EdgesBetween(-1, x, v))+len(g.EdgesBetween(-1, v, x))+len(g.EdgesBetween(-1, x, x)) != 0 {
 				t.Fatalf("fold %v: the edge index still joins %d and %d", fold, x, v)
+			}
+		}
+		// No relation matrix R or transpose Rᵀ, of any type, keeps an entry
+		// in x's row or column: neither while the deletes are pending nor
+		// once they are folded.
+		for _, when := range []string{"pending", "synced"} {
+			if when == "synced" {
+				g.Sync()
+			}
+			for tid := 0; g.RelationMatrix(tid) != nil; tid++ {
+				for name, m := range map[string]*grb.DeltaMatrix{"R": g.RelationMatrix(tid), "Rᵀ": g.TRelationMatrix(tid)} {
+					if row := m.RowIterate(int(x)); len(row) != 0 {
+						t.Fatalf("fold %v, %s: %s of type %d keeps row %d: %v", fold, when, name, tid, x, row)
+					}
+					for i := 0; i < g.Dim(); i++ {
+						if _, err := m.ExtractElement(i, int(x)); err == nil {
+							t.Fatalf("fold %v, %s: %s of type %d keeps (%d, %d)", fold, when, name, tid, i, x)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -5,13 +5,10 @@ package graph
 // state the store already maintains — DeltaMatrix.NVals() is O(1) and
 // delta-aware, the node/edge counts come from the DataBlocks — so producing
 // a Stats costs O(labels + relation types) reads and adds no bookkeeping to
-// the write path. The snapshot carries the write epoch it was taken at;
-// plans built from it stay consistent for the duration of the query's lock.
+// the write path.
 //
 // The caller must hold at least the graph's read lock.
 type Stats struct {
-	// Epoch is the connectivity-write epoch the snapshot was taken at.
-	Epoch uint64
 	// Nodes is the live node count.
 	Nodes int
 	// Edges is the sum of RelPairs: the distinct connected (src, dst) pairs
@@ -30,10 +27,7 @@ type Stats struct {
 // Stats snapshots the graph's cardinalities. The caller must hold at least
 // the read lock.
 func (g *Graph) Stats() *Stats {
-	s := &Stats{
-		Epoch: g.Epoch(),
-		Nodes: g.nodes.Len(),
-	}
+	s := &Stats{Nodes: g.nodes.Len()}
 	s.LabelNodes = make([]int, len(g.labels))
 	for i, lm := range g.labels {
 		s.LabelNodes[i] = lm.NVals()

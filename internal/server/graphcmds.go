@@ -64,9 +64,6 @@ var configParams = []configParam{
 	intParam("PLAN_CACHE_SIZE", 0, math.MaxInt32, " (0 = caching off)",
 		func(s *Server) int64 { return int64(s.planCache.Capacity()) },
 		func(s *Server, n int64) { s.planCache.SetCapacity(int(n)) }),
-	intParam("PLAN_CACHE_MAX_BYTES", 0, math.MaxInt64, " (0 = no byte budget)",
-		func(s *Server) int64 { return s.planCache.MaxBytes() },
-		func(s *Server, n int64) { s.planCache.SetMaxBytes(n) }),
 	intParam("ADMISSION_TIMEOUT", 0, math.MaxInt64, " milliseconds (0 = fail fast when saturated)",
 		func(s *Server) int64 { return s.admissionTimeoutMs.Load() },
 		func(s *Server, n int64) { s.admissionTimeoutMs.Store(n) }),

@@ -211,9 +211,10 @@ func TestGraphConfig(t *testing.T) {
 	// A query runs on its connection goroutine, never split, and only
 	// deployment settings are parameters: the knobs of intra-query
 	// parallelism, the join planner and the differential baselines (batch
-	// size, cost planner, kernel direction) are unknown parameters.
+	// size, cost planner, kernel direction) are unknown parameters, and the
+	// plan cache has one bound, PLAN_CACHE_SIZE.
 	for _, name := range []string{"MAX_QUERY_THREADS", "GLOBAL_THREAD_BUDGET", "FAIR_SCHEDULER", "JOIN_PLANNER",
-		"TRAVERSE_BATCH", "COST_PLANNER", "TRAVERSE_KERNEL"} {
+		"TRAVERSE_BATCH", "COST_PLANNER", "TRAVERSE_KERNEL", "PLAN_CACHE_MAX_BYTES"} {
 		for _, args := range [][]string{{"GRAPH.CONFIG", "GET", name}, {"GRAPH.CONFIG", "SET", name, "1"}} {
 			_, err := c.Do(args...)
 			if err == nil || !strings.Contains(err.Error(), "unknown configuration parameter") {
@@ -229,13 +230,13 @@ func TestGraphConfig(t *testing.T) {
 	for _, p := range v.([]any) {
 		names = append(names, p.([]any)[0].(string))
 	}
-	want := "THREAD_COUNT TIMEOUT PLAN_CACHE_SIZE PLAN_CACHE_MAX_BYTES ADMISSION_TIMEOUT"
+	want := "THREAD_COUNT TIMEOUT PLAN_CACHE_SIZE ADMISSION_TIMEOUT"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("GET * names:\n got %s\nwant %s", got, want)
 	}
 	_, err = c.Do("GRAPH.CONFIG", "SET")
-	if err == nil || !strings.Contains(err.Error(), "SET PLAN_CACHE_SIZE|PLAN_CACHE_MAX_BYTES|ADMISSION_TIMEOUT <value>") {
-		t.Fatalf("usage error = %v, want the three settable parameters", err)
+	if err == nil || !strings.Contains(err.Error(), "SET PLAN_CACHE_SIZE|ADMISSION_TIMEOUT <value>") {
+		t.Fatalf("usage error = %v, want the two settable parameters", err)
 	}
 
 	if _, err := c.Query("g", `CREATE (:N {x: 1})-[:L]->(:N {x: 2})`); err != nil {
@@ -283,11 +284,10 @@ func TestGraphConfigGetAll(t *testing.T) {
 		got[pair[0].(string)] = pair[1]
 	}
 	want := map[string]any{
-		"THREAD_COUNT":         int64(4),
-		"TIMEOUT":              int64(0),
-		"PLAN_CACHE_SIZE":      int64(core.DefaultPlanCacheSize),
-		"PLAN_CACHE_MAX_BYTES": int64(0),
-		"ADMISSION_TIMEOUT":    int64(1000),
+		"THREAD_COUNT":      int64(4),
+		"TIMEOUT":           int64(0),
+		"PLAN_CACHE_SIZE":   int64(core.DefaultPlanCacheSize),
+		"ADMISSION_TIMEOUT": int64(1000),
 	}
 	if len(got) != len(want) {
 		t.Fatalf("GET * pairs: %v", got)
