@@ -412,10 +412,10 @@ func (o *indexScanOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 
 // loadPass resolves the seed list: a private copy of the index posting for
 // the key, run through the pushed label masks and property comparisons. A
-// plan is validated against the schema before it takes the query's lock, so
-// its index may have been dropped since: the pass then compares the label's
-// members against the column, as the label scan a fresh plan starts with
-// does.
+// plan is built or validated under a read lock that the query releases
+// before it runs, so its index may have been dropped since: the pass then
+// compares the label's members against the column, as the label scan a
+// fresh plan starts with does.
 func (o *indexScanOp) loadPass(ctx *execCtx, cf compiledScanFilter) error {
 	o.ids = o.ids[:0]
 	lid, okL := ctx.g.Schema.LabelID(o.label)

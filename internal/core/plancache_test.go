@@ -488,6 +488,42 @@ func TestPlanCacheConcurrentReplan(t *testing.T) {
 	}
 }
 
+// TestIndexSeekAfterIndexDrop runs a plan that seeks an index after the
+// index was dropped, the window between a plan's validation and its
+// execution lock: the seek must answer as a fresh plan does, not come back
+// empty.
+func TestIndexSeekAfterIndexDrop(t *testing.T) {
+	g := adversarialGraph(t, 50)
+	q := `MATCH (a:Hub {uid: $id})-[:D]->(b) RETURN b.uid`
+	plan, _, err := planFor(g, q, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	printPlan(plan.root, 0, &lines, planNode.args, nil)
+	if !strings.Contains(strings.Join(lines, "\n"), "NodeByIndexScan") {
+		t.Fatalf("setup: the plan should seek the index:\n%s", strings.Join(lines, "\n"))
+	}
+	g.Lock()
+	if !g.Schema.DropIndex(mustLabel(t, g, "Hub"), mustAttr(t, g, "uid")) {
+		t.Fatal("expected Hub.uid index to exist")
+	}
+	g.Unlock()
+	rs, err := executeLocked(g, plan, intParam("id", 7), Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []string{"b.uid"}
+	for _, row := range rs.Rows {
+		got = append(got, row[0].String())
+	}
+	sortStrings(got[1:])
+	want := runSortedP(t, g, q, intParam("id", 7), Config{})
+	if len(want) == 1 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("seek without its index:\ngot  %v\nwant %v", got, want)
+	}
+}
+
 // TestPlanCacheSharedTemplateImmutable proves a cached template is really
 // shared and really immutable: goroutines mix Query, Profile and Explain
 // across batch sizes on the same cache entries, over read,
