@@ -455,3 +455,17 @@ func TestLabelsFunction(t *testing.T) {
 		t.Fatalf("labels: %v", arr)
 	}
 }
+
+// TestPathFunctionsAreUnknown pins that the engine has no path values: the
+// path functions nodes() and relationships() are unknown functions, not
+// functions that return null.
+func TestPathFunctionsAreUnknown(t *testing.T) {
+	g := socialGraph(t)
+	for _, fn := range []string{"nodes", "relationships"} {
+		query := `MATCH (n:Person) RETURN ` + fn + `(n)`
+		_, err := Query(g, query, nil, Config{})
+		if err == nil || !strings.Contains(err.Error(), "unknown function "+fn+"()") {
+			t.Fatalf("%s: err %v, want unknown function %s()", query, err, fn)
+		}
+	}
+}

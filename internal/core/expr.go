@@ -506,8 +506,6 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 				return value.NewInt(int64(len(vs[0].Str()))), nil
 			case value.KindArray:
 				return value.NewInt(int64(len(vs[0].Array()))), nil
-			case value.KindPath:
-				return value.NewInt(int64(vs[0].Entity().(*graph.Path).Len())), nil
 			}
 			return value.Null, nil
 		}, nil
@@ -684,31 +682,6 @@ func compileFunc(e *cypher.FuncCall, st *symtab) (evalFn, error) {
 			} else {
 				for i := vs[0].Int(); i >= vs[1].Int(); i += step {
 					out = append(out, value.NewInt(i))
-				}
-			}
-			return value.NewArray(out), nil
-		}, nil
-	case "nodes", "relationships":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		return func(ctx *execCtx, r record) (value.Value, error) {
-			vs, err := evalArgs(ctx, r)
-			if err != nil {
-				return value.Null, err
-			}
-			if vs[0].Kind != value.KindPath {
-				return value.Null, nil
-			}
-			p := vs[0].Entity().(*graph.Path)
-			var out []value.Value
-			if name == "nodes" {
-				for _, n := range p.Nodes {
-					out = append(out, value.NewNode(n.ID, n))
-				}
-			} else {
-				for _, ed := range p.Edges {
-					out = append(out, value.NewEdge(ed.ID, ed))
 				}
 			}
 			return value.NewArray(out), nil

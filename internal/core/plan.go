@@ -96,11 +96,6 @@ type planOptions struct {
 	noCostPlanner bool
 }
 
-// BuildPlan compiles a parsed query against a graph.
-func BuildPlan(g *graph.Graph, q *cypher.Query) (*Plan, error) {
-	return buildPlanOpts(g, q, planOptions{})
-}
-
 // buildPlanOpts compiles the single-pipeline plan. What it returns is final:
 // nothing assigns a plan-node field afterwards.
 func buildPlanOpts(g *graph.Graph, q *cypher.Query, opts planOptions) (*Plan, error) {

@@ -114,27 +114,3 @@ func writeProps(b *strings.Builder, s *Schema, props []Prop) {
 	}
 	b.WriteByte('}')
 }
-
-// Path is an alternating node/edge sequence produced by variable-length
-// traversals.
-type Path struct {
-	Nodes []*Node
-	Edges []*Edge
-}
-
-// Len returns the number of edges in the path.
-func (p *Path) Len() int { return len(p.Edges) }
-
-// String renders the path.
-func (p *Path) String() string {
-	var b strings.Builder
-	for i, n := range p.Nodes {
-		if i > 0 {
-			b.WriteString("-")
-			b.WriteString(p.Edges[i-1].String())
-			b.WriteString("->")
-		}
-		b.WriteString(n.String())
-	}
-	return b.String()
-}

@@ -11,7 +11,7 @@ import (
 // including the zero result an accessor gives for a value of another kind,
 // so a change of Value's layout cannot change what callers read.
 func TestValueContract(t *testing.T) {
-	nodeEnt, edgeEnt, pathEnt := &fakeEntity{"(n)"}, &fakeEntity{"[e]"}, &fakeEntity{"<p>"}
+	nodeEnt, edgeEnt := &fakeEntity{"(n)"}, &fakeEntity{"[e]"}
 	cases := []struct {
 		name    string
 		v       Value
@@ -54,7 +54,6 @@ func TestValueContract(t *testing.T) {
 		{name: "edge 0 entity", v: NewEdge(0, edgeEnt), kind: KindEdge, ent: edgeEnt, str: "[e]"},
 		{name: "edge max", v: NewEdge(math.MaxUint64, nil), kind: KindEdge, id: 18446744073709551615, str: "[edge:18446744073709551615]"},
 		{name: "edge max entity", v: NewEdge(math.MaxUint64, edgeEnt), kind: KindEdge, id: 18446744073709551615, ent: edgeEnt, str: "[e]"},
-		{name: "path", v: NewPath(pathEnt), kind: KindPath, ent: pathEnt, str: "<p>"},
 	}
 	for _, c := range cases {
 		v := c.v

@@ -26,7 +26,6 @@ const (
 	KindArray
 	KindNode
 	KindEdge
-	KindPath
 )
 
 func (k Kind) String() string {
@@ -47,8 +46,6 @@ func (k Kind) String() string {
 		return "node"
 	case KindEdge:
 		return "edge"
-	case KindPath:
-		return "path"
 	}
 	return "unknown"
 }
@@ -59,8 +56,8 @@ func (k Kind) String() string {
 //     float64's bits (math.Float64bits), or a node or edge ID.
 //   - s is a string, kept unboxed so reading a string property does not
 //     allocate.
-//   - ref is a list's []Value, or the *graph.Node, *graph.Edge or path
-//     payload (held as any, which avoids a package cycle).
+//   - ref is a list's []Value, or the *graph.Node or *graph.Edge payload
+//     (held as any, which avoids a package cycle).
 //
 // Only this package knows the layout: every accessor checks Kind and returns
 // its zero result for a value of another kind (Int of a float is 0, ID of a
@@ -104,9 +101,6 @@ func NewNode(id uint64, entity any) Value { return Value{Kind: KindNode, w: id, 
 // NewEdge wraps an edge entity reference.
 func NewEdge(id uint64, entity any) Value { return Value{Kind: KindEdge, w: id, ref: entity} }
 
-// NewPath wraps a path payload.
-func NewPath(entity any) Value { return Value{Kind: KindPath, ref: entity} }
-
 // IsNull reports whether v is null.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
@@ -143,8 +137,7 @@ func (v Value) Array() []Value {
 	return v.ref.([]Value)
 }
 
-// Entity returns the *graph.Node / *graph.Edge / path payload of an entity
-// value.
+// Entity returns the *graph.Node / *graph.Edge payload of an entity value.
 func (v Value) Entity() any {
 	if v.Kind < KindNode {
 		return nil
@@ -372,10 +365,8 @@ func (v Value) HashKey() string {
 		return b.String()
 	case KindNode:
 		return "v:" + strconv.FormatUint(v.w, 10)
-	case KindEdge:
+	default: // KindEdge
 		return "e:" + strconv.FormatUint(v.w, 10)
-	default:
-		return fmt.Sprintf("p:%p", v.ref)
 	}
 }
 
@@ -415,15 +406,10 @@ func (v Value) String() string {
 			return s.String()
 		}
 		return fmt.Sprintf("(node:%d)", v.w)
-	case KindEdge:
+	default: // KindEdge
 		if s, ok := v.ref.(fmt.Stringer); ok {
 			return s.String()
 		}
 		return fmt.Sprintf("[edge:%d]", v.w)
-	default:
-		if s, ok := v.ref.(fmt.Stringer); ok {
-			return s.String()
-		}
-		return "path"
 	}
 }

@@ -18,10 +18,6 @@ func TestEntityStringDelegation(t *testing.T) {
 	if e.String() != "[7:KNOWS]" {
 		t.Fatalf("edge: %s", e)
 	}
-	p := NewPath(fakeEntity{"p"})
-	if p.String() != "p" || p.Kind != KindPath {
-		t.Fatalf("path: %s", p)
-	}
 	// Without a Stringer payload, fall back to id rendering.
 	bare := NewNode(5, nil)
 	if !strings.Contains(bare.String(), "5") {
@@ -37,8 +33,8 @@ func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		KindNull: "null", KindBool: "boolean", KindInt: "integer",
 		KindFloat: "float", KindString: "string", KindArray: "array",
-		KindNode: "node", KindEdge: "edge", KindPath: "path",
-		Kind(99): "unknown",
+		KindNode: "node", KindEdge: "edge",
+		Kind(8): "unknown", Kind(99): "unknown",
 	}
 	for k, s := range want {
 		if k.String() != s {
