@@ -389,7 +389,7 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 		for _, in := range batch {
 			src, dst := int(in[o.srcSlot].ID()), int(in[o.dstSlot].ID())
 			for _, m := range parts {
-				if _, err := m.ExtractElement(src, dst); err == nil {
+				if m.Has(src, dst) {
 					o.emitConnected(ctx, in)
 					break
 				}
@@ -406,10 +406,9 @@ func (o *expandIntoOp) fill(ctx *execCtx) error {
 		return err
 	}
 	for r, in := range batch {
-		if _, err := result.ExtractElement(r, int(in[o.dstSlot].ID())); err != nil {
-			continue // not connected
+		if result.Has(r, int(in[o.dstSlot].ID())) {
+			o.emitConnected(ctx, in)
 		}
-		o.emitConnected(ctx, in)
 	}
 	return nil
 }

@@ -34,11 +34,11 @@ const growthChunk = 16384
 
 type edgeKey struct{ src, dst uint64 }
 
-// relationStore keeps one relationship type: its matrix R, whose entry at
-// (src, dst) is the ID of one edge joining the pair (exact in a float64
-// below 2^53), the boolean transpose R' for inbound traversals, and extra,
-// the pair's other edge IDs, kept only for pairs two or more edges join.
-// R's entry is tested by ExtractElement's error, never by value: edge 0 is 0.
+// relationStore keeps one relationship type: its ID matrix R, whose entry at
+// (src, dst) is the uint64 ID of one edge joining the pair, the pattern
+// transpose R' for inbound traversals, and extra, the pair's other edge IDs,
+// kept only for pairs two or more edges join. R's entry is tested by
+// ExtractElement's error, never by value: edge 0 is 0.
 type relationStore struct {
 	m     *grb.DeltaMatrix
 	tm    *grb.DeltaMatrix
@@ -259,15 +259,17 @@ func (g *Graph) grow(needed uint64) {
 	g.bumpEpoch() // the matrices changed shape
 }
 
-func (g *Graph) newDelta() *grb.DeltaMatrix {
-	m := grb.NewDeltaMatrix(g.dim, g.dim)
+// newDelta makes a dim × dim matrix with newMatrix (grb.NewDeltaMatrix for a
+// pattern, grb.NewIDMatrix for R) under the graph's sync threshold.
+func (g *Graph) newDelta(newMatrix func(nrows, ncols int) *grb.DeltaMatrix) *grb.DeltaMatrix {
+	m := newMatrix(g.dim, g.dim)
 	m.SetThreshold(g.syncThreshold)
 	return m
 }
 
 func (g *Graph) labelMatrixFor(id int) *grb.DeltaMatrix {
 	for id >= len(g.labels) {
-		g.labels = append(g.labels, g.newDelta())
+		g.labels = append(g.labels, g.newDelta(grb.NewDeltaMatrix))
 	}
 	return g.labels[id]
 }
@@ -275,8 +277,8 @@ func (g *Graph) labelMatrixFor(id int) *grb.DeltaMatrix {
 func (g *Graph) relationFor(id int) *relationStore {
 	for id >= len(g.relations) {
 		g.relations = append(g.relations, &relationStore{
-			m:     g.newDelta(),
-			tm:    g.newDelta(),
+			m:     g.newDelta(grb.NewIDMatrix),
+			tm:    g.newDelta(grb.NewDeltaMatrix),
 			extra: map[edgeKey][]uint64{},
 		})
 	}
@@ -293,7 +295,7 @@ func (g *Graph) CreateNode(labels []string, props map[string]value.Value) *Node 
 		lid := g.Schema.AddLabel(lbl)
 		n.Labels = append(n.Labels, lid)
 		lm := g.labelMatrixFor(lid)
-		if err := lm.SetElement(int(id), int(id), 1); err != nil {
+		if _, err := lm.Insert(int(id), int(id)); err != nil {
 			panic(fmt.Sprintf("graph: label matrix set: %v", err))
 		}
 	}
@@ -328,7 +330,7 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 		g.edgeProps.set(id, g.Schema.AddAttr(k), v)
 	}
 	si, di := int(src), int(dst)
-	if stored, err := rs.m.SetElementIfAbsent(si, di, float64(id)); err != nil {
+	if stored, err := rs.m.InsertID(si, di, id); err != nil {
 		return nil, err
 	} else if !stored {
 		// The pair is already joined: no matrix or statistic changes.
@@ -337,7 +339,7 @@ func (g *Graph) CreateEdge(typ string, src, dst uint64, props map[string]value.V
 		g.bumpEpoch()
 		return e, nil
 	}
-	if err := rs.tm.SetElement(di, si, 1); err != nil {
+	if _, err := rs.tm.Insert(di, si); err != nil {
 		return nil, err
 	}
 	g.condEdgeAdded(tid, srcN, dstN)
@@ -357,8 +359,8 @@ func (g *Graph) EdgesBetween(typeID int, src, dst uint64) []uint64 {
 	}
 	var out []uint64
 	for _, rs := range rels {
-		if v, err := rs.m.ExtractElement(int(src), int(dst)); err == nil {
-			out = append(append(out, uint64(v)), rs.extra[edgeKey{src, dst}]...)
+		if id, err := rs.m.ExtractElement(int(src), int(dst)); err == nil {
+			out = append(append(out, id), rs.extra[edgeKey{src, dst}]...)
 		}
 	}
 	return out
@@ -378,8 +380,9 @@ func (g *Graph) DeleteEdge(id uint64) bool {
 	if i := slices.Index(extra, id); i >= 0 {
 		extra = slices.Delete(extra, i, i+1)
 	} else if n := len(extra); n > 0 {
-		// id is R's entry: promote the last extra ID (in bounds: cannot fail).
-		_ = rs.m.SetElement(si, di, float64(extra[n-1]))
+		// id is R's entry: promote the last extra ID, rewriting R's entry in
+		// place (in bounds: cannot fail).
+		_ = rs.m.SetID(si, di, extra[n-1])
 		extra = extra[:n-1]
 	} else {
 		_ = rs.m.RemoveElement(si, di)

@@ -1,7 +1,6 @@
 package grb
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -28,12 +27,12 @@ const wholeRun = 1024
 // while the later one is at least as long as the earlier (the logarithmic
 // method) or the row's runs are shorter than wholeRun, so a row of d inserts
 // moves O(d log d) entries and a probe searches O(log d) runs. Delta-plus
-// never holds a column whose main entry is live: an override buries the
-// main entry and buffers the new value here. The two counts are int32 so a
-// row takes 80 bytes, not 96: a load makes one per dirty row of every matrix.
+// never holds a column main holds, live or buried. In an ID matrix ids moves
+// with cols; elsewhere it is nil. The two counts are int32 so a row takes 80
+// bytes, not 96: a load makes one per dirty row of every matrix.
 type deltaRow struct {
 	cols   []Index
-	vals   []float64
+	ids    []uint64
 	runs   []int // end offsets in cols of the sorted runs before the last
 	sorted int32 // end offset of the last sorted run: the tail starts here
 	minus  int32 // main entries of this row marked in zombies
@@ -82,10 +81,15 @@ func lowerBound(s []Index, j Index) int {
 func (r *deltaRow) remove(k int) {
 	last := len(r.cols) - 1
 	if k >= int(r.sorted) {
-		r.cols[k], r.vals[k] = r.cols[last], r.vals[last]
+		r.cols[k] = r.cols[last]
+		if r.ids != nil {
+			r.ids[k] = r.ids[last]
+		}
 	} else {
 		copy(r.cols[k:], r.cols[k+1:])
-		copy(r.vals[k:], r.vals[k+1:])
+		if r.ids != nil {
+			copy(r.ids[k:], r.ids[k+1:])
+		}
 		runs, start := r.runs[:0], 0
 		for _, end := range r.runs {
 			if end > k {
@@ -102,7 +106,10 @@ func (r *deltaRow) remove(k int) {
 		}
 		r.runs = runs
 	}
-	r.cols, r.vals = r.cols[:last], r.vals[:last]
+	r.cols = r.cols[:last]
+	if r.ids != nil {
+		r.ids = r.ids[:last]
+	}
 }
 
 // DeltaMatrix is a sparse matrix held as three structures, the design
@@ -126,17 +133,22 @@ func (r *deltaRow) remove(k int) {
 // reads want; Sync alone, which holds the lock, compacts each row into one
 // run before folding it.
 //
-// Every read accessor (ExtractElement, RowIterate, RowDegree, NVals, kernel
+// A delta matrix is a pattern, except an ID matrix (NewIDMatrix), the
+// relation matrix R: its uint64 edge IDs sit beside main's and each dirty
+// row's columns, and are rewritten in place, so a zombie is always a delete.
+//
+// Every read accessor (Has, ExtractElement, RowIterate, RowDegree, NVals, kernel
 // operands via MxMDelta/VxMDelta/VxMPull/BFS) is safe for any number of
-// concurrent readers. Mutations (SetElement, SetElementIfAbsent,
+// concurrent readers. Mutations (SetElement, Insert, InsertID, SetID,
 // RemoveElement, Sync, Resize) require external exclusive locking against
 // those readers — the graph layer provides it via its per-graph write lock.
 type DeltaMatrix struct {
 	nrows, ncols int
-	main         *Matrix     // immutable CSR, replaced whole by Sync
+	main         *Matrix     // immutable pattern, replaced whole by Sync
+	ids          []uint64    // an ID matrix's IDs beside main.colInd; nil in a pattern
 	rows         []*deltaRow // dirty rows; its length is one past the highest row dirtied since the last fold
 	zombies      bitset      // main positions delta-minus has buried, allocated at the first
-	dpN, dmN     int         // delta-plus entries; zombies that are deletes, not overrides
+	dpN, dmN     int         // delta-plus entries; zombies
 	nvals        int
 	threshold    int
 
@@ -144,7 +156,7 @@ type DeltaMatrix struct {
 	// have moved since the matrix was made (read by tests as the write
 	// path's work).
 	mergeCols []Index
-	mergeVals []float64
+	mergeIDs  []uint64
 	moved     int
 }
 
@@ -156,6 +168,13 @@ func NewDeltaMatrix(nrows, ncols int) *DeltaMatrix {
 		main:      NewMatrix(nrows, ncols),
 		threshold: DefaultDeltaThreshold,
 	}
+}
+
+// NewIDMatrix returns an empty nrows × ncols ID matrix (see DeltaMatrix).
+func NewIDMatrix(nrows, ncols int) *DeltaMatrix {
+	m := NewDeltaMatrix(nrows, ncols)
+	m.ids = []uint64{}
+	return m
 }
 
 // DeltaFrom wraps an existing matrix as the main CSR of a clean delta
@@ -239,62 +258,68 @@ func (m *DeltaMatrix) anyLive(i Index, r *deltaRow, b bitset) bool {
 	return false
 }
 
-// SetElement stores x at (i, j), buffering the update as a delta.
+// SetElement stores an entry at (i, j) unless one is there, as Insert does;
+// x is ignored, since a pattern holds no value.
 func (m *DeltaMatrix) SetElement(i, j Index, x float64) error {
-	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
-		return boundsErr("delta matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
-	}
-	m.set(i, j, x, true)
-	return nil
+	_, err := m.Insert(i, j)
+	return err
 }
 
-// SetElementIfAbsent stores x at (i, j) unless an entry is there already,
-// reporting whether it stored: one probe where ExtractElement followed by
-// SetElement would take two.
-func (m *DeltaMatrix) SetElementIfAbsent(i, j Index, x float64) (bool, error) {
+// Insert stores an entry at (i, j) unless one is there, reporting whether
+// it stored. In an ID matrix the new entry's ID is 0.
+func (m *DeltaMatrix) Insert(i, j Index) (bool, error) {
+	return m.InsertID(i, j, 0)
+}
+
+// InsertID stores an entry with ID id at (i, j) unless one is there,
+// reporting whether it stored. In a pattern the ID is dropped.
+func (m *DeltaMatrix) InsertID(i, j Index, id uint64) (bool, error) {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return false, boundsErr("delta matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
 	}
-	return !m.set(i, j, x, false), nil
+	return !m.set(i, j, id, false), nil
 }
 
-// set finds (i, j) once and stores x there (an existing entry only when
-// replace is set), reporting whether an entry existed.
-func (m *DeltaMatrix) set(i, j Index, x float64, replace bool) bool {
+// SetID stores id at (i, j): a present entry's ID is rewritten in place.
+func (m *DeltaMatrix) SetID(i, j Index, id uint64) error {
+	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
+		return boundsErr("delta matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
+	}
+	m.set(i, j, id, true)
+	return nil
+}
+
+// set finds (i, j) once and makes it an entry with ID id, rewriting a
+// present entry's ID only when replace is set, and reports whether an entry
+// was present. A buried main entry is unburied with the new ID.
+func (m *DeltaMatrix) set(i, j Index, id uint64, replace bool) bool {
 	r := m.row(i)
 	if r != nil {
 		if k, ok := r.find(j); ok {
-			if replace {
-				r.vals[k] = x // already insert-buffered: update in place
+			if replace && r.ids != nil {
+				r.ids[k] = id
 			}
 			return true
 		}
 	}
 	k, inMain := m.main.find(i, j)
-	switch {
-	case !inMain:
-		m.dpAppend(m.dirty(i, r), j, x)
+	if !inMain {
+		m.dpAppend(m.dirty(i, r), j, id)
 		m.nvals++
 		return false
-	case !m.buried(r, k): // a live main entry
-		if replace && m.main.val[k] != x { // else the common no-op re-insert of a boolean edge
-			r = m.dirty(i, r)
-			m.bury(r, k) // override: the new value is buffered, the count stays
-			m.dpAppend(r, j, x)
-		}
-		return true
 	}
-	// A delete-buffered main entry: resurrect it.
-	m.dmN--
-	m.nvals++
-	if m.main.val[k] == x {
-		m.zombies.unset(k) // back to the main value exactly
+	buried := m.buried(r, k)
+	if buried {
+		m.zombies.unset(k)
 		r.minus--
+		m.dmN--
+		m.nvals++
 		m.tidy(i, r)
-	} else {
-		m.dpAppend(r, j, x) // the zombie stays, now an override
 	}
-	return false
+	if (buried || replace) && m.ids != nil {
+		m.ids[k] = id
+	}
+	return !buried
 }
 
 // RemoveElement deletes the entry at (i, j) if present.
@@ -308,12 +333,6 @@ func (m *DeltaMatrix) RemoveElement(i, j Index) error {
 			r.remove(k)
 			m.dpN--
 			m.nvals--
-			if r.minus > 0 {
-				if _, over := m.main.find(i, j); over {
-					m.dmN++ // the override's zombie is now a delete
-					return nil
-				}
-			}
 			m.tidy(i, r)
 			return nil
 		}
@@ -328,26 +347,42 @@ func (m *DeltaMatrix) RemoveElement(i, j Index) error {
 	return nil
 }
 
-// ExtractElement returns the effective entry at (i, j) or ErrNoValue.
-func (m *DeltaMatrix) ExtractElement(i, j Index) (float64, error) {
+// Has reports whether (i, j) holds an effective entry; an index out of
+// range holds none.
+func (m *DeltaMatrix) Has(i, j Index) bool {
+	_, err := m.ExtractElement(i, j)
+	return err == nil
+}
+
+// ExtractElement returns the ID of the effective entry at (i, j), 0 in a
+// pattern, or ErrNoValue if there is none.
+func (m *DeltaMatrix) ExtractElement(i, j Index) (uint64, error) {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return 0, boundsErr("delta matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
 	}
 	r := m.row(i)
 	if r != nil {
 		if k, ok := r.find(j); ok {
-			return r.vals[k], nil
+			return idAt(r.ids, k), nil
 		}
 	}
 	if k, ok := m.main.find(i, j); ok && !m.buried(r, k) {
-		return m.main.val[k], nil
+		return idAt(m.ids, k), nil
 	}
 	return 0, ErrNoValue
 }
 
+// idAt returns ids[k], or 0 when ids is a pattern's nil.
+func idAt(ids []uint64, k int) uint64 {
+	if ids == nil {
+		return 0
+	}
+	return ids[k]
+}
+
 // RowDegree returns the number of effective entries in row i in O(1): the
 // main row's length, less its zombies, plus its delta-plus entries (which
-// never share a column with a live main entry).
+// never share a column with a main entry).
 func (m *DeltaMatrix) RowDegree(i Index) int {
 	if i < 0 || i >= m.nrows {
 		return 0
@@ -454,12 +489,12 @@ func (m *DeltaMatrix) Sync(force bool) bool {
 			m.compact(r, true) // so merged reads each row as it stands
 		}
 	}
-	out := m.merged()
+	out, ids := m.merged(m.ids != nil)
 	if got := len(out.colInd); got != m.nvals {
 		panic(fmt.Sprintf("grb: delta sync drift: folded %d entries, tracked %d", got, m.nvals))
 	}
-	m.main = out
-	m.rows, m.zombies, m.mergeCols, m.mergeVals = nil, nil, nil, nil
+	m.main, m.ids = out, ids
+	m.rows, m.zombies, m.mergeCols, m.mergeIDs = nil, nil, nil, nil
 	m.dpN, m.dmN = 0, 0
 	return true
 }
@@ -467,81 +502,67 @@ func (m *DeltaMatrix) Sync(force bool) bool {
 // ForceSync folds unconditionally.
 func (m *DeltaMatrix) ForceSync() { m.Sync(true) }
 
-// Resize grows or shrinks the matrix. Growth keeps the deltas buffered;
-// shrinking folds first so out-of-range entries are dropped consistently.
+// Resize grows the matrix to nrows × ncols, keeping the deltas buffered. It
+// panics if asked to shrink.
 func (m *DeltaMatrix) Resize(nrows, ncols int) {
-	if nrows < m.nrows || ncols < m.ncols {
-		m.ForceSync()
-		m.main.resize(nrows, ncols)
-		m.nvals = len(m.main.colInd)
-	} else {
-		m.main.resize(nrows, ncols)
-	}
+	m.main.grow(nrows, ncols)
 	m.nrows, m.ncols = nrows, ncols
 }
 
-// Export returns the effective matrix as a plain CSR. A clean delta matrix
-// returns its main CSR directly (zero-copy — the caller must treat it as
-// read-only); a dirty one assembles a fresh merged matrix without touching
-// the delta state.
+// Export returns the effective pattern, without IDs, as a plain CSR. A clean
+// delta matrix returns its main CSR directly (zero-copy — the caller must
+// treat it as read-only); a dirty one assembles a fresh merged matrix
+// without touching the delta state.
 func (m *DeltaMatrix) Export() *Matrix {
 	if m.Pending() == 0 {
 		return m.main
 	}
-	return m.merged()
+	out, _ := m.merged(false)
+	return out
 }
 
-// entry is one (column, value) pair of a delta-plus row being sorted.
-type entry struct {
-	col Index
-	val float64
-}
-
-// merged builds the effective matrix as a fresh CSR in one row-ordered pass,
-// into slices preallocated to nvals. Each span of clean main rows before a
-// dirty row is bulk-copied with its row pointers shifted; the dirty row's
-// delta-plus entries are merged with main's live entries — read in place
-// when Sync has compacted them into one sorted run, else sorted into scratch
-// (Export is a read and leaves the row as it is).
-func (m *DeltaMatrix) merged() *Matrix {
+// merged builds the effective pattern as a fresh CSR in one row-ordered
+// pass, into slices preallocated to nvals, and with withIDs set (Sync) the
+// IDs beside it. Each span of clean main rows before a dirty row is
+// bulk-copied with its row pointers shifted; the dirty row's delta-plus
+// entries are merged with main's live entries — read in place when Sync has
+// compacted them into one sorted run, else (Export, which needs no IDs and
+// leaves the row as it is) sorted into scratch.
+func (m *DeltaMatrix) merged(withIDs bool) (*Matrix, []uint64) {
 	src := m.main
 	out := &Matrix{
 		nrows:  m.nrows,
 		ncols:  m.ncols,
 		rowPtr: make([]int, m.nrows+1),
 		colInd: make([]Index, 0, m.nvals),
-		val:    make([]float64, 0, m.nvals),
+	}
+	var ids []uint64
+	if withIDs {
+		ids = make([]uint64, 0, m.nvals)
 	}
 	copySpan := func(lo, hi int) { // clean rows [lo, hi)
 		a, b := src.rowPtr[lo], src.rowPtr[hi]
 		shift := len(out.colInd) - a
 		out.colInd = append(out.colInd, src.colInd[a:b]...)
-		out.val = append(out.val, src.val[a:b]...)
+		if withIDs {
+			ids = append(ids, m.ids[a:b]...)
+		}
 		for r := lo + 1; r <= hi; r++ {
 			out.rowPtr[r] = src.rowPtr[r] + shift
 		}
 	}
-	var es []entry
 	var sc []Index
-	var sv []float64
 	next := 0 // first row not yet written
 	for i, r := range m.rows {
 		if r == nil {
 			continue
 		}
 		copySpan(next, i)
-		dc, dv := r.cols, r.vals
+		dc := r.cols
 		if len(r.runs) > 0 || int(r.sorted) < len(dc) { // not one sorted run
-			es = es[:0]
-			for k, j := range dc {
-				es = append(es, entry{j, dv[k]})
-			}
-			slices.SortFunc(es, func(x, y entry) int { return cmp.Compare(x.col, y.col) })
-			sc, sv = sc[:0], sv[:0]
-			for _, e := range es {
-				sc, sv = append(sc, e.col), append(sv, e.val)
-			}
-			dc, dv = sc, sv
+			sc = append(sc[:0], dc...)
+			slices.Sort(sc)
+			dc = sc
 		}
 		b := 0
 		for p := src.rowPtr[i]; p < src.rowPtr[i+1]; p++ {
@@ -550,22 +571,25 @@ func (m *DeltaMatrix) merged() *Matrix {
 			}
 			j := src.colInd[p]
 			for ; b < len(dc) && dc[b] < j; b++ {
-				out.colInd, out.val = append(out.colInd, dc[b]), append(out.val, dv[b])
+				out.colInd = append(out.colInd, dc[b])
+				if withIDs {
+					ids = append(ids, r.ids[b])
+				}
 			}
-			out.colInd, out.val = append(out.colInd, j), append(out.val, src.val[p])
+			out.colInd = append(out.colInd, j)
+			if withIDs {
+				ids = append(ids, m.ids[p])
+			}
 		}
-		out.colInd, out.val = append(out.colInd, dc[b:]...), append(out.val, dv[b:]...)
+		out.colInd = append(out.colInd, dc[b:]...)
+		if withIDs {
+			ids = append(ids, r.ids[b:]...)
+		}
 		out.rowPtr[i+1] = len(out.colInd)
 		next = i + 1
 	}
 	copySpan(next, m.nrows)
-	return out
-}
-
-// String renders small matrices for debugging and tests.
-func (m *DeltaMatrix) String() string {
-	return fmt.Sprintf("DeltaMatrix(%dx%d, nvals=%d, +%d/-%d pending)",
-		m.nrows, m.ncols, m.nvals, m.dpN, m.dmN)
+	return out, ids
 }
 
 // ---- delta bookkeeping ----
@@ -600,11 +624,13 @@ func (m *DeltaMatrix) bury(r *deltaRow, k int) {
 	r.minus++
 }
 
-// dpAppend buffers a new delta-plus entry at the end of the row's tail;
-// a full tail is compacted.
-func (m *DeltaMatrix) dpAppend(r *deltaRow, j Index, x float64) {
+// dpAppend buffers a new delta-plus entry, with its ID in an ID matrix, at
+// the end of the row's tail; a full tail is compacted.
+func (m *DeltaMatrix) dpAppend(r *deltaRow, j Index, id uint64) {
 	r.cols = append(r.cols, j)
-	r.vals = append(r.vals, x)
+	if m.ids != nil {
+		r.ids = append(r.ids, id)
+	}
 	m.dpN++
 	if len(r.cols)-int(r.sorted) == tailMax {
 		m.compact(r, false)
@@ -618,12 +644,17 @@ func (m *DeltaMatrix) dpAppend(r *deltaRow, j Index, x float64) {
 func (m *DeltaMatrix) compact(r *deltaRow, all bool) {
 	if t := int(r.sorted); t < len(r.cols) {
 		for a := t + 1; a < len(r.cols); a++ { // insertion sort of the tail
-			c, v := r.cols[a], r.vals[a]
+			c := r.cols[a]
 			b := a
 			for ; b > t && r.cols[b-1] > c; b-- {
-				r.cols[b], r.vals[b] = r.cols[b-1], r.vals[b-1]
+				r.cols[b] = r.cols[b-1]
 			}
-			r.cols[b], r.vals[b] = c, v
+			r.cols[b] = c
+			if r.ids != nil && b < a { // the ID moves with its column
+				id := r.ids[a]
+				copy(r.ids[b+1:a+1], r.ids[b:a])
+				r.ids[b] = id
+			}
 			m.moved += a - b
 		}
 		if t > 0 {
@@ -644,23 +675,35 @@ func (m *DeltaMatrix) compact(r *deltaRow, all bool) {
 	}
 }
 
-// mergeRuns merges the adjacent sorted runs [a, b) and [b, c) of a row in
-// place, staging the first in the writer's scratch.
+// mergeRuns merges the adjacent sorted runs [a, b) and [b, c) of a row, and
+// an ID matrix's IDs with them, in place, staging the first in scratch.
 func (m *DeltaMatrix) mergeRuns(r *deltaRow, a, b, c int) {
+	withIDs := r.ids != nil
 	lc := append(m.mergeCols[:0], r.cols[a:b]...)
-	lv := append(m.mergeVals[:0], r.vals[a:b]...)
+	var li []uint64
+	if withIDs {
+		li = append(m.mergeIDs[:0], r.ids[a:b]...)
+	}
 	x, y, o := 0, b, a
 	for ; x < len(lc) && y < c; o++ {
 		if r.cols[y] < lc[x] {
-			r.cols[o], r.vals[o] = r.cols[y], r.vals[y]
+			r.cols[o] = r.cols[y]
+			if withIDs {
+				r.ids[o] = r.ids[y]
+			}
 			y++
 		} else {
-			r.cols[o], r.vals[o] = lc[x], lv[x]
+			r.cols[o] = lc[x]
+			if withIDs {
+				r.ids[o] = li[x]
+			}
 			x++
 		}
 	}
 	copy(r.cols[o:], lc[x:]) // what is left of [b, c) is already in place
-	copy(r.vals[o:], lv[x:])
-	m.mergeCols, m.mergeVals = lc, lv
+	if withIDs {
+		copy(r.ids[o:], li[x:])
+	}
+	m.mergeCols, m.mergeIDs = lc, li
 	m.moved += (b - a) + (c - a)
 }

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -24,11 +25,10 @@ func applyOps(t *testing.T, n, ops int, seed int64, syncEvery int) (*DeltaMatrix
 			}
 			removeEntry(ref, i, j)
 		} else {
-			x := float64(1 + rng.Intn(4))
-			if err := dm.SetElement(i, j, x); err != nil {
+			if err := dm.SetElement(i, j, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.SetElement(i, j, x); err != nil {
+			if err := ref.SetElement(i, j, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -44,27 +44,24 @@ func assertSameMatrix(t *testing.T, dm *DeltaMatrix, ref *Matrix) {
 	if dm.NVals() != ref.NVals() {
 		t.Fatalf("nvals: delta %d, ref %d", dm.NVals(), ref.NVals())
 	}
-	ri, rj, rv := tuples(ref)
+	ri, rj := tuples(ref)
 	// Walk the delta matrix row by row: RowIterate names each row's columns
-	// and ExtractElement each value.
+	// and Has probes each entry.
 	var di, dj []Index
-	var dv []float64
 	for i := 0; i < ref.nrows; i++ {
 		for _, j := range dm.RowIterate(i) {
-			x, err := dm.ExtractElement(i, j)
-			if err != nil {
-				t.Fatalf("(%d,%d): %v", i, j, err)
+			if !dm.Has(i, j) {
+				t.Fatalf("(%d,%d): RowIterate lists it, Has does not", i, j)
 			}
-			di, dj, dv = append(di, i), append(dj, j), append(dv, x)
+			di, dj = append(di, i), append(dj, j)
 		}
 	}
 	if len(di) != len(ri) {
 		t.Fatalf("tuples: delta %d, ref %d", len(di), len(ri))
 	}
 	for k := range ri {
-		if di[k] != ri[k] || dj[k] != rj[k] || dv[k] != rv[k] {
-			t.Fatalf("tuple %d: delta (%d,%d)=%g, ref (%d,%d)=%g",
-				k, di[k], dj[k], dv[k], ri[k], rj[k], rv[k])
+		if di[k] != ri[k] || dj[k] != rj[k] {
+			t.Fatalf("tuple %d: delta (%d,%d), ref (%d,%d)", k, di[k], dj[k], ri[k], rj[k])
 		}
 	}
 	// Point probes and row accessors agree too.
@@ -100,7 +97,6 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 	type op struct {
 		del  bool
 		i, j Index
-		x    float64
 	}
 	rowOf := func(ref *Matrix, i Index) []Index { return append([]Index(nil), ref.RowIterate(i)...) }
 	for _, tc := range []struct {
@@ -109,10 +105,10 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 		ops       func(ref *Matrix) []op
 	}{
 		{"first and last row", false, func(ref *Matrix) []op {
-			return []op{{i: 0, j: 1, x: 5}, {del: true, i: n - 1, j: rowOf(ref, n-1)[0]}}
+			return []op{{i: 0, j: 1}, {del: true, i: n - 1, j: rowOf(ref, n-1)[0]}}
 		}},
 		{"adjacent rows", false, func(ref *Matrix) []op {
-			return []op{{i: 10, j: 0, x: 5}, {i: 11, j: 0, x: 6}, {del: true, i: 12, j: rowOf(ref, 12)[0]}}
+			return []op{{i: 10, j: 0}, {i: 11, j: 0}, {del: true, i: 12, j: rowOf(ref, 12)[0]}}
 		}},
 		{"row emptied by delta-minus", false, func(ref *Matrix) []op {
 			var ops []op
@@ -121,29 +117,23 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 			}
 			return ops
 		}},
-		{"value override", false, func(ref *Matrix) []op {
-			return []op{{i: 30, j: rowOf(ref, 30)[0], x: 9}}
+		{"buried main entry re-inserted", false, func(ref *Matrix) []op {
+			j := rowOf(ref, 30)[0] // row 30's only entry
+			return []op{{del: true, i: 30, j: j}, {i: 30, j: j}, {i: 30, j: j + 1}}
 		}},
 		{"every row dirty over an empty main", true, func(*Matrix) []op {
 			var ops []op
 			for i := 0; i < n; i++ {
-				ops = append(ops, op{i: i, j: (i * 5) % n, x: 1}, op{i: i, j: (i*5 + 3) % n, x: 2})
+				ops = append(ops, op{i: i, j: (i * 5) % n}, op{i: i, j: (i*5 + 3) % n})
 			}
 			return ops
 		}},
 	} {
 		ref := NewMatrix(n, n)
 		if !tc.emptyMain {
-			var rows, cols []Index
-			var vals []float64
 			for i := 0; i < n; i++ {
 				for k := 0; k <= i%3; k++ {
-					rows, cols, vals = append(rows, i), append(cols, (i*7+k*13+2)%n), append(vals, float64(1+k))
-				}
-			}
-			for k := range rows {
-				if _, err := ref.ExtractElement(rows[k], cols[k]); err != nil {
-					must(t, ref.SetElement(rows[k], cols[k], vals[k])) // first wins
+					must(t, ref.SetElement(i, (i*7+k*13+2)%n, 1))
 				}
 			}
 		}
@@ -154,8 +144,8 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 				must(t, dm.RemoveElement(o.i, o.j))
 				removeEntry(ref, o.i, o.j)
 			} else {
-				must(t, dm.SetElement(o.i, o.j, o.x))
-				must(t, ref.SetElement(o.i, o.j, o.x))
+				must(t, dm.SetElement(o.i, o.j, 1))
+				must(t, ref.SetElement(o.i, o.j, 1))
 			}
 		}
 		if dm.Pending() == 0 {
@@ -172,9 +162,8 @@ func TestDeltaMatrixMatchesFoldedReference(t *testing.T) {
 // assertSameCSR compares two plain matrices array for array.
 func assertSameCSR(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
-	if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colInd, want.colInd) || !slices.Equal(got.val, want.val) {
-		t.Fatalf("%s:\n got %v %v %v\nwant %v %v %v", what,
-			got.rowPtr, got.colInd, got.val, want.rowPtr, want.colInd, want.val)
+	if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colInd, want.colInd) {
+		t.Fatalf("%s:\n got %v %v\nwant %v %v", what, got.rowPtr, got.colInd, want.rowPtr, want.colInd)
 	}
 }
 
@@ -188,7 +177,7 @@ func TestRowDegreeAllocs(t *testing.T) {
 	dm := DeltaFrom(m)
 	dm.SetThreshold(1 << 30)
 	must(t, dm.SetElement(1, 3, 1)) // delta-plus on a column main lacks
-	must(t, dm.SetElement(1, 4, 2)) // delta-plus override of a main entry
+	must(t, dm.SetElement(1, 4, 1)) // re-insert of a main entry: no delta
 	must(t, dm.RemoveElement(1, 6)) // delta-minus
 	if d := dm.RowDegree(1); d != 4 {
 		t.Fatalf("degree = %d, want 4", d)
@@ -198,37 +187,140 @@ func TestRowDegreeAllocs(t *testing.T) {
 	}
 }
 
+// TestDeltaMatrixSetRemoveBookkeeping follows one entry of an ID matrix
+// through insert, re-insert, ID rewrite, fold, promote, delete and the
+// buried entry's re-insert. A rewrite and an unburying are in place: neither
+// buffers an update, and a zombie is only ever a delete.
 func TestDeltaMatrixSetRemoveBookkeeping(t *testing.T) {
-	dm := NewDeltaMatrix(4, 4)
+	dm := NewIDMatrix(4, 4)
 	dm.SetThreshold(1 << 30)
-	check := func(nvals, pending int) {
+	check := func(nvals, pending int, id uint64, present bool) {
 		t.Helper()
-		if dm.NVals() != nvals || dm.Pending() != pending {
-			t.Fatalf("nvals=%d pending=%d, want %d/%d", dm.NVals(), dm.Pending(), nvals, pending)
+		got, err := dm.ExtractElement(1, 2)
+		if dm.NVals() != nvals || dm.Pending() != pending || got != id || (err == nil) != present || dm.Has(1, 2) != present {
+			t.Fatalf("nvals=%d pending=%d ID=%d,%v, want %d/%d %d, present %v",
+				dm.NVals(), dm.Pending(), got, err, nvals, pending, id, present)
 		}
 	}
-	dm.SetElement(1, 2, 1)
-	check(1, 1)
-	dm.SetElement(1, 2, 1) // idempotent pending insert
-	check(1, 1)
-	dm.ForceSync()
-	check(1, 0)
-	dm.SetElement(1, 2, 1) // no-op re-insert of an existing entry
-	check(1, 0)
-	dm.SetElement(1, 2, 7) // override changes the value, not the count
-	check(1, 1)
-	if x, err := dm.ExtractElement(1, 2); err != nil || x != 7 {
-		t.Fatalf("override read: %v %v", x, err)
+	insert := func(id uint64, want bool) {
+		t.Helper()
+		if stored, err := dm.InsertID(1, 2, id); err != nil || stored != want {
+			t.Fatalf("InsertID(%d) = %v, %v, want stored %v", id, stored, err, want)
+		}
 	}
-	dm.RemoveElement(1, 2) // removes the override and buffers the delete
-	check(0, 1)
-	if _, err := dm.ExtractElement(1, 2); err != ErrNoValue {
-		t.Fatalf("deleted read: %v", err)
-	}
-	dm.SetElement(1, 2, 1) // resurrect to the exact main value: clean again
-	check(1, 0)
+	insert(5, true)
+	check(1, 1, 5, true)
+	insert(6, false) // a pending entry: the first ID stays
+	check(1, 1, 5, true)
+	must(t, dm.SetID(1, 2, 7)) // the pending entry's ID is rewritten
+	check(1, 1, 7, true)
 	dm.ForceSync()
-	check(1, 0)
+	check(1, 0, 7, true)
+	insert(6, false) // a folded entry: no-op
+	check(1, 0, 7, true)
+	must(t, dm.SetID(1, 2, 8)) // promote: main's ID is rewritten, nothing buffered
+	check(1, 0, 8, true)
+	must(t, dm.RemoveElement(1, 2)) // buffers the delete
+	check(0, 1, 0, false)
+	insert(9, true) // unburied with the new ID: clean again
+	check(1, 0, 9, true)
+	if dm.row(1) != nil {
+		t.Fatal("the unburied row must be clean")
+	}
+	dm.ForceSync()
+	check(1, 0, 9, true)
+}
+
+// TestDeltaMatrixPatternReinsert re-inserts present and buried entries of a
+// pattern: a present entry, pending or folded, is a no-op, and a buried one
+// is unburied, so NVals, Pending and every row read back exact.
+func TestDeltaMatrixPatternReinsert(t *testing.T) {
+	m := NewMatrix(3, 4)
+	for _, e := range [][2]Index{{0, 1}, {0, 3}, {2, 0}} {
+		must(t, m.SetElement(e[0], e[1], 1))
+	}
+	dm := DeltaFrom(m)
+	dm.SetThreshold(1 << 30)
+	must(t, dm.SetElement(1, 2, 1)) // a pending insert
+	must(t, dm.RemoveElement(0, 3)) // a buried main entry
+	check := func(when string, nvals, pending int, rows [][]Index) {
+		t.Helper()
+		if dm.NVals() != nvals || dm.Pending() != pending {
+			t.Fatalf("%s: nvals=%d pending=%d, want %d/%d", when, dm.NVals(), dm.Pending(), nvals, pending)
+		}
+		for i, want := range rows {
+			if got := dm.RowIterate(i); !slices.Equal(got, want) || dm.RowDegree(i) != len(want) {
+				t.Fatalf("%s: row %d = %v (degree %d), want %v", when, i, got, dm.RowDegree(i), want)
+			}
+		}
+	}
+	check("fixture", 3, 2, [][]Index{{1}, {2}, {0}})
+	for _, e := range [][2]Index{{0, 1}, {1, 2}, {2, 0}} {
+		if stored, err := dm.Insert(e[0], e[1]); err != nil || stored {
+			t.Fatalf("re-insert of present (%d,%d) stored: %v %v", e[0], e[1], stored, err)
+		}
+		check(fmt.Sprintf("re-insert (%d,%d)", e[0], e[1]), 3, 2, [][]Index{{1}, {2}, {0}})
+	}
+	if stored, err := dm.Insert(0, 3); err != nil || !stored {
+		t.Fatalf("re-insert of buried (0,3): %v %v", stored, err)
+	}
+	check("unburied", 4, 1, [][]Index{{1, 3}, {2}, {0}})
+	if dm.row(0) != nil {
+		t.Fatal("the unburied row must be clean")
+	}
+	dm.ForceSync()
+	check("synced", 4, 0, [][]Index{{1, 3}, {2}, {0}})
+}
+
+// TestDeltaMatrixIDsAreExact stores edge IDs above 2^53, where a float64
+// would round them, and reads each back exactly: pending, after a fold,
+// after a promote (an in-place rewrite) carried through a second fold, and
+// after a buried entry's re-insert.
+func TestDeltaMatrixIDsAreExact(t *testing.T) {
+	const big = 1<<53 + 1
+	dm := NewIDMatrix(4, 4)
+	dm.SetThreshold(1 << 30)
+	check := func(when string, i, j Index, want uint64) {
+		t.Helper()
+		if got, err := dm.ExtractElement(i, j); err != nil || got != want {
+			t.Fatalf("%s: (%d,%d) = %d,%v, want ID %d", when, i, j, got, err, want)
+		}
+	}
+	for _, e := range []struct {
+		i, j Index
+		id   uint64
+	}{{1, 2, big}, {1, 0, big + 2}, {3, 3, big + 4}} {
+		if stored, err := dm.InsertID(e.i, e.j, e.id); err != nil || !stored {
+			t.Fatalf("InsertID(%d,%d): %v %v", e.i, e.j, stored, err)
+		}
+	}
+	check("pending", 1, 2, big)
+	check("pending", 1, 0, big+2)
+	if !dm.Sync(true) {
+		t.Fatal("the fixture must fold")
+	}
+	check("synced", 1, 2, big)
+	check("synced", 3, 3, big+4)
+	must(t, dm.SetID(1, 2, big+6)) // promote
+	check("promoted", 1, 2, big+6)
+	if _, err := dm.InsertID(2, 1, big+8); err != nil { // something for the second fold to do
+		t.Fatal(err)
+	}
+	dm.Sync(true)
+	check("promoted and synced", 1, 2, big+6)
+	check("promoted and synced", 1, 0, big+2)
+	check("promoted and synced", 2, 1, big+8)
+	must(t, dm.RemoveElement(1, 0))
+	if _, err := dm.InsertID(1, 0, big+10); err != nil {
+		t.Fatal(err)
+	}
+	check("re-inserted", 1, 0, big+10)
+	if _, err := dm.InsertID(0, 0, big+12); err != nil {
+		t.Fatal(err)
+	}
+	dm.Sync(true)
+	check("re-inserted and synced", 1, 0, big+10)
+	check("re-inserted and synced", 0, 0, big+12)
 }
 
 // TestDeltaMatrixAppendDiag checks the member walk of a diagonal against
@@ -249,7 +341,7 @@ func TestDeltaMatrixAppendDiag(t *testing.T) {
 	}
 	check("clean", []uint64{1, 3, 4})
 	must(t, dm.SetElement(0, 0, 1)) // delta-plus on an empty row
-	must(t, dm.SetElement(3, 3, 1)) // delta-plus override of a main entry
+	must(t, dm.SetElement(3, 3, 1)) // re-insert of a main entry: no delta
 	must(t, dm.RemoveElement(1, 1)) // delta-minus empties row 1
 	must(t, dm.SetElement(5, 5, 1)) // a delta-plus row inserted
 	must(t, dm.RemoveElement(5, 5)) // and emptied again
@@ -270,7 +362,7 @@ func TestDeltaMatrixAppendDiag(t *testing.T) {
 }
 
 // TestDeltaMatrixAppendDiagRandom checks the merge walk against a per-row
-// probe on diagonals with random pending inserts, overrides and deletes,
+// probe on diagonals with random pending inserts, re-inserts and deletes,
 // appended after a non-empty prefix.
 func TestDeltaMatrixAppendDiagRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -287,14 +379,14 @@ func TestDeltaMatrixAppendDiagRandom(t *testing.T) {
 		for k := rng.Intn(2 * n); k > 0; k-- {
 			i := rng.Intn(n)
 			if rng.Intn(2) == 0 {
-				must(t, dm.SetElement(i, i, float64(1+rng.Intn(2))))
+				must(t, dm.SetElement(i, i, 1))
 			} else {
 				must(t, dm.RemoveElement(i, i))
 			}
 		}
 		want := []uint64{42}
 		for i := 0; i < n; i++ {
-			if _, err := dm.ExtractElement(i, i); err == nil {
+			if dm.Has(i, i) {
 				want = append(want, uint64(i))
 			}
 		}
@@ -425,7 +517,7 @@ func TestDeltaMatrixConcurrentReaders(t *testing.T) {
 				if iter%5 == 0 {
 					i = hub
 				}
-				dm.ExtractElement(i, j)
+				dm.Has(i, j)
 				dm.RowIterate(i)
 				dm.RowDegree(i)
 				if dm.NVals() != ref.NVals() {
@@ -472,8 +564,8 @@ func TestDeltaMatrixResizeGrowKeepsDeltas(t *testing.T) {
 	if dm.NVals() != 2 {
 		t.Fatalf("nvals = %d", dm.NVals())
 	}
-	if _, err := dm.ExtractElement(6, 7); err != nil {
-		t.Fatal(err)
+	if !dm.Has(6, 7) {
+		t.Fatal("(6,7) is missing after growth")
 	}
 	dm.ForceSync()
 	if dm.NVals() != 2 {
@@ -494,16 +586,19 @@ func TestDeltaFromAdoptsMatrix(t *testing.T) {
 	}
 }
 
-// TestDeltaStarInsertWork inserts a star of 2^16 leaves into one row in
-// random order and counts the entries the write path moves (tail sorts and
-// run merges): O(d log d), where a sorted row that shifts on every insert
-// moves about d²/4 ≈ 10⁹. The row must still read back whole and sorted.
+// TestDeltaStarInsertWork inserts a star of 2^16 leaves into one row of an
+// ID matrix in random order and counts the entries the write path moves
+// (tail sorts and run merges): O(d log d), where a sorted row that shifts on
+// every insert moves about d²/4 ≈ 10⁹. The row must still read back whole
+// and sorted, every column with its own ID.
 func TestDeltaStarInsertWork(t *testing.T) {
 	const d = 1 << 16
-	dm := NewDeltaMatrix(1, d)
+	dm := NewIDMatrix(1, d)
 	dm.SetThreshold(1 << 30)
 	for _, j := range rand.New(rand.NewSource(8)).Perm(d) {
-		must(t, dm.SetElement(0, j, float64(j+1)))
+		if _, err := dm.InsertID(0, j, uint64(j+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if limit := 2 * d * 16; dm.moved > limit { // 2 d log2 d
 		t.Fatalf("moved %d entries for %d inserts, want at most %d", dm.moved, d, limit)
@@ -517,16 +612,16 @@ func TestDeltaStarInsertWork(t *testing.T) {
 			t.Fatalf("column %d reads %d", j, row[j])
 		}
 	}
-	for _, j := range []Index{0, 1234, d - 1} {
-		if x, err := dm.ExtractElement(0, j); err != nil || x != float64(j+1) {
-			t.Fatalf("(0,%d) = %v %v", j, x, err)
+	for j := 0; j < d; j++ {
+		if id, err := dm.ExtractElement(0, j); err != nil || id != uint64(j+1) {
+			t.Fatalf("(0,%d) = %d %v, want %d", j, id, err, j+1)
 		}
 	}
 }
 
 // deltaOracle is the map reference of the differential test: one column map
-// per row.
-type deltaOracle []map[Index]float64
+// per row, holding each entry's ID.
+type deltaOracle []map[Index]uint64
 
 func (o deltaOracle) nvals() int {
 	n := 0
@@ -545,26 +640,28 @@ func (o deltaOracle) cols(i Index) []Index {
 	return out
 }
 
-// csr is the oracle as the matrix Export must return.
-func (o deltaOracle) csr(n int) *Matrix {
+// csr is the oracle as the matrix Export must return, and its IDs in the
+// same order, as an ID matrix's fold must leave them.
+func (o deltaOracle) csr(n int) (*Matrix, []uint64) {
 	m := &Matrix{nrows: n, ncols: n, rowPtr: make([]int, n+1)}
+	ids := []uint64{}
 	for i := range o {
 		for _, j := range o.cols(i) {
-			m.colInd, m.val = append(m.colInd, j), append(m.val, o[i][j])
+			m.colInd, ids = append(m.colInd, j), append(ids, o[i][j])
 		}
 		m.rowPtr[i+1] = len(m.colInd)
 	}
-	return m
+	return m, ids
 }
 
-// TestDeltaMatrixDifferential interleaves inserts, deletes, resurrections
-// and value overrides on hub rows and spread rows of a delta matrix over a
-// folded main, mirrored into its transpose and into a diagonal, and checks
-// every read path against a map reference: the touched entry, the touched
-// row's RowDegree and RowIterate, and NVals after every op, and the whole
-// matrix (every entry and row, Export, AppendDiag, and one BFS push and
-// pull, VxMDelta, VxMPull and MxMDelta hop) every fullEvery ops, after
-// ForceSync and at the end. The small case checks the whole matrix after
+// TestDeltaMatrixDifferential interleaves inserts, deletes, re-inserts of
+// buried entries and ID rewrites (promotes) on hub rows and spread rows of
+// an ID matrix over a folded main, mirrored into its pattern transpose and
+// into a diagonal, and checks every read path against a map reference: the
+// touched entry's ID, the touched row's RowDegree and RowIterate, and NVals
+// after every op, and the whole matrix (every entry and row, Export, the
+// folded IDs, AppendDiag, and one BFS push and pull, VxMDelta, VxMPull and
+// MxMDelta hop) every fullEvery ops, after ForceSync and at the end. The small case checks the whole matrix after
 // every op; the hub case grows its first hub row's pending entries past
 // wholeRun, so its runs merge by the logarithmic method.
 func TestDeltaMatrixDifferential(t *testing.T) {
@@ -574,7 +671,7 @@ func TestDeltaMatrixDifferential(t *testing.T) {
 		hubShare, syncAt  int
 	}{
 		{"small", 96, 1200, 1, 3, 600},
-		{"hub", 2048, 8000, 1000, 5, 7000},
+		{"hub", 4096, 8000, 1000, 5, 7000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.n
@@ -582,9 +679,12 @@ func TestDeltaMatrixDifferential(t *testing.T) {
 			hubs := []Index{0, n / 2, n - 1}
 			ref, diag := make(deltaOracle, n), make(deltaOracle, n)
 			for i := range ref {
-				ref[i], diag[i] = map[Index]float64{}, map[Index]float64{}
+				ref[i], diag[i] = map[Index]uint64{}, map[Index]uint64{}
 			}
-			// A folded main to delete from, resurrect and override.
+			// IDs start above 2^53, where a float64 would round them.
+			nextID := uint64(1<<53 + 1)
+			newID := func() uint64 { nextID++; return nextID }
+			// A folded main to delete from, re-insert into and promote.
 			var mainKeys [][2]Index
 			for k := 0; k < 2*n; k++ {
 				i, j := rng.Intn(n), rng.Intn(n)
@@ -592,23 +692,34 @@ func TestDeltaMatrixDifferential(t *testing.T) {
 					i = hubs[k%len(hubs)]
 				}
 				if _, ok := ref[i][j]; !ok {
-					ref[i][j] = float64(1 + rng.Intn(3))
+					ref[i][j] = newID()
 					mainKeys = append(mainKeys, [2]Index{i, j})
 				}
 				if k%3 == 0 {
-					diag[i][i] = 1
+					diag[i][i] = 0
 				}
 			}
-			m := ref.csr(n)
-			a, at, d := DeltaFrom(m.Dup()), DeltaFrom(transposeOf(m)), DeltaFrom(diag.csr(n))
+			mainIDs := make([]map[Index]uint64, n)
+			for i := range ref {
+				mainIDs[i] = maps.Clone(ref[i])
+			}
+			m, ids := ref.csr(n)
+			dm, _ := diag.csr(n)
+			a, at, d := DeltaFrom(m.Dup()), DeltaFrom(transposeOf(m)), DeltaFrom(dm)
+			a.ids = ids
 			for _, x := range []*DeltaMatrix{a, at, d} {
 				x.SetThreshold(1 << 30)
 			}
 			keys := append([][2]Index(nil), mainKeys...)
-			set := func(i, j Index, x float64) {
-				must(t, a.SetElement(i, j, x))
+			// set inserts (i, j) with ID id, or promotes id if (i, j) is there.
+			set := func(i, j Index, id uint64) {
+				if _, ok := ref[i][j]; ok {
+					must(t, a.SetID(i, j, id))
+				} else if stored, err := a.InsertID(i, j, id); err != nil || !stored {
+					t.Fatalf("InsertID(%d,%d): %v %v", i, j, stored, err)
+				}
 				must(t, at.SetElement(j, i, 1))
-				ref[i][j] = x
+				ref[i][j] = id
 			}
 			remove := func(i, j Index) {
 				must(t, a.RemoveElement(i, j))
@@ -620,35 +731,35 @@ func TestDeltaMatrixDifferential(t *testing.T) {
 				switch kind := rng.Intn(10); {
 				case kind < tc.hubShare: // insert into a hub row, mostly the first
 					i, j = hubs[max(0, rng.Intn(len(hubs)+3)-3)], rng.Intn(n)
-					set(i, j, float64(1+rng.Intn(3)))
+					set(i, j, newID())
 					keys = append(keys, [2]Index{i, j})
 				case kind < 5: // insert into a spread row
 					i, j = rng.Intn(n), rng.Intn(n)
-					set(i, j, float64(1+rng.Intn(3)))
+					set(i, j, newID())
 					keys = append(keys, [2]Index{i, j})
 				case kind < 7: // delete a pending or folded entry, or nothing
 					k := keys[rng.Intn(len(keys))]
 					i, j = k[0], k[1]
 					remove(i, j)
-				case kind < 8: // resurrect a main entry, to its value or another
+				case kind < 8: // re-insert a buried main entry, with its ID or another
 					k := mainKeys[rng.Intn(len(mainKeys))]
 					i, j = k[0], k[1]
-					x, _ := m.ExtractElement(i, j)
+					id := mainIDs[i][j]
 					if rng.Intn(2) == 0 {
-						x = float64(4 + rng.Intn(3))
+						id = newID()
 					}
 					remove(i, j)
-					set(i, j, x)
-				default: // override the value of a live entry
+					set(i, j, id)
+				default: // promote: rewrite the ID of a live entry
 					k := keys[rng.Intn(len(keys))]
 					i, j = k[0], k[1]
 					if _, ok := ref[i][j]; ok {
-						set(i, j, float64(1+rng.Intn(6)))
+						set(i, j, newID())
 					}
 				}
 				if k := rng.Intn(n); rng.Intn(2) == 0 {
 					must(t, d.SetElement(k, k, 1))
-					diag[k][k] = 1
+					diag[k][k] = 0
 				} else {
 					must(t, d.RemoveElement(k, k))
 					delete(diag[k], k)
@@ -693,9 +804,9 @@ func checkDeltaRow(t *testing.T, a *DeltaMatrix, ref deltaOracle, i Index, cols 
 		t.Fatalf("row %d: columns %v, want %v", i, got, want)
 	}
 	for _, j := range cols {
-		x, err := a.ExtractElement(i, j)
-		if want, ok := ref[i][j]; ok != (err == nil) || x != want {
-			t.Fatalf("(%d,%d) = %v %v, want %v (present %v)", i, j, x, err, want, ok)
+		id, err := a.ExtractElement(i, j)
+		if want, in := ref[i][j]; (err == nil) != in || id != want || a.Has(i, j) != in {
+			t.Fatalf("(%d,%d) = %d %v, want %d (present %v)", i, j, id, err, want, in)
 		}
 	}
 }
@@ -712,7 +823,11 @@ func checkDeltaAll(t *testing.T, when string, a, at, d *DeltaMatrix, ref, diag d
 	for i := 0; i < n; i++ {
 		checkDeltaRow(t, a, ref, i, append(ref.cols(i), (i*7+3)%n))
 	}
-	assertSameCSR(t, when+": export", a.Export(), ref.csr(n))
+	want, ids := ref.csr(n)
+	assertSameCSR(t, when+": export", a.Export(), want)
+	if a.Pending() == 0 && !slices.Equal(a.ids, ids) {
+		t.Fatalf("%s: folded IDs %v, want %v", when, a.ids, ids)
+	}
 	var members []uint64
 	for i := 0; i < n; i++ {
 		if len(diag[i]) > 0 {

@@ -9,11 +9,12 @@
 // operand, VxMDelta/VxMPull (push and pull) over one delta operand, and
 // column selection.
 //
-// Every product is structural, over the AnyPair semiring: an output entry is
-// 1 wherever some A(i, k) meets some B(k, j), and a kernel stops at the first
-// witness without reading a value. No product takes a mask, an accumulator
-// or an input transpose; each replaces its output. Matrix values are float64:
-// structure matrices store 1.0, a relation matrix its edge IDs.
+// Every product is structural, over the AnyPair semiring: an output entry
+// exists wherever some A(i, k) meets some B(k, j), and a kernel stops at the
+// first witness. No product takes a mask, an accumulator or an input
+// transpose; each replaces its output. A matrix is a pattern with no values,
+// like SuiteSparse's iso-valued matrices, except an ID matrix (NewIDMatrix):
+// a relation matrix, whose entries hold uint64 edge IDs.
 //
 // Every kernel runs on the calling goroutine: a query is never split across
 // goroutines, and a Descriptor's thread count is ignored. Concurrency comes

@@ -7,7 +7,8 @@ import (
 	"strings"
 )
 
-// Matrix is a sparse GraphBLAS matrix of float64 values in CSR form.
+// Matrix is a sparse boolean GraphBLAS matrix in CSR form: a pattern of
+// entries and no values, like SuiteSparse's iso-valued matrices.
 //
 // A Matrix holds no pending updates: every call leaves a complete CSR, so a
 // built matrix is safe for any number of concurrent readers without a lock.
@@ -19,7 +20,6 @@ type Matrix struct {
 
 	rowPtr []int
 	colInd []Index
-	val    []float64
 }
 
 // NewMatrix returns an empty nrows × ncols matrix.
@@ -47,82 +47,48 @@ func (m *Matrix) Dup() *Matrix {
 		ncols:  m.ncols,
 		rowPtr: append([]int(nil), m.rowPtr...),
 		colInd: append([]Index(nil), m.colInd...),
-		val:    append([]float64(nil), m.val...),
 	}
 }
 
-// resize grows or shrinks the matrix to nrows × ncols, dropping out-of-range
-// entries when shrinking. RedisGraph grows its matrices in chunks as nodes
-// are created.
-func (m *Matrix) resize(nrows, ncols int) {
-	if nrows < 0 || ncols < 0 {
-		panic("grb: negative matrix dimension")
+// grow extends the matrix to nrows × ncols, as RedisGraph grows its
+// matrices in chunks while nodes are created.
+func (m *Matrix) grow(nrows, ncols int) {
+	if nrows < m.nrows || ncols < m.ncols {
+		panic("grb: a matrix only grows")
 	}
-	if nrows == m.nrows && ncols == m.ncols {
-		return
-	}
-	if nrows >= m.nrows && ncols >= m.ncols {
-		// Pure growth: extend the row pointer array.
-		rp := make([]int, nrows+1)
-		copy(rp, m.rowPtr)
-		for i := m.nrows + 1; i <= nrows; i++ {
-			rp[i] = rp[m.nrows]
-		}
-		m.rowPtr = rp
-		m.nrows, m.ncols = nrows, ncols
-		return
-	}
-	// Shrink: rebuild, filtering out-of-range entries.
 	rp := make([]int, nrows+1)
-	var ci []Index
-	var vv []float64
-	rows := min(nrows, m.nrows)
-	for i := 0; i < rows; i++ {
-		rp[i] = len(ci)
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if m.colInd[k] < ncols {
-				ci = append(ci, m.colInd[k])
-				vv = append(vv, m.val[k])
-			}
-		}
+	copy(rp, m.rowPtr)
+	for i := m.nrows + 1; i <= nrows; i++ {
+		rp[i] = rp[m.nrows]
 	}
-	for i := rows; i <= nrows; i++ {
-		rp[i] = len(ci)
-	}
-	m.rowPtr, m.colInd, m.val = rp, ci, vv
+	m.rowPtr = rp
 	m.nrows, m.ncols = nrows, ncols
 }
 
-// SetElement stores x at (i, j), overwriting any existing entry. It edits the
-// CSR in place — a sorted insert that costs O(nnz) — so it is meant for small
-// fixtures; bulk construction goes through BuildFromRows.
+// SetElement stores an entry at (i, j) unless one is there, ignoring x. It
+// edits the CSR in place — a sorted insert that costs O(nnz) — so it is
+// meant for small fixtures; bulk construction goes through BuildFromRows.
 func (m *Matrix) SetElement(i, j Index, x float64) error {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		return boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
 	}
-	k, ok := m.find(i, j)
-	if ok {
-		m.val[k] = x
-		return nil
-	}
-	m.colInd = slices.Insert(m.colInd, k, j)
-	m.val = slices.Insert(m.val, k, x)
-	for r := i + 1; r <= m.nrows; r++ {
-		m.rowPtr[r]++
+	if k, ok := m.find(i, j); !ok {
+		m.colInd = slices.Insert(m.colInd, k, j)
+		for r := i + 1; r <= m.nrows; r++ {
+			m.rowPtr[r]++
+		}
 	}
 	return nil
 }
 
-// ExtractElement returns the entry at (i, j) or ErrNoValue if absent.
-func (m *Matrix) ExtractElement(i, j Index) (float64, error) {
+// Has reports whether (i, j) holds an entry; an index out of range holds
+// none.
+func (m *Matrix) Has(i, j Index) bool {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
-		return 0, boundsErr("matrix index (%d,%d) dims (%d,%d)", i, j, m.nrows, m.ncols)
+		return false
 	}
-	k, ok := m.find(i, j)
-	if !ok {
-		return 0, ErrNoValue
-	}
-	return m.val[k], nil
+	_, ok := m.find(i, j)
+	return ok
 }
 
 // find returns the position of (i, j) in the CSR, or the position where it
@@ -137,19 +103,11 @@ func (m *Matrix) find(i, j Index) (int, bool) {
 }
 
 // Wait is GrB_wait on a plain matrix, which has nothing to fold. Its last
-// caller is the benchmark harness's frontier build (benchmark/trace.go:572);
-// retargeting that build to BuildFromRows (ROADMAP item 4, Step A) deletes
-// both.
+// caller is the benchmark harness (ROADMAP item 4, Step A deletes both).
 func (m *Matrix) Wait() {}
 
-// rowView returns the column indices and values of row i.
-func (m *Matrix) rowView(i Index) ([]Index, []float64) {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	return m.colInd[lo:hi], m.val[lo:hi]
-}
-
 // BuildFromRows populates an empty matrix as a batch of one-hot rows: row r
-// receives a single entry of 1 at column cols[r]. A negative column leaves
+// receives a single entry at column cols[r]. A negative column leaves
 // row r empty (used for padding OPTIONAL MATCH rows whose source is null).
 // len(cols) must equal NRows. This is the frontier-batch constructor for
 // batched traversal: each row is one record's traversal source.
@@ -172,17 +130,8 @@ func (m *Matrix) BuildFromRows(cols []Index) error {
 		ci = append(ci, j)
 	}
 	m.rowPtr[m.nrows] = len(ci)
-	m.colInd, m.val = ci, ones(len(ci))
+	m.colInd = ci
 	return nil
-}
-
-// ones returns n values of 1: what a structural matrix stores per entry.
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for k := range v {
-		v[k] = 1
-	}
-	return v
 }
 
 // RowIterate returns the sorted column indices of row i as a zero-copy view
@@ -199,10 +148,10 @@ func (m *Matrix) RowIterate(i Index) []Index {
 
 // iterate calls fn for every entry in row-major order; fn returning false
 // stops the iteration.
-func (m *Matrix) iterate(fn func(i, j Index, x float64) bool) {
+func (m *Matrix) iterate(fn func(i, j Index) bool) {
 	for i := 0; i < m.nrows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if !fn(i, m.colInd[k], m.val[k]) {
+			if !fn(i, m.colInd[k]) {
 				return
 			}
 		}
@@ -214,12 +163,12 @@ func (m *Matrix) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix(%dx%d, nvals=%d){", m.nrows, m.ncols, len(m.colInd))
 	first := true
-	m.iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index) bool {
 		if !first {
 			b.WriteString(", ")
 		}
 		first = false
-		fmt.Fprintf(&b, "(%d,%d):%g", i, j, x)
+		fmt.Fprintf(&b, "(%d,%d)", i, j)
 		return true
 	})
 	b.WriteString("}")

@@ -14,11 +14,11 @@ func TestMatrixSetExtract(t *testing.T) {
 	if err := m.SetElement(3, 0, -1); err != nil {
 		t.Fatal(err)
 	}
-	if x, err := m.ExtractElement(1, 2); err != nil || x != 3.5 {
-		t.Fatalf("read: %v %v", x, err)
+	if !m.Has(1, 2) || !m.Has(3, 0) {
+		t.Fatalf("stored entries missing: %s", m)
 	}
-	if _, err := m.ExtractElement(0, 0); !errors.Is(err, ErrNoValue) {
-		t.Fatalf("want ErrNoValue, got %v", err)
+	if m.Has(0, 0) {
+		t.Fatal("(0,0) must be absent")
 	}
 	if m.NVals() != 2 {
 		t.Fatalf("nvals = %d, want 2", m.NVals())
@@ -27,33 +27,24 @@ func TestMatrixSetExtract(t *testing.T) {
 
 func TestMatrixOverwriteAndRemove(t *testing.T) {
 	m := NewMatrix(3, 3)
-	check := func(i, j Index, want float64, present bool) {
+	check := func(i, j Index, present bool, nvals int) {
 		t.Helper()
-		x, err := m.ExtractElement(i, j)
-		if present && (err != nil || x != want) {
-			t.Fatalf("(%d,%d): got %v,%v want %v", i, j, x, err, want)
-		}
-		if !present && !errors.Is(err, ErrNoValue) {
-			t.Fatalf("(%d,%d): want absent, got %v,%v", i, j, x, err)
+		if m.Has(i, j) != present || m.NVals() != nvals {
+			t.Fatalf("(%d,%d): present %v nvals %d, want %v %d", i, j, m.Has(i, j), m.NVals(), present, nvals)
 		}
 	}
 	must(t, m.SetElement(0, 0, 1))
-	must(t, m.SetElement(0, 0, 2)) // overwrite
-	check(0, 0, 2, true)
-	if m.NVals() != 1 {
-		t.Fatalf("nvals = %d, want 1", m.NVals())
-	}
+	must(t, m.SetElement(0, 0, 2)) // a pattern re-insert changes nothing
+	check(0, 0, true, 1)
 
 	removeEntry(m, 0, 0)
-	check(0, 0, 0, false)
-	if m.NVals() != 0 {
-		t.Fatalf("nvals = %d, want 0", m.NVals())
-	}
+	check(0, 0, false, 0)
 	// Remove of an absent entry is a no-op.
 	removeEntry(m, 2, 2)
+	check(2, 2, false, 0)
 	// Set after remove resurrects.
 	must(t, m.SetElement(0, 0, 9))
-	check(0, 0, 9, true)
+	check(0, 0, true, 1)
 }
 
 func TestMatrixOutOfBounds(t *testing.T) {
@@ -61,11 +52,13 @@ func TestMatrixOutOfBounds(t *testing.T) {
 	for _, f := range []func() error{
 		func() error { return m.SetElement(2, 0, 1) },
 		func() error { return m.SetElement(0, -1, 1) },
-		func() error { _, err := m.ExtractElement(0, 2); return err },
 	} {
 		if err := f(); !errors.Is(err, ErrIndexOutOfBounds) {
 			t.Fatalf("want ErrIndexOutOfBounds, got %v", err)
 		}
+	}
+	if m.Has(0, 2) || m.Has(-1, 0) {
+		t.Fatal("an index out of range holds no entry")
 	}
 }
 
@@ -76,59 +69,60 @@ func TestMatrixSetElementKeepsRowsSorted(t *testing.T) {
 	type pos struct{ i, j Index }
 	rng := rand.New(rand.NewSource(7))
 	m := NewMatrix(20, 20)
-	ref := map[pos]float64{}
+	ref := map[pos]bool{}
 	for step := 0; step < 500; step++ {
 		i, j := rng.Intn(20), rng.Intn(20)
 		if rng.Intn(5) == 0 {
 			removeEntry(m, i, j)
 			delete(ref, pos{i, j})
 		} else {
-			x := rng.Float64()
-			must(t, m.SetElement(i, j, x))
-			ref[pos{i, j}] = x
+			must(t, m.SetElement(i, j, 1))
+			ref[pos{i, j}] = true
 		}
 		if m.NVals() != len(ref) || m.rowPtr[m.nrows] != len(ref) {
 			t.Fatalf("step %d: nvals = %d, last row pointer %d, want %d", step, m.NVals(), m.rowPtr[m.nrows], len(ref))
 		}
 	}
 	prev := pos{-1, -1}
-	m.iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index) bool {
 		if i < prev.i || (i == prev.i && j <= prev.j) {
 			t.Fatalf("iteration out of order: (%d,%d) after (%d,%d)", i, j, prev.i, prev.j)
 		}
 		prev = pos{i, j}
-		if ref[pos{i, j}] != x {
-			t.Fatalf("(%d,%d): got %g want %g", i, j, x, ref[pos{i, j}])
+		if !ref[pos{i, j}] {
+			t.Fatalf("(%d,%d) is not in the reference", i, j)
 		}
 		return true
 	})
 }
 
+// TestMatrixResizeGrowShrink grows a matrix, keeping its entries, and
+// checks that a shrink, which nothing asks for, panics instead of dropping
+// entries.
 func TestMatrixResizeGrowShrink(t *testing.T) {
 	m := NewMatrix(3, 3)
 	must(t, m.SetElement(0, 0, 1))
 	must(t, m.SetElement(2, 2, 2))
-	m.resize(5, 5)
-	if m.nrows != 5 || m.ncols != 5 || m.NVals() != 2 {
-		t.Fatalf("after grow: %dx%d nvals=%d", m.nrows, m.ncols, m.NVals())
+	m.grow(5, 5)
+	if m.nrows != 5 || m.ncols != 5 || m.NVals() != 2 || !m.Has(2, 2) {
+		t.Fatalf("after grow: %s", m)
 	}
 	must(t, m.SetElement(4, 4, 3))
-	m.resize(2, 2)
-	if m.NVals() != 1 {
-		t.Fatalf("after shrink: nvals=%d want 1", m.NVals())
-	}
-	if x, _ := m.ExtractElement(0, 0); x != 1 {
-		t.Fatalf("surviving entry: %g", x)
-	}
+	defer func() {
+		if recover() == nil || m.NVals() != 3 {
+			t.Fatalf("a shrink must panic and keep the matrix: %s", m)
+		}
+	}()
+	m.grow(2, 2)
 }
 
 func TestMatrixDupIndependence(t *testing.T) {
 	m := NewMatrix(2, 2)
 	must(t, m.SetElement(0, 1, 4))
 	d := m.Dup()
-	must(t, m.SetElement(0, 1, 5))
-	if x, _ := d.ExtractElement(0, 1); x != 4 {
-		t.Fatalf("dup mutated: %g", x)
+	must(t, m.SetElement(1, 0, 5))
+	if !d.Has(0, 1) || d.Has(1, 0) || d.NVals() != 1 {
+		t.Fatalf("dup mutated: %s", d)
 	}
 }
 

@@ -73,7 +73,7 @@ func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix) error {
 	ci := ws.ci[:0]
 	rp := make([]int, a.nrows+1)
 	for i := 0; i < a.nrows; i++ {
-		ac, _ := a.rowView(i)
+		ac := a.colInd[a.rowPtr[i]:a.rowPtr[i+1]]
 		if b := bs[0]; len(bs) == 1 && len(ac) == 1 && b.row(ac[0]) == nil {
 			// Single-entry row (a one-hot traversal frontier) on a clean
 			// row of a one-part B: the result row is that row verbatim —
@@ -112,7 +112,7 @@ func MxMParts(c *Matrix, a *Matrix, bs []*DeltaMatrix) error {
 	out := append(make([]Index, 0, len(ci)), ci...)
 	ws.ci = ci
 	mxmPool.Put(ws)
-	c.rowPtr, c.colInd, c.val = rp, out, ones(len(out))
+	c.rowPtr, c.colInd = rp, out
 	return nil
 }
 

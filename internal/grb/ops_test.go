@@ -158,9 +158,9 @@ func stackRows(a, b *Matrix) *Matrix {
 		src *Matrix
 		off int
 	}{{a, 0}, {b, a.nrows}} {
-		rows, cols, vals := tuples(m.src)
+		rows, cols := tuples(m.src)
 		for k := range rows {
-			if err := out.SetElement(rows[k]+m.off, cols[k], vals[k]); err != nil {
+			if err := out.SetElement(rows[k]+m.off, cols[k], 1); err != nil {
 				panic(err)
 			}
 		}

@@ -11,7 +11,6 @@ import (
 type cooSpec struct {
 	NRows, NCols int
 	Rows, Cols   []Index
-	Vals         []float64
 }
 
 func (cooSpec) Generate(r *rand.Rand, size int) reflect.Value {
@@ -22,16 +21,15 @@ func (cooSpec) Generate(r *rand.Rand, size int) reflect.Value {
 	for k := 0; k < nnz; k++ {
 		s.Rows = append(s.Rows, r.Intn(nr))
 		s.Cols = append(s.Cols, r.Intn(nc))
-		s.Vals = append(s.Vals, float64(r.Intn(7)+1))
 	}
 	return reflect.ValueOf(s)
 }
 
-// matrix builds the spec; a repeated position keeps its last value.
+// matrix builds the spec; a repeated position is one entry.
 func (s cooSpec) matrix() *Matrix {
 	m := NewMatrix(s.NRows, s.NCols)
 	for k := range s.Rows {
-		if err := m.SetElement(s.Rows[k], s.Cols[k], s.Vals[k]); err != nil {
+		if err := m.SetElement(s.Rows[k], s.Cols[k], 1); err != nil {
 			panic(err)
 		}
 	}
@@ -42,10 +40,10 @@ func sameMatrix(a, b *Matrix) bool {
 	if a.nrows != b.nrows || a.ncols != b.ncols || a.NVals() != b.NVals() {
 		return false
 	}
-	ra, ca, va := tuples(a)
-	rb, cb, vb := tuples(b)
+	ra, ca := tuples(a)
+	rb, cb := tuples(b)
 	for k := range ra {
-		if ra[k] != rb[k] || ca[k] != cb[k] || va[k] != vb[k] {
+		if ra[k] != rb[k] || ca[k] != cb[k] {
 			return false
 		}
 	}
@@ -79,10 +77,10 @@ func TestPropMxMPartsCommutative(t *testing.T) {
 			_ = a.SetElement(s1.Rows[k], s1.Cols[k]%n, 1)
 		}
 		for k := range s2.Rows {
-			_ = b1.SetElement(s2.Rows[k]%n, s2.Cols[k]%n, s2.Vals[k])
+			_ = b1.SetElement(s2.Rows[k]%n, s2.Cols[k]%n, 1)
 		}
 		for k := range s3.Rows {
-			_ = b2.SetElement(s3.Rows[k]%n, s3.Cols[k]%n, s3.Vals[k])
+			_ = b2.SetElement(s3.Rows[k]%n, s3.Cols[k]%n, 1)
 		}
 		p1, p2 := DeltaFrom(b1), DeltaFrom(b2)
 		c1, c2 := NewMatrix(a.nrows, n), NewMatrix(a.nrows, n)
@@ -215,7 +213,7 @@ func TestPropVxMMatchesMxVTranspose(t *testing.T) {
 	}
 }
 
-// sameDense reports whether m holds exactly d's pattern, every entry 1.
+// sameDense reports whether m holds exactly d's pattern.
 func sameDense(m *Matrix, d *dense) bool {
 	md := toDenseM(m)
 	if md.nr != d.nr || md.nc != d.nc {
@@ -223,11 +221,6 @@ func sameDense(m *Matrix, d *dense) bool {
 	}
 	for k := range d.ok {
 		if md.ok[k] != d.ok[k] {
-			return false
-		}
-	}
-	for _, x := range m.val {
-		if x != 1 {
 			return false
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // Dense pattern references the sparse kernels are checked against. Every
 // kernel computes the structural product, so a reference holds presence
-// alone and a kernel's entries must all be 1.
+// alone.
 
 // mxm and vxm run the delta kernels with a plain B operand wrapped as a
 // clean delta matrix, the shape every engine call sees between syncs; mxv
@@ -39,12 +39,11 @@ func boolMatrix(nrows, ncols int, src, dst []Index) *Matrix {
 	return m
 }
 
-// transposeOf returns m' with m's values: the pull kernel's operand for
-// u'·m.
+// transposeOf returns m': the pull kernel's operand for u'·m.
 func transposeOf(m *Matrix) *Matrix {
 	t := NewMatrix(m.ncols, m.nrows)
-	m.iterate(func(i, j Index, x float64) bool {
-		if err := t.SetElement(j, i, x); err != nil {
+	m.iterate(func(i, j Index) bool {
+		if err := t.SetElement(j, i, 1); err != nil {
 			panic(err)
 		}
 		return true
@@ -68,7 +67,7 @@ func (d *dense) set(i, j int) { d.ok[i*d.nc+j] = true }
 
 func toDenseM(m *Matrix) *dense {
 	d := newDense(m.nrows, m.ncols)
-	m.iterate(func(i, j Index, _ float64) bool {
+	m.iterate(func(i, j Index) bool {
 		d.set(i, j)
 		return true
 	})
@@ -92,8 +91,7 @@ func denseMxM(a, b *dense) *dense {
 	return c
 }
 
-// expectDenseEq checks that got holds exactly want's pattern and that every
-// entry is 1, the structural product's value.
+// expectDenseEq checks that got holds exactly want's pattern.
 func expectDenseEq(t *testing.T, got *Matrix, want *dense) {
 	t.Helper()
 	if got.nrows != want.nr || got.ncols != want.nc {
@@ -107,12 +105,6 @@ func expectDenseEq(t *testing.T, got *Matrix, want *dense) {
 			}
 		}
 	}
-	got.iterate(func(i, j Index, x float64) bool {
-		if x != 1 {
-			t.Fatalf("(%d,%d): got %g, want 1", i, j, x)
-		}
-		return true
-	})
 }
 
 // denseVxM is the reference structural u'·A: entry j is 1 iff some k has
@@ -186,14 +178,13 @@ func vectorSet(v *Vector) map[Index]bool {
 }
 
 // tuples returns m's entries as parallel COO slices in row-major order.
-func tuples(m *Matrix) (rows, cols []Index, vals []float64) {
-	m.iterate(func(i, j Index, x float64) bool {
+func tuples(m *Matrix) (rows, cols []Index) {
+	m.iterate(func(i, j Index) bool {
 		rows = append(rows, i)
 		cols = append(cols, j)
-		vals = append(vals, x)
 		return true
 	})
-	return rows, cols, vals
+	return rows, cols
 }
 
 // removeEntry deletes (i, j) from m in place if present: the test-side
@@ -204,7 +195,6 @@ func removeEntry(m *Matrix, i, j Index) {
 		return
 	}
 	m.colInd = slices.Delete(m.colInd, k, k+1)
-	m.val = slices.Delete(m.val, k, k+1)
 	for r := i + 1; r <= m.nrows; r++ {
 		m.rowPtr[r]--
 	}
@@ -221,15 +211,13 @@ func identity(n int) *Matrix {
 	return m
 }
 
-// randMatrix builds a random nr × nc matrix with the given density. Its
-// values run from 1 to 9, so a kernel that copied an operand's value instead
-// of writing 1 shows.
+// randMatrix builds a random nr × nc matrix with the given density.
 func randMatrix(rng *rand.Rand, nr, nc int, density float64) *Matrix {
 	m := NewMatrix(nr, nc)
 	for i := 0; i < nr; i++ {
 		for j := 0; j < nc; j++ {
 			if rng.Float64() < density {
-				if err := m.SetElement(i, j, float64(rng.Intn(9)+1)); err != nil {
+				if err := m.SetElement(i, j, 1); err != nil {
 					panic(err)
 				}
 			}

@@ -12,10 +12,10 @@ package grb
 // probes) while the per-entry check stays O(1)-ish.
 type ColMask func(j Index) bool
 
-// PointSource is any matrix exposing point extraction — both Matrix and
+// PointSource is any matrix exposing a point probe — both Matrix and
 // DeltaMatrix qualify, so masks built from label matrices stay fold-free.
 type PointSource interface {
-	ExtractElement(i, j Index) (float64, error)
+	Has(i, j Index) bool
 }
 
 // DiagMask builds a column mask from the diagonal support of src (a label
@@ -23,10 +23,7 @@ type PointSource interface {
 // delta structures directly, so buffered label writes are visible without a
 // fold.
 func DiagMask(src PointSource) ColMask {
-	return func(j Index) bool {
-		_, err := src.ExtractElement(j, j)
-		return err == nil
-	}
+	return func(j Index) bool { return src.Has(j, j) }
 }
 
 // IndexSetMask builds a column mask from an explicit id set (attribute-index
@@ -72,12 +69,10 @@ func SelectCols(m *Matrix, keep ColMask) {
 		for k := lo; k < hi; k++ {
 			if keep(m.colInd[k]) {
 				m.colInd[out] = m.colInd[k]
-				m.val[out] = m.val[k]
 				out++
 			}
 		}
 	}
 	m.rowPtr[m.nrows] = out
 	m.colInd = m.colInd[:out]
-	m.val = m.val[:out]
 }

@@ -14,7 +14,7 @@ func TestSelectColsMatrix(t *testing.T) {
 	}
 	SelectCols(m, func(j Index) bool { return j%2 == 0 })
 	var got [][2]Index
-	m.iterate(func(i, j Index, x float64) bool {
+	m.iterate(func(i, j Index) bool {
 		got = append(got, [2]Index{i, j})
 		return true
 	})

@@ -85,6 +85,15 @@ func (v *Vector) Iterate(fn func(i Index, x float64) bool) {
 	}
 }
 
+// ones returns n values of 1: a structural product's entries.
+func ones(n int) []float64 {
+	v := make([]float64, n)
+	for k := range v {
+		v[k] = 1
+	}
+	return v
+}
+
 func (v *Vector) maybeDensify() {
 	if !v.dense && v.n > 0 && len(v.ind)*denseThreshold > v.n {
 		v.toDense()

@@ -324,7 +324,7 @@ func TestLoadFillsEdgeIDHolesOnOnePair(t *testing.T) {
 			t.Fatalf("EdgesBetween(%d, a, b) = %v, want [%d]", tid, ids, live.ID)
 		}
 	}
-	if v, err := g2.RelationMatrix(rid).ExtractElement(int(a.ID), int(b.ID)); err != nil || v != float64(live.ID) {
+	if v, err := g2.RelationMatrix(rid).ExtractElement(int(a.ID), int(b.ID)); err != nil || v != live.ID {
 		t.Fatalf("R(a, b) = %v, %v; want %d", v, err, live.ID)
 	}
 	if n := g2.RelationMatrix(rid).NVals(); n != 1 {
