@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"redisgraph/internal/gen"
@@ -16,7 +17,10 @@ import (
 // age, score and city on every :Node and an index on :Node(uid). Load
 // replays every edge through CreateEdge into the delta matrices and folds
 // once at the end, so it is almost all of the server's start-up. The
-// snapshot is built outside the timer; the metric is µs per edge record.
+// snapshot is built outside the timer; the metrics are µs per edge record
+// and heapB/edge, the heap one loaded graph holds per edge (a GC before and
+// after one more Load, outside the timer, as benchmark/trace.go measures
+// graph.heap_bytes_per_edge).
 //
 //	go test -run '^$' -bench PersistLoad ./internal/persist
 func BenchmarkPersistLoad(b *testing.B) {
@@ -52,4 +56,16 @@ func BenchmarkPersistLoad(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(e.Src)), "µs/edge")
+	b.StopTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	loaded, err := Load(bytes.NewReader(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(loaded.EdgeCount()), "heapB/edge")
+	runtime.KeepAlive(loaded)
 }
